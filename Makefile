@@ -25,6 +25,11 @@
 #   make fleet-bench - worker-fleet no-fault overhead vs the slot scheduler
 #   make federation-bench - incremental mirror-sync bytes-on-wire vs naive push
 #   make fsck-demo - save a layout, corrupt it on disk, detect and repair
+#   make bench-e2e - wall-clock harness: all four workloads, untraced, to BENCH_OUT
+#   make bench-trace - wall-clock harness with per-layer trace, to TRACE_OUT
+#   make bench-compare A=parent.json B=change.json [CLAIM=workload:metric]
+#                - compare two harness --out files (pair-win rule with CLAIM)
+#   make harness-test - the wall-clock harness's self-tests
 
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
@@ -32,12 +37,19 @@ CLI     = PYTHONPATH=src $(PYTHON) -m repro.cli
 
 TRACE_APP ?= lammps
 
+HARNESS   = $(PYTHON) -m benchmarks.harness
+SEED      ?= 0
+REPEAT    ?= 1
+BENCH_OUT ?= benchmarks/results/harness/e2e.json
+TRACE_OUT ?= benchmarks/results/harness/trace.json
+
 .PHONY: test chaos federation-chaos federation-test service-test \
         service-chaos recovery-test recovery-bench verify-all \
         service-bench serve bench resilience-bench \
         trace metrics telemetry-bench obs-bench health integrity-bench \
         perf-bench incremental-test parallel-bench fleet-bench \
-        federation-bench fsck-demo
+        federation-bench fsck-demo bench-e2e bench-trace bench-compare \
+        harness-test
 
 test:
 	$(PYTEST) -x -q
@@ -68,7 +80,7 @@ recovery-bench:
 
 # Everything: the tier-1 suite, then each marker-gated suite in turn.
 verify-all: test chaos federation-chaos service-chaos recovery-test \
-        federation-test service-test incremental-test
+        federation-test service-test incremental-test harness-test
 
 service-bench:
 	$(PYTEST) benchmarks/bench_service_throughput.py -q -s
@@ -121,3 +133,22 @@ federation-bench:
 
 fsck-demo:
 	PYTHONPATH=src $(PYTHON) examples/fsck_demo.py
+
+# The wall-clock harness (benchmarks/harness/README.md).  SEED, REPEAT,
+# BENCH_OUT and TRACE_OUT override the defaults; traced runs write one
+# Chrome trace per workload next to TRACE_OUT.
+bench-e2e:
+	mkdir -p $(dir $(BENCH_OUT))
+	$(HARNESS) --seed $(SEED) --repeat $(REPEAT) --trace 0 --out $(BENCH_OUT)
+
+bench-trace:
+	mkdir -p $(dir $(TRACE_OUT))
+	$(HARNESS) --seed $(SEED) --trace 1 --out $(TRACE_OUT)
+
+bench-compare:
+	$(if $(and $(A),$(B)),,$(error usage: make bench-compare \
+	    A=parent.json B=change.json [CLAIM=workload:metric]))
+	$(HARNESS) compare $(A) $(B) $(if $(CLAIM),--claim $(CLAIM))
+
+harness-test:
+	$(PYTEST) benchmarks/harness -q

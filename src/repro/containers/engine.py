@@ -37,7 +37,11 @@ from repro.oci.layout import OCILayout
 from repro.oci.registry import ImageRegistry
 from repro.pkg.repository import Repository, RepositoryPool
 from repro.telemetry import NULL_TELEMETRY
-from repro.toolchain.artifacts import ExecutableArtifact, try_read_artifact
+from repro.toolchain.artifacts import (
+    ExecutableArtifact,
+    decodable_bytes,
+    try_read_artifact,
+)
 from repro.vfs import RegularFile, VirtualFilesystem
 from repro.vfs import paths as vpath
 
@@ -271,7 +275,9 @@ class ContainerEngine:
         node = container.fs.try_get_node(path)
         if not isinstance(node, RegularFile):
             return RunResult(exit_code=126, stderr=f"sh: {argv[0]}: cannot execute")
-        data = node.content.read()
+        # Markers and provenance decode from an artifact's payload alone;
+        # only a shell script needs the file's materialized bytes.
+        data = decodable_bytes(node.content)
 
         marker = simbin.read_program_marker(data)
         if marker is not None and marker.get("program") == "hijack":
@@ -307,7 +313,8 @@ class ContainerEngine:
         if data.startswith(b"#!"):
             from repro.containers.shell import Shell
 
-            script = data.decode("utf-8", errors="replace").split("\n", 1)
+            text = node.content.read().decode("utf-8", errors="replace")
+            script = text.split("\n", 1)
             body = script[1] if len(script) > 1 else ""
             return Shell(self, container).run_script(body, env=env, cwd=cwd)
 

@@ -66,13 +66,13 @@ def verify_redirected_image(
     # 3. Rebuilt binaries carry the system toolchain.
     expected_toolchain = None
     for path in files:
-        data = redirected_fs.read_file(path) if redirected_fs.exists(path) else b""
+        data = redirected_fs.read_content(path) if redirected_fs.exists(path) else b""
         artifact = try_read_artifact(data)
         if isinstance(artifact, ExecutableArtifact):
             if expected_toolchain is None:
                 expected_toolchain = artifact.toolchain
             original = try_read_artifact(
-                original_fs.read_file(path) if original_fs.exists(path) else b""
+                original_fs.read_content(path) if original_fs.exists(path) else b""
             )
             if (
                 isinstance(original, ExecutableArtifact)

@@ -69,8 +69,7 @@ def bolt_optimize_image(
     """
     container = engine.from_image(image_ref, name="bolt-opt")
     try:
-        data = container.fs.read_file(binary_path)
-        artifact = read_artifact(data)
+        artifact = read_artifact(container.fs.read_content(binary_path))
         if not isinstance(artifact, ExecutableArtifact):
             raise BoltError(f"{binary_path} is not an executable")
         profile = profile_id(workload_name, system.key)

@@ -57,7 +57,7 @@ def run_ar(argv: List[str], fs: VirtualFilesystem, cwd: str = "/") -> str:
         for path in member_paths:
             if not fs.exists(path):
                 raise ArchiverError(f"ar: {path}: No such file or directory")
-            obj = try_read_artifact(fs.read_file(path))
+            obj = try_read_artifact(fs.read_content(path))
             if not isinstance(obj, ObjectArtifact):
                 raise ArchiverError(f"ar: {path}: file format not recognized")
             name = vpath.basename(path)
@@ -79,7 +79,7 @@ def run_ar(argv: List[str], fs: VirtualFilesystem, cwd: str = "/") -> str:
 def _read_archive(fs: VirtualFilesystem, path: str) -> ArchiveArtifact:
     if not fs.exists(path):
         raise ArchiverError(f"ar: {path}: No such file or directory")
-    artifact = try_read_artifact(fs.read_file(path))
+    artifact = try_read_artifact(fs.read_content(path))
     if not isinstance(artifact, ArchiveArtifact):
         raise ArchiverError(f"ar: {path}: file format not recognized")
     return artifact

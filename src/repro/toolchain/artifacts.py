@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Union
 
 from repro import simbin
 from repro.vfs.content import FileContent
@@ -30,14 +30,21 @@ BYTES_PER_SOURCE_BYTE = {"0": 0.50, "1": 0.42, "2": 0.38, "3": 0.44,
 
 @dataclass(frozen=True)
 class PaddedContent(FileContent):
-    """JSON payload + declared padding, materialized only on read.
+    """JSON payload + declared padding of ASCII spaces, materialized only
+    on :meth:`read`.
 
-    Trailing whitespace is valid JSON padding, so ``json.loads(read())``
-    always works regardless of pad size.
+    Provenance is decoded from :attr:`payload` alone (see
+    :func:`decodable_bytes`): trailing spaces can neither make bytes that
+    are not UTF-8 JSON parse nor change a parsed value, so the padding
+    never needs to exist for a read of the artifact's provenance.
     """
 
     payload: bytes
     pad: int = 0
+
+    def __post_init__(self) -> None:
+        if type(self.pad) is not int or self.pad < 0:
+            raise ValueError(f"pad must be a non-negative int, got {self.pad!r}")
 
     @property
     def size(self) -> int:
@@ -181,9 +188,20 @@ def artifact_content(artifact: Any, pad: Optional[int] = None) -> PaddedContent:
     return PaddedContent(payload=payload, pad=pad_bytes)
 
 
-def read_artifact(data: bytes) -> Any:
-    """Parse artifact bytes back into its typed representation."""
-    obj = simbin.read_artifact_payload(data)
+def decodable_bytes(data: Union[bytes, FileContent]) -> bytes:
+    """The bytes a simbin decoder needs from *data*: a padded artifact's
+    payload without its padding, any other content in full."""
+    if isinstance(data, PaddedContent):
+        return data.payload
+    if isinstance(data, FileContent):
+        return data.read()
+    return data
+
+
+def read_artifact(data: Union[bytes, FileContent]) -> Any:
+    """Parse an artifact's bytes or file content into its typed
+    representation."""
+    obj = simbin.read_artifact_payload(decodable_bytes(data))
     if obj is None:
         raise ArtifactError("not a simulated build artifact")
     kind = obj.get("kind")
@@ -199,7 +217,7 @@ def read_artifact(data: bytes) -> Any:
     return cls.from_json(obj)
 
 
-def try_read_artifact(data: bytes) -> Optional[Any]:
+def try_read_artifact(data: Union[bytes, FileContent]) -> Optional[Any]:
     try:
         return read_artifact(data)
     except ArtifactError:

@@ -230,7 +230,7 @@ class CompilerDriver:
             path = self._resolve(cwd, obj_path)
             if not fs.exists(path):
                 raise CompilerError(f"{inv.program}: error: {obj_path}: No such file or directory")
-            artifact = try_read_artifact(fs.read_file(path))
+            artifact = try_read_artifact(fs.read_content(path))
             if not isinstance(artifact, ObjectArtifact):
                 raise CompilerError(
                     f"/usr/bin/ld: {obj_path}: file format not recognized"
@@ -240,7 +240,7 @@ class CompilerDriver:
             path = self._resolve(cwd, ar_path)
             if not fs.exists(path):
                 raise CompilerError(f"{inv.program}: error: {ar_path}: No such file or directory")
-            artifact = try_read_artifact(fs.read_file(path))
+            artifact = try_read_artifact(fs.read_content(path))
             if not isinstance(artifact, ArchiveArtifact):
                 raise CompilerError(f"/usr/bin/ld: {ar_path}: malformed archive")
             members.extend(artifact.member_objects())
@@ -369,7 +369,7 @@ class CompilerDriver:
     ) -> Optional[List[ObjectArtifact]]:
         if not path.endswith(".a"):
             return None
-        artifact = try_read_artifact(fs.read_file(path))
+        artifact = try_read_artifact(fs.read_content(path))
         if isinstance(artifact, ArchiveArtifact):
             return artifact.member_objects()
         return []  # synthetic (package-provided) static library: opaque

@@ -408,12 +408,16 @@ class VirtualFilesystem:
     # reading
     # ------------------------------------------------------------------
 
-    def read_file(self, path: str) -> bytes:
+    def read_content(self, path: str) -> FileContent:
+        """The content provider of the file at *path*, not yet materialized."""
         node = self.get_node(path)
         if isinstance(node, Directory):
             raise IsADirectoryVfsError(f"is a directory: {vpath.normalize(path)!r}")
         assert isinstance(node, RegularFile)
-        return node.content.read()
+        return node.content
+
+    def read_file(self, path: str) -> bytes:
+        return self.read_content(path).read()
 
     def read_text(self, path: str) -> str:
         return self.read_file(path).decode("utf-8")

@@ -1,7 +1,9 @@
 """Unit tests for the integrity layer: corruption faults, verified reads,
 quarantine + repair, crash-consistent persistence, and fsck."""
 
+import base64
 import dataclasses
+import hashlib
 import json
 import os
 import random
@@ -11,6 +13,7 @@ import pytest
 from repro.integrity import (
     KIND_CHECKSUM_MISMATCH,
     KIND_DIGEST_MISMATCH,
+    KIND_UNPARSEABLE,
     IntegrityError,
     IntegrityFinding,
     find_integrity_error,
@@ -27,6 +30,7 @@ from repro.oci import (
     mediatypes,
 )
 from repro.oci.blobs import Blob, BlobStore, check_blob
+from repro.oci.digest import digest_bytes
 from repro.oci.layout import CHECKSUM_MANIFEST
 from repro.oci.registry import ImageNotFound
 from repro.resilience import (
@@ -36,6 +40,7 @@ from repro.resilience import (
     RebuildJournal,
     corrupt_payload,
 )
+from repro.resilience.journal import _parse_journal
 from repro.toolchain.artifacts import PaddedContent
 from repro.vfs import InlineContent
 
@@ -382,6 +387,68 @@ class TestJournalSalvage:
         layout.blobs.fault_injector = None
         reloaded = RebuildJournal(layout, "app.dist")
         assert set(reloaded.node_ids()) <= set(journal.node_ids())
+
+    def test_negative_pad_entry_dropped(self):
+        layout, journal = self._journal_with_nodes(count=3)
+        journal.flush()
+        desc = next(d for d in layout.index if d.annotations.get(
+            mediatypes.ANNOTATION_COMTAINER_JOURNAL) == "app.dist")
+        lines = layout.blobs.get(desc.digest).as_bytes().split(b"\n")
+        at = next(i for i, line in enumerate(lines) if b'"node-1"' in line)
+        entry = json.loads(lines[at])
+        entry["content"]["pad"] = -5
+        # The digest such an entry would carry: (payload, pad) hashed the
+        # way PaddedContent.digest does, so only the pad check can drop it.
+        payload = base64.b64decode(entry["content"]["payload"])
+        entry["content_digest"] = "sha256:" + hashlib.sha256(
+            payload + b"\x00pad:-5").hexdigest()
+        lines[at] = json.dumps(entry, sort_keys=True).encode()
+        nodes, _leases, dropped = _parse_journal(b"\n".join(lines))
+        assert sorted(nodes) == ["node-0", "node-2"]
+        assert dropped == 1
+
+
+class TestPaddedLayerEntries:
+    def _saved_padded_layout(self, tmp_path, pad):
+        layer = Layer().add(LayerEntry.file(
+            "/app/a.o", PaddedContent(b'{"kind": "object"}', pad=64)))
+        config = ImageConfig(architecture="amd64")
+        config.diff_ids.append(layer.digest)
+        manifest = Manifest(config=config.descriptor(),
+                            layers=[Blob.from_layer(layer).descriptor()])
+        layout = OCILayout()
+        layout.add_manifest(manifest, config, [layer], tag="app:latest")
+        target = str(tmp_path / "img.oci")
+        layout.save(target)
+        # Rewrite the layer's pad and re-record its checksum, so the
+        # loader's only complaint can be the pad itself.
+        rel = f"blobs/sha256/{layer.digest.split(':', 1)[1]}"
+        path = os.path.join(target, *rel.split("/"))
+        with open(path, "rb") as fh:
+            data = fh.read().replace(b'"pad":64', b'"pad":' + pad)
+        with open(path, "wb") as fh:
+            fh.write(data)
+        manifest_path = os.path.join(target, CHECKSUM_MANIFEST)
+        with open(manifest_path, encoding="utf-8") as fh:
+            checksums = json.load(fh)
+        checksums["files"][rel] = digest_bytes(data)
+        with open(manifest_path, "w", encoding="utf-8") as fh:
+            json.dump(checksums, fh)
+        return target, layer.digest
+
+    @pytest.mark.parametrize("pad", [b"-5", b"1.5", b'"64"'])
+    def test_invalid_pad_layer_is_an_integrity_error(self, tmp_path, pad):
+        target, digest = self._saved_padded_layout(tmp_path, pad)
+        with pytest.raises(IntegrityError) as info:
+            OCILayout.load(target)
+        assert info.value.finding.kind == KIND_UNPARSEABLE
+        assert info.value.digest == digest
+        # Best-effort loading skips the unparseable layer blob.
+        assert digest not in OCILayout.load(target, verify=False).blobs
+
+    def test_valid_pad_layer_loads(self, tmp_path):
+        target, digest = self._saved_padded_layout(tmp_path, b"64")
+        assert OCILayout.load(target).resolve("app:latest").verify() == []
 
 
 class TestRepairEngine:

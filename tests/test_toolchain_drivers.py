@@ -1,7 +1,15 @@
 """Tests for compiler driver execution, archiver, artifacts."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import simbin
+from repro.apps import get_app
+from repro.containers import ContainerEngine
+from repro.core.backend.verify import verify_redirected_image
+from repro.core.workflow import build_extended_image, system_side_adapt
+from repro.sysmodel import X86_CLUSTER
 from repro.toolchain.archiver import ArchiverError, run_ar
 from repro.toolchain.artifacts import (
     ArchiveArtifact,
@@ -32,6 +40,21 @@ def gcc():
     return CompilerDriver(toolchain_id="gnu-12", role="cc", isa="x86-64")
 
 
+@pytest.fixture
+def padded_reads(monkeypatch):
+    """Records every :meth:`PaddedContent.read`: each one materializes
+    an artifact's padding."""
+    calls = []
+    original = PaddedContent.read
+
+    def counted(self):
+        calls.append(self.size)
+        return original(self)
+
+    monkeypatch.setattr(PaddedContent, "read", counted)
+    return calls
+
+
 class TestArtifacts:
     def test_padded_content_size_and_digest(self):
         content = PaddedContent(payload=b"{}", pad=1000)
@@ -55,6 +78,62 @@ class TestArtifacts:
 
     def test_try_read_non_artifact(self):
         assert try_read_artifact(b"not an artifact") is None
+
+    @pytest.mark.parametrize("pad", [-1, -5, 1.5, "7", None, True])
+    def test_pad_must_be_non_negative_int(self, pad):
+        with pytest.raises(ValueError, match="pad"):
+            PaddedContent(payload=b"{}", pad=pad)
+
+    def test_reads_file_content_without_padding(self, padded_reads):
+        content = artifact_content(ObjectArtifact(code_size=1 << 20))
+        assert isinstance(read_artifact(content), ObjectArtifact)
+        assert padded_reads == []
+
+
+_KIND_PAYLOADS = [artifact_content(artifact, pad=0).payload for artifact in (
+    ObjectArtifact(sources=["/src/a.c"], opt_level="3", lto_ir=True),
+    ArchiveArtifact(members=[{"name": "a.o", "object": ObjectArtifact().to_json()}]),
+    SharedObjectArtifact(soname="liba.so.1", libs=["m"]),
+    ExecutableArtifact(lto_applied=True, pgo_profile="run-1"),
+)]
+_ODD_PAYLOADS = [
+    simbin.ARTIFACT_MAGIC + b'{"kind": "object", "toolchain": "\xff\xfe"}',
+    simbin.ARTIFACT_MAGIC + b'["kind", "object"]',
+    simbin.ARTIFACT_MAGIC + b'{"sources": ["/src/a.c"]}',
+    simbin.ARTIFACT_MAGIC + b'{"kind": "firmware"}',
+    simbin.program_marker("gcc", toolchain="gnu-12"),
+    b"",
+]
+_PAYLOADS = st.one_of(
+    st.sampled_from(_KIND_PAYLOADS + _ODD_PAYLOADS),
+    # Truncated JSON: every artifact kind cut at any byte.
+    st.sampled_from(_KIND_PAYLOADS).flatmap(
+        lambda p: st.integers(0, len(p) - 1).map(lambda n: p[:n])),
+)
+
+
+def _outcome(data):
+    """What :func:`read_artifact` makes of *data*: the error class it
+    raised, or the type and JSON of the artifact it returned."""
+    try:
+        artifact = read_artifact(data)
+    except Exception as exc:
+        return type(exc)
+    return type(artifact), artifact.to_json()
+
+
+@settings(max_examples=150)
+@given(payload=_PAYLOADS, pad=st.integers(0, 4096))
+def test_padded_decode_equals_materialized_decode(payload, pad):
+    content = PaddedContent(payload, pad)
+    materialized = payload + b" " * pad
+    lazy, eager = try_read_artifact(content), try_read_artifact(materialized)
+    if eager is None:
+        assert lazy is None
+    else:
+        assert type(lazy) is type(eager)
+        assert lazy.to_json() == eager.to_json()
+    assert _outcome(content) == _outcome(materialized)
 
 
 class TestCompile:
@@ -287,3 +366,38 @@ class TestArchiver:
     def test_missing_member_raises(self, fs):
         with pytest.raises(ArchiverError):
             run_ar(["ar", "rcs", "lib.a", "ghost.o"], fs, cwd="/src")
+
+
+class TestPaddingNeverMaterialized:
+    """Provenance reads decode an artifact's payload, never its padding."""
+
+    def test_archive_and_link_paths(self, fs, gcc, padded_reads):
+        gcc.execute(["gcc", "-c", "main.c"], fs, cwd="/src")
+        gcc.execute(["gcc", "-c", "util.c"], fs, cwd="/src")
+        run_ar(["ar", "rcs", "libu.a", "util.o"], fs, cwd="/src")
+        run_ar(["ar", "r", "libu.a", "util.o"], fs, cwd="/src")
+        assert run_ar(["ar", "t", "libu.a"], fs, cwd="/src") == "util.o\n"
+        run_ar(["ar", "x", "libu.a"], fs, cwd="/src")
+        gcc.execute(["gcc", "main.o", "libu.a", "-o", "app"], fs, cwd="/src")
+        gcc.execute(["gcc", "main.o", "-L/src", "-lu", "-o", "app2"],
+                    fs, cwd="/src")
+        for exe in ("/src/app", "/src/app2"):
+            assert len(read_artifact(fs.read_content(exe)).objects) == 2
+        assert padded_reads == []
+
+    def test_cold_adaptation_verification_and_exec(self, padded_reads):
+        user = ContainerEngine(arch="amd64")
+        layout, dist_tag = build_extended_image(user, get_app("hpl"))
+        engine = ContainerEngine(arch="amd64")
+        ref = system_side_adapt(engine, layout, X86_CLUSTER, jobs=2,
+                                ref="hpl:padding")
+        report = verify_redirected_image(
+            layout, dist_tag, engine.image_filesystem(ref),
+            engine.image(ref).config.entrypoint,
+        )
+        assert report.ok, report.notes
+        container = engine.from_image(ref, name="padding-exec")
+        result = engine.run(container, ["/app/hpl"])
+        assert result.exit_code == 0, result.stderr
+        assert "simulated execution" in result.stdout
+        assert padded_reads == []
