@@ -36,7 +36,6 @@ from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.oci import mediatypes
-from repro.oci.image import Descriptor
 from repro.oci.layout import OCILayout
 from repro.resilience.journal import _decode_content, _encode_content
 from repro.telemetry import NULL_TELEMETRY
@@ -45,6 +44,9 @@ from repro.vfs.content import FileContent
 CACHE_VERSION = 1
 
 _OUTPUT_KEYS = ("node", "path", "mode", "content", "content_digest")
+
+#: Index annotation naming the dist tag a cache side blob belongs to.
+_KEY = mediatypes.ANNOTATION_COMTAINER_ARTIFACTS
 
 
 def cache_key(command_digest: str, dep_digests: Iterable[Tuple[str, str]]) -> str:
@@ -58,19 +60,6 @@ def cache_key(command_digest: str, dep_digests: Iterable[Tuple[str, str]]) -> st
         [command_digest, sorted(dep_digests)], sort_keys=True
     ).encode()
     return hashlib.sha256(material).hexdigest()[:32]
-
-
-def _find_descriptor(layout: OCILayout, dist_tag: str) -> Optional[Descriptor]:
-    for desc in layout.index:
-        if desc.annotations.get(mediatypes.ANNOTATION_COMTAINER_ARTIFACTS) == dist_tag:
-            return desc
-    return None
-
-
-def _drop_descriptor(layout: OCILayout, desc: Descriptor) -> None:
-    layout.index = [d for d in layout.index if d is not desc]
-    if not any(d.digest == desc.digest for d in layout.index):
-        layout.blobs.remove(desc.digest)
 
 
 def _valid_output(output: object) -> bool:
@@ -125,7 +114,7 @@ class RebuildArtifactCache:
         self.evictions = 0
         self._entries: Dict[str, List[dict]] = {}
         self._dirty = False
-        desc = _find_descriptor(layout, dist_tag)
+        desc = layout.side_blob(_KEY, dist_tag)
         if desc is not None:
             blob = layout.blobs.try_get(desc.digest)
             if blob is not None:
@@ -214,47 +203,30 @@ class RebuildArtifactCache:
 
     def flush(self) -> None:
         """Persist into the layout, replacing any previous cache blob."""
-        if not self._dirty and _find_descriptor(self.layout, self.dist_tag):
-            return
-        old = _find_descriptor(self.layout, self.dist_tag)
-        if old is not None:
-            _drop_descriptor(self.layout, old)
-        if not self._entries:
-            self._dirty = False
+        if not self._dirty and self.layout.side_blob(_KEY, self.dist_tag):
             return
         data = json.dumps(
             {"version": CACHE_VERSION, "entries": self._entries},
             sort_keys=True,
-        ).encode("utf-8")
-        desc = self.layout.blobs.put_bytes(data, mediatypes.REBUILD_ARTIFACTS)
-        self.layout.index.append(
-            Descriptor(
-                media_type=desc.media_type,
-                digest=desc.digest,
-                size=desc.size,
-                annotations={
-                    mediatypes.ANNOTATION_COMTAINER_ARTIFACTS: self.dist_tag
-                },
-            )
-        )
+        ).encode("utf-8") if self._entries else None
+        self.layout.replace_side_blob(
+            _KEY, self.dist_tag, data, mediatypes.REBUILD_ARTIFACTS)
         self._dirty = False
 
     def clear(self) -> None:
-        desc = _find_descriptor(self.layout, self.dist_tag)
-        if desc is not None:
-            _drop_descriptor(self.layout, desc)
+        self.layout.replace_side_blob(_KEY, self.dist_tag)
         self._entries = {}
         self._dirty = False
 
 
 def has_artifact_cache(layout: OCILayout, dist_tag: str) -> bool:
-    return _find_descriptor(layout, dist_tag) is not None
+    return layout.side_blob(_KEY, dist_tag) is not None
 
 
 def publish_artifact_cache(registry, repository: str, layout: OCILayout,
                            dist_tag: str) -> bool:
     """Push the layout's artifact-cache blob to *registry* for sharing."""
-    desc = _find_descriptor(layout, dist_tag)
+    desc = layout.side_blob(_KEY, dist_tag)
     if desc is None:
         return False
     blob = layout.blobs.try_get(desc.digest)
@@ -270,7 +242,7 @@ def read_cache_entries(layout: OCILayout, dist_tag: str) -> Dict[str, List[dict]
     Defensive like :func:`_parse_entries`: a missing or corrupt blob
     reads as an empty cache, never as an error.
     """
-    desc = _find_descriptor(layout, dist_tag)
+    desc = layout.side_blob(_KEY, dist_tag)
     if desc is None:
         return {}
     blob = layout.blobs.try_get(desc.digest)

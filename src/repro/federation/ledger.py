@@ -7,37 +7,34 @@ an injected ``mirror.sync``/``transfer.chunk`` fault) resumes mid-blob:
 the next attempt re-hashes the staged bytes against the ledger, keeps
 every chunk that still verifies, and fetches only the rest.
 
-Like the v2 rebuild journal the serialized form is **JSONL** — one
-header line plus one self-contained line per recorded chunk::
+The ledger is a :mod:`repro.durable` log (kind ``transfer-ledger``,
+version 2): one header line plus one sealed line per recorded chunk::
 
-    {"kind": "transfer-ledger", "version": 1, "mirror": "edge-0"}
-    {"blob": "sha256:...", "index": 0, "digest": "sha256:...",
-     "offset": 0, "length": 65536, "size": 180224, "chunk_size": 65536}
+    {"kind": "transfer-ledger", "mirror": "edge-0", "version": 2}
+    {"blob": "sha256:...", "chunk_size": 65536, "digest": "sha256:...",
+     "index": 0, "length": 65536, "line_digest": "sha256:...",
+     "offset": 0, "size": 180224}
     ...
 
-The line-oriented format is the crash-consistency mechanism: a torn or
-bit-flipped ledger write damages *lines*, not the whole document, so
-:meth:`TransferLedger.from_bytes` salvages every parseable entry and
-counts the rest in :attr:`torn_entries_dropped` — those chunks simply
-re-transfer.  Ledger flushes ride the existing ``journal.append``
-corruption site (the ledger *is* a journal), keyed
-``transfer-ledger:<mirror>`` so scripted corruptions can target it.
+:meth:`TransferLedger.from_bytes` keeps every line that re-hashes and
+validates and counts the rest in :attr:`torn_entries_dropped`; those
+chunks simply re-transfer, as do all chunks of an older, unsealed
+ledger.  Flushes pass the ``journal.append`` corruption site keyed
+``transfer-ledger:<mirror>``.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-LEDGER_VERSION = 1
+from repro import durable
 
-_CHUNK_KEYS = ("blob", "index", "digest", "offset", "length", "size", "chunk_size")
+LEDGER_KIND = "transfer-ledger"
+LEDGER_VERSION = 2
 
 
-def _valid_chunk(entry: object) -> bool:
+def _valid_chunk(entry: dict) -> bool:
     """Structural check for one ledger line before trusting it."""
-    if not isinstance(entry, dict):
-        return False
     if not isinstance(entry.get("blob"), str) or not isinstance(
         entry.get("digest"), str
     ):
@@ -91,7 +88,7 @@ class TransferLedger:
     ) -> None:
         """Note that chunk *index* of *blob_digest* landed hashing to
         *digest*.  Durable only after the next :meth:`to_bytes` flush."""
-        self._chunks.setdefault(blob_digest, {})[index] = {
+        self._chunks.setdefault(blob_digest, {})[index] = durable.seal({
             "blob": blob_digest,
             "index": index,
             "digest": digest,
@@ -99,7 +96,7 @@ class TransferLedger:
             "length": length,
             "size": size,
             "chunk_size": chunk_size,
-        }
+        })
 
     def discard_chunk(self, blob_digest: str, index: int) -> None:
         """Drop one chunk record (it failed verification; re-fetch it)."""
@@ -119,69 +116,25 @@ class TransferLedger:
     # -- persistence -------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Serialize as JSONL (header + one line per recorded chunk)."""
-        lines = [
-            json.dumps(
-                {
-                    "kind": "transfer-ledger",
-                    "version": LEDGER_VERSION,
-                    "mirror": self.mirror,
-                },
-                sort_keys=True,
-            )
-        ]
-        for blob_digest in sorted(self._chunks):
-            for index in sorted(self._chunks[blob_digest]):
-                entry = self._chunks[blob_digest][index]
-                lines.append(
-                    json.dumps(
-                        {key: entry[key] for key in _CHUNK_KEYS}, sort_keys=True
-                    )
-                )
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        """Serialize as JSONL (header + one sealed line per chunk)."""
+        return b"".join(
+            [durable.header(LEDGER_KIND, LEDGER_VERSION, mirror=self.mirror)]
+            + [durable.line(self._chunks[blob][index])
+               for blob in sorted(self._chunks)
+               for index in sorted(self._chunks[blob])]
+        )
 
     @staticmethod
     def from_bytes(data: bytes, mirror: str = "") -> "TransferLedger":
-        """Salvage a ledger from serialized bytes.
-
-        Every line that fails to decode, parse, or validate is dropped
-        (and counted in :attr:`torn_entries_dropped`); the rest of the
-        ledger is still used, so one flipped bit costs one chunk's worth
-        of re-transfer, never a full restart.
-        """
-        ledger = TransferLedger(mirror=mirror)
-        lines = data.split(b"\n")
-        head = lines[0] if lines else b""
-        if head.strip(b" \t\r\x00"):
-            # A flush torn *inside the header line* leaves a JSON prefix
-            # here; that costs one dropped line, never a raise — the
-            # result is an empty-but-valid ledger and a full re-transfer.
-            try:
-                header = json.loads(head.decode("utf-8"))
-                if not (
-                    isinstance(header, dict)
-                    and header.get("kind") == "transfer-ledger"
-                ):
-                    ledger.torn_entries_dropped += 1
-                elif not mirror:
-                    ledger.mirror = str(header.get("mirror", ""))
-            except Exception:
-                ledger.torn_entries_dropped += 1
-        for raw in lines[1:]:
-            if not raw.strip(b" \t\r\x00"):
-                continue
-            try:
-                entry = json.loads(raw.decode("utf-8"))
-                valid = _valid_chunk(entry)
-            except Exception:
-                ledger.torn_entries_dropped += 1
-                continue
-            if not valid:
-                ledger.torn_entries_dropped += 1
-                continue
-            ledger._chunks.setdefault(entry["blob"], {})[entry["index"]] = {
-                key: entry[key] for key in _CHUNK_KEYS
-            }
+        """Salvage a ledger from serialized bytes
+        (:func:`repro.durable.salvage`): one flipped bit costs one
+        chunk's worth of re-transfer, never a full restart.  The header
+        names the mirror unless *mirror* is given."""
+        header, records, dropped = durable.salvage(data, LEDGER_KIND, _valid_chunk)
+        ledger = TransferLedger(mirror=mirror or str(header.get("mirror", "")))
+        ledger.torn_entries_dropped = dropped
+        for entry in records:
+            ledger._chunks.setdefault(entry["blob"], {})[entry["index"]] = entry
         return ledger
 
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro import durable
 from repro.federation.ledger import TransferLedger
 from repro.integrity import (
     KIND_DIGEST_MISMATCH,
@@ -216,15 +217,11 @@ class SyncEngine:
     # ------------------------------------------------------------------
 
     def _flush_ledger(self, mirror) -> None:
-        """Persist the ledger journal-style (``journal.append`` faults
-        model a torn flush; damage costs dropped lines, not restarts)."""
-        data = mirror.ledger.to_bytes()
-        inj = self.injector
-        if inj is not None and inj.corrupting("journal.append"):
-            data = inj.corrupt(
-                "journal.append", f"transfer-ledger:{mirror.name}", data
-            )
-        mirror.ledger_bytes = data
+        """Persist the ledger (``journal.append`` faults model a torn
+        flush; damage costs dropped lines, not restarts)."""
+        mirror.ledger_bytes = durable.through_site(
+            self.injector, f"transfer-ledger:{mirror.name}",
+            mirror.ledger.to_bytes())
 
     def _stage_blob(self, mirror, digest: str, report: SyncReport) -> bytes:
         """Bring one blob fully into the mirror's staging area, verified.

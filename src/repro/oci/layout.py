@@ -160,6 +160,36 @@ class OCILayout:
             d.annotations.get(mediatypes.ANNOTATION_REF_NAME) == tag for d in self.index
         )
 
+    def side_blob(self, annotation: str, value: str) -> Optional[Descriptor]:
+        """The index descriptor annotated ``annotation=value``, if any.
+
+        Side blobs (the rebuild journal, the artifact cache) carry no ref
+        name: invisible to tags and image pushes, yet they survive
+        save/load and ``gc``.
+        """
+        for desc in self.index:
+            if desc.annotations.get(annotation) == value:
+                return desc
+        return None
+
+    def replace_side_blob(
+        self, annotation: str, value: str,
+        data: Optional[bytes] = None, media_type: str = "",
+    ) -> None:
+        """Drop the side blob annotated ``annotation=value`` and, given
+        *data*, store it as the new one (one blob-store put)."""
+        old = self.side_blob(annotation, value)
+        if old is not None:
+            self.index = [d for d in self.index if d is not old]
+            if not any(d.digest == old.digest for d in self.index):
+                self.blobs.remove(old.digest)
+        if data is not None:
+            desc = self.blobs.put_bytes(data, media_type)
+            self.index.append(Descriptor(
+                media_type=desc.media_type, digest=desc.digest,
+                size=desc.size, annotations={annotation: value},
+            ))
+
     def manifest_map(self) -> Dict[str, str]:
         """``tag -> manifest digest`` for every tagged index entry.
 

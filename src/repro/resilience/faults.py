@@ -41,7 +41,8 @@ site                  consulted by
 ``blob.store``        :meth:`repro.oci.blobs.BlobStore.put`
 ``registry.transfer`` :meth:`repro.oci.registry.ImageRegistry.push`
 ``layout.save``       :meth:`repro.oci.layout.OCILayout.save` (per file)
-``journal.append``    :meth:`repro.resilience.journal.RebuildJournal.flush`
+``journal.append``    :func:`repro.durable.through_site` (journal, ledger
+                      and WAL flushes)
 ====================  =====================================================
 
 — in three modes: ``bitflip`` (one flipped bit), ``truncate`` (content

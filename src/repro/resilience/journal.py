@@ -14,27 +14,22 @@ index through a descriptor that carries the
 ``layout.tags()``, ``find_dist_tag`` and registry pushes, yet survives
 ``layout.save()``/``load()`` round trips.
 
-Journal blob format (``application/vnd.comtainer.rebuild-journal.v1+json``)
-is **JSONL** — one header line plus one self-contained line per node::
+The blob is a :mod:`repro.durable` log (kind ``rebuild-journal``,
+version 3): one header line plus one sealed line per checkpointed node::
 
-    {"dist_tag": "<app>.dist", "version": 2}
-    {"node": "<id>", "digest": "...", "path": "/src/main.o", "mode": 493,
-     "content": {"kind": "padded", "payload": "<base64>", "pad": 81920},
-     "content_digest": "sha256:..."}
+    {"dist_tag": "<app>.dist", "kind": "rebuild-journal", "version": 3}
+    {"content": {"kind": "padded", "payload": "<base64>", "pad": 81920},
+     "content_digest": "sha256:...", "digest": "...",
+     "line_digest": "sha256:...", "mode": 493, "node": "<id>",
+     "path": "/src/main.o"}
     ...
 
-The line-oriented format exists for crash consistency: a torn or
-bit-flipped journal write damages *lines*, not the whole document, so a
-resume salvages every parseable entry instead of crashing on
-``json.loads`` — unparseable or structurally invalid lines are counted
-in :attr:`RebuildJournal.torn_entries_dropped` and recompiled.  Each
-line also records its reconstructed content's digest: a flipped bit
-inside a base64 payload can survive both the JSON parse and the
-structural check, so an entry is only reused when its content hashes to
-what was checkpointed.  Version-1 journals (one JSON dict) are still
-read.  The mirror transfer ledger (:mod:`repro.federation.ledger`) and
-the service write-ahead log (:mod:`repro.service.wal`) follow the same
-salvage discipline, so every durability tier degrades line-by-line.
+Salvage drops torn, flipped and invalid lines and counts them in
+:attr:`RebuildJournal.torn_entries_dropped`; those nodes recompile.
+Beyond the line digest, an entry is only reused when its reconstructed
+content hashes to its ``content_digest``.  Older journals carry no
+line digests, so they salvage as all-dropped and recompile, exactly as
+a torn journal does.
 
 Content is serialized *structurally* — a compiler artifact is a small JSON
 payload plus a declared whitespace pad, and synthetic bulk content is just
@@ -50,11 +45,11 @@ recompiles instead of resurrecting stale outputs.  On a fully successful
 rebuild the journal is cleared — the ``+coMre`` manifest's node outputs
 take over as the incremental-reuse source.
 
-The journal also carries **lease lines** for the worker fleet
+The journal also carries sealed **lease lines** for the worker fleet
 (:mod:`repro.resilience.fleet`)::
 
-    {"lease": "<group digest>", "worker": "w2", "wave": 3,
-     "nodes": ["obj1", "obj2"], "expires": 41.5}
+    {"expires": 41.5, "lease": "<group digest>", "line_digest": "sha256:...",
+     "nodes": ["obj1", "obj2"], "wave": 3, "worker": "w2"}
 
 A lease line is flushed *before* a wavefront's groups execute and removed
 by the group's own checkpoint, so a rebuild that dies mid-wavefront (a
@@ -67,26 +62,26 @@ checkpointed, so those groups — and only those — re-execute.
 from __future__ import annotations
 
 import base64
-import json
 from typing import Dict, List, Optional, Tuple
 
+from repro import durable
 from repro.oci import mediatypes
-from repro.oci.image import Descriptor
 from repro.oci.layout import OCILayout
 from repro.toolchain.artifacts import PaddedContent
 from repro.vfs.content import FileContent, InlineContent, SyntheticContent
 
-JOURNAL_VERSION = 2
+JOURNAL_KIND = "rebuild-journal"
+JOURNAL_VERSION = 3
 
-_ENTRY_KEYS = ("digest", "path", "mode", "content")
-#: Persisted per entry; ``content_digest`` is optional for v1 compat.
-_STORE_KEYS = _ENTRY_KEYS + ("content_digest",)
+_ENTRY_KEYS = ("digest", "path", "mode", "content", "content_digest")
 _CONTENT_KINDS = frozenset({"padded", "synthetic", "inline"})
+#: Index annotation naming the dist tag a journal side blob belongs to.
+_KEY = mediatypes.ANNOTATION_COMTAINER_JOURNAL
 
 
-def _valid_entry(entry: object) -> bool:
+def _valid_entry(entry: dict) -> bool:
     """Structural check for one journal line before trusting it."""
-    if not isinstance(entry, dict) or not isinstance(entry.get("node"), str):
+    if not isinstance(entry.get("node"), str):
         return False
     if not all(key in entry for key in _ENTRY_KEYS):
         return False
@@ -99,93 +94,39 @@ def _valid_entry(entry: object) -> bool:
 
 
 def _content_intact(entry: dict) -> bool:
-    """Reconstruct the entry's content and check it against its recorded
-    digest.
-
-    A flipped bit inside a base64 payload survives the structural check —
-    and may even still *decode* — so the line is only trusted when the
-    rebuilt content hashes to what was recorded at checkpoint time.
-    Entries without a recorded content digest (version-1 journals) only
-    need to decode.
-    """
-    try:
-        content = _decode_content(entry["content"])
-    except Exception:
-        return False
-    expected = entry.get("content_digest")
-    try:
-        return expected is None or content.digest == expected
-    except Exception:
-        return False
+    """Whether the entry's reconstructed content hashes to the digest
+    recorded at checkpoint time (a content that fails to decode raises,
+    which salvage counts as a dropped line)."""
+    return _decode_content(entry["content"]).digest == entry["content_digest"]
 
 
-def _valid_lease(entry: object) -> bool:
+def _valid_lease(entry: dict) -> bool:
     """Structural check for one lease line before trusting it."""
-    if not isinstance(entry, dict) or not isinstance(entry.get("lease"), str):
-        return False
-    return isinstance(entry.get("worker"), str) and isinstance(
-        entry.get("wave"), int
-    )
+    return (isinstance(entry.get("lease"), str)
+            and isinstance(entry.get("worker"), str)
+            and isinstance(entry.get("wave"), int))
+
+
+def _valid_line(entry: dict) -> bool:
+    if "lease" in entry:
+        return _valid_lease(entry)
+    return _valid_entry(entry) and _content_intact(entry)
 
 
 def _parse_journal(data: bytes) -> Tuple[Dict[str, dict], Dict[str, dict], int]:
     """Salvage (nodes, leases, dropped_line_count) from journal bytes.
 
-    Tolerates torn/partial trailing entries and flipped bits: every line
-    that fails to decode, parse, or validate is dropped (and counted) and
-    the rest of the journal is still used.  Lease lines (in-flight group
-    ownership from a rebuild that died mid-wavefront) are collected
-    separately, keyed on group digest.
+    Lease lines (in-flight group ownership from a rebuild that died
+    mid-wavefront) are collected separately, keyed on group digest.
     """
-    lines = data.split(b"\n")
-    dropped = 0
-    leases: Dict[str, dict] = {}
-    head = lines[0] if lines else b""
-    header = None
-    if head.strip(b" \t\r\x00"):
-        # Same discipline as the transfer ledger and the service WAL: a
-        # write torn inside the header line costs one dropped line and
-        # yields an empty-but-valid journal, never a raise.  Bytes
-        # truncated down to nothing are simply an empty journal.
-        try:
-            header = json.loads(head.decode("utf-8"))
-        except Exception:
-            header = None
-            dropped += 1
-    if header is not None:
-        if isinstance(header, dict) and header.get("version") == 1:
-            # Version-1 journal: the whole payload is one dict.
-            nodes = header.get("nodes", {})
-            good = {
-                nid: entry
-                for nid, entry in nodes.items()
-                if _valid_entry({"node": nid, **entry})
-                and _content_intact(entry)
-            } if isinstance(nodes, dict) else {}
-            bad = len(nodes) - len(good) if isinstance(nodes, dict) else 1
-            return good, {}, bad
+    _header, records, dropped = durable.salvage(data, JOURNAL_KIND, _valid_line)
     nodes: Dict[str, dict] = {}
-    for raw in lines[1:]:
-        if not raw.strip(b" \t\r\x00"):
-            continue
-        try:
-            entry = json.loads(raw.decode("utf-8"))
-            if isinstance(entry, dict) and "lease" in entry:
-                if _valid_lease(entry):
-                    leases[entry["lease"]] = entry
-                else:
-                    dropped += 1
-                continue
-            valid = _valid_entry(entry) and _content_intact(entry)
-        except Exception:
-            dropped += 1
-            continue
-        if not valid:
-            dropped += 1
-            continue
-        nodes[entry["node"]] = {
-            key: entry[key] for key in _STORE_KEYS if key in entry
-        }
+    leases: Dict[str, dict] = {}
+    for record in records:
+        if "lease" in record:
+            leases[record["lease"]] = record
+        else:
+            nodes[record["node"]] = record
     return nodes, leases, dropped
 
 
@@ -211,20 +152,6 @@ def _decode_content(entry: dict) -> FileContent:
     return InlineContent(base64.b64decode(entry["data"]))
 
 
-def _find_descriptor(layout: OCILayout, dist_tag: str) -> Optional[Descriptor]:
-    for desc in layout.index:
-        if desc.annotations.get(mediatypes.ANNOTATION_COMTAINER_JOURNAL) == dist_tag:
-            return desc
-    return None
-
-
-def _drop_descriptor(layout: OCILayout, desc: Descriptor) -> None:
-    layout.index = [d for d in layout.index if d is not desc]
-    still_referenced = any(d.digest == desc.digest for d in layout.index)
-    if not still_referenced:
-        layout.blobs.remove(desc.digest)
-
-
 class RebuildJournal:
     """Checkpoint journal bound to one layout and dist tag."""
 
@@ -236,7 +163,7 @@ class RebuildJournal:
         #: Journal lines dropped during load because they were torn,
         #: bit-flipped, or structurally invalid; those nodes recompile.
         self.torn_entries_dropped = 0
-        desc = _find_descriptor(layout, dist_tag)
+        desc = layout.side_blob(_KEY, dist_tag)
         if desc is not None:
             blob = layout.blobs.try_get(desc.digest)
             if blob is not None:
@@ -281,13 +208,13 @@ class RebuildJournal:
         flushes leases before any group of the wave executes, so a crash
         mid-wavefront leaves exact in-flight evidence in the layout.
         """
-        self._leases[digest] = {
+        self._leases[digest] = durable.seal({
             "lease": digest,
             "worker": worker,
             "wave": wave,
             "nodes": list(nodes or []),
             "expires": expires,
-        }
+        })
 
     def clear_lease(self, digest: str) -> None:
         self._leases.pop(digest, None)
@@ -298,58 +225,35 @@ class RebuildJournal:
     def record(
         self, node_id: str, digest: str, path: str, content: FileContent, mode: int
     ) -> None:
-        self._nodes[node_id] = {
+        self._nodes[node_id] = durable.seal({
+            "node": node_id,
             "digest": digest,
             "path": path,
             "mode": mode,
             "content": _encode_content(content),
             "content_digest": content.digest,
-        }
+        })
 
     def flush(self) -> None:
         """Persist the journal into the layout (replacing any previous blob)."""
-        old = _find_descriptor(self.layout, self.dist_tag)
-        if old is not None:
-            _drop_descriptor(self.layout, old)
-        lines = [
-            json.dumps(
-                {"version": JOURNAL_VERSION, "dist_tag": self.dist_tag},
-                sort_keys=True,
-            )
-        ]
-        for digest in sorted(self._leases):
-            lines.append(json.dumps(self._leases[digest], sort_keys=True))
-        for node_id in sorted(self._nodes):
-            lines.append(
-                json.dumps({"node": node_id, **self._nodes[node_id]}, sort_keys=True)
-            )
-        data = ("\n".join(lines) + "\n").encode("utf-8")
-        inj = self.layout.blobs.fault_injector
-        if inj is not None and inj.corrupting("journal.append"):
-            # The digest below is computed over whatever bytes actually
-            # landed, so the blob store stays self-consistent; the damage
-            # surfaces as dropped lines on the next resume.
-            data = inj.corrupt("journal.append", self.dist_tag, data)
-        desc = self.layout.blobs.put_bytes(data, mediatypes.REBUILD_JOURNAL)
-        self.layout.index.append(
-            Descriptor(
-                media_type=desc.media_type,
-                digest=desc.digest,
-                size=desc.size,
-                annotations={
-                    mediatypes.ANNOTATION_COMTAINER_JOURNAL: self.dist_tag
-                },
-            )
+        data = b"".join(
+            [durable.header(JOURNAL_KIND, JOURNAL_VERSION, dist_tag=self.dist_tag)]
+            + [durable.line(self._leases[d]) for d in sorted(self._leases)]
+            + [durable.line(self._nodes[n]) for n in sorted(self._nodes)]
         )
+        # The blob digest covers whatever bytes actually landed, so the
+        # store stays self-consistent; damage surfaces as dropped lines.
+        data = durable.through_site(
+            self.layout.blobs.fault_injector, self.dist_tag, data)
+        self.layout.replace_side_blob(
+            _KEY, self.dist_tag, data, mediatypes.REBUILD_JOURNAL)
 
     def clear(self) -> None:
         """Drop the journal from the layout (a rebuild completed cleanly)."""
-        desc = _find_descriptor(self.layout, self.dist_tag)
-        if desc is not None:
-            _drop_descriptor(self.layout, desc)
+        self.layout.replace_side_blob(_KEY, self.dist_tag)
         self._nodes = {}
         self._leases = {}
 
 
 def has_journal(layout: OCILayout, dist_tag: str) -> bool:
-    return _find_descriptor(layout, dist_tag) is not None
+    return layout.side_blob(_KEY, dist_tag) is not None

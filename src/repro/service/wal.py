@@ -13,33 +13,28 @@ and reconstructs queue order, token buckets, breaker states and the set
 of in-flight requests; in-flight rebuilds then resume through their
 per-request rebuild journals, so nothing checkpointed re-executes.
 
-Serialized form follows the same torn-line-salvage discipline as the v2
-rebuild journal and the mirror transfer ledger — one header line plus
-one line per record::
+The log format, its line digests and its salvage are
+:mod:`repro.durable`'s; this module supplies the header ``kind``
+(``service-wal``, version 1, carrying the service seed), the record
+kinds below and their structural check::
 
-    {"kind": "service-wal", "version": 1, "seed": 7}
-    {"rec": "admit", "t": 12.5, "request_id": "acme/r3", ...,
-     "line_digest": "sha256:..."}
+    {"kind": "service-wal", "seed": 7, "version": 1}
+    {"line_digest": "sha256:...", "rec": "admit", "request_id": "acme/r3",
+     "t": 12.5, ...}
     ...
 
-A torn or bit-flipped write damages *lines*, not the document:
-:meth:`ServiceWAL.from_bytes` salvages every line that decodes, parses,
-validates structurally **and** re-hashes to its recorded
-``line_digest`` (a flipped bit inside a field value survives the JSON
-parse, so content is only trusted when it hashes to what was appended),
-counting the rest in :attr:`ServiceWAL.torn_records_dropped`.  A record
-that was mid-append at the crash is simply a torn last line; a dropped
-terminal record leaves its request non-terminal, so the restart re-runs
-it — and because the request's durable effects (the rebuild journal and
+:meth:`ServiceWAL.from_bytes` keeps every record line that re-hashes
+and validates and counts the rest in
+:attr:`ServiceWAL.torn_records_dropped`.  A record that was mid-append
+at the crash is simply a torn last line; a dropped terminal record
+leaves its request non-terminal, so the restart re-runs it — and
+because the request's durable effects (the rebuild journal and
 ``+coMre`` manifest in the mounted layout) landed before the terminal
 record, the re-run executes zero checkpointed nodes and produces the
 same bytes.  That is how the service holds its core invariant: **every
 admitted request ends in exactly one typed terminal status across any
-number of crashes**.
-
-WAL appends ride the existing ``journal.append`` corruption site (the
-WAL *is* a journal), keyed ``service-wal`` so scripted corruptions can
-target it.
+number of crashes**.  WAL appends pass the ``journal.append``
+corruption site keyed ``service-wal``.
 
 Crash simulation: a :class:`ServiceCrash` is raised from inside a
 configured append (``crash_after_records``) or timeline advance
@@ -52,11 +47,11 @@ handlers).
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional
 
-from repro.oci.digest import digest_bytes
+from repro import durable
 
+WAL_KIND = "service-wal"
 WAL_VERSION = 1
 
 #: Record kinds the salvage accepts.
@@ -87,25 +82,11 @@ class ServiceCrash(BaseException):
         )
 
 
-def _line_digest(record: dict) -> str:
-    """Content digest of one record, excluding the digest field itself."""
-    body = {k: v for k, v in record.items() if k != "line_digest"}
-    return digest_bytes(json.dumps(body, sort_keys=True).encode("utf-8"))
-
-
-def _valid_record(record: object) -> bool:
+def _valid_record(record: dict) -> bool:
     """Structural check for one WAL line before trusting it."""
-    if not isinstance(record, dict):
-        return False
-    if record.get("rec") not in RECORD_KINDS:
-        return False
     t = record.get("t")
-    if not isinstance(t, (int, float)) or t < 0:
-        return False
-    digest = record.get("line_digest")
-    if not isinstance(digest, str):
-        return False
-    return _line_digest(record) == digest
+    return (record.get("rec") in RECORD_KINDS
+            and isinstance(t, (int, float)) and t >= 0)
 
 
 class ServiceWAL:
@@ -145,25 +126,17 @@ class ServiceWAL:
     # -- writing -----------------------------------------------------------
 
     def _write_header(self) -> None:
-        header = json.dumps(
-            {"kind": "service-wal", "version": WAL_VERSION, "seed": self.seed},
-            sort_keys=True,
-        )
-        self._buf.extend(header.encode("utf-8") + b"\n")
+        self._buf.extend(durable.header(WAL_KIND, WAL_VERSION, seed=self.seed))
 
     def _flush_line(self, line: bytes) -> None:
-        inj = self.injector
-        if inj is not None and inj.corrupting("journal.append"):
-            line = inj.corrupt("journal.append", WAL_SITE_KEY, line)
-        self._buf.extend(line)
+        self._buf.extend(durable.through_site(self.injector, WAL_SITE_KEY, line))
 
     def append(self, record: dict) -> dict:
         """Durably append one record (adds ``line_digest``); honours the
         crash trigger — the configured append flushes a (possibly torn)
         line and then raises :class:`ServiceCrash`."""
-        record = dict(record)
-        record["line_digest"] = _line_digest(record)
-        line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+        record = durable.seal(record)
+        line = durable.line(record)
         self._appended += 1
         if (self.crash_after_records is not None
                 and self._appended >= self.crash_after_records):
@@ -240,49 +213,23 @@ class ServiceWAL:
         crash_after_records: Optional[int] = None,
         crash_torn: bool = True,
     ) -> "ServiceWAL":
-        """Salvage a WAL from its flushed bytes, line by line.
+        """Salvage a WAL from its flushed bytes (:func:`repro.durable.salvage`).
 
-        Never raises: a truncated header yields an empty-but-valid log,
-        a torn or flipped record line is dropped and counted, and a
-        record whose content does not re-hash to its ``line_digest`` is
-        treated as torn (never resurrected with altered fields).
+        Never raises: a damaged header yields seed 0, and a torn,
+        flipped or invalid record line is dropped and counted, never
+        resurrected with altered fields.
         """
-        wal = cls(injector=injector,
+        header, records, dropped = durable.salvage(data, WAL_KIND, _valid_record)
+        seed = header.get("seed")
+        wal = cls(seed=seed if isinstance(seed, int) else 0,
+                  injector=injector,
                   crash_after_records=crash_after_records,
                   crash_torn=crash_torn)
-        wal._buf = bytearray()
-        lines = data.split(b"\n")
-        start = 0
-        seed = 0
-        try:
-            header = json.loads(lines[0].decode("utf-8"))
-            if not (isinstance(header, dict)
-                    and header.get("kind") == "service-wal"):
-                wal.torn_records_dropped += 1
-            elif isinstance(header.get("seed"), int):
-                seed = header["seed"]
-            start = 1
-        except (IndexError, UnicodeDecodeError, json.JSONDecodeError):
-            wal.torn_records_dropped += 1
-            start = 1
-        wal.seed = seed
-        wal._write_header()
-        for raw in lines[start:]:
-            if not raw.strip(b" \t\r\x00"):
-                continue
-            try:
-                record = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                wal.torn_records_dropped += 1
-                continue
-            if not _valid_record(record):
-                wal.torn_records_dropped += 1
-                continue
-            wal.records.append(record)
-            wal._buf.extend(raw + b"\n")
-            if record.get("rec") == "restart":
-                wal.restarts += 1
-        wal._appended = len(wal.records)
+        wal.torn_records_dropped = dropped
+        wal.records = records
+        wal._buf.extend(b"".join(durable.line(record) for record in records))
+        wal.restarts = len(wal.by_kind("restart"))
+        wal._appended = len(records)
         return wal
 
 

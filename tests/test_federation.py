@@ -6,6 +6,7 @@ sweeps live in ``test_federation_chaos.py``.
 
 import pytest
 
+from repro import durable
 from repro.federation import (
     DEFAULT_CHUNK_SIZE,
     FederatedRegistry,
@@ -161,14 +162,17 @@ class TestTransferLedger:
         assert len(restored) >= 3 or restored.torn_entries_dropped >= 1
 
     def test_invalid_entries_dropped(self):
-        bad = (
-            b'{"kind": "transfer-ledger", "version": 1, "mirror": "m"}\n'
-            b'{"blob": "sha256:aa", "index": -1, "digest": "d", "offset": 0,'
-            b' "length": 1, "size": 1, "chunk_size": 1}\n'
-            b'{"blob": "sha256:aa", "index": 0, "digest": "d", "offset": 9,'
-            b' "length": 4, "size": 8, "chunk_size": 4}\n'
-            b"not json at all\n"
-        )
+        # Sealed lines, so each is dropped by the structural check alone.
+        bad = b"".join([
+            durable.header("transfer-ledger", 2, mirror="m"),
+            durable.line(durable.seal(
+                {"blob": "sha256:aa", "index": -1, "digest": "d", "offset": 0,
+                 "length": 1, "size": 1, "chunk_size": 1})),
+            durable.line(durable.seal(
+                {"blob": "sha256:aa", "index": 0, "digest": "d", "offset": 9,
+                 "length": 4, "size": 8, "chunk_size": 4})),
+            b"not json at all\n",
+        ])
         restored = TransferLedger.from_bytes(bad)
         assert len(restored) == 0
         assert restored.torn_entries_dropped == 3

@@ -9,6 +9,7 @@ lease lines, and the zero-executed-group guards on
 
 import pytest
 
+from repro import durable
 from repro.core.backend.scheduler import ScheduleReport, WaveStats, lpt_schedule
 from repro.oci.layout import OCILayout
 from repro.resilience import (
@@ -424,7 +425,7 @@ class TestJournalLeases:
     def test_invalid_lease_line_counts_as_dropped(self):
         layout = OCILayout()
         journal = RebuildJournal(layout, "app.dist")
-        journal._leases["bad"] = {"lease": "bad", "wave": 1}   # no worker
+        journal._leases["bad"] = durable.seal({"lease": "bad", "wave": 1})  # no worker
         journal.record_lease("good", "w0", 0)
         journal.flush()
         reloaded = RebuildJournal(layout, "app.dist")

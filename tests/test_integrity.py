@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from repro import durable
 from repro.integrity import (
     KIND_CHECKSUM_MISMATCH,
     KIND_DIGEST_MISMATCH,
@@ -388,6 +389,29 @@ class TestJournalSalvage:
         reloaded = RebuildJournal(layout, "app.dist")
         assert set(reloaded.node_ids()) <= set(journal.node_ids())
 
+    @pytest.mark.parametrize("field", ["mode", "path"])
+    def test_flipped_field_bit_drops_entry(self, field):
+        """A one-bit flip inside a field value still parses and passes
+        the structural and content checks (420 -> 421 is a valid mode);
+        only the line digest catches it, so the node must recompile."""
+        layout, journal = self._journal_with_nodes(count=3)
+        journal.flush()
+        desc = layout.side_blob(mediatypes.ANNOTATION_COMTAINER_JOURNAL,
+                                "app.dist")
+        blob = layout.blobs.try_get(desc.digest)
+        data = bytearray(blob.as_bytes())
+        line_at = data.index(b'"node": "node-1"')
+        line_at = data.rindex(b"\n", 0, line_at) + 1
+        value_at = data.index(f'"{field}": '.encode(), line_at) + len(field) + 4
+        if field == "path":
+            value_at += 1                      # past the opening quote
+        data[value_at] ^= 1
+        # Silent at-rest damage: the descriptor keeps the old digest.
+        layout.blobs.put(dataclasses.replace(blob, payload=bytes(data)))
+        reloaded = RebuildJournal(layout, "app.dist")
+        assert reloaded.node_ids() == ["node-0", "node-2"]
+        assert reloaded.torn_entries_dropped == 1
+
     def test_negative_pad_entry_dropped(self):
         layout, journal = self._journal_with_nodes(count=3)
         journal.flush()
@@ -402,7 +426,8 @@ class TestJournalSalvage:
         payload = base64.b64decode(entry["content"]["payload"])
         entry["content_digest"] = "sha256:" + hashlib.sha256(
             payload + b"\x00pad:-5").hexdigest()
-        lines[at] = json.dumps(entry, sort_keys=True).encode()
+        # Re-sealed, so the line digest holds and the pad check decides.
+        lines[at] = durable.line(durable.seal(entry)).rstrip(b"\n")
         nodes, _leases, dropped = _parse_journal(b"\n".join(lines))
         assert sorted(nodes) == ["node-0", "node-2"]
         assert dropped == 1

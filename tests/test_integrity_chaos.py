@@ -9,17 +9,19 @@ verified-read layer rules out.
 """
 
 import dataclasses
+import json
 
 import pytest
 
 from repro.apps import get_app
 from repro.containers import ContainerEngine
-from repro.core.cache.storage import decode_rebuild, extended_tag
+from repro.core.cache.storage import decode_rebuild, extended_tag, rebuilt_tag
 from repro.core.frontend.build import IO_MOUNT
 from repro.core.images import install_system_side_images, sysenv_ref
 from repro.core.workflow import ComtainerSession, build_extended_image, run_workload
 from repro.integrity import IntegrityError, find_integrity_error
 from repro.integrity.fsck import fsck_layout
+from repro.oci import mediatypes
 from repro.oci.layer import Layer
 from repro.oci.registry import ImageRegistry
 from repro.perf.runtime import attach_perf
@@ -282,3 +284,62 @@ class TestJournalCorruption:
         assert (completed - salvaged) <= executed
         assert not has_journal(layout, dist_tag)
         assert layout.audit() == []
+
+    def _rebuild(self, engine, layout, name):
+        ctr = engine.from_image(sysenv_ref("x86"), name=name,
+                                mounts={IO_MOUNT: layout})
+        try:
+            return engine.run(ctr, ["coMtainer-rebuild", "--journal"])
+        finally:
+            engine.remove_container(name)
+
+    def test_flipped_mode_bit_is_recompiled_not_restored(
+        self, extended, system_engine
+    ):
+        """A one-bit flip in a checkpointed entry's ``mode`` (420 -> 421)
+        still parses and validates; only the line digest catches it.  The
+        resume must recompile that entry, and ``+coMre`` must come out
+        digest-identical to a fault-free ``--journal`` run."""
+        engine, _recorder = system_engine
+        clean, dist_tag = self._fresh_layout(extended)
+        self._rebuild(engine, clean, "journal-flip-clean").check()
+        fault_free = clean.manifest_descriptor(rebuilt_tag(dist_tag)).digest
+
+        layout, _ = self._fresh_layout(extended)
+        from repro.core.cache.storage import decode_cache
+
+        models, _sources, _resolved = decode_cache(layout, dist_tag)
+        victim = [n for n in models.graph.topo_order()
+                  if n.step is not None][-1]
+        engine.fault_injector = FaultInjector(
+            specs=[FaultSpec(site="rebuild.node", kind="persistent",
+                             match=victim.id)]
+        )
+        try:
+            with pytest.raises(PersistentFault):
+                self._rebuild(engine, layout, "journal-flip-run1")
+        finally:
+            engine.fault_injector = None
+
+        # Flip the low bit of the first "mode" value, at rest.
+        desc = layout.side_blob(mediatypes.ANNOTATION_COMTAINER_JOURNAL,
+                                dist_tag)
+        blob = layout.blobs.try_get(desc.digest)
+        data = bytearray(blob.as_bytes())
+        end = data.index(b'"mode": ') + len(b'"mode": ')
+        while data[end:end + 1].isdigit():
+            end += 1
+        data[end - 1] ^= 1
+        line = bytes(data[data.rindex(b"\n", 0, end) + 1:data.index(b"\n", end)])
+        flipped = json.loads(line)["node"]
+        layout.blobs.put(dataclasses.replace(blob, payload=bytes(data)))
+        journal = RebuildJournal(layout, dist_tag)
+        assert flipped not in journal.node_ids()
+        assert journal.torn_entries_dropped == 1
+
+        self._rebuild(engine, layout, "journal-flip-run2").check()
+        meta = decode_rebuild(layout, dist_tag)[0]
+        assert flipped in meta["executed_nodes"]
+        assert flipped not in meta["journal_restored"]
+        assert layout.manifest_descriptor(
+            rebuilt_tag(dist_tag)).digest == fault_free

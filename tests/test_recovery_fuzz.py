@@ -6,11 +6,10 @@ ledger, and the service write-ahead log. Properties:
 
 * **never raises** — salvage is total: any byte string yields a usable
   (possibly empty) artifact;
-* **never resurrects a dropped line** — every salvaged WAL record
-  re-serializes to a byte-identical line of the original log (the
-  ``line_digest`` makes any mutation indistinguishable from a tear),
-  and every salvaged journal entry's reconstructed content hashes to
-  its recorded ``content_digest``;
+* **never resurrects a dropped line** — every salvaged record of all
+  three logs re-serializes (``repro.durable.line``) to a byte-identical
+  line of the original (the ``line_digest`` makes any mutation
+  indistinguishable from a tear);
 * **untouched lines survive** — damage to one line never drops its
   neighbours (asserted whenever the header line itself is intact).
 
@@ -24,7 +23,9 @@ import random
 
 import pytest
 
+from repro import durable
 from repro.federation.ledger import TransferLedger
+from repro.oci import mediatypes
 from repro.oci.layout import OCILayout
 from repro.resilience.journal import RebuildJournal, _parse_journal
 from repro.service import AdaptationService, ServiceWAL
@@ -61,8 +62,8 @@ def journal_bytes():
                        content, 0o644)
     journal.flush()
     # Pull the flushed blob back out of the layout.
-    from repro.resilience.journal import _find_descriptor
-    desc = _find_descriptor(layout, "hpccg.dist")
+    desc = layout.side_blob(mediatypes.ANNOTATION_COMTAINER_JOURNAL,
+                            "hpccg.dist")
     return layout.blobs.try_get(desc.digest).as_bytes()
 
 
@@ -79,9 +80,13 @@ def ledger_bytes():
 
 # -- damage models ---------------------------------------------------------
 
-def mutate(data: bytes, rng: random.Random) -> bytes:
-    """One seeded act of violence: truncate, tear, flip, splice, blank."""
-    kind = rng.choice(("truncate", "tear", "bitflip", "splice", "blank"))
+DAMAGE_MODELS = ("truncate", "tear", "bitflip", "splice", "blank")
+
+
+def mutate(data: bytes, rng: random.Random, kind: str = "") -> bytes:
+    """One seeded act of violence: truncate, tear, flip, splice, blank
+    (*kind* picks one; by default the rng does)."""
+    kind = kind or rng.choice(DAMAGE_MODELS)
     if kind == "truncate":
         return data[: rng.randrange(len(data) + 1)]
     if kind == "tear":
@@ -110,6 +115,12 @@ def intact_lines(original: bytes, mutated: bytes):
     return set(original.split(b"\n")) & set(mutated.split(b"\n")) - {b""}
 
 
+def assert_never_resurrects(records, original: bytes):
+    """Every salvaged record re-serializes to a line of the original."""
+    original_lines = set(original.splitlines(keepends=True))
+    assert {durable.line(record) for record in records} <= original_lines
+
+
 # -- the sweep -------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", range(SEEDS))
@@ -121,15 +132,12 @@ def test_salvage_properties(seed, wal_bytes, journal_bytes, ledger_bytes):
         original = wal_bytes
         mutated = mutate(original, rng)
         wal = ServiceWAL.from_bytes(mutated)     # property: never raises
-        original_lines = set(original.split(b"\n"))
+        assert_never_resurrects(wal.records, original)
         header_intact = original.split(b"\n")[0] in mutated.split(b"\n")[:1]
         salvaged_lines = {
             json.dumps(record, sort_keys=True).encode("utf-8")
             for record in wal.records
         }
-        # Never resurrects: every salvaged record is a byte-identical
-        # line of the original log.
-        assert salvaged_lines <= original_lines
         if header_intact:
             # Untouched record lines always survive.
             survivors = intact_lines(original, mutated) - {
@@ -140,12 +148,13 @@ def test_salvage_properties(seed, wal_bytes, journal_bytes, ledger_bytes):
         original = journal_bytes
         mutated = mutate(original, rng)
         nodes, leases, dropped = _parse_journal(mutated)  # never raises
+        assert_never_resurrects(
+            list(nodes.values()) + list(leases.values()), original)
         for entry in nodes.values():
             # Self-consistency: salvage only keeps entries whose content
-            # reconstructs to the recorded digest (_content_intact; the
-            # digest field itself is optional for legacy entries).
-            if "content_digest" in entry:
-                assert entry["content_digest"].startswith("sha256:")
+            # reconstructs to the recorded digest (_content_intact), and
+            # every entry records one.
+            assert entry["content_digest"].startswith("sha256:")
         header_intact = original.split(b"\n")[0] in mutated.split(b"\n")[:1]
         if header_intact:
             survivor_ids = {
@@ -159,6 +168,9 @@ def test_salvage_properties(seed, wal_bytes, journal_bytes, ledger_bytes):
         original = ledger_bytes
         mutated = mutate(original, rng)
         ledger = TransferLedger.from_bytes(mutated)       # never raises
+        assert_never_resurrects(
+            [entry for blob in ledger.blobs()
+             for entry in ledger.chunks(blob).values()], original)
         header_intact = original.split(b"\n")[0] in mutated.split(b"\n")[:1]
         if header_intact:
             survivors = {
@@ -214,6 +226,14 @@ class TestTornHeader:
             wal = ServiceWAL.from_bytes(wal_bytes[:cut])
             assert len(wal) == 0
             assert wal.open_request_count() == 0
+            # Only a cut strictly inside the header text costs a line:
+            # the header line without its newline is complete and valid.
+            torn = cut < header_end - 1 and wal_bytes[:cut].strip(
+                b" \t\r\n\x00")
+            assert wal.torn_records_dropped == (1 if torn else 0)
+        for blank in (b"", b"   ", b"\n", b"\x00\x00"):
+            # Blank bytes are an empty log, not a phantom torn record.
+            assert ServiceWAL.from_bytes(blank).torn_records_dropped == 0
 
     def test_mirror_crash_with_torn_ledger_header_is_resumable(self):
         """End-to-end: a mirror whose flushed ledger was truncated
