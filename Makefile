@@ -30,6 +30,8 @@
 #   make bench-compare A=parent.json B=change.json [CLAIM=workload:metric]
 #                - compare two harness --out files (pair-win rule with CLAIM)
 #   make harness-test - the wall-clock harness's self-tests
+#   make loc [BASE=rev] - code and docstring/comment lines of src/ (per
+#                file and total; with BASE, BASE's counts and the delta)
 
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
@@ -49,7 +51,7 @@ TRACE_OUT ?= benchmarks/results/harness/trace.json
         trace metrics telemetry-bench obs-bench health integrity-bench \
         perf-bench incremental-test parallel-bench fleet-bench \
         federation-bench fsck-demo bench-e2e bench-trace bench-compare \
-        harness-test
+        harness-test loc
 
 test:
 	$(PYTEST) -x -q
@@ -95,7 +97,7 @@ bench:
 resilience-bench:
 	$(PYTEST) benchmarks/bench_resilience_overhead.py -q -s
 
-# Warm >=5x cold, <5% cold-path fingerprint overhead, VFS hot-path bars.
+# Warm >=5x cold, repeat-tenant fast path, VFS hot-path bars.
 perf-bench:
 	$(PYTEST) benchmarks/bench_incremental_adaptation.py \
 	    benchmarks/bench_vfs_hotpaths.py -q -s
@@ -152,3 +154,6 @@ bench-compare:
 
 harness-test:
 	$(PYTEST) benchmarks/harness -q
+
+loc:
+	$(PYTHON) scripts/loc.py $(BASE)

@@ -4,15 +4,13 @@
 image's lifetime" (§4.1).  PRs before this one made repeat rebuilds skip
 node *execution*; the plan diff in :mod:`repro.perf.incremental` now
 prunes unchanged command groups before they even reach the scheduler, so
-a warm identical re-adaptation runs zero nodes in zero waves.  Four
+a warm identical re-adaptation runs zero nodes in zero waves.  Three
 claims, measured on LAMMPS (the largest app):
 
 * warm identical re-adaptation is at least 5x faster than a cold one
   (median of interleaved cold/warm pairs, same drift both sides);
 * a one-node change (``--lto --lto-scope=<node>``) re-executes only that
   node and its transitive dependents — siblings stay pruned;
-* keeping the diff armed costs a cold rebuild less than 5% over
-  ``--no-incremental`` (fingerprinting is the only added work);
 * a repeat tenant on the adaptation service lands on the incremental
   fast path (``incremental_fast_path`` outcome flag).
 
@@ -158,53 +156,6 @@ def test_incremental_speedup(benchmark, emit):
         _timed_rebuild,
         args=(engine, _fresh_copy(layout, dist_tag), ["--adapter=vendor"]),
         rounds=1, iterations=1,
-    )
-
-
-def test_incremental_cold_overhead(emit):
-    """Fingerprinting on a cold rebuild must stay under the 5% bar."""
-    engine, layout, dist_tag = _setup()
-
-    ratios, off_times, on_times = [], [], []
-    meta_off = meta_on = None
-    for _ in range(ROUNDS):
-        fresh = _fresh_copy(layout, dist_tag)
-        off_s, _ = _timed_rebuild(
-            engine, fresh, ["--adapter=vendor", "--no-incremental"])
-        meta_off = decode_rebuild(fresh, dist_tag)[0]
-        fresh = _fresh_copy(layout, dist_tag)
-        on_s, _ = _timed_rebuild(engine, fresh, ["--adapter=vendor"])
-        meta_on = decode_rebuild(fresh, dist_tag)[0]
-        off_times.append(off_s)
-        on_times.append(on_s)
-        ratios.append(on_s / off_s)
-    ratios.sort()
-    overhead = ratios[len(ratios) // 2] - 1.0
-    off_s = sum(off_times) / len(off_times)
-    on_s = sum(on_times) / len(on_times)
-
-    rows = [
-        ("--no-incremental", f"{off_s:.4f}", "-",
-         len(meta_off["executed_nodes"])),
-        ("incremental (default)", f"{on_s:.4f}", f"{overhead:+.1%}",
-         len(meta_on["executed_nodes"])),
-    ]
-    emit("incremental_cold_overhead",
-         render_table(["cold rebuild", "seconds (mean of 9)", "overhead",
-                       "executed"], rows))
-    _emit_json("incremental_cold_overhead", {
-        "app": "lammps",
-        "rounds": ROUNDS,
-        "no_incremental_seconds_mean": off_s,
-        "incremental_seconds_mean": on_s,
-        "overhead_median": overhead,
-    })
-
-    # Same cold work either way; only the fingerprint pass differs.
-    assert meta_off["executed_nodes"] == meta_on["executed_nodes"]
-    assert overhead < 0.05, (
-        f"incremental fingerprinting costs {overhead:.1%} on a cold "
-        f"rebuild (off {off_s:.4f}s vs on {on_s:.4f}s)"
     )
 
 

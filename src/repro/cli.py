@@ -112,7 +112,6 @@ def cmd_adapt(args: argparse.Namespace) -> int:
             jobs=args.jobs, speculate=args.speculate,
             max_worker_failures=args.max_worker_failures,
             extra_rebuild_args=extra, deadline=args.deadline,
-            incremental=args.incremental,
         )
     except Exception as exc:
         blown = find_deadline_exceeded(exc)
@@ -430,10 +429,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     flight dedup.  ``--noisy`` makes tenant 0 submit at 10x the fair
     rate (the WFQ scheduler contains the damage); ``--fault-rate``
     arms seeded transfer/worker faults so the circuit breakers and the
-    degradation ladder have something to do.  ``--durable`` backs the
-    service with a write-ahead log; ``--crash-at T`` (implies
-    ``--durable``) kills the simulated process at T seconds and restarts
-    it from the WAL — recovered/resumed requests show in the report.
+    degradation ladder have something to do.  The service journals to a
+    write-ahead log; ``--crash-at T`` kills the simulated process at T
+    seconds and restarts it from the WAL — recovered/resumed requests
+    show in the report.
     Exit code 1 when any admitted request is lost (never expected),
     else 0.
     """
@@ -459,7 +458,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             worker_crash_rate=args.fault_rate / 2,
             worker_flaky_rate=args.fault_rate / 2,
         )
-    durable = args.durable or args.crash_at is not None
     service = AdaptationService(
         system=system,
         workers=args.workers,
@@ -467,8 +465,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         injector=injector,
         queue_capacity=args.queue_capacity,
         telemetry=args.telemetry if args.telemetry.enabled else None,
-        durable=durable,
-        crash_at=args.crash_at,
     )
     apps = [a.strip() for a in args.apps.split(",") if a.strip()]
     rng = _random.Random(f"comtainer-serve:{args.seed}")
@@ -494,7 +490,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 deadline=args.deadline,
             )
     try:
-        report = service.run()
+        report = service.run(crash_at=args.crash_at)
     except ServiceCrash as crash:
         print(f"{crash} at t={service.clock.now:.1f}s; "
               f"restarting from the WAL...")
@@ -564,14 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="disable speculative re-execution of stragglers")
     p.add_argument("--max-worker-failures", type=int, default=3, metavar="N",
                    help="flaky strikes before a rebuild worker is blacklisted")
-    p.add_argument("--incremental", dest="incremental", action="store_true",
-                   default=True,
-                   help="prune unchanged command groups against the previous "
-                        "rebuild before scheduling (default)")
-    p.add_argument("--no-incremental", dest="incremental",
-                   action="store_false",
-                   help="force full re-execution even when a previous "
-                        "rebuild exists")
     p.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
                    help="simulated-seconds budget per rebuild; a miss is "
                         "reported as deadline_exceeded (journal resumable), "
@@ -693,11 +681,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seeded transient transfer/worker fault rate")
     p.add_argument("--seed", type=int, default=0,
                    help="workload and fault-injection seed")
-    p.add_argument("--durable", action="store_true",
-                   help="back the service with a write-ahead log")
     p.add_argument("--crash-at", type=float, default=None, metavar="T",
                    help="crash the simulated process at T seconds and "
-                        "restart it from the WAL (implies --durable)")
+                        "restart it from the WAL")
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser("tables", help="print Tables 1 and 2")

@@ -81,7 +81,6 @@ def rebuild_in_container(
     speculate: bool = True,
     max_worker_failures: int = 3,
     deadline: Optional[float] = None,
-    incremental: bool = True,
     prev_fingerprints: Optional[Dict[str, str]] = None,
 ) -> Tuple[dict, Dict[str, FileContent], Dict[str, int], Dict[str, FileContent],
            ScheduleReport]:
@@ -93,13 +92,13 @@ def rebuild_in_container(
     output instead of re-executing — rebuilds "can be performed many
     times during the image's lifetime" (§4.1) without paying full cost.
 
-    *prev_fingerprints* (with *incremental*, the default) enables the
-    plan-level short-circuit on top of that per-node reuse: the new plan
-    is fingerprinted (:mod:`repro.perf.incremental`) and diffed against
-    the previous run's persisted fingerprints, and every clean command
-    group is pruned before wavefront computation — its outputs replay
-    from the previous rebuild layer and it never enters the scheduler or
-    the worker fleet.  A warm identical re-adaptation executes zero nodes
+    *prev_fingerprints* enables the plan-level short-circuit on top of
+    that per-node reuse: the new plan is fingerprinted
+    (:mod:`repro.perf.incremental`) and diffed against the previous
+    run's persisted fingerprints, and every clean command group is
+    pruned before wavefront computation — its outputs replay from the
+    previous rebuild layer and it never enters the scheduler or the
+    worker fleet.  A warm identical re-adaptation executes zero nodes
     and schedules zero waves.
 
     *journal* is an optional :class:`repro.resilience.RebuildJournal`:
@@ -193,7 +192,7 @@ def rebuild_in_container(
     fingerprints = compute_plan_fingerprints(build_plan, models.graph, fs)
     pruned_nodes: List[str] = []
     waves_to_run = build_plan.waves
-    if incremental and prev_fingerprints:
+    if prev_fingerprints:
         plan_diff = diff_plan(
             build_plan, fingerprints, prev_fingerprints, prev_outputs
         )
@@ -631,7 +630,6 @@ def comtainer_rebuild_entry(ctx) -> int:
             speculate=flags["speculate"],
             max_worker_failures=flags["max_worker_failures"],
             deadline=flags["deadline"],
-            incremental=flags["incremental"],
             prev_fingerprints=prev_fingerprints,
         )
     except RebuildError as exc:
@@ -696,17 +694,12 @@ def _parse_args(args: List[str]) -> Tuple[RebuildOptions, str, Dict[str, object]
     flags: Dict[str, object] = {
         "journal": False, "fallback": False, "cache": True, "jobs": 1,
         "speculate": True, "max_worker_failures": 3, "deadline": None,
-        "incremental": True,
     }
     i = 0
     while i < len(args):
         arg = args[i]
         if arg == "--lto":
             options.lto = True
-        elif arg == "--incremental":
-            flags["incremental"] = True
-        elif arg == "--no-incremental":
-            flags["incremental"] = False
         elif arg == "--journal":
             flags["journal"] = True
         elif arg == "--fallback":

@@ -133,7 +133,6 @@ def _run_rebuild(
     speculate: bool = True,
     max_worker_failures: int = 3,
     deadline: Optional[float] = None,
-    incremental: bool = True,
 ) -> None:
     if extra_args:
         args = args + list(extra_args)
@@ -145,8 +144,6 @@ def _run_rebuild(
         args = args + [f"--max-worker-failures={max_worker_failures}"]
     if deadline is not None:
         args = args + [f"--deadline={deadline}"]
-    if not incremental:
-        args = args + ["--no-incremental"]
     with engine.telemetry.span("rebuild", system=system.key, flavor=flavor):
         ctr = engine.from_image(
             sysenv_ref(system.key, flavor), name="comt-rebuild",
@@ -263,7 +260,6 @@ def system_side_adapt(
     speculate: bool = True,
     max_worker_failures: int = 3,
     deadline: Optional[float] = None,
-    incremental: bool = True,
 ) -> str:
     """Rebuild + redirect an extended image for *system*.
 
@@ -295,7 +291,7 @@ def system_side_adapt(
                      extra_args=extra_rebuild_args, jobs=jobs,
                      speculate=speculate,
                      max_worker_failures=max_worker_failures,
-                     deadline=deadline, incremental=incremental)
+                     deadline=deadline)
         instr_ref = _run_redirect(engine, layout, system, ref=f"{ref}.instrumented")
         # Profiling run: execute the instrumented binary on the system.
         app_name, _, input_name = pgo_workload.partition(".")
@@ -320,13 +316,13 @@ def system_side_adapt(
                      profile_bytes=profile_bytes, extra_args=extra_rebuild_args,
                      jobs=jobs, speculate=speculate,
                      max_worker_failures=max_worker_failures,
-                     deadline=deadline, incremental=incremental)
+                     deadline=deadline)
     else:
         _run_rebuild(engine, layout, system, flavor, base_args,
                      extra_args=extra_rebuild_args, jobs=jobs,
                      speculate=speculate,
                      max_worker_failures=max_worker_failures,
-                     deadline=deadline, incremental=incremental)
+                     deadline=deadline)
 
     return _run_redirect(engine, layout, system, ref=ref)
 
@@ -464,10 +460,6 @@ class ComtainerSession:
     speculate: bool = True
     #: Flaky-attempt strikes before a rebuild worker is blacklisted.
     max_worker_failures: int = 3
-    #: Plan-level incremental short-circuit (``coMtainer-rebuild``'s
-    #: default): repeat adaptations prune unchanged command groups
-    #: before scheduling.  Disable to force full re-execution.
-    incremental: bool = True
     #: Share the rebuild artifact cache through the registry: publish it
     #: after each adaptation and attach any published cache before a
     #: rebuild — same-adapter rebuilds on other sessions/nodes hit warm
@@ -616,7 +608,6 @@ class ComtainerSession:
                     ref=f"{app}:adapted", nodes=self.nodes, jobs=self.jobs,
                     speculate=self.speculate,
                     max_worker_failures=self.max_worker_failures,
-                    incremental=self.incremental,
                 )
                 self._publish_cache(app, layout, dist_tag)
         return self._adapted[app]
@@ -631,7 +622,6 @@ class ComtainerSession:
                 flavor=self.flavor, ref=f"{workload}:optimized", nodes=self.nodes,
                 jobs=self.jobs, speculate=self.speculate,
                 max_worker_failures=self.max_worker_failures,
-                incremental=self.incremental,
             )
             self._publish_cache(app, layout, dist_tag)
         return self._optimized[workload]
@@ -658,7 +648,7 @@ class ComtainerSession:
             repair=self.repairer(app), jobs=self.jobs,
             speculate=self.speculate,
             max_worker_failures=self.max_worker_failures,
-            deadline=deadline, incremental=self.incremental,
+            deadline=deadline,
         )
         self._publish_cache(app, layout, dist_tag)
         self.resilience_reports.append(report)

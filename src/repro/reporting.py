@@ -325,12 +325,11 @@ def render_service_report(report, telemetry=None) -> str:
                          f"({report.mirror_sync_failures} failed)"),
         ("simulated seconds", report.simulated_seconds),
     ]
-    if getattr(report, "wal", None):
-        rows.append(("WAL records", f"{report.wal['records']} "
-                                    f"({report.wal['bytes']} bytes, "
-                                    f"{report.wal['torn_records_dropped']} "
-                                    f"torn dropped)"))
-        rows.append(("WAL restarts survived", report.wal["restarts"]))
+    rows.append(("WAL records", f"{report.wal['records']} "
+                                f"({report.wal['bytes']} bytes, "
+                                f"{report.wal['torn_records_dropped']} "
+                                f"torn dropped)"))
+    rows.append(("WAL restarts survived", report.wal["restarts"]))
     if getattr(report, "recovered_requests", 0):
         rows.append(("recovered from WAL", report.recovered_requests))
     if getattr(report, "resumed_requests", 0):

@@ -414,7 +414,6 @@ def adapt_with_resilience(
     speculate: bool = True,
     max_worker_failures: int = 3,
     deadline: Optional[float] = None,
-    incremental: bool = True,
 ) -> ResilienceReport:
     """System-side adaptation that always terminates with a runnable image.
 
@@ -449,7 +448,6 @@ def adapt_with_resilience(
             pgo_workload=pgo_workload, flavor=flavor, ref=ref, nodes=nodes,
             jobs=jobs, speculate=speculate,
             max_worker_failures=max_worker_failures, deadline=deadline,
-            incremental=incremental,
         )
         report.rung = RUNG_FULL
         return report
@@ -486,7 +484,7 @@ def adapt_with_resilience(
                 pgo_workload=a_pgo, flavor=flavor, ref=ref, nodes=nodes,
                 extra_rebuild_args=extra_args, jobs=a_jobs,
                 speculate=speculate, max_worker_failures=max_worker_failures,
-                deadline=deadline, incremental=incremental,
+                deadline=deadline,
             )
 
         for repair_round in range(2):

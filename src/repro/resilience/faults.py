@@ -73,12 +73,22 @@ rates (``worker_crash_rate`` etc.).  When every worker rate is zero and no
 worker specs exist, a consultation costs no random draw — so existing
 seeded sweeps replay identically with the fleet in place.
 
-A fifth family models *staleness* probes for the federated registry tier
-(:mod:`repro.federation`): :meth:`FaultInjector.probe` answers boolean
-questions that never raise, currently only at ``mirror.stale`` — "must
-this failover candidate be treated as stale?".  Scripted specs fire
-first (``kind`` ignored, ``times < 0`` forever), then the seeded
-``mirror_stale_rate``; an inert site consumes no random draw.
+A fifth family is *probes*: :meth:`FaultInjector.probe` answers
+boolean questions that never raise, at two sites —
+
+====================  =====================================================
+site                  meaning
+====================  =====================================================
+``mirror.stale``      this federation failover candidate must be treated
+                      as stale (:mod:`repro.federation`)
+``service.crash``     the adaptation service dies at this WAL append
+                      (keys ``wal/<n>/torn`` then ``wal/<n>/clean``)
+====================  =====================================================
+
+Scripted specs fire first (``kind`` ignored, ``times < 0`` forever);
+``mirror.stale`` then falls back to the seeded ``mirror_stale_rate``,
+while ``service.crash`` fires only from a scripted spec.  An inert site
+consumes no random draw.
 
 Everything is derived from a single integer seed through one private
 ``random.Random`` stream, so a chaos sweep replays identically run to run
@@ -127,8 +137,10 @@ WORKER_SITES = frozenset({"worker.crash", "worker.straggle", "worker.flaky"})
 #: Probe fault family: boolean consultations that never raise.  The
 #: federated pull ladder asks ``mirror.stale`` per (mirror, reference)
 #: when considering a failover candidate; a fired probe means the mirror
-#: must be treated as stale and skipped.
-PROBE_SITES = frozenset({"mirror.stale"})
+#: must be treated as stale and skipped.  The service WAL asks
+#: ``service.crash`` per append; a fired probe is a simulated process
+#: death at that record.
+PROBE_SITES = frozenset({"mirror.stale", "service.crash"})
 
 
 class InjectedFault(Exception):
@@ -396,11 +408,13 @@ class FaultInjector:
 
         Used by the federated pull ladder (``mirror.stale``): a fired
         probe marks the keyed failover candidate stale, so the pull
-        skips it instead of serving outdated bytes.  Never raises —
-        staleness is a policy answer, not an operation failure.
+        skips it instead of serving outdated bytes; and by the service
+        WAL (``service.crash``): a fired probe kills the service at that
+        append.  Never raises — the caller owns the consequence.
         Scripted specs fire first (``kind`` ignored; negative ``times``
-        fires forever), then the seeded ``mirror_stale_rate``.  An inert
-        site (zero rate, no matching specs) consumes no random draw.
+        fires forever), then, at ``mirror.stale`` only, the seeded
+        ``mirror_stale_rate``.  An inert site (zero rate, no matching
+        specs) consumes no random draw.
         """
         if site not in PROBE_SITES:
             raise ValueError(f"not a probe fault site: {site!r}")
@@ -415,7 +429,7 @@ class FaultInjector:
             fired = True
             break
         if not fired:
-            if self.mirror_stale_rate <= 0.0:
+            if site != "mirror.stale" or self.mirror_stale_rate <= 0.0:
                 return False
             if self._rng.random() >= self.mirror_stale_rate:
                 return False

@@ -38,6 +38,9 @@ The moving parts, each its own module:
   capacity-bounded LRU pool of compile outputs across all tenants, with
   single-flight dedup: concurrent identical rebuild work runs once, the
   followers re-dispatch against the leader-warmed pool.
+* durability (:mod:`repro.service.wal`) — every state transition is
+  appended to a write-ahead log; :meth:`AdaptationService.restart`
+  replays it after a simulated crash.
 
 Every *admitted* request terminates in exactly one of four typed
 outcomes — ``completed``, ``degraded``, ``rejected`` (displacement) or
@@ -47,9 +50,10 @@ for all of them; no request is ever lost.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.apps import get_app
@@ -185,33 +189,24 @@ class RequestOutcome:
     _layout: Optional[Tuple[OCILayout, str]] = None
 
     def to_json(self) -> dict:
-        return {
-            "request_id": self.request_id,
-            "tenant": self.tenant,
-            "app": self.app,
-            "priority": self.priority,
-            "mode": self.mode,
-            "status": self.status,
-            "rung": self.rung,
-            "ref": self.ref,
-            "error": self.error,
-            "retry_after": self.retry_after,
-            "submitted_at": self.submitted_at,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "cost": self.cost,
-            "latency": self.latency,
-            "deduped": self.deduped,
-            "shed": self.shed,
-            "reasons": list(self.reasons),
-            "retry_spend": self.retry_spend,
-            "retry_causes": dict(self.retry_causes),
-            "cache_hit_nodes": self.cache_hit_nodes,
-            "executed_nodes": self.executed_nodes,
-            "reused_nodes": self.reused_nodes,
-            "incremental_fast_path": self.incremental_fast_path,
-            "recovered": self.recovered,
-        }
+        return {name: copy.copy(getattr(self, name)) for name in _OUTCOME_JSON}
+
+    @classmethod
+    def from_json(cls, data: dict) -> "RequestOutcome":
+        """The inverse of :meth:`to_json`; total over partial records —
+        a missing field takes its default (``""`` for the ids, normal
+        priority, full mode for the required ones)."""
+        values = {"request_id": "", "tenant": "", "app": "",
+                  "priority": PRIORITY_NORMAL, "mode": MODE_FULL}
+        values.update((name, copy.copy(data[name]))
+                      for name in _OUTCOME_JSON if name in data)
+        return cls(**values)
+
+
+#: The :class:`RequestOutcome` fields a terminal WAL record carries: all
+#: but the live rebuild report and layout handle.
+_OUTCOME_JSON = tuple(f.name for f in fields(RequestOutcome)
+                      if f.name not in ("report", "_layout"))
 
 
 @dataclass
@@ -277,8 +272,8 @@ class ServiceReport:
     resumed_requests: int = 0
     #: Origin failover promotions this service triggered.
     failovers: int = 0
-    #: :meth:`ServiceWAL.stats` of the backing log (None when volatile).
-    wal: Optional[dict] = None
+    #: :meth:`ServiceWAL.stats` of the backing log.
+    wal: dict = field(default_factory=dict)
 
     def by_status(self) -> Dict[str, int]:
         counts: Dict[str, int] = {status: 0 for status in TERMINAL_STATUSES}
@@ -310,7 +305,7 @@ class ServiceReport:
             "recovered_requests": self.recovered_requests,
             "resumed_requests": self.resumed_requests,
             "failovers": self.failovers,
-            "wal": dict(self.wal) if self.wal else None,
+            "wal": dict(self.wal),
         }
 
     def summary(self) -> str:
@@ -337,8 +332,26 @@ class ServiceReport:
         return "; ".join(bits)
 
 
+def _request_from(record: dict) -> AdaptationRequest:
+    """An ``admit`` or ``submit`` WAL record back as a request; a submit
+    record carries no granted ``mode``/``shed``, so it comes back full."""
+    return AdaptationRequest(
+        tenant=record.get("tenant", ""), app=record.get("app", ""),
+        priority=record.get("priority", PRIORITY_NORMAL),
+        deadline=record.get("deadline"), jobs=int(record.get("jobs", 2)),
+        submit_at=float(record.get("submit_at", 0.0)),
+        seq=int(record.get("seq", 0)),
+        request_id=record.get("request_id", ""),
+        mode=record.get("mode", MODE_FULL),
+        shed=bool(record.get("shed", False)),
+    )
+
+
 class AdaptationService:
-    """Discrete-event, multi-tenant front end over the adaptation pipeline."""
+    """Discrete-event, multi-tenant front end over the adaptation pipeline.
+
+    Always durable: every state transition lands in :attr:`wal` first.
+    """
 
     def __init__(
         self,
@@ -357,14 +370,11 @@ class AdaptationService:
         breaker_threshold: int = 3,
         breaker_reset: float = 180.0,
         dispatch_overhead: float = DISPATCH_OVERHEAD,
-        durable: bool = False,
-        wal: Optional[ServiceWAL] = None,
-        crash_after_records: Optional[int] = None,
-        crash_at: Optional[float] = None,
-        crash_torn: bool = True,
+        durable: bool = True,
         federation=None,
-        auto_failover: bool = True,
     ) -> None:
+        if not durable:
+            raise ServiceError("the adaptation service is always durable")
         self.system = system
         self.flavor = flavor
         self.workers = max(1, workers)
@@ -372,7 +382,7 @@ class AdaptationService:
         self.seed = seed
         self.injector = injector
         #: Constructor shape a :meth:`restart` rebuilds the process from
-        #: (everything except the volatile telemetry/WAL/crash knobs).
+        #: (everything except the telemetry recorder).
         self._config = {
             "system": system, "flavor": flavor, "workers": workers,
             "nodes": nodes, "queue_capacity": queue_capacity,
@@ -381,7 +391,7 @@ class AdaptationService:
             "cache_capacity": cache_capacity,
             "breaker_threshold": breaker_threshold,
             "breaker_reset": breaker_reset,
-            "dispatch_overhead": dispatch_overhead,
+            "dispatch_overhead": dispatch_overhead, "federation": federation,
         }
         # Request cost is measured as telemetry-clock progress (rebuild
         # makespans, retry backoff, workload runs all charge it), so the
@@ -437,25 +447,7 @@ class AdaptationService:
         self._cost_sum = 0.0
         self._cost_n = 0
         # -- durability (the service WAL) ------------------------------
-        self.durable = bool(
-            durable or wal is not None or crash_after_records is not None
-            or crash_at is not None
-        )
-        self.wal: Optional[ServiceWAL] = None
-        if self.durable:
-            if wal is None:
-                self.wal = ServiceWAL(
-                    seed=seed, injector=injector,
-                    crash_after_records=crash_after_records,
-                    crash_torn=crash_torn,
-                )
-            else:
-                self.wal = wal
-                self.wal.injector = injector
-                if crash_after_records is not None:
-                    self.wal.crash_after_records = crash_after_records
-                    self.wal.crash_torn = crash_torn
-        self.crash_at = crash_at
+        self.wal = ServiceWAL(seed=seed, injector=injector)
         self.crashed = False
         self._replaying = False
         self.recovered_requests = 0
@@ -464,7 +456,6 @@ class AdaptationService:
         self._open_ids: set = set()
         # -- federation (origin failover) ------------------------------
         self.federation = federation
-        self.auto_failover = auto_failover
         self.failovers = 0
         if federation is not None:
             # The service's origin registry *is* the federation's; the
@@ -475,11 +466,8 @@ class AdaptationService:
                 self.registry.fault_injector = injector
                 self.registry.blobs.fault_injector = injector
             install_telemetry(self.telemetry, registry=self.registry)
-        if self.durable:
-            for breaker in self.breakers.values():
-                breaker.listener = self._on_breaker_transition
-        elif federation is not None and auto_failover:
-            self.breakers["registry"].listener = self._on_breaker_transition
+        for breaker in self.breakers.values():
+            breaker.listener = self._on_breaker_transition
 
     # -- tenancy and submission -----------------------------------------
 
@@ -553,12 +541,12 @@ class AdaptationService:
 
     # -- durability: WAL, crash, restart ---------------------------------
 
-    def _wal(self, kind: str, **fields) -> None:
-        """Durably append one WAL record (no-op when volatile/replaying)."""
-        if self.wal is None or self._replaying:
+    def _wal(self, kind: str, **values) -> None:
+        """Durably append one WAL record (no-op while replaying)."""
+        if self._replaying:
             return
         record = {"rec": kind, "t": float(self.clock.now)}
-        record.update(fields)
+        record.update(values)
         self.wal.append(record)
         if self.telemetry.enabled:
             self.telemetry.metrics.counter("service_wal_records_total").inc()
@@ -577,8 +565,7 @@ class AdaptationService:
         self._wal("breaker", breaker=name, from_state=from_state,
                   to_state=to_state)
         if (name == "registry" and to_state == STATE_OPEN
-                and self.federation is not None and self.auto_failover
-                and not self._replaying):
+                and self.federation is not None and not self._replaying):
             self._failover_origin()
 
     def _failover_origin(self) -> None:
@@ -610,52 +597,26 @@ class AdaptationService:
                                  fence=promotion.fence_token)
             self.telemetry.metrics.counter("service_failovers_total").inc()
 
-    def crash(self) -> bytes:
-        """Simulate hard process death *now*.
-
-        Everything volatile — the admission queue, in-flight leases,
-        single-flight parking, breaker counters, tenant engines — is
-        considered lost; only the WAL's flushed bytes (returned) and the
-        durable stores (origin registry, mirror registries, mounted
-        layouts) survive.  :meth:`restart` builds the next process from
-        exactly those.
-        """
-        if not self.durable or self.wal is None:
-            raise ServiceError("crash/restart simulation requires durable mode")
-        self.crashed = True
-        return self.wal.flushed_bytes
-
-    def restart(
-        self,
-        crash_after_records: Optional[int] = None,
-        crash_at: Optional[float] = None,
-        crash_torn: bool = True,
-        telemetry: Optional[Telemetry] = None,
-    ) -> "AdaptationService":
+    def restart(self, telemetry: Optional[Telemetry] = None
+                ) -> "AdaptationService":
         """The next process: salvage the WAL, replay it, resume.
 
+        Only the WAL's flushed bytes and the durable stores (origin
+        registry, mirror registries, mounted layouts) survive a crash.
         Returns a *new* :class:`AdaptationService` whose queue order,
         tenant token buckets, breaker states and terminal outcomes are
         reconstructed from the salvaged log; requests that were admitted
         (or in flight) without a terminal record are re-queued and will
         re-dispatch against the surviving mounted layouts — their
         rebuild journals and ``+coMre`` manifests mean the re-execution
-        prunes every checkpointed node.  Fresh crash triggers may be
-        armed for multi-crash chains (``crash_after_records`` counts
-        *all* records including the salvaged ones).
+        prunes every checkpointed node.  The new process shares this
+        one's injector, and a consumed ``service.crash`` spec never
+        fires again, so a multi-crash chain is several specs on one
+        injector.
         """
-        if not self.durable or self.wal is None:
-            raise ServiceError("crash/restart simulation requires durable mode")
-        salvaged = ServiceWAL.from_bytes(
-            self.wal.flushed_bytes, injector=self.injector,
-            crash_after_records=crash_after_records, crash_torn=crash_torn,
-        )
-        config = dict(self._config)
-        service = AdaptationService(
-            telemetry=telemetry, durable=True, wal=salvaged,
-            crash_at=crash_at, federation=self.federation,
-            auto_failover=self.auto_failover, **config,
-        )
+        service = AdaptationService(telemetry=telemetry, **self._config)
+        service.wal = ServiceWAL.from_bytes(self.wal.flushed_bytes,
+                                            injector=self.injector)
         service._recover(self)
         return service
 
@@ -710,15 +671,12 @@ class AdaptationService:
                 elif kind == "submit":
                     submits[record.get("request_id", "")] = record
                 elif kind == "admit":
-                    rid = record.get("request_id", "")
-                    admits[rid] = record
-                    tenant = self.tenants.get(record.get("tenant", ""))
-                    if tenant is not None and tenant.bucket is not None:
-                        # Replaying the successful takes at their original
-                        # times reproduces the bucket's exact token level
-                        # (refill is linear-capped, so skipped failed
-                        # takes change nothing).
-                        tenant.bucket.try_take(t)
+                    admits[record.get("request_id", "")] = record
+                    # Replaying the successful takes at their original
+                    # times reproduces the bucket's exact token level
+                    # (refill is linear-capped, so skipped failed takes
+                    # change nothing).
+                    self._retake_token(record.get("tenant", ""), t)
                 elif kind == "dispatch":
                     dispatched.add(record.get("request_id", ""))
                 elif kind == "breaker":
@@ -740,6 +698,13 @@ class AdaptationService:
                     if rid and rid not in terminal_ids:
                         terminal_ids.add(rid)
                         terminals.append(record)
+                        data = record.get("outcome") or {}
+                        if (data.get("status") == STATUS_REJECTED
+                                and rid not in admits and "rate-limited"
+                                not in data.get("reasons", [])):
+                            # Queue-full: the arrival took its token
+                            # before the queue refused it.
+                            self._retake_token(data.get("tenant", ""), t)
                 elif kind == "absorb":
                     memo = self._tenant_layouts.get(
                         (record.get("tenant", ""), record.get("app", "")))
@@ -773,38 +738,22 @@ class AdaptationService:
             )
             self._gauges()
 
+    def _retake_token(self, tenant_name: str, t: float) -> None:
+        tenant = self.tenants.get(tenant_name)
+        if tenant is not None and tenant.bucket is not None:
+            tenant.bucket.try_take(t)
+
     def _restore_terminals(self, terminals: List[dict],
                            admits: Dict[str, dict]) -> None:
         """Terminal records are facts: restore outcomes + accounting."""
         for record in terminals:
-            data = record.get("outcome") or {}
-            status = data.get("status", STATUS_REJECTED)
+            data = {"status": STATUS_REJECTED, **(record.get("outcome") or {})}
+            status = data["status"]
             if status not in TERMINAL_STATUSES:
                 continue
             rid = data.get("request_id") or record.get("request_id", "")
-            outcome = RequestOutcome(
-                request_id=rid,
-                tenant=data.get("tenant", ""), app=data.get("app", ""),
-                priority=data.get("priority", PRIORITY_NORMAL),
-                mode=data.get("mode", MODE_FULL), status=status,
-                rung=data.get("rung"), ref=data.get("ref"),
-                error=data.get("error"), retry_after=data.get("retry_after"),
-                submitted_at=data.get("submitted_at", 0.0),
-                started_at=data.get("started_at"),
-                finished_at=data.get("finished_at", 0.0),
-                cost=data.get("cost", 0.0), latency=data.get("latency", 0.0),
-                deduped=data.get("deduped", False),
-                shed=data.get("shed", False),
-                reasons=list(data.get("reasons", [])),
-                retry_spend=data.get("retry_spend", 0.0),
-                retry_causes=dict(data.get("retry_causes", {})),
-                cache_hit_nodes=data.get("cache_hit_nodes", 0),
-                executed_nodes=data.get("executed_nodes", 0),
-                reused_nodes=data.get("reused_nodes", 0),
-                incremental_fast_path=data.get(
-                    "incremental_fast_path", False),
-                recovered=True,
-            )
+            outcome = RequestOutcome.from_json(
+                {**data, "request_id": rid, "recovered": True})
             self.outcomes.append(outcome)
             self.recovered_requests += 1
             tenant = self.tenants.get(outcome.tenant)
@@ -838,23 +787,12 @@ class AdaptationService:
         their granted service level; unprocessed arrivals re-arrive."""
         open_requests: List[AdaptationRequest] = []
         for rid, record in admits.items():
-            tenant_name = record.get("tenant", "")
-            tenant = self.tenants.get(tenant_name)
+            tenant = self.tenants.get(record.get("tenant", ""))
             if tenant is None:
                 continue
             tenant.submitted += 1
-            if rid in terminal_ids:
-                continue
-            open_requests.append(AdaptationRequest(
-                tenant=tenant_name, app=record.get("app", ""),
-                priority=record.get("priority", PRIORITY_NORMAL),
-                deadline=record.get("deadline"),
-                jobs=int(record.get("jobs", 2)),
-                submit_at=float(record.get("submit_at", 0.0)),
-                seq=int(record.get("seq", 0)), request_id=rid,
-                mode=record.get("mode", MODE_FULL),
-                shed=bool(record.get("shed", False)),
-            ))
+            if rid not in terminal_ids:
+                open_requests.append(_request_from(record))
         for request in sorted(open_requests, key=lambda r: r.seq):
             self.queue.restore(request)
             self._open_ids.add(request.request_id)
@@ -866,38 +804,30 @@ class AdaptationService:
                 self.resumed_requests += 1
                 self._resumed_ids.add(request.request_id)
         for rid, record in submits.items():
-            if rid in admits or rid in terminal_ids:
-                continue
-            if record.get("tenant", "") not in self.tenants:
-                continue
-            self._arrivals.append(AdaptationRequest(
-                tenant=record.get("tenant", ""), app=record.get("app", ""),
-                priority=record.get("priority", PRIORITY_NORMAL),
-                deadline=record.get("deadline"),
-                jobs=int(record.get("jobs", 2)),
-                submit_at=float(record.get("submit_at", 0.0)),
-                seq=int(record.get("seq", 0)), request_id=rid,
-            ))
+            if (rid not in admits and rid not in terminal_ids
+                    and record.get("tenant", "") in self.tenants):
+                self._arrivals.append(_request_from(record))
 
     # -- the event loop --------------------------------------------------
 
-    def run(self) -> ServiceReport:
+    def run(self, crash_at: Optional[float] = None) -> ServiceReport:
         """Drain every submitted arrival through the timeline; report.
 
-        In durable mode a :class:`ServiceCrash` (armed via
-        ``crash_after_records`` / ``crash_at``) propagates out of here
-        with :attr:`crashed` set; call :meth:`restart` to build the next
-        process from the WAL and ``run()`` it again.
+        A :class:`ServiceCrash` — a fired ``service.crash`` probe at a
+        WAL append, or the first timeline advance at or past *crash_at*
+        — propagates out of here with :attr:`crashed` set; call
+        :meth:`restart` to build the next process from the WAL and
+        ``run()`` it again.
         """
         if self.crashed:
             raise ServiceError("service crashed; restart() it first")
         try:
-            return self._run_loop()
+            return self._run_loop(crash_at)
         except ServiceCrash:
             self.crashed = True
             raise
 
-    def _run_loop(self) -> ServiceReport:
+    def _run_loop(self, crash_at: Optional[float]) -> ServiceReport:
         arrivals = sorted(self._arrivals, key=lambda r: (r.submit_at, r.seq))
         self._arrivals = []
         # The user side publishes extended images ahead of serving; their
@@ -913,7 +843,7 @@ class AdaptationService:
             if index < len(arrivals):
                 times.append(arrivals[index].submit_at)
             if times:
-                self._advance_to(max(self.clock.now, min(times)))
+                self._advance_to(max(self.clock.now, min(times)), crash_at)
             now = self.clock.now
             while running and running[0][0] <= now:
                 _, _, request, outcome = heapq.heappop(running)
@@ -944,31 +874,23 @@ class AdaptationService:
 
     # -- timeline helpers ------------------------------------------------
 
-    def _advance_to(self, t: float) -> None:
-        if (self.crash_at is not None and not self._replaying
-                and t >= self.crash_at):
+    def _advance_to(self, t: float, crash_at: Optional[float]) -> None:
+        crash = crash_at is not None and t >= crash_at
+        if crash:
             # Die mid-advance: the clock stops at the crash point, the WAL
             # keeps only what was flushed before it.
-            t = max(self.clock.now, self.crash_at)
-            self.crash_at = None
-            dt = t - self.clock.now
-            if dt > 0:
-                self.clock.sleep(dt)
-                if self.telemetry.controlplane is not None:
-                    self.telemetry.controlplane.advance(dt)
-            raise ServiceCrash(
-                len(self.wal.records) if self.wal is not None else 0,
-                torn=False,
-            )
+            t = max(self.clock.now, crash_at)
         dt = t - self.clock.now
-        if dt <= 0:
-            return
-        self.clock.sleep(dt)
-        controlplane = self.telemetry.controlplane
-        if controlplane is not None:
-            # Queue-wait and idle gaps are service progress too; execution
-            # intervals are already advanced by the fleet's own hooks.
-            controlplane.advance(dt)
+        if dt > 0:
+            self.clock.sleep(dt)
+            controlplane = self.telemetry.controlplane
+            if controlplane is not None:
+                # Queue-wait and idle gaps are service progress too;
+                # execution intervals are already advanced by the fleet's
+                # own hooks.
+                controlplane.advance(dt)
+        if crash:
+            raise ServiceCrash(len(self.wal.records), torn=False)
 
     def _retry_after_hint(self) -> float:
         average = (self._cost_sum / self._cost_n) if self._cost_n else 30.0
@@ -1420,10 +1342,9 @@ class AdaptationService:
         m.gauge("service_breakers_open").set(float(sum(
             1 for b in self.breakers.values() if b.state == STATE_OPEN
         )))
-        if self.wal is not None:
-            # WAL lag: admitted requests whose terminal record has not
-            # landed yet — the restart exposure right now.
-            m.gauge("service_wal_open_requests").set(float(len(self._open_ids)))
+        # WAL lag: admitted requests whose terminal record has not landed
+        # yet — the restart exposure right now.
+        m.gauge("service_wal_open_requests").set(float(len(self._open_ids)))
 
     def _update_dedup_gauge(self) -> None:
         if not self.telemetry.enabled:
@@ -1451,7 +1372,7 @@ class AdaptationService:
             recovered_requests=self.recovered_requests,
             resumed_requests=self.resumed_requests,
             failovers=self.failovers,
-            wal=self.wal.stats() if self.wal is not None else None,
+            wal=self.wal.stats(),
         )
 
 

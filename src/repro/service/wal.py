@@ -36,9 +36,12 @@ admitted request ends in exactly one typed terminal status across any
 number of crashes**.  WAL appends pass the ``journal.append``
 corruption site keyed ``service-wal``.
 
-Crash simulation: a :class:`ServiceCrash` is raised from inside a
-configured append (``crash_after_records``) or timeline advance
-(``crash_at``), optionally tearing the record being appended.  It
+Crash simulation: a :class:`ServiceCrash` is raised from inside an
+append whose ``service.crash`` fault probe fires — keyed
+``wal/<n>/torn`` (half the line lands, the record is lost) and then
+``wal/<n>/clean`` (the record lands), where ``n`` is the record's
+1-based index in the whole log, salvaged records included — or from a
+timeline advance past ``AdaptationService.run(crash_at=T)``.  It
 derives from ``BaseException`` on purpose — a simulated process death
 must not be absorbed by the service's own ``except Exception``
 degradation paths (a real ``kill -9`` does not negotiate with error
@@ -47,7 +50,7 @@ handlers).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro import durable
 
@@ -99,28 +102,15 @@ class ServiceWAL:
     crash leaves behind.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        injector=None,
-        crash_after_records: Optional[int] = None,
-        crash_torn: bool = True,
-    ) -> None:
+    def __init__(self, seed: int = 0, injector=None) -> None:
         self.seed = seed
         self.injector = injector
-        #: Crash simulation: raise :class:`ServiceCrash` while appending
-        #: the N-th record from now (1-based); ``crash_torn`` flushes
-        #: only a prefix of that record's line, as a real torn write
-        #: would.
-        self.crash_after_records = crash_after_records
-        self.crash_torn = crash_torn
         self.records: List[dict] = []
         #: Lines dropped by the last :meth:`from_bytes` salvage.
         self.torn_records_dropped = 0
         #: Restart records seen (how many crashes this log has survived).
         self.restarts = 0
         self._buf = bytearray()
-        self._appended = 0
         self._write_header()
 
     # -- writing -----------------------------------------------------------
@@ -132,23 +122,25 @@ class ServiceWAL:
         self._buf.extend(durable.through_site(self.injector, WAL_SITE_KEY, line))
 
     def append(self, record: dict) -> dict:
-        """Durably append one record (adds ``line_digest``); honours the
-        crash trigger — the configured append flushes a (possibly torn)
-        line and then raises :class:`ServiceCrash`."""
+        """Durably append one record (adds ``line_digest``).  A fired
+        ``service.crash`` probe flushes a torn or whole line and then
+        raises :class:`ServiceCrash`."""
         record = durable.seal(record)
         line = durable.line(record)
-        self._appended += 1
-        if (self.crash_after_records is not None
-                and self._appended >= self.crash_after_records):
-            if self.crash_torn:
-                # A torn write: a prefix of the line reaches the log.
-                self._flush_line(line[: max(1, len(line) // 2)])
-            else:
-                self._flush_line(line)
-                self.records.append(record)
-            raise ServiceCrash(len(self.records), torn=self.crash_torn)
-        self._flush_line(line)
-        self.records.append(record)
+        torn = clean = False
+        if self.injector is not None:
+            n = len(self.records) + 1
+            torn = self.injector.probe("service.crash", f"wal/{n}/torn")
+            clean = not torn and self.injector.probe(
+                "service.crash", f"wal/{n}/clean")
+        if torn:
+            # A torn write: a prefix of the line reaches the log.
+            self._flush_line(line[: max(1, len(line) // 2)])
+        else:
+            self._flush_line(line)
+            self.records.append(record)
+        if torn or clean:
+            raise ServiceCrash(len(self.records), torn=torn)
         return record
 
     @property
@@ -206,13 +198,7 @@ class ServiceWAL:
     # -- salvage -----------------------------------------------------------
 
     @classmethod
-    def from_bytes(
-        cls,
-        data: bytes,
-        injector=None,
-        crash_after_records: Optional[int] = None,
-        crash_torn: bool = True,
-    ) -> "ServiceWAL":
+    def from_bytes(cls, data: bytes, injector=None) -> "ServiceWAL":
         """Salvage a WAL from its flushed bytes (:func:`repro.durable.salvage`).
 
         Never raises: a damaged header yields seed 0, and a torn,
@@ -221,15 +207,11 @@ class ServiceWAL:
         """
         header, records, dropped = durable.salvage(data, WAL_KIND, _valid_record)
         seed = header.get("seed")
-        wal = cls(seed=seed if isinstance(seed, int) else 0,
-                  injector=injector,
-                  crash_after_records=crash_after_records,
-                  crash_torn=crash_torn)
+        wal = cls(seed=seed if isinstance(seed, int) else 0, injector=injector)
         wal.torn_records_dropped = dropped
         wal.records = records
         wal._buf.extend(b"".join(durable.line(record) for record in records))
         wal.restarts = len(wal.by_kind("restart"))
-        wal._appended = len(records)
         return wal
 
 

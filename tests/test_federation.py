@@ -564,6 +564,40 @@ class TestFaultTransparentProbes:
         inj.reset()   # reverts to the constructed rate
         assert inj.probe("mirror.stale", "edge-0/ref")
 
+    def test_service_crash_fires_once_at_its_key(self):
+        inj = FaultInjector(specs=[
+            FaultSpec(site="service.crash", match="wal/3/clean")])
+        assert not inj.probe("service.crash", "wal/2/clean")
+        assert not inj.probe("service.crash", "wal/3/torn")
+        assert inj.probe("service.crash", "wal/3/clean")
+        assert not inj.probe("service.crash", "wal/3/clean")   # consumed
+
+    def test_service_crash_key_matches_whole_index(self):
+        inj = FaultInjector(specs=[
+            FaultSpec(site="service.crash", match="wal/1/")])
+        assert not inj.probe("service.crash", "wal/12/torn")
+        assert not inj.probe("service.crash", "wal/12/clean")
+        assert inj.probe("service.crash", "wal/1/torn")
+
+    def test_service_crash_is_never_seeded(self):
+        inj = FaultInjector(seed=7, mirror_stale_rate=1.0)
+        assert not any(inj.probe("service.crash", f"wal/{n}/torn")
+                       for n in range(1, 40))
+        assert inj.fired() == []
+        assert inj.probe("mirror.stale", "edge-0/ref")
+
+    def test_fired_service_crash_is_observable(self):
+        from repro.telemetry import Telemetry
+
+        inj = FaultInjector(specs=[
+            FaultSpec(site="service.crash", match="wal/2/torn")])
+        inj.telemetry = Telemetry()
+        assert inj.probe("service.crash", "wal/2/torn")
+        assert inj.summary() == {"service.crash/probe": 1}
+        events = [e for e in inj.telemetry.events if e.name == "fault.probe"]
+        assert [(e.attributes["site"], e.attributes["key"])
+                for e in events] == [("service.crash", "wal/2/torn")]
+
 
 class TestTagManifest:
     def test_tag_requires_stored_manifest(self):

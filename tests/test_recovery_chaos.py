@@ -21,9 +21,12 @@ generation-fenced origin-failover tier:
 
 Everything runs on the seeded simulated timeline: crashes reshape
 *when* records hit the log, never what the recovered service computes.
-A crash can land during workload *setup* (a tenant or submit append);
-the sweep models the clients' side of that contract by re-submitting
-exactly the workload tail whose submit records never reached the log.
+A crash at a WAL record is a scripted ``service.crash`` fault
+(:func:`crash_injector`); a crash at a simulated time is
+``run(crash_at=T)``.  A crash can land during workload *setup* (a tenant
+or submit append); the sweep models the clients' side of that contract
+by re-submitting exactly the workload tail whose submit records never
+reached the log.
 """
 
 import pytest
@@ -65,11 +68,24 @@ def standard_workload(service, apps=APPS_UNDER_TEST):
         service.submit(tenant, app, at=at)
 
 
-def recover_and_finish(service, apps=APPS_UNDER_TEST, **restart_kw):
+def crash_point(n, torn):
+    """The ``service.crash`` key of the *n*-th WAL append (1-based, the
+    whole log counted), torn or clean."""
+    return f"wal/{n}/{'torn' if torn else 'clean'}"
+
+
+def crash_injector(*points):
+    """An injector that kills the service once at each WAL append key in
+    *points* (see :func:`crash_point`) and injects nothing else."""
+    return FaultInjector(specs=[
+        FaultSpec(site="service.crash", match=point) for point in points])
+
+
+def recover_and_finish(service, apps=APPS_UNDER_TEST):
     """Restart a crashed service and replay the client side: tenants
     and submits whose records died with the crash are re-issued (the
     salvaged ``seq`` counter keeps the request ids identical)."""
-    restarted = service.restart(**restart_kw)
+    restarted = service.restart()
     for name in TENANTS:
         if name not in restarted.tenants:
             restarted.add_tenant(name, max_workers=4)
@@ -127,7 +143,7 @@ class TestCrashAtEveryRecordBoundary:
     """Sweep a crash over every WAL append, torn and clean."""
 
     def reference_records(self, seed=11):
-        service = AdaptationService(workers=4, seed=seed, durable=True)
+        service = AdaptationService(workers=4, seed=seed)
         standard_workload(service)
         service.run()
         return service.wal.records
@@ -138,13 +154,12 @@ class TestCrashAtEveryRecordBoundary:
         assert len(records) >= 10
         baseline_report, baseline_keys = run_baseline()
         for crash_after in range(1, len(records) + 1):
-            service = AdaptationService(
-                workers=4, seed=11, durable=True,
-                crash_after_records=crash_after, crash_torn=torn)
+            injector = crash_injector(crash_point(crash_after, torn))
+            service = AdaptationService(workers=4, seed=11, injector=injector)
             with pytest.raises(ServiceCrash):
                 standard_workload(service)
                 service.run()
-            assert service.crashed or service.wal is not None
+            assert injector.fired("service.crash")
             restarted = recover_and_finish(service)
             report = restarted.run()
             assert_exactly_once(restarted, report, baseline_report)
@@ -169,11 +184,10 @@ class TestCrashAcrossApps:
     @pytest.mark.parametrize("crash_at", [0.5, 1.5, 2.5])
     def test_timepoint_crash_restart(self, apps, crash_at):
         baseline_report, baseline_keys = run_baseline(apps=apps)
-        service = AdaptationService(
-            workers=4, seed=11, durable=True, crash_at=crash_at)
+        service = AdaptationService(workers=4, seed=11)
         standard_workload(service, apps)
         with pytest.raises(ServiceCrash):
-            service.run()
+            service.run(crash_at=crash_at)
         restarted = recover_and_finish(service, apps=apps)
         report = restarted.run()
         assert_exactly_once(restarted, report, baseline_report)
@@ -185,7 +199,7 @@ class TestZeroReExecution:
     nothing: its rebuild comes entirely from the checkpointed state."""
 
     def test_resumed_request_executes_zero_nodes(self):
-        reference = AdaptationService(workers=4, seed=11, durable=True)
+        reference = AdaptationService(workers=4, seed=11)
         standard_workload(reference)
         reference.run()
         dispatch_indices = [
@@ -197,8 +211,8 @@ class TestZeroReExecution:
         for index in dispatch_indices:
             # Crash on the append *after* the dispatch record flushed.
             service = AdaptationService(
-                workers=4, seed=11, durable=True,
-                crash_after_records=index + 2, crash_torn=True)
+                workers=4, seed=11,
+                injector=crash_injector(crash_point(index + 2, True)))
             with pytest.raises(ServiceCrash):
                 standard_workload(service)
                 service.run()
@@ -221,11 +235,10 @@ class TestZeroReExecution:
         baseline_report, _ = run_baseline()
         baseline_nodes = sum(
             o.executed_nodes for o in baseline_report.outcomes)
-        service = AdaptationService(
-            workers=4, seed=11, durable=True, crash_at=2.5)
+        service = AdaptationService(workers=4, seed=11)
         standard_workload(service)
         with pytest.raises(ServiceCrash):
-            service.run()
+            service.run(crash_at=2.5)
         restarted = recover_and_finish(service)
         report = restarted.run()
         restarted_nodes = sum(o.executed_nodes for o in report.outcomes)
@@ -239,14 +252,13 @@ class TestMultiCrashChains:
     def test_two_crashes_then_clean_run(self):
         baseline_report, baseline_keys = run_baseline()
         service = AdaptationService(
-            workers=4, seed=11, durable=True,
-            crash_after_records=6, crash_torn=True)
+            workers=4, seed=11, injector=crash_injector(crash_point(6, True)))
         with pytest.raises(ServiceCrash):
             standard_workload(service)
             service.run()
-        second = recover_and_finish(service, crash_at=2.5)
+        second = recover_and_finish(service)
         with pytest.raises(ServiceCrash):
-            second.run()
+            second.run(crash_at=2.5)
         third = recover_and_finish(second)
         report = third.run()
         assert third.wal.restarts == 2
@@ -258,14 +270,15 @@ class TestMultiCrashChains:
         the continued log, then finish clean."""
         baseline_report, _ = run_baseline()
         for first in (4, 8, 12):
-            service = AdaptationService(
-                workers=4, seed=11, durable=True,
-                crash_after_records=first, crash_torn=(first % 2 == 0))
+            # Both crash points on one injector: the restarted process
+            # shares it, and the first spec is consumed when it fires.
+            injector = crash_injector(crash_point(first, first % 2 == 0),
+                                      crash_point(first + 5, True))
+            service = AdaptationService(workers=4, seed=11, injector=injector)
             with pytest.raises(ServiceCrash):
                 standard_workload(service)
                 service.run()
-            second = recover_and_finish(
-                service, crash_after_records=first + 5)
+            second = recover_and_finish(service)
             try:
                 report = second.run()
                 final = second
@@ -281,7 +294,7 @@ class TestTornTerminalWrite:
     with exactly one valid terminal."""
 
     def test_torn_terminal_reruns_exactly_once(self):
-        reference = AdaptationService(workers=4, seed=11, durable=True)
+        reference = AdaptationService(workers=4, seed=11)
         standard_workload(reference)
         reference.run()
         terminal_indices = [
@@ -292,8 +305,8 @@ class TestTornTerminalWrite:
         baseline_report, baseline_keys = run_baseline()
         for index in terminal_indices:
             service = AdaptationService(
-                workers=4, seed=11, durable=True,
-                crash_after_records=index + 1, crash_torn=True)
+                workers=4, seed=11,
+                injector=crash_injector(crash_point(index + 1, True)))
             with pytest.raises(ServiceCrash):
                 standard_workload(service)
                 service.run()
@@ -303,6 +316,31 @@ class TestTornTerminalWrite:
             report = restarted.run()
             assert_exactly_once(restarted, report, baseline_report)
             assert_byte_identity(restarted, report, baseline_keys)
+
+
+def bucket_level(service, tenant, t):
+    """The tenant's token count refilled to simulated time *t*."""
+    bucket = service.tenants[tenant].bucket
+    bucket.retry_after(t)   # refills to t
+    return bucket.tokens
+
+
+class TestTokenReplay:
+    """A queue-full rejection took its token before the queue refused
+    the arrival; a restart must not hand that token back."""
+
+    def test_restart_keeps_tokens_spent_on_queue_full(self):
+        service = AdaptationService(workers=1, queue_capacity=2, seed=0)
+        service.add_tenant("acme", rate=0.01, burst=8)
+        for _ in range(6):
+            service.submit("acme", "hpccg", at=0.0)
+        with pytest.raises(ServiceCrash):
+            service.run(crash_at=0.5)
+        assert any(o.reasons == ["queue-full"] for o in service.outcomes)
+        before = bucket_level(service, "acme", 0.5)
+        assert before == pytest.approx(2.005)
+        restarted = service.restart()
+        assert bucket_level(restarted, "acme", 0.5) == pytest.approx(before)
 
 
 def make_image(seed=b"payload-", reps=600, path="/app/bin"):
@@ -389,8 +427,7 @@ class TestServiceAutoFailover:
         if injector is not None:
             fed.origin.fault_injector = injector
         service = AdaptationService(
-            workers=4, seed=11, durable=True,
-            federation=fed, auto_failover=True,
+            workers=4, seed=11, federation=fed,
             breaker_threshold=2, injector=injector)
         service.add_tenant("acme", max_workers=4)
         return service, fed

@@ -15,9 +15,10 @@ ledger, and the service write-ahead log. Properties:
 
 Plus the torn-header regressions: bytes truncated *inside* the header
 line (or down to nothing) salvage to an empty-but-valid artifact
-instead of raising.
+instead of raising; and a pin of the reference WAL's exact bytes.
 """
 
+import hashlib
 import json
 import random
 
@@ -28,7 +29,7 @@ from repro.federation.ledger import TransferLedger
 from repro.oci import mediatypes
 from repro.oci.layout import OCILayout
 from repro.resilience.journal import RebuildJournal, _parse_journal
-from repro.service import AdaptationService, ServiceWAL
+from repro.service import WAL_VERSION, AdaptationService, ServiceWAL
 from repro.vfs.content import InlineContent
 
 pytestmark = pytest.mark.recovery
@@ -38,9 +39,15 @@ SEEDS = 220
 
 # -- reference artifacts (built once per module) ---------------------------
 
+#: The ``wal_bytes`` log, pinned as (``WAL_VERSION``, length, sha256): a
+#: deliberate WAL format change bumps the version and the pin together.
+WAL_PIN = (1, 5652,
+           "8e943f8fa5f5ca44e9165f044d804eeb3d57ab3f0193c2b59a457352cb9d2baf")
+
+
 @pytest.fixture(scope="module")
 def wal_bytes():
-    service = AdaptationService(workers=4, seed=11, durable=True)
+    service = AdaptationService(workers=4, seed=11)
     service.add_tenant("acme", max_workers=4)
     service.add_tenant("beta", max_workers=4)
     service.submit("acme", "hpccg", at=0.0)
@@ -122,6 +129,12 @@ def assert_never_resurrects(records, original: bytes):
 
 
 # -- the sweep -------------------------------------------------------------
+
+def test_wal_bytes_pinned(wal_bytes):
+    """Same workload, same WAL bytes, unless the format version moved."""
+    assert (WAL_VERSION, len(wal_bytes),
+            hashlib.sha256(wal_bytes).hexdigest()) == WAL_PIN
+
 
 @pytest.mark.parametrize("seed", range(SEEDS))
 def test_salvage_properties(seed, wal_bytes, journal_bytes, ledger_bytes):

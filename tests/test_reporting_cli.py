@@ -170,24 +170,24 @@ class TestServiceReportRenderer:
             assert (f"rejected: {outcome.request_id}" in text
                     and f"retry after {outcome.retry_after:.1f}s" in text)
 
-    def test_volatile_run_renders_no_recovery_rows(self):
+    def test_crash_free_run_renders_no_recovery_rows(self):
         from repro.reporting import render_service_report
 
         text = render_service_report(self.overloaded_report())
-        assert "WAL records" not in text
+        assert "WAL records" in text
         assert "recovered from WAL" not in text
+        assert "in-flight resumed" not in text
 
     def test_durable_crash_restart_rows(self):
         from repro.reporting import render_service_report
         from repro.service import AdaptationService, ServiceCrash
 
-        service = AdaptationService(workers=4, seed=11, durable=True,
-                                    crash_at=1.5)
+        service = AdaptationService(workers=4, seed=11)
         service.add_tenant("acme", max_workers=4)
         service.submit("acme", "hpccg", at=0.0)
         service.submit("acme", "minimd", at=2.0)
         with pytest.raises(ServiceCrash):
-            service.run()
+            service.run(crash_at=1.5)
         restarted = service.restart()
         text = render_service_report(restarted.run())
         assert "WAL records" in text

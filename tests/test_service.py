@@ -275,6 +275,10 @@ class TestServiceAdmission:
         with pytest.raises(ServiceError):
             service.add_tenant("t")
 
+    def test_service_is_always_durable(self):
+        with pytest.raises(ServiceError):
+            AdaptationService(workers=2, durable=False)
+
     def test_rate_limited_rejection_is_typed(self):
         service = AdaptationService(workers=2, seed=0)
         service.add_tenant("t", rate=0.001, burst=1)
