@@ -13,14 +13,27 @@ transformed-command digest (adapter + options + PGO profile salt already
 folded in) plus the ``(path, content-digest)`` of every *produced* input
 the command consumes.  If any upstream object changed, the key changes —
 so a hit is only possible when the command would have produced the exact
-same bytes.  Values are the command's sibling outputs, serialized
-structurally (the journal's ``_encode_content``), each carrying its
-content digest: a hit whose reconstructed bytes do not hash back to the
-recorded digest is treated as a miss, so a cache corrupted in registry
-transfer degrades to recompilation, never to wrong artifacts.
+same bytes.  Values are the command's sibling outputs, each the node-output
+record the checkpoint journal stores too
+(:func:`repro.resilience.journal.encode_output`), content digest included:
+a hit whose reconstructed bytes do not hash back to the recorded digest is
+treated as a miss, so a cache corrupted in registry transfer degrades to
+recompilation, never to wrong artifacts.
 
-The cache is persisted like the journal: a single JSON blob in the
-layout's blob store, registered through an index descriptor carrying the
+The cache is persisted like the journal: a :mod:`repro.durable` log (kind
+``artifact-cache``, version 2) with one sealed line per entry, in key
+order::
+
+    {"dist_tag": "<app>.dist", "kind": "artifact-cache", "version": 2}
+    {"key": "<cache key>", "line_digest": "sha256:...",
+     "outputs": [{"content": {...}, "content_digest": "sha256:...",
+                  "mode": 420, "node": "<id>", "path": "/src/a.o"}]}
+    ...
+
+Salvage drops a damaged line, and only that entry recompiles; an old
+single-document cache reads as empty.  Each stored blob is salvaged at
+most once (:func:`_entries_of`).  The blob sits in the layout's blob
+store, registered through an index descriptor carrying the
 ``io.comtainer.artifact-cache=<dist-tag>`` annotation and no ref name —
 invisible to tags and image pushes, but surviving save/load and ``gc``.
 :func:`publish_artifact_cache` / :func:`attach_artifact_cache` move the
@@ -32,21 +45,29 @@ from __future__ import annotations
 
 import hashlib
 import json
+import weakref
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro import durable
 from repro.oci import mediatypes
+from repro.oci.blobs import Blob
 from repro.oci.layout import OCILayout
-from repro.resilience.journal import _decode_content, _encode_content
+from repro.resilience.journal import decode_output, encode_output, valid_output
 from repro.telemetry import NULL_TELEMETRY
 from repro.vfs.content import FileContent
 
-CACHE_VERSION = 1
-
-_OUTPUT_KEYS = ("node", "path", "mode", "content", "content_digest")
+CACHE_KIND = "artifact-cache"
+CACHE_VERSION = 2
 
 #: Index annotation naming the dist tag a cache side blob belongs to.
 _KEY = mediatypes.ANNOTATION_COMTAINER_ARTIFACTS
+
+#: Salvaged entries per stored :class:`Blob` object, keyed on its ``id``
+#: and dropped when it dies.  Rotten bytes under a good digest are always
+#: a new object, so they miss.  (Value-equal copies must not share an
+#: entry: it would die with whichever copy dies first.)
+_SALVAGED: Dict[int, Dict[str, dict]] = {}
 
 
 def cache_key(command_digest: str, dep_digests: Iterable[Tuple[str, str]]) -> str:
@@ -62,42 +83,38 @@ def cache_key(command_digest: str, dep_digests: Iterable[Tuple[str, str]]) -> st
     return hashlib.sha256(material).hexdigest()[:32]
 
 
-def _valid_output(output: object) -> bool:
-    if not isinstance(output, dict):
-        return False
-    if not all(key in output for key in _OUTPUT_KEYS):
-        return False
-    return (
-        isinstance(output["node"], str)
-        and isinstance(output["path"], str)
-        and isinstance(output["mode"], int)
-        and isinstance(output["content"], dict)
-        and isinstance(output["content_digest"], str)
-    )
+def _valid_entry(record: dict) -> bool:
+    outputs = record.get("outputs")
+    return (isinstance(record.get("key"), str) and isinstance(outputs, list)
+            and bool(outputs) and all(valid_output(o) for o in outputs))
 
 
-def _parse_entries(data: bytes) -> Dict[str, List[dict]]:
-    """Defensively parse cache bytes; anything malformed parses to empty.
+def _stored(layout: OCILayout, dist_tag: str) -> Optional[Blob]:
+    desc = layout.side_blob(_KEY, dist_tag)
+    return layout.blobs.try_get(desc.digest) if desc is not None else None
 
-    A cache is pure optimization — a corrupted blob (torn write, registry
-    transfer fault) must degrade to recompilation, never to an error.
+
+def _remember(blob: Blob, entries: Dict[str, dict]) -> Dict[str, dict]:
+    if id(blob) not in _SALVAGED:
+        weakref.finalize(blob, _SALVAGED.pop, id(blob), None)
+    _SALVAGED[id(blob)] = entries
+    return entries
+
+
+def _entries_of(blob: Optional[Blob]) -> Dict[str, dict]:
+    """The sealed entries *blob* salvages to, keyed on cache key.
+
+    A missing or damaged blob reads as empty, never as an error.  The
+    dict is shared through the memo: copy it before changing it.
     """
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
+    if blob is None:
         return {}
-    if not isinstance(doc, dict) or doc.get("version") != CACHE_VERSION:
-        return {}
-    entries = doc.get("entries")
-    if not isinstance(entries, dict):
-        return {}
-    good: Dict[str, List[dict]] = {}
-    for key, outputs in entries.items():
-        if not isinstance(key, str) or not isinstance(outputs, list):
-            continue
-        if outputs and all(_valid_output(o) for o in outputs):
-            good[key] = outputs
-    return good
+    entries = _SALVAGED.get(id(blob))
+    if entries is None:
+        _header, records, _dropped = durable.salvage(
+            blob.as_bytes(), CACHE_KIND, _valid_entry)
+        entries = _remember(blob, {r["key"]: r for r in records})
+    return entries
 
 
 class RebuildArtifactCache:
@@ -110,15 +127,8 @@ class RebuildArtifactCache:
         self.telemetry = telemetry or NULL_TELEMETRY
         self.hits = 0
         self.misses = 0
-        self.stores = 0
-        self.evictions = 0
-        self._entries: Dict[str, List[dict]] = {}
+        self._entries = dict(_entries_of(_stored(layout, dist_tag)))
         self._dirty = False
-        desc = layout.side_blob(_KEY, dist_tag)
-        if desc is not None:
-            blob = layout.blobs.try_get(desc.digest)
-            if blob is not None:
-                self._entries = _parse_entries(blob.as_bytes())
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -144,23 +154,18 @@ class RebuildArtifactCache:
         recorded digest; any mismatch turns the whole entry into a miss
         (and evicts it), so corruption costs a recompile, not integrity.
         """
-        outputs = self._entries.get(key)
-        if outputs is None:
+        record = self._entries.get(key)
+        if record is None:
             self.misses += 1
             self._count("rebuild_artifact_cache_misses_total")
             return None
         decoded: List[Tuple[str, str, FileContent, int]] = []
-        for output in outputs:
-            try:
-                content = _decode_content(output["content"])
-                intact = content.digest == output["content_digest"]
-            except Exception:
-                intact = False
-            if not intact:
+        for output in record["outputs"]:
+            content = decode_output(output)
+            if content is None:
                 del self._entries[key]
                 self._dirty = True
                 self.misses += 1
-                self.evictions += 1
                 self._count("rebuild_artifact_cache_misses_total")
                 self._count("rebuild_artifact_cache_evictions_total")
                 return None
@@ -174,26 +179,20 @@ class RebuildArtifactCache:
     def store(
         self, key: str, outputs: Sequence[Tuple[str, str, FileContent, int]]
     ) -> None:
-        self._entries[key] = [
-            {
-                "node": node_id,
-                "path": path,
-                "mode": mode,
-                "content": _encode_content(content),
-                "content_digest": content.digest,
-            }
-            for node_id, path, content, mode in outputs
-        ]
+        record = durable.seal(
+            {"key": key, "outputs": [encode_output(*o) for o in outputs]})
+        if not _valid_entry(record):
+            return  # a reload would drop it, so the cache never holds it
+        self._entries[key] = record
         self._dirty = True
-        self.stores += 1
         self._count("rebuild_artifact_cache_stores_total")
 
-    def merge_entries(self, entries: Dict[str, List[dict]]) -> int:
-        """Adopt parsed entries from another cache blob; returns adds."""
+    def merge_entries(self, entries: Dict[str, dict]) -> int:
+        """Adopt sealed entries from another cache blob; returns adds."""
         added = 0
-        for key, outputs in entries.items():
+        for key, record in entries.items():
             if key not in self._entries:
-                self._entries[key] = outputs
+                self._entries[key] = record
                 added += 1
         if added:
             self._dirty = True
@@ -205,18 +204,28 @@ class RebuildArtifactCache:
         """Persist into the layout, replacing any previous cache blob."""
         if not self._dirty and self.layout.side_blob(_KEY, self.dist_tag):
             return
-        data = json.dumps(
-            {"version": CACHE_VERSION, "entries": self._entries},
-            sort_keys=True,
-        ).encode("utf-8") if self._entries else None
+        entries = {k: self._entries[k] for k in sorted(self._entries)}
+        data = b"".join(
+            [durable.header(CACHE_KIND, CACHE_VERSION, dist_tag=self.dist_tag)]
+            + [durable.line(record) for record in entries.values()]
+        ) if entries else None
         self.layout.replace_side_blob(
             _KEY, self.dist_tag, data, mediatypes.REBUILD_ARTIFACTS)
+        stored = _stored(self.layout, self.dist_tag)
+        if stored is not None and stored.payload == data:
+            # What salvage would read back; a corrupted store missed it.
+            _remember(stored, entries)
         self._dirty = False
 
-    def clear(self) -> None:
-        self.layout.replace_side_blob(_KEY, self.dist_tag)
-        self._entries = {}
-        self._dirty = False
+
+def _merge(layout: OCILayout, dist_tag: str, entries: Dict[str, dict]) -> int:
+    """Merge *entries* into the layout's persisted cache; returns adds."""
+    if not entries:
+        return 0
+    cache = RebuildArtifactCache(layout, dist_tag)
+    added = cache.merge_entries(entries)
+    cache.flush()
+    return added
 
 
 def has_artifact_cache(layout: OCILayout, dist_tag: str) -> bool:
@@ -226,41 +235,11 @@ def has_artifact_cache(layout: OCILayout, dist_tag: str) -> bool:
 def publish_artifact_cache(registry, repository: str, layout: OCILayout,
                            dist_tag: str) -> bool:
     """Push the layout's artifact-cache blob to *registry* for sharing."""
-    desc = layout.side_blob(_KEY, dist_tag)
-    if desc is None:
-        return False
-    blob = layout.blobs.try_get(desc.digest)
+    blob = _stored(layout, dist_tag)
     if blob is None:
         return False
     registry.put_artifact_cache(repository, blob)
     return True
-
-
-def read_cache_entries(layout: OCILayout, dist_tag: str) -> Dict[str, List[dict]]:
-    """The parsed artifact-cache entries persisted in *layout* (maybe {}).
-
-    Defensive like :func:`_parse_entries`: a missing or corrupt blob
-    reads as an empty cache, never as an error.
-    """
-    desc = layout.side_blob(_KEY, dist_tag)
-    if desc is None:
-        return {}
-    blob = layout.blobs.try_get(desc.digest)
-    if blob is None:
-        return {}
-    return _parse_entries(blob.as_bytes())
-
-
-def seed_cache_entries(layout: OCILayout, dist_tag: str,
-                       entries: Dict[str, List[dict]],
-                       telemetry=NULL_TELEMETRY) -> int:
-    """Merge *entries* into the layout's persisted cache; returns adds."""
-    if not entries:
-        return 0
-    cache = RebuildArtifactCache(layout, dist_tag, telemetry=telemetry)
-    added = cache.merge_entries(entries)
-    cache.flush()
-    return added
 
 
 class SharedArtifactCache:
@@ -284,7 +263,7 @@ class SharedArtifactCache:
     def __init__(self, capacity: int = 512, telemetry=NULL_TELEMETRY) -> None:
         self.capacity = max(1, int(capacity))
         self.telemetry = telemetry or NULL_TELEMETRY
-        self._entries: "OrderedDict[str, List[dict]]" = OrderedDict()
+        self._entries: "OrderedDict[str, dict]" = OrderedDict()
         self.seeded = 0     # entries pushed into layouts
         self.absorbed = 0   # entries adopted from layouts
         self.evictions = 0
@@ -309,11 +288,11 @@ class SharedArtifactCache:
         Returns how many entries were new to the pool.
         """
         adopted = 0
-        for key, outputs in read_cache_entries(layout, dist_tag).items():
+        for key, record in _entries_of(_stored(layout, dist_tag)).items():
             if key in self._entries:
                 self._entries.move_to_end(key)
                 continue
-            self._entries[key] = outputs
+            self._entries[key] = record
             adopted += 1
         self.absorbed += adopted
         while len(self._entries) > self.capacity:
@@ -327,9 +306,7 @@ class SharedArtifactCache:
         """Warm a layout's cache from the pool before its rebuild runs."""
         if not self._entries:
             return 0
-        added = seed_cache_entries(
-            layout, dist_tag, dict(self._entries), telemetry=self.telemetry
-        )
+        added = _merge(layout, dist_tag, self._entries)
         self.seeded += added
         self._observe("service_shared_cache_seeded_total", by=added)
         return added
@@ -349,16 +326,8 @@ def attach_artifact_cache(layout: OCILayout, registry, repository: str,
     """Merge the registry's shared cache for *repository* into *layout*.
 
     Returns how many entries were adopted (0 when the registry has no
-    cache or the blob fails to parse — both degrade silently, a shared
+    cache or none of its lines salvage — both degrade silently, a shared
     cache is best-effort).
     """
-    blob = registry.get_artifact_cache(repository)
-    if blob is None:
-        return 0
-    entries = _parse_entries(blob.as_bytes())
-    if not entries:
-        return 0
-    cache = RebuildArtifactCache(layout, dist_tag)
-    added = cache.merge_entries(entries)
-    cache.flush()
-    return added
+    return _merge(layout, dist_tag,
+                  _entries_of(registry.get_artifact_cache(repository)))

@@ -1,11 +1,12 @@
 """The one durable-log format: a header line plus sealed JSONL records.
 
-Three logs keep the system side crash-consistent: the rebuild journal
+Four logs keep the system side crash-consistent: the rebuild journal
 (:mod:`repro.resilience.journal`), the mirror transfer ledger
-(:mod:`repro.federation.ledger`) and the service write-ahead log
-(:mod:`repro.service.wal`).  They share this format and this salvage;
-each one only names its ``kind`` and supplies a structural validator
-for its records::
+(:mod:`repro.federation.ledger`), the service write-ahead log
+(:mod:`repro.service.wal`) and the rebuild artifact cache
+(:mod:`repro.core.cache.artifacts`).  They share this format and this
+salvage; each one only names its ``kind`` and supplies a structural
+validator for its records::
 
     {"kind": "service-wal", "seed": 7, "version": 1}
     {"line_digest": "sha256:...", "rec": "admit", "t": 12.5, ...}
@@ -27,9 +28,9 @@ the whole log:
   raises rejects the line); every other non-blank line counts as
   dropped.
 
-Every flush passes through the ``journal.append`` corruption site
-(:func:`through_site`), keyed per log, so scripted corruptions can
-target any one of them.
+Every journal, ledger and WAL flush passes through the
+``journal.append`` corruption site (:func:`through_site`), keyed per
+log, so scripted corruptions can target any one of them.
 """
 
 from __future__ import annotations

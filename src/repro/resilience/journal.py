@@ -7,7 +7,7 @@ it was checkpointed somewhere that outlives the rebuild container — and
 the only thing that outlives the container is the mounted OCI layout.
 
 The journal is therefore persisted *in the layout*, alongside the cache
-layer: a single JSON blob in the layout's blob store, registered in the
+layer: a single blob in the layout's blob store, registered in the
 index through a descriptor that carries the
 ``io.comtainer.journal=<dist-tag>`` annotation but **no**
 ``org.opencontainers.image.ref.name`` — so it is invisible to
@@ -24,6 +24,8 @@ version 3): one header line plus one sealed line per checkpointed node::
      "path": "/src/main.o"}
     ...
 
+A node line is the node-output record the artifact cache stores too
+(:func:`encode_output`) plus the transformed-command ``digest``.
 Salvage drops torn, flipped and invalid lines and counts them in
 :attr:`RebuildJournal.torn_entries_dropped`; those nodes recompile.
 Beyond the line digest, an entry is only reused when its reconstructed
@@ -73,31 +75,11 @@ from repro.vfs.content import FileContent, InlineContent, SyntheticContent
 JOURNAL_KIND = "rebuild-journal"
 JOURNAL_VERSION = 3
 
-_ENTRY_KEYS = ("digest", "path", "mode", "content", "content_digest")
 _CONTENT_KINDS = frozenset({"padded", "synthetic", "inline"})
+_OUTPUT_FIELDS = (("node", str), ("path", str), ("mode", int),
+                  ("content", dict), ("content_digest", str))
 #: Index annotation naming the dist tag a journal side blob belongs to.
 _KEY = mediatypes.ANNOTATION_COMTAINER_JOURNAL
-
-
-def _valid_entry(entry: dict) -> bool:
-    """Structural check for one journal line before trusting it."""
-    if not isinstance(entry.get("node"), str):
-        return False
-    if not all(key in entry for key in _ENTRY_KEYS):
-        return False
-    if not isinstance(entry["digest"], str) or not isinstance(entry["path"], str):
-        return False
-    if not isinstance(entry["mode"], int):
-        return False
-    content = entry["content"]
-    return isinstance(content, dict) and content.get("kind") in _CONTENT_KINDS
-
-
-def _content_intact(entry: dict) -> bool:
-    """Whether the entry's reconstructed content hashes to the digest
-    recorded at checkpoint time (a content that fails to decode raises,
-    which salvage counts as a dropped line)."""
-    return _decode_content(entry["content"]).digest == entry["content_digest"]
 
 
 def _valid_lease(entry: dict) -> bool:
@@ -110,7 +92,8 @@ def _valid_lease(entry: dict) -> bool:
 def _valid_line(entry: dict) -> bool:
     if "lease" in entry:
         return _valid_lease(entry)
-    return _valid_entry(entry) and _content_intact(entry)
+    return (valid_output(entry) and isinstance(entry.get("digest"), str)
+            and decode_output(entry) is not None)
 
 
 def _parse_journal(data: bytes) -> Tuple[Dict[str, dict], Dict[str, dict], int]:
@@ -150,6 +133,35 @@ def _decode_content(entry: dict) -> FileContent:
     if entry["kind"] == "synthetic":
         return SyntheticContent(entry["seed"], entry["size"])
     return InlineContent(base64.b64decode(entry["data"]))
+
+
+def encode_output(node_id: str, path: str, content: FileContent,
+                  mode: int) -> dict:
+    """The node-output record a journal entry and a cache output share."""
+    return {
+        "node": node_id,
+        "path": path,
+        "mode": mode,
+        "content": _encode_content(content),
+        "content_digest": content.digest,
+    }
+
+
+def valid_output(record: object) -> bool:
+    """Structural check of one node-output record before trusting it."""
+    return (isinstance(record, dict)
+            and all(isinstance(record.get(k), t) for k, t in _OUTPUT_FIELDS)
+            and record["content"].get("kind") in _CONTENT_KINDS)
+
+
+def decode_output(record: dict) -> Optional[FileContent]:
+    """The record's content, or ``None`` unless it decodes and re-hashes
+    to the ``content_digest`` recorded with it."""
+    try:
+        content = _decode_content(record["content"])
+        return content if content.digest == record["content_digest"] else None
+    except (KeyError, TypeError, ValueError):  # missing, mistyped, bad base64
+        return None
 
 
 class RebuildJournal:
@@ -225,14 +237,8 @@ class RebuildJournal:
     def record(
         self, node_id: str, digest: str, path: str, content: FileContent, mode: int
     ) -> None:
-        self._nodes[node_id] = durable.seal({
-            "node": node_id,
-            "digest": digest,
-            "path": path,
-            "mode": mode,
-            "content": _encode_content(content),
-            "content_digest": content.digest,
-        })
+        self._nodes[node_id] = durable.seal(
+            {**encode_output(node_id, path, content, mode), "digest": digest})
 
     def flush(self) -> None:
         """Persist the journal into the layout (replacing any previous blob)."""

@@ -1,13 +1,14 @@
-"""Seeded property-style fuzz of the salvage tiers (ISSUE 10 satellite).
+"""Seeded property-style fuzz of the salvage tiers.
 
-220 seeds of torn/bit-flipped/truncated/spliced damage against the three
-JSONL durability artifacts — the v2 rebuild journal, the mirror transfer
-ledger, and the service write-ahead log. Properties:
+Seeded torn/bit-flipped/truncated/spliced damage against the four JSONL
+durability artifacts: 220 seeds that each draw one of the rebuild
+journal, the mirror transfer ledger and the service write-ahead log,
+and 220 more against the rebuild artifact cache. Properties:
 
 * **never raises** — salvage is total: any byte string yields a usable
   (possibly empty) artifact;
 * **never resurrects a dropped line** — every salvaged record of all
-  three logs re-serializes (``repro.durable.line``) to a byte-identical
+  four logs re-serializes (``repro.durable.line``) to a byte-identical
   line of the original (the ``line_digest`` makes any mutation
   indistinguishable from a tear);
 * **untouched lines survive** — damage to one line never drops its
@@ -15,7 +16,9 @@ ledger, and the service write-ahead log. Properties:
 
 Plus the torn-header regressions: bytes truncated *inside* the header
 line (or down to nothing) salvage to an empty-but-valid artifact
-instead of raising; and a pin of the reference WAL's exact bytes.
+instead of raising; a pin of the reference WAL's exact bytes; and two
+guards on the artifact cache's salvage memo: a reload reads the bytes
+that landed, and no cleanly flushed blob is parsed again.
 """
 
 import hashlib
@@ -25,9 +28,19 @@ import random
 import pytest
 
 from repro import durable
+from repro.core.cache.artifacts import (
+    CACHE_KIND,
+    RebuildArtifactCache,
+    SharedArtifactCache,
+    _entries_of,
+    _valid_entry,
+    cache_key,
+)
 from repro.federation.ledger import TransferLedger
 from repro.oci import mediatypes
+from repro.oci.blobs import Blob
 from repro.oci.layout import OCILayout
+from repro.resilience.faults import CorruptionSpec, FaultInjector
 from repro.resilience.journal import RebuildJournal, _parse_journal
 from repro.service import WAL_VERSION, AdaptationService, ServiceWAL
 from repro.vfs.content import InlineContent
@@ -72,6 +85,31 @@ def journal_bytes():
     desc = layout.side_blob(mediatypes.ANNOTATION_COMTAINER_JOURNAL,
                             "hpccg.dist")
     return layout.blobs.try_get(desc.digest).as_bytes()
+
+
+def flush_cache(layout):
+    """Flush 12 artifact-cache entries (every third with two outputs)
+    into *layout*; returns the bytes that landed."""
+    cache = RebuildArtifactCache(layout, "hpccg.dist")
+    for i in range(12):
+        outputs = [(f"node-{i}-{j}", f"/src/o{i}-{j}.o",
+                    InlineContent(f"object-{i}-{j}-".encode() * 20), 0o644)
+                   for j in range(1 + (i % 3 == 0))]
+        cache.store(cache_key(f"sha256:{i:064x}", []), outputs)
+    cache.flush()
+    desc = layout.side_blob(mediatypes.ANNOTATION_COMTAINER_ARTIFACTS,
+                            "hpccg.dist")
+    return layout.blobs.try_get(desc.digest).as_bytes()
+
+
+@pytest.fixture(scope="module")
+def cache_bytes():
+    return flush_cache(OCILayout())
+
+
+def cache_entries(data: bytes):
+    """The entries the artifact cache reads from *data*."""
+    return _entries_of(Blob.from_bytes(data, mediatypes.REBUILD_ARTIFACTS))
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +203,7 @@ def test_salvage_properties(seed, wal_bytes, journal_bytes, ledger_bytes):
             list(nodes.values()) + list(leases.values()), original)
         for entry in nodes.values():
             # Self-consistency: salvage only keeps entries whose content
-            # reconstructs to the recorded digest (_content_intact), and
+            # reconstructs to the recorded digest (decode_output), and
             # every entry records one.
             assert entry["content_digest"].startswith("sha256:")
         header_intact = original.split(b"\n")[0] in mutated.split(b"\n")[:1]
@@ -197,6 +235,64 @@ def test_salvage_properties(seed, wal_bytes, journal_bytes, ledger_bytes):
                 for index in ledger.chunks(blob)
             }
             assert survivors <= recorded
+
+
+@pytest.mark.parametrize("seed", range(SEEDS))
+def test_artifact_cache_salvage_properties(seed, cache_bytes):
+    rng = random.Random(seed)
+    mutated = mutate(cache_bytes, rng)
+    entries = cache_entries(mutated)                      # never raises
+    assert_never_resurrects(entries.values(), cache_bytes)
+    header_intact = (cache_bytes.split(b"\n")[0]
+                     in mutated.split(b"\n")[:1])
+    if header_intact:
+        survivors = {
+            json.loads(line)["key"]
+            for line in intact_lines(cache_bytes, mutated)
+            if b'"outputs"' in line
+        }
+        assert survivors <= set(entries)
+
+
+def test_artifact_cache_reload_reads_the_bytes_that_landed():
+    """A flush whose store was corrupted must not leave what it wrote in
+    the salvage memo: the reload reads the bytes that landed."""
+    layout = OCILayout()
+    layout.blobs.fault_injector = FaultInjector(
+        corruptions=[CorruptionSpec(site="blob.store", mode="bitflip")])
+    landed = flush_cache(layout)
+    _header, records, _dropped = durable.salvage(
+        landed, CACHE_KIND, _valid_entry)
+    assert len(records) < 12                # the flip cost an entry
+    reloaded = RebuildArtifactCache(layout, "hpccg.dist")
+    assert reloaded._entries == {r["key"]: r for r in records}
+
+
+def test_artifact_cache_blobs_are_never_reparsed(monkeypatch):
+    """Clean flushes hand their entries to the salvage memo, so seeding,
+    rebuilding and absorbing parse no cache blob, even after a
+    byte-equal copy of a blob is replaced."""
+    salvaged = []
+    salvage = durable.salvage
+
+    def counting_salvage(data, kind, valid):
+        salvaged.append(kind)
+        return salvage(data, kind, valid)
+
+    monkeypatch.setattr(durable, "salvage", counting_salvage)
+    pool = SharedArtifactCache()
+    source = OCILayout()
+    flush_cache(source)
+    pool.absorb_layout(source, "hpccg.dist")
+    seeded = OCILayout()
+    assert pool.seed_layout(seeded, "hpccg.dist") == 12   # equal bytes
+    cache = RebuildArtifactCache(source, "hpccg.dist")
+    cache.store(cache_key("new", []),
+                [("n.o", "/src/n.o", InlineContent(b"new"), 0o644)])
+    cache.flush()                   # the source's copy dies
+    assert len(RebuildArtifactCache(seeded, "hpccg.dist")) == 12
+    assert pool.absorb_layout(source, "hpccg.dist") == 1
+    assert salvaged == []
 
 
 # -- torn-header regressions ----------------------------------------------
@@ -232,6 +328,15 @@ class TestTornHeader:
                 assert dropped == 1
             else:
                 assert dropped == 0
+
+    def test_artifact_cache_header_truncations(self, cache_bytes):
+        for cut in range(cache_bytes.index(b"\n")):
+            assert cache_entries(cache_bytes[:cut]) == {}
+            _header, records, dropped = durable.salvage(
+                cache_bytes[:cut], CACHE_KIND, _valid_entry)
+            assert records == []
+            assert dropped == (1 if cache_bytes[:cut].strip(
+                b" \t\r\n\x00") else 0)
 
     def test_wal_header_truncations(self, wal_bytes):
         header_end = wal_bytes.index(b"\n") + 1

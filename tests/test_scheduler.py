@@ -11,6 +11,7 @@ from repro.core.backend.scheduler import (
 )
 from repro.core.cache.artifacts import (
     RebuildArtifactCache,
+    SharedArtifactCache,
     attach_artifact_cache,
     cache_key,
     has_artifact_cache,
@@ -292,9 +293,15 @@ class TestArtifactCache:
         cache = RebuildArtifactCache(layout, "app.dist")
         key = cache_key("digest", [])
         cache.store(key, [("a.o", "/src/a.o", InlineContent(b"bytes"), 0o644)])
-        cache._entries[key][0]["content_digest"] = "sha256:not-these-bytes"
+        cache._entries[key]["outputs"][0]["content_digest"] = (
+            "sha256:not-these-bytes")
         assert cache.lookup(key) is None
         assert key not in cache._entries    # evicted, will be re-stored
+
+    def test_store_keeps_only_what_a_reload_reads_back(self):
+        cache = RebuildArtifactCache(OCILayout(), "app.dist")
+        cache.store(cache_key("no-outputs", []), [])
+        assert len(cache) == 0
 
     def test_flush_replaces_previous_blob(self):
         layout = OCILayout()
@@ -325,6 +332,69 @@ class TestArtifactCache:
         assert attach_artifact_cache(
             OCILayout(), ImageRegistry(), "repro/app", "app.dist"
         ) == 0
+
+    def _three_entries(self, layout):
+        """Flush entries a, b, c (contents ``object-<name>``); their keys."""
+        cache = RebuildArtifactCache(layout, "app.dist")
+        keys = {}
+        for name in "abc":
+            keys[name] = cache_key(f"digest-{name}", [])
+            cache.store(keys[name], [(f"{name}.o", f"/src/{name}.o",
+                                      InlineContent(f"object-{name}".encode()),
+                                      0o644)])
+        cache.flush()
+        return keys
+
+    def _flip_stored_bit(self, layout, needle, offset):
+        """Flip the low bit of the byte *offset* into *needle* and store
+        the damaged bytes under the good digest (silent at-rest rot)."""
+        desc = layout.side_blob(
+            mediatypes.ANNOTATION_COMTAINER_ARTIFACTS, "app.dist")
+        blob = layout.blobs.try_get(desc.digest)
+        data = bytearray(blob.as_bytes())
+        data[data.index(needle) + offset] ^= 0x01
+        layout.blobs.put(Blob(media_type=blob.media_type, digest=blob.digest,
+                              size=blob.size, payload=bytes(data)))
+
+    def _assert_only_b_lost(self, layout, keys):
+        reloaded = RebuildArtifactCache(layout, "app.dist")
+        assert len(reloaded) == 2
+        for name in "ac":
+            (_node, _path, content, _mode), = reloaded.lookup(keys[name])
+            assert content.read() == f"object-{name}".encode()
+        pool = SharedArtifactCache()
+        assert pool.absorb_layout(layout, "app.dist") == 2
+        assert keys["b"] not in pool
+
+    def test_flipped_content_costs_one_entry_and_leaves_the_pool(self):
+        layout = OCILayout()
+        keys = self._three_entries(layout)
+        # "b2Jq..." (base64 of object-b) becomes "c2Jq...": still valid
+        # JSON and base64, but no longer the recorded bytes.
+        self._flip_stored_bit(layout, b'"b2JqZWN0LWI="', 1)
+        self._assert_only_b_lost(layout, keys)
+        # Two seeded rounds: the first recompiles b and hands it back to
+        # the pool, so the second hits instead of re-seeding damage.
+        pool = SharedArtifactCache()
+        pool.absorb_layout(layout, "app.dist")
+        for _ in range(2):
+            fresh = OCILayout()
+            pool.seed_layout(fresh, "app.dist")
+            cache = RebuildArtifactCache(fresh, "app.dist")
+            if cache.lookup(keys["b"]) is None:
+                cache.store(keys["b"], [("b.o", "/src/b.o",
+                                         InlineContent(b"object-b"), 0o644)])
+            cache.flush()
+            pool.absorb_layout(fresh, "app.dist")
+        assert (cache.hits, cache.misses) == (1, 0)
+
+    def test_unparseable_line_costs_one_entry(self):
+        layout = OCILayout()
+        keys = self._three_entries(layout)
+        # The opening quote of b's content turns into '#': b's JSON no
+        # longer parses.
+        self._flip_stored_bit(layout, b'"b2JqZWN0LWI="', 0)
+        self._assert_only_b_lost(layout, keys)
 
     def test_republish_drops_superseded_blob(self):
         layout = OCILayout()
