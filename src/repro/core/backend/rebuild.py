@@ -12,12 +12,19 @@ groups, layered into dependency wavefronts, and simulated time is charged
 as the per-wavefront *makespan* over ``--jobs`` workers.  Execution order
 is jobs-independent, so the rebuilt layer digest never depends on the
 worker count.  A :class:`repro.core.cache.artifacts.RebuildArtifactCache`
-can serve compiles whose transformed command and input contents match a
-previous rebuild — warm PGO loops, repeated adapts, other cluster nodes.
+can serve command groups a previous rebuild already ran from the same
+inputs — warm PGO loops, repeated adapts, other cluster nodes.
+
+One key decides every skip: the group's plan fingerprint
+(:func:`repro.perf.incremental.compute_plan_fingerprints`), its
+transformed-command digest folded over its leaf sources' contents and its
+producers' fingerprints.  The plan diff prunes on it, the journal restores
+on it and the artifact cache is keyed on it, so a skipped group's outputs
+are exactly the bytes executing it would produce.
 
 Each wavefront is dispatched onto a simulated worker fleet
 (:mod:`repro.resilience.fleet`) in three phases: *resolve* (poison /
-journal / previous / cache decisions, in deterministic wavefront order),
+journal / cache decisions, in deterministic wavefront order),
 *simulate* (the fleet timeline decides which groups complete and what the
 wave costs, absorbing injected worker crashes, stragglers and flakes via
 lease expiry, reassignment and speculation), then *execute* (each
@@ -37,11 +44,10 @@ from repro.core.backend.replacement import apply_replacements, install_runtime
 from repro.core.backend.scheduler import (
     ScheduleReport,
     WaveStats,
-    command_digest,
     plan_command_groups,
 )
 from repro.resilience.fleet import FleetExhaustedError, WorkerFleet
-from repro.core.cache.artifacts import RebuildArtifactCache, cache_key
+from repro.core.cache.artifacts import RebuildArtifactCache
 from repro.core.cache.storage import (
     CacheError,
     add_rebuild_manifest,
@@ -62,10 +68,6 @@ class RebuildError(Exception):
     pass
 
 
-def _command_digest(argv: List[str], cwd: str) -> str:
-    return command_digest(argv, cwd)
-
-
 def rebuild_in_container(
     engine,
     container: Container,
@@ -73,7 +75,7 @@ def rebuild_in_container(
     sources: Dict[str, FileContent],
     adapter: SystemAdapter,
     options: RebuildOptions,
-    previous: Optional[Tuple[Dict[str, str], Dict[str, FileContent]]] = None,
+    previous: Optional[Tuple[Dict[str, FileContent], Dict[str, str]]] = None,
     journal=None,
     fallback_fs=None,
     jobs: int = 1,
@@ -81,30 +83,26 @@ def rebuild_in_container(
     speculate: bool = True,
     max_worker_failures: int = 3,
     deadline: Optional[float] = None,
-    prev_fingerprints: Optional[Dict[str, str]] = None,
 ) -> Tuple[dict, Dict[str, FileContent], Dict[str, int], Dict[str, FileContent],
            ScheduleReport]:
     """Execute the transformed build; returns
     ``(meta, files, modes, node_files, schedule)``.
 
-    *previous* is a prior rebuild's (node command digests, node outputs):
-    nodes whose transformed command is unchanged reuse their previous
-    output instead of re-executing — rebuilds "can be performed many
-    times during the image's lifetime" (§4.1) without paying full cost.
-
-    *prev_fingerprints* enables the plan-level short-circuit on top of
-    that per-node reuse: the new plan is fingerprinted
-    (:mod:`repro.perf.incremental`) and diffed against the previous
-    run's persisted fingerprints, and every clean command group is
+    *previous* is a prior rebuild's (node outputs, plan fingerprints), as
+    :func:`repro.core.cache.storage.decode_rebuild_plan` reads them.  The
+    new plan is fingerprinted (:mod:`repro.perf.incremental`) and diffed
+    against them, and every group whose fingerprint is unchanged is
     pruned before wavefront computation — its outputs replay from the
     previous rebuild layer and it never enters the scheduler or the
-    worker fleet.  A warm identical re-adaptation executes zero nodes
-    and schedules zero waves.
+    worker fleet.  Rebuilds "can be performed many times during the
+    image's lifetime" (§4.1) without paying full cost: a warm identical
+    re-adaptation executes zero nodes and schedules zero waves.
 
     *journal* is an optional :class:`repro.resilience.RebuildJournal`:
-    each successful command's outputs are checkpointed into the layout,
-    and an interrupted rebuild resumes by restoring journaled nodes whose
-    transformed command digest still matches, instead of recompiling.
+    each successful command's outputs are checkpointed into the layout
+    under their plan fingerprint, and an interrupted rebuild resumes by
+    restoring journaled groups whose fingerprint still matches, instead
+    of recompiling.
 
     *fallback_fs* (the extended image's filesystem) enables per-node
     graceful degradation: a node that keeps failing is skipped (its
@@ -114,8 +112,8 @@ def rebuild_in_container(
 
     *jobs* is the simulated worker count: it only changes the charged
     makespan and the schedule report, never the execution order or the
-    produced bytes.  *artifact_cache* serves content-addressed compile
-    results from earlier rebuilds; hits execute nothing.
+    produced bytes.  *artifact_cache* serves the outputs of earlier
+    rebuilds' groups under their plan fingerprint; hits execute nothing.
 
     *speculate* enables duplicate execution of detected stragglers on the
     worker fleet (first completion wins); *max_worker_failures* is the
@@ -169,13 +167,11 @@ def rebuild_in_container(
     )
 
     executed: List[str] = []
-    reused: List[str] = []
     restored: List[str] = []
     failed_nodes: List[str] = []
     cache_hits: List[str] = []
-    reused_set: set = set()
     node_commands: Dict[str, str] = {}
-    prev_commands, prev_outputs = previous if previous is not None else ({}, {})
+    prev_outputs, prev_fingerprints = previous or ({}, {})
     failed_keys: set = set()   # command keys that failed (poison dependents)
     report = ScheduleReport(
         jobs=jobs,
@@ -202,8 +198,6 @@ def rebuild_in_container(
             for n in group.nodes:
                 fs.write_file(n.path, prev_outputs[n.path],
                               mode=0o755, create_parents=True)
-            reused.extend(group.node_ids)
-            reused_set.update(group.node_ids)
             pruned_nodes.extend(group.node_ids)
         if plan_diff.pruned:
             waves_to_run = plan_diff.waves
@@ -219,39 +213,26 @@ def rebuild_in_container(
                     dirty=len(plan_diff.dirty),
                 )
 
-    def group_cache_key(group) -> Optional[str]:
-        """Content address: transformed digest + every input's bytes."""
-        dep_digests = []
-        for dep in group.dep_ids:
-            dep_node = models.graph.try_get(dep)
-            if dep_node is None:
-                continue
-            dep_file = fs.try_get_node(dep_node.path)
-            if not isinstance(dep_file, RegularFile):
-                return None   # an input is missing; the cache can't vouch
-            dep_digests.append((dep_node.path, dep_file.content.digest))
-        return cache_key(group.digest, dep_digests)
-
-    def checkpoint(group, digest: str) -> None:
+    def checkpoint(group) -> None:
         for n in group.nodes:
             out = fs.try_get_node(n.path)
             if isinstance(out, RegularFile):
-                journal.record(n.id, digest, n.path, out.content, out.mode)
+                journal.record(n.id, fingerprints[n.id], n.path, out.content,
+                               out.mode)
         journal.flush()
-
-    exec_keys: Dict[tuple, Optional[str]] = {}   # group key -> cache key
 
     def resolve_group(group) -> bool:
         """Decide one command group's fate; returns ``True`` when it must
-        actually execute (else it was reused/restored/cached/poisoned).
+        actually execute (else it was restored/cached/poisoned).
 
-        The resolution order — poison check, journal restore, previous
-        reuse, artifact cache, execute — is deterministic and identical
-        for every ``jobs`` value and every worker fault pattern.
+        The resolution order — poison check, journal restore, artifact
+        cache, execute — is deterministic and identical for every
+        ``jobs`` value and every worker fault pattern.  Restore and cache
+        both key on the plan fingerprint, so neither can return outputs
+        of other inputs; groups the plan diff pruned never get here.
         """
-        digest = group.digest
         for node_id in group.node_ids:
-            node_commands[node_id] = digest
+            node_commands[node_id] = group.digest
         # A failed command poisons its dependents: their inputs will never
         # exist, so they fail without execution (and without consuming the
         # wavefront's retry budget).  Peers in the same wavefront are
@@ -260,59 +241,30 @@ def rebuild_in_container(
             failed_nodes.extend(group.node_ids)
             failed_keys.add(group.key)
             return False
-        # Reusable only when the transformed command is unchanged AND every
-        # produced dependency was itself reused — an unchanged `ar` command
-        # over re-compiled objects must re-run (its inputs differ).
-        deps_unchanged = all(
-            (dep_node := models.graph.try_get(dep)) is None
-            or not dep_node.is_produced
-            or dep in reused_set
-            for dep in group.dep_ids
-        )
         # Checkpointed by an interrupted previous run?  Restore from the
-        # journal instead of recompiling — but only when the transformed
-        # command digest still matches (options/adapter/profile identical).
-        if (
-            journal is not None
-            and deps_unchanged
-            and all(journal.digest_of(n.id) == digest for n in group.nodes)
+        # journal instead of recompiling — but only when the fingerprint
+        # still matches (same command, options and transitive inputs).
+        if journal is not None and all(
+            journal.digest_of(n.id) == fingerprints[n.id] for n in group.nodes
         ):
             for n in group.nodes:
                 content, mode = journal.output_for(n.id)
                 fs.write_file(n.path, content, mode=mode, create_parents=True)
             restored.extend(group.node_ids)
-            reused_set.update(group.node_ids)
             return False
-        first = group.nodes[0]
-        if (
-            deps_unchanged
-            and prev_commands.get(first.id) == digest
-            and first.path in prev_outputs
-        ):
-            for n in group.nodes:
-                if n.path in prev_outputs:
-                    fs.write_file(n.path, prev_outputs[n.path],
-                                  mode=0o755, create_parents=True)
-            reused.extend(group.node_ids)
-            reused_set.update(group.node_ids)
-            return False
-        key = None
         if artifact_cache is not None:
-            key = group_cache_key(group)
-            hit = artifact_cache.lookup(key) if key is not None else None
+            hit = artifact_cache.lookup(fingerprints[group.node_ids[0]])
             if hit is not None:
                 for _, path, content, mode in hit:
                     fs.write_file(path, content, mode=mode, create_parents=True)
                 cache_hits.extend(group.node_ids)
                 if journal is not None:
-                    checkpoint(group, digest)
+                    checkpoint(group)
                 return False
-        exec_keys[group.key] = key
         return True
 
     def execute_group(group) -> None:
         """Really run one command group the fleet simulation completed."""
-        digest = group.digest
         first = group.nodes[0]
         step = group.step
         fs.makedirs(step.cwd)
@@ -364,16 +316,15 @@ def rebuild_in_container(
             return
         executed.extend(group.node_ids)
         if journal is not None:
-            checkpoint(group, digest)
-        key = exec_keys.get(group.key)
-        if artifact_cache is not None and key is not None:
+            checkpoint(group)
+        if artifact_cache is not None:
             outputs = [
                 (n.id, n.path, out.content, out.mode)
                 for n in group.nodes
                 if isinstance(out := fs.try_get_node(n.path), RegularFile)
             ]
             if outputs:
-                artifact_cache.store(key, outputs)
+                artifact_cache.store(fingerprints[first.id], outputs)
 
     # 4. Dispatch wavefront by wavefront onto the worker fleet.  Per wave:
     # resolve (deterministic order), simulate (the fleet decides which
@@ -534,7 +485,7 @@ def rebuild_in_container(
     if tele.enabled:
         m = tele.metrics
         m.counter("rebuild_nodes_executed_total").inc(len(executed))
-        m.counter("rebuild_nodes_reused_total").inc(len(reused))
+        m.counter("rebuild_nodes_reused_total").inc(len(pruned_nodes))
         m.counter("rebuild_nodes_restored_total").inc(len(restored))
         m.counter("rebuild_nodes_failed_total").inc(len(failed_nodes))
         m.counter("rebuild_nodes_cache_hits_total").inc(len(cache_hits))
@@ -548,7 +499,7 @@ def rebuild_in_container(
         )
         m.gauge("rebuild_schedule_speedup").set(report.speedup)
         m.gauge("rebuild_worker_utilization").set(report.utilization)
-        for node_id in reused:
+        for node_id in pruned_nodes:
             tele.event("rebuild.node_reused", node=node_id)
         for node_id in restored:
             tele.event("rebuild.node_restored", node=node_id)
@@ -567,7 +518,7 @@ def rebuild_in_container(
         "runtime_packages": list(models.image.packages),
         "entrypoint": list(models.image.entrypoint),
         "executed_nodes": executed,
-        "reused_nodes": reused,
+        "reused_nodes": pruned_nodes,
         "node_commands": node_commands,
         "node_fingerprints": fingerprints,
         "pruned_nodes": pruned_nodes,
@@ -618,19 +569,15 @@ def comtainer_rebuild_entry(ctx) -> int:
         RebuildArtifactCache(layout, dist_tag, telemetry=ctx.engine.telemetry)
         if flags["cache"] else None
     )
-    prev_commands, prev_outputs, prev_fingerprints = decode_rebuild_plan(
-        layout, dist_tag
-    )
     try:
         meta, files, modes, node_files, schedule = rebuild_in_container(
             ctx.engine, ctx.container, models, sources, adapter, options,
-            previous=(prev_commands, prev_outputs), journal=journal,
+            previous=decode_rebuild_plan(layout, dist_tag), journal=journal,
             fallback_fs=fallback_fs,
             jobs=flags["jobs"], artifact_cache=artifact_cache,
             speculate=flags["speculate"],
             max_worker_failures=flags["max_worker_failures"],
             deadline=flags["deadline"],
-            prev_fingerprints=prev_fingerprints,
         )
     except RebuildError as exc:
         raise ProgramError(f"coMtainer-rebuild: {exc}")

@@ -64,6 +64,26 @@ def apply_replacements(
     return created
 
 
+def replace_installed_libraries(engine, ctr, system) -> None:
+    """Library-only adaptation of a container (the ``libo`` of Figure 3).
+
+    The *system's* apt configuration applies here, not the image's: the
+    HPC site exposes its vendor repository to the adaptation.  Every
+    installed generic package with an optimized equivalent is replaced,
+    so the recorded library paths of the existing binaries re-resolve
+    through the compat symlinks to the optimized code.
+    """
+    ctr.fs.write_file(
+        "/etc/apt/sources.list",
+        f"repo ubuntu-generic\nrepo {system.vendor_repo}\n",
+        create_parents=True,
+    )
+    pool = engine.repository_pool_for(ctr)
+    apt = AptFacade(ctr.fs, pool)
+    plan = replacements_for_packages(list(apt.installed()), pool)
+    apply_replacements(ctr.fs, apt, plan)
+
+
 def replacements_for_packages(
     package_names: Iterable[str], pool: RepositoryPool
 ) -> List[LibraryReplacement]:

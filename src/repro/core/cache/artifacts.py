@@ -1,18 +1,20 @@
-"""Content-addressed rebuild artifact cache.
+"""Cross-rebuild artifact cache, keyed on plan fingerprints.
 
 ``coMtainer-rebuild`` pays for the same compiles over and over: the PGO
 loop rebuilds the whole graph twice (instrument, then use), repeated
 ``ComtainerSession.adapt`` calls on the same system re-execute commands
 whose inputs did not change, and every node of a cluster redoes work the
-first node already did.  The incremental-reuse path in the rebuilder only
-survives *within one dist layout lineage* — this cache survives across
+first node already did.  The plan diff in the rebuilder only replays
+outputs *within one dist layout lineage* — this cache survives across
 rebuilds and, through the registry, across layouts.
 
-Cache entries are **content-addressed**: the key is a digest over the
+Cache entries are keyed on the command group's **plan fingerprint**
+(:func:`repro.perf.incremental.compute_plan_fingerprints`): the
 transformed-command digest (adapter + options + PGO profile salt already
-folded in) plus the ``(path, content-digest)`` of every *produced* input
-the command consumes.  If any upstream object changed, the key changes —
-so a hit is only possible when the command would have produced the exact
+folded in) folded over the content digests of its leaf sources and the
+fingerprints of the groups producing its other inputs, hashed by
+:func:`cache_key`.  If anything upstream changed, the key changes — so a
+hit is only possible when the command would have produced the exact
 same bytes.  Values are the command's sibling outputs, each the node-output
 record the checkpoint journal stores too
 (:func:`repro.resilience.journal.encode_output`), content digest included:
@@ -21,21 +23,23 @@ treated as a miss, so a cache corrupted in registry transfer degrades to
 recompilation, never to wrong artifacts.
 
 The cache is persisted like the journal: a :mod:`repro.durable` log (kind
-``artifact-cache``, version 2) with one sealed line per entry, in key
+``artifact-cache``, version 3) with one sealed line per entry, in key
 order::
 
-    {"dist_tag": "<app>.dist", "kind": "artifact-cache", "version": 2}
-    {"key": "<cache key>", "line_digest": "sha256:...",
+    {"dist_tag": "<app>.dist", "kind": "artifact-cache", "version": 3}
+    {"key": "<plan fingerprint>", "line_digest": "sha256:...",
      "outputs": [{"content": {...}, "content_digest": "sha256:...",
                   "mode": 420, "node": "<id>", "path": "/src/a.o"}]}
     ...
 
 Salvage drops a damaged line, and only that entry recompiles; an old
-single-document cache reads as empty.  Each stored blob is salvaged at
-most once (:func:`_entries_of`).  The blob sits in the layout's blob
-store, registered through an index descriptor carrying the
-``io.comtainer.artifact-cache=<dist-tag>`` annotation and no ref name —
-invisible to tags and image pushes, but surviving save/load and ``gc``.
+single-document cache reads as empty, and a version 2 cache's content
+keys never equal a fingerprint, so its entries never hit.  Each stored
+blob is salvaged at most once (:func:`_entries_of`).  The blob sits in
+the layout's blob store, registered through an index descriptor
+carrying the ``io.comtainer.artifact-cache=<dist-tag>`` annotation and
+no ref name — invisible to tags and image pushes, but surviving
+save/load and ``gc``.
 :func:`publish_artifact_cache` / :func:`attach_artifact_cache` move the
 blob through an :class:`~repro.oci.registry.ImageRegistry`, which is how
 warm compiles reach other sessions and other cluster nodes.
@@ -58,7 +62,7 @@ from repro.telemetry import NULL_TELEMETRY
 from repro.vfs.content import FileContent
 
 CACHE_KIND = "artifact-cache"
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 #: Index annotation naming the dist tag a cache side blob belongs to.
 _KEY = mediatypes.ANNOTATION_COMTAINER_ARTIFACTS
@@ -71,11 +75,12 @@ _SALVAGED: Dict[int, Dict[str, dict]] = {}
 
 
 def cache_key(command_digest: str, dep_digests: Iterable[Tuple[str, str]]) -> str:
-    """Content address of one command execution.
+    """Digest of one command over its dependency material.
 
-    *dep_digests* are ``(path, content-digest)`` pairs of the command's
-    produced inputs; they are sorted here so the key does not depend on
-    dependency-visit order.
+    *dep_digests* are ``(name, digest)`` pairs, one per input; they are
+    sorted here so the key does not depend on dependency-visit order.
+    The plan fingerprint is this digest over source contents and
+    producer fingerprints.
     """
     material = json.dumps(
         [command_digest, sorted(dep_digests)], sort_keys=True

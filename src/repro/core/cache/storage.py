@@ -15,7 +15,7 @@ Layout inside the cache layer::
 and inside a rebuild layer::
 
     /.coMtainer/rebuild/meta.json        # replacement plan + options +
-                                         # per-node command digests
+                                         # per-node plan fingerprints
     /.coMtainer/rebuild/files/<path>     # rebuilt artifacts, original paths
     /.coMtainer/rebuild/nodes/<path>     # every produced node's output,
                                          # enabling incremental re-rebuilds
@@ -239,40 +239,26 @@ def decode_rebuild(
     return meta, files, modes, resolved
 
 
-def decode_rebuild_nodes(
-    layout: OCILayout, dist_tag: str
-) -> Tuple[Dict[str, str], Dict[str, FileContent]]:
-    """Per-node command digests + node outputs of a previous rebuild.
-
-    Enables incremental re-rebuilds: "the rebuilding and redirecting can
-    be performed many times during the image's lifetime" (§4.1) — a node
-    whose transformed command is unchanged reuses its previous output.
-    Returns empty maps when no rebuilt image exists yet.
-    """
-    commands, node_files, _ = decode_rebuild_plan(layout, dist_tag)
-    return commands, node_files
-
-
 def decode_rebuild_plan(
     layout: OCILayout, dist_tag: str
-) -> Tuple[Dict[str, str], Dict[str, FileContent], Dict[str, str]]:
-    """Like :func:`decode_rebuild_nodes` plus the persisted plan
-    fingerprints — ``(node commands, node outputs, node fingerprints)``.
+) -> Tuple[Dict[str, FileContent], Dict[str, str]]:
+    """Node outputs + plan fingerprints of a previous rebuild.
 
-    The fingerprints are what :mod:`repro.perf.incremental` diffs a new
-    plan against to prune unchanged command groups before scheduling.
-    Returns empty maps when no rebuilt image exists yet.
+    Enables incremental re-rebuilds: "the rebuilding and redirecting can
+    be performed many times during the image's lifetime" (§4.1) — the
+    fingerprints are what :mod:`repro.perf.incremental` diffs a new plan
+    against, and every unchanged command group replays its previous
+    outputs instead of executing.  Returns empty maps when no rebuilt
+    image exists yet.
     """
     tag = rebuilt_tag(dist_tag)
     if not layout.has_tag(tag):
-        return {}, {}, {}
+        return {}, {}
     resolved = layout.resolve(tag)
     fs = resolved.filesystem()
     meta_path = f"{REBUILD_ROOT}/meta.json"
     if not fs.exists(meta_path):
-        return {}, {}, {}
+        return {}, {}
     meta = json.loads(fs.read_text(meta_path))
-    commands = dict(meta.get("node_commands", {}))
-    fingerprints = dict(meta.get("node_fingerprints", {}))
     node_files = _subtree_files(fs, f"{REBUILD_ROOT}/nodes")
-    return commands, node_files, fingerprints
+    return node_files, dict(meta.get("node_fingerprints", {}))

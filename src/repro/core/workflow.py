@@ -24,6 +24,7 @@ from repro.containers.engine import ContainerEngine
 from repro.core.backend.replacement import (
     apply_replacements,
     install_runtime,
+    replace_installed_libraries,
     replacements_for_packages,
 )
 from repro.core.cache.artifacts import (
@@ -343,18 +344,7 @@ def library_only_adapt(
     install_system_side_images(engine, system, flavor)
     ctr = engine.from_image(original_ref, name="libo-adapt")
     try:
-        # The *system's* apt configuration applies here, not the image's:
-        # the HPC site exposes its vendor repository to the adaptation.
-        ctr.fs.write_file(
-            "/etc/apt/sources.list",
-            f"repo ubuntu-generic\nrepo {system.vendor_repo}\n",
-            create_parents=True,
-        )
-        pool = engine.repository_pool_for(ctr)
-        apt = AptFacade(ctr.fs, pool)
-        replaceable = list(apt.installed())
-        plan = replacements_for_packages(replaceable, pool)
-        apply_replacements(ctr.fs, apt, plan)
+        replace_installed_libraries(engine, ctr, system)
         target = ref or f"{original_ref}.libo"
         engine.commit(ctr, ref=target, comment="library-only adaptation")
         return target

@@ -15,9 +15,10 @@ SIM_LAYER = "application/vnd.repro.sim-layer.v1+json"
 #: alongside the cache layer in the layout's blob store; never pushed as
 #: a taggable image).
 REBUILD_JOURNAL = "application/vnd.comtainer.rebuild-journal.v1+json"
-#: Content-addressed rebuild artifact cache: compiled outputs keyed by
-#: transformed-command digest + produced-input digests, shareable across
-#: rebuilds (PGO instrument→use, repeated adapts, other cluster nodes).
+#: Rebuild artifact cache: command-group outputs keyed by plan fingerprint
+#: (transformed-command digest folded over transitive input contents),
+#: shareable across rebuilds (PGO instrument→use, repeated adapts, other
+#: cluster nodes).
 REBUILD_ARTIFACTS = "application/vnd.comtainer.rebuild-artifacts.v1+json"
 
 # Annotation keys (OCI standard + coMtainer extensions).

@@ -12,13 +12,15 @@ schedules zero waves, while producing outputs byte-identical to a cold
 rebuild (the simulated toolchain is deterministic, so equal fingerprints
 imply equal outputs).
 
-Fingerprints reuse the :func:`repro.core.cache.artifacts.cache_key`
-scheme: a group's fingerprint is the cache key of its transformed command
-digest over its sorted dependency material, where a leaf source dependency
-contributes its content digest and a produced dependency contributes the
-fingerprint of its producing group.  The fold makes dirtiness transitive
-(any upstream change reaches every dependent) and the internal sort makes
-the fingerprint independent of node declaration order.
+A group's fingerprint is :func:`repro.core.cache.artifacts.cache_key` of
+its transformed command digest over its sorted dependency material, where
+a leaf source dependency contributes its content digest and a produced
+dependency contributes the fingerprint of its producing group.  The fold
+makes dirtiness transitive (any upstream change reaches every dependent)
+and the internal sort makes the fingerprint independent of node
+declaration order.  It is the one key that lets a rebuild skip a group:
+the diff prunes on it, the checkpoint journal restores on it and the
+artifact cache is keyed on it.
 """
 
 from __future__ import annotations

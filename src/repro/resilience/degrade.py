@@ -320,7 +320,7 @@ def resilient_transfer(registry, layout, name, tags, ctx=None, repair=None):
 # the ladder
 # ---------------------------------------------------------------------------
 
-def _redirect_only(engine, layout, dist_tag, system, flavor, ref, ctx) -> str:
+def redirect_only_adapt(engine, layout, dist_tag, system, flavor, ref, ctx) -> str:
     """Rung 3: generic binaries + the system's optimized runtime libraries.
 
     Mirrors the paper's library-only adaptation (Figure 3 ``libo``): the
@@ -328,14 +328,14 @@ def _redirect_only(engine, layout, dist_tag, system, flavor, ref, ctx) -> str:
     compat symlinks to the vendor-optimized code.  No rebuild container,
     no compile nodes — only filesystem surgery, so persistent
     ``container.run`` faults cannot reach this rung.
+
+    The adaptation service's load-shedding ladder also enters the
+    degradation ladder *here* directly (skipping the rebuild rungs on
+    purpose) when shedding a low-priority request under queue pressure.
     """
-    from repro.core.backend.replacement import (
-        apply_replacements,
-        replacements_for_packages,
-    )
+    from repro.core.backend.replacement import replace_installed_libraries
     from repro.core.images import install_system_side_images
     from repro.oci import mediatypes
-    from repro.pkg.apt import AptFacade
 
     install_system_side_images(engine, system, flavor)
     base = ctx.retry(
@@ -344,30 +344,12 @@ def _redirect_only(engine, layout, dist_tag, system, flavor, ref, ctx) -> str:
     )
     ctr = engine.from_image(base, name=f"resil-redirect-{dist_tag}")
     try:
-        ctr.fs.write_file(
-            "/etc/apt/sources.list",
-            f"repo ubuntu-generic\nrepo {system.vendor_repo}\n",
-            create_parents=True,
-        )
-        pool = engine.repository_pool_for(ctr)
-        apt = AptFacade(ctr.fs, pool)
-        plan = replacements_for_packages(list(apt.installed()), pool)
-        apply_replacements(ctr.fs, apt, plan)
+        replace_installed_libraries(engine, ctr, system)
         ctr.config.labels[mediatypes.ANNOTATION_COMTAINER_RUNG] = RUNG_REDIRECT_ONLY
         engine.commit(ctr, ref=ref, comment="coMtainer redirect-only (degraded)")
         return ref
     finally:
         engine.remove_container(ctr.name)
-
-
-def redirect_only_adapt(engine, layout, dist_tag, system, flavor, ref, ctx) -> str:
-    """Public entry to the redirect-only rung.
-
-    The adaptation service's load-shedding ladder enters the degradation
-    ladder *here* directly (skipping the rebuild rungs on purpose) when
-    shedding a low-priority request under queue pressure.
-    """
-    return _redirect_only(engine, layout, dist_tag, system, flavor, ref, ctx)
 
 
 def _note_integrity(report, exc, layout, repair, ctx, tele) -> bool:
@@ -562,7 +544,7 @@ def adapt_with_resilience(
     elif report.deadline_exceeded is None:
         # Rung 3: redirect-only (library-only adaptation, no rebuild).
         try:
-            report.ref = _redirect_only(
+            report.ref = redirect_only_adapt(
                 engine, layout, dist_tag, system, flavor, ref, ctx
             )
             report.rung = RUNG_REDIRECT_ONLY

@@ -15,9 +15,9 @@ index through a descriptor that carries the
 ``layout.save()``/``load()`` round trips.
 
 The blob is a :mod:`repro.durable` log (kind ``rebuild-journal``,
-version 3): one header line plus one sealed line per checkpointed node::
+version 4): one header line plus one sealed line per checkpointed node::
 
-    {"dist_tag": "<app>.dist", "kind": "rebuild-journal", "version": 3}
+    {"dist_tag": "<app>.dist", "kind": "rebuild-journal", "version": 4}
     {"content": {"kind": "padded", "payload": "<base64>", "pad": 81920},
      "content_digest": "sha256:...", "digest": "...",
      "line_digest": "sha256:...", "mode": 493, "node": "<id>",
@@ -25,7 +25,7 @@ version 3): one header line plus one sealed line per checkpointed node::
     ...
 
 A node line is the node-output record the artifact cache stores too
-(:func:`encode_output`) plus the transformed-command ``digest``.
+(:func:`encode_output`) plus ``digest``, the group's plan fingerprint.
 Salvage drops torn, flipped and invalid lines and counts them in
 :attr:`RebuildJournal.torn_entries_dropped`; those nodes recompile.
 Beyond the line digest, an entry is only reused when its reconstructed
@@ -40,17 +40,20 @@ megabytes of padding.  That keeps the per-command-group ``flush`` cheap
 enough to run on the happy path (see ``bench_resilience_overhead``); the
 reconstructed content has the exact digest of the original.
 
-A journal entry is only reused when the node's *transformed* command
-digest matches the recorded one (the digest already encodes adapter,
-options and PGO profile salt), so a resume with different rebuild options
-recompiles instead of resurrecting stale outputs.  On a fully successful
+A group is only restored when every node's recorded fingerprint equals
+its current plan fingerprint (:mod:`repro.perf.incremental`), which folds
+the transformed command (adapter, options, PGO profile salt) over the
+group's transitive input contents.  A resume with different rebuild
+options or edited sources therefore recompiles the changed groups and
+their dependents instead of resurrecting stale outputs; a version 3
+journal's bare command digests never match.  On a fully successful
 rebuild the journal is cleared — the ``+coMre`` manifest's node outputs
 take over as the incremental-reuse source.
 
 The journal also carries sealed **lease lines** for the worker fleet
 (:mod:`repro.resilience.fleet`)::
 
-    {"expires": 41.5, "lease": "<group digest>", "line_digest": "sha256:...",
+    {"expires": 41.5, "lease": "<command digest>", "line_digest": "sha256:...",
      "nodes": ["obj1", "obj2"], "wave": 3, "worker": "w2"}
 
 A lease line is flushed *before* a wavefront's groups execute and removed
@@ -73,7 +76,7 @@ from repro.toolchain.artifacts import PaddedContent
 from repro.vfs.content import FileContent, InlineContent, SyntheticContent
 
 JOURNAL_KIND = "rebuild-journal"
-JOURNAL_VERSION = 3
+JOURNAL_VERSION = 4
 
 _CONTENT_KINDS = frozenset({"padded", "synthetic", "inline"})
 _OUTPUT_FIELDS = (("node", str), ("path", str), ("mode", int),

@@ -5,7 +5,7 @@ import pytest
 
 from repro.apps import get_app
 from repro.containers import ContainerEngine
-from repro.core.cache.storage import decode_rebuild, decode_rebuild_nodes
+from repro.core.cache.storage import decode_rebuild, decode_rebuild_plan
 from repro.core.images import install_system_side_images, sysenv_ref
 from repro.core.frontend.build import IO_MOUNT
 from repro.core.workflow import _run_rebuild, _run_redirect, build_extended_image
@@ -84,8 +84,8 @@ class TestIncrementalRebuild:
     def test_node_outputs_stored_in_layer(self, setup):
         engine, layout, dist_tag = setup
         _rebuild(engine, layout, ["--adapter=vendor"])
-        commands, node_files = decode_rebuild_nodes(layout, dist_tag)
-        assert commands
+        node_files, fingerprints = decode_rebuild_plan(layout, dist_tag)
+        assert fingerprints
         # Objects and the final binary are all present.
         assert any(path.endswith(".o") for path in node_files)
         assert "/app/minife" in node_files
@@ -93,7 +93,7 @@ class TestIncrementalRebuild:
     def test_no_previous_rebuild_yields_empty_maps(self, setup):
         engine, layout, dist_tag = setup
         fresh = OCILayout()
-        assert decode_rebuild_nodes(fresh, "ghost") == ({}, {})
+        assert decode_rebuild_plan(fresh, "ghost") == ({}, {})
 
     def test_redirect_after_incremental_rebuild(self, setup):
         engine, layout, dist_tag = setup

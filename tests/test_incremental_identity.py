@@ -8,20 +8,31 @@ chaos in the mix (fleet faults reshape simulated time, never bytes)."""
 
 import pytest
 
+from repro import durable
 from repro.apps import APPS
 from repro.containers import ContainerEngine
 from repro.core.cache.storage import (
+    add_cache_manifest,
+    decode_cache,
     decode_rebuild,
-    decode_rebuild_nodes,
+    decode_rebuild_plan,
+    encode_cache_layer,
     extended_tag,
 )
 from repro.core.frontend.build import IO_MOUNT
 from repro.core.images import install_system_side_images, sysenv_ref
 from repro.core.workflow import build_extended_image
+from repro.oci import mediatypes
 from repro.oci.layout import OCILayout
 from repro.perf import attach_perf
-from repro.resilience import FaultInjector, FaultSpec
+from repro.resilience import FaultInjector, FaultSpec, PersistentFault
+from repro.resilience.journal import (
+    JOURNAL_KIND,
+    RebuildJournal,
+    encode_output,
+)
 from repro.sysmodel import X86_CLUSTER
+from repro.vfs.content import InlineContent
 
 pytestmark = pytest.mark.incremental
 
@@ -72,7 +83,7 @@ def _rebuild(engine, layout, args):
 def _digests(layout, dist_tag):
     """Per-path content digests of the rebuilt files + node outputs."""
     meta, files, _, _ = decode_rebuild(layout, dist_tag)
-    _, node_files = decode_rebuild_nodes(layout, dist_tag)
+    node_files, _ = decode_rebuild_plan(layout, dist_tag)
     return (
         {p: c.digest for p, c in files.items()},
         {p: c.digest for p, c in node_files.items()},
@@ -201,3 +212,145 @@ class TestChaosIdentity:
         assert target in inc_meta["executed_nodes"]
         assert inc_files == cold_files
         assert inc_nodes == cold_nodes
+
+
+# Two apps: hpccg links objects directly, lammps adds an archive level.
+STALE_APPS = ["hpccg", "lammps"]
+PLAIN = ["--adapter=vendor"]
+
+
+def _crash_at_link(engine, layout, dist_tag, args):
+    """Run a rebuild whose final link fails persistently."""
+    models = decode_cache(layout, dist_tag)[0]
+    link = [n for n in models.graph.topo_order() if n.step is not None][-1]
+    engine.fault_injector = FaultInjector(
+        specs=[FaultSpec(site="rebuild.node", kind="persistent",
+                         match=link.id)]
+    )
+    try:
+        with pytest.raises(PersistentFault):
+            _rebuild(engine, layout, args)
+    finally:
+        engine.fault_injector = None
+
+
+def _edit_source(layout, dist_tag):
+    """Append one byte to the first cached source; the models (and so
+    every transformed command) stay as they were."""
+    models, sources, _ = decode_cache(layout, dist_tag)
+    path = sorted(sources)[0]
+    edited = dict(sources)
+    edited[path] = InlineContent(sources[path].read() + b"\n")
+    add_cache_manifest(layout, dist_tag, encode_cache_layer(models, edited))
+    return path
+
+
+def _dirty_nodes(layout, dist_tag, source):
+    """Every node a rebuild must redo once *source* changed: the command
+    groups reading it and everything downstream of them."""
+    models = decode_cache(layout, dist_tag)[0]
+    commands = decode_rebuild(layout, dist_tag)[0]["node_commands"]
+    dirty = {source}
+    while True:
+        dirty_commands = {commands.get(n) for n in dirty}
+        grown = dirty | {
+            n.id for n in models.graph
+            if n.is_produced and (dirty.intersection(n.deps)
+                                  or commands[n.id] in dirty_commands)
+        }
+        if grown == dirty:
+            return dirty - {source}
+        dirty = grown
+
+
+class TestNoStaleReuse:
+    """A rebuild reuses only what it would have produced anyway: the
+    plan fingerprint decides the plan diff, the journal restore and the
+    artifact cache alike, so no combination of them returns a stale
+    binary.  Each case compares against a fault-free reference."""
+
+    @pytest.mark.parametrize("app", STALE_APPS)
+    def test_warm_change_resumed_after_crash(
+        self, app, system_engine, extended_images
+    ):
+        change = PLAIN + ["--journal", "--lto-scope=/src/main.o"]
+        ref, dist_tag = _fresh_copy(extended_images(app))
+        _rebuild(system_engine, ref, PLAIN)
+        _rebuild(system_engine, ref, change)
+
+        layout, _ = _fresh_copy(extended_images(app))
+        _rebuild(system_engine, layout, PLAIN)
+        _crash_at_link(system_engine, layout, dist_tag, change)
+        _rebuild(system_engine, layout, change)
+
+        files, nodes, meta = _digests(layout, dist_tag)
+        assert meta["journal_restored"]
+        assert (files, nodes) == _digests(ref, dist_tag)[:2]
+
+    @pytest.mark.parametrize("app", STALE_APPS)
+    def test_edited_source_under_unchanged_command(
+        self, app, system_engine, extended_images
+    ):
+        ref, dist_tag = _fresh_copy(extended_images(app))
+        source = _edit_source(ref, dist_tag)
+        _rebuild(system_engine, ref, PLAIN)
+
+        layout, _ = _fresh_copy(extended_images(app))
+        _rebuild(system_engine, layout, PLAIN)
+        _edit_source(layout, dist_tag)
+        _rebuild(system_engine, layout, PLAIN)
+
+        files, nodes, meta = _digests(layout, dist_tag)
+        assert _dirty_nodes(ref, dist_tag, source) <= set(
+            meta["executed_nodes"])
+        assert (files, nodes) == _digests(ref, dist_tag)[:2]
+
+    @pytest.mark.parametrize("app", STALE_APPS)
+    def test_journal_resume_after_source_edit(
+        self, app, system_engine, extended_images
+    ):
+        ref, dist_tag = _fresh_copy(extended_images(app))
+        source = _edit_source(ref, dist_tag)
+        _rebuild(system_engine, ref, PLAIN)
+
+        layout, _ = _fresh_copy(extended_images(app))
+        _crash_at_link(system_engine, layout, dist_tag, PLAIN + ["--journal"])
+        journaled = set(RebuildJournal(layout, dist_tag).node_ids())
+        _edit_source(layout, dist_tag)
+        _rebuild(system_engine, layout, PLAIN + ["--journal"])
+
+        files, nodes, meta = _digests(layout, dist_tag)
+        dirty = _dirty_nodes(ref, dist_tag, source)
+        assert set(meta["journal_restored"]) == journaled - dirty
+        assert dirty <= set(meta["executed_nodes"])
+        assert (files, nodes) == _digests(ref, dist_tag)[:2]
+
+    def test_command_keyed_journal_restores_nothing(
+        self, system_engine, extended_images
+    ):
+        """Journal lines keyed on the bare command digest (journal
+        version 3) still salvage, but never match a fingerprint."""
+        ref, dist_tag = _fresh_copy(extended_images("lammps"))
+        _rebuild(system_engine, ref, PLAIN)
+        commands = decode_rebuild(ref, dist_tag)[0]["node_commands"]
+
+        layout, _ = _fresh_copy(extended_images("lammps"))
+        _crash_at_link(system_engine, layout, dist_tag, PLAIN + ["--journal"])
+        graph = decode_cache(layout, dist_tag)[0].graph
+        journal = RebuildJournal(layout, dist_tag)
+        lines = [durable.header(JOURNAL_KIND, 3, dist_tag=dist_tag)]
+        for node_id in journal.node_ids():
+            content, mode = journal.output_for(node_id)
+            record = encode_output(node_id, graph.get(node_id).path,
+                                   content, mode)
+            lines.append(durable.line(
+                durable.seal({**record, "digest": commands[node_id]})))
+        layout.replace_side_blob(
+            mediatypes.ANNOTATION_COMTAINER_JOURNAL, dist_tag,
+            b"".join(lines), mediatypes.REBUILD_JOURNAL)
+        assert len(RebuildJournal(layout, dist_tag)) == len(journal) > 0
+
+        _rebuild(system_engine, layout, PLAIN + ["--journal"])
+        files, nodes, meta = _digests(layout, dist_tag)
+        assert meta["journal_restored"] == []
+        assert (files, nodes) == _digests(ref, dist_tag)[:2]
