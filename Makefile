@@ -29,6 +29,8 @@
 #   make bench-trace - wall-clock harness with per-layer trace, to TRACE_OUT
 #   make bench-compare A=parent.json B=change.json [CLAIM=workload:metric]
 #                - compare two harness --out files (pair-win rule with CLAIM)
+#   make bench-pairs BASE=rev W=workload [PAIRS=10] [SEED=7] [CLAIM=W:METRIC] OUT=dir
+#                - alternating parent/change harness pairs, merged and compared
 #   make harness-test - the wall-clock harness's self-tests
 #   make loc [BASE=rev] - code and docstring/comment lines of src/ (per
 #                file and total; with BASE, BASE's counts and the delta)
@@ -51,7 +53,7 @@ TRACE_OUT ?= benchmarks/results/harness/trace.json
         trace metrics telemetry-bench obs-bench health integrity-bench \
         perf-bench incremental-test parallel-bench fleet-bench \
         federation-bench fsck-demo bench-e2e bench-trace bench-compare \
-        harness-test loc
+        bench-pairs harness-test loc
 
 test:
 	$(PYTEST) -x -q
@@ -151,6 +153,16 @@ bench-compare:
 	$(if $(and $(A),$(B)),,$(error usage: make bench-compare \
 	    A=parent.json B=change.json [CLAIM=workload:metric]))
 	$(HARNESS) compare $(A) $(B) $(if $(CLAIM),--claim $(CLAIM))
+
+# SEED defaults to 0 above; bench-pairs passes it only when it is given,
+# so the script's own default (7) applies otherwise.
+bench-pairs:
+	$(if $(and $(BASE),$(W),$(OUT)),,$(error usage: make bench-pairs BASE=<rev> \
+	    W=<workload> [PAIRS=10] [SEED=7] [CLAIM=W:METRIC] OUT=<dir>))
+	$(PYTHON) scripts/bench_pairs.py $(BASE) $(W) $(OUT) \
+	    $(if $(PAIRS),--pairs $(PAIRS)) \
+	    $(if $(filter-out file,$(origin SEED)),--seed $(SEED)) \
+	    $(if $(CLAIM),--claim $(CLAIM))
 
 harness-test:
 	$(PYTEST) benchmarks/harness -q

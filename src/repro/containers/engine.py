@@ -64,6 +64,10 @@ class StoredImage:
 
     config: ImageConfig
     layers: List[Layer] = field(default_factory=list)
+    #: The recipe key :func:`repro.core.images._derive_image` derived this
+    #: image under; never serialised.  Every other path that stores an
+    #: image builds one without it, so overwriting a ref forgets the key.
+    recipe: Optional[tuple] = field(default=None, compare=False)
 
     def layer_key(self) -> tuple:
         return tuple(layer.digest for layer in self.layers)

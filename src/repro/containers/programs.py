@@ -12,7 +12,7 @@ from typing import Callable, Dict, List
 
 from repro.containers.container import ProcessContext, ProgramError
 from repro.pkg.apt import AptFacade
-from repro.pkg.database import DpkgDatabase
+from repro.pkg.database import DpkgDatabase, DpkgStatusError
 from repro.toolchain.archiver import ArchiverError, run_ar
 from repro.toolchain.drivers import CompilerDriver, CompilerError
 from repro.vfs import Directory, RegularFile, Symlink
@@ -360,7 +360,10 @@ def _tar(ctx: ProcessContext) -> int:
 
 def _apt_facade(ctx: ProcessContext) -> AptFacade:
     pool = ctx.engine.repository_pool_for(ctx.container)
-    return AptFacade(ctx.fs, pool)
+    try:
+        return AptFacade(ctx.fs, pool)
+    except DpkgStatusError as exc:
+        raise ProgramError(f"apt-get: {exc}")
 
 
 @program("apt-get")
@@ -395,7 +398,10 @@ def _apt_get(ctx: ProcessContext) -> int:
 @program("dpkg-query")
 @program("dpkg")
 def _dpkg(ctx: ProcessContext) -> int:
-    db = DpkgDatabase.read_from(ctx.fs)
+    try:
+        db = DpkgDatabase.read_from(ctx.fs)
+    except DpkgStatusError as exc:
+        raise ProgramError(f"dpkg: error: {exc}")
     args = ctx.argv[1:]
     if not args:
         raise ProgramError("dpkg: need an action option")

@@ -10,6 +10,18 @@
   packages + ``coMtainer-rebuild``.
 * **Rebase** (system side, redirect): base + ``coMtainer-redirect`` with
   both repositories enabled.
+
+The set is built once, not once per adaptation.  Each derived image is
+keyed on its base image (layer digests and config digest) and on a recipe
+of exactly the data its mutate function reads: Env the ``ubuntu-generic``
+repository digest and the devel install list, Base nothing, Sysenv the
+flavor, ``sources.list`` text, install list and the digest of every
+repository in its pool, Rebase only the ``sources.list`` text.  An engine
+that still holds the image derived under the same key returns it as it
+is.  Overwriting the ref (``add_image``, ``commit``, a load), replacing
+the base, or adding a package to a repository changes or drops the key,
+so the image re-derives.  The vendor and LLVM repositories are built and
+registered once per engine.
 """
 
 from __future__ import annotations
@@ -24,7 +36,7 @@ from repro.oci.diff import diff_filesystems
 from repro.oci.image import ImageConfig
 from repro.pkg import catalog
 from repro.pkg.apt import AptFacade
-from repro.pkg.repository import RepositoryPool
+from repro.pkg.repository import Repository, RepositoryPool
 from repro.sysmodel import SystemModel
 
 # Import registers the coMtainer-* programs in the userland registry.
@@ -54,9 +66,20 @@ def _derive_image(
     ref: str,
     mutate,
     comment: str,
+    recipe: tuple,
 ) -> str:
-    """Build a derived image by mutating the base filesystem directly."""
+    """Build a derived image by mutating the base filesystem directly.
+
+    *recipe* holds every input *mutate* reads besides the base image and
+    code, ``()`` when it reads none.  If *ref* still holds the image
+    derived from the same base under the same comment and recipe, it is
+    returned untouched.
+    """
     stored = engine.image(base)
+    key = (stored.layer_key(), stored.config.digest, comment, recipe)
+    held = engine.images.get(ref)
+    if held is not None and held.recipe == key:
+        return ref
     fs = engine.image_filesystem(base)
     before = fs.clone()
     config = stored.config.clone()
@@ -68,7 +91,17 @@ def _derive_image(
         config.diff_ids.append(layer.digest)
         config.add_history(comment)
     engine.add_image(ref, config, layers)
+    engine.images[ref].recipe = key
     return ref
+
+
+def _registered(engine: ContainerEngine, name: str, build) -> Repository:
+    """Repository *name* on *engine*, built and registered on first use."""
+    repo = engine.repos.get(name)
+    if repo is None:
+        repo = build(engine.arch)
+        engine.register_repository(repo)
+    return repo
 
 
 def install_user_side_images(engine: ContainerEngine) -> None:
@@ -77,6 +110,7 @@ def install_user_side_images(engine: ContainerEngine) -> None:
         install_ubuntu_base(engine)
     arch = engine.arch
     pool = RepositoryPool([engine.repos["ubuntu-generic"]])
+    devel = catalog.default_devel_install()
 
     def make_base(fs, config: ImageConfig) -> None:
         fs.write_file(
@@ -85,7 +119,7 @@ def install_user_side_images(engine: ContainerEngine) -> None:
 
     def make_env(fs, config: ImageConfig) -> None:
         apt = AptFacade(fs, pool)
-        apt.install(catalog.default_devel_install())
+        apt.install(devel)
         fs.write_file(
             "/usr/bin/coMtainer-build",
             simbin.program_marker("coMtainer-build"),
@@ -97,32 +131,39 @@ def install_user_side_images(engine: ContainerEngine) -> None:
         )
         install_hijackers(fs)
 
-    _derive_image(engine, UBUNTU_REF, base_ref(arch), make_base, "coMtainer Base image")
-    _derive_image(engine, UBUNTU_REF, env_ref(arch), make_env, "coMtainer Env image")
+    _derive_image(engine, UBUNTU_REF, base_ref(arch), make_base, "coMtainer Base image",
+                  ())
+    _derive_image(engine, UBUNTU_REF, env_ref(arch), make_env, "coMtainer Env image",
+                  (pool.repositories[0].digest, tuple(devel)))
 
 
 def install_system_side_images(
     engine: ContainerEngine, system: SystemModel, flavor: str = "vendor"
 ) -> None:
     """Install Sysenv/Rebase (+ repos) on a system-side engine."""
+    arch = engine.arch
+    if arch != system.arch:
+        raise ValueError(
+            f"engine architecture {arch!r} does not match system "
+            f"{system.key!r} ({system.arch!r})"
+        )
     if not engine.has_image(UBUNTU_REF):
         install_ubuntu_base(engine)
-    arch = engine.arch
-    assert arch == system.arch, (arch, system.arch)
 
-    vendor_repo = catalog.build_vendor_repository(arch)
-    engine.register_repository(vendor_repo)
-    llvm_repo = catalog.build_llvm_repository(arch)
-    engine.register_repository(llvm_repo)
+    vendor_repo = _registered(engine, system.vendor_repo,
+                              catalog.build_vendor_repository)
+    llvm_repo = _registered(engine, catalog.LLVM_REPOSITORY,
+                            catalog.build_llvm_repository)
     sources = (
         f"repo ubuntu-generic\nrepo {vendor_repo.name}\nrepo {llvm_repo.name}\n"
     )
     pool = RepositoryPool([engine.repos["ubuntu-generic"], vendor_repo, llvm_repo])
+    devel = catalog.default_devel_install()
 
     def make_sysenv(fs, config: ImageConfig) -> None:
         fs.write_file("/etc/apt/sources.list", sources, create_parents=True)
         apt = AptFacade(fs, pool)
-        apt.install(catalog.default_devel_install())
+        apt.install(devel)
         if flavor == "vendor":
             apt.install([pkg.name for pkg in _vendor_package_names(vendor_repo)])
         elif flavor == "llvm":
@@ -155,10 +196,12 @@ def install_system_side_images(
     _derive_image(
         engine, UBUNTU_REF, sysenv_ref(system.key, flavor), make_sysenv,
         f"coMtainer Sysenv image ({flavor})",
+        (flavor, sources, tuple(devel))
+        + tuple(repo.digest for repo in pool.repositories),
     )
     _derive_image(
         engine, UBUNTU_REF, rebase_ref(system.key), make_rebase,
-        "coMtainer Rebase image",
+        "coMtainer Rebase image", (sources,),
     )
 
 

@@ -13,7 +13,7 @@ filesystem.
 """
 
 from repro.pkg.apt import AptFacade
-from repro.pkg.database import DpkgDatabase
+from repro.pkg.database import DpkgDatabase, DpkgStatusError
 from repro.pkg.depends import Dependency, DependencyClause, parse_depends
 from repro.pkg.package import PackagedFile, Package
 from repro.pkg.repository import Repository, RepositoryPool
@@ -26,6 +26,7 @@ __all__ = [
     "DependencyClause",
     "DependencyError",
     "DpkgDatabase",
+    "DpkgStatusError",
     "Package",
     "PackagedFile",
     "Repository",

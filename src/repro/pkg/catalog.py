@@ -564,9 +564,12 @@ def build_vendor_repository(arch: str) -> Repository:
     return repo
 
 
+LLVM_REPOSITORY = "llvm-generic"
+
+
 def build_llvm_repository(arch: str) -> Repository:
     """The artifact's free LLVM alternative to the vendor toolchains."""
-    repo = Repository(name="llvm-generic", architecture=arch)
+    repo = Repository(name=LLVM_REPOSITORY, architecture=arch)
     for pkg in llvm_toolchain_packages(arch):
         repo.add(pkg)
     return repo

@@ -5,17 +5,28 @@ of every installed package) and ``/var/lib/dpkg/info/<name>.list`` (the
 file list of each package).  coMtainer's front-end parses these paths out
 of the *image* to recover the dependency list and the file→package mapping
 its image model needs.
+
+Parsing is memoised: :meth:`DpkgDatabase.read_from` keys a finished parse
+on the content digests of ``status`` and of every ``info/*.list`` file and
+hands each caller a private copy, so re-reading an unchanged package state
+(the same base image in every adaptation) costs a directory scan, not a
+parse.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from collections import OrderedDict
+from typing import Dict, List, Optional, Tuple
 
 from repro.pkg.package import Package
-from repro.vfs import VirtualFilesystem
+from repro.vfs import Directory, FileContent, RegularFile, VirtualFilesystem
 
 STATUS_PATH = "/var/lib/dpkg/status"
 INFO_DIR = "/var/lib/dpkg/info"
+
+
+class DpkgStatusError(ValueError):
+    """The dpkg status database holds a stanza or file that does not parse."""
 
 
 class DpkgDatabase:
@@ -23,7 +34,7 @@ class DpkgDatabase:
 
     def __init__(self) -> None:
         self._packages: Dict[str, Package] = {}
-        self._file_lists: Dict[str, List[str]] = {}
+        self._file_lists: Dict[str, Tuple[str, ...]] = {}
         # Incremental persistence state: control stanzas are cached per
         # package and ``.list`` files are only rewritten for packages
         # touched since the last write_to on the same filesystem.
@@ -56,7 +67,7 @@ class DpkgDatabase:
         self._packages[package.name] = package
         if file_paths is None:
             file_paths = [f.path for f in package.files]
-        self._file_lists[package.name] = sorted(file_paths)
+        self._file_lists[package.name] = tuple(sorted(file_paths))
         self._control_cache.pop(package.name, None)
         self._dirty_lists.add(package.name)
 
@@ -114,21 +125,84 @@ class DpkgDatabase:
             fs.write_file(f"{INFO_DIR}/{name}.list", listing, create_parents=True)
         self._dirty_lists.clear()
 
+    def _copy(self) -> "DpkgDatabase":
+        """A copy that shares only values never mutated in place (packages,
+        file tuples, control text); its first :meth:`write_to` writes every
+        list, as a fresh parse's does."""
+        db = DpkgDatabase()
+        db._packages = dict(self._packages)
+        db._file_lists = dict(self._file_lists)
+        db._control_cache = dict(self._control_cache)
+        db._dirty_lists = set(self._dirty_lists)
+        return db
+
     @staticmethod
     def read_from(fs: VirtualFilesystem) -> "DpkgDatabase":
-        db = DpkgDatabase()
+        """Parse *fs*'s dpkg database; :class:`DpkgStatusError` if corrupt."""
         if not fs.exists(STATUS_PATH):
-            return db
-        text = fs.read_text(STATUS_PATH)
-        for stanza in text.split("\n\n"):
-            if not stanza.strip():
-                continue
+            return DpkgDatabase()
+        status = fs.read_content(STATUS_PATH)
+        lists = _info_lists(fs)
+        key = (status.digest, tuple((name, c.digest) for name, c in lists.items()))
+        parsed = _READ_MEMO.get(key)
+        if parsed is None:
+            parsed = _parse(status, lists)
+            _READ_MEMO[key] = parsed
+            while len(_READ_MEMO) > _READ_MEMO_CAP:
+                _READ_MEMO.popitem(last=False)
+        else:
+            _READ_MEMO.move_to_end(key)
+        return parsed._copy()
+
+
+# Finished parses keyed by content digests; a failed parse is never stored.
+_READ_MEMO: "OrderedDict[tuple, DpkgDatabase]" = OrderedDict()
+_READ_MEMO_CAP = 16
+
+
+def _info_lists(fs: VirtualFilesystem) -> Dict[str, FileContent]:
+    """``<name>.list`` -> content, in name order, of every file list.
+
+    A symlinked list reads through its link; an entry that does not end at
+    a regular file reads as absent, like a missing list.
+    """
+    info = fs.try_get_node(INFO_DIR)
+    if not isinstance(info, Directory):
+        return {}
+    lists: Dict[str, FileContent] = {}
+    for name, node in info.sorted_items():
+        if not name.endswith(".list"):
+            continue
+        if not isinstance(node, RegularFile):
+            node = fs.try_get_node(f"{INFO_DIR}/{name}")
+        if isinstance(node, RegularFile):
+            lists[name] = node.content
+    return lists
+
+
+def _text(content: FileContent, path: str) -> str:
+    try:
+        return content.read().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DpkgStatusError(f"parsing file '{path}': {exc}") from None
+
+
+def _parse(status: FileContent, lists: Dict[str, FileContent]) -> DpkgDatabase:
+    db = DpkgDatabase()
+    for number, stanza in enumerate(_text(status, STATUS_PATH).split("\n\n"), 1):
+        if not stanza.strip():
+            continue
+        try:
             package = Package.from_control(stanza)
-            list_path = f"{INFO_DIR}/{package.name}.list"
-            files: List[str] = []
-            if fs.exists(list_path):
-                files = [
-                    line for line in fs.read_text(list_path).splitlines() if line.strip()
-                ]
-            db.add(package, file_paths=files)
-        return db
+        except ValueError as exc:
+            first = stanza.strip().splitlines()[0]
+            raise DpkgStatusError(
+                f"parsing file '{STATUS_PATH}' stanza {number} ({first!r}): {exc}"
+            ) from None
+        name = f"{package.name}.list"
+        files: List[str] = []
+        if name in lists:
+            text = _text(lists[name], f"{INFO_DIR}/{name}")
+            files = [line for line in text.splitlines() if line.strip()]
+        db.add(package, file_paths=files)
+    return db

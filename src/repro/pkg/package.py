@@ -110,12 +110,15 @@ class Package:
 
     @staticmethod
     def from_control(text: str) -> "Package":
+        """Parse one control stanza; ``ValueError`` if it is malformed."""
         fields: Dict[str, str] = {}
         for line in text.splitlines():
             if not line.strip() or line.startswith(" "):
                 continue
             key, _, value = line.partition(":")
             fields[key.strip()] = value.strip()
+        if not fields.get("Package"):
+            raise ValueError("missing 'Package' field")
         return Package(
             name=fields["Package"],
             version=fields.get("Version", "0"),

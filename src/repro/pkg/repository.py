@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, List, Optional
 
 from repro.pkg.package import Package
@@ -15,6 +16,7 @@ class Repository:
         self.name = name
         self.architecture = architecture
         self._packages: Dict[str, List[Package]] = {}
+        self._digest: Optional[str] = None
 
     def add(self, package: Package) -> Package:
         if package.architecture not in (self.architecture, "all"):
@@ -25,7 +27,19 @@ class Repository:
         versions = self._packages.setdefault(package.name, [])
         versions.append(package)
         versions.sort(key=lambda p: version_key(p.version))
+        self._digest = None
         return package
+
+    @property
+    def digest(self) -> str:
+        """Content digest over every package version; :meth:`add` drops it."""
+        if self._digest is None:
+            h = hashlib.sha256(f"{self.name}\0{self.architecture}".encode())
+            for name in self.names():
+                for package in self._packages[name]:
+                    h.update(repr(package).encode())
+            self._digest = "sha256:" + h.hexdigest()
+        return self._digest
 
     def names(self) -> List[str]:
         return sorted(self._packages)

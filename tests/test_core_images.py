@@ -125,5 +125,5 @@ class TestSystemSideImages:
 
     def test_arch_mismatch_asserts(self):
         engine = ContainerEngine(arch="amd64")
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             install_system_side_images(engine, AARCH64_CLUSTER)
