@@ -32,6 +32,9 @@
 #   make bench-pairs BASE=rev W=workload [PAIRS=10] [SEED=7] [CLAIM=W:METRIC] OUT=dir
 #                - alternating parent/change harness pairs, merged and compared
 #   make harness-test - the wall-clock harness's self-tests
+#   make profile W=workload [OPS=30] [SEED=7]
+#                - cProfile of one workload's timed ops: top repro functions
+#                  with calls per op and share of the profiled time
 #   make loc [BASE=rev] - code and docstring/comment lines of src/ (per
 #                file and total; with BASE, BASE's counts and the delta)
 
@@ -53,7 +56,7 @@ TRACE_OUT ?= benchmarks/results/harness/trace.json
         trace metrics telemetry-bench obs-bench health integrity-bench \
         perf-bench incremental-test parallel-bench fleet-bench \
         federation-bench fsck-demo bench-e2e bench-trace bench-compare \
-        bench-pairs harness-test loc
+        bench-pairs harness-test profile loc
 
 test:
 	$(PYTEST) -x -q
@@ -166,6 +169,14 @@ bench-pairs:
 
 harness-test:
 	$(PYTEST) benchmarks/harness -q
+
+# Profiles only workload.run(i), the region the harness times; set-up and
+# checks run outside the profile.  SEED is passed only when given, so the
+# script's own default (7) applies otherwise.
+profile:
+	$(if $(W),,$(error usage: make profile W=<workload> [OPS=30] [SEED=7]))
+	$(PYTHON) scripts/profile_ops.py $(W) $(if $(OPS),--ops $(OPS)) \
+	    $(if $(filter-out file,$(origin SEED)),--seed $(SEED))
 
 loc:
 	$(PYTHON) scripts/loc.py $(BASE)

@@ -209,11 +209,12 @@ def cmd_fsck(args: argparse.Namespace) -> int:
     from the origin is audited.
 
     Exit code 0 means every object verified (possibly after repair);
-    1 means unrepaired corruption or divergence remains.
+    1 means unrepaired corruption or divergence remains.  A ``--source``
+    that cannot be read is skipped with one stderr line naming it, so the
+    exit code is the target's verdict.
     """
-    from repro.integrity.fsck import fsck_directory
+    from repro.integrity.fsck import fsck_directory, load_source
     from repro.integrity.repair import RepairEngine
-    from repro.oci.layout import OCILayout
     from repro.reporting import render_fsck_report
 
     if args.federation:
@@ -231,9 +232,9 @@ def cmd_fsck(args: argparse.Namespace) -> int:
     if args.repair:
         repair = RepairEngine(telemetry=args.telemetry)
         for source in args.source:
-            repair.add_layout(
-                OCILayout.load(source, verify=False), label=source
-            )
+            layout = load_source(source)
+            if layout is not None:
+                repair.add_layout(layout, label=source)
         if args.app:
             from repro.apps import get_app
             from repro.containers import ContainerEngine

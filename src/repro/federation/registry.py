@@ -12,8 +12,8 @@ The :class:`FederatedRegistry` wraps the existing in-memory
 * **pulls fail over**: origin first, then mirrors nearest-fresh-first.
   A mirror whose content lags the origin (or whose ``mirror.stale``
   probe fires) is skipped for references it would serve stale;
-* **mirrors are repair sources**: every mirror registers as a
-  :class:`~repro.integrity.repair.RegistrySource`, so a corrupted origin
+* **mirrors are repair sources**: every mirror's blob store registers as
+  a :class:`~repro.integrity.repair.StoreSource`, so a corrupted origin
   blob self-heals from any replica holding a verified copy.
 
 Staleness is tracked as *generations behind*: the origin's generation at
@@ -22,7 +22,7 @@ the mirror's last successful sync versus the origin's generation now.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.federation.failover import FencedWriter, Promotion
@@ -34,7 +34,7 @@ from repro.federation.sync import (
     SyncReport,
 )
 from repro.integrity import IntegrityError
-from repro.oci.layout import ResolvedImage
+from repro.oci.layout import ResolvedImage, replica_divergences
 from repro.oci.registry import ImageNotFound, ImageRegistry, RegistryError
 from repro.resilience.faults import InjectedFault
 from repro.resilience.retry import SimulatedClock
@@ -441,13 +441,13 @@ class FederatedRegistry:
     # ------------------------------------------------------------------
 
     def repair_sources(self) -> List:
-        """Mirrors as :class:`RegistrySource`s, freshest first, so the
-        PR 3 repair engine restores corrupted origin blobs from the
+        """Mirrors' blob stores as :class:`StoreSource`s, freshest first,
+        so the repair engine restores corrupted origin blobs from the
         nearest-fresh replica holding a verified copy."""
-        from repro.integrity.repair import RegistrySource
+        from repro.integrity.repair import StoreSource
 
         return [
-            RegistrySource(m.registry, label=f"mirror:{m.name}")
+            StoreSource(m.registry.blobs, label=f"mirror:{m.name}")
             for m in self._freshest_first()
         ]
 
@@ -471,38 +471,18 @@ class FederatedRegistry:
         return not self.divergences(mirror)
 
     def divergences(self, mirror: Mirror) -> List[str]:
-        """Human-readable divergences of one mirror from the origin."""
-        problems: List[str] = []
-        origin_map = self.origin.manifest_map()
-        mirror_map = mirror.registry.manifest_map()
-        for ref in sorted(origin_map):
-            theirs = mirror_map.get(ref)
-            if theirs is None:
-                problems.append(f"missing reference {ref}")
-            elif theirs != origin_map[ref]:
-                problems.append(
-                    f"divergent reference {ref}: origin {origin_map[ref]},"
-                    f" mirror {theirs}"
-                )
-        for ref in sorted(set(mirror_map) - set(origin_map)):
-            problems.append(f"extra reference {ref}")
+        """Human-readable divergences of one mirror from the origin: the
+        shared :func:`~repro.oci.layout.replica_divergences` report, with
+        the artifact-cache check between its reference and blob lines."""
+        refs, blobs = replica_divergences(self.origin, mirror.registry, "mirror")
         for repo in self.origin.repositories():
             blob = self.origin.get_artifact_cache(repo)
             if blob is None:
                 continue
             theirs = mirror.registry.get_artifact_cache(repo)
             if theirs is None or theirs.digest != blob.digest:
-                problems.append(f"divergent artifact cache for {repo}")
-        for digest in sorted(self.origin.referenced_digests()):
-            ours = self.origin.blobs.try_get(digest)
-            theirs = mirror.registry.blobs.try_get(digest)
-            if ours is None:
-                continue   # origin damage is the audit's job, not sync's
-            if theirs is None:
-                problems.append(f"missing blob {digest}")
-            elif theirs.as_bytes() != ours.as_bytes():
-                problems.append(f"divergent blob {digest}")
-        return problems
+                refs.append(f"divergent artifact cache for {repo}")
+        return refs + blobs
 
     def audit(self) -> Dict[str, List[str]]:
         """Replica-divergence audit: mirror name -> problems (the

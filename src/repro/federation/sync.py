@@ -7,9 +7,10 @@ per sync attempt:
 1. **Diff** — compare the origin's ``name:tag -> manifest digest`` map
    (a fault-transparent metadata read) with the mirror's; only changed
    references proceed.  The blob want-list is the referenced closure of
-   the changed manifests minus whatever the mirror already stores
-   *intact* — a blob present but rotten counts as missing, so sync also
-   heals replicas.
+   the changed manifests (:func:`~repro.oci.blobs.manifest_closure`)
+   minus whatever the mirror already stores *intact*
+   (:meth:`~repro.oci.blobs.BlobStore.intact`) — a blob present but
+   rotten counts as missing, so sync also heals replicas.
 2. **Stage** — fetch each wanted blob from the origin in fixed-size
    chunks into the mirror's shadow staging area.  Every chunk arms the
    ``transfer.chunk`` fault site (a transient fault aborts the sync
@@ -20,9 +21,10 @@ per sync attempt:
 3. **Verify** — re-hash every staged blob against its declared digest.
    A mismatch is localized by re-hashing chunks against the origin's
    chunk plan; only the damaged chunks are discarded from the ledger and
-   re-fetched (bounded attempts).  Changed references are then
+   re-fetched (bounded attempts).  Staged bytes become typed blobs through
+   :meth:`~repro.oci.blobs.Blob.decode`.  Changed references are then
    Merkle-verified end to end (manifest → config → layers) against the
-   staged + stored blobs.
+   staged + stored blobs (:func:`~repro.oci.layout.resolve_manifest`).
 4. **Promote** — write the verified blobs into the mirror's registry
    (post-write re-verified) and only then flip tags.  A torn, crashed,
    or corrupted sync therefore can never make a mirror serve bad bytes:
@@ -43,15 +45,13 @@ from repro import durable
 from repro.federation.ledger import TransferLedger
 from repro.integrity import (
     KIND_DIGEST_MISMATCH,
+    KIND_UNPARSEABLE,
     IntegrityError,
     IntegrityFinding,
 )
-from repro.oci import mediatypes
-from repro.oci.blobs import Blob, check_blob
+from repro.oci.blobs import Blob, check_blob, manifest_closure
 from repro.oci.digest import digest_bytes
-from repro.oci.image import ImageConfig, Manifest
-from repro.oci.layer import Layer
-from repro.oci.layout import ResolvedImage
+from repro.oci.layout import resolve_manifest
 from repro.resilience.retry import SimulatedClock
 from repro.telemetry import NULL_TELEMETRY
 
@@ -168,6 +168,7 @@ class SyncEngine:
         """
         origin_map = self.origin.manifest_map()
         mirror_map = mirror.registry.manifest_map()
+        stored = mirror.registry.blobs
         changed: Dict[str, str] = {}
         for ref, digest in origin_map.items():
             if mirror_map.get(ref) != digest:
@@ -175,10 +176,11 @@ class SyncEngine:
                 continue
             # Tag already current: a purely local health check of the
             # replica's referenced closure (no origin reads, no transfer)
-            # re-opens the reference when at-rest rot is found, so an
+            # re-opens the reference when its manifest is absent, rotten
+            # or unparseable, or a closure blob is not intact, so an
             # incremental sync also heals rotten replicas.
-            referenced = self._referenced_of(mirror.registry, digest)
-            if referenced is None or mirror.registry.blobs.missing_of(referenced):
+            closure = manifest_closure(stored.intact(digest))
+            if closure is None or stored.missing_of(closure):
                 changed[ref] = digest
         caches: Dict[str, str] = {}
         for repo in self.origin.repositories():
@@ -186,31 +188,18 @@ class SyncEngine:
             if blob is None:
                 continue
             ours = mirror.registry.get_artifact_cache(repo)
-            if ours is None or ours.digest != blob.digest or check_blob(ours):
+            if (ours is None or ours.digest != blob.digest
+                    or stored.intact(blob.digest) is None):
                 caches[repo] = blob.digest
         wanted: set = set(caches.values())
         for digest in changed.values():
-            wanted.add(digest)
-            manifest = Manifest.from_json(self.origin.blobs.get(digest).as_json())
-            wanted.add(manifest.config.digest)
-            wanted.update(ld.digest for ld in manifest.layers)
-        return changed, caches, mirror.registry.blobs.missing_of(wanted)
-
-    @staticmethod
-    def _referenced_of(registry, manifest_digest: str):
-        """The referenced digest closure of one manifest, read from
-        *registry*'s local store; None when the manifest itself is
-        absent or unreadable (which also means: re-sync it)."""
-        blob = registry.blobs.try_get(manifest_digest)
-        if blob is None or check_blob(blob) is not None:
-            return None
-        try:
-            manifest = Manifest.from_json(blob.as_json())
-        except Exception:
-            return None
-        refs = {manifest_digest, manifest.config.digest}
-        refs.update(ld.digest for ld in manifest.layers)
-        return refs
+            closure = manifest_closure(self.origin.blobs.get(digest))
+            if closure is None:
+                raise IntegrityError(site="mirror.sync", finding=IntegrityFinding(
+                    digest=digest, kind=KIND_UNPARSEABLE,
+                    detail="origin manifest does not parse"))
+            wanted.update(closure)
+        return changed, caches, stored.missing_of(wanted)
 
     # ------------------------------------------------------------------
     # stage (chunked + resumable)
@@ -277,7 +266,11 @@ class SyncEngine:
                 self._charge(length)
             resumed_counted = True
             staged = bytes(buf)
-            if self._staged_intact(media_type, digest, staged):
+            try:
+                blob = Blob.decode(media_type, digest, staged)
+            except Exception:
+                blob = None   # unparseable staging == corrupt
+            if blob is not None and check_blob(blob) is None:
                 return staged
             # Localize the damage: only chunks whose staged bytes differ
             # from the origin's chunk plan re-transfer.
@@ -301,33 +294,6 @@ class SyncEngine:
                     f"{STAGE_ATTEMPTS} attempts"
                 ),
             ),
-        )
-
-    @classmethod
-    def _staged_intact(cls, media_type: str, digest: str, data: bytes) -> bool:
-        """Whole-blob verification of staged bytes.
-
-        Raw blobs re-hash their bytes; simulated layer blobs carry a
-        digest over entry identities (not the serialization), so they
-        must parse and their recomputed layer digest must match.
-        """
-        try:
-            blob = cls._assemble(media_type, digest, data)
-        except Exception:
-            return False   # unparseable staging == corrupt
-        return check_blob(blob) is None
-
-    @staticmethod
-    def _assemble(media_type: str, digest: str, data: bytes) -> Blob:
-        """Reconstruct a typed blob from verified staged bytes."""
-        if media_type == mediatypes.SIM_LAYER:
-            layer = Layer.from_bytes(data)
-            return Blob(
-                media_type=media_type, digest=digest,
-                size=layer.size, payload=layer,
-            )
-        return Blob(
-            media_type=media_type, digest=digest, size=len(data), payload=data
         )
 
     # ------------------------------------------------------------------
@@ -375,7 +341,7 @@ class SyncEngine:
         for digest in wanted:
             data = self._stage_blob(mirror, digest, report)
             media_type = self.origin.blobs.get(digest).media_type
-            blob = self._assemble(media_type, digest, data)
+            blob = Blob.decode(media_type, digest, data)
             finding = check_blob(blob)
             if finding is not None:   # defense in depth; staging verified
                 raise IntegrityError(site="mirror.stage", finding=finding)
@@ -388,14 +354,7 @@ class SyncEngine:
             return mirror.registry.blobs.get(digest)
 
         for ref in sorted(changed):
-            manifest = Manifest.from_json(blob_of(changed[ref]).as_json())
-            config = ImageConfig.from_json(
-                blob_of(manifest.config.digest).as_json()
-            )
-            layers = [blob_of(ld.digest).as_layer() for ld in manifest.layers]
-            ResolvedImage(
-                manifest=manifest, config=config, layers=layers
-            ).check("mirror.promote")
+            resolve_manifest(blob_of, changed[ref]).check("mirror.promote")
 
         # Promote: verified blobs first, then the metadata flips.
         for digest in sorted(staged):
@@ -407,8 +366,7 @@ class SyncEngine:
         for repo in sorted(caches):
             blob = staged[caches[repo]]
             mirror.registry.put_artifact_cache(repo, blob)
-            stored = mirror.registry.blobs.try_get(blob.digest)
-            if stored is None or check_blob(stored) is not None:
+            if mirror.registry.blobs.intact(blob.digest) is None:
                 # put_artifact_cache's transfer path can be corrupted by
                 # the injector; the promotion contract re-verifies.
                 mirror.registry.blobs.put_verified(blob)

@@ -10,25 +10,34 @@ re-verified before fsck reports success.
 Exit codes (surfaced by the CLI): ``0`` — every object verified (possibly
 after repair); ``1`` — unrepaired corruption, missing referenced blobs,
 or failed repairs remain.
+
+fsck owns no integrity rule of its own: the ``checksums.json`` reader and
+per-file check, the store's referenced set and the replica-divergence
+report all come from :mod:`repro.oci.layout` and :mod:`repro.oci.blobs`.
+What it keeps is its own view of them: a quarantined referenced blob is
+listed as quarantined, not missing, and every checksum mismatch is
+collected instead of stopping at the first.
 """
 
 from __future__ import annotations
 
-import json
-import os
+import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.integrity import (
-    KIND_CHECKSUM_MISMATCH,
     KIND_MISSING,
     KIND_UNPARSEABLE,
     IntegrityError,
     IntegrityFinding,
 )
-from repro.integrity.repair import LayoutSource, RepairEngine, RepairOutcome
-from repro.oci.digest import digest_bytes
-from repro.oci.layout import CHECKSUM_MANIFEST, OCILayout
+from repro.integrity.repair import RepairEngine, RepairOutcome
+from repro.oci.layout import (
+    OCILayout,
+    read_checksums,
+    read_layout_file,
+    replica_divergences,
+)
 from repro.telemetry import NULL_TELEMETRY
 
 
@@ -111,39 +120,18 @@ def fsck_layout(
     return report
 
 
-def _scan_files(path: str) -> Tuple[List[IntegrityFinding], int]:
-    """Check every file a save recorded in ``checksums.json``."""
-    findings: List[IntegrityFinding] = []
-    checksums = {}
-    manifest_path = os.path.join(path, CHECKSUM_MANIFEST)
-    if os.path.exists(manifest_path):
-        try:
-            with open(manifest_path, encoding="utf-8") as fh:
-                checksums = dict(json.load(fh).get("files", {}))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            findings.append(
-                IntegrityFinding(
-                    digest=CHECKSUM_MANIFEST, kind=KIND_UNPARSEABLE, detail=str(exc)
-                )
-            )
-    for rel in sorted(checksums):
-        file_path = os.path.join(path, *rel.split("/"))
-        if not os.path.exists(file_path):
-            findings.append(
-                IntegrityFinding(digest=rel, kind=KIND_MISSING, detail="file missing")
-            )
-            continue
-        with open(file_path, "rb") as fh:
-            actual = digest_bytes(fh.read())
-        if actual != checksums[rel]:
-            findings.append(
-                IntegrityFinding(
-                    digest=rel,
-                    kind=KIND_CHECKSUM_MISMATCH,
-                    detail=f"recorded {checksums[rel]}, content hashes to {actual}",
-                )
-            )
-    return findings, len(checksums)
+def load_source(path: str) -> Optional[OCILayout]:
+    """Load a saved layout best-effort (``verify=False``) for use as a
+    repair source or divergence baseline.
+
+    An unreadable one (missing, or an ``index.json`` that does not parse)
+    is skipped: None, and one stderr line naming it.
+    """
+    try:
+        return OCILayout.load(path, verify=False)
+    except (IntegrityError, OSError) as exc:
+        print(f"fsck: skipping unreadable layout {path}: {exc}", file=sys.stderr)
+        return None
 
 
 def fsck_directory(
@@ -152,8 +140,27 @@ def fsck_directory(
     ctx=None,
     telemetry=NULL_TELEMETRY,
 ) -> FsckReport:
-    """Scan (and optionally repair + rewrite) a saved layout directory."""
-    file_findings, files_checked = _scan_files(path)
+    """Scan (and optionally repair + rewrite) a saved layout directory.
+
+    Every file ``checksums.json`` records is checked and every mismatch
+    collected; an unreadable checksum manifest is one finding.
+    """
+    file_findings: List[IntegrityFinding] = []
+    try:
+        checksums = read_checksums(path)
+    except IntegrityError as exc:
+        checksums = {}
+        file_findings.append(exc.finding)
+    for rel in sorted(checksums):
+        try:
+            finding = read_layout_file(path, rel, checksums[rel])[1]
+        except FileNotFoundError:
+            finding = IntegrityFinding(digest=rel, kind=KIND_MISSING, detail="file missing")
+        except OSError as exc:
+            finding = IntegrityFinding(digest=rel, kind=KIND_UNPARSEABLE, detail=str(exc))
+        if finding is not None:
+            file_findings.append(finding)
+    files_checked = len(checksums)
     try:
         layout = OCILayout.load(path, verify=False)
     except (IntegrityError, OSError) as exc:
@@ -270,7 +277,7 @@ def fsck_federation(
             mirror_repair = RepairEngine(telemetry=telemetry)
             mirror_repair.add_registry(federation.origin, label="origin")
             for source in federation.repair_sources():
-                if source.registry is not mirror.registry:
+                if source.blobs is not mirror.registry.blobs:
                     mirror_repair.sources.append(source)
         report.replicas[name] = fsck_layout(
             mirror.registry, repair=mirror_repair, ctx=ctx,
@@ -287,35 +294,6 @@ def fsck_federation(
     return report
 
 
-def _layout_divergences(origin, replica) -> List[str]:
-    """Divergences of one saved replica layout from the origin layout
-    (same shape as :meth:`FederatedRegistry.divergences`)."""
-    problems: List[str] = []
-    origin_map = origin.manifest_map()
-    replica_map = replica.manifest_map()
-    for ref in sorted(origin_map):
-        theirs = replica_map.get(ref)
-        if theirs is None:
-            problems.append(f"missing reference {ref}")
-        elif theirs != origin_map[ref]:
-            problems.append(
-                f"divergent reference {ref}: origin {origin_map[ref]},"
-                f" replica {theirs}"
-            )
-    for ref in sorted(set(replica_map) - set(origin_map)):
-        problems.append(f"extra reference {ref}")
-    for digest in sorted(origin.referenced_digests()):
-        ours = origin.blobs.try_get(digest)
-        theirs = replica.blobs.try_get(digest)
-        if ours is None:
-            continue   # origin damage is its own fsck's finding
-        if theirs is None:
-            problems.append(f"missing blob {digest}")
-        elif theirs.as_bytes() != ours.as_bytes():
-            problems.append(f"divergent blob {digest}")
-    return problems
-
-
 def fsck_federation_directories(
     origin_path: str,
     replica_paths: List[str],
@@ -330,16 +308,11 @@ def fsck_federation_directories(
     every member heals from the others (the origin from replicas in the
     given order, each replica from the origin first) and repaired
     directories are atomically rewritten and re-verified.  Divergence is
-    then reported against the origin's post-repair state.
+    then reported against the origin's post-repair state.  Every layout
+    is read through :func:`load_source`, so an unreadable one is skipped
+    with one stderr line.
     """
-
-    def best_effort_load(path: str):
-        try:
-            return OCILayout.load(path, verify=False)
-        except (IntegrityError, OSError):
-            return None
-
-    replica_layouts = {path: best_effort_load(path) for path in replica_paths}
+    replica_layouts = {path: load_source(path) for path in replica_paths}
 
     origin_repair = None
     if repair:
@@ -352,7 +325,7 @@ def fsck_federation_directories(
             origin_path, repair=origin_repair, ctx=ctx, telemetry=telemetry
         )
     )
-    origin_layout = best_effort_load(origin_path)
+    origin_layout = load_source(origin_path)
 
     for path in replica_paths:
         replica_repair = None
@@ -362,22 +335,22 @@ def fsck_federation_directories(
                 replica_repair.add_layout(origin_layout, label="origin")
             for other, layout in replica_layouts.items():
                 if other != path and layout is not None:
-                    replica_repair.sources.append(
-                        LayoutSource(layout, label=f"replica:{other}")
-                    )
+                    replica_repair.add_layout(layout, label=f"replica:{other}")
         report.replicas[path] = fsck_directory(
             path, repair=replica_repair, ctx=ctx, telemetry=telemetry
         )
-        # Divergence against the (possibly just repaired) on-disk state.
-        replica_layout = best_effort_load(path)
+        # Divergence against the (possibly just repaired) on-disk state;
+        # a replica that was unreadable before stays unreadable (fsck
+        # cannot repair what it cannot load), so it is not re-read.
+        replica_layout = (load_source(path)
+                          if replica_layouts[path] is not None else None)
         if origin_layout is None:
             report.divergences[path] = ["origin layout unreadable"]
         elif replica_layout is None:
             report.divergences[path] = ["replica layout unreadable"]
         else:
-            report.divergences[path] = _layout_divergences(
-                origin_layout, replica_layout
-            )
+            refs, blobs = replica_divergences(origin_layout, replica_layout, "replica")
+            report.divergences[path] = refs + blobs
     return report
 
 
@@ -388,4 +361,5 @@ __all__ = [
     "fsck_federation",
     "fsck_federation_directories",
     "fsck_layout",
+    "load_source",
 ]

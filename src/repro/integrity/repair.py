@@ -13,10 +13,13 @@ available source, in registration order:
 Every candidate is re-hashed before it is trusted, and the store's copy
 is re-verified after the put (a hostile injector can corrupt the repair
 write too; the engine retries a bounded number of times and then gives
-up honestly).  When a :class:`repro.resilience.degrade.ResilienceContext`
-is supplied, source fetches and store writes flow through its
-:class:`RetryPolicy`, so transient faults during repair are absorbed the
-same way they are during transfer.
+up honestly).  Both checks are :meth:`repro.oci.blobs.BlobStore.intact`,
+and a replica of either kind (layout or registry) is one
+:class:`StoreSource` over its blob store.  When a
+:class:`repro.resilience.degrade.ResilienceContext` is supplied, source
+fetches and store writes flow through its :class:`RetryPolicy`, so
+transient faults during repair are absorbed the same way they are during
+transfer.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from repro.integrity import IntegrityError, IntegrityFinding
 from repro.telemetry import NULL_TELEMETRY
 
 #: How many times a repair re-writes the store copy when verification of
@@ -50,36 +52,16 @@ class RepairOutcome:
         }
 
 
-class LayoutSource:
-    """Repair source backed by another :class:`OCILayout`'s blob store."""
+class StoreSource:
+    """Repair source backed by a replica's blob store (a layout's or a
+    registry's): it supplies only copies that are stored intact."""
 
-    def __init__(self, layout, label: str = "layout") -> None:
-        self.layout = layout
+    def __init__(self, blobs, label: str) -> None:
+        self.blobs = blobs
         self.label = label
 
     def lookup(self, digest: str):
-        from repro.oci.blobs import check_blob
-
-        blob = self.layout.blobs.try_get(digest)
-        if blob is None or check_blob(blob) is not None:
-            return None
-        return blob
-
-
-class RegistrySource:
-    """Repair source backed by a registry replica's blob store."""
-
-    def __init__(self, registry, label: str = "registry") -> None:
-        self.registry = registry
-        self.label = label
-
-    def lookup(self, digest: str):
-        from repro.oci.blobs import check_blob
-
-        blob = self.registry.blobs.try_get(digest)
-        if blob is None or check_blob(blob) is not None:
-            return None
-        return blob
+        return self.blobs.intact(digest)
 
 
 class RegenerationSource:
@@ -98,8 +80,6 @@ class RegenerationSource:
         self._failed = False
 
     def lookup(self, digest: str):
-        from repro.oci.blobs import check_blob
-
         if self._failed:
             return None
         if self._layout is None:
@@ -108,10 +88,7 @@ class RegenerationSource:
             except Exception:
                 self._failed = True
                 return None
-        blob = self._layout.blobs.try_get(digest)
-        if blob is None or check_blob(blob) is not None:
-            return None
-        return blob
+        return self._layout.blobs.intact(digest)
 
 
 @dataclass
@@ -122,11 +99,11 @@ class RepairEngine:
     telemetry: object = NULL_TELEMETRY
 
     def add_layout(self, layout, label: str = "layout") -> "RepairEngine":
-        self.sources.append(LayoutSource(layout, label=label))
+        self.sources.append(StoreSource(layout.blobs, label=label))
         return self
 
     def add_registry(self, registry, label: str = "registry") -> "RepairEngine":
-        self.sources.append(RegistrySource(registry, label=label))
+        self.sources.append(StoreSource(registry.blobs, label=label))
         return self
 
     def add_regenerator(self, factory, label: str = "regenerate") -> "RepairEngine":
@@ -172,8 +149,7 @@ class RepairEngine:
                     ctx.retry(lambda c=candidate: store.put(c), site="integrity.repair")
                 else:
                     store.put(candidate)
-                stored = store.try_get(digest)
-                if stored is not None and check_blob(stored) is None:
+                if store.intact(digest) is not None:
                     store.release_quarantine(digest)
                     if self.telemetry.enabled:
                         self.telemetry.metrics.counter("integrity_repairs_total").inc()
@@ -211,9 +187,8 @@ class RepairEngine:
 
 __all__ = [
     "REWRITE_ATTEMPTS",
-    "LayoutSource",
-    "RegistrySource",
     "RegenerationSource",
     "RepairEngine",
     "RepairOutcome",
+    "StoreSource",
 ]

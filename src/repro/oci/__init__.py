@@ -9,6 +9,12 @@ Layers are *simulated tarballs*: an ordered list of typed entries whose
 digest is computed over a canonical JSON serialization (stable and cheap
 even for multi-hundred-MiB synthetic payloads).  ``Layer.to_tar_bytes``
 can materialize a real tar archive for layers whose contents are inline.
+
+Each integrity rule that layouts, registries, mirror sync, repair and
+fsck rely on is written once, here: the intact stored copy, a manifest's
+closure, the referenced set and the store audit in ``blobs``; resolving
+a manifest, the ``checksums.json`` reader and the replica-divergence
+report in ``layout``.
 """
 
 from repro.oci.apply import apply_layer, flatten_layers

@@ -10,13 +10,22 @@ raises a typed :class:`repro.integrity.IntegrityError` instead of ever
 returning silently wrong bytes.  Corrupt blobs can be quarantined — kept
 for forensics and repair, but unreachable through normal reads — by the
 integrity layer (:mod:`repro.integrity.repair`).
+
+This module owns the blob-level integrity rules every store shares:
+:meth:`Blob.decode` turns stored bytes into a typed blob,
+:meth:`BlobStore.intact` is the one "stored and re-hashes clean" lookup,
+:func:`manifest_closure` the one parser from a manifest blob to the
+digests it references, :meth:`BlobStore.closure_of` the referenced set
+of a store's root manifests, and :meth:`BlobStore.audit` the one store
+audit.  Layouts, registries, mirror sync, repair and fsck all go through
+them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.integrity import (
     KIND_DIGEST_MISMATCH,
@@ -27,7 +36,7 @@ from repro.integrity import (
 )
 from repro.oci import mediatypes
 from repro.oci.digest import digest_bytes
-from repro.oci.image import Descriptor
+from repro.oci.image import Descriptor, Manifest
 from repro.oci.layer import Layer
 from repro.telemetry import NULL_TELEMETRY
 
@@ -57,6 +66,22 @@ class Blob:
             size=layer.size,
             payload=layer,
         )
+
+    @staticmethod
+    def decode(media_type: str, digest: str, data: bytes) -> "Blob":
+        """The typed blob that stored *data* declares to be *digest*.
+
+        Simulated layer blobs parse into a :class:`Layer` (and raise
+        whatever an unparseable serialization raises); any other media
+        type keeps the raw bytes.  Nothing is verified here: the caller
+        re-hashes with :func:`check_blob` when it must.
+        """
+        if media_type == mediatypes.SIM_LAYER:
+            layer = Layer.from_bytes(data)
+            return Blob(media_type=media_type, digest=digest,
+                        size=layer.size, payload=layer)
+        return Blob(media_type=media_type, digest=digest,
+                    size=len(data), payload=data)
 
     def descriptor(self) -> Descriptor:
         return Descriptor(self.media_type, self.digest, self.size)
@@ -103,6 +128,23 @@ def check_blob(blob: Blob) -> Optional[IntegrityFinding]:
             detail=f"declared {blob.size} bytes, stored {len(blob.payload)}",
         )
     return None
+
+
+def manifest_closure(blob: Optional[Blob]) -> Optional[Tuple[str, ...]]:
+    """The digests a manifest blob references: itself, its config and its
+    layers (:meth:`Manifest.closure`).
+
+    ``None`` when there is no blob or its bytes do not parse as a
+    manifest.  The bytes are read as stored, never re-hashed: callers
+    that must trust them pass a :meth:`BlobStore.intact` copy.
+    """
+    if blob is None:
+        return None
+    try:
+        manifest = Manifest.from_json(blob.as_json())
+    except (ValueError, KeyError, TypeError):
+        return None
+    return manifest.closure(blob.digest)
 
 
 class BlobStore:
@@ -190,20 +232,54 @@ class BlobStore:
             self._verified.discard(blob.digest)
         raise IntegrityError(site="blob.write", finding=finding)
 
+    def intact(self, digest: str) -> Optional[Blob]:
+        """The stored copy of *digest* when it re-hashes clean, else None
+        (absent, quarantined or corrupt).
+
+        Unlike :meth:`get` it neither arms ``blob.read`` nor consults or
+        updates the verified-read memo: every call re-hashes.
+        """
+        blob = self._blobs.get(digest)
+        if blob is None or check_blob(blob) is not None:
+            return None
+        return blob
+
     def missing_of(self, digests) -> List[str]:
-        """The subset of *digests* not stored intact (absent, quarantined,
-        or failing re-hash), in sorted order.
+        """The subset of *digests* not stored :meth:`intact`, sorted.
 
         The mirror-sync diff uses this to fetch only what a replica
         actually lacks; a blob present but corrupt counts as missing so
         an incremental sync also heals rotten replicas.
         """
-        missing = []
-        for digest in digests:
-            blob = self._blobs.get(digest)
-            if blob is None or check_blob(blob) is not None:
-                missing.append(digest)
-        return sorted(missing)
+        return sorted([d for d in digests if self.intact(d) is None])
+
+    def closure_of(self, manifests: Iterable[str]) -> Set[str]:
+        """Every digest the *manifests* reference, read as stored.
+
+        Each manifest digest counts itself; a stored manifest that parses
+        adds its :func:`manifest_closure`.  Nothing is re-hashed, so a
+        rotten manifest's closure is read as it stands, and an absent or
+        unparseable one keeps only its own digest: fsck and repair still
+        target it, and its closure is reachable again once it is restored.
+        """
+        refs: Set[str] = set()
+        for digest in manifests:
+            refs.add(digest)
+            refs.update(manifest_closure(self._blobs.get(digest)) or ())
+        return refs
+
+    def audit(self, referenced: Set[str]) -> List[str]:
+        """Store invariants against the *referenced* digests: no corrupt,
+        missing (a quarantined blob counts as missing) or orphaned blobs.
+
+        Returns human-readable problems, empty when healthy.
+        """
+        problems = [str(f) for f in self.verify_integrity()]
+        problems += [f"missing referenced blob {d}"
+                     for d in referenced if d not in self._blobs]
+        problems += [f"orphaned blob {d}"
+                     for d in self.digests() if d not in referenced]
+        return problems
 
     def put_bytes(self, data: bytes, media_type: str) -> Descriptor:
         return self.put(Blob.from_bytes(data, media_type))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.oci import mediatypes
 from repro.oci.digest import canonical_json, digest_bytes
@@ -153,6 +153,11 @@ class Manifest:
             len(data),
             annotations=dict(annotations or {}),
         )
+
+    def closure(self, digest: str) -> Tuple[str, ...]:
+        """Every blob digest this manifest (stored as *digest*) references:
+        itself, its config, then its layers in order."""
+        return (digest, self.config.digest, *(ld.digest for ld in self.layers))
 
     @property
     def total_layer_size(self) -> int:

@@ -12,6 +12,16 @@ everything in a sibling temp directory with a per-file checksum manifest
 never observe a half-written layout.  :meth:`OCILayout.load` verifies
 every file against that manifest (and every blob against its digest)
 and raises a typed :class:`repro.integrity.IntegrityError` on mismatch.
+
+Besides the blob-level rules of :mod:`repro.oci.blobs`, this module owns
+three integrity rules that the registry, mirror sync and fsck share:
+:func:`resolve_manifest` (resolve a manifest over any blob lookup; the
+caller Merkle-checks with :meth:`ResolvedImage.check`),
+:func:`read_checksums` with :func:`read_layout_file` (the one
+``checksums.json`` reader and per-file check), and
+:func:`replica_divergences` (the one replica-divergence report).  The
+saved-layout readers are total: a file of the wrong shape is a typed
+``IntegrityError``, never a ``KeyError`` or ``AttributeError``.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ import json
 import os
 import shutil
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.integrity import (
     KIND_CHECKSUM_MISMATCH,
@@ -208,39 +218,22 @@ class OCILayout:
     # ------------------------------------------------------------------
 
     def resolve(self, tag: str) -> ResolvedImage:
-        desc = self.manifest_descriptor(tag)
-        return self.resolve_descriptor(desc)
-
-    def resolve_descriptor(self, desc: Descriptor) -> ResolvedImage:
-        manifest = Manifest.from_json(self.blobs.get(desc.digest).as_json())
-        config = ImageConfig.from_json(self.blobs.get(manifest.config.digest).as_json())
-        layers = [self.blobs.get_layer(ld.digest) for ld in manifest.layers]
-        return ResolvedImage(manifest=manifest, config=config, layers=layers)
+        """Resolve *tag* through verified reads (no Merkle walk)."""
+        return resolve_manifest(self.blobs.get, self.manifest_descriptor(tag).digest)
 
     # ------------------------------------------------------------------
     # garbage collection & invariants
     # ------------------------------------------------------------------
 
     def referenced_digests(self) -> set:
-        """Every blob digest reachable from an index descriptor."""
-        refs: set = set()
-        for desc in self.index:
-            refs.add(desc.digest)
-            if desc.media_type != mediatypes.IMAGE_MANIFEST:
-                continue
-            blob = self.blobs.try_get(desc.digest)
-            if blob is None:
-                continue
-            try:
-                manifest = Manifest.from_json(blob.as_json())
-            except (ValueError, KeyError, TypeError):
-                # A corrupted manifest blob: its own digest stays
-                # referenced (so fsck/repair target it); the closure
-                # becomes reachable again once it is restored.
-                continue
-            refs.add(manifest.config.digest)
-            refs.update(ld.digest for ld in manifest.layers)
-        return refs
+        """Every blob digest reachable from an index descriptor.
+
+        Every descriptor is a root, side blobs included; only image
+        manifests expand into their closure (:meth:`BlobStore.closure_of`).
+        """
+        return {d.digest for d in self.index} | self.blobs.closure_of(
+            d.digest for d in self.index
+            if d.media_type == mediatypes.IMAGE_MANIFEST)
 
     def gc(self) -> int:
         """Drop blobs unreachable from the index; returns the count removed.
@@ -257,16 +250,9 @@ class OCILayout:
         return len(orphans)
 
     def audit(self) -> List[str]:
-        """Layout invariants: no missing, truncated, or orphaned blobs."""
-        problems = [str(f) for f in self.blobs.verify_integrity()]
-        reachable = self.referenced_digests()
-        for digest in reachable:
-            if digest not in self.blobs:
-                problems.append(f"missing referenced blob {digest}")
-        for digest in self.blobs.digests():
-            if digest not in reachable:
-                problems.append(f"orphaned blob {digest}")
-        return problems
+        """Layout invariants (:meth:`BlobStore.audit`): no corrupt,
+        missing or orphaned blobs."""
+        return self.blobs.audit(self.referenced_digests())
 
     # ------------------------------------------------------------------
     # persistence (inspection/debugging; blobs serialize as canonical JSON)
@@ -340,93 +326,167 @@ class OCILayout:
         ``checksums.json`` manifest when one exists, and every blob is
         re-hashed against its filename digest; any mismatch raises a
         typed :class:`IntegrityError` naming the offending file.  With
-        *verify* off, corrupt or unparseable blobs are loaded best-effort
-        (or skipped) so ``fsck`` can inspect a damaged layout.
+        *verify* off, checksums are ignored and corrupt or unparseable
+        blobs are loaded best-effort (or skipped) so ``fsck`` can inspect
+        a damaged layout.  An ``index.json`` that is not
+        ``{"manifests": [descriptor, ...]}`` raises in both modes.
         """
-        checksums: Dict[str, str] = {}
-        manifest_path = os.path.join(directory, CHECKSUM_MANIFEST)
-        if os.path.exists(manifest_path):
-            try:
-                with open(manifest_path, encoding="utf-8") as fh:
-                    checksums = dict(json.load(fh).get("files", {}))
-            except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-                if verify:
-                    raise IntegrityError(
-                        site="layout.load",
-                        digest=CHECKSUM_MANIFEST,
-                        detail=f"checksum manifest unreadable: {exc}",
-                    ) from exc
+        checksums = read_checksums(directory) if verify else {}
 
         def read_file(relpath: str) -> bytes:
-            with open(os.path.join(directory, *relpath.split("/")), "rb") as fh:
-                data = fh.read()
-            if verify and relpath in checksums:
-                actual = digest_bytes(data)
-                if actual != checksums[relpath]:
-                    raise IntegrityError(
-                        site="layout.load",
-                        finding=IntegrityFinding(
-                            digest=relpath,
-                            kind=KIND_CHECKSUM_MISMATCH,
-                            detail=(
-                                f"recorded {checksums[relpath]}, "
-                                f"content hashes to {actual}"
-                            ),
-                        ),
-                    )
+            data, finding = read_layout_file(directory, relpath, checksums.get(relpath))
+            if finding is not None:
+                raise IntegrityError(site="layout.load", finding=finding)
             return data
 
         layout = OCILayout()
-        index_data = read_file("index.json")
-        try:
-            index = json.loads(index_data.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise IntegrityError(
-                site="layout.load",
-                finding=IntegrityFinding(
-                    digest="index.json", kind=KIND_UNPARSEABLE, detail=str(exc)
-                ),
-            ) from exc
-        layout.index = [Descriptor.from_json(d) for d in index.get("manifests", [])]
+        layout.index = _index_descriptors(read_file("index.json"))
         blob_dir = os.path.join(directory, "blobs", "sha256")
         if os.path.isdir(blob_dir):
             for name in sorted(os.listdir(blob_dir)):
                 data = read_file(f"blobs/sha256/{name}")
                 declared = "sha256:" + name
-                media_type = _sniff_media_type(data)
-                if media_type == mediatypes.SIM_LAYER:
-                    try:
-                        layer = Layer.from_bytes(data)
-                    except Exception as exc:
-                        if verify:
-                            raise IntegrityError(
-                                site="layout.load",
-                                finding=IntegrityFinding(
-                                    digest=declared,
-                                    kind=KIND_UNPARSEABLE,
-                                    detail=f"layer blob unparseable: {exc}",
-                                ),
-                            ) from exc
-                        continue
-                    blob = Blob(
-                        media_type=media_type,
-                        digest=declared,
-                        size=layer.size,
-                        payload=layer,
-                    )
-                else:
-                    blob = Blob(
-                        media_type=media_type,
-                        digest=declared,
-                        size=len(data),
-                        payload=data,
-                    )
+                try:
+                    blob = Blob.decode(_sniff_media_type(data), declared, data)
+                except Exception as exc:
+                    if verify:
+                        raise IntegrityError(
+                            site="layout.load",
+                            finding=IntegrityFinding(
+                                digest=declared,
+                                kind=KIND_UNPARSEABLE,
+                                detail=f"layer blob unparseable: {exc}",
+                            ),
+                        ) from exc
+                    continue
                 if verify:
                     finding = check_blob(blob)
                     if finding is not None:
                         raise IntegrityError(site="layout.load", finding=finding)
                 layout.blobs.put(blob)
         return layout
+
+
+def resolve_manifest(lookup: Callable[[str], Blob], digest: str) -> ResolvedImage:
+    """Resolve the manifest stored as *digest* through *lookup*, one call
+    per blob: the manifest, its config, then each layer in order.
+
+    The lookup decides how far each blob is trusted (a verified
+    :meth:`BlobStore.get`, or staged bytes then stored ones); callers
+    that need the Merkle walk follow with :meth:`ResolvedImage.check`.
+    """
+    manifest = Manifest.from_json(lookup(digest).as_json())
+    config = ImageConfig.from_json(lookup(manifest.config.digest).as_json())
+    layers = [lookup(ld.digest).as_layer() for ld in manifest.layers]
+    return ResolvedImage(manifest=manifest, config=config, layers=layers)
+
+
+def _is_str_map(obj) -> bool:
+    return isinstance(obj, dict) and all(
+        isinstance(k, str) and isinstance(v, str) for k, v in obj.items())
+
+
+def _is_descriptor(obj) -> bool:
+    """An OCI descriptor object: string ``mediaType`` and ``digest``, an
+    integer ``size`` and, optionally, string-to-string ``annotations``."""
+    return (isinstance(obj, dict)
+            and isinstance(obj.get("mediaType"), str)
+            and isinstance(obj.get("digest"), str)
+            and type(obj.get("size")) is int
+            and _is_str_map(obj.get("annotations", {})))
+
+
+def _unparseable(relpath: str, detail: str) -> IntegrityError:
+    return IntegrityError(site="layout.load", finding=IntegrityFinding(
+        digest=relpath, kind=KIND_UNPARSEABLE, detail=detail))
+
+
+def _index_descriptors(data: bytes) -> List[Descriptor]:
+    """The descriptors of a saved ``index.json``; raises a typed
+    :class:`IntegrityError` unless it is ``{"manifests": [descriptor, ...]}``."""
+    try:
+        index = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise _unparseable("index.json", str(exc)) from exc
+    manifests = index.get("manifests") if isinstance(index, dict) else None
+    if not isinstance(manifests, list) or not all(map(_is_descriptor, manifests)):
+        raise _unparseable("index.json", 'not {"manifests": [descriptor, ...]}')
+    return [Descriptor.from_json(d) for d in manifests]
+
+
+def read_checksums(directory: str) -> Dict[str, str]:
+    """The ``{relpath: sha256 digest}`` map a save recorded in the saved
+    layout's ``checksums.json``; empty when the directory has none.
+
+    Raises a typed :class:`IntegrityError` (``KIND_UNPARSEABLE``) when
+    the file cannot be read or is not ``{"files": {path: digest}}``.
+    """
+    path = os.path.join(directory, CHECKSUM_MANIFEST)
+    if not os.path.exists(path):
+        return {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise _unparseable(CHECKSUM_MANIFEST, str(exc)) from exc
+    files = doc.get("files") if isinstance(doc, dict) else None
+    if not _is_str_map(files):
+        raise _unparseable(CHECKSUM_MANIFEST, 'not {"files": {path: digest}}')
+    return files
+
+
+def read_layout_file(
+    directory: str, relpath: str, recorded: Optional[str]
+) -> Tuple[bytes, Optional[IntegrityFinding]]:
+    """One file of a saved layout, checked against its *recorded* digest.
+
+    Returns the bytes and a ``KIND_CHECKSUM_MISMATCH`` finding when they
+    do not hash to *recorded* (None: nothing recorded, nothing checked).
+    A file that cannot be read raises :class:`OSError`.
+    """
+    with open(os.path.join(directory, *relpath.split("/")), "rb") as fh:
+        data = fh.read()
+    if recorded is None:
+        return data, None
+    actual = digest_bytes(data)
+    if actual == recorded:
+        return data, None
+    return data, IntegrityFinding(
+        digest=relpath, kind=KIND_CHECKSUM_MISMATCH,
+        detail=f"recorded {recorded}, content hashes to {actual}")
+
+
+def replica_divergences(origin, replica, label: str) -> Tuple[List[str], List[str]]:
+    """How *replica* diverges from *origin*: (reference problems, blob
+    problems), each human-readable and in report order.
+
+    Both stores offer ``manifest_map()``, ``referenced_digests()`` and
+    ``blobs`` (layouts and registries alike); *label* names the replica
+    in a divergent-reference line.  A blob the origin itself lacks is the
+    origin's own audit finding, not a divergence.
+    """
+    refs: List[str] = []
+    origin_map = origin.manifest_map()
+    replica_map = replica.manifest_map()
+    for ref in sorted(origin_map):
+        theirs = replica_map.get(ref)
+        if theirs is None:
+            refs.append(f"missing reference {ref}")
+        elif theirs != origin_map[ref]:
+            refs.append(f"divergent reference {ref}: origin {origin_map[ref]},"
+                        f" {label} {theirs}")
+    refs += [f"extra reference {ref}" for ref in sorted(set(replica_map) - set(origin_map))]
+    blobs: List[str] = []
+    for digest in sorted(origin.referenced_digests()):
+        ours = origin.blobs.try_get(digest)
+        theirs = replica.blobs.try_get(digest)
+        if ours is None:
+            continue
+        if theirs is None:
+            blobs.append(f"missing blob {digest}")
+        elif theirs.as_bytes() != ours.as_bytes():
+            blobs.append(f"divergent blob {digest}")
+    return refs, blobs
 
 
 def _sniff_media_type(data: bytes) -> str:

@@ -3,6 +3,13 @@
 Stores manifests by repository name and tag, sharing one blob store, so
 user-side push and system-side pull of extended images can be simulated
 end to end.
+
+The integrity rules are the ones layouts use: a pull resolves through
+:func:`~repro.oci.layout.resolve_manifest` and Merkle-checks the result,
+and the referenced set and the audit come from
+:meth:`~repro.oci.blobs.BlobStore.closure_of` and
+:meth:`~repro.oci.blobs.BlobStore.audit`.  Only the roots differ: a
+registry's are its tagged manifests plus its published artifact caches.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from repro.oci import mediatypes
 from repro.oci.blobs import Blob, BlobStore
 from repro.oci.image import ImageConfig, Manifest
 from repro.oci.layer import Layer
-from repro.oci.layout import OCILayout, ResolvedImage
+from repro.oci.layout import OCILayout, ResolvedImage, resolve_manifest
 from repro.telemetry import NULL_TELEMETRY
 
 
@@ -235,10 +242,7 @@ class ImageRegistry:
                 f"image not found in registry: {reference!r}",
                 suggestion=self._nearest_tag(name, tag),
             ) from None
-        manifest = Manifest.from_json(self.blobs.get(digest).as_json())
-        config = ImageConfig.from_json(self.blobs.get(manifest.config.digest).as_json())
-        layers = [self.blobs.get_layer(ld.digest) for ld in manifest.layers]
-        resolved = ResolvedImage(manifest=manifest, config=config, layers=layers)
+        resolved = resolve_manifest(self.blobs.get, digest)
         if self.blobs.verify_reads:
             # Merkle walk: even content that individually hashed clean must
             # chain manifest -> config -> layers before a pull returns it.
@@ -247,11 +251,7 @@ class ImageRegistry:
             members = self._merkle_verified.get(digest)
             if members is None or not all(self.blobs.is_verified(d) for d in members):
                 resolved.check("registry.pull")
-                self._merkle_verified[digest] = (
-                    digest,
-                    manifest.config.digest,
-                    *(ld.digest for ld in manifest.layers),
-                )
+                self._merkle_verified[digest] = resolved.manifest.closure(digest)
                 if self.telemetry.enabled:
                     self.telemetry.metrics.counter(
                         "registry_merkle_walks_total").inc()
@@ -307,35 +307,14 @@ class ImageRegistry:
     def referenced_digests(self) -> set:
         """Every blob digest reachable from a tagged manifest or a
         published artifact cache."""
-        refs: set = set(self._artifact_caches.values())
-        for digest in self._manifests.values():
-            refs.add(digest)
-            blob = self.blobs.try_get(digest)
-            if blob is None:
-                continue
-            try:
-                manifest = Manifest.from_json(blob.as_json())
-            except (ValueError, KeyError, TypeError):
-                # A corrupted manifest blob: keep it referenced so
-                # fsck/repair target it; skip the unreadable closure.
-                continue
-            refs.add(manifest.config.digest)
-            refs.update(ld.digest for ld in manifest.layers)
-        return refs
+        return set(self._artifact_caches.values()) | self.blobs.closure_of(
+            self._manifests.values())
 
     def audit(self) -> List[str]:
-        """Store invariants: no missing, truncated, or orphaned blobs.
+        """Store invariants (:meth:`BlobStore.audit`): no corrupt, missing
+        or orphaned blobs.
 
-        Returns a list of human-readable problems (empty when healthy).
         Chaos tests assert this stays empty no matter where transfers were
         interrupted — a retried push must never strand partial state.
         """
-        problems = [str(f) for f in self.blobs.verify_integrity()]
-        reachable = self.referenced_digests()
-        for digest in reachable:
-            if digest not in self.blobs:
-                problems.append(f"missing referenced blob {digest}")
-        for digest in self.blobs.digests():
-            if digest not in reachable:
-                problems.append(f"orphaned blob {digest}")
-        return problems
+        return self.blobs.audit(self.referenced_digests())

@@ -171,7 +171,7 @@ class TestCorruptManifestTraversal:
         assert registry.audit()                 # loudly unhealthy, no crash
 
     def test_layout_repairable_after_manifest_rot(self):
-        from repro.integrity.repair import LayoutSource, RepairEngine
+        from repro.integrity.repair import RepairEngine
 
         pristine, damaged = OCILayout(), OCILayout()
         manifest, config, layer = _make_image()
