@@ -32,9 +32,10 @@
 #   make bench-pairs BASE=rev W=workload [PAIRS=10] [SEED=7] [CLAIM=W:METRIC] OUT=dir
 #                - alternating parent/change harness pairs, merged and compared
 #   make harness-test - the wall-clock harness's self-tests
-#   make profile W=workload [OPS=30] [SEED=7]
+#   make profile W=workload [OPS=30] [SEED=7] [FN=name[,name...]]
 #                - cProfile of one workload's timed ops: top repro functions
-#                  with calls per op and share of the profiled time
+#                  with calls per op and share of the profiled time (with
+#                  FN, also every repro function of those names)
 #   make loc [BASE=rev] - code and docstring/comment lines of src/ (per
 #                file and total; with BASE, BASE's counts and the delta)
 
@@ -174,9 +175,11 @@ harness-test:
 # checks run outside the profile.  SEED is passed only when given, so the
 # script's own default (7) applies otherwise.
 profile:
-	$(if $(W),,$(error usage: make profile W=<workload> [OPS=30] [SEED=7]))
+	$(if $(W),,$(error usage: make profile W=<workload> [OPS=30] [SEED=7] \
+	    [FN=name[,name...]]))
 	$(PYTHON) scripts/profile_ops.py $(W) $(if $(OPS),--ops $(OPS)) \
-	    $(if $(filter-out file,$(origin SEED)),--seed $(SEED))
+	    $(if $(filter-out file,$(origin SEED)),--seed $(SEED)) \
+	    $(if $(FN),--fn $(FN))
 
 loc:
 	$(PYTHON) scripts/loc.py $(BASE)

@@ -1,14 +1,18 @@
 """Profile the timed region of one harness workload.
 
-    python scripts/profile_ops.py WORKLOAD [--ops 30] [--seed 7]
+    python scripts/profile_ops.py WORKLOAD [--ops 30] [--seed 7] [--fn NAME[,NAME...]]
 
 Builds the workload from ``benchmarks.harness.workloads`` in this process
 (its set-up is not profiled), then runs ``workload.run(i)`` for each op
 under one cProfile, the region the harness times, and ``check(i, out)``
 outside it, as the harness does.  Prints the top 25 ``repro`` functions
 by cumulative time, each with its calls per op, its cumulative milliseconds
-per op and its share of the profiled time.  For a given workload, seed
-and op count the call counts repeat exactly; the times do not.
+per op and its share of the profiled time.  With ``--fn`` it then prints
+the calls per op and cumulative milliseconds per op of every ``repro``
+function with one of those names, in or out of the top 25, so a count
+that falls out of the top can still be read before and after a change.
+For a given workload, seed and op count the call counts repeat exactly;
+the times do not.
 """
 
 import argparse
@@ -46,6 +50,18 @@ def report(stats, ops, profiled_s, top=TOP):
     return lines
 
 
+def named(stats, ops, names):
+    """Table lines for every ``repro`` function of a pstats *stats* dict
+    whose name is in *names*, ordered by label: calls per op and
+    cumulative milliseconds per op."""
+    rows = sorted((label(key), entry) for key, entry in stats.items()
+                  if MARKER in key[0] and key[2] in names)
+    lines = [f"{'calls/op':>10} {'cum ms/op':>10}  function"]
+    for name, (_, calls, _, cumulative, _) in rows:
+        lines.append(f"{calls / ops:>10.1f} {cumulative * 1e3 / ops:>10.3f}  {name}")
+    return lines
+
+
 def profile(name, seed, ops):
     """(pstats dict, set-up seconds, profiled wall-clock seconds) of *ops*
     ops of workload *name* at *seed*."""
@@ -75,11 +91,17 @@ def main(argv=None):
     parser.add_argument("workload")
     parser.add_argument("--ops", type=int, default=30)
     parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--fn", default="", metavar="NAME[,NAME...]",
+                        help="also list every repro function of these names")
     args = parser.parse_args(argv)
     stats, setup_s, profiled_s = profile(args.workload, args.seed, args.ops)
     print(f"# {args.workload} seed {args.seed}: {args.ops} ops,"
           f" {profiled_s:.2f} s profiled (set-up {setup_s:.2f} s, not profiled)")
     print("\n".join(report(stats, args.ops, profiled_s)))
+    if args.fn:
+        names = args.fn.split(",")
+        print(f"# functions named {', '.join(names)}")
+        print("\n".join(named(stats, args.ops, set(names))))
     return 0
 
 

@@ -6,11 +6,18 @@ per sync attempt:
 
 1. **Diff** — compare the origin's ``name:tag -> manifest digest`` map
    (a fault-transparent metadata read) with the mirror's; only changed
-   references proceed.  The blob want-list is the referenced closure of
-   the changed manifests (:func:`~repro.oci.blobs.manifest_closure`)
-   minus whatever the mirror already stores *intact*
-   (:meth:`~repro.oci.blobs.BlobStore.intact`) — a blob present but
-   rotten counts as missing, so sync also heals replicas.
+   references proceed.  A reference whose tag is already current is
+   health-checked at rest: it re-opens when the replica's manifest is not
+   stored intact (:meth:`~repro.oci.blobs.BlobStore.intact`) or a blob of
+   its closure is not.  The current references' closures are pooled, so
+   each distinct blob is checked once per plan, and a stored object
+   already checked answers from its own memo: an in-sync mirror costs
+   the catalogue diff plus one memo read per distinct blob, and a rotten
+   replica blob is still hashed, found and healed by the next sync.  The
+   blob want-list is the referenced closure of the changed manifests
+   (:func:`~repro.oci.blobs.manifest_closure`) minus whatever the mirror
+   already stores intact — a blob present but rotten counts as missing,
+   so sync also heals replicas.
 2. **Stage** — fetch each wanted blob from the origin in fixed-size
    chunks into the mirror's shadow staging area.  Every chunk arms the
    ``transfer.chunk`` fault site (a transient fault aborts the sync
@@ -22,7 +29,8 @@ per sync attempt:
    A mismatch is localized by re-hashing chunks against the origin's
    chunk plan; only the damaged chunks are discarded from the ledger and
    re-fetched (bounded attempts).  Staged bytes become typed blobs through
-   :meth:`~repro.oci.blobs.Blob.decode`.  Changed references are then
+   :meth:`~repro.oci.blobs.Blob.decode`, once per staged blob: the typed
+   blob that verified is the one promoted.  Changed references are then
    Merkle-verified end to end (manifest → config → layers) against the
    staged + stored blobs (:func:`~repro.oci.layout.resolve_manifest`).
 4. **Promote** — write the verified blobs into the mirror's registry
@@ -162,26 +170,33 @@ class SyncEngine:
     def plan(self, mirror) -> Tuple[Dict[str, str], Dict[str, str], List[str]]:
         """(changed references, changed artifact caches, wanted blobs).
 
-        Metadata-only: uses the fault-transparent ``manifest_map`` probes
-        plus origin blob reads for the changed manifests, so an in-sync
-        mirror costs one catalogue diff and zero transfers.
+        Uses the fault-transparent ``manifest_map`` probes, a local
+        health check of the replica and origin blob reads for the changed
+        manifests only.  The health check makes one
+        :meth:`~repro.oci.blobs.BlobStore.missing_of` call over the pooled
+        closures of the current references, so each distinct blob is
+        checked once however many references share it; a stored object
+        already checked answers from its memo.  An in-sync mirror costs
+        the catalogue diff, one memo read per distinct blob and zero
+        transfers.  *changed* keeps the origin catalogue's order.
         """
         origin_map = self.origin.manifest_map()
         mirror_map = mirror.registry.manifest_map()
         stored = mirror.registry.blobs
-        changed: Dict[str, str] = {}
+        # Tag already current: a purely local health check of the
+        # replica's referenced closure (no origin reads, no transfer)
+        # re-opens the reference when its manifest is absent, rotten or
+        # unparseable, or a closure blob is not intact, so an incremental
+        # sync also heals rotten replicas.
+        closures: Dict[str, Tuple[str, ...]] = {}
         for ref, digest in origin_map.items():
-            if mirror_map.get(ref) != digest:
-                changed[ref] = digest
-                continue
-            # Tag already current: a purely local health check of the
-            # replica's referenced closure (no origin reads, no transfer)
-            # re-opens the reference when its manifest is absent, rotten
-            # or unparseable, or a closure blob is not intact, so an
-            # incremental sync also heals rotten replicas.
-            closure = manifest_closure(stored.intact(digest))
-            if closure is None or stored.missing_of(closure):
-                changed[ref] = digest
+            if mirror_map.get(ref) == digest:
+                closure = manifest_closure(stored.intact(digest))
+                if closure is not None:
+                    closures[ref] = closure
+        missing = set(stored.missing_of(set().union(*closures.values())))
+        changed = {ref: digest for ref, digest in origin_map.items()
+                   if ref not in closures or not missing.isdisjoint(closures[ref])}
         caches: Dict[str, str] = {}
         for repo in self.origin.repositories():
             blob = self.origin.get_artifact_cache(repo)
@@ -212,10 +227,12 @@ class SyncEngine:
             self.injector, f"transfer-ledger:{mirror.name}",
             mirror.ledger.to_bytes())
 
-    def _stage_blob(self, mirror, digest: str, report: SyncReport) -> bytes:
+    def _stage_blob(self, mirror, digest: str, report: SyncReport) -> Blob:
         """Bring one blob fully into the mirror's staging area, verified.
 
-        Returns the verified staged bytes.  Chunks already recorded in
+        Returns the typed blob the staged bytes decoded to, which
+        :func:`~repro.oci.blobs.check_blob` found intact (and remembers
+        so).  Chunks already recorded in
         the ledger whose staged bytes still re-hash clean are skipped
         (resume); everything else is fetched, with corruption localized
         to chunks and bounded re-fetch attempts.
@@ -271,7 +288,7 @@ class SyncEngine:
             except Exception:
                 blob = None   # unparseable staging == corrupt
             if blob is not None and check_blob(blob) is None:
-                return staged
+                return blob
             # Localize the damage: only chunks whose staged bytes differ
             # from the origin's chunk plan re-transfer.
             bad = 0
@@ -339,9 +356,11 @@ class SyncEngine:
         # Stage + verify every wanted blob before touching the registry.
         staged: Dict[str, Blob] = {}
         for digest in wanted:
-            data = self._stage_blob(mirror, digest, report)
-            media_type = self.origin.blobs.get(digest).media_type
-            blob = Blob.decode(media_type, digest, data)
+            blob = self._stage_blob(mirror, digest, report)
+            # A verified origin read per staged blob: it arms
+            # ``blob.read`` on the origin's store, whose seeded fault
+            # stream chaos runs replay.
+            self.origin.blobs.get(digest)
             finding = check_blob(blob)
             if finding is not None:   # defense in depth; staging verified
                 raise IntegrityError(site="mirror.stage", finding=finding)

@@ -10,12 +10,13 @@ available source, in registration order:
 3. regeneration — re-running the process-model build path to
    reproduce the content from scratch.
 
-Every candidate is re-hashed before it is trusted, and the store's copy
-is re-verified after the put (a hostile injector can corrupt the repair
+Every candidate is checked before it is trusted, and the store's copy
+is checked again after the put (a hostile injector can corrupt the repair
 write too; the engine retries a bounded number of times and then gives
 up honestly).  Both checks are :meth:`repro.oci.blobs.BlobStore.intact`,
-and a replica of either kind (layout or registry) is one
-:class:`StoreSource` over its blob store.  When a
+which hashes each stored object once (a corrupted write stores a new
+object, so it is hashed), and a replica of either kind (layout or
+registry) is one :class:`StoreSource` over its blob store.  When a
 :class:`repro.resilience.degrade.ResilienceContext` is supplied, source
 fetches and store writes flow through its :class:`RetryPolicy`, so
 transient faults during repair are absorbed the same way they are during

@@ -19,6 +19,14 @@ digests it references, :meth:`BlobStore.closure_of` the referenced set
 of a store's root manifests, and :meth:`BlobStore.audit` the one store
 audit.  Layouts, registries, mirror sync, repair and fsck all go through
 them.
+
+A :class:`Blob` with a ``bytes`` payload remembers its :func:`check_blob`
+verdict and its :func:`manifest_closure` the first time either is asked
+for, so each stored object is hashed and parsed once however often it is
+checked.  The memo lives on the object: a frozen dataclass over immutable
+bytes cannot go stale, and every way a stored blob rots (a corrupting
+put or transfer, a repair write, a layout loaded from disk, a direct
+replacement) stores a new object, which is hashed afresh.
 """
 
 from __future__ import annotations
@@ -47,7 +55,12 @@ VERIFY_READS_DEFAULT = True
 
 @dataclass(frozen=True)
 class Blob:
-    """A stored payload plus its descriptor identity."""
+    """A stored payload plus its descriptor identity.
+
+    With a ``bytes`` payload it also carries, once asked, the memo of
+    :func:`check_blob` and :func:`manifest_closure` (see the module
+    docstring): a changed payload is always a new object.
+    """
 
     media_type: str
     digest: str
@@ -100,12 +113,32 @@ class Blob:
         return json.loads(self.as_bytes().decode("utf-8"))
 
 
+def _remembered(blob: Blob, name: str, compute):
+    """``compute(blob)``, remembered on *blob* under *name* when its payload
+    is ``bytes``.
+
+    A frozen dataclass over immutable bytes cannot change under the memo;
+    a ``bytearray`` could, so it is recomputed on every call.  The memo
+    is written to the instance dict, as :func:`functools.cached_property`
+    does, so the dataclass's fields, equality and hash are untouched.
+    """
+    if not isinstance(blob.payload, bytes):
+        return compute(blob)
+    memo = blob.__dict__
+    if name not in memo:
+        memo[name] = compute(blob)
+    return memo[name]
+
+
 def check_blob(blob: Blob) -> Optional[IntegrityFinding]:
     """Recompute *blob*'s content identity against its descriptor.
 
     Layer digests cover entry identities; content types with declared
     digests (e.g. PaddedContent) are not recomputable from serialized
-    bytes, so for Layer payloads the stored object itself is verified.
+    bytes, so for Layer payloads the stored object itself is verified,
+    through :attr:`Layer.digest` (memoised by the layer, reset by
+    :meth:`Layer.add`).  A ``bytes`` payload is hashed the first time its
+    blob is checked and the verdict remembered on the blob object.
     Returns ``None`` when the blob is intact.
     """
     if isinstance(blob.payload, Layer):
@@ -116,6 +149,10 @@ def check_blob(blob: Blob) -> Optional[IntegrityFinding]:
                 detail=f"content hashes to {actual}",
             )
         return None
+    return _remembered(blob, "_finding", _rehash)
+
+
+def _rehash(blob: Blob) -> Optional[IntegrityFinding]:
     actual = digest_bytes(blob.payload)
     if actual != blob.digest:
         return IntegrityFinding(
@@ -136,10 +173,16 @@ def manifest_closure(blob: Optional[Blob]) -> Optional[Tuple[str, ...]]:
 
     ``None`` when there is no blob or its bytes do not parse as a
     manifest.  The bytes are read as stored, never re-hashed: callers
-    that must trust them pass a :meth:`BlobStore.intact` copy.
+    that must trust them pass a :meth:`BlobStore.intact` copy.  A
+    ``bytes`` payload is parsed once and the answer remembered on the
+    blob object, as :func:`check_blob` remembers its verdict.
     """
     if blob is None:
         return None
+    return _remembered(blob, "_closure", _parse_closure)
+
+
+def _parse_closure(blob: Blob) -> Optional[Tuple[str, ...]]:
     try:
         manifest = Manifest.from_json(blob.as_json())
     except (ValueError, KeyError, TypeError):
@@ -237,7 +280,10 @@ class BlobStore:
         (absent, quarantined or corrupt).
 
         Unlike :meth:`get` it neither arms ``blob.read`` nor consults or
-        updates the verified-read memo: every call re-hashes.
+        updates the verified-read memo (:meth:`is_verified`): it runs
+        :func:`check_blob` on the object stored now, so an object replaced
+        since the last call is hashed afresh, while one already checked
+        answers from its own memo.
         """
         blob = self._blobs.get(digest)
         if blob is None or check_blob(blob) is not None:
@@ -289,8 +335,8 @@ class BlobStore:
 
     def get(self, digest: str, verify: Optional[bool] = None) -> Blob:
         self._arm("blob.read", digest)
-        if digest in self._quarantine:
-            finding = self._quarantine[digest][1]
+        finding = self._quarantine_finding(digest)
+        if finding is not None:
             raise IntegrityError(
                 site="blob.read",
                 digest=digest,
@@ -354,8 +400,10 @@ class BlobStore:
 
         Quarantined blobs raise :class:`IntegrityError` on :meth:`get`
         but remain inspectable via :meth:`quarantined_blob` so a repair
-        engine can diff them against a good replica.  Returns True if
-        the blob was present and is now quarantined.
+        engine can diff them against a good replica.  The entry stands
+        until an intact copy of the digest is stored again (a repair, a
+        sync's promotion, a re-push); see :meth:`_quarantine_finding`.
+        Returns True if the blob was present and is now quarantined.
         """
         blob = self._blobs.pop(digest, None)
         if blob is None:
@@ -370,9 +418,25 @@ class BlobStore:
             self.telemetry.event("integrity.quarantined", digest=digest, kind=finding.kind)
         return True
 
+    def _quarantine_finding(self, digest: str) -> Optional[IntegrityFinding]:
+        """The finding that keeps *digest* quarantined, or None.
+
+        None when it was never quarantined, and when an intact copy has
+        been stored since: whatever path healed the digest, :meth:`get`
+        serves the intact copy and :meth:`quarantined` no longer lists
+        it.  A copy that does not re-hash clean heals nothing.  The
+        corrupt copy itself stays in :meth:`quarantined_blob` until
+        :meth:`release_quarantine`.
+        """
+        entry = self._quarantine.get(digest)
+        if entry is None or self.intact(digest) is not None:
+            return None
+        return entry[1]
+
     def quarantined(self) -> List[IntegrityFinding]:
-        """Findings for every quarantined blob, sorted by digest."""
-        return [self._quarantine[d][1] for d in sorted(self._quarantine)]
+        """Findings for every digest still quarantined, sorted by digest."""
+        findings = map(self._quarantine_finding, sorted(self._quarantine))
+        return [finding for finding in findings if finding is not None]
 
     def quarantined_blob(self, digest: str) -> Optional[Blob]:
         """The corrupt payload itself, for forensics; None if not held."""
@@ -384,11 +448,13 @@ class BlobStore:
         return self._quarantine.pop(digest, None) is not None
 
     def verify_integrity(self) -> List[IntegrityFinding]:
-        """Recompute every active blob's identity; returns typed findings.
+        """Check every active blob's identity; returns typed findings.
 
-        Bypasses the read-verification memo so a sweep always re-hashes.
-        Quarantined blobs are not re-reported here — they already carry
-        their finding (see :meth:`quarantined`).
+        Bypasses the verified-read memo, so every stored object goes
+        through :func:`check_blob`: one never checked is hashed, one
+        already checked answers from its own memo.  Quarantined blobs are
+        not re-reported here — they already carry their finding (see
+        :meth:`quarantined`).
         """
         problems: List[IntegrityFinding] = []
         for digest in sorted(self._blobs):

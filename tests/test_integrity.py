@@ -208,6 +208,85 @@ class TestQuarantine:
         assert not BlobStore().quarantine("sha256:" + "0" * 64)
 
 
+def _rot_config(registry, config):
+    """Replace the stored config object with rotten bytes, then fail to
+    repair it (no sources): the digest ends up quarantined."""
+    good = registry.blobs.try_get(config.digest)
+    registry.blobs._blobs[config.digest] = dataclasses.replace(good, payload=b"{}")
+    registry.blobs._verified.discard(config.digest)
+    assert not RepairEngine().repair_blob(registry.blobs, config.digest).repaired
+    assert [f.digest for f in registry.blobs.quarantined()] == [config.digest]
+
+
+class TestQuarantineEndsWithAnIntactCopy:
+    """A quarantined digest reads again once an intact copy is stored."""
+
+    def test_sync_heals_a_quarantined_mirror_blob(self):
+        from repro.federation import FederatedRegistry
+        from repro.integrity.fsck import fsck_federation
+
+        fed = FederatedRegistry()
+        fed.add_mirror("edge-0")
+        manifest, config, layer = _make_image()
+        fed.push("lab/app:1", manifest, config, [layer])
+        fed.sync_all()
+        mirror = fed.mirror("edge-0")
+        _rot_config(mirror.registry, config)
+        report = fed.sync_mirror("edge-0")
+        assert report.references_promoted == ["lab/app:1"]
+        assert fed.converged(mirror) and mirror.registry.audit() == []
+        assert mirror.registry.pull("lab/app:1").manifest.digest == manifest.digest
+        assert mirror.registry.blobs.quarantined() == []
+        fsck = fsck_federation(fed)
+        assert fsck.clean and fsck.replicas["edge-0"].quarantined == []
+        assert fed.engine.plan(mirror) == ({}, {}, [])
+
+    def test_repush_heals_a_quarantined_registry_blob(self):
+        registry = ImageRegistry()
+        manifest, config, layer = _make_image()
+        registry.push("lab/app:1", manifest, config, [layer])
+        _rot_config(registry, config)
+        with pytest.raises(IntegrityError, match="quarantined"):
+            registry.pull("lab/app:1")
+        registry.push("lab/app:1", manifest, config, [layer])
+        assert registry.pull("lab/app:1").config.to_bytes() == config.to_bytes()
+        assert registry.blobs.quarantined() == []
+        report = fsck_layout(registry)
+        assert report.clean and report.quarantined == []
+        # The corrupt copy stays inspectable until the entry is released.
+        assert registry.blobs.quarantined_blob(config.digest).as_bytes() == b"{}"
+
+    def test_rewrite_that_does_not_verify_is_still_refused(self):
+        registry = ImageRegistry()
+        manifest, config, layer = _make_image()
+        registry.push("lab/app:1", manifest, config, [layer])
+        _rot_config(registry, config)
+        registry.fault_injector = FaultInjector(corruptions=[CorruptionSpec(
+            site="registry.transfer", match="#config")])
+        registry.push("lab/app:1", manifest, config, [layer])
+        registry.fault_injector = None
+        with pytest.raises(IntegrityError, match="quarantined") as info:
+            registry.blobs.get(config.digest)
+        assert info.value.finding.digest == config.digest
+        assert [f.digest for f in registry.blobs.quarantined()] == [config.digest]
+        assert not fsck_layout(registry).clean
+
+    def test_read_of_a_quarantined_digest_arms_blob_read_first(self):
+        from repro.resilience import FaultSpec
+        from repro.resilience.faults import InjectedFault
+
+        registry = ImageRegistry()
+        manifest, config, layer = _make_image()
+        registry.push("lab/app:1", manifest, config, [layer])
+        _rot_config(registry, config)
+        registry.blobs.fault_injector = FaultInjector(specs=[FaultSpec(
+            site="blob.read", match=config.digest)])
+        with pytest.raises(InjectedFault):
+            registry.blobs.get(config.digest)
+        with pytest.raises(IntegrityError, match="quarantined"):
+            registry.blobs.get(config.digest)
+
+
 class TestResolvedImageVerify:
     def test_clean_image_verifies(self):
         layout, *_ = _make_layout()

@@ -46,3 +46,35 @@ def test_calls_and_times_per_op_and_share_of_profiled_time():
 
 def test_top_limits_the_rows():
     assert len(profile_ops.report(STATS, ops=30, profiled_s=10.0, top=1)) == 2
+
+
+def test_named_lists_every_repro_function_of_those_names_by_label():
+    lines = profile_ops.named(STATS, ops=30, names={"check_blob", "plan", "decode"})
+    assert lines[0].split() == ["calls/op", "cum", "ms/op", "function"]
+    # The json decoder's ``decode`` is not a repro function.
+    assert [line.split() for line in lines[1:]] == [
+        ["1.0", "266.667", "repro/federation/sync.py:162(plan)"],
+        ["4965.0", "183.333", "repro/oci/blobs.py:78(check_blob)"],
+    ]
+
+
+def test_named_reaches_past_the_top_rows():
+    stats = dict(STATS)
+    stats[_key("oci/digest.py", 18, "digest_bytes")] = (2262, 2262, 0.01, 0.01, {})
+    top = profile_ops.report(stats, ops=30, profiled_s=10.0, top=3)
+    assert not any("digest_bytes" in line for line in top)
+    assert profile_ops.named(stats, ops=30, names={"digest_bytes"})[1].split() == [
+        "75.4", "0.333", "repro/oci/digest.py:18(digest_bytes)"]
+
+
+def test_fn_appends_the_named_table_and_leaves_the_rest_alone(monkeypatch, capsys):
+    monkeypatch.setattr(profile_ops, "profile", lambda name, seed, ops: (STATS, 0.5, 10.0))
+    profile_ops.main(["mirror-sync"])
+    plain = capsys.readouterr().out
+    profile_ops.main(["mirror-sync", "--fn", "missing_of,plan"])
+    with_fn = capsys.readouterr().out
+    assert with_fn.startswith(plain)
+    assert with_fn[len(plain):].splitlines() == [
+        "# functions named missing_of, plan",
+        *profile_ops.named(STATS, ops=30, names={"missing_of", "plan"}),
+    ]
