@@ -33,9 +33,12 @@
 #                - alternating parent/change harness pairs, merged and compared
 #   make harness-test - the wall-clock harness's self-tests
 #   make profile W=workload [OPS=30] [SEED=7] [FN=name[,name...]]
+#                [CALLERS=name[,name...]]
 #                - cProfile of one workload's timed ops: top repro functions
 #                  with calls per op and share of the profiled time (with
-#                  FN, also every repro function of those names)
+#                  FN, also every repro function of those names; with
+#                  CALLERS, each caller of every repro function of those
+#                  names)
 #   make loc [BASE=rev] - code and docstring/comment lines of src/ (per
 #                file and total; with BASE, BASE's counts and the delta)
 
@@ -176,10 +179,10 @@ harness-test:
 # script's own default (7) applies otherwise.
 profile:
 	$(if $(W),,$(error usage: make profile W=<workload> [OPS=30] [SEED=7] \
-	    [FN=name[,name...]]))
+	    [FN=name[,name...]] [CALLERS=name[,name...]]))
 	$(PYTHON) scripts/profile_ops.py $(W) $(if $(OPS),--ops $(OPS)) \
 	    $(if $(filter-out file,$(origin SEED)),--seed $(SEED)) \
-	    $(if $(FN),--fn $(FN))
+	    $(if $(FN),--fn $(FN)) $(if $(CALLERS),--callers $(CALLERS))
 
 loc:
 	$(PYTHON) scripts/loc.py $(BASE)

@@ -1,6 +1,7 @@
 """Profile the timed region of one harness workload.
 
     python scripts/profile_ops.py WORKLOAD [--ops 30] [--seed 7] [--fn NAME[,NAME...]]
+                                  [--callers NAME[,NAME...]]
 
 Builds the workload from ``benchmarks.harness.workloads`` in this process
 (its set-up is not profiled), then runs ``workload.run(i)`` for each op
@@ -11,8 +12,12 @@ per op and its share of the profiled time.  With ``--fn`` it then prints
 the calls per op and cumulative milliseconds per op of every ``repro``
 function with one of those names, in or out of the top 25, so a count
 that falls out of the top can still be read before and after a change.
-For a given workload, seed and op count the call counts repeat exactly;
-the times do not.
+With ``--callers`` it prints, for every ``repro`` function with one of
+those names, each of its callers with the calls per op and cumulative
+milliseconds per op that caller accounts for (pstats' caller edges), so a
+count can be attributed to the code that makes it.  For a given
+workload, seed and op count the call counts repeat exactly; the times do
+not.
 """
 
 import argparse
@@ -31,9 +36,12 @@ TOP = 25
 
 
 def label(key):
-    """``repro/pkg/module.py:LINE(name)`` for a pstats function key."""
+    """``repro/pkg/module.py:LINE(name)`` for a pstats function key (the
+    full path for a function outside ``repro``)."""
     path, line, name = key
-    return f"{path[path.index(MARKER) + 1:]}:{line}({name})"
+    if MARKER in path:
+        path = path[path.index(MARKER) + 1:]
+    return f"{path}:{line}({name})"
 
 
 def report(stats, ops, profiled_s, top=TOP):
@@ -59,6 +67,25 @@ def named(stats, ops, names):
     lines = [f"{'calls/op':>10} {'cum ms/op':>10}  function"]
     for name, (_, calls, _, cumulative, _) in rows:
         lines.append(f"{calls / ops:>10.1f} {cumulative * 1e3 / ops:>10.3f}  {name}")
+    return lines
+
+
+def callers(stats, ops, names):
+    """Table lines for every ``repro`` function of a pstats *stats* dict
+    whose name is in *names*, ordered by label, each followed by its
+    callers (``<-``), most calls first: calls per op and cumulative
+    milliseconds per op, in total and through each caller."""
+    rows = sorted((label(key), entry) for key, entry in stats.items()
+                  if MARKER in key[0] and key[2] in names)
+    lines = [f"{'calls/op':>10} {'cum ms/op':>10}  function"]
+    for name, (_, calls, _, cumulative, by_caller) in rows:
+        lines.append(f"{calls / ops:>10.1f} {cumulative * 1e3 / ops:>10.3f}  {name}")
+        # A caller edge is (calls, primitive calls, own s, cumulative s).
+        edges = sorted(((label(caller), edge) for caller, edge in by_caller.items()),
+                       key=lambda item: (-item[1][0], item[0]))
+        for caller, (edge_calls, _, _, edge_cumulative) in edges:
+            lines.append(f"{edge_calls / ops:>10.1f} {edge_cumulative * 1e3 / ops:>10.3f}"
+                         f"    <- {caller}")
     return lines
 
 
@@ -93,6 +120,9 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--fn", default="", metavar="NAME[,NAME...]",
                         help="also list every repro function of these names")
+    parser.add_argument("--callers", default="", metavar="NAME[,NAME...]",
+                        help="also list the callers of every repro function"
+                             " of these names")
     args = parser.parse_args(argv)
     stats, setup_s, profiled_s = profile(args.workload, args.seed, args.ops)
     print(f"# {args.workload} seed {args.seed}: {args.ops} ops,"
@@ -102,6 +132,10 @@ def main(argv=None):
         names = args.fn.split(",")
         print(f"# functions named {', '.join(names)}")
         print("\n".join(named(stats, args.ops, set(names))))
+    if args.callers:
+        names = args.callers.split(",")
+        print(f"# callers of functions named {', '.join(names)}")
+        print("\n".join(callers(stats, args.ops, set(names))))
     return 0
 
 

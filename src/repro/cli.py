@@ -251,6 +251,25 @@ def cmd_fsck(args: argparse.Namespace) -> int:
     return report.exit_code
 
 
+def _sync_until_done(fed, name: str, first=None):
+    """Sync mirror *name* of *fed*, resuming after each injected fault (up
+    to 200 attempts); the report, or None if no attempt finished.
+
+    *first*, when given, makes the first attempt instead of a plain sync:
+    ``rejoin_demoted`` adds the demoted origin as mirror *name* before its
+    own sync, so a fault inside it is resumed by syncing that mirror.
+    """
+    for attempt in range(200):
+        try:
+            if attempt == 0 and first is not None:
+                return first()
+            return fed.sync_mirror(name)
+        except Exception as exc:
+            logging.getLogger("repro.cli").info(
+                "sync of %s interrupted, resuming: %s", name, exc)
+    return None
+
+
 def cmd_mirror(args: argparse.Namespace) -> int:
     """``mirror sync``/``mirror status``/``mirror promote``: fan an
     app's extended image out to N edge mirrors through the incremental
@@ -293,13 +312,9 @@ def cmd_mirror(args: argparse.Namespace) -> int:
     if args.action in ("sync", "promote"):
         reports = {}
         for name in sorted(fed.mirrors):
-            for _ in range(200):
-                try:
-                    reports[name] = fed.sync_mirror(name)
-                    break
-                except Exception as exc:
-                    logging.getLogger("repro.cli").info(
-                        "sync of %s interrupted, resuming: %s", name, exc)
+            report = _sync_until_done(fed, name)
+            if report is not None:
+                reports[name] = report
         print(render_sync_reports(reports.values()))
         print()
     if args.action == "promote":
@@ -324,7 +339,7 @@ def cmd_mirror(args: argparse.Namespace) -> int:
         fed.pull(reference)   # post-promotion pull must work too
         after = fed.origin.manifest_digest(reference)
         print(f"  promoted-origin pull digest-identical: {before == after}")
-        fed.rejoin_demoted()
+        _sync_until_done(fed, promotion.demoted, first=fed.rejoin_demoted)
         print(f"  demoted origin rejoined as mirror "
               f"({len(fed.mirrors)} mirrors)")
         print()

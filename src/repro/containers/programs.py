@@ -12,7 +12,7 @@ from typing import Callable, Dict, List
 
 from repro.containers.container import ProcessContext, ProgramError
 from repro.pkg.apt import AptFacade
-from repro.pkg.database import DpkgDatabase, DpkgStatusError
+from repro.pkg.database import DpkgDatabase, PackageDatabaseError
 from repro.toolchain.archiver import ArchiverError, run_ar
 from repro.toolchain.drivers import CompilerDriver, CompilerError
 from repro.vfs import Directory, RegularFile, Symlink
@@ -362,7 +362,7 @@ def _apt_facade(ctx: ProcessContext) -> AptFacade:
     pool = ctx.engine.repository_pool_for(ctx.container)
     try:
         return AptFacade(ctx.fs, pool)
-    except DpkgStatusError as exc:
+    except PackageDatabaseError as exc:
         raise ProgramError(f"apt-get: {exc}")
 
 
@@ -400,7 +400,7 @@ def _apt_get(ctx: ProcessContext) -> int:
 def _dpkg(ctx: ProcessContext) -> int:
     try:
         db = DpkgDatabase.read_from(ctx.fs)
-    except DpkgStatusError as exc:
+    except PackageDatabaseError as exc:
         raise ProgramError(f"dpkg: error: {exc}")
     args = ctx.argv[1:]
     if not args:

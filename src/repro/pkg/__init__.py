@@ -13,7 +13,7 @@ filesystem.
 """
 
 from repro.pkg.apt import AptFacade
-from repro.pkg.database import DpkgDatabase, DpkgStatusError
+from repro.pkg.database import DpkgDatabase, DpkgStatusError, PackageDatabaseError
 from repro.pkg.depends import Dependency, DependencyClause, parse_depends
 from repro.pkg.package import PackagedFile, Package
 from repro.pkg.repository import Repository, RepositoryPool
@@ -28,6 +28,7 @@ __all__ = [
     "DpkgDatabase",
     "DpkgStatusError",
     "Package",
+    "PackageDatabaseError",
     "PackagedFile",
     "Repository",
     "RepositoryPool",

@@ -10,7 +10,19 @@ Parsing is memoised: :meth:`DpkgDatabase.read_from` keys a finished parse
 on the content digests of ``status`` and of every ``info/*.list`` file and
 hands each caller a private copy, so re-reading an unchanged package state
 (the same base image in every adaptation) costs a directory scan, not a
-parse.
+parse.  A parse renders every control stanza once, and its copies inherit
+the rendered text.
+
+Writing costs what changed: :meth:`DpkgDatabase.write_to` always rewrites
+``status``, and considers the ``.list`` of every package touched since its
+last write to the same filesystem (all of them on a first write).  A
+considered list whose file already holds exactly what ``write_file`` would
+leave there (a 0o644 regular file, mtime, uid and gid 0, inline content of
+equal bytes) is skipped; every other list is written through
+``write_file``, and so is every list of a write whose considered names
+include one with a "/".  So a private copy's first write into the
+filesystem it was read from creates a node only for the status and the
+lists that differ.
 """
 
 from __future__ import annotations
@@ -19,13 +31,17 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from repro.pkg.package import Package
-from repro.vfs import Directory, FileContent, RegularFile, VirtualFilesystem
+from repro.vfs import Directory, FileContent, InlineContent, RegularFile, VirtualFilesystem
 
 STATUS_PATH = "/var/lib/dpkg/status"
 INFO_DIR = "/var/lib/dpkg/info"
 
 
-class DpkgStatusError(ValueError):
+class PackageDatabaseError(ValueError):
+    """An image's package database does not have the shape it must have."""
+
+
+class DpkgStatusError(PackageDatabaseError):
     """The dpkg status database holds a stanza or file that does not parse."""
 
 
@@ -120,9 +136,18 @@ class DpkgDatabase:
         else:
             to_write = self.names()
             self._lists_fs = fs
+        # One lookup (of the directory makedirs just made sure of) serves
+        # every list: each write below replaces only its own
+        # ``<name>.list``, so the rest of this view stays exact.  A name
+        # with a "/" can land on another package's list, so a write that
+        # holds one skips nothing.
+        on_disk = {}
+        if not any("/" in name for name in to_write):
+            on_disk = fs.get_node(INFO_DIR).children
         for name in to_write:
-            listing = "\n".join(self._file_lists.get(name, [])) + "\n"
-            fs.write_file(f"{INFO_DIR}/{name}.list", listing, create_parents=True)
+            listing = ("\n".join(self._file_lists.get(name, [])) + "\n").encode()
+            if not _holds(on_disk.get(f"{name}.list"), listing):
+                fs.write_file(f"{INFO_DIR}/{name}.list", listing, create_parents=True)
         self._dirty_lists.clear()
 
     def _copy(self) -> "DpkgDatabase":
@@ -139,9 +164,12 @@ class DpkgDatabase:
     @staticmethod
     def read_from(fs: VirtualFilesystem) -> "DpkgDatabase":
         """Parse *fs*'s dpkg database; :class:`DpkgStatusError` if corrupt."""
-        if not fs.exists(STATUS_PATH):
+        node = fs.try_get_node(STATUS_PATH)
+        if node is None:
             return DpkgDatabase()
-        status = fs.read_content(STATUS_PATH)
+        if not isinstance(node, RegularFile):
+            raise DpkgStatusError(f"reading file '{STATUS_PATH}': not a regular file")
+        status = node.content
         lists = _info_lists(fs)
         key = (status.digest, tuple((name, c.digest) for name, c in lists.items()))
         parsed = _READ_MEMO.get(key)
@@ -158,6 +186,15 @@ class DpkgDatabase:
 # Finished parses keyed by content digests; a failed parse is never stored.
 _READ_MEMO: "OrderedDict[tuple, DpkgDatabase]" = OrderedDict()
 _READ_MEMO_CAP = 16
+
+
+def _holds(node, data: bytes) -> bool:
+    """Whether *node* is exactly the file ``write_file`` makes of *data*."""
+    return (
+        isinstance(node, RegularFile)
+        and node.mode == 0o644 and node.mtime == 0 and node.uid == 0 and node.gid == 0
+        and type(node.content) is InlineContent and node.content.data == data
+    )
 
 
 def _info_lists(fs: VirtualFilesystem) -> Dict[str, FileContent]:
@@ -205,4 +242,5 @@ def _parse(status: FileContent, lists: Dict[str, FileContent]) -> DpkgDatabase:
             text = _text(lists[name], f"{INFO_DIR}/{name}")
             files = [line for line in text.splitlines() if line.strip()]
         db.add(package, file_paths=files)
+        db._control_cache[package.name] = package.to_control()
     return db

@@ -18,11 +18,15 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Union
 
-from repro.pkg.database import STATUS_PATH, DpkgDatabase
+from repro.pkg.database import STATUS_PATH, DpkgDatabase, PackageDatabaseError
 from repro.pkg.package import Package
-from repro.vfs import VirtualFilesystem
+from repro.vfs import RegularFile, VirtualFilesystem
 
 RPM_DB_PATH = "/var/lib/rpm/Packages.json"
+
+
+class RpmDatabaseError(PackageDatabaseError):
+    """The RPM package document is not the JSON header list it must be."""
 
 
 class RpmDatabase(DpkgDatabase):
@@ -60,26 +64,36 @@ class RpmDatabase(DpkgDatabase):
 
     @staticmethod
     def read_from(fs: VirtualFilesystem) -> "RpmDatabase":  # type: ignore[override]
+        """Parse *fs*'s RPM database; :class:`RpmDatabaseError` for a
+        document of any other shape."""
         db = RpmDatabase()
-        if not fs.exists(RPM_DB_PATH):
+        node = fs.try_get_node(RPM_DB_PATH)
+        if node is None:
             return db
+        if not isinstance(node, RegularFile):
+            raise RpmDatabaseError(f"reading file '{RPM_DB_PATH}': not a regular file")
         from repro.pkg.depends import parse_depends
 
-        doc = json.loads(fs.read_text(RPM_DB_PATH))
-        for header in doc.get("headers", []):
-            package = Package(
-                name=header["Name"],
-                version=header.get("Version", "0"),
-                architecture=_deb_arch(header.get("Architecture", "x86_64")),
-                section=header.get("Group", "libs"),
-                description=header.get("Summary", ""),
-                depends=parse_depends(", ".join(header.get("Requires", []))),
-                provides=list(header.get("Provides", [])),
-                equivalent_of=header.get("X-Comtainer-Equivalent-Of"),
-                quality=float(header.get("X-Comtainer-Quality", 1.0)),
-                tags=tuple(header.get("X-Comtainer-Tags", [])),
-            )
-            db.add(package, file_paths=list(header.get("Files", [])))
+        try:
+            doc = json.loads(node.content.read().decode("utf-8"))
+            for header in doc.get("headers", []):
+                package = Package(
+                    name=header["Name"],
+                    version=header.get("Version", "0"),
+                    architecture=_deb_arch(header.get("Architecture", "x86_64")),
+                    section=header.get("Group", "libs"),
+                    description=header.get("Summary", ""),
+                    depends=parse_depends(", ".join(header.get("Requires", []))),
+                    provides=list(header.get("Provides", [])),
+                    equivalent_of=header.get("X-Comtainer-Equivalent-Of"),
+                    quality=float(header.get("X-Comtainer-Quality", 1.0)),
+                    tags=tuple(header.get("X-Comtainer-Tags", [])),
+                )
+                db.add(package, file_paths=list(header.get("Files", [])))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise RpmDatabaseError(
+                f"parsing file '{RPM_DB_PATH}': {type(exc).__name__}: {exc}"
+            ) from None
         return db
 
 

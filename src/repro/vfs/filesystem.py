@@ -5,6 +5,17 @@ needs: absolute normalized paths, symlink resolution with an ELOOP bound,
 recursive removal, whole-tree copies between filesystems, and deterministic
 ordered traversal (children are kept sorted so layer diffs and digests are
 reproducible).
+
+Trees share structure copy-on-write (:meth:`VirtualFilesystem.clone`), so
+every mutation first path-copies the directories it will change.  A write
+(``write_file``, ``symlink``, ``remove``, ``mkdir``, ``makedirs``,
+``rename``, ``copy_tree``, ``writable_dir``) costs one walk from the root,
+:meth:`VirtualFilesystem._descend`, which path-copies as it goes and, when
+asked to, creates missing directories.  A path on which that walk meets a
+symlink, a non-directory or a missing directory it may not create goes to
+the resolving walk instead (``makedirs``, ``_resolve``,
+``_writable_dir_at``), the only write path that follows symlinks, with its
+own semantics and error messages.
 """
 
 from __future__ import annotations
@@ -270,23 +281,39 @@ class VirtualFilesystem:
             node = child
         return node
 
-    def _parent_dir(self, path: str, *, create: bool = False) -> Tuple[Directory, str]:
-        """Return a writable directory node holding *path*'s final component."""
-        parent_path = vpath.dirname(path)
-        name = vpath.basename(path)
-        if not name:
-            raise VfsError("cannot address the root this way")
-        if create:
-            self.makedirs(parent_path, exist_ok=True)
-        canonical, node = self._resolve(parent_path)
-        if node is None:
-            raise NotFoundError(f"no such directory: {parent_path!r}")
-        if not isinstance(node, Directory):
-            raise NotADirectoryVfsError(f"not a directory: {canonical!r}")
-        return self._writable_dir_at(canonical), name
+    def _descend(
+        self, comps: Tuple[str, ...], *, create: bool, mode: int = 0o755
+    ) -> Optional[Directory]:
+        """The one walk from the root behind every write.
 
-    def writable_dir(self, path: str, *, create: bool = False) -> Directory:
-        """Resolve *path* to a directory safe for direct child mutation."""
+        Path-copies each ``_shared`` directory on the way down and, when
+        *create*, adds a ``Directory(mode=mode)`` for each missing
+        component, as :meth:`mkdir` would.  Returns None, having created
+        nothing, at the first symlink, non-directory or (not creating)
+        missing component: such a path goes to :meth:`_resolving_dir`, the
+        only write path that follows symlinks.  Directories copied before
+        that point are equal copies, so no tree changes content.
+        """
+        node = self.root
+        if node._shared:
+            node = self.root = node.clone()
+        for comp in comps:
+            children = node.children
+            child = children.get(comp)
+            if child is None:
+                if not create:
+                    return None
+                child = children[comp] = Directory(mode=mode)
+            elif not isinstance(child, Directory):
+                return None
+            elif child._shared:
+                child = children[comp] = child.clone()
+            node = child
+        return node
+
+    def _resolving_dir(self, path: str, *, create: bool) -> Directory:
+        """The resolving walk: :meth:`makedirs` when *create*, then
+        :meth:`_resolve` and :meth:`_writable_dir_at`."""
         if create:
             self.makedirs(path, exist_ok=True)
         canonical, node = self._resolve(path)
@@ -295,6 +322,23 @@ class VirtualFilesystem:
         if not isinstance(node, Directory):
             raise NotADirectoryVfsError(f"not a directory: {canonical!r}")
         return self._writable_dir_at(canonical)
+
+    def _parent_dir(self, path: str, *, create: bool = False) -> Tuple[Directory, str]:
+        """Return a writable directory node holding *path*'s final component."""
+        parent_path, name = vpath.split(path)
+        if not name:
+            raise VfsError("cannot address the root this way")
+        parent = self._descend(vpath.components(parent_path), create=create)
+        if parent is None:
+            parent = self._resolving_dir(parent_path, create=create)
+        return parent, name
+
+    def writable_dir(self, path: str, *, create: bool = False) -> Directory:
+        """Resolve *path* to a directory safe for direct child mutation."""
+        node = self._descend(vpath.components(path), create=create)
+        if node is None:
+            node = self._resolving_dir(path, create=create)
+        return node
 
     def mkdir(self, path: str, *, exist_ok: bool = False, mode: int = 0o755) -> None:
         parent, name = self._parent_dir(path)
@@ -314,6 +358,8 @@ class VirtualFilesystem:
             except VfsError:
                 node = None
             if isinstance(node, Directory):
+                return
+            if self._descend(vpath.components(path), create=True, mode=mode) is not None:
                 return
         comps = vpath.components(path)
         cur = "/"

@@ -78,3 +78,41 @@ def test_fn_appends_the_named_table_and_leaves_the_rest_alone(monkeypatch, capsy
         "# functions named missing_of, plan",
         *profile_ops.named(STATS, ops=30, names={"missing_of", "plan"}),
     ]
+
+
+def _with_write_file():
+    write_to = _key("pkg/database.py", 106, "write_to")
+    run = (os.path.join(os.sep, "x", "benchmarks", "harness", "workloads.py"), 40, "run")
+    stats = dict(STATS)
+    # A caller edge is (calls, primitive calls, own seconds, cumulative seconds).
+    stats[_key("vfs/filesystem.py", 330, "write_file")] = (
+        900, 900, 0.3, 1.5,
+        {run: (300, 300, 0.1, 0.6), write_to: (600, 600, 0.2, 0.9)})
+    return stats, run
+
+
+def test_callers_attributes_each_named_function_to_its_callers():
+    stats, run = _with_write_file()
+    lines = profile_ops.callers(stats, ops=30, names={"write_file", "decode"})
+    # Callers come most calls first, and a caller outside repro keeps its
+    # full path; the json decoder's ``decode`` is not a repro function.
+    assert [line.split() for line in lines] == [
+        ["calls/op", "cum", "ms/op", "function"],
+        ["30.0", "50.000", "repro/vfs/filesystem.py:330(write_file)"],
+        ["20.0", "30.000", "<-", "repro/pkg/database.py:106(write_to)"],
+        ["10.0", "20.000", "<-", f"{run[0]}:40(run)"],
+    ]
+
+
+def test_callers_appends_its_table_after_the_rest(monkeypatch, capsys):
+    stats, _ = _with_write_file()
+    monkeypatch.setattr(profile_ops, "profile", lambda name, seed, ops: (stats, 0.5, 10.0))
+    profile_ops.main(["serve-burst", "--fn", "plan"])
+    plain = capsys.readouterr().out
+    profile_ops.main(["serve-burst", "--fn", "plan", "--callers", "write_file"])
+    with_callers = capsys.readouterr().out
+    assert with_callers.startswith(plain)
+    assert with_callers[len(plain):].splitlines() == [
+        "# callers of functions named write_file",
+        *profile_ops.callers(stats, ops=30, names={"write_file"}),
+    ]

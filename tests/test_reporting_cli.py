@@ -130,6 +130,14 @@ class TestCli:
         assert "adapted image" in out
         assert "+coMre" in out
 
+    def test_mirror_promote_resumes_the_rejoined_origin_under_faults(self, capsys):
+        # At this seed a fault hits the demoted origin's own rejoin sync.
+        argv = ["mirror", "promote", "hpccg", "--fault-rate", "0.3", "--seed", "4"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert "demoted origin rejoined as mirror (3 mirrors)" in out
+        assert "all 3 mirrors converged" in out
+
     def test_bad_command(self):
         with pytest.raises(SystemExit):
             cli.main(["no-such-command"])

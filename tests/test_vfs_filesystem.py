@@ -1,5 +1,7 @@
 """Unit tests for the virtual filesystem."""
 
+import random
+
 import pytest
 
 from repro.vfs import (
@@ -13,6 +15,7 @@ from repro.vfs import (
     VfsError,
     VirtualFilesystem,
 )
+from repro.vfs import paths as vpath
 from repro.vfs.errors import FileExistsVfsError, IsADirectoryVfsError, NotADirectoryVfsError
 
 
@@ -340,3 +343,235 @@ class TestSortedItemsCache:
         assert [n for n, _ in twin.sorted_items()] == [
             "alpha", "extra", "mid", "zeta"]
         assert [n for n, _ in d.sorted_items()] == ["alpha", "mid", "zeta"]
+
+
+# ---------------------------------------------------------------------------
+# The write path against the resolving walk
+# ---------------------------------------------------------------------------
+
+def tree_snapshot(fs):
+    """Every node of *fs* as plain data, by path (the root as "/"): kind,
+    mode, mtime, uid, gid, and content digest or symlink target.  A
+    directory that holds itself (a rename through a symlink into its own
+    subtree can make one) is marked, not walked again."""
+    snapshot = {}
+
+    def visit(path, node, ancestors):
+        meta = (node.mode, node.mtime, node.uid, node.gid)
+        if isinstance(node, RegularFile):
+            snapshot[path] = ("file", *meta, node.content.digest)
+        elif isinstance(node, Symlink):
+            snapshot[path] = ("link", *meta, node.target)
+        elif id(node) in ancestors:
+            snapshot[path] = ("dir", *meta, "cycle")
+        else:
+            snapshot[path] = ("dir", *meta)
+            for name, child in node.sorted_items():
+                visit(vpath.join(path, name), child, ancestors | {id(node)})
+
+    visit("/", fs.root, frozenset())
+    return snapshot
+
+
+class ResolvingWalkFs(VirtualFilesystem):
+    """The reference write path: every write through the resolving walk
+    alone, i.e. ``makedirs``' probe and per-component loop, then
+    ``_resolve`` and ``_writable_dir_at``, called explicitly."""
+
+    def clone(self):
+        other = ResolvingWalkFs()
+        other.root = self.root.clone()
+        return other
+
+    def _dir(self, path, create):
+        if create:
+            self.makedirs(path, exist_ok=True)
+        canonical, node = self._resolve(path)
+        if node is None:
+            raise NotFoundError(f"no such directory: {path!r}")
+        if not isinstance(node, Directory):
+            raise NotADirectoryVfsError(f"not a directory: {canonical!r}")
+        return self._writable_dir_at(canonical)
+
+    def _parent_dir(self, path, *, create=False):
+        name = vpath.basename(path)
+        if not name:
+            raise VfsError("cannot address the root this way")
+        return self._dir(vpath.dirname(path), create), name
+
+    def writable_dir(self, path, *, create=False):
+        return self._dir(path, create)
+
+    def makedirs(self, path, *, exist_ok=True, mode=0o755):
+        if exist_ok:
+            try:
+                _, node = self._resolve(path)
+            except VfsError:
+                node = None
+            if isinstance(node, Directory):
+                return
+        cur = "/"
+        for comp in vpath.components(path):
+            cur = vpath.join(cur, comp)
+            canonical, node = self._resolve(cur)
+            if node is None:
+                self.mkdir(canonical, mode=mode)
+            elif not isinstance(node, Directory):
+                raise NotADirectoryVfsError(f"not a directory: {canonical!r}")
+            elif cur == vpath.normalize(path) and not exist_ok:
+                raise FileExistsVfsError(f"file exists: {cur!r}")
+
+
+_NAMES = ("a", "b", "l", "f")
+_TARGETS = (
+    "/a", "/a/b", "/b/a/l", "a", "b/a", "../a", "../../b", "..", ".",
+    "/gone/x", "gone", "l", "/l", "/a/l", "f", "/f/a",
+)
+
+
+def _random_tree(rng, depth=3):
+    """A tree built from nodes directly (no write path): directories,
+    files where directories are looked for, and absolute, relative,
+    dangling and looping symlinks, all under a few reused names."""
+    def fill(directory, level):
+        for name in _NAMES:
+            roll = rng.random()
+            if roll < 0.4 and level < depth:
+                child = Directory(mode=rng.choice((0o755, 0o700)), mtime=level)
+                fill(child, level + 1)
+            elif roll < 0.6:
+                child = RegularFile(content=InlineContent(name.encode()))
+            elif roll < 0.8:
+                child = Symlink(mode=0o777, target=rng.choice(_TARGETS))
+            else:
+                continue
+            directory.children[name] = child
+
+    root = Directory()
+    fill(root, 0)
+    return root
+
+
+def _random_path(rng):
+    comps = [rng.choice(_NAMES + ("new", "..", ".", "")) for _ in range(rng.randint(0, 4))]
+    path = "/".join(comps)
+    return path if rng.random() < 0.1 else "/" + path
+
+
+def _random_op(rng):
+    """``(method, args, kwargs)`` of one random write."""
+    path = _random_path(rng)
+    flag = rng.random() < 0.5
+    kind = rng.choice(("write_file", "symlink", "remove", "mkdir", "makedirs",
+                       "rename", "writable_dir", "clone"))
+    if kind == "write_file":
+        return kind, (path, rng.choice((b"x", b"yy"))), {"create_parents": flag}
+    if kind == "symlink":
+        return kind, (rng.choice(_TARGETS), path), {"create_parents": flag}
+    if kind == "remove":
+        return kind, (path,), {"recursive": flag, "missing_ok": rng.random() < 0.5}
+    if kind in ("mkdir", "makedirs"):
+        return kind, (path,), {"exist_ok": flag, "mode": rng.choice((0o755, 0o711))}
+    if kind == "rename":
+        return kind, (path, _random_path(rng)), {}
+    if kind == "writable_dir":
+        return kind, (path,), {"create": flag}
+    return kind, (), {"keep_going_on_clone": flag}
+
+
+def _apply(fs, clones, op):
+    """Run *op* on *fs*; ``(fs to go on with, outcome)``.  A clone op keeps
+    a clone (with its snapshot) in *clones* and goes on with one of the
+    two; ``writable_dir`` adds a file to the directory it returns."""
+    kind, args, kwargs = op
+    if kind == "clone":
+        twin = fs.clone()
+        kept, live = (fs, twin) if kwargs["keep_going_on_clone"] else (twin, fs)
+        clones.append((kept, tree_snapshot(kept)))
+        return live, None
+    try:
+        result = getattr(fs, kind)(*args, **kwargs)
+        if kind == "writable_dir":
+            result.children["w"] = RegularFile(content=InlineContent(b"w"))
+    except Exception as exc:  # both walks must fail alike
+        return fs, (type(exc), str(exc))
+    return fs, None
+
+
+class TestWritePathMatchesResolvingWalk:
+    """Every write takes one walk from the root and hands a path that meets
+    a symlink, a non-directory or a missing directory it may not create to
+    the resolving walk: seeded op sequences must leave the same tree, raise
+    the same errors, and leave every earlier clone alone."""
+
+    @staticmethod
+    def _start(fs_type, seed, clones):
+        """A *fs_type* on seed's random tree that shares structure from the
+        start: its root is a subtree of another tree, and it is a clone."""
+        fs = fs_type()
+        fs.root = _random_tree(random.Random(seed))
+        holder = fs_type()
+        holder.root = Directory(children={"r": fs.root}).clone()
+        clones.append((holder, tree_snapshot(holder)))
+        fs, _ = _apply(fs, clones, ("clone", (), {"keep_going_on_clone": False}))
+        return fs
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_writes_match_the_reference(self, seed):
+        rng = random.Random(seed)
+        our_clones, reference_clones = [], []
+        ours = self._start(VirtualFilesystem, seed, our_clones)
+        reference = self._start(ResolvingWalkFs, seed, reference_clones)
+        outcomes = []
+        for _ in range(30):
+            op = _random_op(rng)
+            ours, outcome = _apply(ours, our_clones, op)
+            reference, expected = _apply(reference, reference_clones, op)
+            assert outcome == expected, op
+            assert tree_snapshot(ours) == tree_snapshot(reference), op
+            for clone, snapshot in our_clones:
+                assert tree_snapshot(clone) == snapshot, op
+            outcomes.append(outcome)
+        assert [snap for _, snap in our_clones] == [snap for _, snap in reference_clones]
+        assert any(outcomes) and not all(outcomes)
+
+    def test_created_parents_are_plain_directories(self, fs):
+        fs.write_file("/a/b/c", "x", create_parents=True)
+        fs.makedirs("/a/d/e", mode=0o700)
+        assert [(p, n.mode, n.mtime) for p, n in fs.iter_entries("/")
+                if isinstance(n, Directory)] == [
+            ("/a", 0o755, 0), ("/a/b", 0o755, 0), ("/a/d", 0o700, 0), ("/a/d/e", 0o700, 0)]
+
+    def test_a_write_through_a_symlinked_parent_lands_at_its_target(self, fs):
+        fs.makedirs("/real")
+        fs.symlink("/real", "/alias")
+        twin = fs.clone()
+        fs.write_file("/alias/sub/f", "x", create_parents=True)
+        assert fs.read_text("/real/sub/f") == "x"
+        assert fs.is_symlink("/alias")
+        assert not twin.exists("/real/sub")
+
+
+def test_the_random_writes_reach_both_walks(monkeypatch):
+    # The descent serves most writes; symlinks, files in the way and
+    # missing directories send the rest to the resolving walk.
+    calls = {"descend": 0, "resolving": 0}
+    descend, resolving = VirtualFilesystem._descend, VirtualFilesystem._resolving_dir
+
+    def counted(name, method):
+        def wrapper(self, *args, **kwargs):
+            calls[name] += 1
+            return method(self, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(VirtualFilesystem, "_descend", counted("descend", descend))
+    monkeypatch.setattr(VirtualFilesystem, "_resolving_dir",
+                        counted("resolving", resolving))
+    for seed in range(10):
+        rng = random.Random(seed)
+        fs = VirtualFilesystem()
+        fs.root = _random_tree(random.Random(seed))
+        clones = []
+        for _ in range(30):
+            fs, _ = _apply(fs, clones, _random_op(rng))
+    assert calls["descend"] > calls["resolving"] > 0
