@@ -1,23 +1,28 @@
 """Profile the timed region of one harness workload.
 
-    python scripts/profile_ops.py WORKLOAD [--ops 30] [--seed 7] [--fn NAME[,NAME...]]
-                                  [--callers NAME[,NAME...]]
+    python scripts/profile_ops.py WORKLOAD [--ops 30] [--seed 7] [--self]
+                                  [--fn NAME[,NAME...]] [--callers NAME[,NAME...]]
 
 Builds the workload from ``benchmarks.harness.workloads`` in this process
 (its set-up is not profiled), then runs ``workload.run(i)`` for each op
 under one cProfile, the region the harness times, and ``check(i, out)``
 outside it, as the harness does.  Prints the top 25 ``repro`` functions
 by cumulative time, each with its calls per op, its cumulative milliseconds
-per op and its share of the profiled time.  With ``--fn`` it then prints
-the calls per op and cumulative milliseconds per op of every ``repro``
-function with one of those names, in or out of the top 25, so a count
-that falls out of the top can still be read before and after a change.
-With ``--callers`` it prints, for every ``repro`` function with one of
-those names, each of its callers with the calls per op and cumulative
-milliseconds per op that caller accounts for (pstats' caller edges), so a
-count can be attributed to the code that makes it.  For a given
-workload, seed and op count the call counts repeat exactly; the times do
-not.
+per op and its share of the profiled time.  With ``--self`` it then
+prints the top 25 functions of any module, standard library and
+built-ins included, by self time, so a cost spread over many ``repro``
+callers (JSON encoding, say) shows where it is paid.  With ``--fn`` it
+then prints the calls per op and cumulative milliseconds per op of every
+``repro`` function with one of those names, in or out of the top 25, so a
+count that falls out of the top can still be read before and after a
+change.  With ``--callers`` it prints, for every ``repro`` function with
+one of those names, each of its callers with the calls per op and
+cumulative milliseconds per op that caller accounts for (pstats' caller
+edges), so a count can be attributed to the code that makes it.  A name
+given as ``FILE-SUFFIX:NAME`` (``json/__init__.py:dumps``) matches the
+functions of that name in any file whose path ends with the suffix,
+outside ``repro`` too.  For a given workload, seed and op count the call
+counts repeat exactly; the times do not.
 """
 
 import argparse
@@ -58,12 +63,38 @@ def report(stats, ops, profiled_s, top=TOP):
     return lines
 
 
+def by_self(stats, ops, profiled_s, top=TOP):
+    """Table lines for the *top* functions of a pstats *stats* dict, of any
+    module, sorted by self time: calls per op, self milliseconds per op and
+    share of *profiled_s*."""
+    rows = sorted(stats.items(), key=lambda row: (-row[1][2], label(row[0])))[:top]
+    lines = [f"{'calls/op':>10} {'self ms/op':>10} {'share':>6}  function"]
+    for key, (_, calls, own, _, _) in rows:
+        lines.append(f"{calls / ops:>10.1f} {own * 1e3 / ops:>10.3f}"
+                     f" {own / profiled_s:>6.1%}  {label(key)}")
+    return lines
+
+
+def wanted(key, names):
+    """Whether the function of a pstats *key* is one of *names*: a bare
+    name matches the ``repro`` functions of that name, and
+    ``FILE-SUFFIX:NAME`` the functions of that name in any file whose
+    path ends with the suffix."""
+    path, _, function = key
+    for name in names:
+        suffix, _, bare = name.rpartition(":")
+        if bare == function and (path.endswith(suffix.replace("/", os.sep))
+                                 if suffix else MARKER in path):
+            return True
+    return False
+
+
 def named(stats, ops, names):
-    """Table lines for every ``repro`` function of a pstats *stats* dict
-    whose name is in *names*, ordered by label: calls per op and
+    """Table lines for every function of a pstats *stats* dict that
+    :func:`wanted` finds in *names*, ordered by label: calls per op and
     cumulative milliseconds per op."""
     rows = sorted((label(key), entry) for key, entry in stats.items()
-                  if MARKER in key[0] and key[2] in names)
+                  if wanted(key, names))
     lines = [f"{'calls/op':>10} {'cum ms/op':>10}  function"]
     for name, (_, calls, _, cumulative, _) in rows:
         lines.append(f"{calls / ops:>10.1f} {cumulative * 1e3 / ops:>10.3f}  {name}")
@@ -71,12 +102,12 @@ def named(stats, ops, names):
 
 
 def callers(stats, ops, names):
-    """Table lines for every ``repro`` function of a pstats *stats* dict
-    whose name is in *names*, ordered by label, each followed by its
+    """Table lines for every function of a pstats *stats* dict that
+    :func:`wanted` finds in *names*, ordered by label, each followed by its
     callers (``<-``), most calls first: calls per op and cumulative
     milliseconds per op, in total and through each caller."""
     rows = sorted((label(key), entry) for key, entry in stats.items()
-                  if MARKER in key[0] and key[2] in names)
+                  if wanted(key, names))
     lines = [f"{'calls/op':>10} {'cum ms/op':>10}  function"]
     for name, (_, calls, _, cumulative, by_caller) in rows:
         lines.append(f"{calls / ops:>10.1f} {cumulative * 1e3 / ops:>10.3f}  {name}")
@@ -118,16 +149,24 @@ def main(argv=None):
     parser.add_argument("workload")
     parser.add_argument("--ops", type=int, default=30)
     parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--self", action="store_true",
+                        help="also list the top functions of any module by"
+                             " self time")
     parser.add_argument("--fn", default="", metavar="NAME[,NAME...]",
-                        help="also list every repro function of these names")
+                        help="also list every repro function of these names"
+                             " (FILE-SUFFIX:NAME for any module's)")
     parser.add_argument("--callers", default="", metavar="NAME[,NAME...]",
                         help="also list the callers of every repro function"
-                             " of these names")
+                             " of these names (FILE-SUFFIX:NAME for any"
+                             " module's)")
     args = parser.parse_args(argv)
     stats, setup_s, profiled_s = profile(args.workload, args.seed, args.ops)
     print(f"# {args.workload} seed {args.seed}: {args.ops} ops,"
           f" {profiled_s:.2f} s profiled (set-up {setup_s:.2f} s, not profiled)")
     print("\n".join(report(stats, args.ops, profiled_s)))
+    if args.self:
+        print(f"# top {TOP} functions of any module by self time")
+        print("\n".join(by_self(stats, args.ops, profiled_s)))
     if args.fn:
         names = args.fn.split(",")
         print(f"# functions named {', '.join(names)}")

@@ -23,6 +23,11 @@ Subcommands::
                             [--deadline S] [--mirrors N]   # service demo
     comtainer-demo tables                                  # Tables 1 & 2
 
+An unknown application name (an ``<app>``, the app part of a
+``<workload>``, an ``--apps`` entry or ``fsck --app``) or a ``--jobs``
+below 1 is a usage error: one ``error:`` line naming the valid choices,
+exit code 2.
+
 Global flags: ``--trace`` prints the span tree after the command,
 ``--trace-out FILE`` writes Chrome trace-event JSON, ``--metrics`` dumps
 the Prometheus-style metrics registry (plus alert states when the
@@ -70,6 +75,38 @@ def _session(system_key: str, telemetry=None, jobs: int = 1,
     return ComtainerSession(system=SYSTEMS[system_key], telemetry=telemetry,
                             jobs=jobs, speculate=speculate,
                             max_worker_failures=max_worker_failures)
+
+
+def _app_name(value: str) -> str:
+    """argparse type of an application name: one of :data:`repro.apps.APPS`."""
+    from repro.apps import APPS
+
+    if value not in APPS:
+        raise argparse.ArgumentTypeError(
+            f"unknown application {value!r} (choose from {', '.join(sorted(APPS))})"
+        )
+    return value
+
+
+def _workload(value: str) -> str:
+    """argparse type of a workload ``<app>[.<input>]`` of a known app."""
+    _app_name(value.partition(".")[0])
+    return value
+
+
+def _app_list(value: str) -> List[str]:
+    """argparse type of a comma-separated list of application names."""
+    apps = [_app_name(a.strip()) for a in value.split(",") if a.strip()]
+    if not apps:
+        raise argparse.ArgumentTypeError("expected at least one application")
+    return apps
+
+
+def _positive_int(value: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    if not value.strip().isdigit() or int(value) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value!r}")
+    return int(value)
 
 
 def cmd_schemes(args: argparse.Namespace) -> int:
@@ -482,7 +519,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         queue_capacity=args.queue_capacity,
         telemetry=args.telemetry if args.telemetry.enabled else None,
     )
-    apps = [a.strip() for a in args.apps.split(",") if a.strip()]
     rng = _random.Random(f"comtainer-serve:{args.seed}")
     for i in range(args.tenants):
         service.add_tenant(
@@ -500,7 +536,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         for _ in range(count):
             service.submit(
                 f"tenant-{i}",
-                rng.choice(apps),
+                rng.choice(args.apps),
                 at=rng.uniform(0.0, args.duration),
                 priority=rng.choice(priorities),
                 deadline=args.deadline,
@@ -558,16 +594,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("schemes", help="measure a workload under all schemes")
-    p.add_argument("workload")
+    p.add_argument("workload", type=_workload)
     p.add_argument("--system", choices=sorted(SYSTEMS), default="x86")
     p.set_defaults(fn=cmd_schemes)
 
     p = sub.add_parser("adapt", help="run the coMtainer workflow for an app")
-    p.add_argument("app")
+    p.add_argument("app", type=_app_name)
     p.add_argument("--system", choices=sorted(SYSTEMS), default="x86")
     p.add_argument("--lto", action="store_true")
     p.add_argument("--pgo", metavar="WORKLOAD", default=None)
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
+    p.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                    help="parallel rebuild workers (simulated makespan)")
     p.add_argument("--speculate", dest="speculate", action="store_true",
                    default=True,
@@ -583,13 +619,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_adapt)
 
     p = sub.add_parser("trace", help="traced adaptation + stage breakdown")
-    p.add_argument("app")
+    p.add_argument("app", type=_app_name)
     p.add_argument("--system", choices=sorted(SYSTEMS), default="x86")
     p.add_argument("--workload", metavar="WORKLOAD", default=None,
                    help="run the optimized (LTO+PGO) pipeline for WORKLOAD")
     p.add_argument("--out", metavar="FILE", default=None,
                    help="write Chrome trace-event JSON to FILE")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
+    p.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                    help="parallel rebuild workers (simulated makespan)")
     p.add_argument("--speculate", dest="speculate", action="store_true",
                    default=True,
@@ -601,16 +637,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser("analyze", help="show an app's process models")
-    p.add_argument("app")
+    p.add_argument("app", type=_app_name)
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("crossisa", help="cross-ISA feasibility analysis")
-    p.add_argument("app")
+    p.add_argument("app", type=_app_name)
     p.add_argument("--target", choices=["x86-64", "aarch64"], default="aarch64")
     p.set_defaults(fn=cmd_crossisa)
 
     p = sub.add_parser("inspect", help="inspect an app image's layer stack")
-    p.add_argument("app")
+    p.add_argument("app", type=_app_name)
     p.add_argument("--extended", action="store_true",
                    help="inspect the +coM extended image instead")
     p.set_defaults(fn=cmd_inspect)
@@ -622,7 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "sources, and atomically rewrite the directory")
     p.add_argument("--source", action="append", metavar="DIR", default=[],
                    help="replica layout directory to repair from (repeatable)")
-    p.add_argument("--app", default=None,
+    p.add_argument("--app", type=_app_name, default=None,
                    help="app whose extended image is regenerated as a "
                         "last-resort repair source")
     p.add_argument("--federation", action="store_true",
@@ -636,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="federated registry demo: sync N edge mirrors and show status",
     )
     p.add_argument("action", choices=["sync", "status", "promote"])
-    p.add_argument("app")
+    p.add_argument("app", type=_app_name)
     p.add_argument("--mirrors", type=int, default=3, metavar="N",
                    help="edge mirrors to fan the origin out to (default 3)")
     p.add_argument("--seed", type=int, default=0,
@@ -652,9 +688,9 @@ def build_parser() -> argparse.ArgumentParser:
         "health",
         help="adaptation + mirror fan-out scored into component health",
     )
-    p.add_argument("app")
+    p.add_argument("app", type=_app_name)
     p.add_argument("--system", choices=sorted(SYSTEMS), default="x86")
-    p.add_argument("--jobs", type=int, default=2, metavar="N",
+    p.add_argument("--jobs", type=_positive_int, default=2, metavar="N",
                    help="parallel rebuild workers (default 2)")
     p.add_argument("--mirrors", type=int, default=2, metavar="N",
                    help="edge mirrors to fan the origin out to (default 2)")
@@ -687,7 +723,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="arrival window in simulated seconds (default 60)")
     p.add_argument("--deadline", type=float, default=None, metavar="S",
                    help="per-request deadline in simulated seconds")
-    p.add_argument("--apps", default="minimd,hpccg,comd", metavar="A,B,...",
+    p.add_argument("--apps", type=_app_list, default="minimd,hpccg,comd",
+                   metavar="A,B,...",
                    help="app pool arrivals draw from")
     p.add_argument("--noisy", action="store_true",
                    help="tenant 0 submits at 10x the fair rate")

@@ -23,6 +23,18 @@ and inside a rebuild layer::
 Tag conventions follow the artifact description: after ``coMtainer-build``
 the layout's index gains ``<tag>+coM``; after ``coMtainer-rebuild`` it
 gains ``<tag>+coMre``.
+
+Both system-side programs read these images on every adaptation, so each
+layer stack is decoded once.  Every decode still resolves its tag (every
+verified blob read, fault arm and :class:`~repro.integrity.IntegrityError`
+stays where it is), then looks the resolved stack up by its layer-digest
+tuple, the flatten memo's key: equal keys mean equal flattened trees, and
+a decode is a pure function of the tree.  The memo keeps the parsed
+:class:`ProcessModels` and sources of a ``+coM`` stack, and the
+``meta.json`` text, files, modes and node files of a ``+coMre`` stack;
+it stores only decodes that succeeded.  Callers get private copies: a
+:meth:`ProcessModels.clone`, a new dict of each map and a fresh parse of
+the meta text, which the redirect writes into.
 """
 
 from __future__ import annotations
@@ -31,6 +43,7 @@ import json
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.models.process import ProcessModels
+from repro.memo import LruMemo
 from repro.oci import mediatypes
 from repro.oci.blobs import Blob
 from repro.oci.image import ImageConfig, Manifest
@@ -185,13 +198,27 @@ def encode_rebuild_layer(
 # decode
 # ---------------------------------------------------------------------------
 
-def _subtree_files(fs: VirtualFilesystem, root: str) -> Dict[str, FileContent]:
-    out: Dict[str, FileContent] = {}
-    if not fs.is_dir(root):
-        return out
-    for path, node in fs.iter_files(root):
-        out["/" + vpath.relative_to(path, root)] = node.content
-    return out
+def _subtree_files(
+    fs: VirtualFilesystem, root: str
+) -> Tuple[Dict[str, FileContent], Dict[str, int]]:
+    """Contents and modes of the regular files under *root*, by their
+    path relative to it."""
+    files: Dict[str, FileContent] = {}
+    modes: Dict[str, int] = {}
+    if fs.is_dir(root):
+        for path, node in fs.iter_files(root):
+            rel = "/" + vpath.relative_to(path, root)
+            files[rel], modes[rel] = node.content, node.mode
+    return files, modes
+
+
+# Decoded layer stacks keyed on (part, layer-digest tuple); see the
+# module docstring.  Only copies of an entry are handed out.
+_DECODE_MEMO = LruMemo(64)
+
+
+def _stack_key(part: str, resolved: ResolvedImage) -> tuple:
+    return part, tuple(layer.digest for layer in resolved.layers)
 
 
 def decode_cache(
@@ -204,14 +231,40 @@ def decode_cache(
                          "run coMtainer-build first",
                          stage="decode-cache", tag=tag)
     resolved = layout.resolve(tag)
+    key = _stack_key(SUFFIX_EXTENDED, resolved)
+    decoded = _DECODE_MEMO.get(key)
+    if decoded is None:
+        fs = resolved.filesystem()
+        models_path = f"{CACHE_ROOT}/models.json"
+        if not fs.exists(models_path):
+            raise CacheError("extended image has no cache layer models.json",
+                             stage="decode-cache", tag=tag)
+        models = ProcessModels.from_json(json.loads(fs.read_text(models_path)))
+        decoded = models, _subtree_files(fs, f"{CACHE_ROOT}/sources")[0]
+        _DECODE_MEMO.put(key, decoded)
+    models, sources = decoded
+    return models.clone(), dict(sources), resolved
+
+
+def _decode_rebuilt(layout: OCILayout, tag: str) -> Optional[tuple]:
+    """``(meta, (meta text, files, modes, node files), resolved)`` of the
+    rebuilt image *tag*, with *meta* parsed afresh; None when the image
+    has no ``meta.json``.  The maps are the memo's own: copy before use."""
+    resolved = layout.resolve(tag)
+    key = _stack_key(SUFFIX_REBUILT, resolved)
+    decoded = _DECODE_MEMO.get(key)
+    if decoded is not None:
+        return json.loads(decoded[0]), decoded, resolved
     fs = resolved.filesystem()
-    models_path = f"{CACHE_ROOT}/models.json"
-    if not fs.exists(models_path):
-        raise CacheError("extended image has no cache layer models.json",
-                         stage="decode-cache", tag=tag)
-    models = ProcessModels.from_json(json.loads(fs.read_text(models_path)))
-    sources = _subtree_files(fs, f"{CACHE_ROOT}/sources")
-    return models, sources, resolved
+    meta_path = f"{REBUILD_ROOT}/meta.json"
+    if not fs.exists(meta_path):
+        return None
+    text = fs.read_text(meta_path)
+    meta = json.loads(text)
+    files, modes = _subtree_files(fs, f"{REBUILD_ROOT}/files")
+    decoded = text, files, modes, _subtree_files(fs, f"{REBUILD_ROOT}/nodes")[0]
+    _DECODE_MEMO.put(key, decoded)
+    return meta, decoded, resolved
 
 
 def decode_rebuild(
@@ -223,20 +276,12 @@ def decode_rebuild(
         raise CacheError(f"layout has no rebuilt image {tag!r}; "
                          "run coMtainer-rebuild first",
                          stage="decode-rebuild", tag=tag)
-    resolved = layout.resolve(tag)
-    fs = resolved.filesystem()
-    meta_path = f"{REBUILD_ROOT}/meta.json"
-    if not fs.exists(meta_path):
+    decoded = _decode_rebuilt(layout, tag)
+    if decoded is None:
         raise CacheError("rebuilt image has no rebuild meta.json",
                          stage="decode-rebuild", tag=tag)
-    meta = json.loads(fs.read_text(meta_path))
-    files_root = f"{REBUILD_ROOT}/files"
-    files = _subtree_files(fs, files_root)
-    modes: Dict[str, int] = {}
-    if fs.is_dir(files_root):
-        for path, node in fs.iter_files(files_root):
-            modes["/" + vpath.relative_to(path, files_root)] = node.mode
-    return meta, files, modes, resolved
+    meta, (_, files, modes, _), resolved = decoded
+    return meta, dict(files), dict(modes), resolved
 
 
 def decode_rebuild_plan(
@@ -254,11 +299,8 @@ def decode_rebuild_plan(
     tag = rebuilt_tag(dist_tag)
     if not layout.has_tag(tag):
         return {}, {}
-    resolved = layout.resolve(tag)
-    fs = resolved.filesystem()
-    meta_path = f"{REBUILD_ROOT}/meta.json"
-    if not fs.exists(meta_path):
+    decoded = _decode_rebuilt(layout, tag)
+    if decoded is None:
         return {}, {}
-    meta = json.loads(fs.read_text(meta_path))
-    node_files = _subtree_files(fs, f"{REBUILD_ROOT}/nodes")
-    return node_files, dict(meta.get("node_fingerprints", {}))
+    meta, (_, _, _, node_files), _ = decoded
+    return dict(node_files), dict(meta.get("node_fingerprints", {}))

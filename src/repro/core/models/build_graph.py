@@ -61,6 +61,13 @@ class BuildNode:
     def is_produced(self) -> bool:
         return self.step is not None
 
+    def clone(self) -> "BuildNode":
+        """What the JSON round trip returns, sharing the frozen step."""
+        return BuildNode(
+            id=self.id, kind=self.kind, path=self.path, deps=list(self.deps),
+            step=self.step, metadata=dict(self.metadata),
+        )
+
     def to_json(self) -> Dict[str, Any]:
         return {
             "id": self.id,
@@ -224,6 +231,14 @@ class BuildGraph:
     # ------------------------------------------------------------------
     # serialization
     # ------------------------------------------------------------------
+
+    def clone(self) -> "BuildGraph":
+        """What ``from_json(to_json())`` returns: fresh nodes, added in
+        sorted key order."""
+        graph = BuildGraph()
+        for key in sorted(self._nodes):
+            graph.add(self._nodes[key].clone())
+        return graph
 
     def to_json(self) -> Dict[str, Any]:
         return {"nodes": [self._nodes[k].to_json() for k in sorted(self._nodes)]}

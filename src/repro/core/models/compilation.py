@@ -16,9 +16,14 @@ from typing import Any, Dict, List, Optional
 from repro.toolchain.cli import CompilerInvocation, parse_command_line
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompilationStep:
-    """One node-producing command from the raw build process."""
+    """One node-producing command from the raw build process.
+
+    Frozen, and its lists and dicts are never changed in place: a copy of
+    the process models shares its steps (:meth:`ProcessModels.clone`), and
+    a rewritten command is a new step (:meth:`with_argv`).
+    """
 
     argv: List[str]
     cwd: str = "/"

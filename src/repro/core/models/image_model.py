@@ -31,8 +31,10 @@ class FileOrigin:
     ALL = (BASE, PACKAGE, BUILD, DATA, UNKNOWN)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FileRecord:
+    """One classified file; frozen, so copies of the model share it."""
+
     path: str
     origin: str
     package: Optional[str] = None   # owning package, for PACKAGE files
@@ -89,6 +91,13 @@ class ImageModel:
         for record in self.files.values():
             out[record.origin] += 1
         return out
+
+    def clone(self) -> "ImageModel":
+        """What ``from_json(to_json())`` returns, sharing the records."""
+        files = (self.files[k] for k in sorted(self.files))
+        return ImageModel(files={r.path: r for r in files}, packages=list(self.packages),
+                          base_packages=list(self.base_packages),
+                          entrypoint=list(self.entrypoint), architecture=self.architecture)
 
     def to_json(self) -> Dict[str, Any]:
         return {

@@ -1,4 +1,12 @@
-"""The combined process models bundle carried by the cache layer."""
+"""The combined process models bundle carried by the cache layer.
+
+Every system-side program works on its own copy (§4.2).  :meth:`clone`
+builds the copy directly and returns what ``from_json(to_json())`` would:
+the same JSON, nodes and file records in sorted key order, and fresh
+nodes, lists and dicts (metadata one level deep, as the round trip copies
+it).  Only the frozen leaves, :class:`FileRecord` and
+:class:`CompilationStep`, are shared between copy and original.
+"""
 
 from __future__ import annotations
 
@@ -34,7 +42,8 @@ class ProcessModels:
 
     def clone(self) -> "ProcessModels":
         """Independent copy (adapters operate on copies, §4.2)."""
-        return ProcessModels.from_json(self.to_json())
+        return ProcessModels(image=self.image.clone(), graph=self.graph.clone(),
+                             metadata=dict(self.metadata))
 
     def summary(self) -> Dict[str, Any]:
         return {

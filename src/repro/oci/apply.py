@@ -6,7 +6,8 @@ applied in order; whiteouts delete, opaque markers clear directories, and
 later layers shadow earlier ones.
 
 Layer application is on the hot path of every adaptation (each rebuild
-re-flattens the extended image stack), so two optimizations apply here:
+and each read of a coMtainer image flattens its stack), so two
+optimizations apply here:
 
 * :class:`_LayerApplier` keeps a directory cache across entries (and, in
   :func:`flatten_layers`, across layers), so the common run of file entries
@@ -15,15 +16,21 @@ re-flattens the extended image stack), so two optimizations apply here:
   markers, symlinks, anything replacing a directory) conservatively drop
   the cache — correctness over speed for the rare kinds.
 * :func:`flatten_layers` memoizes finished trees by the layer-digest tuple
-  and hands out O(1) copy-on-write clones, so re-adaptations reuse prior
-  rebuilt layers wholesale instead of re-applying them.
+  and hands out O(1) copy-on-write clones.  A stack it has not seen starts
+  from a clone of the longest memoized prefix of its digest tuple and
+  applies only the layers above it, so a ``+coMre`` stack flattened after
+  its ``+coM`` stack applies one layer.  Applying the rest to a
+  clone of the prefix's finished tree is what a flatten from scratch does
+  once it has reached that prefix (the applier's directory cache is only a
+  cache), and the clone is copy-on-write, so the memoized tree never
+  changes.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
+from repro.memo import LruMemo
 from repro.oci.layer import (
     KIND_DIR,
     KIND_FILE,
@@ -115,8 +122,7 @@ def apply_layer(fs: VirtualFilesystem, layer: Layer) -> VirtualFilesystem:
 # Finished flatten results keyed by the layer-digest tuple.  Entries are
 # private snapshots: lookups hand out copy-on-write clones, so callers can
 # mutate their tree freely without disturbing the memo.
-_FLATTEN_MEMO: "OrderedDict[tuple, VirtualFilesystem]" = OrderedDict()
-_FLATTEN_MEMO_CAP = 64
+_FLATTEN_MEMO = LruMemo(64)
 
 
 def flatten_memo_clear() -> None:
@@ -124,32 +130,29 @@ def flatten_memo_clear() -> None:
     _FLATTEN_MEMO.clear()
 
 
-def flatten_layers(
-    layers: Iterable[Layer], *, reuse: bool = True
-) -> VirtualFilesystem:
+def flatten_layers(layers: Iterable[Layer]) -> VirtualFilesystem:
     """Compute the final filesystem state of an ordered layer stack.
 
-    With *reuse* (the default) the result is memoized by the stack's
-    layer-digest tuple; a repeat flatten of an identical stack returns an
-    O(1) copy-on-write clone instead of re-applying every entry.  A layer's
-    digest covers the canonical identity of every entry (content by
-    digest), so equal keys imply equal trees.
+    The result is memoized by the stack's layer-digest tuple; a repeat
+    flatten of an identical stack returns an O(1) copy-on-write clone, and
+    a new stack applies only the layers above its longest memoized prefix.
+    A layer's digest covers the canonical identity of every entry (content
+    by digest), so equal keys imply equal trees.
     """
     stack: List[Layer] = list(layers)
-    key: Optional[tuple] = None
-    if reuse:
-        key = tuple(layer.digest for layer in stack)
-        hit = _FLATTEN_MEMO.get(key)
-        if hit is not None:
-            _FLATTEN_MEMO.move_to_end(key)
-            return hit.clone()
-    fs = VirtualFilesystem()
+    key = tuple(layer.digest for layer in stack)
+    hit = _FLATTEN_MEMO.get(key)
+    if hit is not None:
+        return hit.clone()
+    fs, start = VirtualFilesystem(), 0
+    for n in range(len(key) - 1, 0, -1):
+        prefix = _FLATTEN_MEMO.get(key[:n])
+        if prefix is not None:
+            fs, start = prefix.clone(), n
+            break
     applier = _LayerApplier(fs)
-    for layer in stack:
+    for layer in stack[start:]:
         for entry in layer.entries:
             applier.apply_entry(entry)
-    if key is not None:
-        _FLATTEN_MEMO[key] = fs.clone()
-        while len(_FLATTEN_MEMO) > _FLATTEN_MEMO_CAP:
-            _FLATTEN_MEMO.popitem(last=False)
+    _FLATTEN_MEMO.put(key, fs.clone())
     return fs

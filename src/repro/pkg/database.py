@@ -27,9 +27,9 @@ lists that differ.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
+from repro.memo import LruMemo
 from repro.pkg.package import Package
 from repro.vfs import Directory, FileContent, InlineContent, RegularFile, VirtualFilesystem
 
@@ -175,17 +175,13 @@ class DpkgDatabase:
         parsed = _READ_MEMO.get(key)
         if parsed is None:
             parsed = _parse(status, lists)
-            _READ_MEMO[key] = parsed
-            while len(_READ_MEMO) > _READ_MEMO_CAP:
-                _READ_MEMO.popitem(last=False)
-        else:
-            _READ_MEMO.move_to_end(key)
+            _READ_MEMO.put(key, parsed)
         return parsed._copy()
 
 
 # Finished parses keyed by content digests; a failed parse is never stored.
-_READ_MEMO: "OrderedDict[tuple, DpkgDatabase]" = OrderedDict()
 _READ_MEMO_CAP = 16
+_READ_MEMO = LruMemo(_READ_MEMO_CAP)
 
 
 def _holds(node, data: bytes) -> bool:

@@ -4,8 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.oci import Layer, LayerEntry, apply_layer, diff_filesystems, flatten_layers
+from repro.oci import apply as oci_apply
 from repro.oci.diff import layer_from_tree
 from repro.vfs import InlineContent, VirtualFilesystem
+from tests.test_vfs_filesystem import tree_snapshot
 
 _names = st.text(alphabet="abcd", min_size=1, max_size=3)
 _paths = st.builds(lambda parts: "/" + "/".join(parts),
@@ -55,6 +57,89 @@ class TestFlattenProperties:
             diff_filesystems(b, c),
         ]
         assert _file_map(flatten_layers(layers)) == _file_map(c)
+
+
+# Paths over a two-letter alphabet collide often, so stacks replace
+# directories with files and files with directories, white out and
+# opaque-clear populated trees, and write through symlinks.
+_stack_paths = st.lists(st.sampled_from("ab"), min_size=1, max_size=3).map(
+    lambda parts: "/" + "/".join(parts))
+_entries = st.one_of(
+    st.builds(LayerEntry.file, _stack_paths, st.binary(max_size=3).map(InlineContent),
+              mode=st.sampled_from((0o644, 0o600)), mtime=st.integers(0, 2)),
+    st.builds(LayerEntry.directory, _stack_paths, mode=st.sampled_from((0o755, 0o700))),
+    st.builds(LayerEntry.whiteout, _stack_paths),
+    st.builds(LayerEntry.opaque, _stack_paths),
+    st.builds(LayerEntry.symlink, _stack_paths,
+              st.sampled_from(("a", "b", "/a", "/b/a", "..", "/nowhere"))),
+)
+_stacks = st.lists(st.lists(_entries, max_size=6).map(lambda es: Layer(entries=es)),
+                   min_size=1, max_size=4)
+
+
+def _outcome(flatten):
+    """Every node of the tree *flatten* returns, or the type it raised."""
+    try:
+        return tree_snapshot(flatten())
+    except Exception as exc:  # a stack can fail to apply; both ways alike
+        return type(exc)
+
+
+def apply_fresh(layers):
+    """The stack applied layer by layer, each with a fresh applier, past
+    every memo."""
+    fs = VirtualFilesystem()
+    for layer in layers:
+        apply_layer(fs, layer)
+    return fs
+
+
+class TestPrefixFlatten:
+    """A flatten that starts from a memoised prefix of its stack equals a
+    fresh application of every layer, whatever the memo holds."""
+
+    @given(_stacks, st.data())
+    def test_flatten_after_any_primed_prefix_equals_fresh_application(self, stack, data):
+        oci_apply.flatten_memo_clear()
+        cut = data.draw(st.integers(0, len(stack)), label="primed prefix")
+        prefix = stack[:cut]
+        if cut:
+            _outcome(lambda: flatten_layers(prefix))
+        expected = _outcome(lambda: apply_fresh(stack))
+        assert _outcome(lambda: flatten_layers(stack)) == expected
+        if cut:
+            assert _outcome(lambda: flatten_layers(prefix)) == _outcome(
+                lambda: apply_fresh(prefix))
+        if not isinstance(expected, type):
+            # A handed-out tree is the caller's: changing it changes no memo.
+            mine = flatten_layers(stack)
+            for name in list(mine.root.children):
+                mine.remove("/" + name, recursive=True)
+            mine.write_file("/a", b"mine")
+            assert _outcome(lambda: flatten_layers(stack)) == expected
+            if cut:
+                assert _outcome(lambda: flatten_layers(prefix)) == _outcome(
+                    lambda: apply_fresh(prefix))
+
+    def test_a_stack_over_a_flattened_prefix_applies_only_its_top(self, monkeypatch):
+        oci_apply.flatten_memo_clear()
+        prefix = [
+            Layer(entries=[LayerEntry.directory("/usr"),
+                           LayerEntry.file("/usr/a", InlineContent(b"a")),
+                           LayerEntry.file("/usr/b", InlineContent(b"b"))]),
+            Layer(entries=[LayerEntry.whiteout("/usr/b"),
+                           LayerEntry.symlink("/lib", "/usr")]),
+        ]
+        top = Layer(entries=[LayerEntry.file("/lib/c", InlineContent(b"c")),
+                             LayerEntry.opaque("/etc")])
+        flatten_layers(prefix)
+        applied = []
+        real = oci_apply._LayerApplier.apply_entry
+        monkeypatch.setattr(oci_apply._LayerApplier, "apply_entry",
+                            lambda self, entry: (applied.append(entry), real(self, entry)))
+        got = flatten_layers([*prefix, top])
+        assert applied == top.entries
+        assert tree_snapshot(got) == tree_snapshot(apply_fresh([*prefix, top]))
 
 
 class TestTarCodecProperties:

@@ -116,3 +116,56 @@ def test_callers_appends_its_table_after_the_rest(monkeypatch, capsys):
         "# callers of functions named write_file",
         *profile_ops.callers(stats, ops=30, names={"write_file"}),
     ]
+
+
+_JSON_DECODE = next(key for key in STATS if key[2] == "decode")
+
+
+def test_self_lists_any_module_by_self_time():
+    lines = profile_ops.by_self(STATS, ops=30, profiled_s=10.0)
+    assert lines[0].split() == ["calls/op", "self", "ms/op", "share", "function"]
+    # The json decoder is not a repro function; it is listed all the same.
+    assert [line.split() for line in lines[1:3]] == [
+        ["4965.0", "183.333", "55.0%", "repro/oci/blobs.py:78(check_blob)"],
+        ["30.0", "100.000", "30.0%", f"{_JSON_DECODE[0]}:332(decode)"],
+    ]
+    assert len(lines) == 1 + len(STATS)
+    assert len(profile_ops.by_self(STATS, ops=30, profiled_s=10.0, top=2)) == 3
+
+
+def test_a_qualified_name_reaches_outside_repro():
+    names = {"json/decoder.py:decode", "plan"}
+    assert [line.split()[-1] for line in profile_ops.named(STATS, ops=30, names=names)[1:]] == [
+        f"{_JSON_DECODE[0]}:332(decode)",
+        "repro/federation/sync.py:162(plan)",
+    ]
+    # A qualified name matches only in a file whose path ends with its suffix.
+    assert profile_ops.named(STATS, ops=30, names={"json/encoder.py:decode"})[1:] == []
+    assert profile_ops.named(STATS, ops=30, names={"oci/blobs.py:check_blob"})[1:] == (
+        profile_ops.named(STATS, ops=30, names={"check_blob"})[1:])
+
+
+def test_callers_takes_qualified_names_too():
+    stats, run = _with_write_file()
+    decode = (_JSON_DECODE[0], 332, "decode")
+    stats[decode] = (900, 900, 3.0, 9.5, {run: (900, 900, 3.0, 9.5)})
+    lines = profile_ops.callers(stats, ops=30, names={"json/decoder.py:decode"})
+    assert [line.split() for line in lines[1:]] == [
+        ["30.0", "316.667", f"{decode[0]}:332(decode)"],
+        ["30.0", "316.667", "<-", f"{run[0]}:40(run)"],
+    ]
+
+
+def test_self_appends_its_table_after_the_top_rows(monkeypatch, capsys):
+    monkeypatch.setattr(profile_ops, "profile", lambda name, seed, ops: (STATS, 0.5, 10.0))
+    profile_ops.main(["serve-burst"])
+    plain = capsys.readouterr().out
+    profile_ops.main(["serve-burst", "--self", "--fn", "plan"])
+    with_self = capsys.readouterr().out
+    assert with_self.startswith(plain)
+    assert with_self[len(plain):].splitlines() == [
+        "# top 25 functions of any module by self time",
+        *profile_ops.by_self(STATS, ops=30, profiled_s=10.0),
+        "# functions named plan",
+        *profile_ops.named(STATS, ops=30, names={"plan"}),
+    ]

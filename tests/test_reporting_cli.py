@@ -142,6 +142,50 @@ class TestCli:
         with pytest.raises(SystemExit):
             cli.main(["no-such-command"])
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "nosuch"],
+        ["adapt", "nosuch"],
+        ["trace", "nosuch"],
+        ["crossisa", "nosuch"],
+        ["inspect", "nosuch"],
+        ["mirror", "sync", "nosuch"],
+        ["health", "nosuch"],
+        ["schemes", "nosuch"],
+        ["schemes", "nosuch.lj"],
+        ["serve", "--apps", "hpccg,nosuch"],
+        ["fsck", "/nonexistent", "--repair", "--app", "nosuch"],
+    ])
+    def test_unknown_app_is_a_usage_error(self, argv, capsys):
+        error = self._usage_error(argv, capsys)
+        assert "unknown application 'nosuch'" in error
+        assert "comd, hpccg, hpcg, hpl, lammps, lulesh, miniaero, miniamr, minife, " \
+               "minimd, openmx" in error
+
+    @pytest.mark.parametrize("command", ["adapt", "trace", "health"])
+    @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+    def test_jobs_must_be_a_positive_integer(self, command, jobs, capsys):
+        error = self._usage_error([command, "hpccg", "--jobs", jobs], capsys)
+        assert f"argument --jobs: expected a positive integer, got '{jobs}'" in error
+
+    @staticmethod
+    def _usage_error(argv, capsys):
+        """The one ``error:`` line *argv* exits 2 with, after no traceback."""
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "Traceback" not in err
+        return errors[0]
+
+    def test_valid_apps_and_workloads_still_parse(self):
+        parser = cli.build_parser()
+        assert parser.parse_args(["serve", "--apps", " hpccg, comd ,"]).apps == ["hpccg", "comd"]
+        assert parser.parse_args(["serve"]).apps == ["minimd", "hpccg", "comd"]
+        assert parser.parse_args(["schemes", "lammps.lj"]).workload == "lammps.lj"
+        assert parser.parse_args(["adapt", "hpccg", "--jobs", "3"]).jobs == 3
+        assert parser.parse_args(["fsck", "/x"]).app is None
+
     def test_parser_help_smoke(self):
         parser = cli.build_parser()
         assert parser.prog == "comtainer-demo"
