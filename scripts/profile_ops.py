@@ -2,6 +2,7 @@
 
     python scripts/profile_ops.py WORKLOAD [--ops 30] [--seed 7] [--self]
                                   [--fn NAME[,NAME...]] [--callers NAME[,NAME...]]
+                                  [--window N]
 
 Builds the workload from ``benchmarks.harness.workloads`` in this process
 (its set-up is not profiled), then runs ``workload.run(i)`` for each op
@@ -21,8 +22,12 @@ cumulative milliseconds per op that caller accounts for (pstats' caller
 edges), so a count can be attributed to the code that makes it.  A name
 given as ``FILE-SUFFIX:NAME`` (``json/__init__.py:dumps``) matches the
 functions of that name in any file whose path ends with the suffix,
-outside ``repro`` too.  For a given workload, seed and op count the call
-counts repeat exactly; the times do not.
+outside ``repro`` too.  With ``--window N`` it then prints the mean
+profiled milliseconds per op of each window of N consecutive ops (the
+last one may be shorter) and the last window's mean over the first's, so
+a cost that grows with the workload's history shows as a rising row.
+For a given workload, seed and op count the call counts repeat exactly;
+the times do not.
 """
 
 import argparse
@@ -120,9 +125,24 @@ def callers(stats, ops, names):
     return lines
 
 
+def windows(laps, size):
+    """Table lines for the mean milliseconds per op of each window of
+    *size* consecutive ops of *laps* (per-op seconds), then the last
+    window's mean over the first's."""
+    means = []
+    lines = [f"{'ops':>11} {'ms/op':>10}"]
+    for start in range(0, len(laps), size):
+        window = laps[start:start + size]
+        means.append(sum(window) * 1e3 / len(window))
+        ops = f"{start}-{start + len(window) - 1}"
+        lines.append(f"{ops:>11} {means[-1]:>10.3f}")
+    lines.append(f"# last/first {means[-1] / means[0]:.3f}")
+    return lines
+
+
 def profile(name, seed, ops):
-    """(pstats dict, set-up seconds, profiled wall-clock seconds) of *ops*
-    ops of workload *name* at *seed*."""
+    """(pstats dict, set-up seconds, per-op profiled wall-clock seconds)
+    of *ops* ops of workload *name* at *seed*."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     from benchmarks.harness.workloads import WORKLOAD_TYPES, CheckFailed
 
@@ -130,18 +150,18 @@ def profile(name, seed, ops):
     workload = WORKLOAD_TYPES[name](seed, ops)
     setup_s = time.perf_counter() - start
     profiler = cProfile.Profile()
-    profiled_s = 0.0
+    laps = []
     for i in range(ops):
         profiler.enable()
         start = time.perf_counter()
         out = workload.run(i)
-        profiled_s += time.perf_counter() - start
+        laps.append(time.perf_counter() - start)
         profiler.disable()
         try:
             workload.check(i, out)
         except CheckFailed as exc:
             sys.exit(f"profile_ops: op {i} did not check out: {exc}")
-    return pstats.Stats(profiler).stats, setup_s, profiled_s
+    return pstats.Stats(profiler).stats, setup_s, laps
 
 
 def main(argv=None):
@@ -159,8 +179,12 @@ def main(argv=None):
                         help="also list the callers of every repro function"
                              " of these names (FILE-SUFFIX:NAME for any"
                              " module's)")
+    parser.add_argument("--window", type=int, default=0, metavar="N",
+                        help="also list the mean profiled ms/op of each"
+                             " window of N consecutive ops")
     args = parser.parse_args(argv)
-    stats, setup_s, profiled_s = profile(args.workload, args.seed, args.ops)
+    stats, setup_s, laps = profile(args.workload, args.seed, args.ops)
+    profiled_s = sum(laps)
     print(f"# {args.workload} seed {args.seed}: {args.ops} ops,"
           f" {profiled_s:.2f} s profiled (set-up {setup_s:.2f} s, not profiled)")
     print("\n".join(report(stats, args.ops, profiled_s)))
@@ -175,6 +199,9 @@ def main(argv=None):
         names = args.callers.split(",")
         print(f"# callers of functions named {', '.join(names)}")
         print("\n".join(callers(stats, args.ops, set(names))))
+    if args.window > 0:
+        print(f"# profiled ms/op per window of {args.window} ops")
+        print("\n".join(windows(laps, args.window)))
     return 0
 
 

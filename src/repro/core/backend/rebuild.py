@@ -88,6 +88,11 @@ def rebuild_in_container(
     """Execute the transformed build; returns
     ``(meta, files, modes, node_files, schedule)``.
 
+    *models* is only read: adapters transform steps into new ones
+    (§4.2), so the caller owns the copy it passes, as
+    ``coMtainer-rebuild`` owns the private copy :func:`decode_cache`
+    hands it.
+
     *previous* is a prior rebuild's (node outputs, plan fingerprints), as
     :func:`repro.core.cache.storage.decode_rebuild_plan` reads them.  The
     new plan is fingerprinted (:mod:`repro.perf.incremental`) and diffed
@@ -128,7 +133,6 @@ def rebuild_in_container(
     wave's checkpoints landed, so a journaled rebuild resumes from where
     the deadline cut it off.
     """
-    models = models.clone()   # adapters operate on independent copies (§4.2)
     fs = container.fs
     pool = engine.repository_pool_for(container)
     apt = AptFacade(fs, pool)

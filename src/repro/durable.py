@@ -28,6 +28,12 @@ the whole log:
   raises rejects the line); every other non-blank line counts as
   dropped.
 
+A sealed record is a :class:`Sealed` dict: read-only at the top level
+and rendered at most once, because :func:`line` keeps its bytes on it.
+:func:`salvage` hands out sealed records too, so a flush of a log whose
+records were sealed or salvaged earlier joins bytes it already has and
+renders only the records added since.
+
 Every journal, ledger and WAL flush passes through the
 ``journal.append`` corruption site (:func:`through_site`), keyed per
 log, so scripted corruptions can target any one of them.
@@ -46,21 +52,46 @@ APPEND_SITE = "journal.append"
 _BLANK = b" \t\r\n\x00"
 
 
+class Sealed(dict):
+    """A sealed log record: refuses top-level writes, so the line
+    :func:`line` renders for it once stays its line."""
+
+    __slots__ = ("_line",)
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a sealed log record is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return Sealed, (dict(self),)
+
+
 def _body_digest(record: dict) -> str:
     body = {k: v for k, v in record.items() if k != "line_digest"}
     return digest_bytes(json.dumps(body, sort_keys=True).encode("utf-8"))
 
 
-def seal(record: dict) -> dict:
-    """A copy of *record* carrying its ``line_digest``."""
-    sealed = dict(record)
-    sealed["line_digest"] = _body_digest(record)
-    return sealed
+def seal(record: dict) -> Sealed:
+    """A read-only copy of *record* carrying its ``line_digest``."""
+    return Sealed(record, line_digest=_body_digest(record))
+
+
+def _render(record: dict) -> bytes:
+    return (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
 
 
 def line(record: dict) -> bytes:
-    """One serialized log line: sorted-key JSON plus a newline."""
-    return (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+    """One serialized log line: sorted-key JSON plus a newline.  A
+    :class:`Sealed` record is rendered once and keeps its bytes."""
+    if not isinstance(record, Sealed):
+        return _render(record)
+    try:
+        return record._line
+    except AttributeError:
+        record._line = rendered = _render(record)
+        return rendered
 
 
 def header(kind: str, version: int, **fields) -> bytes:
@@ -100,7 +131,8 @@ def salvage(
     """``(header, records, dropped)`` from a log's flushed bytes.
 
     *header* is ``{}`` when the header line is missing or damaged;
-    *records* keeps log order.  Never raises.
+    *records* keeps log order, each a :class:`Sealed` copy made only
+    after it re-hashed and passed *valid*.  Never raises.
     """
     if not data.strip(_BLANK):
         return {}, [], 0
@@ -115,10 +147,11 @@ def salvage(
             continue
         record = _parse(raw)
         if _sealed(record, valid):
-            records.append(record)
+            records.append(Sealed(record))
         else:
             dropped += 1
     return head, records, dropped
 
 
-__all__ = ["APPEND_SITE", "header", "line", "salvage", "seal", "through_site"]
+__all__ = ["APPEND_SITE", "Sealed", "header", "line", "salvage", "seal",
+           "through_site"]

@@ -130,6 +130,9 @@ class LayerEntry:
             assert self.content is not None
             ident["size"] = self.content.size
             ident["digest"] = self.content.digest
+            if self.mtime:
+                # Left out at 0 so every mtime-0 layer keeps its digest.
+                ident["mtime"] = self.mtime
         elif self.kind == KIND_SYMLINK:
             ident["target"] = self.link_target
         return ident

@@ -434,6 +434,9 @@ class AdaptationService:
         self.tenants: Dict[str, TenantState] = {}
         self.mirrors: Dict[str, ImageRegistry] = {}
         self.outcomes: List[RequestOutcome] = []
+        # Running sums of the outcomes' node counts (the dedup gauge).
+        self._cache_hit_nodes = 0
+        self._executed_nodes = 0
         self.workers_in_use = 0
         self.deduped_requests = 0
         self.mirror_syncs = 0
@@ -754,7 +757,7 @@ class AdaptationService:
             rid = data.get("request_id") or record.get("request_id", "")
             outcome = RequestOutcome.from_json(
                 {**data, "request_id": rid, "recovered": True})
-            self.outcomes.append(outcome)
+            self._add_outcome(outcome)
             self.recovered_requests += 1
             tenant = self.tenants.get(outcome.tenant)
             if tenant is None:
@@ -970,7 +973,7 @@ class AdaptationService:
             finished_at=self.clock.now, shed=request.shed,
         )
         outcome.reasons.append(error.reason)
-        self.outcomes.append(outcome)
+        self._add_outcome(outcome)
         self._wal_terminal(outcome)
         tele = self.telemetry
         if tele.enabled:
@@ -996,7 +999,7 @@ class AdaptationService:
                 latency=now - request.submit_at, shed=request.shed,
             )
             outcome.reasons.append("deadline expired while queued")
-            self.outcomes.append(outcome)
+            self._add_outcome(outcome)
             self._wal_terminal(outcome)
             if self.telemetry.enabled:
                 self.telemetry.event("service.deadline_expired_queued",
@@ -1222,7 +1225,7 @@ class AdaptationService:
             tenant.deadline_exceeded += 1
             if tele.enabled:
                 tele.metrics.counter("service_requests_deadline_total").inc()
-        self.outcomes.append(outcome)
+        self._add_outcome(outcome)
         self._wal_terminal(outcome, charged=charged)
         if tele.enabled:
             tele.event("service.finished", request=request.request_id,
@@ -1346,11 +1349,16 @@ class AdaptationService:
         # yet — the restart exposure right now.
         m.gauge("service_wal_open_requests").set(float(len(self._open_ids)))
 
+    def _add_outcome(self, outcome: RequestOutcome) -> None:
+        """Keep one terminal outcome and add its node counts to the sums."""
+        self.outcomes.append(outcome)
+        self._cache_hit_nodes += outcome.cache_hit_nodes
+        self._executed_nodes += outcome.executed_nodes
+
     def _update_dedup_gauge(self) -> None:
         if not self.telemetry.enabled:
             return
-        hits = sum(o.cache_hit_nodes for o in self.outcomes)
-        executed = sum(o.executed_nodes for o in self.outcomes)
+        hits, executed = self._cache_hit_nodes, self._executed_nodes
         if hits + executed:
             self.telemetry.metrics.gauge("service_dedup_ratio").set(
                 hits / (hits + executed)

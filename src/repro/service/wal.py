@@ -89,17 +89,26 @@ def _valid_record(record: dict) -> bool:
     """Structural check for one WAL line before trusting it."""
     t = record.get("t")
     return (record.get("rec") in RECORD_KINDS
-            and isinstance(t, (int, float)) and t >= 0)
+            and isinstance(t, (int, float)) and t >= 0
+            and isinstance(record.get("request_id", ""), str))
 
 
 class ServiceWAL:
     """Append-only JSONL log of service state transitions.
 
-    The in-memory :attr:`records` list and the flushed byte buffer move
-    in lockstep: :meth:`append` serializes, (optionally) passes the line
-    through the ``journal.append`` corruption site, extends the buffer,
-    and only then returns — the buffer *is* the durable artifact a
-    crash leaves behind.
+    The in-memory :attr:`records` list and the flushed lines move in
+    lockstep: :meth:`append` seals and renders the record, (optionally)
+    passes the line through the ``journal.append`` corruption site,
+    keeps the line that landed, and only then returns — those lines
+    *are* the durable artifact a crash leaves behind.  A record's
+    rendered line and the landed line are one ``bytes`` object unless
+    the corruption site changed it.
+
+    Every kept record is folded into per-kind counts, per-request
+    terminal counts and the open-request set as it lands
+    (:meth:`_note`), so :meth:`stats`, :meth:`terminal_counts` and
+    :meth:`open_request_ids` cost what they return, not the log's
+    length.
     """
 
     def __init__(self, seed: int = 0, injector=None) -> None:
@@ -110,16 +119,33 @@ class ServiceWAL:
         self.torn_records_dropped = 0
         #: Restart records seen (how many crashes this log has survived).
         self.restarts = 0
-        self._buf = bytearray()
-        self._write_header()
+        self._lines: List[bytes] = []
+        self._size = 0
+        self._kinds: Dict[str, int] = {}
+        self._terminals: Dict[str, int] = {}
+        #: Admitted or dispatched request ids with no terminal record, in
+        #: first-seen order (a dict as an ordered set).
+        self._open: Dict[str, None] = {}
+        self._land(durable.header(WAL_KIND, WAL_VERSION, seed=self.seed))
 
     # -- writing -----------------------------------------------------------
 
-    def _write_header(self) -> None:
-        self._buf.extend(durable.header(WAL_KIND, WAL_VERSION, seed=self.seed))
+    def _land(self, line: bytes) -> None:
+        self._lines.append(line)
+        self._size += len(line)
 
-    def _flush_line(self, line: bytes) -> None:
-        self._buf.extend(durable.through_site(self.injector, WAL_SITE_KEY, line))
+    def _note(self, record: dict) -> None:
+        """Keep *record* and fold it into the counts the queries read."""
+        self.records.append(record)
+        kind = record.get("rec", "?")
+        self._kinds[kind] = self._kinds.get(kind, 0) + 1
+        rid = record.get("request_id", "")
+        if kind == "terminal":
+            # A terminal closes its request for good.
+            self._terminals[rid] = self._terminals.get(rid, 0) + 1
+            self._open.pop(rid, None)
+        elif kind in ("admit", "dispatch") and rid and rid not in self._terminals:
+            self._open[rid] = None
 
     def append(self, record: dict) -> dict:
         """Durably append one record (adds ``line_digest``).  A fired
@@ -135,10 +161,10 @@ class ServiceWAL:
                 "service.crash", f"wal/{n}/clean")
         if torn:
             # A torn write: a prefix of the line reaches the log.
-            self._flush_line(line[: max(1, len(line) // 2)])
-        else:
-            self._flush_line(line)
-            self.records.append(record)
+            line = line[: max(1, len(line) // 2)]
+        self._land(durable.through_site(self.injector, WAL_SITE_KEY, line))
+        if not torn:
+            self._note(record)
         if torn or clean:
             raise ServiceCrash(len(self.records), torn=torn)
         return record
@@ -146,53 +172,34 @@ class ServiceWAL:
     @property
     def flushed_bytes(self) -> bytes:
         """What would be on disk right now (survives a crash)."""
-        return bytes(self._buf)
+        return b"".join(self._lines)
 
     def __len__(self) -> int:
         return len(self.records)
 
     # -- queries -----------------------------------------------------------
 
-    def by_kind(self, kind: str) -> List[dict]:
-        return [r for r in self.records if r.get("rec") == kind]
-
     def terminal_counts(self) -> Dict[str, int]:
         """request_id -> number of terminal records (the invariant says
         this is exactly 1 for every admitted request, eventually)."""
-        counts: Dict[str, int] = {}
-        for record in self.by_kind("terminal"):
-            rid = record.get("request_id", "")
-            counts[rid] = counts.get(rid, 0) + 1
-        return counts
+        return dict(self._terminals)
 
     def open_request_ids(self) -> List[str]:
         """Admitted (or dispatched) requests with no terminal record yet
         — the service's recovery exposure ("WAL lag")."""
-        terminal = set(self.terminal_counts())
-        seen: List[str] = []
-        for record in self.records:
-            if record.get("rec") not in ("admit", "dispatch"):
-                continue
-            rid = record.get("request_id", "")
-            if rid and rid not in terminal and rid not in seen:
-                seen.append(rid)
-        return seen
+        return list(self._open)
 
     def open_request_count(self) -> int:
-        return len(self.open_request_ids())
+        return len(self._open)
 
     def stats(self) -> dict:
-        kinds: Dict[str, int] = {}
-        for record in self.records:
-            kind = record.get("rec", "?")
-            kinds[kind] = kinds.get(kind, 0) + 1
         return {
             "records": len(self.records),
-            "bytes": len(self._buf),
+            "bytes": self._size,
             "torn_records_dropped": self.torn_records_dropped,
             "restarts": self.restarts,
-            "open_requests": self.open_request_count(),
-            "by_kind": kinds,
+            "open_requests": len(self._open),
+            "by_kind": dict(self._kinds),
         }
 
     # -- salvage -----------------------------------------------------------
@@ -209,9 +216,10 @@ class ServiceWAL:
         seed = header.get("seed")
         wal = cls(seed=seed if isinstance(seed, int) else 0, injector=injector)
         wal.torn_records_dropped = dropped
-        wal.records = records
-        wal._buf.extend(b"".join(durable.line(record) for record in records))
-        wal.restarts = len(wal.by_kind("restart"))
+        for record in records:
+            wal._land(durable.line(record))
+            wal._note(record)
+        wal.restarts = wal._kinds.get("restart", 0)
         return wal
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from repro.apps import APPS, get_app
 from repro.containers import ContainerEngine
+from repro.core.backend import rebuild as rebuild_module
 from repro.core.cache import storage
 from repro.core.cache.storage import (
     CACHE_ROOT,
@@ -318,3 +319,29 @@ class TestClone:
             decode_cache(*adapted[name])
             decode_rebuild(*adapted[name])
         assert len(storage._DECODE_MEMO) <= storage._DECODE_MEMO.cap == 64
+
+
+class TestRebuildOnlyReadsItsModels:
+    """``rebuild_in_container`` makes no copy of the models it is handed:
+    it only reads them, so ``coMtainer-rebuild`` passes the private copy
+    ``decode_cache`` handed it."""
+
+    @pytest.mark.parametrize("app", ["hpccg", "lammps"])
+    def test_cold_and_warm_rebuilds_leave_the_models_unchanged(self, app, monkeypatch):
+        rebuild = rebuild_module.rebuild_in_container
+        runs = []
+
+        def checked(engine, container, models, *args, **kwargs):
+            before = models.to_json()
+            meta = rebuild(engine, container, models, *args, **kwargs)
+            runs.append((len(meta[0]["executed_nodes"]), models.to_json() == before))
+            return meta
+
+        monkeypatch.setattr(rebuild_module, "rebuild_in_container", checked)
+        layout, _ = build_extended_image(ContainerEngine(arch="amd64"), get_app(app))
+        system_side_adapt(ContainerEngine(arch="amd64"), layout, X86_CLUSTER)
+        cold = len(runs)
+        system_side_adapt(ContainerEngine(arch="amd64"), layout, X86_CLUSTER)
+        assert all(unchanged for _, unchanged in runs)
+        assert runs[0][0] > 0                                 # cold: compiles
+        assert cold < len(runs) and runs[-1][0] == 0          # warm: none

@@ -181,3 +181,29 @@ class TestDiffMinimality:
         changed.write_file(target, b"CHANGED-CONTENT-UNIQUE")
         layer = diff_filesystems(fs, changed)
         assert layer.paths() == [target]
+
+
+def _mtime_layer(mtime):
+    return Layer().add(LayerEntry.file("/x", InlineContent(b"hi"), mtime=mtime))
+
+
+class TestFileMtimeInTheDigest:
+    """A file entry's non-zero mtime is part of its layer's digest, so the
+    digest-keyed flatten memo never hands one layer's mtimes to another."""
+
+    def test_layers_differing_only_in_mtime_have_distinct_digests(self):
+        assert _mtime_layer(5).digest != _mtime_layer(9).digest
+
+    def test_flatten_keeps_each_layers_mtime(self):
+        assert flatten_layers([_mtime_layer(5)]).get_node("/x").mtime == 5
+        assert flatten_layers([_mtime_layer(9)]).get_node("/x").mtime == 9
+
+    def test_tar_round_trip_keeps_mtime_and_digest(self):
+        layer = _mtime_layer(9)
+        back = Layer.from_tar_bytes(layer.to_tar_bytes())
+        assert back.entries[0].mtime == 9
+        assert back.digest == layer.digest
+
+    def test_mtime_zero_digest_is_unchanged(self):
+        assert _mtime_layer(0).digest == (
+            "sha256:206c506a290e21ab8760f255760ac214d96bdcc71988f9e2c60e7fb6d0ec3a0a")

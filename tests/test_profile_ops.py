@@ -68,7 +68,7 @@ def test_named_reaches_past_the_top_rows():
 
 
 def test_fn_appends_the_named_table_and_leaves_the_rest_alone(monkeypatch, capsys):
-    monkeypatch.setattr(profile_ops, "profile", lambda name, seed, ops: (STATS, 0.5, 10.0))
+    monkeypatch.setattr(profile_ops, "profile", lambda name, seed, ops: (STATS, 0.5, [10.0]))
     profile_ops.main(["mirror-sync"])
     plain = capsys.readouterr().out
     profile_ops.main(["mirror-sync", "--fn", "missing_of,plan"])
@@ -106,7 +106,7 @@ def test_callers_attributes_each_named_function_to_its_callers():
 
 def test_callers_appends_its_table_after_the_rest(monkeypatch, capsys):
     stats, _ = _with_write_file()
-    monkeypatch.setattr(profile_ops, "profile", lambda name, seed, ops: (stats, 0.5, 10.0))
+    monkeypatch.setattr(profile_ops, "profile", lambda name, seed, ops: (stats, 0.5, [10.0]))
     profile_ops.main(["serve-burst", "--fn", "plan"])
     plain = capsys.readouterr().out
     profile_ops.main(["serve-burst", "--fn", "plan", "--callers", "write_file"])
@@ -157,7 +157,7 @@ def test_callers_takes_qualified_names_too():
 
 
 def test_self_appends_its_table_after_the_top_rows(monkeypatch, capsys):
-    monkeypatch.setattr(profile_ops, "profile", lambda name, seed, ops: (STATS, 0.5, 10.0))
+    monkeypatch.setattr(profile_ops, "profile", lambda name, seed, ops: (STATS, 0.5, [10.0]))
     profile_ops.main(["serve-burst"])
     plain = capsys.readouterr().out
     profile_ops.main(["serve-burst", "--self", "--fn", "plan"])
@@ -169,3 +169,30 @@ def test_self_appends_its_table_after_the_top_rows(monkeypatch, capsys):
         "# functions named plan",
         *profile_ops.named(STATS, ops=30, names={"plan"}),
     ]
+
+
+def test_windows_are_mean_ms_per_op_then_the_last_over_the_first():
+    laps = [0.010] * 4 + [0.012] * 4 + [0.015] * 2
+    lines = profile_ops.windows(laps, 4)
+    assert [line.split() for line in lines] == [
+        ["ops", "ms/op"],
+        ["0-3", "10.000"],
+        ["4-7", "12.000"],
+        ["8-9", "15.000"],
+        ["#", "last/first", "1.500"],
+    ]
+
+
+def test_window_appends_its_table_after_the_rest(monkeypatch, capsys):
+    laps = [0.010] * 20 + [0.020] * 10
+    monkeypatch.setattr(profile_ops, "profile", lambda name, seed, ops: (STATS, 0.5, laps))
+    profile_ops.main(["serve-burst", "--fn", "plan"])
+    plain = capsys.readouterr().out
+    profile_ops.main(["serve-burst", "--fn", "plan", "--window", "10"])
+    with_window = capsys.readouterr().out
+    assert with_window.startswith(plain)
+    assert with_window[len(plain):].splitlines() == [
+        "# profiled ms/op per window of 10 ops",
+        *profile_ops.windows(laps, 10),
+    ]
+    assert with_window.splitlines()[-1] == "# last/first 2.000"

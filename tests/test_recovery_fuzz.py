@@ -72,6 +72,11 @@ def wal_bytes():
     return data
 
 
+#: The ``journal_bytes`` log, pinned as (length, sha256).
+JOURNAL_PIN = (10312,
+               "50ce689a7f185e49cb3b431524ae21f329aad37a009784af2cfdd13af1609752")
+
+
 @pytest.fixture(scope="module")
 def journal_bytes():
     layout = OCILayout()
@@ -172,6 +177,11 @@ def test_wal_bytes_pinned(wal_bytes):
     """Same workload, same WAL bytes, unless the format version moved."""
     assert (WAL_VERSION, len(wal_bytes),
             hashlib.sha256(wal_bytes).hexdigest()) == WAL_PIN
+
+
+def test_journal_bytes_pinned(journal_bytes):
+    assert (len(journal_bytes),
+            hashlib.sha256(journal_bytes).hexdigest()) == JOURNAL_PIN
 
 
 @pytest.mark.parametrize("seed", range(SEEDS))
