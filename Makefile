@@ -33,14 +33,16 @@
 #                - alternating parent/change harness pairs, merged and compared
 #   make harness-test - the wall-clock harness's self-tests
 #   make profile W=workload [OPS=30] [SEED=7] [SELF=1] [FN=name[,name...]]
-#                [CALLERS=name[,name...]] [WINDOW=n]
+#                [CALLERS=name[,name...]] [WINDOW=n] [WALL=module:qualname[,...]]
 #                - cProfile of one workload's timed ops: top repro functions
 #                  with calls per op and share of the profiled time (with
 #                  SELF=1, also the top functions of any module by self
 #                  time; with FN, also every repro function of those names;
 #                  with CALLERS, each caller of every repro function of
 #                  those names; file-suffix:name reaches outside repro;
-#                  with WINDOW, the mean ms/op of each n-op window)
+#                  with WINDOW, the mean ms/op of each n-op window; with
+#                  WALL, no cProfile: the calls and inclusive wall-clock
+#                  ms/op of those functions instead)
 #   make loc [BASE=rev] - code and docstring/comment lines of src/ (per
 #                file and total; with BASE, BASE's counts and the delta)
 
@@ -181,11 +183,12 @@ harness-test:
 # script's own default (7) applies otherwise.
 profile:
 	$(if $(W),,$(error usage: make profile W=<workload> [OPS=30] [SEED=7] \
-	    [SELF=1] [FN=name[,name...]] [CALLERS=name[,name...]] [WINDOW=n]))
+	    [SELF=1] [FN=name[,name...]] [CALLERS=name[,name...]] [WINDOW=n] \
+	    [WALL=module:qualname[,...]]))
 	$(PYTHON) scripts/profile_ops.py $(W) $(if $(OPS),--ops $(OPS)) \
 	    $(if $(filter-out file,$(origin SEED)),--seed $(SEED)) $(if $(SELF),--self) \
 	    $(if $(FN),--fn $(FN)) $(if $(CALLERS),--callers $(CALLERS)) \
-	    $(if $(WINDOW),--window $(WINDOW))
+	    $(if $(WINDOW),--window $(WINDOW)) $(if $(WALL),--wall $(WALL))
 
 loc:
 	$(PYTHON) scripts/loc.py $(BASE)

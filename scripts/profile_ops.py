@@ -3,6 +3,8 @@
     python scripts/profile_ops.py WORKLOAD [--ops 30] [--seed 7] [--self]
                                   [--fn NAME[,NAME...]] [--callers NAME[,NAME...]]
                                   [--window N]
+    python scripts/profile_ops.py WORKLOAD [--ops 30] [--seed 7]
+                                  --wall MODULE:QUALNAME[,...] [--window N]
 
 Builds the workload from ``benchmarks.harness.workloads`` in this process
 (its set-up is not profiled), then runs ``workload.run(i)`` for each op
@@ -28,10 +30,22 @@ last one may be shorter) and the last window's mean over the first's, so
 a cost that grows with the workload's history shows as a rising row.
 For a given workload, seed and op count the call counts repeat exactly;
 the times do not.
+
+cProfile inflates code that makes many small calls, so a share it reports
+can overstate a function's share of the wall-clock time.  ``--wall``
+runs the ops without cProfile instead and times only the functions it
+names (``repro.perf.incremental:plan_rebuild``, a method as
+``module:Class.method``): for each, its calls per op, its inclusive
+wall-clock milliseconds per op, counting only the outermost of nested or
+recursive calls, and that time's share of the timed region.  The
+functions are wrapped by identity, as the harness tracer wraps its
+boundaries, and every wrapper is removed afterwards.
 """
 
 import argparse
 import cProfile
+import functools
+import importlib
 import os
 import pstats
 import sys
@@ -140,28 +154,152 @@ def windows(laps, size):
     return lines
 
 
-def profile(name, seed, ops):
-    """(pstats dict, set-up seconds, per-op profiled wall-clock seconds)
-    of *ops* ops of workload *name* at *seed*."""
+class WallClock:
+    """Calls and inclusive wall-clock seconds of named functions.
+
+    Each name is ``module:qualname``.  A method (or property, cached
+    property, static or class method) is replaced on its class; a module
+    function on the named module and on every loaded ``repro`` module
+    attribute that *is* it, so ``from x import f`` aliases are timed too.
+    Wrappers count only inside a ``with`` block of the clock, and time
+    only the outermost of nested or recursive calls of one function.
+    :meth:`uninstall` restores every original.
+    """
+
+    def __init__(self, names, clock=time.perf_counter):
+        self.names = list(names)
+        self.clock = clock
+        self.active = False
+        self.calls = [0] * len(self.names)
+        self.seconds = [0.0] * len(self.names)
+        self._running = [False] * len(self.names)
+        self._patches = []
+
+    def wrap(self, index, fn):
+        """A counting, timing wrapper around *fn* for name *index*."""
+        timer = self
+
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            if not timer.active:
+                return fn(*args, **kwargs)
+            timer.calls[index] += 1
+            if timer._running[index]:
+                return fn(*args, **kwargs)
+            timer._running[index] = True
+            start = timer.clock()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                timer.seconds[index] += timer.clock() - start
+                timer._running[index] = False
+
+        return wrapper
+
+    def __enter__(self):
+        self.active = True
+
+    def __exit__(self, *exc):
+        self.active = False
+
+    def install(self):
+        """Replace every named function with its wrapper."""
+        for index, name in enumerate(self.names):
+            module_name, _, qualname = name.partition(":")
+            module = importlib.import_module(module_name)
+            owner_name, _, attr = qualname.rpartition(".")
+            if owner_name:
+                owner = functools.reduce(getattr, owner_name.split("."), module)
+                raw = owner.__dict__[attr]
+                if isinstance(raw, property):
+                    wrapped = raw.getter(self.wrap(index, raw.fget))
+                elif isinstance(raw, functools.cached_property):
+                    wrapped = functools.cached_property(self.wrap(index, raw.func))
+                    wrapped.__set_name__(owner, attr)
+                elif isinstance(raw, (staticmethod, classmethod)):
+                    wrapped = type(raw)(self.wrap(index, raw.__func__))
+                elif callable(raw):
+                    wrapped = self.wrap(index, raw)
+                else:
+                    raise TypeError(f"cannot time {name}: a {type(raw).__name__}")
+                self._patch(owner, attr, raw, wrapped)
+                continue
+            original = getattr(module, attr)
+            wrapped = self.wrap(index, original)
+            repro = [mod for key, mod in list(sys.modules.items())
+                     if mod is not None and key.split(".")[0] == "repro"]
+            for mod in {id(mod): mod for mod in [module, *repro]}.values():
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        self._patch(mod, key, original, wrapped)
+
+    def _patch(self, owner, attr, original, wrapped):
+        setattr(owner, attr, wrapped)
+        self._patches.append((owner, attr, original))
+
+    def uninstall(self):
+        for owner, attr, original in reversed(self._patches):
+            setattr(owner, attr, original)
+        self._patches.clear()
+
+    def table(self, ops, timed_s):
+        """Table lines, one per name in the order given: calls per op,
+        inclusive milliseconds per op and share of *timed_s*."""
+        lines = [f"{'calls/op':>10} {'incl ms/op':>10} {'share':>6}  function"]
+        for name, calls, seconds in zip(self.names, self.calls, self.seconds):
+            lines.append(f"{calls / ops:>10.1f} {seconds * 1e3 / ops:>10.3f}"
+                         f" {seconds / timed_s:>6.1%}  {name}")
+        return lines
+
+
+def _build(name, seed, ops):
+    """(workload *name* at *seed* sized for *ops* ops, its set-up seconds,
+    the harness's check failure type)."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     from benchmarks.harness.workloads import WORKLOAD_TYPES, CheckFailed
 
     start = time.perf_counter()
     workload = WORKLOAD_TYPES[name](seed, ops)
-    setup_s = time.perf_counter() - start
-    profiler = cProfile.Profile()
+    return workload, time.perf_counter() - start, CheckFailed
+
+
+def _run(workload, ops, check_failed, region):
+    """Per-op wall-clock seconds of ``workload.run(i)`` for each op, each
+    inside a ``with`` block of *region* (a profiler or a clock), checked
+    outside it."""
     laps = []
     for i in range(ops):
-        profiler.enable()
-        start = time.perf_counter()
-        out = workload.run(i)
-        laps.append(time.perf_counter() - start)
-        profiler.disable()
+        with region:
+            start = time.perf_counter()
+            out = workload.run(i)
+            laps.append(time.perf_counter() - start)
         try:
             workload.check(i, out)
-        except CheckFailed as exc:
+        except check_failed as exc:
             sys.exit(f"profile_ops: op {i} did not check out: {exc}")
+    return laps
+
+
+def profile(name, seed, ops):
+    """(pstats dict, set-up seconds, per-op profiled wall-clock seconds)
+    of *ops* ops of workload *name* at *seed*."""
+    workload, setup_s, check_failed = _build(name, seed, ops)
+    profiler = cProfile.Profile()
+    laps = _run(workload, ops, check_failed, profiler)
     return pstats.Stats(profiler).stats, setup_s, laps
+
+
+def wall(name, seed, ops, names):
+    """(:class:`WallClock` of *names*, set-up seconds, per-op wall-clock
+    seconds) of *ops* ops of workload *name* at *seed*, without cProfile."""
+    workload, setup_s, check_failed = _build(name, seed, ops)
+    timer = WallClock(names)
+    timer.install()
+    try:
+        laps = _run(workload, ops, check_failed, timer)
+    finally:
+        timer.uninstall()
+    return timer, setup_s, laps
 
 
 def main(argv=None):
@@ -182,7 +320,15 @@ def main(argv=None):
     parser.add_argument("--window", type=int, default=0, metavar="N",
                         help="also list the mean profiled ms/op of each"
                              " window of N consecutive ops")
+    parser.add_argument("--wall", default="", metavar="MODULE:QUALNAME[,...]",
+                        help="run without cProfile and list the calls and"
+                             " inclusive wall-clock ms/op of these functions")
     args = parser.parse_args(argv)
+    if args.wall:
+        if args.self or args.fn or args.callers:
+            parser.error("--wall runs without cProfile: leave out --self,"
+                         " --fn and --callers")
+        return main_wall(args)
     stats, setup_s, laps = profile(args.workload, args.seed, args.ops)
     profiled_s = sum(laps)
     print(f"# {args.workload} seed {args.seed}: {args.ops} ops,"
@@ -201,6 +347,21 @@ def main(argv=None):
         print("\n".join(callers(stats, args.ops, set(names))))
     if args.window > 0:
         print(f"# profiled ms/op per window of {args.window} ops")
+        print("\n".join(windows(laps, args.window)))
+    return 0
+
+
+def main_wall(args):
+    """The ``--wall`` report: the named functions' wall-clock table."""
+    names = args.wall.split(",")
+    timer, setup_s, laps = wall(args.workload, args.seed, args.ops, names)
+    timed_s = sum(laps)
+    print(f"# {args.workload} seed {args.seed}: {args.ops} ops,"
+          f" {timed_s:.2f} s timed without cProfile"
+          f" (set-up {setup_s:.2f} s, not timed)")
+    print("\n".join(timer.table(args.ops, timed_s)))
+    if args.window > 0:
+        print(f"# timed ms/op per window of {args.window} ops")
         print("\n".join(windows(laps, args.window)))
     return 0
 

@@ -109,6 +109,36 @@ def _positive_int(value: str) -> int:
     return int(value)
 
 
+def _count(value: str) -> int:
+    """argparse type of a count where 0 means none."""
+    if not value.strip().isdigit():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {value!r}")
+    return int(value)
+
+
+def _seconds(value: str) -> float:
+    """argparse type of a simulated duration that must be above 0."""
+    try:
+        seconds = float(value)
+    except ValueError:
+        seconds = 0.0
+    if not 0.0 < seconds < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {value!r}")
+    return seconds
+
+
+def _rate(value: str) -> float:
+    """argparse type of a probability in [0, 1]."""
+    try:
+        rate = float(value)
+    except ValueError:
+        rate = -1.0
+    if not 0.0 <= rate <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a rate in [0, 1], got {value!r}")
+    return rate
+
+
 def cmd_schemes(args: argparse.Namespace) -> int:
     from repro.core.workflow import measure_schemes
     from repro.reporting import render_table
@@ -602,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("app", type=_app_name)
     p.add_argument("--system", choices=sorted(SYSTEMS), default="x86")
     p.add_argument("--lto", action="store_true")
-    p.add_argument("--pgo", metavar="WORKLOAD", default=None)
+    p.add_argument("--pgo", type=_workload, metavar="WORKLOAD", default=None)
     p.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                    help="parallel rebuild workers (simulated makespan)")
     p.add_argument("--speculate", dest="speculate", action="store_true",
@@ -610,9 +640,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="speculatively duplicate straggler groups (default)")
     p.add_argument("--no-speculate", dest="speculate", action="store_false",
                    help="disable speculative re-execution of stragglers")
-    p.add_argument("--max-worker-failures", type=int, default=3, metavar="N",
+    p.add_argument("--max-worker-failures", type=_positive_int, default=3, metavar="N",
                    help="flaky strikes before a rebuild worker is blacklisted")
-    p.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
+    p.add_argument("--deadline", type=_seconds, default=None, metavar="SECONDS",
                    help="simulated-seconds budget per rebuild; a miss is "
                         "reported as deadline_exceeded (journal resumable), "
                         "not a traceback")
@@ -621,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="traced adaptation + stage breakdown")
     p.add_argument("app", type=_app_name)
     p.add_argument("--system", choices=sorted(SYSTEMS), default="x86")
-    p.add_argument("--workload", metavar="WORKLOAD", default=None,
+    p.add_argument("--workload", type=_workload, metavar="WORKLOAD", default=None,
                    help="run the optimized (LTO+PGO) pipeline for WORKLOAD")
     p.add_argument("--out", metavar="FILE", default=None,
                    help="write Chrome trace-event JSON to FILE")
@@ -632,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="speculatively duplicate straggler groups (default)")
     p.add_argument("--no-speculate", dest="speculate", action="store_false",
                    help="disable speculative re-execution of stragglers")
-    p.add_argument("--max-worker-failures", type=int, default=3, metavar="N",
+    p.add_argument("--max-worker-failures", type=_positive_int, default=3, metavar="N",
                    help="flaky strikes before a rebuild worker is blacklisted")
     p.set_defaults(fn=cmd_trace)
 
@@ -673,14 +703,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("action", choices=["sync", "status", "promote"])
     p.add_argument("app", type=_app_name)
-    p.add_argument("--mirrors", type=int, default=3, metavar="N",
+    p.add_argument("--mirrors", type=_positive_int, default=3, metavar="N",
                    help="edge mirrors to fan the origin out to (default 3)")
     p.add_argument("--seed", type=int, default=0,
                    help="fault-injection seed (with --fault-rate)")
-    p.add_argument("--fault-rate", type=float, default=0.0, metavar="R",
+    p.add_argument("--fault-rate", type=_rate, default=0.0, metavar="R",
                    help="transient fault rate at mirror.sync/transfer.chunk "
                         "(corruption injected at R/2)")
-    p.add_argument("--chunk-size", type=int, default=None, metavar="BYTES",
+    p.add_argument("--chunk-size", type=_positive_int, default=None, metavar="BYTES",
                    help="transfer chunk size (default 64 KiB)")
     p.set_defaults(fn=cmd_mirror)
 
@@ -692,17 +722,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", choices=sorted(SYSTEMS), default="x86")
     p.add_argument("--jobs", type=_positive_int, default=2, metavar="N",
                    help="parallel rebuild workers (default 2)")
-    p.add_argument("--mirrors", type=int, default=2, metavar="N",
+    p.add_argument("--mirrors", type=_count, default=2, metavar="N",
                    help="edge mirrors to fan the origin out to (default 2)")
-    p.add_argument("--stale-mirrors", type=int, default=0, metavar="N",
+    p.add_argument("--stale-mirrors", type=_count, default=0, metavar="N",
                    help="mirrors deliberately left behind the origin")
-    p.add_argument("--fault-rate", type=float, default=0.0, metavar="R",
+    p.add_argument("--fault-rate", type=_rate, default=0.0, metavar="R",
                    help="seeded rebuild-worker crash/flake rate")
     p.add_argument("--seed", type=int, default=0,
                    help="fault-injection seed (with --fault-rate)")
-    p.add_argument("--cadence", type=float, default=None, metavar="S",
+    p.add_argument("--cadence", type=_seconds, default=None, metavar="S",
                    help="sampling cadence in simulated seconds")
-    p.add_argument("--top", type=int, default=10, metavar="K",
+    p.add_argument("--top", type=_positive_int, default=10, metavar="K",
                    help="hot-path rows to print (default 10)")
     p.set_defaults(fn=cmd_health)
 
@@ -711,26 +741,26 @@ def build_parser() -> argparse.ArgumentParser:
         help="multi-tenant adaptation service under a seeded chaos workload",
     )
     p.add_argument("--system", choices=sorted(SYSTEMS), default="x86")
-    p.add_argument("--tenants", type=int, default=3, metavar="N",
+    p.add_argument("--tenants", type=_positive_int, default=3, metavar="N",
                    help="tenants submitting work (default 3)")
-    p.add_argument("--requests", type=int, default=4, metavar="N",
+    p.add_argument("--requests", type=_positive_int, default=4, metavar="N",
                    help="requests per tenant (default 4)")
-    p.add_argument("--workers", type=int, default=8, metavar="N",
+    p.add_argument("--workers", type=_positive_int, default=8, metavar="N",
                    help="global rebuild worker pool (default 8)")
-    p.add_argument("--queue-capacity", type=int, default=16, metavar="N",
+    p.add_argument("--queue-capacity", type=_positive_int, default=16, metavar="N",
                    help="admission queue capacity (default 16)")
     p.add_argument("--duration", type=float, default=60.0, metavar="S",
                    help="arrival window in simulated seconds (default 60)")
-    p.add_argument("--deadline", type=float, default=None, metavar="S",
+    p.add_argument("--deadline", type=_seconds, default=None, metavar="S",
                    help="per-request deadline in simulated seconds")
     p.add_argument("--apps", type=_app_list, default="minimd,hpccg,comd",
                    metavar="A,B,...",
                    help="app pool arrivals draw from")
     p.add_argument("--noisy", action="store_true",
                    help="tenant 0 submits at 10x the fair rate")
-    p.add_argument("--mirrors", type=int, default=0, metavar="N",
+    p.add_argument("--mirrors", type=_count, default=0, metavar="N",
                    help="federation mirrors synced after completions")
-    p.add_argument("--fault-rate", type=float, default=0.0, metavar="R",
+    p.add_argument("--fault-rate", type=_rate, default=0.0, metavar="R",
                    help="seeded transient transfer/worker fault rate")
     p.add_argument("--seed", type=int, default=0,
                    help="workload and fault-injection seed")

@@ -94,7 +94,13 @@ class RebuildOptions:
 
 
 class SystemAdapter:
-    """Base adapter: subclass and override for a specific system."""
+    """Base adapter: subclass and override for a specific system.
+
+    An adapter is immutable once built:
+    :func:`repro.core.adapters.builtin.get_adapter` shares one per factory
+    and system, and the rebuild's plan memo keys on its identity, so a
+    subclass sets every attribute in ``__init__`` and never after.
+    """
 
     name = "base"
 

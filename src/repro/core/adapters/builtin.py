@@ -4,11 +4,17 @@
 broad applicability": the two testbed vendor stacks, a native-GNU adapter
 (rebuild with the distro toolchain but native march), and the LLVM
 adapter the artifact ships in place of the proprietary toolchains.
+
+:func:`get_adapter` hands out one adapter per registered factory and
+system.  Adapters are immutable once built, so every rebuild for one
+system shares one, and the rebuild's plan memo
+(:func:`repro.perf.incremental.plan_rebuild`) keys on it by identity.
+Re-registering a name brings a new factory, and with it a new adapter.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, Tuple
 
 from repro.core.adapters.base import SystemAdapter
 from repro.sysmodel import SYSTEMS, SystemModel
@@ -77,24 +83,32 @@ class GnuNativeAdapter(SystemAdapter):
         return "gnu-12"
 
 
-_FACTORIES: Dict[str, Callable[[SystemModel], SystemAdapter]] = {
+AdapterFactory = Callable[[SystemModel], SystemAdapter]
+
+_FACTORIES: Dict[str, AdapterFactory] = {
     "vendor": VendorAdapter,
     "llvm": LlvmAdapter,
     "gnu-native": GnuNativeAdapter,
 }
+#: The adapter each (factory, system) built, handed out on every later ask.
+_ADAPTERS: Dict[Tuple[AdapterFactory, SystemModel], SystemAdapter] = {}
 
 
-def register_adapter(name: str, factory: Callable[[SystemModel], SystemAdapter]) -> None:
+def register_adapter(name: str, factory: AdapterFactory) -> None:
     """Plug in a site-specific adapter (the extensibility point of §4.2)."""
     _FACTORIES[name] = factory
 
 
 def get_adapter(name: str, system: SystemModel) -> SystemAdapter:
+    """The one adapter *name*'s registered factory builds for *system*."""
     try:
         factory = _FACTORIES[name]
     except KeyError:
         raise KeyError(f"unknown adapter: {name!r}") from None
-    return factory(system)
+    adapter = _ADAPTERS.get((factory, system))
+    if adapter is None:
+        adapter = _ADAPTERS[factory, system] = factory(system)
+    return adapter
 
 
 def adapter_for_system(system: SystemModel, flavor: str = "vendor") -> SystemAdapter:

@@ -41,11 +41,7 @@ from repro.containers.container import Container, ProgramError
 from repro.integrity import IntegrityError
 from repro.core.adapters.base import RebuildOptions, SystemAdapter
 from repro.core.backend.replacement import apply_replacements, install_runtime
-from repro.core.backend.scheduler import (
-    ScheduleReport,
-    WaveStats,
-    plan_command_groups,
-)
+from repro.core.backend.scheduler import ScheduleReport, WaveStats
 from repro.resilience.fleet import FleetExhaustedError, WorkerFleet
 from repro.core.cache.artifacts import RebuildArtifactCache
 from repro.core.cache.storage import (
@@ -56,7 +52,7 @@ from repro.core.cache.storage import (
     encode_rebuild_layer,
     find_dist_tag,
 )
-from repro.perf.incremental import compute_plan_fingerprints, diff_plan
+from repro.perf.incremental import diff_plan, plan_rebuild
 from repro.core.models.process import ProcessModels
 from repro.oci.layout import OCILayout
 from repro.pkg.apt import AptFacade
@@ -158,16 +154,14 @@ def rebuild_in_container(
         if isinstance(profile_node, RegularFile):
             profile_salt = profile_node.content.digest
 
-    def source_size(path: str) -> int:
-        node = fs.try_get_node(path)
-        return node.content.size if isinstance(node, RegularFile) else 0
-
     # 3. Plan: dedup commands into groups (one command can produce several
     # nodes — multi-source compiles; LTO scope is command-granular), layer
-    # the group DAG into dependency wavefronts, cost each group.
-    build_plan = plan_command_groups(
-        models.graph, adapter, options,
-        profile_salt=profile_salt, source_size=source_size,
+    # the group DAG into dependency wavefronts, cost each group, and
+    # fingerprint each group: its command digest folded over its
+    # transitive input digests, node-order independent.  Planned once per
+    # distinct input; the plan is shared, so nothing below writes to it.
+    build_plan, fingerprints = plan_rebuild(
+        models.graph, adapter, options, fs, profile_salt
     )
 
     executed: List[str] = []
@@ -183,13 +177,11 @@ def rebuild_in_container(
         groups_total=len(build_plan.groups),
     )
 
-    # Plan-level short-circuit: fingerprint the plan (command digest folded
-    # over transitive input digests, node-order independent) and prune every
-    # group the previous run already produced from identical inputs.  Pruned
-    # groups replay their outputs here and never enter the scheduler; the
+    # Plan-level short-circuit: prune every group the previous run already
+    # produced from identical inputs (equal fingerprints).  Pruned groups
+    # replay their outputs here and never enter the scheduler; the
     # fingerprints always land in meta so the *next* run can diff against
     # them.  Fingerprints and pruning decisions are jobs-independent.
-    fingerprints = compute_plan_fingerprints(build_plan, models.graph, fs)
     pruned_nodes: List[str] = []
     waves_to_run = build_plan.waves
     if prev_fingerprints:

@@ -1,10 +1,16 @@
 """The one bounded memo: a least-recently-used map with a fixed cap.
 
-Three pure functions of content digests keep their finished results in
-one: the layer-stack flatten (:mod:`repro.oci.apply`), the dpkg status
-parse (:mod:`repro.pkg.database`) and the coMtainer layer decodes
-(:mod:`repro.core.cache.storage`).  Each stores only results that
-finished, and hands out copies, never the stored value.
+Four pure functions keep their finished results in one: the layer-stack
+flatten (:mod:`repro.oci.apply`), the dpkg status parse
+(:mod:`repro.pkg.database`) and the coMtainer layer decodes
+(:mod:`repro.core.cache.storage`), each keyed on content digests, and the
+rebuild's plan (:func:`repro.perf.incremental.plan_rebuild`), keyed on
+everything planning reads.  Each stores only results that finished.  The
+first three hand out copies, never the stored value.  The plan memo shares
+its stored plan: the rebuild only reads it (``tests/test_plan_memo.py``
+rebuilds cold, warm, resumed, cache-served and with fallback, and the
+stored plan still equals a fresh one), so a copy would buy nothing; the
+fingerprints it hands out are copies, since they go into ``meta.json``.
 """
 
 from __future__ import annotations

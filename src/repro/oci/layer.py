@@ -147,10 +147,12 @@ class Layer:
 
     def __post_init__(self) -> None:
         self._digest_cache: Optional[str] = None
+        self._size_cache: Optional[int] = None
 
     def add(self, entry: LayerEntry) -> "Layer":
         self.entries.append(entry)
         self._digest_cache = None
+        self._size_cache = None
         return self
 
     def __len__(self) -> int:
@@ -175,14 +177,20 @@ class Layer:
 
     @property
     def size(self) -> int:
-        """Tar-equivalent byte size (512-byte headers, padded payloads)."""
-        total = 0
-        for entry in self.entries:
-            total += _TAR_BLOCK  # header
-            if entry.kind == KIND_FILE:
-                payload = entry.size
-                total += (payload + _TAR_BLOCK - 1) // _TAR_BLOCK * _TAR_BLOCK
-        return total + 2 * _TAR_BLOCK  # tar end-of-archive blocks
+        """Tar-equivalent byte size (512-byte headers, padded payloads).
+
+        Cached like :attr:`digest`, and reset by the same :meth:`add`.
+        """
+        total = self._size_cache
+        if total is None:
+            total = 2 * _TAR_BLOCK  # tar end-of-archive blocks
+            for entry in self.entries:
+                total += _TAR_BLOCK  # header
+                if entry.kind == KIND_FILE:
+                    payload = entry.size
+                    total += (payload + _TAR_BLOCK - 1) // _TAR_BLOCK * _TAR_BLOCK
+            self._size_cache = total
+        return total
 
     @property
     def payload_size(self) -> int:

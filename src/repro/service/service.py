@@ -50,6 +50,7 @@ for all of them; no request is ever lost.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import heapq
 import random
@@ -118,13 +119,17 @@ SERVICE_RETRY = RetryPolicy(max_attempts=4, budget_seconds=120.0)
 DISPATCH_OVERHEAD = 0.05
 
 
+def _nearest_rank(ordered: List[float], q: float) -> float:
+    """Nearest-rank percentile (q in [0, 1]) of an ascending list; 0.0 for
+    an empty one."""
+    if not ordered:
+        return 0.0
+    return ordered[max(0, min(len(ordered) - 1, int(q * len(ordered) + 0.999999) - 1))]
+
+
 def percentile(values: List[float], q: float) -> float:
     """Nearest-rank percentile (q in [0, 1]); 0.0 for an empty list."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = max(0, min(len(ordered) - 1, int(q * len(ordered) + 0.999999) - 1))
-    return ordered[index]
+    return _nearest_rank(sorted(values), q)
 
 
 @dataclass
@@ -233,7 +238,12 @@ class TenantState:
     degraded: int = 0
     rejected: int = 0
     deadline_exceeded: int = 0
+    #: Latencies of completed and degraded requests, kept ascending as
+    #: they land (:meth:`note_latency`), so a summary sorts nothing.
     latencies: List[float] = field(default_factory=list)
+
+    def note_latency(self, latency: float) -> None:
+        bisect.insort(self.latencies, latency)
 
     def summary(self) -> dict:
         return {
@@ -245,8 +255,8 @@ class TenantState:
             "degraded": self.degraded,
             "rejected": self.rejected,
             "deadline_exceeded": self.deadline_exceeded,
-            "p50": percentile(self.latencies, 0.50),
-            "p99": percentile(self.latencies, 0.99),
+            "p50": _nearest_rank(self.latencies, 0.50),
+            "p99": _nearest_rank(self.latencies, 0.99),
             "retry_spend": self.retry_spent,
             "retry_budget": self.retry_budget,
             "vtime": self.vtime,
@@ -764,10 +774,10 @@ class AdaptationService:
                 continue
             if status == STATUS_COMPLETED:
                 tenant.completed += 1
-                tenant.latencies.append(outcome.latency)
+                tenant.note_latency(outcome.latency)
             elif status == STATUS_DEGRADED:
                 tenant.degraded += 1
-                tenant.latencies.append(outcome.latency)
+                tenant.note_latency(outcome.latency)
             elif status == STATUS_REJECTED:
                 tenant.rejected += 1
             else:
@@ -1213,12 +1223,12 @@ class AdaptationService:
         tele = self.telemetry
         if outcome.status == STATUS_COMPLETED:
             tenant.completed += 1
-            tenant.latencies.append(outcome.latency)
+            tenant.note_latency(outcome.latency)
             if tele.enabled:
                 tele.metrics.counter("service_requests_completed_total").inc()
         elif outcome.status == STATUS_DEGRADED:
             tenant.degraded += 1
-            tenant.latencies.append(outcome.latency)
+            tenant.note_latency(outcome.latency)
             if tele.enabled:
                 tele.metrics.counter("service_requests_degraded_total").inc()
         elif outcome.status == STATUS_DEADLINE_EXCEEDED:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class FileContent:
@@ -80,8 +81,10 @@ class SyntheticContent(FileContent):
     def size(self) -> int:
         return self.declared_size
 
-    @property
+    @cached_property
     def digest(self) -> str:
+        # Kept in the instance dict on first read (a function of the
+        # frozen fields), outside the fields, equality and hash.
         ident = f"synthetic\x00{self.seed}\x00{self.declared_size}".encode()
         return "sha256:" + hashlib.sha256(ident).hexdigest()
 

@@ -1,5 +1,10 @@
 """Unit + property tests for layers, digests, and tar round-trips."""
 
+import copy
+import dataclasses
+import hashlib
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -59,6 +64,25 @@ class TestLayer:
         assert layer.size > 170 * 1024 * 1024
         assert layer.payload_size == 170 * 1024 * 1024
 
+    def test_size_equals_a_fresh_sum_after_every_add(self):
+        def fresh(layer):
+            total = 2 * 512
+            for entry in layer.entries:
+                total += 512
+                if entry.kind == "file":
+                    total += (entry.size + 511) // 512 * 512
+            return total
+
+        layer = Layer()
+        assert layer.size == fresh(layer) == 1024
+        for entry in _sample_layer().entries + [
+                LayerEntry.file("/big", SyntheticContent("s", 5000)),
+                LayerEntry.file("/empty", InlineContent(b""))]:
+            layer.add(entry)
+            assert layer.size == fresh(layer)
+        built = Layer(entries=list(layer.entries))
+        assert built.size == fresh(layer)
+
     def test_json_roundtrip(self):
         layer = _sample_layer()
         restored = Layer.from_bytes(layer.to_bytes())
@@ -87,6 +111,33 @@ class TestLayer:
     def test_file_entry_size_from_content(self):
         entry = LayerEntry.file("/f", InlineContent(b"abc"))
         assert entry.size == 3
+
+
+class TestSyntheticDigest:
+    """``SyntheticContent.digest`` is hashed once and kept on the object,
+    outside its fields, equality and hash."""
+
+    @staticmethod
+    def formula(seed, size):
+        ident = f"synthetic\x00{seed}\x00{size}".encode()
+        return "sha256:" + hashlib.sha256(ident).hexdigest()
+
+    @pytest.mark.parametrize("seed,size", [("s", 0), ("seed7", 4096), ("é", 170 << 20)])
+    def test_digest_equals_the_formula(self, seed, size):
+        content = SyntheticContent(seed, size)
+        assert content.digest == self.formula(seed, size)
+        assert content.digest == self.formula(seed, size)    # the kept one
+
+    def test_copy_and_pickle_keep_equality_and_digest(self):
+        content = SyntheticContent("seed7", 4096)
+        digest = content.digest
+        for other in (copy.copy(content), copy.deepcopy(content),
+                      pickle.loads(pickle.dumps(content))):
+            assert other == content and hash(other) == hash(content)
+            assert other.digest == digest
+        assert [f.name for f in dataclasses.fields(content)] == ["seed", "declared_size"]
+        assert content == SyntheticContent("seed7", 4096)       # one never read
+        assert repr(content) == "SyntheticContent(seed='seed7', declared_size=4096)"
 
 
 _names = st.text(alphabet="abcdefgh", min_size=1, max_size=6)

@@ -1,9 +1,16 @@
-"""``scripts/profile_ops.py``'s report arithmetic on a stub profile,
-without running a workload."""
+"""``scripts/profile_ops.py``'s report arithmetic on a stub profile, and
+its ``--wall`` timer on stub modules, without running a workload."""
 
+import functools
 import importlib.util
+import itertools
 import os
+import sys
+import textwrap
+import types
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "profile_ops.py"
 _spec = importlib.util.spec_from_file_location("profile_ops", SCRIPT)
@@ -196,3 +203,154 @@ def test_window_appends_its_table_after_the_rest(monkeypatch, capsys):
         *profile_ops.windows(laps, 10),
     ]
     assert with_window.splitlines()[-1] == "# last/first 2.000"
+
+
+# -- --wall: wall-clock timing of named functions, without cProfile --------
+
+def _stub_modules(monkeypatch):
+    """``repro.stub_timed`` (a nested pair, a recursive function, a class
+    with a method and a property) and ``repro.stub_alias``, which binds
+    ``outer`` under another name, as ``from x import f as g`` does."""
+    timed = types.ModuleType("repro.stub_timed")
+    timed.functools = functools
+    exec(textwrap.dedent('''
+        def inner(x):
+            return x + 1
+
+        def outer(x):
+            return inner(inner(x))
+
+        def countdown(n):
+            return 0 if n == 0 else 1 + countdown(n - 1)
+
+        class Box:
+            def __init__(self, x):
+                self.x = x
+
+            def double(self):
+                return 2 * self.x
+
+            @property
+            def half(self):
+                return self.x / 2
+
+            @functools.cached_property
+            def square(self):
+                return self.x * self.x
+
+            LIMIT = 3
+    '''), vars(timed))
+    alias = types.ModuleType("repro.stub_alias")
+    alias.run_outer = timed.outer
+    monkeypatch.setitem(sys.modules, "repro.stub_timed", timed)
+    monkeypatch.setitem(sys.modules, "repro.stub_alias", alias)
+    return timed, alias
+
+
+def _ticks():
+    """A clock that advances one second per read."""
+    return itertools.count().__next__
+
+
+NAMES = ["repro.stub_timed:outer", "repro.stub_timed:inner",
+         "repro.stub_timed:countdown", "repro.stub_timed:Box.double",
+         "repro.stub_timed:Box.half", "repro.stub_timed:Box.square"]
+
+
+def test_wall_times_nested_calls_inclusively(monkeypatch):
+    timed, alias = _stub_modules(monkeypatch)
+    timer = profile_ops.WallClock(NAMES[:2], clock=_ticks())
+    timer.install()
+    try:
+        with timer:
+            assert alias.run_outer(1) == 3        # the alias is wrapped too
+        # Clock reads: outer in, inner in, inner out, inner in, inner out,
+        # outer out; so outer spans 5 ticks and each inner 1.
+        assert timer.calls == [1, 2] and timer.seconds == [5.0, 2.0]
+    finally:
+        timer.uninstall()
+
+
+def test_wall_times_only_the_outermost_recursive_call(monkeypatch):
+    timed, _ = _stub_modules(monkeypatch)
+    timer = profile_ops.WallClock(NAMES[2:3], clock=_ticks())
+    timer.install()
+    try:
+        with timer:
+            assert timed.countdown(4) == 4
+        assert timer.calls == [5] and timer.seconds == [1.0]
+    finally:
+        timer.uninstall()
+
+
+def test_wall_counts_only_inside_its_with_block(monkeypatch):
+    timed, _ = _stub_modules(monkeypatch)
+    timer = profile_ops.WallClock(NAMES, clock=_ticks())
+    timer.install()
+    try:
+        timed.outer(1)
+        timed.Box(4).double()
+        with timer:
+            box = timed.Box(4)
+            assert box.double() == 8 and box.half == 2.0
+            assert box.square == box.square == 16       # computed once
+        timed.Box(4).half
+        assert timer.calls == [0, 0, 0, 1, 1, 1]
+    finally:
+        timer.uninstall()
+
+
+def test_wall_refuses_what_it_cannot_call(monkeypatch):
+    _stub_modules(monkeypatch)
+    timer = profile_ops.WallClock(["repro.stub_timed:Box.LIMIT"])
+    with pytest.raises(TypeError, match="cannot time repro.stub_timed:Box.LIMIT: a int"):
+        timer.install()
+
+
+def test_wall_leaves_no_wrapper_behind(monkeypatch):
+    timed, alias = _stub_modules(monkeypatch)
+    before = {name: value for name, value in vars(timed).items()}
+    methods = dict(vars(timed.Box))
+    timer = profile_ops.WallClock(NAMES)
+    timer.install()
+    assert timed.outer is not before["outer"] and alias.run_outer is timed.outer
+    timer.uninstall()
+    assert vars(timed) == before and dict(vars(timed.Box)) == methods
+    assert alias.run_outer is timed.outer is before["outer"]
+
+
+def test_wall_table_is_calls_inclusive_ms_and_share_per_name():
+    timer = profile_ops.WallClock(["m:f", "m:C.g"])
+    timer.calls, timer.seconds = [30, 600], [1.5, 0.25]
+    assert [line.split() for line in timer.table(ops=30, timed_s=10.0)] == [
+        ["calls/op", "incl", "ms/op", "share", "function"],
+        ["1.0", "50.000", "15.0%", "m:f"],
+        ["20.0", "8.333", "2.5%", "m:C.g"],
+    ]
+
+
+def test_wall_replaces_the_profile(monkeypatch, capsys):
+    timer = profile_ops.WallClock(["m:f"])
+    timer.calls, timer.seconds = [30], [1.5]
+    laps = [0.25] * 30
+    seen = []
+    monkeypatch.setattr(profile_ops, "profile", lambda *args: pytest.fail("profiled"))
+    monkeypatch.setattr(profile_ops, "wall",
+                        lambda name, seed, ops, names: seen.append(names) or (timer, 0.5, laps))
+    profile_ops.main(["warm-readapt", "--wall", "m:f", "--window", "10"])
+    assert seen == [["m:f"]]
+    assert capsys.readouterr().out.splitlines() == [
+        "# warm-readapt seed 7: 30 ops, 7.50 s timed without cProfile"
+        " (set-up 0.50 s, not timed)",
+        *timer.table(ops=30, timed_s=7.5),
+        "# timed ms/op per window of 10 ops",
+        *profile_ops.windows(laps, 10),
+    ]
+
+
+@pytest.mark.parametrize("flag", [["--self"], ["--fn", "plan"], ["--callers", "plan"]])
+def test_wall_cannot_be_combined_with_the_profile_tables(flag, capsys):
+    with pytest.raises(SystemExit) as info:
+        profile_ops.main(["warm-readapt", "--wall", "m:f", *flag])
+    assert info.value.code == 2
+    assert "--wall runs without cProfile" in capsys.readouterr().err

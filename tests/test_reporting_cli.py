@@ -167,6 +167,62 @@ class TestCli:
         error = self._usage_error([command, "hpccg", "--jobs", jobs], capsys)
         assert f"argument --jobs: expected a positive integer, got '{jobs}'" in error
 
+    @pytest.mark.parametrize("argv,expected", [
+        (["adapt", "hpccg", "--pgo", "nosuch"], "argument --pgo: unknown application 'nosuch'"),
+        (["trace", "hpccg", "--workload", "nosuch.in"],
+         "argument --workload: unknown application 'nosuch'"),
+        (["serve", "--queue-capacity", "0"], "argument --queue-capacity: expected a positive"),
+        (["adapt", "hpccg", "--max-worker-failures", "0"],
+         "argument --max-worker-failures: expected a positive"),
+        (["trace", "hpccg", "--max-worker-failures", "0"],
+         "argument --max-worker-failures: expected a positive"),
+        (["mirror", "sync", "hpccg", "--chunk-size", "-5"],
+         "argument --chunk-size: expected a positive"),
+        (["mirror", "sync", "hpccg", "--chunk-size", "0"],
+         "argument --chunk-size: expected a positive"),
+        (["serve", "--workers", "-3"], "argument --workers: expected a positive"),
+        (["serve", "--tenants", "-1"], "argument --tenants: expected a positive"),
+        (["serve", "--requests", "0"], "argument --requests: expected a positive"),
+        (["mirror", "sync", "hpccg", "--mirrors", "-2"], "argument --mirrors: expected a positive"),
+        (["mirror", "sync", "hpccg", "--mirrors", "0"], "argument --mirrors: expected a positive"),
+        (["health", "hpccg", "--mirrors", "-1"], "argument --mirrors: expected a non-negative"),
+        (["serve", "--mirrors", "-1"], "argument --mirrors: expected a non-negative"),
+        (["health", "hpccg", "--stale-mirrors", "-2"],
+         "argument --stale-mirrors: expected a non-negative"),
+        (["health", "hpccg", "--top", "-3"], "argument --top: expected a positive"),
+        (["mirror", "sync", "hpccg", "--fault-rate", "1.5"],
+         "argument --fault-rate: expected a rate in [0, 1], got '1.5'"),
+        (["health", "hpccg", "--fault-rate", "-0.1"], "argument --fault-rate: expected a rate"),
+        (["serve", "--fault-rate", "nan"], "argument --fault-rate: expected a rate"),
+        (["serve", "--fault-rate", "often"], "argument --fault-rate: expected a rate"),
+        (["health", "hpccg", "--cadence", "0"], "argument --cadence: expected a positive number"),
+        (["adapt", "hpccg", "--deadline", "-1"], "argument --deadline: expected a positive number"),
+        (["serve", "--deadline", "inf"], "argument --deadline: expected a positive number"),
+    ])
+    def test_a_bad_count_or_rate_is_a_usage_error(self, argv, expected, capsys):
+        assert expected in self._usage_error(argv, capsys)
+
+    def test_valid_counts_and_rates_still_parse(self):
+        parse = cli.build_parser().parse_args
+        assert parse(["adapt", "hpccg", "--pgo", "hpccg"]).pgo == "hpccg"
+        assert parse(["trace", "lammps", "--workload", "lammps.lj"]).workload == "lammps.lj"
+        assert parse(["adapt", "hpccg", "--max-worker-failures", "1"]).max_worker_failures == 1
+        args = parse(["serve", "--queue-capacity", "1", "--workers", "1", "--tenants", "1",
+                      "--requests", "1", "--mirrors", "0", "--fault-rate", "1"])
+        assert (args.queue_capacity, args.workers, args.tenants, args.requests,
+                args.mirrors, args.fault_rate) == (1, 1, 1, 1, 0, 1.0)
+        args = parse(["mirror", "sync", "hpccg", "--mirrors", "1", "--chunk-size", "1",
+                      "--fault-rate", "0"])
+        assert (args.mirrors, args.chunk_size, args.fault_rate) == (1, 1, 0.0)
+        assert parse(["mirror", "sync", "hpccg"]).chunk_size is None
+        args = parse(["health", "hpccg", "--mirrors", "0", "--stale-mirrors", "0",
+                      "--top", "1", "--fault-rate", "0.25"])
+        assert (args.mirrors, args.stale_mirrors, args.top, args.fault_rate) == (0, 0, 1, 0.25)
+        assert parse(["health", "hpccg", "--cadence", "0.5"]).cadence == 0.5
+        assert parse(["adapt", "hpccg", "--deadline", "30"]).deadline == 30.0
+        assert parse(["serve", "--deadline", "1e-3"]).deadline == 0.001
+        assert parse(["serve"]).deadline is None
+
     @staticmethod
     def _usage_error(argv, capsys):
         """The one ``error:`` line *argv* exits 2 with, after no traceback."""

@@ -1,12 +1,14 @@
-"""The service's WAL queries and dedup gauge, kept as records land.
+"""The service's WAL queries, dedup gauge and tenant latencies, kept as
+records land.
 
 :class:`repro.service.ServiceWAL` folds each kept record into its
-per-kind counts, terminal counts and open-request set, and
+per-kind counts, terminal counts and open-request set,
 :class:`repro.service.AdaptationService` keeps running sums of its
-outcomes' node counts.  Each must equal the scan over the whole history
-that it replaces (kept here as the reference), after every append and
-every salvage of the crash-at-every-record-boundary sweeps, and none may
-read the history again.
+outcomes' node counts, and each tenant keeps its latencies sorted.  Each
+must equal the scan over the whole history that it replaces (kept here as
+the reference), after every append and every salvage of the
+crash-at-every-record-boundary sweeps, and none may read the history
+again.
 """
 
 import random
@@ -14,7 +16,15 @@ import random
 import pytest
 
 from repro import durable
-from repro.service import AdaptationService, ServiceCrash, ServiceWAL
+from repro.service import (
+    STATUS_COMPLETED,
+    STATUS_DEGRADED,
+    AdaptationService,
+    ServiceCrash,
+    ServiceWAL,
+    percentile,
+)
+from repro.service.service import TenantState
 from repro.telemetry import Telemetry
 from tests.test_recovery_chaos import (
     crash_injector,
@@ -196,3 +206,39 @@ class TestDedupGauge:
         service.outcomes = NoIteration(service.outcomes)
         service._update_dedup_gauge()
         assert gauge.value == expected
+
+
+class TestTenantLatencies:
+    """A tenant's p50 and p99 equal :func:`percentile` of its latencies in
+    arrival order, though its summary sorts nothing."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_summary_equals_percentile_of_the_unsorted_latencies(self, seed):
+        rng = random.Random(seed)
+        tenant = TenantState(name="t")
+        arrived = []
+        for _ in range(60):
+            latency = round(rng.expovariate(0.2), rng.choice((0, 1, 3)))
+            tenant.note_latency(latency)
+            arrived.append(latency)
+            summary = tenant.summary()
+            assert summary["p50"] == percentile(arrived, 0.50)
+            assert summary["p99"] == percentile(arrived, 0.99)
+        assert tenant.latencies == sorted(arrived)
+
+    def test_a_restart_restores_them(self):
+        service = AdaptationService(workers=4, seed=11,
+                                    injector=crash_injector(crash_point(18, False)))
+        with pytest.raises(ServiceCrash):
+            standard_workload(service)
+            service.run()
+        restarted = recover_and_finish(service)
+        restarted.run()
+        assert any(o.recovered for o in restarted.outcomes)
+        for name, tenant in restarted.tenants.items():
+            arrived = [o.latency for o in restarted.outcomes if o.tenant == name
+                       and o.status in (STATUS_COMPLETED, STATUS_DEGRADED)]
+            assert arrived
+            summary = tenant.summary()
+            assert summary["p50"] == percentile(arrived, 0.50)
+            assert summary["p99"] == percentile(arrived, 0.99)
