@@ -2,9 +2,9 @@
 
     python scripts/profile_ops.py WORKLOAD [--ops 30] [--seed 7] [--self]
                                   [--fn NAME[,NAME...]] [--callers NAME[,NAME...]]
-                                  [--window N]
+                                  [--window N] [--gc]
     python scripts/profile_ops.py WORKLOAD [--ops 30] [--seed 7]
-                                  --wall MODULE:QUALNAME[,...] [--window N]
+                                  --wall MODULE:QUALNAME[,...] [--window N] [--gc]
 
 Builds the workload from ``benchmarks.harness.workloads`` in this process
 (its set-up is not profiled), then runs ``workload.run(i)`` for each op
@@ -40,11 +40,20 @@ wall-clock milliseconds per op, counting only the outermost of nested or
 recursive calls, and that time's share of the timed region.  The
 functions are wrapped by identity, as the harness tracer wraps its
 boundaries, and every wrapper is removed afterwards.
+
+cProfile also charges the garbage collector's pauses to whichever
+function happens to allocate when a collection starts.  ``--gc``, with
+or without ``--wall``, then prints the collector's cost over the timed
+ops only: for each generation, its collections per op, its milliseconds
+per op and their share of the timed region, measured through a
+``gc.callbacks`` hook that is present only while an op runs.
 """
 
 import argparse
+import contextlib
 import cProfile
 import functools
+import gc
 import importlib
 import os
 import pstats
@@ -252,6 +261,51 @@ class WallClock:
         return lines
 
 
+class GcClock:
+    """Collections and seconds of the garbage collector per generation.
+
+    Counts only inside ``with`` blocks of the clock: entering one adds a
+    ``gc.callbacks`` hook, which times each collection from its start to
+    its stop, and leaving it removes the hook again.
+    """
+
+    GENERATIONS = 3
+
+    def __init__(self, clock=time.perf_counter):
+        self.clock = clock
+        self.collections = [0] * self.GENERATIONS
+        self.seconds = [0.0] * self.GENERATIONS
+        self._started = None
+
+    def _note(self, phase, info):
+        if phase == "start":
+            self._started = self.clock()
+        elif self._started is not None:
+            generation = info["generation"]
+            self.collections[generation] += 1
+            self.seconds[generation] += self.clock() - self._started
+            self._started = None
+
+    def __enter__(self):
+        gc.callbacks.append(self._note)
+
+    def __exit__(self, *exc):
+        gc.callbacks.remove(self._note)
+        self._started = None
+
+    def table(self, ops, timed_s):
+        """Table lines, one per generation and a total: collections per
+        op, milliseconds per op and share of *timed_s*."""
+        rows = [(str(g), self.collections[g], self.seconds[g])
+                for g in range(self.GENERATIONS)]
+        rows.append(("all", sum(self.collections), sum(self.seconds)))
+        lines = [f"{'gen':>5} {'colls/op':>10} {'ms/op':>10} {'share':>6}"]
+        for name, collections, seconds in rows:
+            lines.append(f"{name:>5} {collections / ops:>10.3f}"
+                         f" {seconds * 1e3 / ops:>10.3f} {seconds / timed_s:>6.1%}")
+        return lines
+
+
 def _build(name, seed, ops):
     """(workload *name* at *seed* sized for *ops* ops, its set-up seconds,
     the harness's check failure type)."""
@@ -263,13 +317,15 @@ def _build(name, seed, ops):
     return workload, time.perf_counter() - start, CheckFailed
 
 
-def _run(workload, ops, check_failed, region):
+def _run(workload, ops, check_failed, *regions):
     """Per-op wall-clock seconds of ``workload.run(i)`` for each op, each
-    inside a ``with`` block of *region* (a profiler or a clock), checked
-    outside it."""
+    inside a ``with`` block of every one of *regions* (a profiler, a
+    clock), checked outside them."""
     laps = []
     for i in range(ops):
-        with region:
+        with contextlib.ExitStack() as stack:
+            for region in regions:
+                stack.enter_context(region)
             start = time.perf_counter()
             out = workload.run(i)
             laps.append(time.perf_counter() - start)
@@ -280,23 +336,25 @@ def _run(workload, ops, check_failed, region):
     return laps
 
 
-def profile(name, seed, ops):
+def profile(name, seed, ops, *regions):
     """(pstats dict, set-up seconds, per-op profiled wall-clock seconds)
-    of *ops* ops of workload *name* at *seed*."""
+    of *ops* ops of workload *name* at *seed*, each op also inside every
+    one of *regions*."""
     workload, setup_s, check_failed = _build(name, seed, ops)
     profiler = cProfile.Profile()
-    laps = _run(workload, ops, check_failed, profiler)
+    laps = _run(workload, ops, check_failed, profiler, *regions)
     return pstats.Stats(profiler).stats, setup_s, laps
 
 
-def wall(name, seed, ops, names):
+def wall(name, seed, ops, names, *regions):
     """(:class:`WallClock` of *names*, set-up seconds, per-op wall-clock
-    seconds) of *ops* ops of workload *name* at *seed*, without cProfile."""
+    seconds) of *ops* ops of workload *name* at *seed*, without cProfile,
+    each op also inside every one of *regions*."""
     workload, setup_s, check_failed = _build(name, seed, ops)
     timer = WallClock(names)
     timer.install()
     try:
-        laps = _run(workload, ops, check_failed, timer)
+        laps = _run(workload, ops, check_failed, timer, *regions)
     finally:
         timer.uninstall()
     return timer, setup_s, laps
@@ -323,13 +381,18 @@ def main(argv=None):
     parser.add_argument("--wall", default="", metavar="MODULE:QUALNAME[,...]",
                         help="run without cProfile and list the calls and"
                              " inclusive wall-clock ms/op of these functions")
+    parser.add_argument("--gc", action="store_true",
+                        help="also list the garbage collector's collections"
+                             " and ms/op per generation over the timed ops")
     args = parser.parse_args(argv)
+    collector = GcClock() if args.gc else None
+    regions = (collector,) if collector else ()
     if args.wall:
         if args.self or args.fn or args.callers:
             parser.error("--wall runs without cProfile: leave out --self,"
                          " --fn and --callers")
-        return main_wall(args)
-    stats, setup_s, laps = profile(args.workload, args.seed, args.ops)
+        return main_wall(args, collector)
+    stats, setup_s, laps = profile(args.workload, args.seed, args.ops, *regions)
     profiled_s = sum(laps)
     print(f"# {args.workload} seed {args.seed}: {args.ops} ops,"
           f" {profiled_s:.2f} s profiled (set-up {setup_s:.2f} s, not profiled)")
@@ -348,13 +411,22 @@ def main(argv=None):
     if args.window > 0:
         print(f"# profiled ms/op per window of {args.window} ops")
         print("\n".join(windows(laps, args.window)))
+    print_gc(collector, args.ops, profiled_s)
     return 0
 
 
-def main_wall(args):
+def print_gc(collector, ops, timed_s):
+    """The ``--gc`` table of a :class:`GcClock`, if there is one."""
+    if collector is not None:
+        print("# garbage collector per generation over the timed ops")
+        print("\n".join(collector.table(ops, timed_s)))
+
+
+def main_wall(args, collector=None):
     """The ``--wall`` report: the named functions' wall-clock table."""
     names = args.wall.split(",")
-    timer, setup_s, laps = wall(args.workload, args.seed, args.ops, names)
+    regions = (collector,) if collector else ()
+    timer, setup_s, laps = wall(args.workload, args.seed, args.ops, names, *regions)
     timed_s = sum(laps)
     print(f"# {args.workload} seed {args.seed}: {args.ops} ops,"
           f" {timed_s:.2f} s timed without cProfile"
@@ -363,6 +435,7 @@ def main_wall(args):
     if args.window > 0:
         print(f"# timed ms/op per window of {args.window} ops")
         print("\n".join(windows(laps, args.window)))
+    print_gc(collector, args.ops, timed_s)
     return 0
 
 

@@ -89,8 +89,15 @@ def _app_name(value: str) -> str:
 
 
 def _workload(value: str) -> str:
-    """argparse type of a workload ``<app>[.<input>]`` of a known app."""
+    """argparse type of a workload ``<app>[.<input>]``: one of
+    :data:`repro.perf.workloads.WORKLOADS`, of a known app."""
+    from repro.perf.workloads import WORKLOADS
+
     _app_name(value.partition(".")[0])
+    if value not in WORKLOADS:
+        raise argparse.ArgumentTypeError(
+            f"unknown workload {value!r} (choose from {', '.join(sorted(WORKLOADS))})"
+        )
     return value
 
 
@@ -125,6 +132,18 @@ def _seconds(value: str) -> float:
         seconds = 0.0
     if not 0.0 < seconds < float("inf"):
         raise argparse.ArgumentTypeError(f"expected a positive number, got {value!r}")
+    return seconds
+
+
+def _time(value: str) -> float:
+    """argparse type of a simulated time that must be finite and at least 0."""
+    try:
+        seconds = float(value)
+    except ValueError:
+        seconds = -1.0
+    if not 0.0 <= seconds < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative number, got {value!r}")
     return seconds
 
 
@@ -749,7 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="global rebuild worker pool (default 8)")
     p.add_argument("--queue-capacity", type=_positive_int, default=16, metavar="N",
                    help="admission queue capacity (default 16)")
-    p.add_argument("--duration", type=float, default=60.0, metavar="S",
+    p.add_argument("--duration", type=_time, default=60.0, metavar="S",
                    help="arrival window in simulated seconds (default 60)")
     p.add_argument("--deadline", type=_seconds, default=None, metavar="S",
                    help="per-request deadline in simulated seconds")
@@ -764,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seeded transient transfer/worker fault rate")
     p.add_argument("--seed", type=int, default=0,
                    help="workload and fault-injection seed")
-    p.add_argument("--crash-at", type=float, default=None, metavar="T",
+    p.add_argument("--crash-at", type=_time, default=None, metavar="T",
                    help="crash the simulated process at T seconds and "
                         "restart it from the WAL")
     p.set_defaults(fn=cmd_serve)

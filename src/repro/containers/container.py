@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.oci.image import ImageConfig
 from repro.vfs import VirtualFilesystem
@@ -38,7 +38,14 @@ class RunResult:
 
 @dataclass
 class Container:
-    """A writable instance of an image plus runtime state."""
+    """A writable instance of an image plus runtime state.
+
+    *image_layers* is the layer-digest tuple of the image the container
+    was created from, recorded by ``ContainerEngine.from_image`` (None
+    for a container built any other way), so it still names that image
+    after its ref is re-tagged.  While :meth:`unwritten` holds, the
+    container's filesystem is exactly that image's.
+    """
 
     id: str
     name: str
@@ -48,10 +55,16 @@ class Container:
     base_fs: VirtualFilesystem
     config: ImageConfig
     mounts: Dict[str, Any] = field(default_factory=dict)
+    image_layers: Optional[Tuple[str, ...]] = None
 
     @property
     def isa(self) -> str:
         return ARCH_ISA.get(self.arch, "x86-64")
+
+    def unwritten(self) -> bool:
+        """Whether no write has reached the filesystem since creation
+        (:meth:`VirtualFilesystem.unwritten_since` its base)."""
+        return self.fs.unwritten_since(self.base_fs)
 
     def environment(self) -> Dict[str, str]:
         env = {"PATH": DEFAULT_PATH, "HOME": "/root"}

@@ -30,6 +30,7 @@ from repro.containers.dockerfile import (
     parse_containerfile,
 )
 from repro.containers.hijack import record_trace
+from repro.oci.apply import flatten_layers, is_flattened
 from repro.oci.diff import diff_filesystems
 from repro.oci.image import ImageConfig, Manifest
 from repro.oci.layer import Layer
@@ -85,7 +86,6 @@ class ContainerEngine:
         self.containers: Dict[str, Container] = {}
         self.repos: Dict[str, Repository] = {}
         self.binary_runner: Optional[BinaryRunner] = None
-        self._fs_cache: Dict[tuple, VirtualFilesystem] = {}
         self._ids = itertools.count(1)
         #: Optional :class:`repro.resilience.faults.FaultInjector`; armed at
         #: the top of :meth:`run` so chaos tests can crash container entry.
@@ -157,20 +157,17 @@ class ContainerEngine:
             raise EngineError(f"image not found: {ref!r}") from None
 
     def image_filesystem(self, ref: str) -> VirtualFilesystem:
-        """Flattened filesystem of an image (returns a private clone)."""
-        stored = self.image(ref)
-        key = stored.layer_key()
-        cached = self._fs_cache.get(key)
-        if cached is None:
-            from repro.oci.apply import flatten_layers
-
-            cached = flatten_layers(stored.layers)
-            self._fs_cache[key] = cached
-            if self.telemetry.enabled:
-                self.telemetry.metrics.counter("engine_fs_cache_misses_total").inc()
-        elif self.telemetry.enabled:
-            self.telemetry.metrics.counter("engine_fs_cache_hits_total").inc()
-        return cached.clone()
+        """Flattened filesystem of an image: the private copy-on-write
+        clone :func:`repro.oci.apply.flatten_layers` hands out from its
+        memo.  The engine keeps no tree of its own; its
+        ``engine_fs_cache_*`` counters count whether the memo already
+        held the stack."""
+        layers = self.image(ref).layers
+        if self.telemetry.enabled:
+            self.telemetry.metrics.counter(
+                "engine_fs_cache_hits_total" if is_flattened(layers)
+                else "engine_fs_cache_misses_total").inc()
+        return flatten_layers(layers)
 
     # ------------------------------------------------------------------
     # containers
@@ -182,6 +179,9 @@ class ContainerEngine:
         name: Optional[str] = None,
         mounts: Optional[Dict[str, Any]] = None,
     ) -> Container:
+        """A new container of image *ref*; it records the image's
+        layer-digest tuple (``Container.image_layers``), which keeps
+        naming that image after *ref* is re-tagged."""
         stored = self.image(ref)
         fs = self.image_filesystem(ref)
         container = Container(
@@ -193,6 +193,7 @@ class ContainerEngine:
             base_fs=fs.clone(),
             config=stored.config.clone(),
             mounts={vpath.normalize(k): v for k, v in (mounts or {}).items()},
+            image_layers=stored.layer_key(),
         )
         self.containers[container.name] = container
         return container

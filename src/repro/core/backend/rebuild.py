@@ -40,7 +40,10 @@ from typing import Dict, List, Optional, Tuple
 from repro.containers.container import Container, ProgramError
 from repro.integrity import IntegrityError
 from repro.core.adapters.base import RebuildOptions, SystemAdapter
-from repro.core.backend.replacement import apply_replacements, install_runtime
+from repro.core.backend.replacement import (
+    apply_replacements,
+    install_container_runtime,
+)
 from repro.core.backend.scheduler import ScheduleReport, WaveStats
 from repro.resilience.fleet import FleetExhaustedError, WorkerFleet
 from repro.core.cache.artifacts import RebuildArtifactCache
@@ -55,7 +58,6 @@ from repro.core.cache.storage import (
 from repro.perf.incremental import diff_plan, plan_rebuild
 from repro.core.models.process import ProcessModels
 from repro.oci.layout import OCILayout
-from repro.pkg.apt import AptFacade
 from repro.vfs import RegularFile
 from repro.vfs.content import FileContent
 
@@ -131,15 +133,15 @@ def rebuild_in_container(
     """
     fs = container.fs
     pool = engine.repository_pool_for(container)
-    apt = AptFacade(fs, pool)
     rctx = getattr(engine, "resilience", None)
     injector = getattr(engine, "fault_injector", None)
     tele = engine.telemetry
     jobs = max(1, int(jobs))
 
-    # 1. Package replacement plan + environment preparation.
+    # 1. Package replacement plan + environment preparation (the install
+    # is memoised while the container is still its image).
     plan = adapter.plan_replacements(models.image, pool)
-    install_runtime(apt, models.image.packages, plan)
+    apt, _ = install_container_runtime(container, pool, models.image.packages, plan)
     links = apply_replacements(fs, apt, plan)
 
     # 2. Materialize the cached sources at their original build paths.

@@ -13,7 +13,10 @@ from typing import Dict
 
 from repro.containers.container import Container, ProgramError
 from repro.core.adapters.base import LibraryReplacement
-from repro.core.backend.replacement import apply_replacements, install_runtime
+from repro.core.backend.replacement import (
+    apply_replacements,
+    install_container_runtime,
+)
 from repro.core.cache.storage import (
     CacheError,
     decode_cache,
@@ -22,7 +25,6 @@ from repro.core.cache.storage import (
 )
 from repro.core.models.image_model import FileOrigin
 from repro.oci.layout import OCILayout
-from repro.pkg.apt import AptFacade
 
 
 def redirect_in_container(
@@ -33,10 +35,13 @@ def redirect_in_container(
     models, _sources, resolved = decode_cache(layout, dist_tag)
     fs = container.fs
 
-    # 1. Runtime dependencies (optimized packages replace generic ones).
+    # 1. Runtime dependencies (optimized packages replace generic ones);
+    # the install is memoised while the container is still its image.
     plan = [LibraryReplacement.from_json(r) for r in meta.get("replacements", [])]
-    apt = AptFacade(fs, engine.repository_pool_for(container))
-    install_runtime(apt, meta.get("runtime_packages", []), plan)
+    apt, _ = install_container_runtime(
+        container, engine.repository_pool_for(container),
+        meta.get("runtime_packages", []), plan,
+    )
     apply_replacements(fs, apt, plan)
 
     # 2. Application data files, carried over from the original image.

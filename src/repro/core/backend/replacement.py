@@ -4,17 +4,39 @@ Replacement keeps the image's *paths* stable: the generic package is
 removed and every library path it used to provide becomes a symlink to
 the optimized package's library.  Binaries that recorded the generic
 path keep resolving — now to the optimized code.
+
+Both system-side containers prepare their environment the same way: the
+rebuild container (Sysenv) and the redirect container (Rebase) install
+the image's runtime packages with :func:`install_container_runtime`, then
+lay the replacement links with :func:`apply_replacements`.  The install
+is memoised (a 16-entry :class:`repro.memo.LruMemo`) on exactly what
+:func:`install_runtime` reads: the container's image (its layer digests,
+recorded at creation), each pool repository's name and digest in pool
+order, the package list and each replacement's ``(generic, optimized)``
+pair, in order.  The key is formed only while the container is still
+unwritten since creation (its filesystem is exactly its image's); any
+other container installs as before, with no lookup and no store.  A miss
+stores a clone of the installed tree, a copy of the package database and
+the installed names; a call that raises stores nothing.  A hit makes the
+container's filesystem object adopt a copy-on-write clone of the stored
+tree and gives the facade a private copy of the stored database, so
+nothing is resolved, materialised, written or parsed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Tuple
 
+from repro.containers.container import Container
 from repro.core.adapters.base import LibraryReplacement
+from repro.memo import LruMemo
 from repro.pkg.apt import AptFacade
 from repro.pkg.repository import RepositoryPool
 from repro.vfs import VirtualFilesystem
 from repro.vfs import paths as vpath
+
+# Finished installs: (installed tree, package database, installed names).
+_RUNTIME_MEMO = LruMemo(16)
 
 
 def install_runtime(
@@ -36,6 +58,36 @@ def install_runtime(
             for pkg in apt.install([name]):
                 installed.append(pkg.name)
     return installed
+
+
+def install_container_runtime(
+    container: Container,
+    pool: RepositoryPool,
+    packages: Iterable[str],
+    replacements: List[LibraryReplacement],
+) -> Tuple[AptFacade, List[str]]:
+    """:func:`install_runtime` into *container* from *pool*, once per
+    distinct input (module docstring); returns the facade bound to the
+    container's filesystem and the names installed."""
+    packages = list(packages)
+    key = None
+    if container.image_layers is not None and container.unwritten():
+        key = (
+            container.image_layers,
+            tuple((repo.name, repo.digest) for repo in pool.repositories),
+            tuple(packages),
+            tuple((r.generic, r.optimized) for r in replacements),
+        )
+        hit = _RUNTIME_MEMO.get(key)
+        if hit is not None:
+            tree, db, installed = hit
+            container.fs.adopt(tree)
+            return AptFacade(container.fs, pool, db=db.copy()), list(installed)
+    apt = AptFacade(container.fs, pool)
+    installed = install_runtime(apt, packages, replacements)
+    if key is not None:
+        _RUNTIME_MEMO.put(key, (container.fs.clone(), apt.db.copy(), tuple(installed)))
+    return apt, installed
 
 
 def apply_replacements(

@@ -130,6 +130,12 @@ def flatten_memo_clear() -> None:
     _FLATTEN_MEMO.clear()
 
 
+def is_flattened(layers: Iterable[Layer]) -> bool:
+    """Whether the memo already holds this exact stack's finished tree
+    (it stays where it is in the recency order)."""
+    return tuple(layer.digest for layer in layers) in _FLATTEN_MEMO
+
+
 def flatten_layers(layers: Iterable[Layer]) -> VirtualFilesystem:
     """Compute the final filesystem state of an ordered layer stack.
 

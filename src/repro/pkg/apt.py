@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro import simbin
-from repro.pkg.rpm import read_package_database
+from repro.pkg.rpm import PackageDatabase, read_package_database
 from repro.pkg.package import Package, PackagedFile
 from repro.pkg.repository import RepositoryPool
 from repro.pkg.resolver import resolve_install
@@ -21,12 +21,21 @@ from repro.vfs import paths as vpath
 
 
 class AptFacade:
-    """Binds a repository pool to a filesystem and mutates both coherently."""
+    """Binds a repository pool to a filesystem and mutates both coherently.
 
-    def __init__(self, fs: VirtualFilesystem, pool: RepositoryPool) -> None:
+    *db*, when given, is a private copy of the package database *fs*
+    already holds, and nothing is parsed; otherwise the facade reads it.
+    """
+
+    def __init__(
+        self,
+        fs: VirtualFilesystem,
+        pool: RepositoryPool,
+        db: Optional[PackageDatabase] = None,
+    ) -> None:
         self.fs = fs
         self.pool = pool
-        self.db = read_package_database(fs)
+        self.db = read_package_database(fs) if db is None else db
 
     # ------------------------------------------------------------------
 

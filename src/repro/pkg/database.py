@@ -150,11 +150,12 @@ class DpkgDatabase:
                 fs.write_file(f"{INFO_DIR}/{name}.list", listing, create_parents=True)
         self._dirty_lists.clear()
 
-    def _copy(self) -> "DpkgDatabase":
-        """A copy that shares only values never mutated in place (packages,
-        file tuples, control text); its first :meth:`write_to` writes every
-        list, as a fresh parse's does."""
-        db = DpkgDatabase()
+    def copy(self) -> "DpkgDatabase":
+        """A copy of the same kind (an ``RpmDatabase`` stays one) that
+        shares only values never mutated in place (packages, file tuples,
+        control text); its first :meth:`write_to` considers every list, as
+        a fresh parse's does."""
+        db = type(self)()
         db._packages = dict(self._packages)
         db._file_lists = dict(self._file_lists)
         db._control_cache = dict(self._control_cache)
@@ -176,7 +177,7 @@ class DpkgDatabase:
         if parsed is None:
             parsed = _parse(status, lists)
             _READ_MEMO.put(key, parsed)
-        return parsed._copy()
+        return parsed.copy()
 
 
 # Finished parses keyed by content digests; a failed parse is never stored.

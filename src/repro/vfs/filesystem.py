@@ -16,6 +16,13 @@ symlink, a non-directory or a missing directory it may not create goes to
 the resolving walk instead (``makedirs``, ``_resolve``,
 ``_writable_dir_at``), the only write path that follows symlinks, with its
 own semantics and error messages.
+
+So a clone can tell, in O(root fan-out), whether anything was written
+to it since it was cloned (:meth:`VirtualFilesystem.unwritten_since`),
+and a filesystem object can take over a clone of another tree in place
+(:meth:`VirtualFilesystem.adopt`): the runtime-install memo
+(:mod:`repro.core.backend.replacement`) uses the one to key on an
+unwritten container's image and the other to hand it a stored install.
 """
 
 from __future__ import annotations
@@ -552,6 +559,31 @@ class VirtualFilesystem:
         other = VirtualFilesystem()
         other.root = self.root.clone()
         return other
+
+    def unwritten_since(self, other: "VirtualFilesystem") -> bool:
+        """Whether self still holds exactly the tree it and *other* were
+        both cloned from, in O(root fan-out).
+
+        Every write path-copies a shared top-level node or changes the
+        root's own entries or attributes, so equal top-level node
+        identities and equal root attributes mean no write landed.  A
+        write that left only equal copies can still read as one
+        (``_descend`` path-copies on the way to a path it then hands to
+        the resolving walk).
+        """
+        mine, theirs = self.root, other.root
+        if (mine.mode, mine.mtime, mine.uid, mine.gid) != (
+                theirs.mode, theirs.mtime, theirs.uid, theirs.gid):
+            return False
+        children = theirs.children
+        return len(mine.children) == len(children) and all(
+            children.get(name) is node for name, node in mine.children.items())
+
+    def adopt(self, other: "VirtualFilesystem") -> None:
+        """Make this object's tree a copy-on-write clone of *other*'s, in
+        place, so every holder of this object sees the new tree; *other*
+        never changes through it."""
+        self.root = other.root.clone()
 
     def copy_tree(
         self,

@@ -97,6 +97,31 @@ class TestImageStore:
         fs2 = engine.image_filesystem("ubuntu:24.04")
         assert not fs2.exists("/tainted")
 
+    def test_the_engine_keeps_no_tree_and_still_counts_flattens(self):
+        from repro.oci.apply import flatten_memo_clear
+        from repro.telemetry import Telemetry
+
+        flatten_memo_clear()
+        engine = ContainerEngine(arch="amd64")
+        engine.telemetry = Telemetry()
+        for i in range(100):
+            layer = Layer(entries=[LayerEntry.file(f"/img{i}", InlineContent(b"%d" % i))])
+            engine.add_image(f"img:{i}", ImageConfig(architecture="amd64"), [layer])
+            assert engine.image_filesystem(f"img:{i}").read_text(f"/img{i}") == str(i)
+            assert engine.image_filesystem(f"img:{i}").exists(f"/img{i}")
+
+        def trees(value):
+            if isinstance(value, VirtualFilesystem):
+                return 1
+            if isinstance(value, dict):
+                return sum(trees(v) for v in value.values())
+            return 0
+
+        assert sum(trees(value) for value in vars(engine).values()) == 0
+        counter = engine.telemetry.metrics.counter
+        assert counter("engine_fs_cache_misses_total").value == 100
+        assert counter("engine_fs_cache_hits_total").value == 100
+
     def test_unknown_image_raises(self, engine):
         from repro.containers import EngineError
 

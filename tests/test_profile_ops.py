@@ -1,7 +1,10 @@
-"""``scripts/profile_ops.py``'s report arithmetic on a stub profile, and
-its ``--wall`` timer on stub modules, without running a workload."""
+"""``scripts/profile_ops.py``'s report arithmetic on a stub profile, its
+``--wall`` timer on stub modules and its ``--gc`` clock on a stub workload
+that forces collections, without running a harness workload."""
 
+import contextlib
 import functools
+import gc
 import importlib.util
 import itertools
 import os
@@ -354,3 +357,96 @@ def test_wall_cannot_be_combined_with_the_profile_tables(flag, capsys):
         profile_ops.main(["warm-readapt", "--wall", "m:f", *flag])
     assert info.value.code == 2
     assert "--wall runs without cProfile" in capsys.readouterr().err
+
+
+# -- --gc: the garbage collector's cost over the timed ops ---------------
+
+@pytest.fixture
+def collector_off():
+    """Automatic collections off, so only the ones a test forces happen;
+    the collector's state is restored afterwards."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if was_enabled:
+        gc.enable()
+
+
+class _CollectingWorkload:
+    """A stub workload whose every op forces one generation-1 and one
+    generation-2 collection."""
+
+    def run(self, i):
+        gc.collect(1)
+        gc.collect(2)
+        return i
+
+    def check(self, i, out):
+        assert out == i
+
+
+def test_gc_clock_counts_only_inside_its_with_block(collector_off):
+    clock = profile_ops.GcClock(clock=_ticks())
+    hooks = list(gc.callbacks)
+    gc.collect(0)
+    with clock:
+        gc.collect(2)
+        gc.collect(0)
+        gc.collect(0)
+    gc.collect(1)
+    # Each collection reads the clock at its start and its stop: 1 tick.
+    assert clock.collections == [2, 0, 1]
+    assert clock.seconds == [2.0, 0.0, 1.0]
+    assert gc.callbacks == hooks
+
+
+def test_gc_table_is_collections_ms_and_share_per_generation():
+    clock = profile_ops.GcClock()
+    clock.collections, clock.seconds = [300, 30, 3], [0.6, 0.3, 1.5]
+    assert [line.split() for line in clock.table(ops=30, timed_s=10.0)] == [
+        ["gen", "colls/op", "ms/op", "share"],
+        ["0", "10.000", "20.000", "6.0%"],
+        ["1", "1.000", "10.000", "3.0%"],
+        ["2", "0.100", "50.000", "15.0%"],
+        ["all", "11.100", "80.000", "24.0%"],
+    ]
+
+
+def _gc_rows(out):
+    """``{generation: collections per op}`` of a printed ``--gc`` table."""
+    lines = out.splitlines()
+    start = lines.index("# garbage collector per generation over the timed ops")
+    return {row.split()[0]: row.split()[1] for row in lines[start + 2:start + 6]}
+
+
+@pytest.mark.parametrize("extra", [[], ["--wall", "repro.stub_timed:outer"]])
+def test_gc_measures_a_stub_workload_and_removes_its_hook(
+        extra, monkeypatch, capsys, collector_off):
+    _stub_modules(monkeypatch)
+    monkeypatch.setattr(profile_ops, "_build", lambda name, seed, ops: (
+        _CollectingWorkload(), 0.5, AssertionError))
+    hooks = list(gc.callbacks)
+    assert profile_ops.main(["stub", "--ops", "4", "--gc", *extra]) == 0
+    assert _gc_rows(capsys.readouterr().out) == {
+        "0": "0.000", "1": "1.000", "2": "1.000", "all": "2.000"}
+    assert gc.callbacks == hooks
+
+
+def test_gc_appends_its_table_and_leaves_the_rest_alone(monkeypatch, capsys):
+    def fake_profile(name, seed, ops, *regions):
+        for _ in range(ops):
+            with contextlib.ExitStack() as stack:
+                for region in regions:
+                    stack.enter_context(region)
+                gc.collect(1)
+        return STATS, 0.5, [10.0]
+
+    monkeypatch.setattr(profile_ops, "profile", fake_profile)
+    profile_ops.main(["mirror-sync", "--fn", "plan"])
+    plain = capsys.readouterr().out
+    profile_ops.main(["mirror-sync", "--fn", "plan", "--gc"])
+    with_gc = capsys.readouterr().out
+    assert with_gc.startswith(plain)
+    assert with_gc[len(plain):].splitlines()[0] == (
+        "# garbage collector per generation over the timed ops")
+    assert float(_gc_rows(with_gc)["1"]) >= 1.0

@@ -223,6 +223,40 @@ class TestCli:
         assert parse(["serve", "--deadline", "1e-3"]).deadline == 0.001
         assert parse(["serve"]).deadline is None
 
+    @pytest.mark.parametrize("argv,expected", [
+        (["schemes", "lammps"], "argument workload: unknown workload 'lammps'"),
+        (["schemes", "hpccg.bogus"], "argument workload: unknown workload 'hpccg.bogus'"),
+        (["adapt", "hpccg", "--pgo", "openmx"], "argument --pgo: unknown workload 'openmx'"),
+        (["trace", "lammps", "--workload", "lammps.nosuch"],
+         "argument --workload: unknown workload 'lammps.nosuch'"),
+    ])
+    def test_an_unknown_workload_is_a_usage_error(self, argv, expected, capsys):
+        error = self._usage_error(argv, capsys)
+        assert expected in error
+        assert "(choose from comd, hpccg, hpcg, hpl, lammps.chain, lammps.chute," in error
+
+    @pytest.mark.parametrize("flag", ["--duration", "--crash-at"])
+    @pytest.mark.parametrize("value", ["-5", "-0.001", "nan", "inf", "-inf", "soon"])
+    def test_a_negative_or_infinite_serve_time_is_a_usage_error(self, flag, value, capsys):
+        # ``--flag=-inf``: argparse reads a bare ``-inf`` as an option.
+        error = self._usage_error(["serve", f"{flag}={value}"], capsys)
+        assert f"argument {flag}: expected a non-negative number, got '{value}'" in error
+
+    def test_every_workload_and_a_zero_serve_time_still_parse(self):
+        from repro.perf.workloads import WORKLOADS
+
+        parse = cli.build_parser().parse_args
+        for name in WORKLOADS:
+            assert parse(["schemes", name]).workload == name
+            assert parse(["adapt", "hpccg", "--pgo", name]).pgo == name
+            assert parse(["trace", "hpccg", "--workload", name]).workload == name
+        args = parse(["serve", "--duration", "0", "--crash-at", "0"])
+        assert (args.duration, args.crash_at) == (0.0, 0.0)
+        args = parse(["serve", "--duration", "2.5", "--crash-at", "1e1"])
+        assert (args.duration, args.crash_at) == (2.5, 10.0)
+        args = parse(["serve"])
+        assert (args.duration, args.crash_at) == (60.0, None)
+
     @staticmethod
     def _usage_error(argv, capsys):
         """The one ``error:`` line *argv* exits 2 with, after no traceback."""
