@@ -2,9 +2,10 @@
 
 Three claims, all measured on a cold ``coMtainer-rebuild``:
 
-* the default :data:`NULL_TELEMETRY` path is the baseline — every hot
-  site guards on ``telemetry.enabled`` so an untraced run executes the
-  original code;
+* the default :data:`NULL_TELEMETRY` path is the baseline — the null
+  recorder is the one off switch, so the untraced arm runs the same
+  instrumented code and pays for the null recorder's no-op calls (span
+  context managers, ``counter().inc()`` and the like);
 * even a *fully traced* run (spans on every stage and compile node, byte
   counters on every blob) stays within 5% of that baseline;
 * so does a traced run with the whole observability control plane live

@@ -68,7 +68,7 @@ def _wants_controlplane(args: argparse.Namespace) -> bool:
     return bool(args.slo or args.profile_out or args.command == "health")
 
 
-def _session(system_key: str, telemetry=None, jobs: int = 1,
+def _session(system_key: str, telemetry, jobs: int = 1,
              speculate: bool = True, max_worker_failures: int = 3):
     from repro.core.workflow import ComtainerSession
 
@@ -566,7 +566,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         seed=args.seed,
         injector=injector,
         queue_capacity=args.queue_capacity,
-        telemetry=args.telemetry if args.telemetry.enabled else None,
+        telemetry=args.telemetry,
     )
     rng = _random.Random(f"comtainer-serve:{args.seed}")
     for i in range(args.tenants):
@@ -595,8 +595,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except ServiceCrash as crash:
         print(f"{crash} at t={service.clock.now:.1f}s; "
               f"restarting from the WAL...")
-        service = service.restart(
-            telemetry=args.telemetry if args.telemetry.enabled else None)
+        service = service.restart(telemetry=args.telemetry)
         report = service.run()
     print(render_service_report(report, telemetry=service.telemetry))
     submitted = sum(t["submitted"] for t in report.tenants.values())

@@ -106,13 +106,3 @@ class ProcessContext:
 
     def stdout(self) -> str:
         return "".join(self._stdout)
-
-    def arg_after(self, flag: str) -> Optional[str]:
-        """Value following *flag* in argv, if present."""
-        try:
-            index = self.argv.index(flag)
-        except ValueError:
-            return None
-        if index + 1 < len(self.argv):
-            return self.argv[index + 1]
-        return None

@@ -163,10 +163,9 @@ class ContainerEngine:
         ``engine_fs_cache_*`` counters count whether the memo already
         held the stack."""
         layers = self.image(ref).layers
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter(
-                "engine_fs_cache_hits_total" if is_flattened(layers)
-                else "engine_fs_cache_misses_total").inc()
+        self.telemetry.metrics.counter(
+            "engine_fs_cache_hits_total" if is_flattened(layers)
+            else "engine_fs_cache_misses_total").inc()
         return flatten_layers(layers)
 
     # ------------------------------------------------------------------
@@ -212,15 +211,7 @@ class ContainerEngine:
         env: Optional[Dict[str, str]] = None,
         cwd: Optional[str] = None,
     ) -> RunResult:
-        tele = self.telemetry
-        if not tele.enabled:
-            if self.fault_injector is not None and argv:
-                self.fault_injector.arm("container.run", argv[0])
-            merged = container.environment()
-            merged.update(env or {})
-            return self.exec_in(container, argv, env=merged,
-                                cwd=cwd or container.config.working_dir or "/")
-        with tele.span(
+        with self.telemetry.span(
             "container.run",
             container=container.name,
             command=argv[0] if argv else "",
@@ -270,8 +261,7 @@ class ContainerEngine:
         if not argv:
             return RunResult(exit_code=0)
         self.exec_log.append((container.name, tuple(argv)))
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter("engine_commands_total").inc()
+        self.telemetry.metrics.counter("engine_commands_total").inc()
         path = self._resolve_program(container, argv[0], env, cwd)
         if path is None:
             return RunResult(
@@ -355,8 +345,7 @@ class ContainerEngine:
         """Capture the container's changes as a new layer atop its image."""
         tele = self.telemetry
         span = tele.start_span(
-            "engine.commit", container=container.name, ref=ref or ""
-        ) if tele.enabled else None
+            "engine.commit", container=container.name, ref=ref or "")
         try:
             base = self.image(container.image_ref)
             layer = diff_filesystems(container.base_fs, container.fs, comment=comment)
@@ -369,17 +358,15 @@ class ContainerEngine:
             stored = StoredImage(config=config, layers=layers)
             if ref is not None:
                 self.images[ref] = stored
-            if span is not None:
-                span.set("layer_entries", len(layer))
-                span.set("layer_bytes", layer.size if len(layer) else 0)
-                m = tele.metrics
-                m.counter("engine_commits_total").inc()
-                if len(layer):
-                    m.counter("engine_layer_bytes_total").inc(layer.size)
+            span.set("layer_entries", len(layer))
+            span.set("layer_bytes", layer.size if len(layer) else 0)
+            m = tele.metrics
+            m.counter("engine_commits_total").inc()
+            if len(layer):
+                m.counter("engine_layer_bytes_total").inc(layer.size)
             return stored
         finally:
-            if span is not None:
-                tele.end_span(span)
+            tele.end_span(span)
 
     def push_to_layout(
         self, ref: str, layout: OCILayout, tag: Optional[str] = None

@@ -86,7 +86,3 @@ def read_trace(fs: VirtualFilesystem) -> List[Dict]:
         if line.strip():
             records.append(json.loads(line))
     return records
-
-
-def clear_trace(fs: VirtualFilesystem) -> None:
-    fs.write_file(TRACE_PATH, b"", create_parents=True)

@@ -35,6 +35,7 @@ byte-identical under any seeded worker fault pattern and any ``--jobs``.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Tuple
 
 from repro.containers.container import Container, ProgramError
@@ -200,16 +201,14 @@ def rebuild_in_container(
         if plan_diff.pruned:
             waves_to_run = plan_diff.waves
             report.groups_pruned = len(plan_diff.pruned)
-            if tele.enabled:
-                m = tele.metrics
-                m.counter("rebuild_groups_pruned_total").inc(
-                    len(plan_diff.pruned))
-                m.counter("rebuild_nodes_pruned_total").inc(len(pruned_nodes))
-                tele.event(
-                    "rebuild.plan_pruned",
-                    groups=len(plan_diff.pruned), nodes=len(pruned_nodes),
-                    dirty=len(plan_diff.dirty),
-                )
+            m = tele.metrics
+            m.counter("rebuild_groups_pruned_total").inc(len(plan_diff.pruned))
+            m.counter("rebuild_nodes_pruned_total").inc(len(pruned_nodes))
+            tele.event(
+                "rebuild.plan_pruned",
+                groups=len(plan_diff.pruned), nodes=len(pruned_nodes),
+                dirty=len(plan_diff.dirty),
+            )
 
     def checkpoint(group) -> None:
         for n in group.nodes:
@@ -285,26 +284,22 @@ def rebuild_in_container(
             else:
                 run_once()
 
+        # One span per executed compile command; `nodes` names every
+        # sibling output of a multi-source compile.  The phase attribute
+        # steers the cost profiler: archive and driver-link commands are
+        # link time, `-c` compiles are compile time.
+        if step.is_archiver or "-c" not in step.argv:
+            phase = "link"
+        else:
+            phase = "compile"
         try:
-            if tele.enabled:
-                # One span per executed compile command; `nodes` names
-                # every sibling output of a multi-source compile.  The
-                # phase attribute steers the cost profiler: archive and
-                # driver-link commands are link time, `-c` compiles are
-                # compile time.
-                if step.is_archiver or "-c" not in step.argv:
-                    phase = "link"
-                else:
-                    phase = "compile"
-                with tele.span(
-                    "rebuild.node",
-                    node=first.id,
-                    nodes=group.node_ids,
-                    command=step.argv[0] if step.argv else "",
-                    phase=phase,
-                ):
-                    run_node()
-            else:
+            with tele.span(
+                "rebuild.node",
+                node=first.id,
+                nodes=group.node_ids,
+                command=step.argv[0] if step.argv else "",
+                phase=phase,
+            ):
                 run_node()
         except Exception:
             if fallback_fs is None:
@@ -340,8 +335,7 @@ def rebuild_in_container(
             # flight.  Their outputs were never checkpointed, so they
             # simply re-execute below; surface and clear the evidence.
             report.stale_leases = len(stale)
-            if tele.enabled:
-                tele.event("fleet.stale_leases", count=len(stale))
+            tele.event("fleet.stale_leases", count=len(stale))
             journal.clear_leases()
 
     def dispatch_wave(wave_index: int, wave) -> Tuple[float, int, float]:
@@ -380,38 +374,32 @@ def rebuild_in_container(
                 # this wave has started.
                 from repro.resilience.deadline import DeadlineExceededError
 
-                if tele.enabled:
-                    tele.event("rebuild.deadline_exceeded",
-                               wave=wave_index, spent=fleet.clock.now,
-                               budget=deadline)
-                    tele.metrics.counter(
-                        "rebuild_deadline_exceeded_total").inc()
+                tele.event("rebuild.deadline_exceeded",
+                           wave=wave_index, spent=fleet.clock.now,
+                           budget=deadline)
+                tele.metrics.counter("rebuild_deadline_exceeded_total").inc()
                 if journal is not None:
                     journal.flush()
                 raise DeadlineExceededError(
                     spent=fleet.clock.now, budget=deadline,
                     site="rebuild.wave", wave_index=wave_index,
                 )
-            if tele.enabled:
-                with tele.span(
-                    "rebuild.wavefront", index=wave_index, width=len(wave)
-                ) as wave_span:
-                    makespan, completed, busy = dispatch_wave(wave_index, wave)
-                    if makespan > 0.0:
-                        tele.charge(makespan)
-                    wave_span.set("executed", completed)
-                    wave_span.set("makespan_seconds", makespan)
-                    tele.metrics.histogram("rebuild_wavefront_width").observe(
-                        len(wave)
-                    )
-                    if tele.controlplane is not None:
-                        # The fleet already advanced the sampler by this
-                        # wave's makespan; the scheduler just flushes any
-                        # overdue samples so per-wave counter updates are
-                        # observed at wavefront granularity.
-                        tele.controlplane.poll()
-            else:
+            with tele.span(
+                "rebuild.wavefront", index=wave_index, width=len(wave)
+            ) as wave_span:
                 makespan, completed, busy = dispatch_wave(wave_index, wave)
+                tele.charge(makespan)
+                wave_span.set("executed", completed)
+                wave_span.set("makespan_seconds", makespan)
+                tele.metrics.histogram("rebuild_wavefront_width").observe(
+                    len(wave)
+                )
+                if tele.controlplane is not None:
+                    # The fleet already advanced the sampler by this
+                    # wave's makespan; the scheduler just flushes any
+                    # overdue samples so per-wave counter updates are
+                    # observed at wavefront granularity.
+                    tele.controlplane.poll()
             report.waves.append(WaveStats(
                 index=wave_index,
                 width=len(wave),
@@ -429,23 +417,15 @@ def rebuild_in_container(
         stats = fleet.stats
         prior = getattr(engine, "fleet_stats", None)
         engine.fleet_stats = stats if prior is None else prior.merge(stats)
-        if tele.enabled:
-            # Crashes, workers-alive and blacklist gauges are recorded
-            # per wave by WorkerFleet.run_wave (the control plane's
-            # series need them mid-run); only the whole-run counters
-            # land here.
-            m = tele.metrics
-            m.counter("fleet_reassignments_total").inc(stats.reassignments)
-            m.counter("fleet_straggles_detected_total").inc(stats.straggles)
-            m.counter("fleet_lease_expirations_total").inc(
-                stats.lease_expirations
-            )
-            m.counter("fleet_speculative_launches_total").inc(
-                stats.speculative_launches
-            )
-            m.counter("fleet_speculative_wins_total").inc(
-                stats.speculative_wins
-            )
+        # Crashes, workers-alive and blacklist gauges are recorded per
+        # wave by WorkerFleet.run_wave (the control plane's series need
+        # them mid-run); only the whole-run counters land here.
+        m = tele.metrics
+        m.counter("fleet_reassignments_total").inc(stats.reassignments)
+        m.counter("fleet_straggles_detected_total").inc(stats.straggles)
+        m.counter("fleet_lease_expirations_total").inc(stats.lease_expirations)
+        m.counter("fleet_speculative_launches_total").inc(stats.speculative_launches)
+        m.counter("fleet_speculative_wins_total").inc(stats.speculative_wins)
     report.groups_executed = sum(w.executed for w in report.waves)
 
     # 5. Collect rebuilt artifacts for every BUILD file of the dist image.
@@ -480,29 +460,26 @@ def rebuild_in_container(
         if isinstance(produced, RegularFile):
             node_files[node.path] = produced.content
 
-    if tele.enabled:
-        m = tele.metrics
-        m.counter("rebuild_nodes_executed_total").inc(len(executed))
-        m.counter("rebuild_nodes_reused_total").inc(len(pruned_nodes))
-        m.counter("rebuild_nodes_restored_total").inc(len(restored))
-        m.counter("rebuild_nodes_failed_total").inc(len(failed_nodes))
-        m.counter("rebuild_nodes_cache_hits_total").inc(len(cache_hits))
-        m.gauge("rebuild_schedule_jobs").set(jobs)
-        m.gauge("rebuild_schedule_wavefronts").set(len(report.waves))
-        m.gauge("rebuild_schedule_max_width").set(report.max_width)
-        m.gauge("rebuild_schedule_makespan_seconds").set(report.makespan_seconds)
-        m.gauge("rebuild_schedule_serial_seconds").set(report.serial_seconds)
-        m.gauge("rebuild_schedule_critical_path_seconds").set(
-            report.critical_path_seconds
-        )
-        m.gauge("rebuild_schedule_speedup").set(report.speedup)
-        m.gauge("rebuild_worker_utilization").set(report.utilization)
-        for node_id in pruned_nodes:
-            tele.event("rebuild.node_reused", node=node_id)
-        for node_id in restored:
-            tele.event("rebuild.node_restored", node=node_id)
-        for node_id in cache_hits:
-            tele.event("rebuild.node_cache_hit", node=node_id)
+    m = tele.metrics
+    m.counter("rebuild_nodes_executed_total").inc(len(executed))
+    m.counter("rebuild_nodes_reused_total").inc(len(pruned_nodes))
+    m.counter("rebuild_nodes_restored_total").inc(len(restored))
+    m.counter("rebuild_nodes_failed_total").inc(len(failed_nodes))
+    m.counter("rebuild_nodes_cache_hits_total").inc(len(cache_hits))
+    m.gauge("rebuild_schedule_jobs").set(jobs)
+    m.gauge("rebuild_schedule_wavefronts").set(len(report.waves))
+    m.gauge("rebuild_schedule_max_width").set(report.max_width)
+    m.gauge("rebuild_schedule_makespan_seconds").set(report.makespan_seconds)
+    m.gauge("rebuild_schedule_serial_seconds").set(report.serial_seconds)
+    m.gauge("rebuild_schedule_critical_path_seconds").set(report.critical_path_seconds)
+    m.gauge("rebuild_schedule_speedup").set(report.speedup)
+    m.gauge("rebuild_worker_utilization").set(report.utilization)
+    for node_id in pruned_nodes:
+        tele.event("rebuild.node_reused", node=node_id)
+    for node_id in restored:
+        tele.event("rebuild.node_restored", node=node_id)
+    for node_id in cache_hits:
+        tele.event("rebuild.node_cache_hit", node=node_id)
 
     # The schedule report stays OUT of meta: meta bytes feed the rebuild
     # layer digest, which must be identical for every --jobs value.  The
@@ -633,6 +610,26 @@ def comtainer_rebuild_entry(ctx) -> int:
     return 0
 
 
+#: The numeric flags: option -> (``flags`` key, parser).
+_NUMBER_FLAGS = {
+    "--max-worker-failures": ("max_worker_failures", int),
+    "--jobs": ("jobs", int),
+    "--deadline": ("deadline", float),
+}
+
+
+def _positive(flag: str, value: str, parse):
+    """*value* parsed by *parse*; a ProgramError unless it is a finite
+    number above zero (so ``nan`` and ``inf`` are rejected too)."""
+    try:
+        number = parse(value)
+    except ValueError:
+        number = None
+    if number is None or not 0 < number < math.inf:
+        raise ProgramError(f"coMtainer-rebuild: bad {flag} value {value!r}")
+    return number
+
+
 def _parse_args(args: List[str]) -> Tuple[RebuildOptions, str, Dict[str, object]]:
     options = RebuildOptions()
     adapter_name = "vendor"
@@ -655,42 +652,10 @@ def _parse_args(args: List[str]) -> Tuple[RebuildOptions, str, Dict[str, object]
             flags["speculate"] = True
         elif arg == "--no-speculate":
             flags["speculate"] = False
-        elif arg.startswith("--max-worker-failures="):
-            value = arg.split("=", 1)[1]
-            try:
-                flags["max_worker_failures"] = int(value)
-            except ValueError:
-                raise ProgramError(
-                    f"coMtainer-rebuild: bad --max-worker-failures value {value!r}"
-                )
-            if flags["max_worker_failures"] < 1:
-                raise ProgramError(
-                    f"coMtainer-rebuild: bad --max-worker-failures value {value!r}"
-                )
-        elif arg.startswith("--jobs="):
-            value = arg.split("=", 1)[1]
-            try:
-                flags["jobs"] = int(value)
-            except ValueError:
-                raise ProgramError(
-                    f"coMtainer-rebuild: bad --jobs value {value!r}"
-                )
-            if flags["jobs"] < 1:
-                raise ProgramError(
-                    f"coMtainer-rebuild: bad --jobs value {value!r}"
-                )
-        elif arg.startswith("--deadline="):
-            value = arg.split("=", 1)[1]
-            try:
-                flags["deadline"] = float(value)
-            except ValueError:
-                raise ProgramError(
-                    f"coMtainer-rebuild: bad --deadline value {value!r}"
-                )
-            if flags["deadline"] <= 0:
-                raise ProgramError(
-                    f"coMtainer-rebuild: bad --deadline value {value!r}"
-                )
+        elif "=" in arg and arg.split("=", 1)[0] in _NUMBER_FLAGS:
+            flag, value = arg.split("=", 1)
+            key, parse = _NUMBER_FLAGS[flag]
+            flags[key] = _positive(flag, value, parse)
         elif arg.startswith("--lto-scope="):
             options.lto = True
             options.lto_scope = [s for s in arg.split("=", 1)[1].split(",") if s]

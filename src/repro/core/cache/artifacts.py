@@ -129,7 +129,7 @@ class RebuildArtifactCache:
                  telemetry=NULL_TELEMETRY) -> None:
         self.layout = layout
         self.dist_tag = dist_tag
-        self.telemetry = telemetry or NULL_TELEMETRY
+        self.telemetry = telemetry
         self.hits = 0
         self.misses = 0
         self._entries = dict(_entries_of(_stored(layout, dist_tag)))
@@ -140,8 +140,6 @@ class RebuildArtifactCache:
 
     def _count(self, name: str) -> None:
         """Bump one cache counter and refresh the derived hit-ratio gauge."""
-        if not self.telemetry.enabled:
-            return
         m = self.telemetry.metrics
         m.counter(name).inc()
         lookups = self.hits + self.misses
@@ -267,7 +265,7 @@ class SharedArtifactCache:
 
     def __init__(self, capacity: int = 512, telemetry=NULL_TELEMETRY) -> None:
         self.capacity = max(1, int(capacity))
-        self.telemetry = telemetry or NULL_TELEMETRY
+        self.telemetry = telemetry
         self._entries: "OrderedDict[str, dict]" = OrderedDict()
         self.seeded = 0     # entries pushed into layouts
         self.absorbed = 0   # entries adopted from layouts
@@ -280,8 +278,6 @@ class SharedArtifactCache:
         return key in self._entries
 
     def _observe(self, counter: Optional[str] = None, by: int = 1) -> None:
-        if not self.telemetry.enabled:
-            return
         m = self.telemetry.metrics
         if counter is not None and by:
             m.counter(counter).inc(by)

@@ -60,9 +60,3 @@ def obfuscate_sources(
     sources: Dict[str, FileContent], key: str = DEFAULT_KEY
 ) -> Dict[str, FileContent]:
     return {path: obfuscate_content(c, key) for path, c in sources.items()}
-
-
-def deobfuscate_content(content: FileContent, key: str = DEFAULT_KEY) -> FileContent:
-    if isinstance(content, SyntheticContent):
-        return content
-    return InlineContent(deobfuscate_bytes(content.read(), key))

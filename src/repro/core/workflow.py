@@ -181,26 +181,14 @@ def _run_redirect(
 
 _VENDOR_MPIRUN_PATHS = ("/opt/intel/bin/mpirun", "/opt/phytium/bin/mpirun")
 
-#: Launcher probe results by image layer identity.  The probe walks the
-#: image filesystem; the PGO loop alone repeats it twice per adaptation,
-#: and layer digests fully determine the answer.
-_mpirun_memo: Dict[tuple, str] = {}
-
 
 def _vendor_mpirun(engine: ContainerEngine, image_ref: str) -> str:
     """The vendor ``mpirun`` path inside *image_ref* (or plain ``mpirun``)."""
-    key = engine.image(image_ref).layer_key()
-    hit = _mpirun_memo.get(key)
-    if hit is not None:
-        return hit
     fs = engine.image_filesystem(image_ref)
-    launcher = "mpirun"
     for candidate in _VENDOR_MPIRUN_PATHS:
         if fs.exists(candidate):
-            launcher = candidate
-            break
-    _mpirun_memo[key] = launcher
-    return launcher
+            return candidate
+    return "mpirun"
 
 
 def run_workload(
@@ -464,8 +452,8 @@ class ComtainerSession:
     resilience: Optional[ResiliencePolicy] = None
     resilience_reports: List[ResilienceReport] = field(default_factory=list)
     #: Telemetry recorder (:class:`repro.telemetry.Telemetry`); the
-    #: default no-op sink records nothing and adds no overhead.
-    telemetry: object = None
+    #: default no-op sink records nothing.
+    telemetry: object = NULL_TELEMETRY
     _original: Dict[str, str] = field(default_factory=dict)
     _layouts: Dict[str, Tuple[OCILayout, str]] = field(default_factory=dict)
     _user_layouts: Dict[str, OCILayout] = field(default_factory=dict)
@@ -492,8 +480,6 @@ class ComtainerSession:
                 registry=self.registry,
                 engines=[self.system_engine],
             )
-        if self.telemetry is None:
-            self.telemetry = NULL_TELEMETRY
         install_telemetry(
             self.telemetry,
             registry=self.registry,

@@ -159,8 +159,7 @@ class FederatedRegistry:
             raise FederationError(f"mirror already registered: {name!r}")
         mirror = Mirror(name)
         self.mirrors[name] = mirror
-        if self.telemetry.enabled:
-            self.telemetry.metrics.gauge("federation_mirrors").set(len(self.mirrors))
+        self.telemetry.metrics.gauge("federation_mirrors").set(len(self.mirrors))
         return mirror
 
     def mirror(self, name: str) -> Mirror:
@@ -217,22 +216,19 @@ class FederatedRegistry:
     def reject_fenced_write(self, stale_token: int) -> None:
         """Account one stale-fence write (called by the fence check)."""
         self.fenced_rejections += 1
-        if self.telemetry.enabled:
-            self.telemetry.event(
-                "federation.fenced_write_rejected",
-                stale_token=stale_token, current_token=self.fence_token,
-            )
-            self.telemetry.metrics.counter(
-                "federation_fenced_writes_rejected_total").inc()
+        self.telemetry.event(
+            "federation.fenced_write_rejected",
+            stale_token=stale_token, current_token=self.fence_token,
+        )
+        self.telemetry.metrics.counter("federation_fenced_writes_rejected_total").inc()
 
     def fail_origin(self) -> None:
         """Mark the origin down: pulls skip it, a failover may promote."""
         if self.origin_offline:
             return
         self.origin_offline = True
-        if self.telemetry.enabled:
-            self.telemetry.event("federation.origin_failed",
-                                 generation=self.generation)
+        self.telemetry.event("federation.origin_failed",
+                             generation=self.generation)
 
     def electable(self) -> List[Mirror]:
         """Mirrors eligible to become origin, deterministically ordered:
@@ -300,16 +296,15 @@ class FederatedRegistry:
             generation=self.generation, demoted=self._demoted_name,
             notes=notes,
         )
-        if self.telemetry.enabled:
-            self.telemetry.event(
-                "federation.promoted", elected=winner.name,
-                fence_token=self.fence_token, generation=self.generation,
-            )
-            self.telemetry.metrics.counter("federation_failovers_total").inc()
-            self.telemetry.metrics.gauge("federation_fence_token").set(
-                float(self.fence_token))
-            self.telemetry.metrics.gauge("federation_mirrors").set(
-                len(self.mirrors))
+        self.telemetry.event(
+            "federation.promoted", elected=winner.name,
+            fence_token=self.fence_token, generation=self.generation,
+        )
+        self.telemetry.metrics.counter("federation_failovers_total").inc()
+        self.telemetry.metrics.gauge("federation_fence_token").set(
+            float(self.fence_token))
+        self.telemetry.metrics.gauge("federation_mirrors").set(
+            len(self.mirrors))
         return promotion
 
     def fail_over(self, name: Optional[str] = None) -> Promotion:
@@ -336,8 +331,7 @@ class FederatedRegistry:
         mirror = self.add_mirror(name)
         mirror.registry = registry
         report = self.sync_mirror(name, ctx=ctx)
-        if self.telemetry.enabled:
-            self.telemetry.event("federation.demoted_rejoined", mirror=name)
+        self.telemetry.event("federation.demoted_rejoined", mirror=name)
         return report
 
     # ------------------------------------------------------------------
@@ -357,13 +351,12 @@ class FederatedRegistry:
         else:
             report = self.engine.sync(mirror)
         mirror.synced_generation = max(mirror.synced_generation, target_generation)
-        if self.telemetry.enabled:
-            self.telemetry.metrics.gauge(
-                "federation_max_generations_behind"
-            ).set(max(
-                (self.generations_behind(m) for m in self.mirrors.values()),
-                default=0,
-            ))
+        self.telemetry.metrics.gauge(
+            "federation_max_generations_behind"
+        ).set(max(
+            (self.generations_behind(m) for m in self.mirrors.values()),
+            default=0,
+        ))
         return report
 
     def sync_all(self, ctx=None) -> Dict[str, SyncReport]:
@@ -416,20 +409,18 @@ class FederatedRegistry:
                 "mirror.stale", f"{mirror.name}/{reference}"
             ):
                 errors.append(f"{mirror.name}: stale probe fired")
-                if tele.enabled:
-                    tele.metrics.counter("federation_stale_skips_total").inc()
+                tele.metrics.counter("federation_stale_skips_total").inc()
                 continue
             try:
                 resolved = mirror.registry.pull(reference)
             except (RegistryError, IntegrityError, InjectedFault) as exc:
                 errors.append(f"{mirror.name}: {exc}")
                 continue
-            if tele.enabled:
-                tele.metrics.counter("federation_failover_pulls_total").inc()
-                tele.event(
-                    "federation.failover", reference=reference,
-                    served_by=mirror.name,
-                )
+            tele.metrics.counter("federation_failover_pulls_total").inc()
+            tele.event(
+                "federation.failover", reference=reference,
+                served_by=mirror.name,
+            )
             return resolved
         raise FederationError(
             f"no federation member could serve {reference!r}: "

@@ -319,8 +319,6 @@ class SyncEngine:
 
     def sync(self, mirror) -> SyncReport:
         tele = self.telemetry
-        if not tele.enabled:
-            return self._sync_inner(mirror)
         with tele.span("mirror.sync", mirror=mirror.name) as span:
             try:
                 report = self._sync_inner(mirror)

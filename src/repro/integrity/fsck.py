@@ -107,16 +107,15 @@ def fsck_layout(
     report.orphaned = sorted(
         d for d in layout.blobs.digests() if d not in referenced
     )
-    if telemetry.enabled:
-        telemetry.metrics.counter("integrity_fsck_runs_total").inc()
-        telemetry.event(
-            "integrity.fsck",
-            target=target,
-            scanned=report.scanned,
-            corrupt=len(report.initial_findings),
-            repaired=len(report.repaired),
-            clean=report.clean,
-        )
+    telemetry.metrics.counter("integrity_fsck_runs_total").inc()
+    telemetry.event(
+        "integrity.fsck",
+        target=target,
+        scanned=report.scanned,
+        corrupt=len(report.initial_findings),
+        repaired=len(report.repaired),
+        clean=report.clean,
+    )
     return report
 
 
@@ -284,13 +283,12 @@ def fsck_federation(
             telemetry=telemetry, target=f"mirror:{name}",
         )
     report.divergences = federation.audit()
-    if telemetry.enabled:
-        telemetry.event(
-            "integrity.fsck_federation",
-            replicas=len(report.replicas),
-            divergent=sum(1 for p in report.divergences.values() if p),
-            clean=report.clean,
-        )
+    telemetry.event(
+        "integrity.fsck_federation",
+        replicas=len(report.replicas),
+        divergent=sum(1 for p in report.divergences.values() if p),
+        clean=report.clean,
+    )
     return report
 
 

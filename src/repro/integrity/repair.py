@@ -152,15 +152,13 @@ class RepairEngine:
                     store.put(candidate)
                 if store.intact(digest) is not None:
                     store.release_quarantine(digest)
-                    if self.telemetry.enabled:
-                        self.telemetry.metrics.counter("integrity_repairs_total").inc()
-                        self.telemetry.event(
-                            "integrity.repaired", digest=digest, source=source.label
-                        )
+                    self.telemetry.metrics.counter("integrity_repairs_total").inc()
+                    self.telemetry.event(
+                        "integrity.repaired", digest=digest, source=source.label
+                    )
                     return RepairOutcome(digest, repaired=True, source=source.label)
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter("integrity_repair_failures_total").inc()
-            self.telemetry.event("integrity.repair_failed", digest=digest)
+        self.telemetry.metrics.counter("integrity_repair_failures_total").inc()
+        self.telemetry.event("integrity.repair_failed", digest=digest)
         return RepairOutcome(
             digest,
             repaired=False,

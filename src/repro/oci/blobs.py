@@ -237,19 +237,17 @@ class BlobStore:
                     size=blob.size,
                     payload=mutated,
                 )
-        if self.telemetry.enabled:
-            m = self.telemetry.metrics
-            m.counter("oci_blob_writes_total").inc()
-            if blob.digest in self._blobs:
-                m.counter("oci_blob_cache_hits_total").inc()
-            else:
-                m.counter("oci_blob_cache_misses_total").inc()
-                m.counter("oci_blob_bytes_written_total").inc(blob.size)
-                m.histogram("oci_blob_size_bytes").observe(blob.size)
+        m = self.telemetry.metrics
+        m.counter("oci_blob_writes_total").inc()
+        if blob.digest in self._blobs:
+            m.counter("oci_blob_cache_hits_total").inc()
+        else:
+            m.counter("oci_blob_cache_misses_total").inc()
+            m.counter("oci_blob_bytes_written_total").inc(blob.size)
+            m.histogram("oci_blob_size_bytes").observe(blob.size)
         self._blobs[blob.digest] = blob
         self._verified.discard(blob.digest)
-        if self.telemetry.enabled:
-            self.telemetry.metrics.gauge("oci_blob_store_blobs").set(len(self._blobs))
+        m.gauge("oci_blob_store_blobs").set(len(self._blobs))
         return blob.descriptor()
 
     def put_verified(self, blob: Blob, attempts: int = 3) -> Descriptor:
@@ -352,20 +350,17 @@ class BlobStore:
         if verify and digest not in self._verified:
             finding = check_blob(blob)
             if finding is not None:
-                if self.telemetry.enabled:
-                    self.telemetry.metrics.counter(
-                        "integrity_corruptions_detected_total").inc()
-                    self.telemetry.event(
-                        "integrity.violation", site="blob.read",
-                        digest=digest, kind=finding.kind)
+                self.telemetry.metrics.counter(
+                    "integrity_corruptions_detected_total").inc()
+                self.telemetry.event(
+                    "integrity.violation", site="blob.read",
+                    digest=digest, kind=finding.kind)
                 raise IntegrityError(site="blob.read", finding=finding)
             self._verified.add(digest)
-            if self.telemetry.enabled:
-                self.telemetry.metrics.counter("integrity_verifications_total").inc()
-        if self.telemetry.enabled:
-            m = self.telemetry.metrics
-            m.counter("oci_blob_reads_total").inc()
-            m.counter("oci_blob_bytes_read_total").inc(blob.size)
+            self.telemetry.metrics.counter("integrity_verifications_total").inc()
+        m = self.telemetry.metrics
+        m.counter("oci_blob_reads_total").inc()
+        m.counter("oci_blob_bytes_read_total").inc(blob.size)
         return blob
 
     def try_get(self, digest: str) -> Optional[Blob]:
@@ -413,9 +408,8 @@ class BlobStore:
                 digest=digest, kind=KIND_QUARANTINED, detail="quarantined by caller")
         self._verified.discard(digest)
         self._quarantine[digest] = (blob, finding)
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter("integrity_quarantined_total").inc()
-            self.telemetry.event("integrity.quarantined", digest=digest, kind=finding.kind)
+        self.telemetry.metrics.counter("integrity_quarantined_total").inc()
+        self.telemetry.event("integrity.quarantined", digest=digest, kind=finding.kind)
         return True
 
     def _quarantine_finding(self, digest: str) -> Optional[IntegrityFinding]:

@@ -8,16 +8,12 @@ into OCI layers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.oci.layer import Layer, LayerEntry
 from repro.vfs import Directory, RegularFile, Symlink, VirtualFilesystem
 from repro.vfs import paths as vpath
 from repro.vfs.filesystem import AnyNode
-
-
-def _index(fs: VirtualFilesystem) -> Dict[str, AnyNode]:
-    return dict(fs.iter_entries("/"))
 
 
 def _same_node(a: AnyNode, b: AnyNode) -> bool:

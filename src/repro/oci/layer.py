@@ -14,7 +14,7 @@ import base64
 import io
 import tarfile
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.oci.digest import canonical_json, digest_bytes
 from repro.vfs import paths as vpath
@@ -296,10 +296,3 @@ class Layer:
                         )
                     )
         return layer
-
-
-def layer_from_entries(entries: Iterable[LayerEntry], comment: str = "") -> Layer:
-    layer = Layer(comment=comment)
-    for entry in entries:
-        layer.add(entry)
-    return layer

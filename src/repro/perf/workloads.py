@@ -182,15 +182,3 @@ def get_workload(name: str) -> WorkloadProfile:
         return WORKLOADS[name]
     except KeyError:
         raise KeyError(f"unknown workload: {name!r}") from None
-
-
-def workloads_of_app(app: str) -> List[WorkloadProfile]:
-    return [p for p in _PROFILES if p.app == app]
-
-
-def app_names() -> List[str]:
-    seen: List[str] = []
-    for profile in _PROFILES:
-        if profile.app not in seen:
-            seen.append(profile.app)
-    return seen

@@ -264,17 +264,6 @@ def render_resilience_report(report, telemetry=None) -> str:
     return "\n".join(lines)
 
 
-def resilience_rows(reports) -> List[Tuple]:
-    """(tag, rung, retries, failed, fallbacks, restored) summary rows."""
-    return [
-        (
-            r.tag, r.rung, sum(r.retries.values()), len(r.failed_nodes),
-            len(r.fallback_paths), len(r.restored_nodes),
-        )
-        for r in reports
-    ]
-
-
 def service_tenant_rows(report) -> List[Tuple]:
     """(tenant, submitted, done, degraded, rejected, deadline, p50, p99)
     rows for one :class:`repro.service.ServiceReport`."""

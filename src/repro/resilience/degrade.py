@@ -121,15 +121,13 @@ class ResilienceContext:
     rng: random.Random = None
     #: Telemetry recorder retries/degradations report into; the no-op
     #: default keeps untraced sessions free of bookkeeping.
-    telemetry: object = None
+    telemetry: object = NULL_TELEMETRY
 
     def __post_init__(self) -> None:
         if self.injector is None:
             self.injector = self.policy.injector
         if self.rng is None:
             self.rng = random.Random(f"comtainer-retry-jitter:{self.policy.seed}")
-        if self.telemetry is None:
-            self.telemetry = NULL_TELEMETRY
 
     def retry(self, fn, site: str):
         """Run *fn* under this context's retry policy."""
@@ -140,7 +138,7 @@ class ResilienceContext:
             rng=self.rng,
             stats=self.stats,
             site=site,
-            telemetry=self.telemetry if self.telemetry.enabled else None,
+            telemetry=self.telemetry,
         )
 
 
@@ -364,8 +362,7 @@ def _note_integrity(report, exc, layout, repair, ctx, tele) -> bool:
     report.integrity_errors.append(str(ierr))
     tele.event("integrity.detected", site=ierr.site, digest=ierr.digest,
                detail=ierr.detail)
-    if tele.enabled:
-        tele.metrics.counter("resilience_integrity_errors_total").inc()
+    tele.metrics.counter("resilience_integrity_errors_total").inc()
     if repair is None:
         return False
     outcomes = repair.repair_layout(layout, ctx=ctx)
@@ -576,9 +573,8 @@ def adapt_with_resilience(
     report.simulated_seconds = ctx.clock.now
     tele.event("degradation.rung", tag=dist_tag, rung=report.rung,
                ref=report.ref or "", reasons=len(report.reasons))
-    if tele.enabled:
-        tele.metrics.counter(
-            f"resilience_rung_{report.rung.replace('-', '_')}_total").inc()
+    tele.metrics.counter(
+        f"resilience_rung_{report.rung.replace('-', '_')}_total").inc()
     if report.rung != RUNG_FULL:
         logger.warning("adaptation of %s degraded to rung %r",
                        dist_tag, report.rung)

@@ -311,9 +311,8 @@ class FaultInjector:
 
     def _fire(self, site: str, key: str, kind: str) -> None:
         self.log.append(FaultRecord(site=site, key=key, kind=kind))
-        if self.telemetry.enabled:
-            self.telemetry.event("fault.fired", site=site, key=key, kind=kind)
-            self.telemetry.metrics.counter("resilience_faults_fired_total").inc()
+        self.telemetry.event("fault.fired", site=site, key=key, kind=kind)
+        self.telemetry.metrics.counter("resilience_faults_fired_total").inc()
         if kind == "persistent":
             raise PersistentFault(site, key)
         if site in TRANSFER_SITES:
@@ -324,8 +323,7 @@ class FaultInjector:
         """Raise an :class:`InjectedFault` if this operation should fail."""
         if not self.enabled or site in self._disarmed:
             return
-        if self.telemetry.enabled:
-            self.telemetry.event("fault.armed", site=site, key=key)
+        self.telemetry.event("fault.armed", site=site, key=key)
         for spec in self.specs:
             if spec.site != site or spec.match not in key:
                 continue
@@ -393,10 +391,8 @@ class FaultInjector:
             if rate <= 0.0 or self._rng.random() >= rate:
                 return False
         self.log.append(FaultRecord(site=site, key=key, kind="worker"))
-        if self.telemetry.enabled:
-            self.telemetry.event("fault.worker", site=site, key=key)
-            self.telemetry.metrics.counter(
-                "resilience_worker_faults_total").inc()
+        self.telemetry.event("fault.worker", site=site, key=key)
+        self.telemetry.metrics.counter("resilience_worker_faults_total").inc()
         return True
 
     # ------------------------------------------------------------------
@@ -434,10 +430,8 @@ class FaultInjector:
             if self._rng.random() >= self.mirror_stale_rate:
                 return False
         self.log.append(FaultRecord(site=site, key=key, kind="probe"))
-        if self.telemetry.enabled:
-            self.telemetry.event("fault.probe", site=site, key=key)
-            self.telemetry.metrics.counter(
-                "resilience_probe_faults_total").inc()
+        self.telemetry.event("fault.probe", site=site, key=key)
+        self.telemetry.metrics.counter("resilience_probe_faults_total").inc()
         return True
 
     # ------------------------------------------------------------------
@@ -482,10 +476,8 @@ class FaultInjector:
                 return data
         mutated = corrupt_payload(data, mode, self._rng)
         self.log.append(FaultRecord(site=site, key=key, kind=f"corrupt-{mode}"))
-        if self.telemetry.enabled:
-            self.telemetry.event("fault.corrupted", site=site, key=key, mode=mode)
-            self.telemetry.metrics.counter(
-                "resilience_corruptions_injected_total").inc()
+        self.telemetry.event("fault.corrupted", site=site, key=key, mode=mode)
+        self.telemetry.metrics.counter("resilience_corruptions_injected_total").inc()
         return mutated
 
     # ------------------------------------------------------------------

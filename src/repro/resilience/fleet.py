@@ -283,7 +283,7 @@ class WorkerFleet:
         jobs: int = 1,
         injector=None,
         clock: Optional[SimulatedClock] = None,
-        telemetry=None,
+        telemetry=NULL_TELEMETRY,
         speculate: bool = True,
         max_worker_failures: int = 3,
         straggle_threshold: float = STRAGGLE_THRESHOLD,
@@ -296,7 +296,7 @@ class WorkerFleet:
         self.workers = [FleetWorker(wid=f"w{i}", index=i) for i in range(jobs)]
         self.injector = injector
         self.clock = clock or SimulatedClock()
-        self.telemetry = telemetry or NULL_TELEMETRY
+        self.telemetry = telemetry
         self.monitor = HeartbeatMonitor(
             clock=self.clock,
             heartbeat_interval=heartbeat_interval,
@@ -314,10 +314,6 @@ class WorkerFleet:
     def active_workers(self) -> List[FleetWorker]:
         return [w for w in self.workers if w.active]
 
-    def _event(self, name: str, **attrs) -> None:
-        if self.telemetry.enabled:
-            self.telemetry.event(name, **attrs)
-
     def _consult(self, site: str, worker: FleetWorker, item: _Attempt) -> bool:
         if self.injector is None:
             return False
@@ -330,8 +326,8 @@ class WorkerFleet:
         if worker.strikes >= self.max_worker_failures and not worker.blacklisted:
             worker.blacklisted = True
             self.stats.blacklisted.append(worker.wid)
-            self._event("fleet.worker_blacklisted", worker=worker.wid,
-                        wave=wave, strikes=worker.strikes)
+            self.telemetry.event("fleet.worker_blacklisted", worker=worker.wid,
+                                 wave=wave, strikes=worker.strikes)
 
     # ------------------------------------------------------------------
 
@@ -398,12 +394,12 @@ class WorkerFleet:
                 self.stats.crashes += 1
                 self.stats.lease_expirations += 1
                 self.stats.reassignments += 1
-                self._event("fleet.worker_crashed", worker=worker.wid,
-                            group=item.digest, wave=index)
-                self._event("fleet.lease_expired", worker=worker.wid,
-                            group=item.digest, wave=index)
-                self._event("fleet.reassigned", group=item.digest,
-                            wave=index, attempt=item.attempt + 1)
+                self.telemetry.event("fleet.worker_crashed", worker=worker.wid,
+                                     group=item.digest, wave=index)
+                self.telemetry.event("fleet.lease_expired", worker=worker.wid,
+                                     group=item.digest, wave=index)
+                self.telemetry.event("fleet.reassigned", group=item.digest,
+                                     wave=index, attempt=item.attempt + 1)
                 queue.append(_Attempt(
                     digest=item.digest, cost=item.cost, not_before=detect,
                     excluded=item.excluded | {worker.wid},
@@ -422,12 +418,12 @@ class WorkerFleet:
                 self.monitor.release(item.digest)
                 self.stats.flaky_failures += 1
                 self.stats.reassignments += 1
-                self._event("fleet.worker_flaky", worker=worker.wid,
-                            group=item.digest, wave=index,
-                            strikes=worker.strikes)
+                self.telemetry.event("fleet.worker_flaky", worker=worker.wid,
+                                     group=item.digest, wave=index,
+                                     strikes=worker.strikes)
                 self._blacklist_check(worker, index)
-                self._event("fleet.reassigned", group=item.digest,
-                            wave=index, attempt=item.attempt + 1)
+                self.telemetry.event("fleet.reassigned", group=item.digest,
+                                     wave=index, attempt=item.attempt + 1)
                 queue.append(_Attempt(
                     digest=item.digest, cost=item.cost, not_before=end,
                     excluded=item.excluded | {worker.wid},
@@ -440,8 +436,8 @@ class WorkerFleet:
                 self.stats.straggles += 1
                 slow_finish = start + self.straggle_factor * item.cost
                 detect = start + self.straggle_threshold * item.cost
-                self._event("fleet.straggler_detected", worker=worker.wid,
-                            group=item.digest, wave=index)
+                self.telemetry.event("fleet.straggler_detected", worker=worker.wid,
+                                     group=item.digest, wave=index)
                 finish = slow_finish
                 if self.speculate:
                     others = [
@@ -459,9 +455,9 @@ class WorkerFleet:
                             # cancelled at the winner's finish time.
                             self.stats.speculative_launches += 1
                             self.stats.speculative_wins += 1
-                            self._event("fleet.speculation",
-                                        group=item.digest, wave=index,
-                                        worker=dup.wid, won=True)
+                            self.telemetry.event("fleet.speculation",
+                                                 group=item.digest, wave=index,
+                                                 worker=dup.wid, won=True)
                             dup.busy_seconds += dup_finish - dup_start
                             wave_busy[dup.wid] += dup_finish - dup_start
                             free[dup.wid] = dup_finish
@@ -476,9 +472,9 @@ class WorkerFleet:
                         elif dup_start < slow_finish:
                             # Launched but the straggler beat it anyway.
                             self.stats.speculative_launches += 1
-                            self._event("fleet.speculation",
-                                        group=item.digest, wave=index,
-                                        worker=dup.wid, won=False)
+                            self.telemetry.event("fleet.speculation",
+                                                 group=item.digest, wave=index,
+                                                 worker=dup.wid, won=False)
                             dup.busy_seconds += slow_finish - dup_start
                             wave_busy[dup.wid] += slow_finish - dup_start
                             free[dup.wid] = slow_finish
@@ -494,7 +490,7 @@ class WorkerFleet:
         if outcome.exhausted:
             self.stats.exhausted_waves += 1
         self.stats.workers_alive = len(self.active_workers())
-        if self.telemetry.enabled and entries:
+        if entries:
             for w in self.workers:
                 if wave_busy[w.wid] > 0.0:
                     with self.telemetry.span(

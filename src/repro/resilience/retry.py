@@ -21,6 +21,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, TypeVar
 
+from repro.telemetry import NULL_TELEMETRY
+from repro.telemetry.metrics import ATTEMPT_BUCKETS, metric_site
+
 T = TypeVar("T")
 
 logger = logging.getLogger("repro.resilience.retry")
@@ -124,10 +127,6 @@ class RetryStats:
         self.exhaustion_causes.extend(other.exhaustion_causes)
 
     @property
-    def total_retries(self) -> int:
-        return sum(self.retries.values())
-
-    @property
     def total_spend(self) -> float:
         return sum(self.spend.values())
 
@@ -145,15 +144,15 @@ def retry_call(
     rng: Optional[random.Random] = None,
     stats: Optional[RetryStats] = None,
     site: str = "op",
-    telemetry=None,
+    telemetry=NULL_TELEMETRY,
 ) -> T:
     """Run *fn*, retrying transient failures under *policy*.
 
     Fatal (non-transient) errors propagate immediately.  When attempts or
     the simulated-time budget run out, the last transient error propagates
-    so the caller's degradation logic sees the real cause.  With a
-    *telemetry* recorder, each retry lands a ``retry.attempt`` event on
-    the active span and the backoff delay is charged to the trace clock.
+    so the caller's degradation logic sees the real cause.  Each retry
+    lands a ``retry.attempt`` event on *telemetry*'s active span and the
+    backoff delay is charged to its trace clock.
     """
     spent = 0.0
     for attempt in range(policy.max_attempts):
@@ -169,28 +168,21 @@ def retry_call(
                 cause = CAUSE_ATTEMPTS if out_of_attempts else CAUSE_BUDGET
                 if stats is not None:
                     stats.note_exhausted(site, cause=cause)
-                if telemetry is not None:
-                    from repro.telemetry.metrics import (
-                        ATTEMPT_BUCKETS,
-                        metric_site,
-                    )
-
-                    telemetry.event("retry.exhausted", site=site,
-                                    attempts=attempt + 1, cause=cause,
-                                    error=str(exc))
-                    telemetry.metrics.counter(
-                        "resilience_retries_exhausted_total").inc()
-                    telemetry.metrics.counter(
-                        f"resilience_retries_exhausted_{cause}_total").inc()
-                    # Per-site-and-cause exhaustion histogram: which sites
-                    # burn out, after how many attempts, and whether the
-                    # attempt cap or the time budget was the binding
-                    # constraint (they are tuned independently).
-                    telemetry.metrics.histogram(
-                        "resilience_retry_exhaustion_attempts_"
-                        + metric_site(site) + "_" + cause,
-                        buckets=ATTEMPT_BUCKETS,
-                    ).observe(attempt + 1)
+                telemetry.event("retry.exhausted", site=site,
+                                attempts=attempt + 1, cause=cause,
+                                error=str(exc))
+                telemetry.metrics.counter("resilience_retries_exhausted_total").inc()
+                telemetry.metrics.counter(
+                    f"resilience_retries_exhausted_{cause}_total").inc()
+                # Per-site-and-cause exhaustion histogram: which sites
+                # burn out, after how many attempts, and whether the
+                # attempt cap or the time budget was the binding
+                # constraint (they are tuned independently).
+                telemetry.metrics.histogram(
+                    "resilience_retry_exhaustion_attempts_"
+                    + metric_site(site) + "_" + cause,
+                    buckets=ATTEMPT_BUCKETS,
+                ).observe(attempt + 1)
                 logger.warning("retry %s exhausted at %s after %d attempts",
                                cause, site, attempt + 1)
                 raise
@@ -198,12 +190,10 @@ def retry_call(
             spent += delay
             if stats is not None:
                 stats.note_retry(site, delay=delay)
-            if telemetry is not None:
-                telemetry.event("retry.attempt", site=site,
-                                attempt=attempt + 1, delay=delay,
-                                error=str(exc))
-                telemetry.metrics.counter("resilience_retries_total").inc()
-                telemetry.charge(delay)
+            telemetry.event("retry.attempt", site=site,
+                            attempt=attempt + 1, delay=delay, error=str(exc))
+            telemetry.metrics.counter("resilience_retries_total").inc()
+            telemetry.charge(delay)
             logger.info("transient failure at %s (attempt %d): %s; "
                         "backing off %.2fs", site, attempt + 1, exc, delay)
     raise RetryBudgetExhausted(site)   # unreachable; loop always returns/raises

@@ -121,7 +121,7 @@ class AdmissionQueue:
         self.capacity = capacity
         self.shed_watermark = shed_watermark
         self.full_watermark = full_watermark
-        self.telemetry = telemetry or NULL_TELEMETRY
+        self.telemetry = telemetry
         self._items: List = []
         self.admitted = 0
         self.displaced = 0
@@ -173,9 +173,7 @@ class AdmissionQueue:
             displaced = self._displaceable(priority_rank(request.priority))
             if displaced is None:
                 self.rejected += 1
-                if self.telemetry.enabled:
-                    self.telemetry.metrics.counter(
-                        "service_queue_rejections_total").inc()
+                self.telemetry.metrics.counter("service_queue_rejections_total").inc()
                 raise ServiceOverloadError(
                     request.tenant, "queue-full", retry_after=retry_after
                 )

@@ -57,7 +57,7 @@ class CircuitBreaker:
         self.failure_threshold = failure_threshold
         self.reset_timeout = float(reset_timeout)
         self.half_open_successes = max(1, half_open_successes)
-        self.telemetry = telemetry or NULL_TELEMETRY
+        self.telemetry = telemetry
         self.state = STATE_CLOSED
         self.failures = 0          # consecutive failures while closed
         self.successes = 0         # consecutive successes while half-open
@@ -78,13 +78,11 @@ class CircuitBreaker:
             return
         previous = self.state
         self.transitions.append((self.clock.now, previous, state))
-        if self.telemetry.enabled:
-            self.telemetry.event(
-                "breaker.transition", dependency=self.name,
-                from_state=previous, to_state=state, t=self.clock.now,
-            )
-            self.telemetry.metrics.counter(
-                "service_breaker_transitions_total").inc()
+        self.telemetry.event(
+            "breaker.transition", dependency=self.name,
+            from_state=previous, to_state=state, t=self.clock.now,
+        )
+        self.telemetry.metrics.counter("service_breaker_transitions_total").inc()
         self.state = state
         if self.listener is not None:
             self.listener(self.name, previous, state, self.clock.now)
@@ -130,10 +128,8 @@ class CircuitBreaker:
         self.calls += 1
         if not self.allow():
             self.rejections += 1
-            if self.telemetry.enabled:
-                self.telemetry.event("breaker.rejected", dependency=self.name)
-                self.telemetry.metrics.counter(
-                    "service_breaker_rejections_total").inc()
+            self.telemetry.event("breaker.rejected", dependency=self.name)
+            self.telemetry.metrics.counter("service_breaker_rejections_total").inc()
             raise CircuitOpenError(self.name, retry_after=self.retry_after())
         try:
             result = fn()

@@ -94,7 +94,7 @@ from repro.service.breaker import STATE_OPEN, CircuitBreaker
 from repro.service.errors import CircuitOpenError, ServiceError, ServiceOverloadError
 from repro.service.wal import ServiceCrash, ServiceWAL
 from repro.sysmodel import SystemModel, X86_CLUSTER
-from repro.telemetry import Telemetry, install_telemetry
+from repro.telemetry import NULL_TELEMETRY, Telemetry, install_telemetry
 
 STATUS_COMPLETED = "completed"
 STATUS_DEGRADED = "degraded"
@@ -375,7 +375,7 @@ class AdaptationService:
         seed: int = 0,
         injector=None,
         policy: Optional[ResiliencePolicy] = None,
-        telemetry: Optional[Telemetry] = None,
+        telemetry=NULL_TELEMETRY,
         cache_capacity: int = 512,
         breaker_threshold: int = 3,
         breaker_reset: float = 180.0,
@@ -406,10 +406,7 @@ class AdaptationService:
         # Request cost is measured as telemetry-clock progress (rebuild
         # makespans, retry backoff, workload runs all charge it), so the
         # service needs a *live* recorder even when the caller brought none.
-        self.telemetry = (
-            telemetry if telemetry is not None and telemetry.enabled
-            else Telemetry()
-        )
+        self.telemetry = telemetry if telemetry.enabled else Telemetry()
         #: The service timeline every event runs on.
         self.clock = SimulatedClock()
         if policy is None:
@@ -561,8 +558,7 @@ class AdaptationService:
         record = {"rec": kind, "t": float(self.clock.now)}
         record.update(values)
         self.wal.append(record)
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter("service_wal_records_total").inc()
+        self.telemetry.metrics.counter("service_wal_records_total").inc()
 
     def _wal_terminal(self, outcome: RequestOutcome,
                       charged: float = 0.0) -> None:
@@ -591,9 +587,8 @@ class AdaptationService:
         try:
             promotion = fed.fail_over()
         except FederationError as exc:
-            if self.telemetry.enabled:
-                self.telemetry.event("service.failover_unavailable",
-                                     error=str(exc))
+            self.telemetry.event("service.failover_unavailable",
+                                 error=str(exc))
             return
         self.registry = fed.origin
         if self.injector is not None:
@@ -604,14 +599,12 @@ class AdaptationService:
         self.failovers += 1
         self._wal("failover", elected=promotion.elected,
                   fence=promotion.fence_token)
-        if self.telemetry.enabled:
-            self.telemetry.event("service.origin_failover",
-                                 elected=promotion.elected,
-                                 fence=promotion.fence_token)
-            self.telemetry.metrics.counter("service_failovers_total").inc()
+        self.telemetry.event("service.origin_failover",
+                             elected=promotion.elected,
+                             fence=promotion.fence_token)
+        self.telemetry.metrics.counter("service_failovers_total").inc()
 
-    def restart(self, telemetry: Optional[Telemetry] = None
-                ) -> "AdaptationService":
+    def restart(self, telemetry=NULL_TELEMETRY) -> "AdaptationService":
         """The next process: salvage the WAL, replay it, resume.
 
         Only the WAL's flushed bytes and the durable stores (origin
@@ -742,14 +735,13 @@ class AdaptationService:
         self._wal("restart", recovered=self.recovered_requests,
                   resumed=self.resumed_requests,
                   torn_dropped=wal.torn_records_dropped)
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter("service_recoveries_total").inc()
-            self.telemetry.event(
-                "service.restarted", recovered=self.recovered_requests,
-                requeued=len(self._open_ids), resumed=self.resumed_requests,
-                torn_dropped=wal.torn_records_dropped,
-            )
-            self._gauges()
+        self.telemetry.metrics.counter("service_recoveries_total").inc()
+        self.telemetry.event(
+            "service.restarted", recovered=self.recovered_requests,
+            requeued=len(self._open_ids), resumed=self.resumed_requests,
+            torn_dropped=wal.torn_records_dropped,
+        )
+        self._gauges()
 
     def _retake_token(self, tenant_name: str, t: float) -> None:
         tenant = self.tenants.get(tenant_name)
@@ -933,15 +925,13 @@ class AdaptationService:
         tele = self.telemetry
         tenant = self.tenants[request.tenant]
         tenant.submitted += 1
-        if tele.enabled:
-            tele.metrics.counter("service_requests_submitted_total").inc()
+        tele.metrics.counter("service_requests_submitted_total").inc()
         if tenant.bucket is not None and not tenant.bucket.try_take(self.clock.now):
             error = ServiceOverloadError(
                 request.tenant, "rate-limited",
                 retry_after=tenant.bucket.retry_after(self.clock.now),
             )
-            if tele.enabled:
-                tele.metrics.counter("service_rate_limited_total").inc()
+            tele.metrics.counter("service_rate_limited_total").inc()
             self._reject(request, error)
             return
         try:
@@ -964,7 +954,7 @@ class AdaptationService:
                 displaced.tenant, "displaced",
                 retry_after=self._retry_after_hint(),
             ))
-        if request.shed and tele.enabled:
+        if request.shed:
             tele.event("service.shed", request=request.request_id,
                        mode=request.mode,
                        occupancy=round(self.queue.occupancy(), 3))
@@ -986,11 +976,10 @@ class AdaptationService:
         self._add_outcome(outcome)
         self._wal_terminal(outcome)
         tele = self.telemetry
-        if tele.enabled:
-            tele.event("service.rejected", request=request.request_id,
-                       reason=error.reason,
-                       retry_after=round(error.retry_after, 3))
-            tele.metrics.counter("service_requests_rejected_total").inc()
+        tele.event("service.rejected", request=request.request_id,
+                   reason=error.reason,
+                   retry_after=round(error.retry_after, 3))
+        tele.metrics.counter("service_requests_rejected_total").inc()
 
     def _expire_queued(self) -> None:
         now = self.clock.now
@@ -1011,11 +1000,9 @@ class AdaptationService:
             outcome.reasons.append("deadline expired while queued")
             self._add_outcome(outcome)
             self._wal_terminal(outcome)
-            if self.telemetry.enabled:
-                self.telemetry.event("service.deadline_expired_queued",
-                                     request=request.request_id)
-                self.telemetry.metrics.counter(
-                    "service_requests_deadline_total").inc()
+            self.telemetry.event("service.deadline_expired_queued",
+                                 request=request.request_id)
+            self.telemetry.metrics.counter("service_requests_deadline_total").inc()
 
     # -- dispatch and execution ------------------------------------------
 
@@ -1030,12 +1017,10 @@ class AdaptationService:
             self.deduped_requests += 1
             self._wal("park", request_id=request.request_id,
                       app=request.app)
-            if self.telemetry.enabled:
-                self.telemetry.event("service.singleflight",
-                                     request=request.request_id,
-                                     app=request.app)
-                self.telemetry.metrics.counter(
-                    "service_singleflight_followers_total").inc()
+            self.telemetry.event("service.singleflight",
+                                 request=request.request_id,
+                                 app=request.app)
+            self.telemetry.metrics.counter("service_singleflight_followers_total").inc()
             return None, None
         request.eff_jobs = self._effective_jobs(request)
         tenant.workers_in_use += request.eff_jobs
@@ -1158,9 +1143,8 @@ class AdaptationService:
                         f"incremental fast path: {pruned} nodes pruned, "
                         "0 executed"
                     )
-                    if self.telemetry.enabled:
-                        self.telemetry.metrics.counter(
-                            "service_incremental_fast_path_total").inc()
+                    self.telemetry.metrics.counter(
+                        "service_incremental_fast_path_total").inc()
             except Exception:
                 pass   # no rebuild manifest on the lowest rungs
         elif mode == MODE_REDIRECT_ONLY:
@@ -1200,13 +1184,11 @@ class AdaptationService:
         if (tenant.retry_budget > 0 and not tenant.budget_exhausted
                 and tenant.retry_spent >= tenant.retry_budget):
             tenant.budget_exhausted = True
-            if self.telemetry.enabled:
-                self.telemetry.event("service.retry_budget_exhausted",
-                                     tenant=tenant.name,
-                                     spent=round(tenant.retry_spent, 3),
-                                     budget=tenant.retry_budget)
-                self.telemetry.metrics.counter(
-                    "service_retry_budget_exhausted_total").inc()
+            self.telemetry.event("service.retry_budget_exhausted",
+                                 tenant=tenant.name,
+                                 spent=round(tenant.retry_spent, 3),
+                                 budget=tenant.retry_budget)
+            self.telemetry.metrics.counter("service_retry_budget_exhausted_total").inc()
 
     def _finish(self, request: AdaptationRequest,
                 outcome: RequestOutcome) -> None:
@@ -1224,23 +1206,19 @@ class AdaptationService:
         if outcome.status == STATUS_COMPLETED:
             tenant.completed += 1
             tenant.note_latency(outcome.latency)
-            if tele.enabled:
-                tele.metrics.counter("service_requests_completed_total").inc()
+            tele.metrics.counter("service_requests_completed_total").inc()
         elif outcome.status == STATUS_DEGRADED:
             tenant.degraded += 1
             tenant.note_latency(outcome.latency)
-            if tele.enabled:
-                tele.metrics.counter("service_requests_degraded_total").inc()
+            tele.metrics.counter("service_requests_degraded_total").inc()
         elif outcome.status == STATUS_DEADLINE_EXCEEDED:
             tenant.deadline_exceeded += 1
-            if tele.enabled:
-                tele.metrics.counter("service_requests_deadline_total").inc()
+            tele.metrics.counter("service_requests_deadline_total").inc()
         self._add_outcome(outcome)
         self._wal_terminal(outcome, charged=charged)
-        if tele.enabled:
-            tele.event("service.finished", request=request.request_id,
-                       status=outcome.status, rung=outcome.rung or "",
-                       latency=round(outcome.latency, 3))
+        tele.event("service.finished", request=request.request_id,
+                   status=outcome.status, rung=outcome.rung or "",
+                   latency=round(outcome.latency, 3))
         # Single-flight epilogue: absorb the leader's compile outputs into
         # the shared pool *at completion time* (cache benefits must not
         # flow backwards on the timeline), then release the followers.
@@ -1303,11 +1281,9 @@ class AdaptationService:
         except Exception as exc:
             note = (f"registry transfer failed ({exc}); "
                     f"served from local replica")
-        if self.telemetry.enabled:
-            self.telemetry.event("service.local_replica",
-                                 request=request.request_id, app=request.app)
-            self.telemetry.metrics.counter(
-                "service_local_replica_transfers_total").inc()
+        self.telemetry.event("service.local_replica",
+                             request=request.request_id, app=request.app)
+        self.telemetry.metrics.counter("service_local_replica_transfers_total").inc()
         replica = OCILayout()
         for tag in tags:
             resolved = source.resolve(tag)
@@ -1331,23 +1307,17 @@ class AdaptationService:
             breaker.call(sync)
             self.mirror_syncs += 1
             self._wal("sync", app=app, ok=True)
-            if self.telemetry.enabled:
-                self.telemetry.metrics.counter(
-                    "service_mirror_syncs_total").inc()
+            self.telemetry.metrics.counter("service_mirror_syncs_total").inc()
         except Exception as exc:
             self.mirror_sync_failures += 1
             self._wal("sync", app=app, ok=False)
-            if self.telemetry.enabled:
-                self.telemetry.event("service.mirror_sync_failed",
-                                     app=app, error=str(exc))
-                self.telemetry.metrics.counter(
-                    "service_mirror_sync_failures_total").inc()
+            self.telemetry.event("service.mirror_sync_failed",
+                                 app=app, error=str(exc))
+            self.telemetry.metrics.counter("service_mirror_sync_failures_total").inc()
 
     # -- observability ----------------------------------------------------
 
     def _gauges(self) -> None:
-        if not self.telemetry.enabled:
-            return
         m = self.telemetry.metrics
         m.gauge("service_queue_depth").set(float(len(self.queue)))
         m.gauge("service_queue_occupancy").set(self.queue.occupancy())
@@ -1366,8 +1336,6 @@ class AdaptationService:
         self._executed_nodes += outcome.executed_nodes
 
     def _update_dedup_gauge(self) -> None:
-        if not self.telemetry.enabled:
-            return
         hits, executed = self._cache_hit_nodes, self._executed_nodes
         if hits + executed:
             self.telemetry.metrics.gauge("service_dedup_ratio").set(

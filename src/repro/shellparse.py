@@ -201,8 +201,11 @@ def lex(line: str) -> List[WordToken]:
             started = True
             i = end + 1
             continue
-        if char == "\\" and i + 1 < len(line):
-            parts.append(Part(line[i + 1], expand=False, glob_ok=False))
+        if char == "\\":
+            # A trailing backslash escapes nothing and stands for itself:
+            # ``sh -c 'echo a\'`` prints ``a\``.
+            parts.append(Part(line[i + 1:i + 2] or "\\", expand=False,
+                              glob_ok=False))
             started = True
             i += 2
             continue

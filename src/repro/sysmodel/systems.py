@@ -35,10 +35,6 @@ class CpuModel:
     freq_ghz: float
     vector_bits: int
 
-    @property
-    def cores_per_node(self) -> int:
-        return self.sockets * self.cores_per_socket
-
 
 @dataclass(frozen=True)
 class NetworkModel:

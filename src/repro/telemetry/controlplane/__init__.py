@@ -86,7 +86,7 @@ class ControlPlane:
         self.sampler = TimeSeriesSampler(
             telemetry, cadence=cadence, capacity=capacity, specs=series
         )
-        self.rules = RulesEngine(self.sampler, rules=rules, telemetry=telemetry)
+        self.rules = RulesEngine(self.sampler, rules=rules)
         self.profiler: Optional[CostProfiler] = (
             CostProfiler(origin=telemetry.clock.now) if profile else None
         )

@@ -140,9 +140,6 @@ class CostProfiler:
         """Attributed nanoseconds; equals the clock elapsed exactly."""
         return sum(self._costs.values())
 
-    def total_seconds(self) -> float:
-        return self.total_ns() / 1e9
-
     def phase_totals_ns(self) -> Dict[str, int]:
         totals: Dict[str, int] = {}
         for key, cost in self._costs.items():

@@ -290,14 +290,13 @@ class RulesEngine:
         self,
         sampler,
         rules: Sequence[SloRule] = DEFAULT_RULES,
-        telemetry=None,
     ) -> None:
         names = [r.name for r in rules]
         if len(set(names)) != len(names):
             raise RuleError(f"duplicate rule names: {sorted(names)}")
         self.sampler = sampler
         self.rules: Tuple[SloRule, ...] = tuple(rules)
-        self.telemetry = telemetry if telemetry is not None else sampler.telemetry
+        self.telemetry = sampler.telemetry
         self._streaks: Dict[str, int] = {r.name: 0 for r in self.rules}
         #: rule name -> currently-firing alert.
         self.active: Dict[str, Alert] = {}
@@ -341,30 +340,26 @@ class RulesEngine:
         )
         self.active[rule.name] = alert
         self.history.append(alert)
-        telemetry = self.telemetry
-        if telemetry is not None and telemetry.enabled:
-            telemetry.event(
-                "alert.firing", rule=rule.name, component=rule.component,
-                severity=rule.severity, value=value,
-            )
-            m = telemetry.metrics
-            m.counter("controlplane_alerts_fired_total").inc()
-            m.gauge("controlplane_alerts_firing").set(len(self.active))
+        self.telemetry.event(
+            "alert.firing", rule=rule.name, component=rule.component,
+            severity=rule.severity, value=value,
+        )
+        m = self.telemetry.metrics
+        m.counter("controlplane_alerts_fired_total").inc()
+        m.gauge("controlplane_alerts_firing").set(len(self.active))
 
     def _resolve(self, rule: SloRule, value: Optional[float], t: float) -> None:
         alert = self.active.pop(rule.name)
         alert.state = STATE_RESOLVED
         alert.resolved_at = t
         alert.value = value
-        telemetry = self.telemetry
-        if telemetry is not None and telemetry.enabled:
-            telemetry.event(
-                "alert.resolved", rule=rule.name, component=rule.component,
-                severity=rule.severity, value=value,
-            )
-            m = telemetry.metrics
-            m.counter("controlplane_alerts_resolved_total").inc()
-            m.gauge("controlplane_alerts_firing").set(len(self.active))
+        self.telemetry.event(
+            "alert.resolved", rule=rule.name, component=rule.component,
+            severity=rule.severity, value=value,
+        )
+        m = self.telemetry.metrics
+        m.counter("controlplane_alerts_resolved_total").inc()
+        m.gauge("controlplane_alerts_firing").set(len(self.active))
 
     # ------------------------------------------------------------------
 

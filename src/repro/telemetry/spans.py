@@ -14,8 +14,10 @@ that know their simulated cost (retry backoff, workload execution time)
 add it explicitly via :meth:`Telemetry.charge`, which is what makes the
 exported traces show *where the simulated seconds went*.
 
-:class:`NullTelemetry` is the default everywhere: same API, no recording,
-no clock — untraced runs stay byte-identical and fast.
+:class:`NullTelemetry` is the default everywhere and the one off switch:
+it takes every call and every span write a :class:`Telemetry` takes and
+records nothing, so instrumented code calls its recorder unconditionally
+and no site checks ``enabled``.  Untraced runs stay byte-identical.
 """
 
 from __future__ import annotations
@@ -133,6 +135,9 @@ class _SpanContext:
 class Telemetry:
     """An active recorder: span tree + metrics registry + event log."""
 
+    #: Read only where code needs a live recorder (the service measures
+    #: request cost on its clock; a control plane refuses the null one),
+    #: never to skip instrumentation.
     enabled = True
 
     #: The observability control plane attached to this recorder, if any
@@ -248,11 +253,18 @@ class _NullSpan:
     name = ""
     span_id = 0
     parent_id = None
-    status = STATUS_OK
     start = 0.0
     end = 0.0
     duration = 0.0
     children: List[Span] = []
+
+    @property
+    def status(self) -> str:
+        return STATUS_OK
+
+    @status.setter
+    def status(self, value: str) -> None:
+        pass
 
     def set(self, key: str, value: object) -> None:
         pass

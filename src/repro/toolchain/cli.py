@@ -166,10 +166,6 @@ class CompilerInvocation:
         self.fflags[name] = value
         return self
 
-    def clear_fflag(self, name: str) -> "CompilerInvocation":
-        self.fflags.pop(name, None)
-        return self
-
     def set_mflag(self, name: str, value: FlagValue = True) -> "CompilerInvocation":
         self.mflags[name] = value
         return self

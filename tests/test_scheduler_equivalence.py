@@ -120,6 +120,33 @@ class TestJobsEquivalence:
         finally:
             system_engine.remove_container("sched-bad")
 
+    @pytest.mark.parametrize("arg", [
+        f"--{flag}={value}"
+        for flag in ("jobs", "max-worker-failures", "deadline")
+        for value in ("x", "0", "-1")
+    ] + ["--deadline=nan", "--deadline=inf", "--jobs=1.5"])
+    def test_bad_number_flag_rejected(self, system_engine, arg):
+        # Flags are checked before the mounted layout is read, so an
+        # empty layout is enough.
+        ctr = system_engine.from_image(sysenv_ref("x86"), name="sched-flag",
+                                       mounts={IO_MOUNT: OCILayout()})
+        try:
+            result = system_engine.run(ctr, ["coMtainer-rebuild", arg])
+        finally:
+            system_engine.remove_container("sched-flag")
+        flag, value = arg.split("=", 1)
+        assert result.exit_code != 0
+        assert result.stderr == (
+            f"coMtainer-rebuild: bad {flag} value {value!r}")
+
+    def test_edge_number_flags_parse(self):
+        from repro.core.backend.rebuild import _parse_args
+
+        _, _, flags = _parse_args(
+            ["--jobs=1", "--max-worker-failures=1", "--deadline=1e-9"])
+        assert (flags["jobs"], flags["max_worker_failures"],
+                flags["deadline"]) == (1, 1, 1e-9)
+
 
 class TestArtifactCacheIntegration:
     def test_warm_cache_executes_nothing(self, system_engine, extended_images):

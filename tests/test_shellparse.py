@@ -1,12 +1,17 @@
 """Tests for the shell lexer."""
 
+import contextlib
+import signal
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.shellparse import (
     ShellSyntaxError,
+    Token,
     expand_variables,
+    lex,
     parse_statement,
     split_statements,
     tokenize,
@@ -94,6 +99,42 @@ class TestTokenize:
     def test_var_expansion_in_bare_word(self):
         tokens = tokenize("$CC -c x.c", {"CC": "g++"})
         assert tokens[0].text == "g++"
+
+
+@contextlib.contextmanager
+def _returns_within_one_second():
+    """Fail the test instead of letting a lexer that never returns grow
+    memory until the process is killed."""
+    def _expired(signum, frame):
+        raise TimeoutError("the lexer did not return within 1 s")
+
+    previous = signal.signal(signal.SIGALRM, _expired)
+    signal.alarm(1)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestTrailingBackslash:
+    """A line ending in a lone backslash lexes it as a literal ``\\``,
+    as ``sh -c 'echo a\\'`` prints ``a\\``."""
+
+    def test_lone_backslash(self):
+        with _returns_within_one_second():
+            tokens = lex("\\")
+        assert [t.expanded({}) for t in tokens] == [("\\", False)]
+
+    def test_word_ending_in_backslash(self):
+        with _returns_within_one_second():
+            tokens = lex("echo a\\")
+        assert [t.expanded({}) for t in tokens] == [("echo", False), ("a\\", False)]
+
+    def test_tokenize_word_ending_in_backslash(self):
+        with _returns_within_one_second():
+            tokens = tokenize("a\\")
+        assert tokens == [Token("a\\")]
 
 
 class TestParseStatement:

@@ -5,15 +5,20 @@ pipeline-level wiring (span trees over a real adaptation, byte counters
 on the OCI stores) lives in ``test_telemetry_integration.py``.
 """
 
+import inspect
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.telemetry import (
     EVENT_LOG_CAP,
     NULL_TELEMETRY,
     MetricError,
     MetricsRegistry,
+    NullMetricsRegistry,
     NullTelemetry,
     Telemetry,
     chrome_trace,
@@ -21,6 +26,8 @@ from repro.telemetry import (
     prometheus_text,
     render_span_tree,
 )
+from repro.telemetry.metrics import Counter, Gauge, Histogram
+from repro.telemetry.spans import STATUS_ERROR, STATUS_OK
 
 pytestmark = pytest.mark.telemetry
 
@@ -195,6 +202,74 @@ class TestNullTelemetry:
         with pytest.raises(RuntimeError):
             with tele.span("doomed"):
                 raise RuntimeError("still visible")
+
+
+def _public_methods(cls):
+    return {
+        name for name, member in inspect.getmembers(cls)
+        if not name.startswith("_")
+        and (inspect.isfunction(member) or isinstance(member, property))
+    }
+
+
+def _arguments(function):
+    return [(p.name, p.kind, p.default)
+            for p in inspect.signature(function).parameters.values()]
+
+
+class TestNullRecorderStandsIn:
+    """Instrumented code calls its recorder unconditionally, so the null
+    recorder must take every call and write a live one takes."""
+
+    @pytest.mark.parametrize("live, null", [
+        (Telemetry, NullTelemetry),
+        (MetricsRegistry, NullMetricsRegistry),
+    ])
+    def test_every_public_method_takes_the_same_arguments(self, live, null):
+        for name in sorted(_public_methods(live)):
+            assert hasattr(null, name), name
+            member = getattr(live, name)
+            if isinstance(member, property):
+                continue
+            assert _arguments(member) == _arguments(getattr(null, name)), name
+
+    @pytest.mark.parametrize("instrument", [Counter, Gauge, Histogram])
+    def test_every_instrument_write_is_accepted(self, instrument):
+        null = NULL_TELEMETRY.metrics.counter("any_total")
+        for name in ("inc", "dec", "set", "observe"):
+            if hasattr(instrument, name):
+                assert (_arguments(getattr(instrument, name))
+                        == _arguments(getattr(type(null), name))), name
+                getattr(null, name)(1.0)
+        assert null.value == 0.0
+
+    def test_span_writes_are_accepted_and_ignored(self):
+        with NULL_TELEMETRY.span("anything", app="x") as span:
+            span.status = STATUS_ERROR
+            span.set("exit_code", 1)
+        assert span.status == STATUS_OK
+        started = NULL_TELEMETRY.start_span("commit")
+        started.status = STATUS_ERROR
+        NULL_TELEMETRY.end_span(started, status=STATUS_ERROR)
+        assert started.status == STATUS_OK
+        assert list(NULL_TELEMETRY.iter_spans()) == []
+
+    def test_every_span_attribute_a_call_site_writes_is_accepted(self):
+        # Scan the instrumented code (outside the recorder itself) for
+        # attribute writes on any ``...span`` variable.
+        root = Path(repro.__file__).parent
+        written = set()
+        for path in root.rglob("*.py"):
+            if "telemetry" in path.relative_to(root).parts:
+                continue
+            written.update(re.findall(r"\b\w*span\.(\w+)\s*=(?!=)",
+                                      path.read_text(encoding="utf-8")))
+        assert "status" in written
+        span = NULL_TELEMETRY.start_span("probe")
+        for attr in sorted(written):
+            before = getattr(span, attr)
+            setattr(span, attr, "written")
+            assert getattr(span, attr) == before, attr
 
 
 class TestExport:
