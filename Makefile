@@ -44,7 +44,8 @@
 #                  with WINDOW, the mean ms/op of each n-op window; with
 #                  WALL, no cProfile: the calls and inclusive wall-clock
 #                  ms/op of those functions instead; with GC=1, also the
-#                  garbage collector's collections and ms/op per generation)
+#                  garbage collector's collections, ms/op and freed
+#                  objects per op per generation)
 #   make loc [BASE=rev] - code and docstring/comment lines of src/ (per
 #                file and total; with BASE, BASE's counts and the delta)
 

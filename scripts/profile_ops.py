@@ -45,8 +45,10 @@ cProfile also charges the garbage collector's pauses to whichever
 function happens to allocate when a collection starts.  ``--gc``, with
 or without ``--wall``, then prints the collector's cost over the timed
 ops only: for each generation, its collections per op, its milliseconds
-per op and their share of the timed region, measured through a
-``gc.callbacks`` hook that is present only while an op runs.
+per op and their share of the timed region, and the objects per op it
+found unreachable and freed (cyclic garbage: what reference counting
+alone could not free), measured through a ``gc.callbacks`` hook that is
+present only while an op runs.
 """
 
 import argparse
@@ -262,11 +264,13 @@ class WallClock:
 
 
 class GcClock:
-    """Collections and seconds of the garbage collector per generation.
+    """Collections, seconds and freed objects of the garbage collector per
+    generation.
 
     Counts only inside ``with`` blocks of the clock: entering one adds a
     ``gc.callbacks`` hook, which times each collection from its start to
-    its stop, and leaving it removes the hook again.
+    its stop and adds up the objects it collected, and leaving it removes
+    the hook again.
     """
 
     GENERATIONS = 3
@@ -275,6 +279,7 @@ class GcClock:
         self.clock = clock
         self.collections = [0] * self.GENERATIONS
         self.seconds = [0.0] * self.GENERATIONS
+        self.freed = [0] * self.GENERATIONS
         self._started = None
 
     def _note(self, phase, info):
@@ -284,6 +289,7 @@ class GcClock:
             generation = info["generation"]
             self.collections[generation] += 1
             self.seconds[generation] += self.clock() - self._started
+            self.freed[generation] += info["collected"]
             self._started = None
 
     def __enter__(self):
@@ -295,14 +301,18 @@ class GcClock:
 
     def table(self, ops, timed_s):
         """Table lines, one per generation and a total: collections per
-        op, milliseconds per op and share of *timed_s*."""
-        rows = [(str(g), self.collections[g], self.seconds[g])
+        op, milliseconds per op, share of *timed_s* and objects freed per
+        op."""
+        rows = [(str(g), self.collections[g], self.seconds[g], self.freed[g])
                 for g in range(self.GENERATIONS)]
-        rows.append(("all", sum(self.collections), sum(self.seconds)))
-        lines = [f"{'gen':>5} {'colls/op':>10} {'ms/op':>10} {'share':>6}"]
-        for name, collections, seconds in rows:
+        rows.append(("all", sum(self.collections), sum(self.seconds),
+                     sum(self.freed)))
+        lines = [f"{'gen':>5} {'colls/op':>10} {'ms/op':>10} {'share':>6}"
+                 f" {'freed/op':>10}"]
+        for name, collections, seconds, freed in rows:
             lines.append(f"{name:>5} {collections / ops:>10.3f}"
-                         f" {seconds * 1e3 / ops:>10.3f} {seconds / timed_s:>6.1%}")
+                         f" {seconds * 1e3 / ops:>10.3f} {seconds / timed_s:>6.1%}"
+                         f" {freed / ops:>10.2f}")
         return lines
 
 
@@ -382,8 +392,9 @@ def main(argv=None):
                         help="run without cProfile and list the calls and"
                              " inclusive wall-clock ms/op of these functions")
     parser.add_argument("--gc", action="store_true",
-                        help="also list the garbage collector's collections"
-                             " and ms/op per generation over the timed ops")
+                        help="also list the garbage collector's collections,"
+                             " ms/op and freed objects per op per generation"
+                             " over the timed ops")
     args = parser.parse_args(argv)
     collector = GcClock() if args.gc else None
     regions = (collector,) if collector else ()

@@ -145,6 +145,10 @@ class ContainerEngine:
     def tag(self, src_ref: str, dst_ref: str) -> None:
         self.images[dst_ref] = self.image(src_ref)
 
+    def remove_image(self, ref: str) -> None:
+        """Forget *ref* (absent is fine); other refs to its image stay."""
+        self.images.pop(ref, None)
+
     def has_image(self, ref: str) -> bool:
         return ref in self.images or ref == "scratch"
 
@@ -418,39 +422,56 @@ class ContainerEngine:
         target: Optional[str] = None,
         tag: Optional[str] = None,
     ) -> str:
-        """Build a (possibly multi-stage) Containerfile; returns the image ref."""
+        """Build a (possibly multi-stage) Containerfile; returns the image ref.
+
+        The build keeps only the image it names: *tag* when given, else the
+        target stage's ``__stage__`` ref.  Every other stage image it
+        committed is removed, and a build that raises leaves none.
+        """
         stages = parse_containerfile(containerfile)
         target_stage = find_stage(stages, target)
-        context = context or VirtualFilesystem()
-        stage_refs: Dict[str, str] = {}
-
-        for stage in stages[: target_stage.index + 1]:
-            ref = self._build_stage(stage, context, stage_refs)
-            stage_refs[stage.ref_name()] = ref
-            stage_refs[str(stage.index)] = ref
-
-        final_ref = stage_refs[target_stage.ref_name()]
+        stage_refs = self._build_all(stages[: target_stage.index + 1], context)
+        kept = stage_refs[target_stage.ref_name()]
         if tag is not None:
-            self.tag(final_ref, tag)
-            return tag
-        return final_ref
+            self.tag(kept, tag)
+            kept = tag
+        for ref in stage_refs.values():
+            if ref != kept:
+                self.remove_image(ref)
+        return kept
 
     def build_stages(
         self,
         containerfile: str,
         context: Optional[VirtualFilesystem] = None,
     ) -> Dict[str, str]:
-        """Build every stage once; returns stage name -> image ref."""
+        """Build every stage once; returns stage name -> image ref.
+
+        The caller owns the stage images: they stay in the store under
+        their ``__stage__`` refs until it removes them
+        (:meth:`remove_image`).  A build that raises leaves none."""
         stages = parse_containerfile(containerfile)
+        stage_refs = self._build_all(stages, context)
+        return {stage.ref_name(): stage_refs[stage.ref_name()] for stage in stages}
+
+    def _build_all(
+        self, stages: List[Stage], context: Optional[VirtualFilesystem]
+    ) -> Dict[str, str]:
+        """Build *stages* in order; returns each one's name and index ->
+        its image ref.  If a stage raises, the images of the stages before
+        it are removed."""
         context = context or VirtualFilesystem()
         stage_refs: Dict[str, str] = {}
-        out: Dict[str, str] = {}
-        for stage in stages:
-            ref = self._build_stage(stage, context, stage_refs)
-            stage_refs[stage.ref_name()] = ref
-            stage_refs[str(stage.index)] = ref
-            out[stage.ref_name()] = ref
-        return out
+        try:
+            for stage in stages:
+                ref = self._build_stage(stage, context, stage_refs)
+                stage_refs[stage.ref_name()] = ref
+                stage_refs[str(stage.index)] = ref
+        except BaseException:
+            for ref in stage_refs.values():
+                self.remove_image(ref)
+            raise
+        return stage_refs
 
     def _build_stage(
         self, stage: Stage, context: VirtualFilesystem, stage_refs: Dict[str, str]

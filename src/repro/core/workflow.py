@@ -75,7 +75,9 @@ def build_extended_image(
 
     Returns the OCI layout holding ``<app>.dist`` and ``<app>.dist+coM``.
     With *obfuscate*, cached sources are scrambled for IP protection
-    (§4.6) — adaptation still works.
+    (§4.6) — adaptation still works.  The ``build`` and ``dist`` stage
+    images are removed from *engine* again: the layout holds everything
+    the build produced, and the engine keeps only the Env/Base images.
     """
     with engine.telemetry.span("build", app=spec.name, arch=engine.arch):
         install_user_side_images(engine)
@@ -89,16 +91,18 @@ def build_extended_image(
 
         dist_tag = f"{spec.name}.dist"
         layout = OCILayout()
-        engine.push_to_layout(dist_ref, layout, tag=dist_tag)
-
-        build_ctr = engine.from_image(
-            build_ref, name=f"{spec.name}.build", mounts={IO_MOUNT: layout}
-        )
+        build_name = f"{spec.name}.build"
         try:
+            engine.push_to_layout(dist_ref, layout, tag=dist_tag)
+            build_ctr = engine.from_image(
+                build_ref, name=build_name, mounts={IO_MOUNT: layout}
+            )
             argv = ["coMtainer-build"] + (["--obfuscate"] if obfuscate else [])
             engine.run(build_ctr, argv).check()
         finally:
-            engine.remove_container(build_ctr.name)
+            engine.remove_container(build_name)
+            for ref in refs.values():
+                engine.remove_image(ref)
         return layout, dist_tag
 
 

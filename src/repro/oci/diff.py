@@ -39,6 +39,38 @@ def _entry_for(path: str, node: AnyNode) -> LayerEntry:
     return LayerEntry.file(path, node.content, mode=node.mode, mtime=node.mtime)
 
 
+def _visit(
+    dirpath: str,
+    base_dir: Optional[Directory],
+    new_dir: Directory,
+    removed: List[str],
+    changed: List[Tuple[str, AnyNode]],
+) -> None:
+    """Append to *removed* and *changed* what turns *base_dir* into
+    *new_dir*, both at *dirpath*, recursing into every subtree that is not
+    shared by both sides."""
+    base_children = base_dir.children if base_dir is not None else {}
+    for name, node in new_dir.sorted_items():
+        old = base_children.get(name)
+        if old is node:
+            continue  # structurally shared: identical subtree
+        path = vpath.join(dirpath, name)
+        if old is None or not _same_node(old, node):
+            changed.append((path, node))
+        if isinstance(node, Directory):
+            _visit(path, old if isinstance(old, Directory) else None, node,
+                   removed, changed)
+        elif isinstance(old, Directory):
+            # Directory replaced by a non-directory: its former children
+            # are gone and need whiteouts of their own.
+            for child_name in old.children:
+                removed.append(vpath.join(path, child_name))
+    if base_dir is not None:
+        for name in base_dir.children:
+            if name not in new_dir.children:
+                removed.append(vpath.join(dirpath, name))
+
+
 def diff_filesystems(
     base: VirtualFilesystem, new: VirtualFilesystem, comment: str = ""
 ) -> Layer:
@@ -56,29 +88,7 @@ def diff_filesystems(
     """
     removed: List[str] = []
     changed: List[Tuple[str, AnyNode]] = []
-
-    def visit(dirpath: str, base_dir: Optional[Directory], new_dir: Directory) -> None:
-        base_children = base_dir.children if base_dir is not None else {}
-        for name, node in new_dir.sorted_items():
-            old = base_children.get(name)
-            if old is node:
-                continue  # structurally shared: identical subtree
-            path = vpath.join(dirpath, name)
-            if old is None or not _same_node(old, node):
-                changed.append((path, node))
-            if isinstance(node, Directory):
-                visit(path, old if isinstance(old, Directory) else None, node)
-            elif isinstance(old, Directory):
-                # Directory replaced by a non-directory: its former children
-                # are gone and need whiteouts of their own.
-                for child_name in old.children:
-                    removed.append(vpath.join(path, child_name))
-        if base_dir is not None:
-            for name in base_dir.children:
-                if name not in new_dir.children:
-                    removed.append(vpath.join(dirpath, name))
-
-    visit("/", base.root, new.root)
+    _visit("/", base.root, new.root, removed, changed)
 
     layer = Layer(comment=comment)
     # Skip children of removed directories: one whiteout removes the subtree.

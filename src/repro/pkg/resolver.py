@@ -58,6 +58,32 @@ def _pick_alternative(
     return None
 
 
+def _visit_package(
+    candidate: Package,
+    chain: List[str],
+    pool: RepositoryPool,
+    installed: Dict[str, Package],
+    planned: Set[str],
+    plan: List[Package],
+) -> None:
+    """Append *candidate* to *plan* after its dependencies, depth first;
+    *chain* holds the names being visited above it."""
+    if candidate.name in chain:
+        return  # dependency cycle: already being handled higher up
+    if candidate.name in planned or candidate.name in installed:
+        return
+    planned.add(candidate.name)
+    for clause in candidate.depends:
+        chosen = _pick_alternative(pool, clause, installed)
+        if chosen is None:
+            raise DependencyError(
+                f"unsatisfiable dependency of {candidate.name}: {clause.render()}"
+            )
+        _visit_package(chosen, chain + [candidate.name], pool, installed,
+                       planned, plan)
+    plan.append(candidate)
+
+
 def resolve_install(
     names: List[str],
     pool: RepositoryPool,
@@ -71,22 +97,6 @@ def resolve_install(
     installed = dict(installed or {})
     plan: List[Package] = []
     planned: Set[str] = set()
-
-    def visit_package(candidate: Package, chain: List[str]) -> None:
-        if candidate.name in chain:
-            return  # dependency cycle: already being handled higher up
-        if candidate.name in planned or candidate.name in installed:
-            return
-        planned.add(candidate.name)
-        for clause in candidate.depends:
-            chosen = _pick_alternative(pool, clause, installed)
-            if chosen is None:
-                raise DependencyError(
-                    f"unsatisfiable dependency of {candidate.name}: {clause.render()}"
-                )
-            visit_package(chosen, chain + [candidate.name])
-        plan.append(candidate)
-
     for name in names:
         dep = Dependency(name=name)
         existing = installed.get(name)
@@ -95,5 +105,5 @@ def resolve_install(
         candidate = _best_candidate(pool, dep)
         if candidate is None:
             raise DependencyError(f"unsatisfiable dependency: {dep.render()}")
-        visit_package(candidate, [])
+        _visit_package(candidate, [], pool, installed, planned, plan)
     return plan

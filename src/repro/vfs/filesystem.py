@@ -23,6 +23,11 @@ and a filesystem object can take over a clone of another tree in place
 (:meth:`VirtualFilesystem.adopt`): the runtime-install memo
 (:mod:`repro.core.backend.replacement`) uses the one to key on an
 unwritten container's image and the other to hand it a stored install.
+
+A tree holds no reference cycle: nodes point only down, and each
+directory's cached sorted view lives on its own child map.  So a
+discarded tree (a removed container's, a diffed clone, an evicted memo
+entry) is freed by reference counting, not by the cyclic collector.
 """
 
 from __future__ import annotations
@@ -88,50 +93,53 @@ class Symlink(Node):
 
 
 class _ChildMap(dict):
-    """Child mapping that invalidates the owner's cached sorted view."""
+    """A directory's children, with their cached sorted view beside them.
 
-    __slots__ = ("_owner",)
+    Every mutator drops the view (``_sorted``), and
+    :meth:`Directory.sorted_items` rebuilds it on the next read.  The map
+    holds no pointer back to its directory, so a tree is free of
+    reference cycles and a discarded one is freed by reference counting.
+    In turn, no two directories may share one map:
+    ``Directory.__post_init__`` always wraps what it is given in a new one.
+    """
 
-    def __init__(self, data=None, owner: Optional["Directory"] = None):
-        super().__init__(data or {})
-        self._owner = owner
+    __slots__ = ("_sorted",)
 
-    def _touch(self) -> None:
-        owner = self._owner
-        if owner is not None:
-            owner._sorted = None
+    def __init__(self, data=()):
+        super().__init__(data)
+        self._sorted: Optional[List[Tuple[str, "AnyNode"]]] = None
 
     def __setitem__(self, key, value):
         super().__setitem__(key, value)
-        self._touch()
+        self._sorted = None
 
     def __delitem__(self, key):
         super().__delitem__(key)
-        self._touch()
+        self._sorted = None
 
     def clear(self):
         super().clear()
-        self._touch()
+        self._sorted = None
 
     def pop(self, *args):
         result = super().pop(*args)
-        self._touch()
+        self._sorted = None
         return result
 
     def popitem(self):
         result = super().popitem()
-        self._touch()
+        self._sorted = None
         return result
 
     def update(self, *args, **kwargs):
         super().update(*args, **kwargs)
-        self._touch()
+        self._sorted = None
 
     def setdefault(self, key, default=None):
         had = key in self
         result = super().setdefault(key, default)
         if not had:
-            self._touch()
+            self._sorted = None
         return result
 
 
@@ -142,9 +150,9 @@ class Directory(Node):
 
     def __post_init__(self) -> None:
         self._shared = False
-        self._sorted: Optional[List[Tuple[str, "AnyNode"]]] = None
-        if not isinstance(self.children, _ChildMap) or self.children._owner is not self:
-            self.children = _ChildMap(self.children, owner=self)
+        # Always a new map, even from a _ChildMap: the sorted view lives on
+        # the map, so two directories must never share one.
+        self.children = _ChildMap(self.children)
 
     def clone(self) -> "Directory":
         """Copy-on-write copy: O(fan-out), children shared with the original.
@@ -155,7 +163,7 @@ class Directory(Node):
         """
         copy = Directory(
             mode=self.mode, mtime=self.mtime, uid=self.uid, gid=self.gid,
-            children=dict(self.children),
+            children=self.children,
         )
         for child in copy.children.values():
             child._shared = True
@@ -163,9 +171,10 @@ class Directory(Node):
 
     def sorted_items(self) -> List[Tuple[str, "AnyNode"]]:
         """Cached sorted ``(name, child)`` view — treat the list as immutable."""
-        cached = self._sorted
+        children = self.children
+        cached = children._sorted
         if cached is None:
-            cached = self._sorted = sorted(self.children.items())
+            cached = children._sorted = sorted(children.items())
         return cached
 
 

@@ -403,20 +403,57 @@ def test_gc_clock_counts_only_inside_its_with_block(collector_off):
 def test_gc_table_is_collections_ms_and_share_per_generation():
     clock = profile_ops.GcClock()
     clock.collections, clock.seconds = [300, 30, 3], [0.6, 0.3, 1.5]
+    clock.freed = [600, 0, 45]
     assert [line.split() for line in clock.table(ops=30, timed_s=10.0)] == [
-        ["gen", "colls/op", "ms/op", "share"],
-        ["0", "10.000", "20.000", "6.0%"],
-        ["1", "1.000", "10.000", "3.0%"],
-        ["2", "0.100", "50.000", "15.0%"],
-        ["all", "11.100", "80.000", "24.0%"],
+        ["gen", "colls/op", "ms/op", "share", "freed/op"],
+        ["0", "10.000", "20.000", "6.0%", "20.00"],
+        ["1", "1.000", "10.000", "3.0%", "0.00"],
+        ["2", "0.100", "50.000", "15.0%", "1.50"],
+        ["all", "11.100", "80.000", "24.0%", "21.50"],
     ]
 
 
-def _gc_rows(out):
-    """``{generation: collections per op}`` of a printed ``--gc`` table."""
+def _gc_rows(out, column=1):
+    """``{generation: collections per op}`` of a printed ``--gc`` table
+    (another *column*: 4 is the objects freed per op)."""
     lines = out.splitlines()
     start = lines.index("# garbage collector per generation over the timed ops")
-    return {row.split()[0]: row.split()[1] for row in lines[start + 2:start + 6]}
+    return {row.split()[0]: row.split()[column]
+            for row in lines[start + 2:start + 6]}
+
+
+class _CyclingWorkload:
+    """A stub workload whose every op sweeps up what came before it with a
+    generation-2 collection, then leaves three two-object reference cycles
+    for its generation-1 collection to free."""
+
+    @staticmethod
+    def _drop_a_cycle():
+        a, b = [], []
+        a.append(b)
+        b.append(a)
+
+    def run(self, i):
+        gc.collect(2)
+        for _ in range(3):
+            self._drop_a_cycle()
+        gc.collect(1)
+        return i
+
+    def check(self, i, out):
+        assert out == i
+
+
+@pytest.mark.parametrize("extra", [[], ["--wall", "repro.stub_timed:outer"]])
+def test_gc_counts_the_cyclic_garbage_each_generation_frees(
+        extra, monkeypatch, capsys, collector_off):
+    _stub_modules(monkeypatch)
+    monkeypatch.setattr(profile_ops, "_build", lambda name, seed, ops: (
+        _CyclingWorkload(), 0.5, AssertionError))
+    assert profile_ops.main(["stub", "--ops", "4", "--gc", *extra]) == 0
+    freed = _gc_rows(capsys.readouterr().out, column=4)
+    assert (freed["0"], freed["1"]) == ("0.00", "6.00")
+    assert float(freed["all"]) == 6.0 + float(freed["2"])
 
 
 @pytest.mark.parametrize("extra", [[], ["--wall", "repro.stub_timed:outer"]])

@@ -1,5 +1,7 @@
 """Unit tests for the virtual filesystem."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -343,6 +345,50 @@ class TestSortedItemsCache:
         assert [n for n, _ in twin.sorted_items()] == [
             "alpha", "extra", "mid", "zeta"]
         assert [n for n, _ in d.sorted_items()] == ["alpha", "mid", "zeta"]
+
+    @pytest.mark.parametrize("mutated", ["given", "built"])
+    def test_no_two_directories_share_a_map(self, mutated):
+        # The sorted view lives on the child map, so a directory built
+        # from another's map must get a map of its own.
+        given = self._dir()
+        given.sorted_items()
+        built = Directory(children=given.children)
+        assert built.children is not given.children
+        built.sorted_items()
+        changed, other = (given, built) if mutated == "given" else (built, given)
+        changed.children["beta"] = RegularFile(content=InlineContent(b"b"))
+        del changed.children["zeta"]
+        assert sorted(other.children) == ["alpha", "mid", "zeta"]
+        assert [n for n, _ in other.sorted_items()] == ["alpha", "mid", "zeta"]
+        assert [n for n, _ in changed.sorted_items()] == ["alpha", "beta", "mid"]
+
+    @staticmethod
+    def _fs():
+        fs = VirtualFilesystem()
+        fs.write_file("/etc/zeta", "z", create_parents=True)
+        fs.write_file("/etc/alpha", "a")
+        fs.symlink("/etc/alpha", "/bin/alpha", create_parents=True)
+        list(fs.iter_entries())   # fills every directory's sorted view
+        return fs
+
+    @pytest.mark.parametrize("copy_of", ["deepcopy", "pickle"])
+    def test_copies_keep_a_mutable_map_and_a_correct_view(self, copy_of):
+        copier = {"deepcopy": copy.deepcopy,
+                  "pickle": lambda obj: pickle.loads(pickle.dumps(obj))}[copy_of]
+        original = self._dir()
+        original.sorted_items()
+        d = copier(original)
+        assert [n for n, _ in d.sorted_items()] == ["alpha", "mid", "zeta"]
+        d.children["beta"] = RegularFile(content=InlineContent(b"b"))
+        assert [n for n, _ in d.sorted_items()] == [
+            "alpha", "beta", "mid", "zeta"]
+        assert [n for n, _ in original.sorted_items()] == ["alpha", "mid", "zeta"]
+        fs = copier(self._fs())
+        assert tree_snapshot(fs) == tree_snapshot(self._fs())
+        fs.write_file("/etc/mid", "m")
+        fs.remove("/etc/zeta")
+        assert fs.listdir("/etc") == ["alpha", "mid"]
+        assert [p for p, _ in fs.iter_entries("/etc")] == ["/etc/alpha", "/etc/mid"]
 
 
 # ---------------------------------------------------------------------------
