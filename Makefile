@@ -34,7 +34,7 @@
 #   make harness-test - the wall-clock harness's self-tests
 #   make profile W=workload [OPS=30] [SEED=7] [SELF=1] [FN=name[,name...]]
 #                [CALLERS=name[,name...]] [WINDOW=n] [WALL=module:qualname[,...]]
-#                [GC=1]
+#                [GC=1] [MEMO=1]
 #                - cProfile of one workload's timed ops: top repro functions
 #                  with calls per op and share of the profiled time (with
 #                  SELF=1, also the top functions of any module by self
@@ -45,7 +45,8 @@
 #                  WALL, no cProfile: the calls and inclusive wall-clock
 #                  ms/op of those functions instead; with GC=1, also the
 #                  garbage collector's collections, ms/op and freed
-#                  objects per op per generation)
+#                  objects per op per generation; with MEMO=1, also each
+#                  memo's lookups and stores per op, hit ratio and entries)
 #   make loc [BASE=rev] - code and docstring/comment lines of src/ (per
 #                file and total; with BASE, BASE's counts and the delta)
 
@@ -187,12 +188,12 @@ harness-test:
 profile:
 	$(if $(W),,$(error usage: make profile W=<workload> [OPS=30] [SEED=7] \
 	    [SELF=1] [FN=name[,name...]] [CALLERS=name[,name...]] [WINDOW=n] \
-	    [WALL=module:qualname[,...]] [GC=1]))
+	    [WALL=module:qualname[,...]] [GC=1] [MEMO=1]))
 	$(PYTHON) scripts/profile_ops.py $(W) $(if $(OPS),--ops $(OPS)) \
 	    $(if $(filter-out file,$(origin SEED)),--seed $(SEED)) $(if $(SELF),--self) \
 	    $(if $(FN),--fn $(FN)) $(if $(CALLERS),--callers $(CALLERS)) \
 	    $(if $(WINDOW),--window $(WINDOW)) $(if $(WALL),--wall $(WALL)) \
-	    $(if $(GC),--gc)
+	    $(if $(GC),--gc) $(if $(MEMO),--memo)
 
 loc:
 	$(PYTHON) scripts/loc.py $(BASE)

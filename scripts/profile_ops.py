@@ -2,9 +2,10 @@
 
     python scripts/profile_ops.py WORKLOAD [--ops 30] [--seed 7] [--self]
                                   [--fn NAME[,NAME...]] [--callers NAME[,NAME...]]
-                                  [--window N] [--gc]
+                                  [--window N] [--gc] [--memo]
     python scripts/profile_ops.py WORKLOAD [--ops 30] [--seed 7]
                                   --wall MODULE:QUALNAME[,...] [--window N] [--gc]
+                                  [--memo]
 
 Builds the workload from ``benchmarks.harness.workloads`` in this process
 (its set-up is not profiled), then runs ``workload.run(i)`` for each op
@@ -49,6 +50,11 @@ per op and their share of the timed region, and the objects per op it
 found unreachable and freed (cyclic garbage: what reference counting
 alone could not free), measured through a ``gc.callbacks`` hook that is
 present only while an op runs.
+
+``--memo``, with or without ``--wall``, then prints every registered
+memo's traffic (:data:`repro.memo.MEMOS`) over the timed ops only: its
+lookups per op, the share of them that hit, its stores per op and its
+entries after the last op.
 """
 
 import argparse
@@ -316,6 +322,47 @@ class GcClock:
         return lines
 
 
+class MemoTraffic:
+    """Lookups, hits and stores of every registered memo, counted only
+    inside ``with`` blocks of it: entering one notes each memo's counts,
+    and leaving it adds what they grew by."""
+
+    def __init__(self):
+        self.counts = {}
+        self._entered = {}
+
+    @staticmethod
+    def _now():
+        from repro.memo import MEMOS
+
+        return {name: (memo.hits + memo.misses, memo.hits, memo.stores)
+                for name, memo in MEMOS.items()}
+
+    def __enter__(self):
+        self._entered = self._now()
+
+    def __exit__(self, *exc):
+        for name, now in self._now().items():
+            before = self._entered.get(name, (0, 0, 0))
+            total = self.counts.setdefault(name, [0, 0, 0])
+            for i, (after, start) in enumerate(zip(now, before)):
+                total[i] += after - start
+
+    def table(self, ops):
+        """Table lines, one per memo in registration order: lookups per
+        op, hit ratio, stores per op and entries now."""
+        from repro.memo import MEMOS
+
+        lines = [f"{'lookups/op':>10} {'hits':>6} {'stores/op':>10}"
+                 f" {'entries':>7}  memo"]
+        for name, memo in MEMOS.items():
+            lookups, hits, stores = self.counts.get(name, (0, 0, 0))
+            ratio = hits / lookups if lookups else 0.0
+            lines.append(f"{lookups / ops:>10.2f} {ratio:>6.1%}"
+                         f" {stores / ops:>10.2f} {len(memo):>7}  {name}")
+        return lines
+
+
 def _build(name, seed, ops):
     """(workload *name* at *seed* sized for *ops* ops, its set-up seconds,
     the harness's check failure type)."""
@@ -395,14 +442,19 @@ def main(argv=None):
                         help="also list the garbage collector's collections,"
                              " ms/op and freed objects per op per generation"
                              " over the timed ops")
+    parser.add_argument("--memo", action="store_true",
+                        help="also list every memo's lookups per op, hit"
+                             " ratio, stores per op and entries over the"
+                             " timed ops")
     args = parser.parse_args(argv)
     collector = GcClock() if args.gc else None
-    regions = (collector,) if collector else ()
+    traffic = MemoTraffic() if args.memo else None
+    regions = tuple(r for r in (collector, traffic) if r is not None)
     if args.wall:
         if args.self or args.fn or args.callers:
             parser.error("--wall runs without cProfile: leave out --self,"
                          " --fn and --callers")
-        return main_wall(args, collector)
+        return main_wall(args, collector, traffic)
     stats, setup_s, laps = profile(args.workload, args.seed, args.ops, *regions)
     profiled_s = sum(laps)
     print(f"# {args.workload} seed {args.seed}: {args.ops} ops,"
@@ -422,21 +474,25 @@ def main(argv=None):
     if args.window > 0:
         print(f"# profiled ms/op per window of {args.window} ops")
         print("\n".join(windows(laps, args.window)))
-    print_gc(collector, args.ops, profiled_s)
+    print_regions(collector, traffic, args.ops, profiled_s)
     return 0
 
 
-def print_gc(collector, ops, timed_s):
-    """The ``--gc`` table of a :class:`GcClock`, if there is one."""
+def print_regions(collector, traffic, ops, timed_s):
+    """The ``--gc`` table of a :class:`GcClock` and the ``--memo`` table
+    of a :class:`MemoTraffic`, of those there are."""
     if collector is not None:
         print("# garbage collector per generation over the timed ops")
         print("\n".join(collector.table(ops, timed_s)))
+    if traffic is not None:
+        print("# memo traffic over the timed ops")
+        print("\n".join(traffic.table(ops)))
 
 
-def main_wall(args, collector=None):
+def main_wall(args, collector=None, traffic=None):
     """The ``--wall`` report: the named functions' wall-clock table."""
     names = args.wall.split(",")
-    regions = (collector,) if collector else ()
+    regions = tuple(r for r in (collector, traffic) if r is not None)
     timer, setup_s, laps = wall(args.workload, args.seed, args.ops, names, *regions)
     timed_s = sum(laps)
     print(f"# {args.workload} seed {args.seed}: {args.ops} ops,"
@@ -446,7 +502,7 @@ def main_wall(args, collector=None):
     if args.window > 0:
         print(f"# timed ms/op per window of {args.window} ops")
         print("\n".join(windows(laps, args.window)))
-    print_gc(collector, args.ops, timed_s)
+    print_regions(collector, traffic, args.ops, timed_s)
     return 0
 
 

@@ -73,6 +73,12 @@ class RebuildOptions:
     #: constraints" of the cross-ISA study, §5.5).
     relax_isa: bool = False
 
+    def key(self) -> tuple:
+        """Every field, hashable: what a memo keyed on the options holds."""
+        scope = self.lto_scope
+        return (self.lto, None if scope is None else tuple(scope), self.pgo,
+                self.pgo_profile_path, self.relax_isa)
+
     def to_json(self) -> dict:
         return {
             "lto": self.lto,

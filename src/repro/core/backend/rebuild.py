@@ -31,18 +31,39 @@ lease expiry, reassignment and speculation), then *execute* (each
 completed group runs exactly once, again in wavefront order).  Faults can
 therefore reshape simulated time but never bytes: the rebuilt layer is
 byte-identical under any seeded worker fault pattern and any ``--jobs``.
+
+A *fully pruned* rebuild (the plan diff left no dirty group, so no wave
+ran) is a pure function of what it reads, so the ``+coMre`` image it
+produces is memoised (a 64-entry :class:`repro.memo.LruMemo`) on exactly
+that: the adapter (by identity, as the plan memo keys it; the entry holds
+it), every :class:`RebuildOptions` field and ``--fallback``, the extended
+(``+coM``) image's and the previous ``+coMre``'s manifest digests, the
+container's image (its layer digests, recorded at creation) and each pool
+repository's name and digest, in pool order.  The key is formed only
+when a previous ``+coMre`` exists and the container is still unwritten
+since creation (a PGO ``use`` rebuild writes its profile first, so it
+forms none); the flags that only shape a schedule (``--jobs``,
+``--journal``, ``--no-cache``, ``--deadline``, ``--speculate``,
+``--max-worker-failures``) are not read for bytes by a run with no wave.
+A hit skips the decode copies, :func:`rebuild_in_container`, the layer
+encode and the manifest stacking, and nothing else: every tag resolve,
+verified read, blob write and fault arm happens in the same order, and
+:func:`recorded_schedule`, which a run with waves records through too,
+emits the same spans, events, counters and gauges.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.containers.container import Container, ProgramError
 from repro.integrity import IntegrityError
 from repro.core.adapters.base import RebuildOptions, SystemAdapter
 from repro.core.backend.replacement import (
     apply_replacements,
+    container_key,
     install_container_runtime,
 )
 from repro.core.backend.scheduler import ScheduleReport, WaveStats
@@ -50,14 +71,18 @@ from repro.resilience.fleet import FleetExhaustedError, WorkerFleet
 from repro.core.cache.artifacts import RebuildArtifactCache
 from repro.core.cache.storage import (
     CacheError,
-    add_rebuild_manifest,
-    decode_cache,
-    decode_rebuild_plan,
+    decoded_cache,
     encode_rebuild_layer,
+    extended_tag,
     find_dist_tag,
+    rebuild_plan,
+    rebuilt_image,
+    rebuilt_tag,
+    resolve_extended,
 )
 from repro.perf.incremental import diff_plan, plan_rebuild
 from repro.core.models.process import ProcessModels
+from repro.memo import LruMemo
 from repro.oci.layout import OCILayout
 from repro.vfs import RegularFile
 from repro.vfs.content import FileContent
@@ -65,6 +90,103 @@ from repro.vfs.content import FileContent
 
 class RebuildError(Exception):
     pass
+
+
+#: What a fully pruned rebuild produced: (adapter, ``+coMre`` manifest,
+#: config and layers, meta, critical path, command groups), keyed on
+#: exactly what the rebuild reads (module docstring).
+_REBUILD_MEMO = LruMemo(64, name="rebuild")
+
+
+@contextmanager
+def recorded_schedule(
+    engine,
+    report: ScheduleReport,
+    journal=None,
+    *,
+    dirty: int = 0,
+    pruned: Sequence[str] = (),
+    executed: Sequence[str] = (),
+    restored: Sequence[str] = (),
+    failed: Sequence[str] = (),
+    cache_hits: Sequence[str] = (),
+    speculate: bool = True,
+    max_worker_failures: int = 3,
+) -> Iterator[WorkerFleet]:
+    """The worker fleet a rebuild dispatches its waves onto inside the
+    block, and every telemetry record of its schedule, in order.
+
+    Before the block: the prune counters and the ``rebuild.plan_pruned``
+    event (when *report* counts pruned groups) and the stale-lease check
+    of *journal*.  After it, even when it raises: the fleet accounting
+    (``engine.fleet_stats`` and the fleet counters).  After it, when it
+    returns: the node counters, the schedule gauges and one event per
+    pruned, restored and cache-served node.  The node lists are read
+    when the block has filled them.  A fully pruned rebuild runs no wave,
+    so a replay of one (``coMtainer-rebuild``'s memo hit) records exactly
+    what it recorded by running an empty block.
+    """
+    tele = engine.telemetry
+    m = tele.metrics
+    if report.groups_pruned:
+        m.counter("rebuild_groups_pruned_total").inc(report.groups_pruned)
+        m.counter("rebuild_nodes_pruned_total").inc(len(pruned))
+        tele.event("rebuild.plan_pruned", groups=report.groups_pruned,
+                   nodes=len(pruned), dirty=dirty)
+    fleet = WorkerFleet(
+        jobs=report.jobs, injector=getattr(engine, "fault_injector", None),
+        telemetry=tele, speculate=speculate,
+        max_worker_failures=max_worker_failures,
+    )
+    report.fleet = fleet.stats
+    if journal is not None:
+        stale = journal.leases()
+        if stale:
+            # A previous rebuild died mid-wavefront with these groups in
+            # flight.  Their outputs were never checkpointed, so they
+            # simply re-execute in the block; surface and clear the
+            # evidence.
+            report.stale_leases = len(stale)
+            tele.event("fleet.stale_leases", count=len(stale))
+            journal.clear_leases()
+    try:
+        yield fleet
+    finally:
+        # Fleet accounting must survive exhaustion: the degradation
+        # ladder reads it off the engine to populate the resilience
+        # report's worker stats (accumulating across the ladder's
+        # attempts — adapt_with_resilience resets it first).
+        stats = fleet.stats
+        prior = getattr(engine, "fleet_stats", None)
+        engine.fleet_stats = stats if prior is None else prior.merge(stats)
+        # Crashes, workers-alive and blacklist gauges are recorded per
+        # wave by WorkerFleet.run_wave (the control plane's series need
+        # them mid-run); only the whole-run counters land here.
+        m.counter("fleet_reassignments_total").inc(stats.reassignments)
+        m.counter("fleet_straggles_detected_total").inc(stats.straggles)
+        m.counter("fleet_lease_expirations_total").inc(stats.lease_expirations)
+        m.counter("fleet_speculative_launches_total").inc(stats.speculative_launches)
+        m.counter("fleet_speculative_wins_total").inc(stats.speculative_wins)
+    report.groups_executed = sum(w.executed for w in report.waves)
+    m.counter("rebuild_nodes_executed_total").inc(len(executed))
+    m.counter("rebuild_nodes_reused_total").inc(len(pruned))
+    m.counter("rebuild_nodes_restored_total").inc(len(restored))
+    m.counter("rebuild_nodes_failed_total").inc(len(failed))
+    m.counter("rebuild_nodes_cache_hits_total").inc(len(cache_hits))
+    m.gauge("rebuild_schedule_jobs").set(report.jobs)
+    m.gauge("rebuild_schedule_wavefronts").set(len(report.waves))
+    m.gauge("rebuild_schedule_max_width").set(report.max_width)
+    m.gauge("rebuild_schedule_makespan_seconds").set(report.makespan_seconds)
+    m.gauge("rebuild_schedule_serial_seconds").set(report.serial_seconds)
+    m.gauge("rebuild_schedule_critical_path_seconds").set(report.critical_path_seconds)
+    m.gauge("rebuild_schedule_speedup").set(report.speedup)
+    m.gauge("rebuild_worker_utilization").set(report.utilization)
+    for node_id in pruned:
+        tele.event("rebuild.node_reused", node=node_id)
+    for node_id in restored:
+        tele.event("rebuild.node_restored", node=node_id)
+    for node_id in cache_hits:
+        tele.event("rebuild.node_cache_hit", node=node_id)
 
 
 def rebuild_in_container(
@@ -89,8 +211,7 @@ def rebuild_in_container(
 
     *models* is only read: adapters transform steps into new ones
     (§4.2), so the caller owns the copy it passes, as
-    ``coMtainer-rebuild`` owns the private copy :func:`decode_cache`
-    hands it.
+    ``coMtainer-rebuild`` owns the private copy it makes of the decode.
 
     *previous* is a prior rebuild's (node outputs, plan fingerprints), as
     :func:`repro.core.cache.storage.decode_rebuild_plan` reads them.  The
@@ -187,6 +308,7 @@ def rebuild_in_container(
     # them.  Fingerprints and pruning decisions are jobs-independent.
     pruned_nodes: List[str] = []
     waves_to_run = build_plan.waves
+    dirty = 0
     if prev_fingerprints:
         plan_diff = diff_plan(
             build_plan, fingerprints, prev_fingerprints, prev_outputs
@@ -201,14 +323,7 @@ def rebuild_in_container(
         if plan_diff.pruned:
             waves_to_run = plan_diff.waves
             report.groups_pruned = len(plan_diff.pruned)
-            m = tele.metrics
-            m.counter("rebuild_groups_pruned_total").inc(len(plan_diff.pruned))
-            m.counter("rebuild_nodes_pruned_total").inc(len(pruned_nodes))
-            tele.event(
-                "rebuild.plan_pruned",
-                groups=len(plan_diff.pruned), nodes=len(pruned_nodes),
-                dirty=len(plan_diff.dirty),
-            )
+            dirty = len(plan_diff.dirty)
 
     def checkpoint(group) -> None:
         for n in group.nodes:
@@ -319,25 +434,6 @@ def rebuild_in_container(
             if outputs:
                 artifact_cache.store(fingerprints[first.id], outputs)
 
-    # 4. Dispatch wavefront by wavefront onto the worker fleet.  Per wave:
-    # resolve (deterministic order), simulate (the fleet decides which
-    # groups complete and what the wave costs under injected worker
-    # faults), execute (each completed group, once, in wavefront order).
-    fleet = WorkerFleet(
-        jobs=jobs, injector=injector, telemetry=tele, speculate=speculate,
-        max_worker_failures=max_worker_failures,
-    )
-    report.fleet = fleet.stats
-    if journal is not None:
-        stale = journal.leases()
-        if stale:
-            # A previous rebuild died mid-wavefront with these groups in
-            # flight.  Their outputs were never checkpointed, so they
-            # simply re-execute below; surface and clear the evidence.
-            report.stale_leases = len(stale)
-            tele.event("fleet.stale_leases", count=len(stale))
-            journal.clear_leases()
-
     def dispatch_wave(wave_index: int, wave) -> Tuple[float, int, float]:
         pending = [group for group in wave if resolve_group(group)]
         outcome = fleet.run_wave(
@@ -366,7 +462,21 @@ def rebuild_in_container(
             raise FleetExhaustedError(wave_index, outcome.pending, fleet.stats)
         return outcome.makespan, completed, busy
 
-    try:
+    # 4. Dispatch wavefront by wavefront onto the worker fleet.  Per wave:
+    # resolve (deterministic order), simulate (the fleet decides which
+    # groups complete and what the wave costs under injected worker
+    # faults), execute (each completed group, once, in wavefront order).
+    # 5. Then collect the rebuilt artifacts.
+    files: Dict[str, FileContent] = {}
+    modes: Dict[str, int] = {}
+    fallback_paths: List[str] = []
+    node_files: Dict[str, FileContent] = {}
+    with recorded_schedule(
+        engine, report, journal, dirty=dirty, pruned=pruned_nodes,
+        executed=executed, restored=restored, failed=failed_nodes,
+        cache_hits=cache_hits, speculate=speculate,
+        max_worker_failures=max_worker_failures,
+    ) as fleet:
         for wave_index, wave in enumerate(waves_to_run):
             if deadline is not None and fleet.clock.now >= deadline:
                 # Cancelled cleanly between wavefronts: every completed
@@ -409,77 +519,34 @@ def rebuild_in_container(
             ))
             report.makespan_seconds += makespan
             report.serial_seconds += busy
-    finally:
-        # Fleet accounting must survive exhaustion: the degradation
-        # ladder reads it off the engine to populate the resilience
-        # report's worker stats (accumulating across the ladder's
-        # attempts — adapt_with_resilience resets it first).
-        stats = fleet.stats
-        prior = getattr(engine, "fleet_stats", None)
-        engine.fleet_stats = stats if prior is None else prior.merge(stats)
-        # Crashes, workers-alive and blacklist gauges are recorded per
-        # wave by WorkerFleet.run_wave (the control plane's series need
-        # them mid-run); only the whole-run counters land here.
-        m = tele.metrics
-        m.counter("fleet_reassignments_total").inc(stats.reassignments)
-        m.counter("fleet_straggles_detected_total").inc(stats.straggles)
-        m.counter("fleet_lease_expirations_total").inc(stats.lease_expirations)
-        m.counter("fleet_speculative_launches_total").inc(stats.speculative_launches)
-        m.counter("fleet_speculative_wins_total").inc(stats.speculative_wins)
-    report.groups_executed = sum(w.executed for w in report.waves)
 
-    # 5. Collect rebuilt artifacts for every BUILD file of the dist image.
-    files: Dict[str, FileContent] = {}
-    modes: Dict[str, int] = {}
-    fallback_paths: List[str] = []
-    for dist_path, node_id in models.image.build_outputs().items():
-        node = models.graph.try_get(node_id)
-        if node is None:
-            continue
-        rebuilt = fs.try_get_node(node.path)
-        if not isinstance(rebuilt, RegularFile):
-            # Per-node degradation: serve the generic artifact from the
-            # extended image for anything the rebuild could not produce.
-            if fallback_fs is not None:
-                generic = fallback_fs.try_get_node(dist_path)
-                if isinstance(generic, RegularFile):
-                    files[dist_path] = generic.content
-                    modes[dist_path] = generic.mode
-                    fallback_paths.append(dist_path)
-                    continue
-            raise RebuildError(f"rebuilt artifact missing: {node.path}")
-        files[dist_path] = rebuilt.content
-        modes[dist_path] = rebuilt.mode
+        # Every BUILD file of the dist image.
+        for dist_path, node_id in models.image.build_outputs().items():
+            node = models.graph.try_get(node_id)
+            if node is None:
+                continue
+            rebuilt = fs.try_get_node(node.path)
+            if not isinstance(rebuilt, RegularFile):
+                # Per-node degradation: serve the generic artifact from the
+                # extended image for anything the rebuild could not produce.
+                if fallback_fs is not None:
+                    generic = fallback_fs.try_get_node(dist_path)
+                    if isinstance(generic, RegularFile):
+                        files[dist_path] = generic.content
+                        modes[dist_path] = generic.mode
+                        fallback_paths.append(dist_path)
+                        continue
+                raise RebuildError(f"rebuilt artifact missing: {node.path}")
+            files[dist_path] = rebuilt.content
+            modes[dist_path] = rebuilt.mode
 
-    # Every produced node's output, for incremental future rebuilds.
-    node_files: Dict[str, FileContent] = {}
-    for node in models.graph:
-        if node.step is None:
-            continue
-        produced = fs.try_get_node(node.path)
-        if isinstance(produced, RegularFile):
-            node_files[node.path] = produced.content
-
-    m = tele.metrics
-    m.counter("rebuild_nodes_executed_total").inc(len(executed))
-    m.counter("rebuild_nodes_reused_total").inc(len(pruned_nodes))
-    m.counter("rebuild_nodes_restored_total").inc(len(restored))
-    m.counter("rebuild_nodes_failed_total").inc(len(failed_nodes))
-    m.counter("rebuild_nodes_cache_hits_total").inc(len(cache_hits))
-    m.gauge("rebuild_schedule_jobs").set(jobs)
-    m.gauge("rebuild_schedule_wavefronts").set(len(report.waves))
-    m.gauge("rebuild_schedule_max_width").set(report.max_width)
-    m.gauge("rebuild_schedule_makespan_seconds").set(report.makespan_seconds)
-    m.gauge("rebuild_schedule_serial_seconds").set(report.serial_seconds)
-    m.gauge("rebuild_schedule_critical_path_seconds").set(report.critical_path_seconds)
-    m.gauge("rebuild_schedule_speedup").set(report.speedup)
-    m.gauge("rebuild_worker_utilization").set(report.utilization)
-    for node_id in pruned_nodes:
-        tele.event("rebuild.node_reused", node=node_id)
-    for node_id in restored:
-        tele.event("rebuild.node_restored", node=node_id)
-    for node_id in cache_hits:
-        tele.event("rebuild.node_cache_hit", node=node_id)
+        # Every produced node's output, for incremental future rebuilds.
+        for node in models.graph:
+            if node.step is None:
+                continue
+            produced = fs.try_get_node(node.path)
+            if isinstance(produced, RegularFile):
+                node_files[node.path] = produced.content
 
     # The schedule report stays OUT of meta: meta bytes feed the rebuild
     # layer digest, which must be identical for every --jobs value.  The
@@ -524,7 +591,8 @@ def comtainer_rebuild_entry(ctx) -> int:
     except CacheError as exc:
         raise ProgramError(f"coMtainer-rebuild: {exc}")
     try:
-        models, sources, resolved = decode_cache(layout, dist_tag)
+        extended = resolve_extended(layout, dist_tag)
+        models, sources = decoded_cache(extended, dist_tag)
     except IntegrityError:
         # A corrupt cache blob must stay *typed* all the way out of
         # engine.run: ProgramError would be flattened into RunResult
@@ -537,27 +605,59 @@ def comtainer_rebuild_entry(ctx) -> int:
         from repro.resilience.journal import RebuildJournal
 
         journal = RebuildJournal(layout, dist_tag)
-    # The extended image carries the generic dist content, so it doubles
-    # as the per-node fallback source under --fallback.
-    fallback_fs = resolved.filesystem() if flags["fallback"] else None
     artifact_cache = (
         RebuildArtifactCache(layout, dist_tag, telemetry=ctx.engine.telemetry)
         if flags["cache"] else None
     )
-    try:
-        meta, files, modes, node_files, schedule = rebuild_in_container(
-            ctx.engine, ctx.container, models, sources, adapter, options,
-            previous=decode_rebuild_plan(layout, dist_tag), journal=journal,
-            fallback_fs=fallback_fs,
-            jobs=flags["jobs"], artifact_cache=artifact_cache,
+    tag = rebuilt_tag(dist_tag)
+    previous = layout.resolve(tag) if layout.has_tag(tag) else None
+    key = stored = None
+    if previous is not None:
+        key = container_key(ctx.container,
+                            ctx.engine.repository_pool_for(ctx.container))
+    if key is not None:
+        key += (id(adapter), options.key(), flags["fallback"],
+                extended.digest, previous.digest)
+        stored = _REBUILD_MEMO.get(key)
+    if stored is None:
+        try:
+            meta, files, modes, node_files, schedule = rebuild_in_container(
+                ctx.engine, ctx.container, models.clone(), dict(sources),
+                adapter, options, previous=rebuild_plan(previous),
+                journal=journal,
+                # The extended image carries the generic dist content, so
+                # it doubles as the per-node fallback source.
+                fallback_fs=extended.filesystem() if flags["fallback"] else None,
+                jobs=flags["jobs"], artifact_cache=artifact_cache,
+                speculate=flags["speculate"],
+                max_worker_failures=flags["max_worker_failures"],
+                deadline=flags["deadline"],
+            )
+        except RebuildError as exc:
+            raise ProgramError(f"coMtainer-rebuild: {exc}")
+        layer = encode_rebuild_layer(meta, files, modes, node_files=node_files)
+        image = rebuilt_image(layout, dist_tag, layer)
+        layout.add_manifest(*image, tag=tag)
+        if key is not None and schedule.fully_pruned:
+            _REBUILD_MEMO.put(key, (adapter, image, meta,
+                                    schedule.critical_path_seconds,
+                                    schedule.groups_total))
+    else:
+        # A fully pruned run of these inputs already produced this
+        # image: record its schedule (no wave runs), read the extended
+        # image the layer stacks on, and store the image again.
+        _, image, meta, critical_path, groups = stored
+        schedule = ScheduleReport(jobs=flags["jobs"],
+                                  critical_path_seconds=critical_path,
+                                  groups_total=groups, groups_pruned=groups)
+        with recorded_schedule(
+            ctx.engine, schedule, journal, pruned=meta["pruned_nodes"],
             speculate=flags["speculate"],
             max_worker_failures=flags["max_worker_failures"],
-            deadline=flags["deadline"],
-        )
-    except RebuildError as exc:
-        raise ProgramError(f"coMtainer-rebuild: {exc}")
-    layer = encode_rebuild_layer(meta, files, modes, node_files=node_files)
-    tag = add_rebuild_manifest(layout, dist_tag, layer)
+        ):
+            pass
+        layout.resolve(extended_tag(dist_tag))
+        layout.add_manifest(*image, tag=tag)
     if artifact_cache is not None:
         # Persisted only after a *successful* rebuild: an aborted run must
         # leave the layout exactly as the journal/fault machinery expects.

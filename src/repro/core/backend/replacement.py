@@ -25,7 +25,7 @@ nothing is resolved, materialised, written or parsed.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.containers.container import Container
 from repro.core.adapters.base import LibraryReplacement
@@ -36,7 +36,7 @@ from repro.vfs import VirtualFilesystem
 from repro.vfs import paths as vpath
 
 # Finished installs: (installed tree, package database, installed names).
-_RUNTIME_MEMO = LruMemo(16)
+_RUNTIME_MEMO = LruMemo(16, name="runtime")
 
 
 def install_runtime(
@@ -60,6 +60,18 @@ def install_runtime(
     return installed
 
 
+def container_key(container: Container, pool: RepositoryPool) -> Optional[tuple]:
+    """What a system-side step reads of its container and pool: the
+    container's image (its layer digests, recorded at creation) and each
+    pool repository's name and digest, in pool order.  None unless the
+    container is still unwritten since creation (its filesystem is
+    exactly its image's): a step then consults no memo."""
+    if container.image_layers is None or not container.unwritten():
+        return None
+    return (container.image_layers,
+            tuple((repo.name, repo.digest) for repo in pool.repositories))
+
+
 def install_container_runtime(
     container: Container,
     pool: RepositoryPool,
@@ -70,14 +82,9 @@ def install_container_runtime(
     distinct input (module docstring); returns the facade bound to the
     container's filesystem and the names installed."""
     packages = list(packages)
-    key = None
-    if container.image_layers is not None and container.unwritten():
-        key = (
-            container.image_layers,
-            tuple((repo.name, repo.digest) for repo in pool.repositories),
-            tuple(packages),
-            tuple((r.generic, r.optimized) for r in replacements),
-        )
+    key = container_key(container, pool)
+    if key is not None:
+        key += (tuple(packages), tuple((r.generic, r.optimized) for r in replacements))
         hit = _RUNTIME_MEMO.get(key)
         if hit is not None:
             tree, db, installed = hit

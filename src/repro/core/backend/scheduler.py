@@ -113,6 +113,12 @@ class ScheduleReport:
     groups_pruned: int = 0
 
     @property
+    def fully_pruned(self) -> bool:
+        """Whether the plan diff pruned every command group, so no wave
+        ran and no node executed, restored, hit the cache or failed."""
+        return 0 < self.groups_total == self.groups_pruned
+
+    @property
     def max_width(self) -> int:
         return max((w.width for w in self.waves), default=0)
 

@@ -32,9 +32,17 @@ tuple, the flatten memo's key: equal keys mean equal flattened trees, and
 a decode is a pure function of the tree.  The memo keeps the parsed
 :class:`ProcessModels` and sources of a ``+coM`` stack, and the
 ``meta.json`` text, files, modes and node files of a ``+coMre`` stack;
-it stores only decodes that succeeded.  Callers get private copies: a
-:meth:`ProcessModels.clone`, a new dict of each map and a fresh parse of
-the meta text, which the redirect writes into.
+it stores only decodes that succeeded.  :func:`decode_cache`,
+:func:`decode_rebuild` and :func:`decode_rebuild_plan` hand out private
+copies: a :meth:`ProcessModels.clone`, a new dict of each map and a fresh
+parse of the meta text.
+
+The two programs need the resolved images, and their digests, before
+they decide whether to copy or parse anything, so resolving
+(:func:`resolve_extended`, :func:`resolve_rebuilt`) and the memo's decode
+are exposed apart: :func:`decoded_cache` and :func:`decoded_rebuild`
+hand out the memo's own entry, which the caller only reads or copies,
+and :func:`rebuild_plan` copies.
 """
 
 from __future__ import annotations
@@ -149,16 +157,23 @@ def add_cache_manifest(
     return tag
 
 
+def rebuilt_image(
+    layout: OCILayout, dist_tag: str, rebuild_layer: Layer
+) -> Tuple[Manifest, ImageConfig, List[Layer]]:
+    """The rebuilt image: the layout's extended image (resolved afresh)
+    with *rebuild_layer* on top, as (manifest, config, layers)."""
+    return _stacked_manifest(
+        layout.resolve(extended_tag(dist_tag)), rebuild_layer,
+        kind="rebuilt", history_note="coMtainer-rebuild layer",
+    )
+
+
 def add_rebuild_manifest(
     layout: OCILayout, dist_tag: str, rebuild_layer: Layer
 ) -> str:
     """Append the rebuilt-image manifest (``<tag>+coMre``) to the layout."""
-    base = layout.resolve(extended_tag(dist_tag))
-    manifest, config, layers = _stacked_manifest(
-        base, rebuild_layer, kind="rebuilt", history_note="coMtainer-rebuild layer"
-    )
     tag = rebuilt_tag(dist_tag)
-    layout.add_manifest(manifest, config, layers, tag=tag)
+    layout.add_manifest(*rebuilt_image(layout, dist_tag, rebuild_layer), tag=tag)
     return tag
 
 
@@ -213,24 +228,40 @@ def _subtree_files(
 
 
 # Decoded layer stacks keyed on (part, layer-digest tuple); see the
-# module docstring.  Only copies of an entry are handed out.
-_DECODE_MEMO = LruMemo(64)
+# module docstring.
+_DECODE_MEMO = LruMemo(64, name="decode")
 
 
 def _stack_key(part: str, resolved: ResolvedImage) -> tuple:
     return part, tuple(layer.digest for layer in resolved.layers)
 
 
-def decode_cache(
-    layout: OCILayout, dist_tag: str
-) -> Tuple[ProcessModels, Dict[str, FileContent], ResolvedImage]:
-    """Read models + sources from the extended image in a layout."""
+def resolve_extended(layout: OCILayout, dist_tag: str) -> ResolvedImage:
+    """The extended (``+coM``) image, resolved through verified reads."""
     tag = extended_tag(dist_tag)
     if not layout.has_tag(tag):
         raise CacheError(f"layout has no extended image {tag!r}; "
                          "run coMtainer-build first",
                          stage="decode-cache", tag=tag)
-    resolved = layout.resolve(tag)
+    return layout.resolve(tag)
+
+
+def resolve_rebuilt(layout: OCILayout, dist_tag: str) -> ResolvedImage:
+    """The rebuilt (``+coMre``) image, resolved through verified reads."""
+    tag = rebuilt_tag(dist_tag)
+    if not layout.has_tag(tag):
+        raise CacheError(f"layout has no rebuilt image {tag!r}; "
+                         "run coMtainer-rebuild first",
+                         stage="decode-rebuild", tag=tag)
+    return layout.resolve(tag)
+
+
+def decoded_cache(
+    resolved: ResolvedImage, dist_tag: str
+) -> Tuple[ProcessModels, Dict[str, FileContent]]:
+    """The models and sources of the resolved extended image of
+    *dist_tag*: the memo's own, which the caller never writes to
+    (:func:`decode_cache` hands out copies)."""
     key = _stack_key(SUFFIX_EXTENDED, resolved)
     decoded = _DECODE_MEMO.get(key)
     if decoded is None:
@@ -238,50 +269,71 @@ def decode_cache(
         models_path = f"{CACHE_ROOT}/models.json"
         if not fs.exists(models_path):
             raise CacheError("extended image has no cache layer models.json",
-                             stage="decode-cache", tag=tag)
+                             stage="decode-cache", tag=extended_tag(dist_tag))
         models = ProcessModels.from_json(json.loads(fs.read_text(models_path)))
         decoded = models, _subtree_files(fs, f"{CACHE_ROOT}/sources")[0]
         _DECODE_MEMO.put(key, decoded)
-    models, sources = decoded
+    return decoded
+
+
+def decode_cache(
+    layout: OCILayout, dist_tag: str
+) -> Tuple[ProcessModels, Dict[str, FileContent], ResolvedImage]:
+    """Read models + sources from the extended image in a layout."""
+    resolved = resolve_extended(layout, dist_tag)
+    models, sources = decoded_cache(resolved, dist_tag)
     return models.clone(), dict(sources), resolved
 
 
-def _decode_rebuilt(layout: OCILayout, tag: str) -> Optional[tuple]:
-    """``(meta, (meta text, files, modes, node files), resolved)`` of the
-    rebuilt image *tag*, with *meta* parsed afresh; None when the image
-    has no ``meta.json``.  The maps are the memo's own: copy before use."""
-    resolved = layout.resolve(tag)
+def _rebuilt_entry(resolved: ResolvedImage) -> Optional[tuple]:
+    """``(meta text, files, modes, node files)`` of a resolved rebuilt
+    image, the memo's own (copy before use); None when the image has no
+    ``meta.json``.  Only a stack whose ``meta.json`` parses is stored."""
     key = _stack_key(SUFFIX_REBUILT, resolved)
     decoded = _DECODE_MEMO.get(key)
-    if decoded is not None:
-        return json.loads(decoded[0]), decoded, resolved
-    fs = resolved.filesystem()
-    meta_path = f"{REBUILD_ROOT}/meta.json"
-    if not fs.exists(meta_path):
-        return None
-    text = fs.read_text(meta_path)
-    meta = json.loads(text)
-    files, modes = _subtree_files(fs, f"{REBUILD_ROOT}/files")
-    decoded = text, files, modes, _subtree_files(fs, f"{REBUILD_ROOT}/nodes")[0]
-    _DECODE_MEMO.put(key, decoded)
-    return meta, decoded, resolved
+    if decoded is None:
+        fs = resolved.filesystem()
+        meta_path = f"{REBUILD_ROOT}/meta.json"
+        if not fs.exists(meta_path):
+            return None
+        text = fs.read_text(meta_path)
+        json.loads(text)
+        files, modes = _subtree_files(fs, f"{REBUILD_ROOT}/files")
+        decoded = text, files, modes, _subtree_files(fs, f"{REBUILD_ROOT}/nodes")[0]
+        _DECODE_MEMO.put(key, decoded)
+    return decoded
+
+
+def decoded_rebuild(resolved: ResolvedImage, dist_tag: str) -> tuple:
+    """:func:`_rebuilt_entry` of the resolved rebuilt image of
+    *dist_tag*, which must have a ``meta.json``."""
+    decoded = _rebuilt_entry(resolved)
+    if decoded is None:
+        raise CacheError("rebuilt image has no rebuild meta.json",
+                         stage="decode-rebuild", tag=rebuilt_tag(dist_tag))
+    return decoded
 
 
 def decode_rebuild(
     layout: OCILayout, dist_tag: str
 ) -> Tuple[Dict[str, Any], Dict[str, FileContent], Dict[str, int], ResolvedImage]:
     """Read rebuild meta + rebuilt files from the ``+coMre`` image."""
-    tag = rebuilt_tag(dist_tag)
-    if not layout.has_tag(tag):
-        raise CacheError(f"layout has no rebuilt image {tag!r}; "
-                         "run coMtainer-rebuild first",
-                         stage="decode-rebuild", tag=tag)
-    decoded = _decode_rebuilt(layout, tag)
+    resolved = resolve_rebuilt(layout, dist_tag)
+    text, files, modes, _ = decoded_rebuild(resolved, dist_tag)
+    return json.loads(text), dict(files), dict(modes), resolved
+
+
+def rebuild_plan(
+    resolved: Optional[ResolvedImage],
+) -> Tuple[Dict[str, FileContent], Dict[str, str]]:
+    """Node outputs + plan fingerprints of a resolved rebuilt image (empty
+    maps for None or an image without ``meta.json``); see
+    :func:`decode_rebuild_plan`."""
+    decoded = None if resolved is None else _rebuilt_entry(resolved)
     if decoded is None:
-        raise CacheError("rebuilt image has no rebuild meta.json",
-                         stage="decode-rebuild", tag=tag)
-    meta, (_, files, modes, _), resolved = decoded
-    return meta, dict(files), dict(modes), resolved
+        return {}, {}
+    text, _, _, node_files = decoded
+    return dict(node_files), dict(json.loads(text).get("node_fingerprints", {}))
 
 
 def decode_rebuild_plan(
@@ -297,10 +349,4 @@ def decode_rebuild_plan(
     image exists yet.
     """
     tag = rebuilt_tag(dist_tag)
-    if not layout.has_tag(tag):
-        return {}, {}
-    decoded = _decode_rebuilt(layout, tag)
-    if decoded is None:
-        return {}, {}
-    meta, (_, _, _, node_files), _ = decoded
-    return dict(node_files), dict(meta.get("node_fingerprints", {}))
+    return rebuild_plan(layout.resolve(tag) if layout.has_tag(tag) else None)

@@ -1,53 +1,87 @@
 """The one bounded memo: a least-recently-used map with a fixed cap.
 
-Five pure functions keep their finished results in one: the layer-stack
-flatten (:mod:`repro.oci.apply`), the dpkg status parse
-(:mod:`repro.pkg.database`) and the coMtainer layer decodes
-(:mod:`repro.core.cache.storage`), each keyed on content digests; the
-rebuild's plan (:func:`repro.perf.incremental.plan_rebuild`), keyed on
-everything planning reads; and the rebuild and redirect containers'
-runtime install
-(:func:`repro.core.backend.replacement.install_container_runtime`), keyed
-on the container's image and everything the install reads.  Each stores
-only results that finished.  All but the plan memo hand out copies,
-never the stored value: the install memo a copy-on-write clone of the
-installed tree, a private copy of the package database and a new list of
-the installed names.  The plan memo shares its stored plan: the rebuild
-only reads it (``tests/test_plan_memo.py`` rebuilds cold, warm, resumed,
-cache-served and with fallback, and the stored plan still equals a fresh
-one), so a copy would buy nothing; the fingerprints it hands out are
-copies, since they go into ``meta.json``.
+Seven pure computations keep their finished results in one, each memo
+named and registered here (:data:`MEMOS`), so a test can switch every
+memo off at once and a profile can count each one's traffic:
+
+- ``flatten``: the layer-stack flatten (:mod:`repro.oci.apply`), keyed on
+  the layer digests;
+- ``dpkg-status``: the dpkg status parse (:mod:`repro.pkg.database`),
+  keyed on the status and list digests;
+- ``decode``: the coMtainer layer decodes (:mod:`repro.core.cache.storage`),
+  keyed on the layer digests;
+- ``plan``: the rebuild's plan (:func:`repro.perf.incremental.plan_rebuild`),
+  keyed on everything planning reads;
+- ``runtime``: the rebuild and redirect containers' runtime install
+  (:func:`repro.core.backend.replacement.install_container_runtime`);
+- ``rebuild``: the ``+coMre`` image of a fully pruned rebuild
+  (:mod:`repro.core.backend.rebuild`);
+- ``redirect``: the redirect container's final tree
+  (:func:`repro.core.backend.redirect.redirect_in_container`).
+
+The last three are keyed on the container's image and everything the
+step reads.  Each memo stores only results that finished.  Four hand out
+copies, never the stored value: the flatten memo a copy-on-write clone
+of the tree, the dpkg memo a copy of the database, the install and
+redirect memos a copy-on-write clone of the stored tree (the install
+memo also a private copy of the package database and a new list of the
+installed names).  Three share their stored value, which nothing writes
+to: the plan memo its plan (``tests/test_plan_memo.py`` rebuilds cold,
+warm, resumed, cache-served and with fallback, and the stored plan still
+equals a fresh one; the fingerprints it hands out are copies, since they
+go into ``meta.json``); the rebuild memo its image and ``meta``, which
+go into the layout's blob store and the program's stdout unchanged; and
+the decode memo its entries, which the two programs only read (its
+``decode_*`` functions hand out copies).
+
+Every memo counts its hits, misses and stores (:meth:`LruMemo.get`
+counts a lookup, :meth:`LruMemo.put` a store); ``make profile MEMO=1``
+reports them per op.  A cap of 0 stores nothing, so every lookup misses.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Hashable, Optional
+from typing import Any, Dict, Hashable, Optional
+
+#: Every named memo, by name, in the order they were made.
+MEMOS: Dict[str, "LruMemo"] = {}
 
 
 class LruMemo:
     """At most *cap* entries: a hit becomes the most recently used entry,
-    and a store beyond the cap forgets the least recently used one."""
+    and a store beyond the cap forgets the least recently used one.
 
-    def __init__(self, cap: int) -> None:
+    A memo with a *name* registers itself in :data:`MEMOS`."""
+
+    def __init__(self, cap: int, name: Optional[str] = None) -> None:
         self.cap = cap
+        self.name = name
+        self.hits = self.misses = self.stores = 0
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        if name is not None:
+            MEMOS[name] = self
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __contains__(self, key: Hashable) -> bool:
-        """Whether *key* is stored; its recency does not change."""
+        """Whether *key* is stored; its recency and the counts do not
+        change."""
         return key in self._entries
 
     def get(self, key: Hashable) -> Optional[Any]:
         """The value stored under *key* (now the most recent), or None."""
         value = self._entries.get(key)
-        if value is not None:
+        if value is None:
+            self.misses += 1
+        else:
+            self.hits += 1
             self._entries.move_to_end(key)
         return value
 
     def put(self, key: Hashable, value: Any) -> None:
+        self.stores += 1
         self._entries[key] = value
         self._entries.move_to_end(key)
         while len(self._entries) > self.cap:

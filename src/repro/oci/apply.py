@@ -122,7 +122,7 @@ def apply_layer(fs: VirtualFilesystem, layer: Layer) -> VirtualFilesystem:
 # Finished flatten results keyed by the layer-digest tuple.  Entries are
 # private snapshots: lookups hand out copy-on-write clones, so callers can
 # mutate their tree freely without disturbing the memo.
-_FLATTEN_MEMO = LruMemo(64)
+_FLATTEN_MEMO = LruMemo(64, name="flatten")
 
 
 def flatten_memo_clear() -> None:

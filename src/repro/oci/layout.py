@@ -59,6 +59,8 @@ class ResolvedImage:
     manifest: Manifest
     config: ImageConfig
     layers: List[Layer] = field(default_factory=list)
+    #: The digest the manifest was read from (its verified blob's).
+    digest: str = ""
 
     def filesystem(self) -> VirtualFilesystem:
         """Flatten the layer stack into the image's final filesystem state."""
@@ -378,7 +380,8 @@ def resolve_manifest(lookup: Callable[[str], Blob], digest: str) -> ResolvedImag
     manifest = Manifest.from_json(lookup(digest).as_json())
     config = ImageConfig.from_json(lookup(manifest.config.digest).as_json())
     layers = [lookup(ld.digest).as_layer() for ld in manifest.layers]
-    return ResolvedImage(manifest=manifest, config=config, layers=layers)
+    return ResolvedImage(manifest=manifest, config=config, layers=layers,
+                         digest=digest)
 
 
 def _is_str_map(obj) -> bool:

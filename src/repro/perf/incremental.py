@@ -101,7 +101,7 @@ def compute_plan_fingerprints(
 
 #: Finished plans and fingerprints of :func:`plan_rebuild`, as many as the
 #: decode memo keeps models.
-_PLAN_MEMO = LruMemo(64)
+_PLAN_MEMO = LruMemo(64, name="plan")
 
 
 def plan_rebuild(
@@ -150,10 +150,7 @@ def plan_rebuild(
         for dep in node.deps:
             if dep not in graph:
                 read(dep)
-    scope = options.lto_scope
-    key = (id(adapter), options.lto, None if scope is None else tuple(scope),
-           options.pgo, options.pgo_profile_path, options.relax_isa,
-           profile_salt, tuple(nodes), tuple(digests))
+    key = (id(adapter), options.key(), profile_salt, tuple(nodes), tuple(digests))
     entry = _PLAN_MEMO.get(key)
     if entry is None:
         # The plan holds its graph's nodes: plan a copy (in graph order,

@@ -182,7 +182,7 @@ class DpkgDatabase:
 
 # Finished parses keyed by content digests; a failed parse is never stored.
 _READ_MEMO_CAP = 16
-_READ_MEMO = LruMemo(_READ_MEMO_CAP)
+_READ_MEMO = LruMemo(_READ_MEMO_CAP, name="dpkg-status")
 
 
 def _holds(node, data: bytes) -> bool:

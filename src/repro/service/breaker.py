@@ -23,6 +23,7 @@ behind a dependency that is known-bad.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, List, Tuple, TypeVar
 
 from repro.resilience.retry import SimulatedClock
@@ -66,7 +67,8 @@ class CircuitBreaker:
         self.rejections = 0
         #: Every transition as ``(simulated t, from-state, to-state)``.
         self.transitions: List[Tuple[float, str, str]] = []
-        #: Optional transition hook ``listener(name, from, to, t)``; the
+        #: Optional transition hook ``listener(name, from, to, t)``, or a
+        #: weak reference to one (called while its referent lives); the
         #: durable service writes WAL records (and triggers origin
         #: failover) from here.
         self.listener = None
@@ -84,8 +86,11 @@ class CircuitBreaker:
         )
         self.telemetry.metrics.counter("service_breaker_transitions_total").inc()
         self.state = state
-        if self.listener is not None:
-            self.listener(self.name, previous, state, self.clock.now)
+        listener = self.listener
+        if isinstance(listener, weakref.ref):
+            listener = listener()
+        if listener is not None:
+            listener(self.name, previous, state, self.clock.now)
 
     def retry_after(self) -> float:
         """Simulated seconds until an open breaker admits a probe."""

@@ -54,6 +54,7 @@ import bisect
 import copy
 import heapq
 import random
+import weakref
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -476,8 +477,10 @@ class AdaptationService:
                 self.registry.fault_injector = injector
                 self.registry.blobs.fault_injector = injector
             install_telemetry(self.telemetry, registry=self.registry)
+        # The service holds its breakers, so each holds the service's
+        # hook weakly: a discarded service is then no reference cycle.
         for breaker in self.breakers.values():
-            breaker.listener = self._on_breaker_transition
+            breaker.listener = weakref.WeakMethod(self._on_breaker_transition)
 
     # -- tenancy and submission -----------------------------------------
 

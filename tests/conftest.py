@@ -5,6 +5,8 @@ whole substrates (filesystem trees, layer stacks) whose first-run import
 and warm-up costs trip the default 200 ms deadline spuriously.
 """
 
+import contextlib
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -28,3 +30,35 @@ def chaos_injector():
     from repro.resilience import FaultInjector
 
     return FaultInjector()
+
+
+@contextlib.contextmanager
+def memos_switched_off():
+    """Every registered memo (:data:`repro.memo.MEMOS`) with a cap of 0 and
+    no entries, so every lookup misses and nothing is stored; each memo's
+    cap and entries are restored on leaving."""
+    import repro.core.backend  # noqa: F401  (registers the backend memos)
+    import repro.core.workflow  # noqa: F401  (and every memo it reaches)
+    from repro.memo import MEMOS
+
+    saved = {memo: (memo.cap, list(memo._entries.items()))
+             for memo in MEMOS.values()}
+    for memo in saved:
+        memo.cap = 0
+        memo.clear()
+    try:
+        yield
+    finally:
+        for memo, (cap, entries) in saved.items():
+            memo.cap = cap
+            memo.clear()
+            memo._entries.update(entries)
+
+
+@pytest.fixture
+def memos_off():
+    """A test with every memo switched off (:func:`memos_switched_off`):
+    the oracle a memoised run is compared against.  A test fixture, not a
+    product flag."""
+    with memos_switched_off():
+        yield

@@ -487,3 +487,70 @@ def test_gc_appends_its_table_and_leaves_the_rest_alone(monkeypatch, capsys):
     assert with_gc[len(plain):].splitlines()[0] == (
         "# garbage collector per generation over the timed ops")
     assert float(_gc_rows(with_gc)["1"]) >= 1.0
+
+
+# -- --memo: every memo's traffic over the timed ops -----------------------
+
+class _MemoWorkload:
+    """A stub workload whose ops look two keys up in turn in one memo and
+    store each miss; its check looks one up too, outside the timed ops."""
+
+    def __init__(self, memo):
+        self.memo = memo
+
+    def run(self, i):
+        if self.memo.get(i % 2) is None:
+            self.memo.put(i % 2, i)
+        return i
+
+    def check(self, i, out):
+        assert self.memo.get(0) is not None and out == i
+
+
+def _memo_rows(out):
+    """``{memo: [lookups/op, hit ratio, stores/op, entries]}`` of a printed
+    ``--memo`` table."""
+    lines = out.splitlines()
+    start = lines.index("# memo traffic over the timed ops")
+    assert lines[start + 1].split() == ["lookups/op", "hits", "stores/op",
+                                        "entries", "memo"]
+    return {row.split()[-1]: row.split()[:-1] for row in lines[start + 2:]}
+
+
+@pytest.mark.parametrize("extra", [[], ["--wall", "repro.stub_timed:outer"]])
+def test_memo_counts_a_stub_workloads_traffic_over_the_timed_ops(
+        extra, monkeypatch, capsys):
+    from repro import memo as memo_module
+
+    _stub_modules(monkeypatch)
+    monkeypatch.setattr(memo_module, "MEMOS", {})
+    idle = memo_module.LruMemo(4, name="idle")
+    stub = memo_module.LruMemo(4, name="stub")
+    stub.get("before")                          # set-up traffic is not counted
+    monkeypatch.setattr(profile_ops, "_build", lambda name, seed, ops: (
+        _MemoWorkload(stub), 0.5, AssertionError))
+    assert profile_ops.main(["stub", "--ops", "4", "--memo", *extra]) == 0
+    # Ops look up 0, 1, 0, 1: two misses that store, then two hits; the
+    # four checks' lookups fall outside the timed ops.
+    assert _memo_rows(capsys.readouterr().out) == {
+        "idle": ["0.00", "0.0%", "0.00", "0"],
+        "stub": ["1.00", "50.0%", "0.50", "2"],
+    }
+    assert (idle.hits, idle.misses, idle.stores) == (0, 0, 0)
+    assert (stub.hits, stub.misses, stub.stores) == (6, 3, 2)
+
+
+def test_memo_appends_its_table_after_the_gc_table(monkeypatch, capsys):
+    from repro import memo as memo_module
+
+    monkeypatch.setattr(memo_module, "MEMOS", {})
+    stub = memo_module.LruMemo(4, name="stub")
+    monkeypatch.setattr(profile_ops, "_build", lambda name, seed, ops: (
+        _MemoWorkload(stub), 0.5, AssertionError))
+    profile_ops.main(["stub", "--ops", "2", "--gc", "--memo"])
+    lines = capsys.readouterr().out.splitlines()
+    gc_at = lines.index("# garbage collector per generation over the timed ops")
+    traffic = profile_ops.MemoTraffic()
+    traffic.counts = {"stub": [2, 0, 2]}
+    assert lines[gc_at + 6:] == ["# memo traffic over the timed ops",
+                                 *traffic.table(ops=2)]

@@ -100,6 +100,18 @@ class TestNoCyclesPerAdaptation:
             lambda: _burst(service, ("hpccg", "minife", "lulesh")))
         assert found == 0, f"{found} objects in cycles: {types}"
 
+    def test_a_discarded_service(self):
+        """The service holds its circuit breakers and each breaker calls
+        back into the service: held weakly, that hook is no cycle."""
+
+        def serve_one_request():
+            service = AdaptationService(workers=2, durable=True, seed=0)
+            service.add_tenant(TENANTS[0])
+            _burst(service, ("hpccg",))
+
+        found, types = _cyclic_garbage(serve_one_request)
+        assert found == 0, f"{found} objects in cycles: {types}"
+
 
 CONTAINERFILE = """
 FROM ubuntu:24.04 AS build
