@@ -1,12 +1,14 @@
 """Integrity — happy-path overhead of verified reads.
 
-Every ``BlobStore.get`` re-hashes content against its declared digest
-(memoized per digest) so corruption can never flow silently into a
+Every ``BlobStore.get`` checks the stored object against its declared
+digest (``check_blob``, whose verdict the object remembers, so each
+object is hashed once) so corruption can never flow silently into a
 rebuild.  That guarantee is only affordable if it costs (almost) nothing
 when every blob is intact: this bench times a cold ``coMtainer-rebuild``
-with verification disabled and enabled and asserts the verified path
-stays within 5% of the unverified baseline.  An fsck scan of the full
-layout is timed alongside for reference.
+with verification disabled and enabled on the layout it reads
+(``verify_reads``) and asserts the verified path stays within 5% of the
+unverified baseline.  An fsck scan of the full layout is timed alongside
+for reference.
 """
 
 import time
@@ -18,7 +20,6 @@ from repro.core.frontend.build import IO_MOUNT
 from repro.core.images import install_system_side_images, sysenv_ref
 from repro.core.workflow import build_extended_image
 from repro.integrity.fsck import fsck_layout
-from repro.oci import blobs as blobs_mod
 from repro.oci.layout import OCILayout
 from repro.perf import attach_perf
 from repro.reporting import render_table
@@ -36,12 +37,13 @@ def _fresh_copy(layout, dist_tag):
     return fresh
 
 
-def _timed_cold_rebuild(engine, layout, dist_tag):
+def _timed_cold_rebuild(engine, layout, dist_tag, verify_reads=True):
     """Best-of-ROUNDS cold rebuild; returns (seconds, meta)."""
     best = None
     meta = None
     for _ in range(ROUNDS):
         fresh = _fresh_copy(layout, dist_tag)
+        fresh.blobs.verify_reads = verify_reads
         ctr = engine.from_image(sysenv_ref("x86"), name="int-bench",
                                 mounts={IO_MOUNT: fresh})
         try:
@@ -63,13 +65,9 @@ def test_integrity_verified_read_overhead(benchmark, emit):
     attach_perf(engine, X86_CLUSTER)
     install_system_side_images(engine, X86_CLUSTER)
 
-    # Unverified baseline: new blob stores skip the read-time re-hash.
-    assert blobs_mod.VERIFY_READS_DEFAULT is True
-    blobs_mod.VERIFY_READS_DEFAULT = False
-    try:
-        off, meta_off = _timed_cold_rebuild(engine, layout, dist_tag)
-    finally:
-        blobs_mod.VERIFY_READS_DEFAULT = True
+    # Unverified baseline: the rebuilt layout's store skips the read check.
+    off, meta_off = _timed_cold_rebuild(engine, layout, dist_tag,
+                                        verify_reads=False)
     on, meta_on = _timed_cold_rebuild(engine, layout, dist_tag)
 
     t0 = time.perf_counter()

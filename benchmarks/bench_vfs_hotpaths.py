@@ -13,7 +13,8 @@ Three microbenches with hard bars:
 
 import time
 
-from repro.oci.apply import flatten_layers, flatten_memo_clear
+from repro.memo import MEMOS
+from repro.oci.apply import flatten_layers
 from repro.oci.layer import Layer, LayerEntry
 from repro.reporting import render_table
 from repro.vfs import InlineContent, VirtualFilesystem
@@ -105,9 +106,9 @@ def test_flatten_layers_memoized(emit):
         layer.add(LayerEntry.file(f"/opt/f{i:03d}", InlineContent(b"z" * 32)))
     layers = [layer]
 
-    flatten_memo_clear()
+    MEMOS["flatten"].clear()
     miss = _best_of(
-        lambda: (flatten_memo_clear(), flatten_layers(layers))[1])
+        lambda: (MEMOS["flatten"].clear(), flatten_layers(layers))[1])
     hit = _best_of(lambda: flatten_layers(layers))
 
     rows = [

@@ -35,7 +35,10 @@ order::
 Salvage drops a damaged line, and only that entry recompiles; an old
 single-document cache reads as empty, and a version 2 cache's content
 keys never equal a fingerprint, so its entries never hit.  Each stored
-blob is salvaged at most once (:func:`_entries_of`).  The blob sits in
+blob object is salvaged at most once: :func:`_entries_of` remembers its
+entries on the object, as :func:`repro.oci.blobs.check_blob` remembers
+its verdict, and :meth:`RebuildArtifactCache.flush` leaves the entries it
+wrote on the object it stored.  The blob sits in
 the layout's blob store, registered through an index descriptor
 carrying the ``io.comtainer.artifact-cache=<dist-tag>`` annotation and
 no ref name — invisible to tags and image pushes, but surviving
@@ -49,13 +52,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import weakref
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import durable
 from repro.oci import mediatypes
-from repro.oci.blobs import Blob
+from repro.oci.blobs import Blob, _remembered
 from repro.oci.layout import OCILayout
 from repro.resilience.journal import decode_output, encode_output, valid_output
 from repro.telemetry import NULL_TELEMETRY
@@ -66,12 +68,6 @@ CACHE_VERSION = 3
 
 #: Index annotation naming the dist tag a cache side blob belongs to.
 _KEY = mediatypes.ANNOTATION_COMTAINER_ARTIFACTS
-
-#: Salvaged entries per stored :class:`Blob` object, keyed on its ``id``
-#: and dropped when it dies.  Rotten bytes under a good digest are always
-#: a new object, so they miss.  (Value-equal copies must not share an
-#: entry: it would die with whichever copy dies first.)
-_SALVAGED: Dict[int, Dict[str, dict]] = {}
 
 
 def cache_key(command_digest: str, dep_digests: Iterable[Tuple[str, str]]) -> str:
@@ -99,27 +95,23 @@ def _stored(layout: OCILayout, dist_tag: str) -> Optional[Blob]:
     return layout.blobs.try_get(desc.digest) if desc is not None else None
 
 
-def _remember(blob: Blob, entries: Dict[str, dict]) -> Dict[str, dict]:
-    if id(blob) not in _SALVAGED:
-        weakref.finalize(blob, _SALVAGED.pop, id(blob), None)
-    _SALVAGED[id(blob)] = entries
-    return entries
+def _salvage(blob: Blob) -> Dict[str, dict]:
+    _header, records, _dropped = durable.salvage(
+        blob.as_bytes(), CACHE_KIND, _valid_entry)
+    return {r["key"]: r for r in records}
 
 
 def _entries_of(blob: Optional[Blob]) -> Dict[str, dict]:
     """The sealed entries *blob* salvages to, keyed on cache key.
 
     A missing or damaged blob reads as empty, never as an error.  The
-    dict is shared through the memo: copy it before changing it.
+    entries are remembered on the blob object (rotten bytes under a good
+    digest are always a new object, so they are salvaged afresh); the
+    dict is shared through that memo: copy it before changing it.
     """
     if blob is None:
         return {}
-    entries = _SALVAGED.get(id(blob))
-    if entries is None:
-        _header, records, _dropped = durable.salvage(
-            blob.as_bytes(), CACHE_KIND, _valid_entry)
-        entries = _remember(blob, {r["key"]: r for r in records})
-    return entries
+    return _remembered(blob, "_entries", _salvage)
 
 
 class RebuildArtifactCache:
@@ -217,7 +209,7 @@ class RebuildArtifactCache:
         stored = _stored(self.layout, self.dist_tag)
         if stored is not None and stored.payload == data:
             # What salvage would read back; a corrupted store missed it.
-            _remember(stored, entries)
+            _remembered(stored, "_entries", lambda _blob: entries)
         self._dirty = False
 
 

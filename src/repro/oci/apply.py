@@ -125,11 +125,6 @@ def apply_layer(fs: VirtualFilesystem, layer: Layer) -> VirtualFilesystem:
 _FLATTEN_MEMO = LruMemo(64, name="flatten")
 
 
-def flatten_memo_clear() -> None:
-    """Drop all memoized flatten results (test isolation hook)."""
-    _FLATTEN_MEMO.clear()
-
-
 def is_flattened(layers: Iterable[Layer]) -> bool:
     """Whether the memo already holds this exact stack's finished tree
     (it stays where it is in the recency order)."""

@@ -4,10 +4,10 @@ A blob is either raw JSON bytes (configs, manifests) or a :class:`Layer`
 object (the simulated tarball).  Both expose digest/size/media-type, so the
 store behaves like an OCI blob directory.
 
-Reads are **verified**: :meth:`BlobStore.get` re-hashes content against
-its declared digest (memoized per digest, invalidated on every write) and
-raises a typed :class:`repro.integrity.IntegrityError` instead of ever
-returning silently wrong bytes.  Corrupt blobs can be quarantined — kept
+Reads are **verified**: :meth:`BlobStore.get` checks the stored object
+against its declared digest with :func:`check_blob` and raises a typed
+:class:`repro.integrity.IntegrityError` instead of ever returning
+silently wrong bytes.  Corrupt blobs can be quarantined — kept
 for forensics and repair, but unreachable through normal reads — by the
 integrity layer (:mod:`repro.integrity.repair`).
 
@@ -26,7 +26,11 @@ for, so each stored object is hashed and parsed once however often it is
 checked.  The memo lives on the object: a frozen dataclass over immutable
 bytes cannot go stale, and every way a stored blob rots (a corrupting
 put or transfer, a repair write, a layout loaded from disk, a direct
-replacement) stores a new object, which is hashed afresh.
+replacement) stores a new object, which is hashed afresh.  It is the
+only record that a stored blob verified: no store, registry or cache
+keeps a table of verified digests or objects beside it.  A fact about a
+stored blob is remembered on the blob object (:func:`_remembered`; the
+artifact cache keeps its salvaged entries there too) or not at all.
 """
 
 from __future__ import annotations
@@ -48,18 +52,15 @@ from repro.oci.image import Descriptor, Manifest
 from repro.oci.layer import Layer
 from repro.telemetry import NULL_TELEMETRY
 
-#: Process-wide default for :attr:`BlobStore.verify_reads`; the integrity
-#: overhead benchmark flips this to time the unverified baseline.
-VERIFY_READS_DEFAULT = True
-
 
 @dataclass(frozen=True)
 class Blob:
     """A stored payload plus its descriptor identity.
 
     With a ``bytes`` payload it also carries, once asked, the memo of
-    :func:`check_blob` and :func:`manifest_closure` (see the module
-    docstring): a changed payload is always a new object.
+    :func:`check_blob`, :func:`manifest_closure` and, for an artifact
+    cache, its salvaged entries (see the module docstring): a changed
+    payload is always a new object.
     """
 
     media_type: str
@@ -204,9 +205,9 @@ class BlobStore:
         #: Telemetry sink; counts bytes in/out and content-address cache
         #: hits (a put whose digest is already stored moved zero bytes).
         self.telemetry = NULL_TELEMETRY
-        #: Re-hash content on :meth:`get` (memoized per digest).
-        self.verify_reads = VERIFY_READS_DEFAULT
-        self._verified: set = set()
+        #: Check every :meth:`get` with :func:`check_blob`; the integrity
+        #: overhead benchmark turns it off on the store its baseline reads.
+        self.verify_reads = True
         self._quarantine: Dict[str, Tuple[Blob, IntegrityFinding]] = {}
 
     def _arm(self, site: str, key: str) -> None:
@@ -246,7 +247,6 @@ class BlobStore:
             m.counter("oci_blob_bytes_written_total").inc(blob.size)
             m.histogram("oci_blob_size_bytes").observe(blob.size)
         self._blobs[blob.digest] = blob
-        self._verified.discard(blob.digest)
         m.gauge("oci_blob_store_blobs").set(len(self._blobs))
         return blob.descriptor()
 
@@ -268,20 +268,17 @@ class BlobStore:
                 detail="blob vanished during verified put",
             )
             if finding is None:
-                self._verified.add(blob.digest)
                 return desc
-            self._verified.discard(blob.digest)
         raise IntegrityError(site="blob.write", finding=finding)
 
     def intact(self, digest: str) -> Optional[Blob]:
         """The stored copy of *digest* when it re-hashes clean, else None
         (absent, quarantined or corrupt).
 
-        Unlike :meth:`get` it neither arms ``blob.read`` nor consults or
-        updates the verified-read memo (:meth:`is_verified`): it runs
-        :func:`check_blob` on the object stored now, so an object replaced
-        since the last call is hashed afresh, while one already checked
-        answers from its own memo.
+        Unlike :meth:`get` it arms no ``blob.read`` fault and counts no
+        read.  Like it, it runs :func:`check_blob` on the object stored
+        now, so an object replaced since the last call is hashed afresh,
+        while one already checked answers from its own memo.
         """
         blob = self._blobs.get(digest)
         if blob is None or check_blob(blob) is not None:
@@ -331,7 +328,15 @@ class BlobStore:
     def put_layer(self, layer: Layer) -> Descriptor:
         return self.put(Blob.from_layer(layer))
 
-    def get(self, digest: str, verify: Optional[bool] = None) -> Blob:
+    def get(self, digest: str) -> Blob:
+        """The blob stored as *digest*, checked with :func:`check_blob`
+        while :attr:`verify_reads` is on.
+
+        A repeat read of the same object answers from the object's memo;
+        a replaced object is checked afresh.  Raises :class:`KeyError`
+        when absent and :class:`IntegrityError` when quarantined or
+        corrupt.
+        """
         self._arm("blob.read", digest)
         finding = self._quarantine_finding(digest)
         if finding is not None:
@@ -345,9 +350,7 @@ class BlobStore:
             blob = self._blobs[digest]
         except KeyError:
             raise KeyError(f"blob not found: {digest}") from None
-        if verify is None:
-            verify = self.verify_reads
-        if verify and digest not in self._verified:
+        if self.verify_reads:
             finding = check_blob(blob)
             if finding is not None:
                 self.telemetry.metrics.counter(
@@ -356,31 +359,21 @@ class BlobStore:
                     "integrity.violation", site="blob.read",
                     digest=digest, kind=finding.kind)
                 raise IntegrityError(site="blob.read", finding=finding)
-            self._verified.add(digest)
-            self.telemetry.metrics.counter("integrity_verifications_total").inc()
         m = self.telemetry.metrics
         m.counter("oci_blob_reads_total").inc()
         m.counter("oci_blob_bytes_read_total").inc(blob.size)
         return blob
 
     def try_get(self, digest: str) -> Optional[Blob]:
+        """The stored object as it stands, unchecked and unarmed (the
+        forensic read; None when absent)."""
         return self._blobs.get(digest)
-
-    def is_verified(self, digest: str) -> bool:
-        """Whether *digest*'s content verified clean since it last changed.
-
-        ``put``/``remove``/``quarantine`` all discard the digest from the
-        verified set, so a True here means no re-hash is needed — the basis
-        for memoized Merkle re-verification higher up the stack.
-        """
-        return digest in self._verified
 
     def get_layer(self, digest: str) -> Layer:
         return self.get(digest).as_layer()
 
     def remove(self, digest: str) -> bool:
         """Drop a blob (garbage collection); True if it was present."""
-        self._verified.discard(digest)
         return self._blobs.pop(digest, None) is not None
 
     def total_size(self) -> int:
@@ -406,7 +399,6 @@ class BlobStore:
         if finding is None:
             finding = check_blob(blob) or IntegrityFinding(
                 digest=digest, kind=KIND_QUARANTINED, detail="quarantined by caller")
-        self._verified.discard(digest)
         self._quarantine[digest] = (blob, finding)
         self.telemetry.metrics.counter("integrity_quarantined_total").inc()
         self.telemetry.event("integrity.quarantined", digest=digest, kind=finding.kind)
@@ -444,11 +436,10 @@ class BlobStore:
     def verify_integrity(self) -> List[IntegrityFinding]:
         """Check every active blob's identity; returns typed findings.
 
-        Bypasses the verified-read memo, so every stored object goes
-        through :func:`check_blob`: one never checked is hashed, one
-        already checked answers from its own memo.  Quarantined blobs are
-        not re-reported here — they already carry their finding (see
-        :meth:`quarantined`).
+        Every stored object goes through :func:`check_blob`: one never
+        checked is hashed, one already checked answers from its own
+        memo.  Quarantined blobs are not re-reported here — they already
+        carry their finding (see :meth:`quarantined`).
         """
         problems: List[IntegrityFinding] = []
         for digest in sorted(self._blobs):

@@ -5,8 +5,10 @@ user-side push and system-side pull of extended images can be simulated
 end to end.
 
 The integrity rules are the ones layouts use: a pull resolves through
-:func:`~repro.oci.layout.resolve_manifest` and Merkle-checks the result,
-and the referenced set and the audit come from
+:func:`~repro.oci.layout.resolve_manifest` and Merkle-checks the result
+on every pull (each member blob answers from its own :func:`check_blob`
+verdict, so a repeat pull re-hashes only the re-rendered config), and
+the referenced set and the audit come from
 :meth:`~repro.oci.blobs.BlobStore.closure_of` and
 :meth:`~repro.oci.blobs.BlobStore.audit`.  Only the roots differ: a
 registry's are its tagged manifests plus its published artifact caches.
@@ -80,11 +82,6 @@ class ImageRegistry:
         self.fault_injector = None
         #: Telemetry sink; spans each push/pull and counts transfer bytes.
         self.telemetry = NULL_TELEMETRY
-        #: Merkle-walk memo: manifest digest -> every member digest the walk
-        #: chained over (manifest, config, layers).  A repeat pull skips the
-        #: re-verification only while all members are still verified in the
-        #: blob store — put/remove/quarantine invalidate per digest.
-        self._merkle_verified: Dict[str, Tuple[str, ...]] = {}
 
     def _arm(self, site: str, key: str) -> None:
         if self.fault_injector is not None:
@@ -233,15 +230,7 @@ class ImageRegistry:
         if self.blobs.verify_reads:
             # Merkle walk: even content that individually hashed clean must
             # chain manifest -> config -> layers before a pull returns it.
-            # Memoized per manifest digest: a repeat pull whose members all
-            # still sit verified in the blob store skips the re-hash.
-            members = self._merkle_verified.get(digest)
-            if members is None or not all(self.blobs.is_verified(d) for d in members):
-                resolved.check("registry.pull")
-                self._merkle_verified[digest] = resolved.manifest.closure(digest)
-                self.telemetry.metrics.counter("registry_merkle_walks_total").inc()
-            else:
-                self.telemetry.metrics.counter("registry_merkle_memo_hits_total").inc()
+            resolved.check("registry.pull")
         return resolved
 
     def pull_to_layout(self, reference: str) -> OCILayout:

@@ -60,7 +60,7 @@ once per (worker, group, attempt) at three sites —
 site                  meaning
 ====================  =====================================================
 ``worker.crash``      the worker dies mid-group; its lease expires
-``worker.straggle``   the attempt runs ``straggle_factor`` times too long
+``worker.straggle``   the attempt runs ``STRAGGLE_FACTOR`` times too long
 ``worker.flaky``      the attempt burns its cost, then fails (a strike)
 ====================  =====================================================
 

@@ -20,7 +20,7 @@ an identity and a failure model:
   index).  The detection lag is charged to the wave makespan — crash
   recovery is not free.
 * **Speculative re-execution**: a group still running past
-  ``straggle_threshold`` times its cost estimate gets a duplicate
+  ``STRAGGLE_THRESHOLD`` times its cost estimate gets a duplicate
   launched on the least-loaded other worker; first completion wins and
   the loser is cancelled.  Execution is pure and idempotent, so running
   a group twice is always safe.
@@ -286,9 +286,6 @@ class WorkerFleet:
         telemetry=NULL_TELEMETRY,
         speculate: bool = True,
         max_worker_failures: int = 3,
-        straggle_threshold: float = STRAGGLE_THRESHOLD,
-        straggle_factor: float = STRAGGLE_FACTOR,
-        crash_fraction: float = CRASH_FRACTION,
         heartbeat_interval: float = HEARTBEAT_INTERVAL,
         misses_allowed: int = MISSES_ALLOWED,
     ) -> None:
@@ -304,9 +301,6 @@ class WorkerFleet:
         )
         self.speculate = speculate
         self.max_worker_failures = max(1, int(max_worker_failures))
-        self.straggle_threshold = straggle_threshold
-        self.straggle_factor = straggle_factor
-        self.crash_fraction = crash_fraction
         self.stats = FleetStats(jobs=jobs, workers_alive=jobs)
 
     # ------------------------------------------------------------------
@@ -384,7 +378,7 @@ class WorkerFleet:
                 # The worker dies partway through; its heartbeat stops
                 # and the lease expires a full timeout later — only then
                 # does the group become eligible for reassignment.
-                died_at = start + self.crash_fraction * item.cost
+                died_at = start + CRASH_FRACTION * item.cost
                 worker.busy_seconds += died_at - start
                 wave_busy[worker.wid] += died_at - start
                 free[worker.wid] = died_at
@@ -434,8 +428,8 @@ class WorkerFleet:
             finish = start + item.cost
             if self._consult("worker.straggle", worker, item):
                 self.stats.straggles += 1
-                slow_finish = start + self.straggle_factor * item.cost
-                detect = start + self.straggle_threshold * item.cost
+                slow_finish = start + STRAGGLE_FACTOR * item.cost
+                detect = start + STRAGGLE_THRESHOLD * item.cost
                 self.telemetry.event("fleet.straggler_detected", worker=worker.wid,
                                      group=item.digest, wave=index)
                 finish = slow_finish

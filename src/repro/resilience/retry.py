@@ -46,11 +46,9 @@ class SimulatedClock:
     """Monotonic simulated time; ``sleep`` advances instead of blocking."""
 
     now: float = 0.0
-    sleeps: List[float] = field(default_factory=list)
 
     def sleep(self, seconds: float) -> None:
         self.now += seconds
-        self.sleeps.append(seconds)
 
 
 @dataclass

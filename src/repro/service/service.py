@@ -380,7 +380,6 @@ class AdaptationService:
         cache_capacity: int = 512,
         breaker_threshold: int = 3,
         breaker_reset: float = 180.0,
-        dispatch_overhead: float = DISPATCH_OVERHEAD,
         durable: bool = True,
         federation=None,
     ) -> None:
@@ -401,8 +400,7 @@ class AdaptationService:
             "seed": seed, "injector": injector, "policy": policy,
             "cache_capacity": cache_capacity,
             "breaker_threshold": breaker_threshold,
-            "breaker_reset": breaker_reset,
-            "dispatch_overhead": dispatch_overhead, "federation": federation,
+            "breaker_reset": breaker_reset, "federation": federation,
         }
         # Request cost is measured as telemetry-clock progress (rebuild
         # makespans, retry backoff, workload runs all charge it), so the
@@ -438,7 +436,6 @@ class AdaptationService:
             )
             for name in ("registry", "fleet", "mirrors")
         }
-        self.dispatch_overhead = dispatch_overhead
         self.tenants: Dict[str, TenantState] = {}
         self.mirrors: Dict[str, ImageRegistry] = {}
         self.outcomes: List[RequestOutcome] = []
@@ -1032,7 +1029,7 @@ class AdaptationService:
         outcome.started_at = self.clock.now
         if request.mode == MODE_FULL and outcome.status != STATUS_REJECTED:
             self._leaders[work] = request.seq
-        finish = self.clock.now + self.dispatch_overhead + outcome.cost
+        finish = self.clock.now + DISPATCH_OVERHEAD + outcome.cost
         # Written *after* _execute returns: this record asserts the
         # request's durable effects (rebuild journal, +coMre manifest in
         # the mounted layout) exist, which is what lets a restart resume
@@ -1200,7 +1197,7 @@ class AdaptationService:
         self.workers_in_use -= request.eff_jobs
         outcome.finished_at = self.clock.now
         outcome.latency = outcome.finished_at - request.submit_at
-        charged = outcome.cost + self.dispatch_overhead
+        charged = outcome.cost + DISPATCH_OVERHEAD
         tenant.served_seconds += charged
         tenant.vtime += charged / tenant.weight
         self._cost_sum += charged

@@ -37,6 +37,7 @@ from repro.telemetry.metrics import (
 )
 from repro.telemetry.spans import (
     EVENT_LOG_CAP,
+    SPAN_ROOT_CAP,
     NULL_TELEMETRY,
     Event,
     NullTelemetry,
@@ -69,6 +70,7 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "DEFAULT_RULES",
     "EVENT_LOG_CAP",
+    "SPAN_ROOT_CAP",
     "NULL_TELEMETRY",
     "Alert",
     "ControlPlane",

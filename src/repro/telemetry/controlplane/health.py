@@ -17,7 +17,10 @@ Components: ``engine``, ``fleet``, ``cache``, ``federation``, plus one
 ``mirror:<name>`` per mirror.  Statuses rank
 ``healthy < unknown < degraded < critical``; the overall status is the
 worst *known* component (all-unknown stays unknown).  Exit-code policy
-matches fsck: healthy/unknown -> 0, degraded/critical -> 1.
+matches fsck: healthy/unknown -> 0, degraded/critical -> 1.  The spans
+and events the control plane's recorder dropped at its log caps are a
+note on the ``overall`` row, never an escalation: the history is
+partial, the system is not sick.
 """
 
 from __future__ import annotations
@@ -88,6 +91,10 @@ class HealthReport:
     components: List[ComponentHealth] = field(default_factory=list)
     samples_taken: int = 0
     rules_evaluated: int = 0
+    #: What the recorder's bounded logs dropped (``Telemetry.spans_dropped``,
+    #: ``Telemetry.events_dropped``).
+    spans_dropped: int = 0
+    events_dropped: int = 0
 
     @property
     def overall(self) -> str:
@@ -116,9 +123,12 @@ class HealthReport:
             (c.name, c.status, "; ".join(c.reasons) if c.reasons else "-")
             for c in self.components
         ]
-        rows.append(("overall", self.overall,
-                     f"{self.samples_taken} samples, "
-                     f"{self.rules_evaluated} rule evaluations"))
+        evidence = (f"{self.samples_taken} samples, "
+                    f"{self.rules_evaluated} rule evaluations")
+        if self.spans_dropped or self.events_dropped:
+            evidence += (f"; telemetry logs full: {self.spans_dropped} "
+                         f"span(s), {self.events_dropped} event(s) dropped")
+        rows.append(("overall", self.overall, evidence))
         return rows
 
     def to_json(self) -> dict:
@@ -127,6 +137,8 @@ class HealthReport:
             "components": [c.to_json() for c in self.components],
             "samples_taken": self.samples_taken,
             "rules_evaluated": self.rules_evaluated,
+            "spans_dropped": self.spans_dropped,
+            "events_dropped": self.events_dropped,
         }
 
 
@@ -188,6 +200,9 @@ def score_health(
         return components[name]
 
     report = HealthReport()
+    if controlplane is not None:
+        report.spans_dropped = controlplane.telemetry.spans_dropped
+        report.events_dropped = controlplane.telemetry.events_dropped
     if controlplane is None or controlplane.sampler.samples_taken == 0:
         for comp in components.values():
             comp.status = STATUS_UNKNOWN

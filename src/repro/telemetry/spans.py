@@ -18,14 +18,23 @@ exported traces show *where the simulated seconds went*.
 it takes every call and every span write a :class:`Telemetry` takes and
 records nothing, so instrumented code calls its recorder unconditionally
 and no site checks ``enabled``.  Untraced runs stay byte-identical.
+
+Both logs are bounded, so a recorder that lives as long as a service
+holds a fixed amount of history: the event log keeps the newest
+:data:`EVENT_LOG_CAP` events and the span log the newest
+:data:`SPAN_ROOT_CAP` root spans with their subtrees.  A write at the
+cap is O(1), and what falls off the old end is counted
+(:attr:`Telemetry.events_dropped`, :attr:`Telemetry.spans_dropped`) so
+``health`` can say the history is partial.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Deque, Dict, Iterator, List, Optional
 
 from repro.telemetry.metrics import MetricsRegistry, NullMetricsRegistry
 
@@ -37,6 +46,12 @@ CLOCK_TICK = 1e-6
 #: The central event log is bounded; a traced chaos sweep can arm fault
 #: sites thousands of times and must not grow memory without bound.
 EVENT_LOG_CAP = 65536
+
+#: Root spans kept, each with its whole subtree.  A root is appended only
+#: while no span is open, so every root older than it has finished and
+#: only finished trees are ever dropped.  (The service opens about 6.4
+#: spans per root, so 8,192 roots come to about 52k spans.)
+SPAN_ROOT_CAP = 8192
 
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
@@ -151,8 +166,12 @@ class Telemetry:
     def __init__(self, clock: Optional[TelemetryClock] = None) -> None:
         self.clock = clock or TelemetryClock()
         self.metrics = MetricsRegistry()
-        self.roots: List[Span] = []
-        self.events: List[Event] = []
+        self.roots: Deque[Span] = deque(maxlen=SPAN_ROOT_CAP)
+        self.events: Deque[Event] = deque(maxlen=EVENT_LOG_CAP)
+        #: Events and spans (a dropped root counts its whole subtree) that
+        #: fell off the old end of their bounded logs.
+        self.events_dropped = 0
+        self.spans_dropped = 0
         self._stack: List[Span] = []
         self._ids = itertools.count(1)
 
@@ -174,6 +193,8 @@ class Telemetry:
         if parent is not None:
             parent.children.append(span)
         else:
+            if len(self.roots) == SPAN_ROOT_CAP:
+                self.spans_dropped += sum(1 for _ in _depth_first(self.roots[0]))
             self.roots.append(span)
         self._stack.append(span)
         if self.profiler is not None:
@@ -209,9 +230,9 @@ class Telemetry:
             span_id=current.span_id if current is not None else None,
             attributes=attributes,
         )
+        if len(self.events) == EVENT_LOG_CAP:
+            self.events_dropped += 1
         self.events.append(evt)
-        if len(self.events) > EVENT_LOG_CAP:
-            del self.events[: len(self.events) - EVENT_LOG_CAP]
         return evt
 
     def charge(self, seconds: float) -> None:
@@ -223,11 +244,7 @@ class Telemetry:
 
     def iter_spans(self) -> Iterator[Span]:
         """All spans, depth-first in start order."""
-        stack = list(reversed(self.roots))
-        while stack:
-            span = stack.pop()
-            yield span
-            stack.extend(reversed(span.children))
+        return _depth_first(*self.roots)
 
     def find_spans(self, name: str) -> List[Span]:
         return [s for s in self.iter_spans() if s.name == name]
@@ -238,12 +255,23 @@ class Telemetry:
     def reset(self) -> None:
         self.roots.clear()
         self.events.clear()
+        self.events_dropped = 0
+        self.spans_dropped = 0
         self._stack.clear()
         self.metrics = MetricsRegistry()
         self.clock = TelemetryClock()
         # A fresh clock invalidates any attached control plane's marks.
         self.controlplane = None
         self.profiler = None
+
+
+def _depth_first(*roots: Span) -> Iterator[Span]:
+    """Every span of the *roots*' trees, depth-first in start order."""
+    stack = list(reversed(roots))
+    while stack:
+        span = stack.pop()
+        yield span
+        stack.extend(reversed(span.children))
 
 
 class _NullSpan:
@@ -291,6 +319,8 @@ class NullTelemetry:
     current = None
     controlplane = None
     profiler = None
+    events_dropped = 0
+    spans_dropped = 0
 
     def __init__(self) -> None:
         self.metrics = NullMetricsRegistry()

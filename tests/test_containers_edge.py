@@ -98,10 +98,10 @@ class TestImageStore:
         assert not fs2.exists("/tainted")
 
     def test_the_engine_keeps_no_tree_and_still_counts_flattens(self):
-        from repro.oci.apply import flatten_memo_clear
+        from repro.memo import MEMOS
         from repro.telemetry import Telemetry
 
-        flatten_memo_clear()
+        MEMOS["flatten"].clear()
         engine = ContainerEngine(arch="amd64")
         engine.telemetry = Telemetry()
         for i in range(100):

@@ -437,6 +437,28 @@ class TestHealthScoring:
         assert engine.status == STATUS_CRITICAL
         assert "2 corrupt" in engine.reasons[0]
 
+    def test_dropped_telemetry_is_a_note_on_the_overall_row(self):
+        from repro.telemetry import EVENT_LOG_CAP, SPAN_ROOT_CAP
+
+        tele, cp = controlplane(cadence=1.0)
+        cp.advance(1.0)
+        healthy = cp.health()
+        assert "dropped" not in healthy.status_rows()[-1][2]
+        for _ in range(SPAN_ROOT_CAP + 2):
+            with tele.span("request"):
+                pass
+        for _ in range(EVENT_LOG_CAP + 3):
+            tele.event("tick")
+        report = cp.health()
+        assert (report.spans_dropped, report.events_dropped) == (2, 3)
+        assert report.status_rows()[-1][2].endswith(
+            "telemetry logs full: 2 span(s), 3 event(s) dropped")
+        assert report.to_json()["spans_dropped"] == 2
+        # A note, never an escalation.
+        assert report.overall == healthy.overall
+        assert [c.status for c in report.components] == [
+            c.status for c in healthy.components]
+
     def test_clean_fsck_with_repairs_annotates_only(self):
         tele, cp = controlplane(cadence=1.0)
         cp.advance(1.0)

@@ -251,7 +251,6 @@ class TestSync:
             media_type=good.media_type, digest=digest,
             size=good.size, payload=b"{}",
         )
-        store._verified.discard(digest)
         assert not fed.converged(mirror)
         fed.push("lab/app:1.0", manifest, config, [layer])
         fed.sync_mirror("edge-0")
@@ -448,7 +447,6 @@ class TestFederationRepair:
             media_type=good.media_type, digest=digest,
             size=good.size, payload=b"rotten bytes",
         )
-        store._verified.discard(digest)
         return digest
 
     def test_origin_blob_self_heals_from_replica(self):
@@ -520,7 +518,6 @@ class TestFederationRepair:
             media_type=good.media_type, digest=digest,
             size=good.size, payload=b"{}",
         )
-        mirror.registry.blobs._verified.discard(digest)
         report = fsck_federation(fed, repair=True)
         assert report.clean
         assert any(

@@ -195,7 +195,6 @@ class TestReplicaRepairSweep:
             media_type=good.media_type, digest=digest,
             size=good.size, payload=b"\x00" * good.size,
         )
-        store._verified.discard(digest)
         assert check_blob(store.try_get(digest)) is not None
         outcome = fed.repair_engine().repair_blob(store, digest)
         assert outcome.repaired and outcome.source.startswith("mirror:")

@@ -54,6 +54,18 @@ def _make_image(tag_data=b"payload"):
     return manifest, config, layer
 
 
+def _spy_rehash(monkeypatch):
+    """Record the digest of every stored-bytes hash (``blobs._rehash``
+    runs once per object whose verdict is not yet remembered)."""
+    from repro.oci import blobs as blobs_mod
+
+    hashed = []
+    real = blobs_mod._rehash
+    monkeypatch.setattr(blobs_mod, "_rehash",
+                        lambda blob: (hashed.append(blob.digest), real(blob))[1])
+    return hashed
+
+
 def _make_layout(tag="app:latest", tag_data=b"payload"):
     layout = OCILayout()
     manifest, config, layer = _make_image(tag_data)
@@ -129,23 +141,40 @@ class TestVerifiedReads:
             store.get(desc.digest)
 
     def test_verify_false_returns_corrupt_bytes(self):
-        """Opting out of verification reads whatever landed — the escape
-        hatch the repair/forensics paths rely on."""
+        """The forensic read returns whatever landed — the escape hatch
+        the repair/forensics paths rely on — while ``get`` refuses it."""
         store = BlobStore()
         store.fault_injector = FaultInjector(
             corruptions=[CorruptionSpec(site="blob.store", mode="bitflip")]
         )
         desc = store.put_bytes(b"payload-bytes", mediatypes.IMAGE_CONFIG)
-        blob = store.get(desc.digest, verify=False)
+        blob = store.try_get(desc.digest)
         assert blob.as_bytes() != b"payload-bytes"
+        with pytest.raises(IntegrityError):
+            store.get(desc.digest)
 
-    def test_verification_memoized_until_rewrite(self):
+    def test_verification_memoized_until_rewrite(self, monkeypatch):
+        hashed = _spy_rehash(monkeypatch)
         store = BlobStore()
         desc = store.put_bytes(b"clean", mediatypes.IMAGE_CONFIG)
-        store.get(desc.digest)
-        assert desc.digest in store._verified
+        for _ in range(3):
+            store.get(desc.digest)
+        assert hashed == [desc.digest]      # one object, hashed once
         store.put_bytes(b"clean", mediatypes.IMAGE_CONFIG)
-        assert desc.digest not in store._verified
+        for _ in range(3):
+            store.get(desc.digest)
+        assert hashed == [desc.digest] * 2  # the rewrite is a new object
+
+    def test_an_object_replaced_after_a_clean_read_fails_the_next_read(self):
+        store = BlobStore()
+        desc = store.put_bytes(b"clean", mediatypes.IMAGE_CONFIG)
+        good = store.get(desc.digest)
+        store._blobs[desc.digest] = dataclasses.replace(good, payload=b"rotten")
+        with pytest.raises(IntegrityError) as exc_info:
+            store.get(desc.digest)
+        assert exc_info.value.finding.kind == KIND_DIGEST_MISMATCH
+        store._blobs[desc.digest] = good
+        assert store.get(desc.digest) is good
 
     def test_layer_blob_verification(self):
         store = BlobStore()
@@ -213,7 +242,6 @@ def _rot_config(registry, config):
     repair it (no sources): the digest ends up quarantined."""
     good = registry.blobs.try_get(config.digest)
     registry.blobs._blobs[config.digest] = dataclasses.replace(good, payload=b"{}")
-    registry.blobs._verified.discard(config.digest)
     assert not RepairEngine().repair_blob(registry.blobs, config.digest).repaired
     assert [f.digest for f in registry.blobs.quarantined()] == [config.digest]
 
@@ -742,78 +770,63 @@ class TestFindingTypes:
 
 
 class TestMerkleMemoization:
-    """Repeat pulls skip the Merkle re-walk while every member blob is
-    still verified; any blob-store churn on a member invalidates it."""
+    """Every verified pull walks the Merkle tree; the members answer from
+    their own remembered verdicts, so no stored object is hashed twice,
+    and a new object is hashed once before it is trusted."""
 
     def _pushed_registry(self):
         layout, manifest, config, layer = _make_layout()
         registry = ImageRegistry()
         registry.push_layout("repro/app:latest", layout, tag="app:latest")
-        return registry, layer
+        return registry, manifest, config
 
     def test_double_pull_rehashes_each_blob_at_most_once(self, monkeypatch):
         from collections import Counter
 
-        from repro.oci import blobs as blobs_mod
         from repro.oci.layout import ResolvedImage
 
-        registry, _ = self._pushed_registry()
+        registry, _, _ = self._pushed_registry()
         walks = []
         orig_verify = ResolvedImage.verify
         monkeypatch.setattr(
             ResolvedImage, "verify",
             lambda self: (walks.append(1), orig_verify(self))[1])
-        hashed = []
-        orig_check = blobs_mod.check_blob
-        monkeypatch.setattr(
-            blobs_mod, "check_blob",
-            lambda blob: (hashed.append(blob.digest), orig_check(blob))[1])
+        hashed = _spy_rehash(monkeypatch)
 
         first = registry.pull("repro/app:latest")
-        assert len(walks) == 1
-        walked_after_first = len(walks)
         second = registry.pull("repro/app:latest")
-        # The repeat pull neither re-walks the tree nor re-hashes blobs.
-        assert len(walks) == walked_after_first
-        assert all(count <= 1 for count in Counter(hashed).values())
-        assert second.manifest.digest == first.manifest.digest
+        third = registry.pull("repro/app:latest")
+        assert len(walks) == 3              # the walk runs on every pull
+        assert hashed and all(count == 1 for count in Counter(hashed).values())
+        assert first.manifest.digest == second.manifest.digest == third.manifest.digest
 
     def test_member_churn_forces_rehash(self, monkeypatch):
-        from repro.oci import blobs as blobs_mod
-
-        registry, layer = self._pushed_registry()
-        hashed = []
-        orig_check = blobs_mod.check_blob
-        monkeypatch.setattr(
-            blobs_mod, "check_blob",
-            lambda blob: (hashed.append(blob.digest), orig_check(blob))[1])
-
-        digest = layer.digest
+        registry, _, config = self._pushed_registry()
+        hashed = _spy_rehash(monkeypatch)
+        digest = config.digest
         registry.pull("repro/app:latest")
         registry.pull("repro/app:latest")
-        assert hashed.count(digest) == 1   # verified once, then memoized
-        # Quarantine + restore the member: the verified set forgets it,
-        # so the next pull must re-hash that blob before trusting it.
+        assert hashed.count(digest) == 1   # verified once, then remembered
+        # Quarantine the member, then store a new object with the same
+        # bytes: the next pull hashes that object once before trusting it.
         assert registry.blobs.quarantine(digest)
-        blob = registry.blobs.quarantined_blob(digest)
-        assert registry.blobs.release_quarantine(digest)
-        registry.blobs.put(blob)
-        before = hashed.count(digest)
+        data = registry.blobs.quarantined_blob(digest).as_bytes()
+        registry.blobs.put_bytes(data, mediatypes.IMAGE_CONFIG)
         registry.pull("repro/app:latest")
-        assert hashed.count(digest) == before + 1
-        # Re-verified: the memo holds again on the following pull.
+        assert hashed.count(digest) == 2
+        # Its verdict now sits on the object: the following pull hashes nothing.
+        before = len(hashed)
         registry.pull("repro/app:latest")
-        assert hashed.count(digest) == before + 1
+        assert len(hashed) == before
 
-    def test_memo_counters(self):
-        from repro.telemetry import Telemetry, install_telemetry
-
-        registry, _ = self._pushed_registry()
-        tele = Telemetry()
-        install_telemetry(tele, registry=registry)
+    def test_a_replaced_config_that_still_parses_fails_the_next_pull(self):
+        registry, _, config = self._pushed_registry()
         registry.pull("repro/app:latest")
-        registry.pull("repro/app:latest")
-        registry.pull("repro/app:latest")
-        m = tele.metrics
-        assert m.value("registry_merkle_walks_total") == 1
-        assert m.value("registry_merkle_memo_hits_total") == 2
+        other = ImageConfig(architecture="arm64", env=["PATH=/usr/bin"],
+                            entrypoint=["/app/bin"])
+        good = registry.blobs.try_get(config.digest)
+        registry.blobs._blobs[config.digest] = dataclasses.replace(
+            good, payload=other.to_bytes())
+        with pytest.raises(IntegrityError) as exc_info:
+            registry.pull("repro/app:latest")
+        assert exc_info.value.digest == config.digest

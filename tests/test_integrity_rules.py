@@ -52,7 +52,6 @@ def _rot(store, digest, payload: bytes):
     good = store.try_get(digest)
     store._blobs[digest] = Blob(media_type=good.media_type, digest=digest,
                                 size=good.size, payload=payload)
-    store._verified.discard(digest)
 
 
 class TestQuarantinedReferencedBlob:
@@ -253,11 +252,9 @@ class TestIntactLookup:
         manifest, config, layer = _image(b"intact")
         registry.push("lab/app:1", manifest, config, [layer])
         store = registry.blobs
-        # No arming and no verified-read memo: a scripted read fault is
-        # not consumed, and the digest is not marked verified.
+        # No arming: a scripted read fault is not consumed.
         store.fault_injector = FaultInjector(specs=[FaultSpec(site="blob.read")])
         assert store.intact(layer.digest) is store.try_get(layer.digest)
-        assert not store.is_verified(layer.digest)
         assert store.intact("sha256:" + "0" * 64) is None
         _rot(store, config.digest, b"{}")
         assert store.intact(config.digest) is None

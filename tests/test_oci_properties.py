@@ -3,6 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.memo import MEMOS
 from repro.oci import Layer, LayerEntry, apply_layer, diff_filesystems, flatten_layers
 from repro.oci import apply as oci_apply
 from repro.oci.diff import layer_from_tree
@@ -100,7 +101,7 @@ class TestPrefixFlatten:
 
     @given(_stacks, st.data())
     def test_flatten_after_any_primed_prefix_equals_fresh_application(self, stack, data):
-        oci_apply.flatten_memo_clear()
+        MEMOS["flatten"].clear()
         cut = data.draw(st.integers(0, len(stack)), label="primed prefix")
         prefix = stack[:cut]
         if cut:
@@ -122,7 +123,7 @@ class TestPrefixFlatten:
                     lambda: apply_fresh(prefix))
 
     def test_a_stack_over_a_flattened_prefix_applies_only_its_top(self, monkeypatch):
-        oci_apply.flatten_memo_clear()
+        MEMOS["flatten"].clear()
         prefix = [
             Layer(entries=[LayerEntry.directory("/usr"),
                            LayerEntry.file("/usr/a", InlineContent(b"a")),

@@ -52,7 +52,7 @@ class TestRetry:
         assert len(attempts) == 3
         assert stats.retries == {"t": 2}
         assert clock.now > 0.0           # backoff charged to simulated time
-        assert len(clock.sleeps) == 2
+        assert clock.now == stats.spend["t"]   # both backoffs were charged
 
     def test_fatal_error_not_retried(self):
         calls = []

@@ -16,6 +16,7 @@ import repro
 from repro.telemetry import (
     EVENT_LOG_CAP,
     NULL_TELEMETRY,
+    SPAN_ROOT_CAP,
     MetricError,
     MetricsRegistry,
     NullMetricsRegistry,
@@ -100,6 +101,30 @@ class TestSpans:
         # Oldest entries were evicted, newest kept.
         assert tele.events[-1].attributes["i"] == EVENT_LOG_CAP + 99
         assert tele.events[0].attributes["i"] == 100
+        assert tele.events_dropped == 100
+        tele.reset()
+        assert tele.events_dropped == 0
+
+    def test_span_log_keeps_the_newest_roots_and_counts_their_trees(self):
+        tele = Telemetry()
+        for i in range(SPAN_ROOT_CAP + 10):
+            with tele.span("request", i=i):
+                with tele.span("rebuild"):
+                    with tele.span("rebuild.node"):
+                        pass
+                if i % 2:
+                    with tele.span("redirect"):
+                        pass
+        assert len(tele.roots) == SPAN_ROOT_CAP
+        assert tele.roots[0].attributes["i"] == 10
+        assert tele.roots[-1].attributes["i"] == SPAN_ROOT_CAP + 9
+        # Ten roots dropped: each of three spans, the odd five one more.
+        assert tele.spans_dropped == 10 * 3 + 5
+        assert tele.events_dropped == 0
+        assert sum(1 for _ in tele.iter_spans()) == (
+            SPAN_ROOT_CAP * 3 + SPAN_ROOT_CAP // 2)
+        tele.reset()
+        assert tele.spans_dropped == 0
 
     def test_find_spans_and_reset(self):
         tele = Telemetry()
@@ -111,8 +136,8 @@ class TestSpans:
         assert len(tele.find_spans("rebuild.node")) == 2
         tele.metrics.counter("x_total").inc()
         tele.reset()
-        assert tele.roots == []
-        assert tele.events == []
+        assert list(tele.roots) == []
+        assert list(tele.events) == []
         assert len(tele.metrics) == 0
         assert tele.clock.now == 0.0
 
