@@ -531,15 +531,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
     flight dedup.  ``--noisy`` makes tenant 0 submit at 10x the fair
     rate (the WFQ scheduler contains the damage); ``--fault-rate``
     arms seeded transfer/worker faults so the circuit breakers and the
-    degradation ladder have something to do.  The service journals to a
-    write-ahead log; ``--crash-at T`` kills the simulated process at T
-    seconds and restarts it from the WAL — recovered/resumed requests
-    show in the report.
+    degradation ladder have something to do.  ``--mirrors N`` puts the
+    service's origin in a federation with N edge mirrors, synced after
+    each completed request.  The service journals to a write-ahead log;
+    ``--crash-at T`` kills the simulated process at T seconds and
+    restarts it from the WAL — recovered/resumed requests show in the
+    report.
     Exit code 1 when any admitted request is lost (never expected),
     else 0.
     """
     import random as _random
 
+    from repro.federation import FederatedRegistry
     from repro.reporting import render_service_report
     from repro.resilience import FaultInjector
     from repro.service import (
@@ -560,6 +563,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
             worker_crash_rate=args.fault_rate / 2,
             worker_flaky_rate=args.fault_rate / 2,
         )
+    federation = None
+    if args.mirrors:
+        federation = FederatedRegistry(injector=injector,
+                                       telemetry=args.telemetry)
+        for i in range(args.mirrors):
+            federation.add_mirror(f"edge-{i}")
     service = AdaptationService(
         system=system,
         workers=args.workers,
@@ -567,6 +576,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         injector=injector,
         queue_capacity=args.queue_capacity,
         telemetry=args.telemetry,
+        federation=federation,
     )
     rng = _random.Random(f"comtainer-serve:{args.seed}")
     for i in range(args.tenants):
@@ -575,9 +585,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             weight=2.0 if i == 0 else 1.0,
             max_workers=max(1, args.workers // 2),
         )
-    if args.mirrors:
-        for i in range(args.mirrors):
-            service.add_mirror(f"edge-{i}")
     priorities = (PRIORITY_HIGH, PRIORITY_NORMAL, PRIORITY_NORMAL,
                   PRIORITY_BATCH)
     for i in range(args.tenants):

@@ -118,6 +118,10 @@ class FederatedRegistry:
         self.origin = origin if origin is not None else ImageRegistry()
         self.injector = injector
         self.telemetry = telemetry
+        if injector is not None and telemetry.enabled:
+            # Faults fired at the sync engine's sites are recorded here;
+            # without a live recorder, the injector keeps its own.
+            injector.telemetry = telemetry
         self.mirrors: Dict[str, Mirror] = {}
         #: Bumped on every origin mutation; mirrors record the generation
         #: they last converged to, giving a staleness measure that does

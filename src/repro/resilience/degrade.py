@@ -319,17 +319,13 @@ def resilient_transfer(registry, layout, name, tags, ctx=None, repair=None):
 # ---------------------------------------------------------------------------
 
 def redirect_only_adapt(engine, layout, dist_tag, system, flavor, ref, ctx) -> str:
-    """Rung 3: generic binaries + the system's optimized runtime libraries.
+    """Rung 4: generic binaries + the system's optimized runtime libraries.
 
     Mirrors the paper's library-only adaptation (Figure 3 ``libo``): the
     recorded library paths of the *unmodified* binaries re-resolve through
     compat symlinks to the vendor-optimized code.  No rebuild container,
     no compile nodes — only filesystem surgery, so persistent
     ``container.run`` faults cannot reach this rung.
-
-    The adaptation service's load-shedding ladder also enters the
-    degradation ladder *here* directly (skipping the rebuild rungs on
-    purpose) when shedding a low-priority request under queue pressure.
     """
     from repro.core.backend.replacement import replace_installed_libraries
     from repro.core.images import install_system_side_images
@@ -393,12 +389,17 @@ def adapt_with_resilience(
     speculate: bool = True,
     max_worker_failures: int = 3,
     deadline: Optional[float] = None,
+    rung: str = RUNG_FULL,
 ) -> ResilienceReport:
     """System-side adaptation that always terminates with a runnable image.
 
     With a strict (or absent) context this is exactly
     :func:`repro.core.workflow.system_side_adapt` — errors propagate.
-    With a permissive context the ladder walks rungs until one holds.
+    With a permissive context the ladder walks rungs until one holds,
+    starting at *rung*: ``redirect-only`` skips the rebuild attempts and
+    ``generic`` skips the redirect-only rung too (the adaptation
+    service's load shedding enters the ladder there).  The strict path
+    ignores *rung*.
     When a :class:`repro.integrity.repair.RepairEngine` is supplied, a
     rung that fails on a typed ``IntegrityError`` gets one repair pass
     over the layout and one retry before the ladder descends.  A parallel
@@ -444,9 +445,11 @@ def adapt_with_resilience(
     # Rungs 1-3: rebuild + redirect.  First with the requested
     # optimizations, then — if a parallel worker fleet died — once more
     # serially, then (if the optimizations were the problem) plain.
-    attempts = [(lto, pgo_workload, "optimized rebuild", jobs)]
-    if lto or pgo_workload is not None:
-        attempts.append((False, None, "plain rebuild", jobs))
+    attempts = []
+    if rung == RUNG_FULL:
+        attempts.append((lto, pgo_workload, "optimized rebuild", jobs))
+        if lto or pgo_workload is not None:
+            attempts.append((False, None, "plain rebuild", jobs))
     adapted_ref = None
     degraded_options = False
     serial_fleet_added = False
@@ -539,20 +542,23 @@ def adapt_with_resilience(
         else:
             report.rung = RUNG_PARTIAL if degraded else RUNG_FULL
     elif report.deadline_exceeded is None:
-        # Rung 3: redirect-only (library-only adaptation, no rebuild).
-        try:
-            report.ref = redirect_only_adapt(
-                engine, layout, dist_tag, system, flavor, ref, ctx
-            )
-            report.rung = RUNG_REDIRECT_ONLY
-        except Exception as exc:
-            _note_integrity(report, exc, layout, repair, ctx, tele)
-            report.reasons.append(f"redirect-only failed: {exc}")
-            tele.event("degradation.attempt_failed", tag=dist_tag,
-                       label="redirect-only", error=str(exc))
-            logger.warning("redirect-only of %s failed, serving generic: %s",
-                           dist_tag, exc)
-            # Rung 4: the untouched generic dist image.  Loads straight
+        if rung != RUNG_GENERIC:
+            # Rung 4: redirect-only (library-only adaptation, no rebuild).
+            try:
+                report.ref = redirect_only_adapt(
+                    engine, layout, dist_tag, system, flavor, ref, ctx
+                )
+                report.rung = RUNG_REDIRECT_ONLY
+            except Exception as exc:
+                _note_integrity(report, exc, layout, repair, ctx, tele)
+                report.reasons.append(f"redirect-only failed: {exc}")
+                tele.event("degradation.attempt_failed", tag=dist_tag,
+                           label="redirect-only", error=str(exc))
+                logger.warning(
+                    "redirect-only of %s failed, serving generic: %s",
+                    dist_tag, exc)
+        if report.ref is None:
+            # Rung 5: the untouched generic dist image.  Loads straight
             # from the already-transferred layout, so nothing can stop it.
             report.ref = ctx.retry(
                 lambda: engine.load_from_layout(layout, dist_tag, ref=ref),

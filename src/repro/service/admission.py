@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
+from repro.resilience.degrade import RUNG_FULL, RUNG_GENERIC, RUNG_REDIRECT_ONLY
 from repro.service.errors import ServiceOverloadError
 from repro.telemetry import NULL_TELEMETRY
 
@@ -51,13 +52,15 @@ def priority_rank(priority: str) -> int:
     return _PRIORITY_RANK.get(priority, len(PRIORITY_ORDER) - 1)
 
 
-MODE_FULL = "full"
-MODE_REDIRECT_ONLY = "redirect-only"
-MODE_GENERIC = "generic"
+#: The service levels admission grants are the degradation ladder's
+#: rungs: a request's mode is the rung its adaptation starts at.
+MODE_FULL = RUNG_FULL
+MODE_REDIRECT_ONLY = RUNG_REDIRECT_ONLY
+MODE_GENERIC = RUNG_GENERIC
 
 #: The load-shedding ladder: how far an admitted request is degraded
 #: before the service starts rejecting outright.
-SHED_LADDER = (MODE_FULL, MODE_REDIRECT_ONLY, MODE_GENERIC)
+SHED_LADDER = (RUNG_FULL, RUNG_REDIRECT_ONLY, RUNG_GENERIC)
 
 
 @dataclass
@@ -141,10 +144,10 @@ class AdmissionQueue:
         """The service level the current occupancy grants *priority*."""
         occupancy = self.occupancy()
         if occupancy < self.shed_watermark or priority == PRIORITY_HIGH:
-            return MODE_FULL
+            return RUNG_FULL
         if occupancy < self.full_watermark:
-            return MODE_REDIRECT_ONLY if priority == PRIORITY_BATCH else MODE_FULL
-        return MODE_GENERIC if priority == PRIORITY_BATCH else MODE_REDIRECT_ONLY
+            return RUNG_REDIRECT_ONLY if priority == PRIORITY_BATCH else RUNG_FULL
+        return RUNG_GENERIC if priority == PRIORITY_BATCH else RUNG_REDIRECT_ONLY
 
     def _displaceable(self, arriving_rank: int):
         """Worst strictly-lower-priority queued request (newest last)."""
@@ -180,7 +183,7 @@ class AdmissionQueue:
             self._items.remove(displaced)
             self.displaced += 1
         request.mode = self._shed_mode(request.priority)
-        if request.mode != MODE_FULL:
+        if request.mode != RUNG_FULL:
             request.shed = True
             self.shed += 1
         self._items.append(request)

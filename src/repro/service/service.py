@@ -16,7 +16,9 @@ The moving parts, each its own module:
   classes, weighted-fair queuing across tenants, token-bucket rate
   limits, watermark-based load shedding down the degradation ladder
   (full -> redirect-only -> generic) and displacement before a typed
-  :class:`~repro.service.errors.ServiceOverloadError`.
+  :class:`~repro.service.errors.ServiceOverloadError`.  A shed request
+  enters :func:`~repro.resilience.adapt_with_resilience` at the rung
+  it was granted, so it walks the same ladder a full request descends.
 * bulkheads — per-tenant caps on concurrent rebuild fleet workers plus
   a global worker pool: a tenant can exhaust its own compartment, never
   the ship.
@@ -41,11 +43,16 @@ The moving parts, each its own module:
 * durability (:mod:`repro.service.wal`) — every state transition is
   appended to a write-ahead log; :meth:`AdaptationService.restart`
   replays it after a simulated crash.
+* federation (optional, :class:`~repro.federation.FederatedRegistry`) —
+  its origin is the service's registry; its mirrors are synced after
+  each completed request, and the registry breaker opening fails the
+  origin over to the freshest converged mirror.
 
 Every *admitted* request terminates in exactly one of four typed
 outcomes — ``completed``, ``degraded``, ``rejected`` (displacement) or
 ``deadline-exceeded`` — and the final :class:`ServiceReport` accounts
-for all of them; no request is ever lost.
+for all of them; no request is ever lost.  One method accounts each
+terminal outcome, whether it happens live or is replayed from the WAL.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ import heapq
 import random
 import weakref
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.apps import get_app
 from repro.containers.engine import ContainerEngine
@@ -79,13 +86,9 @@ from repro.resilience import (
     RetryStats,
     SimulatedClock,
     adapt_with_resilience,
-    redirect_only_adapt,
     resilient_transfer,
 )
 from repro.service.admission import (
-    MODE_FULL,
-    MODE_GENERIC,
-    MODE_REDIRECT_ONLY,
     PRIORITY_NORMAL,
     AdmissionQueue,
     TokenBucket,
@@ -113,6 +116,16 @@ TERMINAL_STATUSES = (
 #: instead of being absorbed by the single-session PERMISSIVE_RETRY's
 #: near-infinite patience.
 SERVICE_RETRY = RetryPolicy(max_attempts=4, budget_seconds=120.0)
+
+#: The counter each terminal status of an executed request adds one to.
+_FINISHED_COUNTERS = {
+    STATUS_COMPLETED: "service_requests_completed_total",
+    STATUS_DEGRADED: "service_requests_degraded_total",
+    STATUS_DEADLINE_EXCEEDED: "service_requests_deadline_total",
+}
+
+#: The system-side image flavor every tenant engine installs and adapts to.
+FLAVOR = "vendor"
 
 #: Simulated seconds of fixed per-dispatch overhead (scheduling,
 #: container setup); keeps zero-cost cache-warm requests from finishing
@@ -147,8 +160,9 @@ class AdaptationRequest:
     submit_at: float = 0.0
     seq: int = 0
     request_id: str = ""
-    #: Service level granted at admission (shedding may lower it).
-    mode: str = MODE_FULL
+    #: Service level granted at admission (shedding may lower it): the
+    #: ladder rung the request's adaptation starts at.
+    mode: str = RUNG_FULL
     shed: bool = False
     #: Set when the request was parked behind an identical in-flight
     #: leader and re-dispatched against the leader-warmed shared cache.
@@ -203,7 +217,7 @@ class RequestOutcome:
         a missing field takes its default (``""`` for the ids, normal
         priority, full mode for the required ones)."""
         values = {"request_id": "", "tenant": "", "app": "",
-                  "priority": PRIORITY_NORMAL, "mode": MODE_FULL}
+                  "priority": PRIORITY_NORMAL, "mode": RUNG_FULL}
         values.update((name, copy.copy(data[name]))
                       for name in _OUTCOME_JSON if name in data)
         return cls(**values)
@@ -353,7 +367,7 @@ def _request_from(record: dict) -> AdaptationRequest:
         submit_at=float(record.get("submit_at", 0.0)),
         seq=int(record.get("seq", 0)),
         request_id=record.get("request_id", ""),
-        mode=record.get("mode", MODE_FULL),
+        mode=record.get("mode", RUNG_FULL),
         shed=bool(record.get("shed", False)),
     )
 
@@ -367,15 +381,10 @@ class AdaptationService:
     def __init__(
         self,
         system: SystemModel = X86_CLUSTER,
-        flavor: str = "vendor",
         workers: int = 8,
-        nodes: int = 16,
         queue_capacity: int = 32,
-        shed_watermark: float = 0.75,
-        full_watermark: float = 0.9,
         seed: int = 0,
         injector=None,
-        policy: Optional[ResiliencePolicy] = None,
         telemetry=NULL_TELEMETRY,
         cache_capacity: int = 512,
         breaker_threshold: int = 3,
@@ -386,19 +395,15 @@ class AdaptationService:
         if not durable:
             raise ServiceError("the adaptation service is always durable")
         self.system = system
-        self.flavor = flavor
         self.workers = max(1, workers)
-        self.nodes = nodes
         self.seed = seed
         self.injector = injector
         #: Constructor shape a :meth:`restart` rebuilds the process from
         #: (everything except the telemetry recorder).
         self._config = {
-            "system": system, "flavor": flavor, "workers": workers,
-            "nodes": nodes, "queue_capacity": queue_capacity,
-            "shed_watermark": shed_watermark, "full_watermark": full_watermark,
-            "seed": seed, "injector": injector, "policy": policy,
-            "cache_capacity": cache_capacity,
+            "system": system, "workers": workers,
+            "queue_capacity": queue_capacity, "seed": seed,
+            "injector": injector, "cache_capacity": cache_capacity,
             "breaker_threshold": breaker_threshold,
             "breaker_reset": breaker_reset, "federation": federation,
         }
@@ -406,25 +411,27 @@ class AdaptationService:
         # makespans, retry backoff, workload runs all charge it), so the
         # service needs a *live* recorder even when the caller brought none.
         self.telemetry = telemetry if telemetry.enabled else Telemetry()
+        if injector is not None:
+            # The tenant engines borrow the injector per request, after
+            # their recorders are installed: every fault it fires is
+            # recorded here.
+            injector.telemetry = self.telemetry
         #: The service timeline every event runs on.
         self.clock = SimulatedClock()
-        if policy is None:
-            policy = ResiliencePolicy.permissive(
-                seed=seed, injector=injector, retry=SERVICE_RETRY
-            )
-        self.policy = policy
-        self.registry = ImageRegistry()
+        self.policy = ResiliencePolicy.permissive(
+            seed=seed, injector=injector, retry=SERVICE_RETRY
+        )
+        # With a federation, the service's origin registry *is* the
+        # federation's: the registry breaker's half-open probes route
+        # through whichever registry the federation currently calls origin.
+        self.registry = (ImageRegistry() if federation is None
+                         else federation.origin)
+        self._attach(self.registry)
         self.user_engine = ContainerEngine(arch=system.arch)
         install_user_side_images(self.user_engine)
-        if injector is not None:
-            self.registry.fault_injector = injector
-            self.registry.blobs.fault_injector = injector
-        install_telemetry(
-            self.telemetry, registry=self.registry, engines=[self.user_engine]
-        )
+        install_telemetry(self.telemetry, engines=[self.user_engine])
         self.queue = AdmissionQueue(
-            capacity=queue_capacity, shed_watermark=shed_watermark,
-            full_watermark=full_watermark, telemetry=self.telemetry,
+            capacity=queue_capacity, telemetry=self.telemetry
         )
         self.shared_cache = SharedArtifactCache(
             capacity=cache_capacity, telemetry=self.telemetry
@@ -437,7 +444,6 @@ class AdaptationService:
             for name in ("registry", "fleet", "mirrors")
         }
         self.tenants: Dict[str, TenantState] = {}
-        self.mirrors: Dict[str, ImageRegistry] = {}
         self.outcomes: List[RequestOutcome] = []
         # Running sums of the outcomes' node counts (the dedup gauge).
         self._cache_hit_nodes = 0
@@ -462,18 +468,9 @@ class AdaptationService:
         self.resumed_requests = 0
         self._resumed_ids: set = set()
         self._open_ids: set = set()
-        # -- federation (origin failover) ------------------------------
+        # -- federation (origin failover, mirror sync) -----------------
         self.federation = federation
         self.failovers = 0
-        if federation is not None:
-            # The service's origin registry *is* the federation's; the
-            # breaker's half-open probes naturally route through
-            # whichever registry the federation currently calls origin.
-            self.registry = federation.origin
-            if injector is not None:
-                self.registry.fault_injector = injector
-                self.registry.blobs.fault_injector = injector
-            install_telemetry(self.telemetry, registry=self.registry)
         # The service holds its breakers, so each holds the service's
         # hook weakly: a discarded service is then no reference cycle.
         for breaker in self.breakers.values():
@@ -494,7 +491,7 @@ class AdaptationService:
         if name in self.tenants:
             raise ServiceError(f"tenant {name!r} already registered")
         engine = ContainerEngine(arch=self.system.arch)
-        install_system_side_images(engine, self.system, self.flavor)
+        install_system_side_images(engine, self.system, FLAVOR)
         recorder = attach_perf(engine, self.system)
         install_telemetry(self.telemetry, engines=[engine])
         bucket = None
@@ -513,14 +510,6 @@ class AdaptationService:
                   max_workers=state.max_workers, rate=rate, burst=burst,
                   retry_budget=retry_budget)
         return state
-
-    def add_mirror(self, name: str) -> ImageRegistry:
-        """Register a federation mirror synced after each full adaptation."""
-        registry = ImageRegistry()
-        install_telemetry(self.telemetry, registry=registry)
-        self.mirrors[name] = registry
-        self._wal("mirror", name=name)
-        return registry
 
     def submit(
         self,
@@ -548,6 +537,14 @@ class AdaptationService:
                   jobs=request.jobs, submit_at=request.submit_at,
                   seq=request.seq)
         return request
+
+    def _attach(self, registry: ImageRegistry) -> None:
+        """Point *registry* and its blob store at this service's injector
+        (when it has one) and recorder."""
+        if self.injector is not None:
+            registry.fault_injector = self.injector
+            registry.blobs.fault_injector = self.injector
+        install_telemetry(self.telemetry, registry=registry)
 
     # -- durability: WAL, crash, restart ---------------------------------
 
@@ -608,17 +605,17 @@ class AdaptationService:
         """The next process: salvage the WAL, replay it, resume.
 
         Only the WAL's flushed bytes and the durable stores (origin
-        registry, mirror registries, mounted layouts) survive a crash.
-        Returns a *new* :class:`AdaptationService` whose queue order,
-        tenant token buckets, breaker states and terminal outcomes are
-        reconstructed from the salvaged log; requests that were admitted
-        (or in flight) without a terminal record are re-queued and will
-        re-dispatch against the surviving mounted layouts — their
-        rebuild journals and ``+coMre`` manifests mean the re-execution
-        prunes every checkpointed node.  The new process shares this
-        one's injector, and a consumed ``service.crash`` spec never
-        fires again, so a multi-crash chain is several specs on one
-        injector.
+        registry, the federation's mirrors, mounted layouts) survive a
+        crash.  Returns a *new* :class:`AdaptationService` whose queue
+        order, tenant token buckets, breaker states and terminal
+        outcomes are reconstructed from the salvaged log; requests that
+        were admitted (or in flight) without a terminal record are
+        re-queued and will re-dispatch against the surviving mounted
+        layouts — their rebuild journals and ``+coMre`` manifests mean
+        the re-execution prunes every checkpointed node.  The new
+        process shares this one's injector, and a consumed
+        ``service.crash`` spec never fires again, so a multi-crash chain
+        is several specs on one injector.
         """
         service = AdaptationService(telemetry=telemetry, **self._config)
         service.wal = ServiceWAL.from_bytes(self.wal.flushed_bytes,
@@ -630,19 +627,14 @@ class AdaptationService:
         """Adopt the durable stores of the crashed process and replay."""
         if self.federation is None:
             self.registry = prior.registry
-            if self.injector is not None:
-                self.registry.fault_injector = self.injector
-                self.registry.blobs.fault_injector = self.injector
-            install_telemetry(self.telemetry, registry=self.registry)
+            self._attach(self.registry)
         self._extended = dict(prior._extended)
         self._tenant_layouts = dict(prior._tenant_layouts)
-        self._carry_mirrors = dict(prior.mirrors)
         self._replay()
 
     def _replay(self) -> None:
         """Reconstruct volatile state from the salvaged WAL records."""
         wal = self.wal
-        carry_mirrors = getattr(self, "_carry_mirrors", {})
         admits: Dict[str, dict] = {}
         submits: Dict[str, dict] = {}
         terminals: List[dict] = []
@@ -665,15 +657,6 @@ class AdaptationService:
                             burst=record.get("burst"),
                             retry_budget=record.get("retry_budget", 600.0),
                         )
-                elif kind == "mirror":
-                    name = record.get("name", "")
-                    if name and name not in self.mirrors:
-                        carried = carry_mirrors.get(name)
-                        if carried is not None:
-                            install_telemetry(self.telemetry, registry=carried)
-                            self.mirrors[name] = carried
-                        else:
-                            self.add_mirror(name)
                 elif kind == "submit":
                     submits[record.get("request_id", "")] = record
                 elif kind == "admit":
@@ -759,28 +742,12 @@ class AdaptationService:
             rid = data.get("request_id") or record.get("request_id", "")
             outcome = RequestOutcome.from_json(
                 {**data, "request_id": rid, "recovered": True})
-            self._add_outcome(outcome)
+            self._tally(outcome, float(record.get("charged", 0.0)))
             self.recovered_requests += 1
             tenant = self.tenants.get(outcome.tenant)
             if tenant is None:
                 continue
-            if status == STATUS_COMPLETED:
-                tenant.completed += 1
-                tenant.note_latency(outcome.latency)
-            elif status == STATUS_DEGRADED:
-                tenant.degraded += 1
-                tenant.note_latency(outcome.latency)
-            elif status == STATUS_REJECTED:
-                tenant.rejected += 1
-            else:
-                tenant.deadline_exceeded += 1
             tenant.retry_spent += outcome.retry_spend
-            charged = float(record.get("charged", 0.0))
-            if charged > 0.0:
-                tenant.served_seconds += charged
-                tenant.vtime += charged / tenant.weight
-                self._cost_sum += charged
-                self._cost_n += 1
             # Arrival-level rejections (rate-limited, queue-full) never
             # got an admit record, but their arrival was counted.
             if status == STATUS_REJECTED and rid not in admits:
@@ -907,7 +874,7 @@ class AdaptationService:
 
     def _effective_jobs(self, request: AdaptationRequest) -> int:
         tenant = self.tenants[request.tenant]
-        if request.mode != MODE_FULL:
+        if request.mode != RUNG_FULL:
             return 1   # no rebuild fleet below the full rung
         return max(1, min(request.jobs, tenant.max_workers, self.workers))
 
@@ -963,8 +930,6 @@ class AdaptationService:
 
     def _reject(self, request: AdaptationRequest,
                 error: ServiceOverloadError) -> None:
-        tenant = self.tenants[request.tenant]
-        tenant.rejected += 1
         outcome = RequestOutcome(
             request_id=request.request_id, tenant=request.tenant,
             app=request.app, priority=request.priority, mode=request.mode,
@@ -973,7 +938,7 @@ class AdaptationService:
             finished_at=self.clock.now, shed=request.shed,
         )
         outcome.reasons.append(error.reason)
-        self._add_outcome(outcome)
+        self._tally(outcome)
         self._wal_terminal(outcome)
         tele = self.telemetry
         tele.event("service.rejected", request=request.request_id,
@@ -987,8 +952,6 @@ class AdaptationService:
             lambda r: r.deadline is not None and now >= r.submit_at + r.deadline
         )
         for request in expired:
-            tenant = self.tenants[request.tenant]
-            tenant.deadline_exceeded += 1
             outcome = RequestOutcome(
                 request_id=request.request_id, tenant=request.tenant,
                 app=request.app, priority=request.priority,
@@ -998,7 +961,7 @@ class AdaptationService:
                 latency=now - request.submit_at, shed=request.shed,
             )
             outcome.reasons.append("deadline expired while queued")
-            self._add_outcome(outcome)
+            self._tally(outcome)
             self._wal_terminal(outcome)
             self.telemetry.event("service.deadline_expired_queued",
                                  request=request.request_id)
@@ -1009,7 +972,7 @@ class AdaptationService:
     def _dispatch(self, request: AdaptationRequest):
         tenant = self.tenants[request.tenant]
         work = (request.app, request.mode)
-        if request.mode == MODE_FULL and work in self._leaders:
+        if request.mode == RUNG_FULL and work in self._leaders:
             # Single-flight: identical rebuild work is already in flight.
             # Park the follower; it re-dispatches when the leader lands
             # (and then runs against the leader-warmed shared cache).
@@ -1027,7 +990,7 @@ class AdaptationService:
         self.workers_in_use += request.eff_jobs
         outcome = self._execute(request, tenant)
         outcome.started_at = self.clock.now
-        if request.mode == MODE_FULL and outcome.status != STATUS_REJECTED:
+        if request.mode == RUNG_FULL and outcome.status != STATUS_REJECTED:
             self._leaders[work] = request.seq
         finish = self.clock.now + DISPATCH_OVERHEAD + outcome.cost
         # Written *after* _execute returns: this record asserts the
@@ -1093,8 +1056,8 @@ class AdaptationService:
                 return
         mode = request.mode
         fleet = self.breakers["fleet"]
-        if mode == MODE_FULL and not fleet.allow():
-            mode = MODE_REDIRECT_ONLY
+        if mode == RUNG_FULL and not fleet.allow():
+            mode = RUNG_REDIRECT_ONLY
             outcome.reasons.append(
                 f"fleet circuit open; degraded to redirect-only "
                 f"(half-open in {fleet.retry_after():.0f}s)"
@@ -1102,77 +1065,59 @@ class AdaptationService:
         layout, dist_tag, transfer_note = self._tenant_layout(request, ctx)
         if transfer_note:
             outcome.reasons.append(transfer_note)
-        ref = f"{request.tenant}/{request.app}:adapted"
-        if mode == MODE_FULL:
+        full = mode == RUNG_FULL
+        if full:
             self.shared_cache.seed_layout(layout, dist_tag)
-            report = adapt_with_resilience(
-                tenant.engine, layout, self.system, ctx=ctx,
-                recorder=tenant.recorder, flavor=self.flavor, ref=ref,
-                nodes=self.nodes, jobs=request.eff_jobs, deadline=remaining,
-            )
-            outcome.report = report
-            outcome.rung = report.rung
-            outcome.ref = report.ref
-            outcome._layout = (layout, dist_tag)
-            if report.rung == RUNG_DEADLINE_EXCEEDED:
-                outcome.status = STATUS_DEADLINE_EXCEEDED
-            elif report.rung == RUNG_FULL:
-                outcome.status = STATUS_COMPLETED
-            else:
-                outcome.status = STATUS_DEGRADED
-                outcome.reasons.extend(report.reasons)
-            # The fleet breaker sees rebuild *outcomes*: a rung at or
-            # below fleet-exhausted means the parallel fleet could not
-            # deliver the requested rebuild.
-            if report.rung in (RUNG_FLEET_EXHAUSTED, RUNG_REDIRECT_ONLY,
-                               RUNG_GENERIC):
-                fleet.record_failure()
-            elif report.rung in (RUNG_FULL,):
-                fleet.record_success()
-            try:
-                meta = decode_rebuild(layout, dist_tag)[0]
-                outcome.cache_hit_nodes = len(meta.get("cache_hits", []))
-                outcome.executed_nodes = len(meta.get("executed_nodes", []))
-                outcome.reused_nodes = len(meta.get("reused_nodes", []))
-                pruned = len(meta.get("pruned_nodes", []))
-                if pruned and outcome.executed_nodes == 0:
-                    # Repeat tenant, unchanged request: the plan diff
-                    # pruned everything and no node executed.
-                    outcome.incremental_fast_path = True
-                    outcome.reasons.append(
-                        f"incremental fast path: {pruned} nodes pruned, "
-                        "0 executed"
-                    )
-                    self.telemetry.metrics.counter(
-                        "service_incremental_fast_path_total").inc()
-            except Exception:
-                pass   # no rebuild manifest on the lowest rungs
-        elif mode == MODE_REDIRECT_ONLY:
-            try:
-                outcome.ref = redirect_only_adapt(
-                    tenant.engine, layout, dist_tag, self.system,
-                    self.flavor, ref, ctx,
+        # A shed (or fleet-degraded) request enters the ladder at its
+        # granted rung, below the rebuild attempts.
+        report = adapt_with_resilience(
+            tenant.engine, layout, self.system, ctx=ctx,
+            recorder=tenant.recorder, flavor=FLAVOR,
+            ref=f"{request.tenant}/{request.app}:adapted",
+            jobs=request.eff_jobs, deadline=remaining, rung=mode,
+        )
+        outcome.report = report
+        outcome.rung = report.rung
+        outcome.ref = report.ref
+        if report.rung == RUNG_DEADLINE_EXCEEDED:
+            outcome.status = STATUS_DEADLINE_EXCEEDED
+        elif report.rung == RUNG_FULL:
+            # Full-rung bytes served around an unhealthy registry are
+            # degraded.
+            outcome.status = (STATUS_DEGRADED if transfer_note
+                              else STATUS_COMPLETED)
+        else:
+            outcome.status = STATUS_DEGRADED
+            outcome.reasons.extend(report.reasons)
+        if not full:
+            return
+        outcome._layout = (layout, dist_tag)
+        # The fleet breaker sees rebuild *outcomes*: a rung at or
+        # below fleet-exhausted means the parallel fleet could not
+        # deliver the requested rebuild.
+        if report.rung in (RUNG_FLEET_EXHAUSTED, RUNG_REDIRECT_ONLY,
+                           RUNG_GENERIC):
+            fleet.record_failure()
+        elif report.rung == RUNG_FULL:
+            fleet.record_success()
+        try:
+            meta = decode_rebuild(layout, dist_tag)[0]
+            outcome.cache_hit_nodes = len(meta.get("cache_hits", []))
+            outcome.executed_nodes = len(meta.get("executed_nodes", []))
+            outcome.reused_nodes = len(meta.get("reused_nodes", []))
+            pruned = len(meta.get("pruned_nodes", []))
+            if pruned and outcome.executed_nodes == 0:
+                # Repeat tenant, unchanged request: the plan diff
+                # pruned everything and no node executed.
+                outcome.incremental_fast_path = True
+                outcome.reasons.append(
+                    f"incremental fast path: {pruned} nodes pruned, "
+                    "0 executed"
                 )
-                outcome.rung = RUNG_REDIRECT_ONLY
-            except Exception as exc:
-                outcome.reasons.append(f"redirect-only failed: {exc}")
-                outcome.ref = ctx.retry(
-                    lambda: tenant.engine.load_from_layout(
-                        layout, dist_tag, ref=ref),
-                    site="layout.load",
-                )
-                outcome.rung = RUNG_GENERIC
-            outcome.status = STATUS_DEGRADED
-        else:   # MODE_GENERIC
-            outcome.ref = ctx.retry(
-                lambda: tenant.engine.load_from_layout(layout, dist_tag, ref=ref),
-                site="layout.load",
-            )
-            outcome.rung = RUNG_GENERIC
-            outcome.status = STATUS_DEGRADED
-        if outcome.status == STATUS_COMPLETED and transfer_note:
-            # Full-rung bytes, but served around an unhealthy registry.
-            outcome.status = STATUS_DEGRADED
+                self.telemetry.metrics.counter(
+                    "service_incremental_fast_path_total").inc()
+        except Exception:
+            pass   # no rebuild manifest on the lowest rungs
 
     def _account(self, request: AdaptationRequest, tenant: TenantState,
                  ctx: ResilienceContext, outcome: RequestOutcome) -> None:
@@ -1198,23 +1143,9 @@ class AdaptationService:
         outcome.finished_at = self.clock.now
         outcome.latency = outcome.finished_at - request.submit_at
         charged = outcome.cost + DISPATCH_OVERHEAD
-        tenant.served_seconds += charged
-        tenant.vtime += charged / tenant.weight
-        self._cost_sum += charged
-        self._cost_n += 1
+        self._tally(outcome, charged)
         tele = self.telemetry
-        if outcome.status == STATUS_COMPLETED:
-            tenant.completed += 1
-            tenant.note_latency(outcome.latency)
-            tele.metrics.counter("service_requests_completed_total").inc()
-        elif outcome.status == STATUS_DEGRADED:
-            tenant.degraded += 1
-            tenant.note_latency(outcome.latency)
-            tele.metrics.counter("service_requests_degraded_total").inc()
-        elif outcome.status == STATUS_DEADLINE_EXCEEDED:
-            tenant.deadline_exceeded += 1
-            tele.metrics.counter("service_requests_deadline_total").inc()
-        self._add_outcome(outcome)
+        tele.metrics.counter(_FINISHED_COUNTERS[outcome.status]).inc()
         self._wal_terminal(outcome, charged=charged)
         tele.event("service.finished", request=request.request_id,
                    status=outcome.status, rung=outcome.rung or "",
@@ -1233,9 +1164,9 @@ class AdaptationService:
             for follower in self._followers.pop(work, []):
                 follower.deduped = True
                 self.queue.restore(follower)
-        if (self.mirrors and outcome._layout is not None
-                and outcome.status == STATUS_COMPLETED):
-            self._sync_mirrors(request.app, *outcome._layout)
+        if (outcome.status == STATUS_COMPLETED and self.federation is not None
+                and self.federation.mirrors):
+            self._sync_mirrors(request.app)
         self._update_dedup_gauge()
 
     # -- shared dependencies ---------------------------------------------
@@ -1291,20 +1222,13 @@ class AdaptationService:
                                  resolved.layers, tag=tag)
         return replica, dist_tag, note
 
-    def _sync_mirrors(self, app: str, layout: OCILayout,
-                      dist_tag: str) -> None:
-        breaker = self.breakers["mirrors"]
-
-        def sync() -> None:
-            for name, registry in self.mirrors.items():
-                if self.injector is not None:
-                    self.injector.arm("mirror.sync", f"{name}/{app}")
-                registry.push_layout(
-                    f"{name}/repro/{app}:{dist_tag}", layout, tag=dist_tag
-                )
-
+    def _sync_mirrors(self, app: str) -> None:
+        """Converge every federation mirror on the origin after a
+        completed request, through the ``mirrors`` breaker: the sync
+        engine moves only what changed, verified, and resumes a failed
+        sync from its ledger next time."""
         try:
-            breaker.call(sync)
+            self.breakers["mirrors"].call(self.federation.sync_all)
             self.mirror_syncs += 1
             self._wal("sync", app=app, ok=True)
             self.telemetry.metrics.counter("service_mirror_syncs_total").inc()
@@ -1329,11 +1253,32 @@ class AdaptationService:
         # yet — the restart exposure right now.
         m.gauge("service_wal_open_requests").set(float(len(self._open_ids)))
 
-    def _add_outcome(self, outcome: RequestOutcome) -> None:
-        """Keep one terminal outcome and add its node counts to the sums."""
+    def _tally(self, outcome: RequestOutcome, charged: float = 0.0) -> None:
+        """Account one terminal outcome, live or replayed from the WAL:
+        keep it, add its node counts to the sums, and count its status,
+        latency and *charged* service seconds against its tenant."""
         self.outcomes.append(outcome)
         self._cache_hit_nodes += outcome.cache_hit_nodes
         self._executed_nodes += outcome.executed_nodes
+        tenant = self.tenants.get(outcome.tenant)
+        if tenant is None:
+            return
+        status = outcome.status
+        if status == STATUS_COMPLETED:
+            tenant.completed += 1
+        elif status == STATUS_DEGRADED:
+            tenant.degraded += 1
+        elif status == STATUS_REJECTED:
+            tenant.rejected += 1
+        else:
+            tenant.deadline_exceeded += 1
+        if status in (STATUS_COMPLETED, STATUS_DEGRADED):
+            tenant.note_latency(outcome.latency)
+        if charged > 0.0:
+            tenant.served_seconds += charged
+            tenant.vtime += charged / tenant.weight
+            self._cost_sum += charged
+            self._cost_n += 1
 
     def _update_dedup_gauge(self) -> None:
         hits, executed = self._cache_hit_nodes, self._executed_nodes

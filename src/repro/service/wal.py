@@ -5,13 +5,14 @@ server, and a long-lived server must survive its own death.  The WAL is
 the durability mechanism: every service-level state transition — a
 tenant registration, an arrival, an admission (with the shed level it
 was granted), a displacement, a dispatch, a circuit-breaker transition,
-a shared-cache absorb, a mirror sync, and above all every **terminal
-status** — is appended as one self-contained JSONL line *before* the
-in-memory state is trusted.  A restart replays the salvaged log against
-the durable stores (the origin registry, the mounted tenant layouts)
-and reconstructs queue order, token buckets, breaker states and the set
-of in-flight requests; in-flight rebuilds then resume through their
-per-request rebuild journals, so nothing checkpointed re-executes.
+a shared-cache absorb, a federation mirror sync, an origin failover,
+and above all every **terminal status** — is appended as one
+self-contained JSONL line *before* the in-memory state is trusted.  A
+restart replays the salvaged log against the durable stores (the origin
+registry, the mounted tenant layouts) and reconstructs queue order,
+token buckets, breaker states and the set of in-flight requests;
+in-flight rebuilds then resume through their per-request rebuild
+journals, so nothing checkpointed re-executes.
 
 The log format, its line digests and its salvage are
 :mod:`repro.durable`'s; this module supplies the header ``kind``
@@ -59,7 +60,7 @@ WAL_VERSION = 1
 
 #: Record kinds the salvage accepts.
 RECORD_KINDS = frozenset({
-    "tenant", "mirror", "submit", "admit", "park", "dispatch",
+    "tenant", "submit", "admit", "park", "dispatch",
     "breaker", "absorb", "sync", "terminal", "restart", "failover",
 })
 

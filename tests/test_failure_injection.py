@@ -284,6 +284,29 @@ class TestPermissiveDegradation:
                               vendor_mpirun=True)
         assert result.seconds > 0
 
+    @pytest.mark.parametrize("rung", [RUNG_REDIRECT_ONLY, RUNG_GENERIC])
+    def test_a_lower_entry_rung_skips_the_rungs_above_it(
+            self, perf_engine, extended, rung):
+        """The adaptation service's load shedding enters the ladder below
+        the rebuild: nothing is rebuilt, and nothing is given up."""
+        engine, recorder = perf_engine
+        layout, dist_tag = extended
+        ctx = install_resilience(ResiliencePolicy.permissive(), engines=[engine])
+        try:
+            report = adapt_with_resilience(
+                engine, layout, X86_CLUSTER, ctx, recorder=recorder,
+                ref=f"enter-{rung}:adapted", rung=rung,
+            )
+        finally:
+            uninstall_resilience(engines=[engine])
+        assert (report.rung, report.ref, report.reasons) == (
+            rung, f"enter-{rung}:adapted", [])
+        with pytest.raises(CacheError):
+            decode_rebuild(layout, dist_tag)
+        result = run_workload(engine, report.ref, "hpccg", recorder,
+                              vendor_mpirun=True)
+        assert result.seconds > 0
+
     def test_corrupt_cache_strict_still_raises(self, perf_engine, extended):
         """Without opting into a permissive policy, nothing degrades: the
         corrupted cache surfaces as the same ProgramError as before."""

@@ -362,6 +362,35 @@ class TestResume:
         assert report.chunks_fetched == report.chunks_total + 2
 
 
+class TestFaultsReachTelemetry:
+    def test_every_fault_the_sync_fires_is_recorded(self):
+        from repro.telemetry import Telemetry
+
+        telemetry = Telemetry()
+        inj = FaultInjector(
+            seed=1, rate=0.3, corruption_rate=0.15,
+            sites=frozenset({"mirror.sync", "transfer.chunk"}),
+            corruption_sites=frozenset({"transfer.chunk"}),
+        )
+        fed = make_federation(mirrors=2, injector=inj, telemetry=telemetry)
+        manifest, config, layer = make_image()
+        fed.push("lab/app:1.0", manifest, config, [layer])
+        sync_until_converged(fed)
+        raised = [r for r in inj.log if r.kind in ("transient", "persistent")]
+        corrupted = [r for r in inj.log if r.kind.startswith("corrupt-")]
+        assert raised and corrupted
+        metrics = telemetry.metrics
+        assert metrics.counter("resilience_faults_fired_total").value == len(raised)
+        assert (metrics.counter("resilience_corruptions_injected_total").value
+                == len(corrupted))
+        names = [e.name for e in telemetry.events]
+        assert names.count("fault.fired") == len(raised)
+        assert names.count("fault.corrupted") == len(corrupted)
+        # A federation without a recorder leaves the live one in place.
+        make_federation(injector=inj)
+        assert inj.telemetry is telemetry
+
+
 # ---------------------------------------------------------------------------
 # failover pulls
 # ---------------------------------------------------------------------------

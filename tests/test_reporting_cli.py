@@ -138,6 +138,16 @@ class TestCli:
         assert "demoted origin rejoined as mirror (3 mirrors)" in out
         assert "all 3 mirrors converged" in out
 
+    def test_serve_syncs_the_federation_mirrors(self, capsys):
+        argv = ["--metrics", "serve", "--tenants", "1", "--requests", "2",
+                "--mirrors", "2", "--apps", "hpccg", "--seed", "1"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert "all 2 admitted requests accounted for" in out
+        assert "mirror syncs           2 (0 failed)" in out
+        # One sync engine pass per mirror per completed request.
+        assert "\nfederation_syncs_total 4\n" in out
+
     def test_bad_command(self):
         with pytest.raises(SystemExit):
             cli.main(["no-such-command"])

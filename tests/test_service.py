@@ -9,7 +9,17 @@ status.
 
 import pytest
 
-from repro.resilience import SimulatedClock
+from repro.containers import ContainerEngine
+from repro.core.images import install_system_side_images
+from repro.federation import FederatedRegistry
+from repro.resilience import (
+    FaultInjector,
+    FaultSpec,
+    ResilienceContext,
+    ResiliencePolicy,
+    SimulatedClock,
+    redirect_only_adapt,
+)
 from repro.service import (
     MODE_FULL,
     MODE_GENERIC,
@@ -22,6 +32,7 @@ from repro.service import (
     STATE_OPEN,
     STATUS_COMPLETED,
     STATUS_DEADLINE_EXCEEDED,
+    STATUS_DEGRADED,
     STATUS_REJECTED,
     TERMINAL_STATUSES,
     AdaptationRequest,
@@ -35,6 +46,8 @@ from repro.service import (
     percentile,
     priority_rank,
 )
+from repro.sysmodel import X86_CLUSTER
+from repro.telemetry import Telemetry
 
 pytestmark = pytest.mark.service
 
@@ -379,3 +392,98 @@ class TestServiceControlPlane:
         health = controlplane.health()
         by_name = {c.name: c for c in health.components}
         assert by_name["service"].status != "healthy"
+
+
+class TestShedRequestsWalkTheLadder:
+    """A request shed by admission enters the resilience ladder at the
+    rung it was granted."""
+
+    def test_a_shed_request_keeps_its_image_and_counts_its_rung(self):
+        telemetry = Telemetry()
+        service = AdaptationService(workers=2, seed=0, queue_capacity=4,
+                                    telemetry=telemetry)
+        service.add_tenant("acme", max_workers=2)
+        service.add_tenant("beta", max_workers=2)
+        for tenant, app in (("acme", "hpccg"), ("acme", "minife"),
+                            ("beta", "minimd")):
+            service.submit(tenant, app, at=0.0)
+        # The fourth arrival finds the queue at the shed watermark (3/4).
+        service.submit("beta", "hpccg", at=0.0, priority=PRIORITY_BATCH)
+        report = service.run()
+        [shed] = [o for o in report.outcomes if o.shed]
+        assert (shed.mode, shed.status, shed.rung, shed.ref) == (
+            MODE_REDIRECT_ONLY, STATUS_DEGRADED, "redirect-only",
+            "beta/hpccg:adapted")
+        # The same image redirect_only_adapt makes on its own.
+        layout, dist_tag = service._tenant_layouts[("beta", "hpccg")]
+        engine = ContainerEngine(arch=X86_CLUSTER.arch)
+        install_system_side_images(engine, X86_CLUSTER, "vendor")
+        ctx = ResilienceContext(policy=ResiliencePolicy.permissive())
+        alone = redirect_only_adapt(engine, layout, dist_tag, X86_CLUSTER,
+                                    "vendor", "alone:adapted", ctx)
+        adapted = service.tenants["beta"].engine.image(shed.ref)
+        assert adapted.layer_key() == engine.image(alone).layer_key()
+        # Counted like any other degradation.
+        metrics = telemetry.metrics
+        assert metrics.counter("resilience_rung_redirect_only_total").value == 1
+        rungs = [e.attributes["rung"] for e in telemetry.events
+                 if e.name == "degradation.rung"]
+        assert sorted(rungs) == ["full", "full", "full", "redirect-only"]
+
+
+class TestServiceFederationMirrors:
+    """A federation's mirrors converge after each completed request,
+    through the ``mirrors`` breaker and the WAL's ``sync`` records."""
+
+    def test_each_completion_syncs_and_a_failed_sync_is_counted(self):
+        injector = FaultInjector()
+        federation = FederatedRegistry(injector=injector)
+        for name in ("edge-0", "edge-1"):
+            federation.add_mirror(name)
+        service = AdaptationService(workers=2, seed=0, federation=federation)
+        service.add_tenant("acme", max_workers=2)
+        service.submit("acme", "hpccg", at=0.0)
+        report = service.run()
+        assert report.outcomes[0].status == STATUS_COMPLETED
+        assert (report.mirror_syncs, report.mirror_sync_failures) == (1, 0)
+        assert all(federation.converged(mirror)
+                   for mirror in federation.mirrors.values())
+        assert "acme/repro/hpccg" in {
+            ref.split(":")[0] for ref in
+            federation.mirror("edge-1").registry.manifest_map()}
+
+        injector.specs.append(FaultSpec(site="mirror.sync"))
+        service.submit("acme", "minife", at=service.clock.now)
+        report = service.run()
+        assert report.outcomes[-1].status == STATUS_COMPLETED
+        assert (report.mirror_syncs, report.mirror_sync_failures) == (1, 1)
+        assert service.breakers["mirrors"].failures == 1
+        syncs = [r for r in service.wal.records if r["rec"] == "sync"]
+        assert [r["ok"] for r in syncs] == [True, False]
+
+        restarted = service.restart()
+        assert (restarted.mirror_syncs, restarted.mirror_sync_failures) == (1, 1)
+
+
+class TestInjectedFaultsReachTelemetry:
+    """The tenant engines borrow the service's injector per request; what
+    it fires still lands on the service's recorder."""
+
+    def test_the_service_records_every_fault_its_injector_fires(self):
+        injector = FaultInjector(seed=3, rate=0.2, worker_crash_rate=0.1,
+                                 worker_flaky_rate=0.1)
+        service = AdaptationService(workers=2, seed=0, injector=injector)
+        service.add_tenant("t", max_workers=2)
+        for i in range(3):
+            service.submit("t", "hpccg", at=float(i))
+        service.run()
+        raised = [r for r in injector.log if r.kind in ("transient", "persistent")]
+        worker = [r for r in injector.log if r.kind == "worker"]
+        assert raised and worker
+        telemetry = service.telemetry
+        metrics = telemetry.metrics
+        assert metrics.counter("resilience_faults_fired_total").value == len(raised)
+        assert metrics.counter("resilience_worker_faults_total").value == len(worker)
+        names = [e.name for e in telemetry.events]
+        assert names.count("fault.fired") == len(raised)
+        assert names.count("fault.worker") == len(worker)

@@ -16,9 +16,15 @@ import random
 import pytest
 
 from repro import durable
+from repro.resilience import FaultInjector
 from repro.service import (
+    PRIORITY_BATCH,
+    PRIORITY_HIGH,
+    PRIORITY_NORMAL,
     STATUS_COMPLETED,
+    STATUS_DEADLINE_EXCEEDED,
     STATUS_DEGRADED,
+    STATUS_REJECTED,
     AdaptationService,
     ServiceCrash,
     ServiceWAL,
@@ -242,3 +248,39 @@ class TestTenantLatencies:
             summary = tenant.summary()
             assert summary["p50"] == percentile(arrived, 0.50)
             assert summary["p99"] == percentile(arrived, 0.99)
+
+
+def accounting(service):
+    """Every tenant's accounting and the service's cost sums."""
+    tenants = {
+        name: (t.submitted, t.completed, t.degraded, t.rejected,
+               t.deadline_exceeded, list(t.latencies), t.vtime,
+               t.served_seconds, t.retry_spent)
+        for name, t in service.tenants.items()
+    }
+    return tenants, service._cost_sum, service._cost_n
+
+
+class TestReplayEqualsLive:
+    """A restart of a finished service restores every tenant's accounting
+    exactly, bit for bit: the WAL's terminal records replay through the
+    same tally that counted them live."""
+
+    # Seeds whose runs reject and expire requests and spend retry time.
+    @pytest.mark.parametrize("seed", (0, 1, 2, 4))
+    def test_a_restart_restores_the_accounting(self, seed):
+        rng = random.Random(seed)
+        service = AdaptationService(workers=2, seed=seed, queue_capacity=3,
+                                    injector=FaultInjector(seed=seed, rate=0.1))
+        service.add_tenant("a", weight=2.0, max_workers=2)
+        service.add_tenant("b", max_workers=1, rate=0.1, burst=2)
+        for _ in range(10):
+            service.submit(
+                rng.choice("ab"), rng.choice(("hpccg", "minife", "minimd", "comd")),
+                at=rng.uniform(0.0, 10.0),
+                priority=rng.choice((PRIORITY_HIGH, PRIORITY_NORMAL,
+                                     PRIORITY_NORMAL, PRIORITY_BATCH)),
+                deadline=rng.choice((None, None, 1.0, 4.0)))
+        counts = service.run().by_status()
+        assert counts[STATUS_REJECTED] and counts[STATUS_DEADLINE_EXCEEDED]
+        assert accounting(service.restart()) == accounting(service)
