@@ -2,10 +2,10 @@
 
     python scripts/profile_ops.py WORKLOAD [--ops 30] [--seed 7] [--self]
                                   [--fn NAME[,NAME...]] [--callers NAME[,NAME...]]
-                                  [--window N] [--gc] [--memo]
+                                  [--window N] [--gc] [--memo] [--memo-off NAME[,...]]
     python scripts/profile_ops.py WORKLOAD [--ops 30] [--seed 7]
                                   --wall MODULE:QUALNAME[,...] [--window N] [--gc]
-                                  [--memo]
+                                  [--memo] [--memo-off NAME[,...]]
 
 Builds the workload from ``benchmarks.harness.workloads`` in this process
 (its set-up is not profiled), then runs ``workload.run(i)`` for each op
@@ -55,6 +55,13 @@ present only while an op runs.
 memo's traffic (:data:`repro.memo.MEMOS`) over the timed ops only: its
 lookups per op, the share of them that hit, its stores per op and its
 entries after the last op.
+
+``--memo-off NAME[,...]``, with or without ``--wall``, runs each timed
+op with those memos switched off: each gets a cap of 0 and loses its
+entries (what the set-up stored among them), so every lookup misses and
+nothing is stored; the caps are restored around each check.  The
+``--memo`` table reads the memos' own counters either way, so a memo's
+worth is the difference between a run with and a run without it.
 """
 
 import argparse
@@ -363,6 +370,37 @@ class MemoTraffic:
         return lines
 
 
+class MemosOff:
+    """The memos named *names* (:data:`repro.memo.MEMOS`) switched off
+    inside ``with`` blocks of it: entering one gives each a cap of 0 and
+    drops its entries, and leaving it restores the caps.  An unknown name
+    exits with the known ones."""
+
+    def __init__(self, names):
+        self.names = tuple(names)
+        self._caps = {}
+
+    def __enter__(self):
+        from repro.memo import MEMOS
+
+        unknown = sorted(set(self.names) - set(MEMOS))
+        if unknown:
+            sys.exit(f"profile_ops: no memo named {', '.join(unknown)}"
+                     f" (memos: {', '.join(MEMOS)})")
+        for name in self.names:
+            memo = MEMOS[name]
+            self._caps[name] = memo.cap
+            memo.cap = 0
+            memo.clear()
+
+    def __exit__(self, *exc):
+        from repro.memo import MEMOS
+
+        for name, cap in self._caps.items():
+            MEMOS[name].cap = cap
+        self._caps.clear()
+
+
 def _build(name, seed, ops):
     """(workload *name* at *seed* sized for *ops* ops, its set-up seconds,
     the harness's check failure type)."""
@@ -446,19 +484,25 @@ def main(argv=None):
                         help="also list every memo's lookups per op, hit"
                              " ratio, stores per op and entries over the"
                              " timed ops")
+    parser.add_argument("--memo-off", default="", metavar="NAME[,NAME...]",
+                        help="run the timed ops with these memos switched"
+                             " off (a cap of 0)")
     args = parser.parse_args(argv)
+    args.memo_off = tuple(filter(None, args.memo_off.split(",")))
     collector = GcClock() if args.gc else None
     traffic = MemoTraffic() if args.memo else None
-    regions = tuple(r for r in (collector, traffic) if r is not None)
+    switch = MemosOff(args.memo_off) if args.memo_off else None
+    regions = tuple(r for r in (collector, traffic, switch) if r is not None)
     if args.wall:
         if args.self or args.fn or args.callers:
             parser.error("--wall runs without cProfile: leave out --self,"
                          " --fn and --callers")
-        return main_wall(args, collector, traffic)
+        return main_wall(args, collector, traffic, switch)
     stats, setup_s, laps = profile(args.workload, args.seed, args.ops, *regions)
     profiled_s = sum(laps)
     print(f"# {args.workload} seed {args.seed}: {args.ops} ops,"
-          f" {profiled_s:.2f} s profiled (set-up {setup_s:.2f} s, not profiled)")
+          f" {profiled_s:.2f} s profiled (set-up {setup_s:.2f} s, not profiled)"
+          f"{off_note(args.memo_off)}")
     print("\n".join(report(stats, args.ops, profiled_s)))
     if args.self:
         print(f"# top {TOP} functions of any module by self time")
@@ -478,6 +522,11 @@ def main(argv=None):
     return 0
 
 
+def off_note(memo_off):
+    """The header's note of the memos switched off, if any."""
+    return f"; memos off: {', '.join(memo_off)}" if memo_off else ""
+
+
 def print_regions(collector, traffic, ops, timed_s):
     """The ``--gc`` table of a :class:`GcClock` and the ``--memo`` table
     of a :class:`MemoTraffic`, of those there are."""
@@ -489,15 +538,15 @@ def print_regions(collector, traffic, ops, timed_s):
         print("\n".join(traffic.table(ops)))
 
 
-def main_wall(args, collector=None, traffic=None):
+def main_wall(args, collector=None, traffic=None, switch=None):
     """The ``--wall`` report: the named functions' wall-clock table."""
     names = args.wall.split(",")
-    regions = tuple(r for r in (collector, traffic) if r is not None)
+    regions = tuple(r for r in (collector, traffic, switch) if r is not None)
     timer, setup_s, laps = wall(args.workload, args.seed, args.ops, names, *regions)
     timed_s = sum(laps)
     print(f"# {args.workload} seed {args.seed}: {args.ops} ops,"
           f" {timed_s:.2f} s timed without cProfile"
-          f" (set-up {setup_s:.2f} s, not timed)")
+          f" (set-up {setup_s:.2f} s, not timed){off_note(args.memo_off)}")
     print("\n".join(timer.table(args.ops, timed_s)))
     if args.window > 0:
         print(f"# timed ms/op per window of {args.window} ops")

@@ -30,6 +30,7 @@ from repro.containers.dockerfile import (
     parse_containerfile,
 )
 from repro.containers.hijack import record_trace
+from repro.memo import LruMemo
 from repro.oci.apply import flatten_layers, is_flattened
 from repro.oci.diff import diff_filesystems
 from repro.oci.image import ImageConfig, Manifest
@@ -59,9 +60,18 @@ class EngineError(Exception):
 EXEC_LOG_CAP = 4096
 
 
+#: Layers earlier commits made, with a clone of the tree each was diffed
+#: from: see :meth:`ContainerEngine.commit`.
+_COMMIT_MEMO = LruMemo(64, name="commit")
+
+
 @dataclass
 class StoredImage:
-    """An image in the engine's local store."""
+    """An image in the engine's local store.
+
+    Its config is a read-only value (:meth:`ImageConfig.frozen`), shared
+    by every reader; a container or a derived image changes a clone.
+    """
 
     config: ImageConfig
     layers: List[Layer] = field(default_factory=list)
@@ -69,6 +79,9 @@ class StoredImage:
     #: image under; never serialised.  Every other path that stores an
     #: image builds one without it, so overwriting a ref forgets the key.
     recipe: Optional[tuple] = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        self.config = self.config.frozen()
 
     def layer_key(self) -> tuple:
         return tuple(layer.digest for layer in self.layers)
@@ -140,7 +153,7 @@ class ContainerEngine:
     # ------------------------------------------------------------------
 
     def add_image(self, ref: str, config: ImageConfig, layers: List[Layer]) -> None:
-        self.images[ref] = StoredImage(config=config.clone(), layers=list(layers))
+        self.images[ref] = StoredImage(config=config, layers=list(layers))
 
     def tag(self, src_ref: str, dst_ref: str) -> None:
         self.images[dst_ref] = self.image(src_ref)
@@ -346,13 +359,28 @@ class ContainerEngine:
         ref: Optional[str] = None,
         comment: str = "",
     ) -> StoredImage:
-        """Capture the container's changes as a new layer atop its image."""
+        """Capture the container's changes as a new layer atop its image.
+
+        The layer is the diff of the container's tree against its
+        creation-time tree, so it is a function of the container's image
+        (:attr:`Container.image_layers`), the *comment* and the tree.  An
+        earlier commit's layer is reused (a 64-entry
+        :class:`repro.memo.LruMemo`) when all three match: the key holds
+        the image's layer digests, the comment and the identity of each
+        top-level node of the tree, and the entry a clone of that tree,
+        which keeps those nodes alive, so no other node can take their
+        identities.  A lookup hits only while the container's tree is
+        unwritten since that clone (:meth:`VirtualFilesystem.unwritten_since`,
+        which also compares the root's own attributes); this is what a
+        redirect-memo hit leaves.  The span, the counters and the image
+        are made from the layer either way.
+        """
         tele = self.telemetry
         span = tele.start_span(
             "engine.commit", container=container.name, ref=ref or "")
         try:
             base = self.image(container.image_ref)
-            layer = diff_filesystems(container.base_fs, container.fs, comment=comment)
+            layer = _committed_layer(container, comment)
             config = container.config.clone()
             layers = list(base.layers)
             if len(layer):
@@ -409,7 +437,7 @@ class ContainerEngine:
         return Manifest(
             config=stored.config.descriptor(),
             layers=[Blob.from_layer(layer).descriptor() for layer in stored.layers],
-        )
+        ).frozen()
 
     # ------------------------------------------------------------------
     # Containerfile builds
@@ -567,6 +595,23 @@ class ContainerEngine:
             else:
                 target = dst_abs
             container.fs.copy_tree(src_abs, target, source_fs=source_fs)
+
+
+def _committed_layer(container: Container, comment: str) -> Layer:
+    """The layer :meth:`ContainerEngine.commit` commits for *container*:
+    an earlier commit's, while it matches, else a fresh diff."""
+    tree = container.fs
+    key = None
+    if container.image_layers is not None:
+        key = (container.image_layers, comment,
+               tuple((name, id(node)) for name, node in tree.root.sorted_items()))
+        stored = _COMMIT_MEMO.get(key, valid=lambda entry: tree.unwritten_since(entry[0]))
+        if stored is not None:
+            return stored[1]
+    layer = diff_filesystems(container.base_fs, tree, comment=comment)
+    if key is not None:
+        _COMMIT_MEMO.put(key, (tree.clone(), layer))
+    return layer
 
 
 def _parse_kv(value: str) -> Dict[str, str]:

@@ -18,9 +18,10 @@ A miss runs the steps below and stores a copy-on-write clone of the
 final tree, the adapter label and the placed and copied counts; a call
 that raises stores nothing.  A hit makes the container's filesystem
 object adopt a clone of the stored tree; the runtime configuration is
-then set from the resolved extended image either way, and
-``ContainerEngine.commit`` still diffs the tree, so the committed layer
-comes from content exactly as before.
+then set from the resolved extended image either way.  The adopted tree
+is the one the miss's commit diffed, so ``ContainerEngine.commit``
+reuses that commit's layer (its own memo, keyed on the tree's top-level
+nodes); a container written since the adopt is diffed afresh.
 """
 
 from __future__ import annotations

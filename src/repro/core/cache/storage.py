@@ -129,9 +129,12 @@ def _stacked_manifest(
     kind: str,
     history_note: str,
 ) -> Tuple[Manifest, ImageConfig, List[Layer]]:
+    """*base* plus *extra_layer*: a read-only manifest and config, each
+    rendered once however often the image is stored."""
     config = base.config.clone()
     config.diff_ids.append(extra_layer.digest)
     config.add_history(history_note)
+    config = config.frozen()
     layers = list(base.layers) + [extra_layer]
     manifest = Manifest(
         config=config.descriptor(),
@@ -140,7 +143,7 @@ def _stacked_manifest(
             mediatypes.ANNOTATION_COMTAINER_KIND: kind,
             mediatypes.ANNOTATION_COMTAINER_BASE: base.manifest.digest,
         },
-    )
+    ).frozen()
     return manifest, config, layers
 
 

@@ -17,6 +17,13 @@ sorted-key JSON body without that field.  A flipped bit inside a field
 value survives the JSON parse, so a line is only trusted when it
 re-hashes to its digest: every mutation looks like a tear.
 
+One dump makes both the digest and the line (:func:`_dump`): the record
+is dumped with ``"line_digest": null`` at its sorted place, the body is
+that text without the entry, and the line is that text with the digest
+spliced in.  Only a record that holds another ``"line_digest": null``
+entry deeper down, where the splice could not tell the two apart, is
+dumped twice, as a body and then as a line.
+
 :func:`salvage` never raises, and a damaged write costs lines, never
 the whole log:
 
@@ -29,10 +36,10 @@ the whole log:
   dropped.
 
 A sealed record is a :class:`Sealed` dict: read-only at the top level
-and rendered at most once, because :func:`line` keeps its bytes on it.
-:func:`salvage` hands out sealed records too, so a flush of a log whose
-records were sealed or salvaged earlier joins bytes it already has and
-renders only the records added since.
+and rendered at most once, because it keeps its line on it.
+:func:`salvage` hands out sealed records too, each rendered by the dump
+that re-hashed it, so a flush of a log whose records were sealed or
+salvaged earlier joins bytes it already has.
 
 Every journal, ledger and WAL flush passes through the
 ``journal.append`` corruption site (:func:`through_site`), keyed per
@@ -42,7 +49,7 @@ log, so scripted corruptions can target any one of them.
 from __future__ import annotations
 
 import json
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.oci.digest import digest_bytes
 
@@ -73,9 +80,48 @@ def _body_digest(record: dict) -> str:
     return digest_bytes(json.dumps(body, sort_keys=True).encode("utf-8"))
 
 
+#: The entry :func:`_dump` renders in the digest's place.
+_SLOT = '"line_digest": null'
+
+
+def _dump(record: dict) -> Optional[Tuple[str, bytes]]:
+    """``(body digest, line)`` of *record* from one dump, or None when
+    *record* holds a nested ``"line_digest": null`` entry.
+
+    The sorted-key dump with ``line_digest`` set to None holds the slot
+    entry once, at the top level, where the field sorts; without it (and
+    one separator) it is the body's dump, and with the digest in its place
+    it is the sealed record's line.
+    """
+    text = json.dumps({**record, "line_digest": None}, sort_keys=True)
+    at = text.find(_SLOT)
+    if text.find(_SLOT, at + 1) >= 0:
+        return None
+    before, after = text[:at], text[at + len(_SLOT):]
+    if after.startswith(", "):
+        body = before + after[2:]
+    elif before.endswith(", "):
+        body = before[:-2] + after
+    else:
+        body = before + after
+    digest = digest_bytes(body.encode("utf-8"))
+    return digest, f'{before}"line_digest": "{digest}"{after}\n'.encode("utf-8")
+
+
+def _with_line(record: Sealed, rendered: Optional[bytes]) -> Sealed:
+    if rendered is not None:
+        record._line = rendered
+    return record
+
+
 def seal(record: dict) -> Sealed:
-    """A read-only copy of *record* carrying its ``line_digest``."""
-    return Sealed(record, line_digest=_body_digest(record))
+    """A read-only copy of *record* carrying its ``line_digest`` and the
+    line the same dump rendered."""
+    dumped = _dump(record)
+    if dumped is None:
+        return Sealed(record, line_digest=_body_digest(record))
+    digest, rendered = dumped
+    return _with_line(Sealed(record, line_digest=digest), rendered)
 
 
 def _render(record: dict) -> bytes:
@@ -84,7 +130,8 @@ def _render(record: dict) -> bytes:
 
 def line(record: dict) -> bytes:
     """One serialized log line: sorted-key JSON plus a newline.  A
-    :class:`Sealed` record is rendered once and keeps its bytes."""
+    :class:`Sealed` record is rendered at most once and keeps its bytes
+    (:func:`seal` and :func:`salvage` render them already)."""
     if not isinstance(record, Sealed):
         return _render(record)
     try:
@@ -114,15 +161,22 @@ def _parse(raw: bytes) -> object:
         return None
 
 
-def _sealed(record: object, valid: Callable[[dict], bool]) -> bool:
+def _salvaged(record: object, valid: Callable[[dict], bool]) -> Optional[Sealed]:
+    """A :class:`Sealed` copy of *record*, rendered by the dump that
+    re-hashed it, if it re-hashes to its ``line_digest`` and passes
+    *valid*; else None."""
     try:
-        return (isinstance(record, dict)
-                and record.get("line_digest") == _body_digest(record)
-                and bool(valid(record)))
+        if not isinstance(record, dict):
+            return None
+        dumped = _dump(record)
+        digest, rendered = dumped or (_body_digest(record), None)
+        if record.get("line_digest") != digest or not valid(record):
+            return None
     except Exception:
         # Salvage must stay total so a resume can always proceed: a
         # validator that raises rejects the line, and it is counted.
-        return False
+        return None
+    return _with_line(Sealed(record), rendered)
 
 
 def salvage(
@@ -145,9 +199,9 @@ def salvage(
     for raw in lines[1:]:
         if not raw.strip(_BLANK):
             continue
-        record = _parse(raw)
-        if _sealed(record, valid):
-            records.append(Sealed(record))
+        record = _salvaged(_parse(raw), valid)
+        if record is not None:
+            records.append(record)
         else:
             dropped += 1
     return head, records, dropped

@@ -1,11 +1,16 @@
 """The one bounded memo: a least-recently-used map with a fixed cap.
 
-Seven pure computations keep their finished results in one, each memo
+Nine pure computations keep their finished results in one, each memo
 named and registered here (:data:`MEMOS`), so a test can switch every
 memo off at once and a profile can count each one's traffic:
 
 - ``flatten``: the layer-stack flatten (:mod:`repro.oci.apply`), keyed on
   the layer digests;
+- ``documents``: the parsed OCI manifests and configs
+  (:func:`repro.oci.layout.parsed`), keyed on the stored bytes;
+- ``commit``: the layer a container commit diffs
+  (:meth:`repro.containers.engine.ContainerEngine.commit`), keyed on the
+  container's image, the comment and the tree's top-level nodes;
 - ``dpkg-status``: the dpkg status parse (:mod:`repro.pkg.database`),
   keyed on the status and list digests;
 - ``decode``: the coMtainer layer decodes (:mod:`repro.core.cache.storage`),
@@ -25,24 +30,31 @@ copies, never the stored value: the flatten memo a copy-on-write clone
 of the tree, the dpkg memo a copy of the database, the install and
 redirect memos a copy-on-write clone of the stored tree (the install
 memo also a private copy of the package database and a new list of the
-installed names).  Three share their stored value, which nothing writes
-to: the plan memo its plan (``tests/test_plan_memo.py`` rebuilds cold,
-warm, resumed, cache-served and with fallback, and the stored plan still
-equals a fresh one; the fingerprints it hands out are copies, since they
-go into ``meta.json``); the rebuild memo its image and ``meta``, which
-go into the layout's blob store and the program's stdout unchanged; and
-the decode memo its entries, which the two programs only read (its
-``decode_*`` functions hand out copies).
+installed names).  Five share their stored value, which nothing writes
+to: the documents memo its read-only documents, whose types refuse every
+write (:class:`repro.oci.image.FrozenManifest`,
+:class:`~repro.oci.image.FrozenImageConfig`); the commit memo its layer,
+which goes into the committed image as every layer of an image does
+(its tree clone is only compared against); the plan memo its plan
+(``tests/test_plan_memo.py`` rebuilds cold, warm, resumed, cache-served
+and with fallback, and the stored plan still equals a fresh one; the
+fingerprints it hands out are copies, since they go into ``meta.json``);
+the rebuild memo its image (a read-only manifest and config, and its
+layers) and ``meta``, which go into the layout's blob store and the
+program's stdout unchanged; and the decode memo its entries, which the
+two programs only read (its ``decode_*`` functions hand out copies).
 
 Every memo counts its hits, misses and stores (:meth:`LruMemo.get`
 counts a lookup, :meth:`LruMemo.put` a store); ``make profile MEMO=1``
-reports them per op.  A cap of 0 stores nothing, so every lookup misses.
+reports them per op, and ``make profile MEMO_OFF=name[,name]`` runs the
+timed ops with those memos' caps at 0.  A cap of 0 stores nothing, so
+every lookup misses.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, Optional
+from typing import Any, Callable, Dict, Hashable, Optional
 
 #: Every named memo, by name, in the order they were made.
 MEMOS: Dict[str, "LruMemo"] = {}
@@ -70,14 +82,16 @@ class LruMemo:
         change."""
         return key in self._entries
 
-    def get(self, key: Hashable) -> Optional[Any]:
-        """The value stored under *key* (now the most recent), or None."""
+    def get(self, key: Hashable,
+            valid: Optional[Callable[[Any], bool]] = None) -> Optional[Any]:
+        """The value stored under *key* (now the most recent), or None.
+        With *valid*, a stored value it rejects is a miss too."""
         value = self._entries.get(key)
-        if value is None:
+        if value is None or (valid is not None and not valid(value)):
             self.misses += 1
-        else:
-            self.hits += 1
-            self._entries.move_to_end(key)
+            return None
+        self.hits += 1
+        self._entries.move_to_end(key)
         return value
 
     def put(self, key: Hashable, value: Any) -> None:

@@ -40,6 +40,7 @@ from repro.integrity import (
     IntegrityError,
     IntegrityFinding,
 )
+from repro.memo import LruMemo
 from repro.oci import mediatypes
 from repro.oci.apply import flatten_layers
 from repro.oci.blobs import Blob, BlobStore, check_blob
@@ -54,7 +55,11 @@ CHECKSUM_MANIFEST = "checksums.json"
 
 @dataclass
 class ResolvedImage:
-    """A manifest resolved down to its config and layer objects."""
+    """A manifest resolved down to its config and layer objects.
+
+    :func:`resolve_manifest` hands out read-only documents; a caller that
+    wants to present other ones (a tampered copy, say) replaces them.
+    """
 
     manifest: Manifest
     config: ImageConfig
@@ -73,12 +78,13 @@ class ResolvedImage:
     def verify(self) -> List[IntegrityFinding]:
         """Merkle-style walk: manifest -> config -> layers.
 
-        Re-hashes the resolved config and every layer against the digests
-        the manifest declares, so one corrupt link anywhere in the tree
-        surfaces as a typed finding.
+        Checks the resolved config's digest and every layer's against the
+        digests the manifest declares, so one corrupt link anywhere in the
+        tree surfaces as a typed finding.  A read-only config and a layer
+        each hash their content once and keep the digest.
         """
         findings: List[IntegrityFinding] = []
-        actual_config = digest_bytes(self.config.to_bytes())
+        actual_config = self.config.digest
         if actual_config != self.manifest.config.digest:
             findings.append(
                 IntegrityFinding(
@@ -369,6 +375,31 @@ class OCILayout:
         return layout
 
 
+#: Parsed manifests and configs, keyed on (document class, stored bytes).
+_DOCUMENTS = LruMemo(256, name="documents")
+
+
+def parsed(kind, blob: Blob):
+    """The read-only *kind* document (:class:`Manifest` or
+    :class:`ImageConfig`) that *blob* holds, parsed once per distinct
+    bytes.
+
+    The parse is a pure function of the bytes and the document it gives
+    cannot change, so every reader of equal bytes shares one.  It is kept
+    in a bounded memo keyed on the bytes, not on the blob object: a
+    mirror's stored copy of a document keeps no parse of its own.
+    """
+    data = blob.payload
+    if not isinstance(data, bytes):
+        return kind.from_json(blob.as_json()).frozen()
+    key = (kind, data)
+    document = _DOCUMENTS.get(key)
+    if document is None:
+        document = kind.from_json(blob.as_json()).frozen()
+        _DOCUMENTS.put(key, document)
+    return document
+
+
 def resolve_manifest(lookup: Callable[[str], Blob], digest: str) -> ResolvedImage:
     """Resolve the manifest stored as *digest* through *lookup*, one call
     per blob: the manifest, its config, then each layer in order.
@@ -376,9 +407,11 @@ def resolve_manifest(lookup: Callable[[str], Blob], digest: str) -> ResolvedImag
     The lookup decides how far each blob is trusted (a verified
     :meth:`BlobStore.get`, or staged bytes then stored ones); callers
     that need the Merkle walk follow with :meth:`ResolvedImage.check`.
+    The manifest and config are read-only documents (:func:`parsed`):
+    a caller that wants to change one changes a ``clone()``.
     """
-    manifest = Manifest.from_json(lookup(digest).as_json())
-    config = ImageConfig.from_json(lookup(manifest.config.digest).as_json())
+    manifest = parsed(Manifest, lookup(digest))
+    config = parsed(ImageConfig, lookup(manifest.config.digest))
     layers = [lookup(ld.digest).as_layer() for ld in manifest.layers]
     return ResolvedImage(manifest=manifest, config=config, layers=layers,
                          digest=digest)

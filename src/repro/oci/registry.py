@@ -7,7 +7,8 @@ end to end.
 The integrity rules are the ones layouts use: a pull resolves through
 :func:`~repro.oci.layout.resolve_manifest` and Merkle-checks the result
 on every pull (each member blob answers from its own :func:`check_blob`
-verdict, so a repeat pull re-hashes only the re-rendered config), and
+verdict, and the read-only config its own rendered bytes and digest, so
+a repeat pull of the same bytes re-hashes nothing), and
 the referenced set and the audit come from
 :meth:`~repro.oci.blobs.BlobStore.closure_of` and
 :meth:`~repro.oci.blobs.BlobStore.audit`.  Only the roots differ: a
@@ -179,8 +180,8 @@ class ImageRegistry:
         tele = self.telemetry
         with tele.span("registry.pull", reference=reference) as span:
             resolved = self._pull_inner(name, tag, reference)
-            pulled = (resolved.config.descriptor().size
-                      + resolved.manifest.descriptor().size
+            pulled = (len(resolved.config.to_bytes())
+                      + len(resolved.manifest.to_bytes())
                       + sum(layer.size for layer in resolved.layers))
             span.set("bytes", pulled)
             span.set("layers", len(resolved.layers))

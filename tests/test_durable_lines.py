@@ -1,13 +1,15 @@
-"""Each sealed log record renders its line once.
+"""Each sealed log record is dumped to JSON once.
 
 :func:`repro.durable.seal` and :func:`repro.durable.salvage` hand out
-read-only :class:`repro.durable.Sealed` records, and :func:`durable.line`
-keeps a sealed record's bytes on it, so a journal, artifact-cache, ledger
-or WAL flush renders only the records added since the last one.  The
-bytes stay what they always were: each line is the record's sorted-key
-JSON plus a newline, checked here against a renderer kept in the test,
-for freshly sealed records and for records salvaged under every damage
-model of :func:`tests.test_recovery_fuzz.mutate`.
+read-only :class:`repro.durable.Sealed` records whose line the dump that
+digested (or re-hashed) them already rendered, and :func:`durable.line`
+hands that line out, so a journal, artifact-cache, ledger or WAL flush
+dumps nothing for records sealed or salvaged earlier.  The bytes stay
+what they always were: each line is the record's sorted-key JSON plus a
+newline, checked here against a renderer kept in the test, for freshly
+sealed records, for records salvaged under every damage model of
+:func:`tests.test_recovery_fuzz.mutate`, and for generated records whose
+keys sort on both sides of ``line_digest``.
 """
 
 import copy
@@ -16,6 +18,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import durable
 from repro.core.cache.artifacts import (
@@ -51,25 +55,39 @@ def reference_log(head, records):
 
 
 class CountingJson:
-    """Stands in for ``json`` inside :mod:`repro.durable` and counts the
-    record lines it renders (a body digest dumps no ``line_digest``, a
-    header is not a record)."""
+    """Stands in for ``json`` inside :mod:`repro.durable` and counts every
+    dump it makes for a record: a body digest, a line, a re-hash.  Header
+    lines are not records; :attr:`headers` counts their renders, and
+    :attr:`records` leaves them out."""
 
     loads = staticmethod(json.loads)
 
     def __init__(self):
-        self.lines = 0
+        self.calls = self.headers = 0
+
+    @property
+    def records(self):
+        return self.calls - self.headers
 
     def dumps(self, obj, **kwargs):
-        if isinstance(obj, dict) and "line_digest" in obj:
-            self.lines += 1
+        self.calls += 1
         return json.dumps(obj, **kwargs)
+
+    def reset(self):
+        self.calls = self.headers = 0
 
 
 @pytest.fixture
-def renders(monkeypatch):
+def dumps(monkeypatch):
     counter = CountingJson()
+    header = durable.header
+
+    def counted_header(*args, **kwargs):
+        counter.headers += 1
+        return header(*args, **kwargs)
+
     monkeypatch.setattr(durable, "json", counter)
+    monkeypatch.setattr(durable, "header", counted_header)
     return counter
 
 
@@ -191,17 +209,26 @@ class TestSealedRecords:
         assert isinstance(copied, durable.Sealed)
         assert copied == record and durable.line(copied) == line
 
-    def test_a_sealed_line_is_rendered_once(self, renders):
+    def test_a_sealed_line_is_rendered_once(self, dumps):
+        # One dump digests the record and renders its line.
         record = durable.seal({"b": 1, "a": [2]})
+        assert dumps.records == 1
         first = durable.line(record)
         assert durable.line(record) is first
-        assert renders.lines == 1
+        assert dumps.records == 1
         assert first == reference_line(record)
 
-    def test_a_plain_dict_renders_every_time(self, renders):
+    def test_a_salvaged_record_is_dumped_once(self, dumps):
+        data = durable.header("k", 1) + durable.line(durable.seal({"n": 1}))
+        dumps.reset()
+        _, records, _ = durable.salvage(data, "k", lambda r: True)
+        durable.line(records[0])
+        assert dumps.records == 1
+
+    def test_a_plain_dict_renders_every_time(self, dumps):
         record = {"line_digest": "sha256:x", "a": 1}
         assert durable.line(record) == durable.line(record)
-        assert renders.lines == 2
+        assert dumps.records == 2
 
 
 # -- same bytes ------------------------------------------------------------
@@ -278,83 +305,122 @@ class TestSameBytes:
             assert wal.flushed_bytes == reference_log(wal_head(wal), wal.records)
 
 
-# -- what a flush renders --------------------------------------------------
+# -- what a flush dumps ----------------------------------------------------
 
 class TestFlushRendersOnlyNewRecords:
-    def test_journal(self, renders):
+    """One dump per sealed or salvaged record, none per flush."""
+
+    def test_journal(self, dumps):
         layout = OCILayout()
         journal = make_journal(layout)
-        assert renders.lines == 14
+        assert dumps.records == 14
         journal.flush()
-        assert renders.lines == 14
+        assert dumps.records == 14
         record_node(journal, 12)
         journal.flush()
-        assert renders.lines == 15
+        assert dumps.records == 15
 
-    def test_salvaged_journal_renders_each_record_once(self, renders):
+    def test_salvaged_journal_renders_each_record_once(self, dumps):
         layout = OCILayout()
         make_journal(layout)
-        renders.lines = 0
+        dumps.reset()
         journal = RebuildJournal(layout, TAG)
         journal.flush()
         journal.flush()
-        assert renders.lines == 14
+        assert dumps.records == 14
 
-    def test_cache(self, renders):
+    def test_cache(self, dumps):
         layout = OCILayout()
         flush_cache(layout)
-        assert renders.lines == 12
+        assert dumps.records == 12
         cache = RebuildArtifactCache(layout, TAG)     # the salvage memo
         store_entry(cache, 0)
         cache.flush()
-        assert renders.lines == 13
+        assert dumps.records == 13
 
-    def test_salvaged_cache_renders_each_record_once(self, renders):
+    def test_salvaged_cache_renders_each_record_once(self, dumps):
         data = flush_cache(OCILayout())
         layout = OCILayout()
         layout.replace_side_blob(mediatypes.ANNOTATION_COMTAINER_ARTIFACTS, TAG,
                                  data, mediatypes.REBUILD_ARTIFACTS)
-        renders.lines = 0
+        dumps.reset()
         cache = RebuildArtifactCache(layout, TAG)
         store_entry(cache, 0)
         cache.flush()
-        assert renders.lines == 13
+        assert dumps.records == 13
         store_entry(cache, 1)
         cache.flush()
-        assert renders.lines == 14
+        assert dumps.records == 14
 
-    def test_seeding_from_rendered_pool_entries_renders_none(self, renders):
+    def test_seeding_from_rendered_pool_entries_renders_none(self, dumps):
         source = OCILayout()
         flush_cache(source)
         pool = SharedArtifactCache()
         pool.absorb_layout(source, TAG)
-        renders.lines = 0
+        dumps.reset()
         for _ in range(3):
             assert pool.seed_layout(OCILayout(), TAG) == 12
-        assert renders.lines == 0
+        assert dumps.records == 0
 
-    def test_ledger(self, renders):
+    def test_ledger(self, dumps):
         ledger = make_ledger()
         ledger.to_bytes()
-        assert renders.lines == 24
+        assert dumps.records == 24
         ledger.to_bytes()
-        assert renders.lines == 24
+        assert dumps.records == 24
         record_chunk(ledger, 9, 0)
         ledger.to_bytes()
-        assert renders.lines == 25
+        assert dumps.records == 25
 
-    def test_wal(self, renders):
+    def test_wal(self, dumps):
         wal = make_wal()
-        assert renders.lines == 30
+        assert dumps.records == 30
         data = wal.flushed_bytes
-        assert renders.lines == 30
+        assert dumps.records == 30
         salvaged = ServiceWAL.from_bytes(data)
-        assert renders.lines == 60
+        assert dumps.records == 60
         assert salvaged.flushed_bytes == data
         salvaged.append({"rec": "restart", "t": 31.0})
-        assert renders.lines == 61
+        assert dumps.records == 61
 
     def test_a_wal_line_is_kept_once(self):
         wal = ServiceWAL(seed=7)
         record = wal.append({"rec": "admit", "t": 0.0, "request_id": "a/r0"})
         assert wal._lines[-1] is durable.line(record)
+
+
+# -- the splice -------------------------------------------------------------
+
+#: Keys that sort before, at and after ``line_digest``.
+KEYS = st.sampled_from(["a", "line", "line_digest0", "line_digesta", "m",
+                        "rec", "t", "z", "é", "line_digest"])
+SCALARS = (st.none() | st.booleans() | st.integers()
+           | st.floats(allow_nan=False) | st.text(max_size=8))
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(KEYS, inner, max_size=3),
+    max_leaves=8)
+
+
+class TestOneDumpMakesDigestAndLine:
+    """The splice gives the digest and the line the two dumps gave."""
+
+    @given(st.dictionaries(KEYS, VALUES, max_size=6))
+    def test_seal_and_salvage_match_two_dumps(self, record):
+        sealed = durable.seal(record)
+        assert sealed["line_digest"] == durable._body_digest(record)
+        assert durable.line(sealed) == durable._render(sealed)
+        data = durable.header("k", 1) + durable.line(sealed)
+        _, records, dropped = durable.salvage(data, "k", lambda r: True)
+        assert (records, dropped) == ([sealed], 0)
+        assert durable.line(records[0]) == durable._render(sealed)
+
+    def test_a_nested_slot_is_dumped_as_body_and_line(self, dumps):
+        record = {"a": {"line_digest": None}, "z": 1}
+        sealed = durable.seal(record)
+        assert dumps.records == 2       # the ambiguous dump, then the body
+        rendered = durable.line(sealed)
+        assert dumps.records == 3       # then the line
+        assert sealed["line_digest"] == durable._body_digest(record)
+        assert rendered == durable._render(sealed)

@@ -325,7 +325,11 @@ class TestResolvedImageVerify:
     def test_tampered_config_detected(self):
         layout, manifest, config, layer = _make_layout()
         resolved = layout.resolve("app:latest")
-        resolved.config.env.append("EVIL=1")
+        # The resolved config is a shared read-only document: tamper with
+        # a copy and put that on the resolved image.
+        tampered = resolved.config.clone()
+        tampered.env.append("EVIL=1")
+        resolved.config = tampered
         findings = resolved.verify()
         assert findings and findings[0].kind == KIND_DIGEST_MISMATCH
         with pytest.raises(IntegrityError) as exc_info:

@@ -554,3 +554,59 @@ def test_memo_appends_its_table_after_the_gc_table(monkeypatch, capsys):
     traffic.counts = {"stub": [2, 0, 2]}
     assert lines[gc_at + 6:] == ["# memo traffic over the timed ops",
                                  *traffic.table(ops=2)]
+
+
+# -- --memo-off: the timed ops with named memos switched off ---------------
+
+class _EachMemoWorkload:
+    """A stub workload whose ops look two keys up in turn in each of its
+    memos and store each miss; its check reads none."""
+
+    def __init__(self, *memos):
+        self.memos = memos
+
+    def run(self, i):
+        for memo in self.memos:
+            if memo.get(i % 2) is None:
+                memo.put(i % 2, i)
+        return i
+
+    def check(self, i, out):
+        assert out == i
+
+
+@pytest.mark.parametrize("extra", [[], ["--wall", "repro.stub_timed:outer"]])
+def test_memo_off_switches_only_the_named_memos_off_for_the_timed_ops(
+        extra, monkeypatch, capsys):
+    from repro import memo as memo_module
+
+    _stub_modules(monkeypatch)
+    monkeypatch.setattr(memo_module, "MEMOS", {})
+    kept = memo_module.LruMemo(4, name="kept")
+    off = memo_module.LruMemo(4, name="off")
+    off.put(0, "set-up")                # what the set-up stored is dropped
+    monkeypatch.setattr(profile_ops, "_build", lambda name, seed, ops: (
+        _EachMemoWorkload(kept, off), 0.5, AssertionError))
+    assert profile_ops.main(["stub", "--ops", "4", "--memo", "--memo-off", "off",
+                             *extra]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0].endswith("; memos off: off")
+    # The kept memo misses and stores twice, then hits; the memo switched
+    # off misses every lookup, and each store is forgotten at once.  Both
+    # counts come from the memos' own counters.
+    assert _memo_rows(out) == {
+        "kept": ["1.00", "50.0%", "0.50", "2"],
+        "off": ["1.00", "0.0%", "1.00", "0"],
+    }
+    assert (kept.cap, off.cap) == (4, 4)
+
+
+def test_memo_off_refuses_an_unknown_memo(monkeypatch):
+    from repro import memo as memo_module
+
+    monkeypatch.setattr(memo_module, "MEMOS", {})
+    memo_module.LruMemo(4, name="known")
+    monkeypatch.setattr(profile_ops, "_build", lambda name, seed, ops: (
+        _EachMemoWorkload(), 0.5, AssertionError))
+    with pytest.raises(SystemExit, match=r"no memo named nope \(memos: known\)"):
+        profile_ops.main(["stub", "--ops", "1", "--memo-off", "nope"])
