@@ -372,8 +372,10 @@ class ContainerEngine:
         identities.  A lookup hits only while the container's tree is
         unwritten since that clone (:meth:`VirtualFilesystem.unwritten_since`,
         which also compares the root's own attributes); this is what a
-        redirect-memo hit leaves.  The span, the counters and the image
-        are made from the layer either way.
+        redirect-memo hit leaves.  Only a tree cloned since its last write
+        (:meth:`VirtualFilesystem.cloned_since_written`) is stored, since
+        no other tree can hold a freshly written one.  The span, the
+        counters and the image are made from the layer either way.
         """
         tele = self.telemetry
         span = tele.start_span(
@@ -609,7 +611,9 @@ def _committed_layer(container: Container, comment: str) -> Layer:
         if stored is not None:
             return stored[1]
     layer = diff_filesystems(container.base_fs, tree, comment=comment)
-    if key is not None:
+    # A freshly written tree (a build stage's) cannot come back: keep only
+    # a tree some other tree holds, such as the redirect memo's clone.
+    if key is not None and tree.cloned_since_written():
         _COMMIT_MEMO.put(key, (tree.clone(), layer))
     return layer
 

@@ -569,6 +569,13 @@ class VirtualFilesystem:
         other.root = self.root.clone()
         return other
 
+    def cloned_since_written(self) -> bool:
+        """Whether every top-level node is marked shared: the tree was
+        cloned (or adopted) after its last write reached the top level.
+        Only such a tree's nodes can be held by another tree, so only
+        such a tree can turn up again in another filesystem."""
+        return all(node._shared for node in self.root.children.values())
+
     def unwritten_since(self, other: "VirtualFilesystem") -> bool:
         """Whether self still holds exactly the tree it and *other* were
         both cloned from, in O(root fan-out).

@@ -168,7 +168,8 @@ class TestKeyMisses:
 
 class TestSyntheticTrees:
     """The key and its check on small trees: the same tree over another
-    base image misses, and a container built any other way is not keyed."""
+    base image misses, a tree no other tree holds is not stored, and a
+    container built any other way is not keyed."""
 
     @staticmethod
     def _engine():
@@ -181,27 +182,42 @@ class TestSyntheticTrees:
                              [diff_filesystems(VirtualFilesystem(), fs)])
         return engine
 
+    @staticmethod
+    def _written(engine):
+        """A container of ``base:a`` with a file written, and a clone of
+        its tree kept, as the redirect memo keeps one."""
+        ctr = engine.from_image("base:a")
+        ctr.fs.write_file("/app/bin", "x", create_parents=True)
+        return ctr, ctr.fs.clone()
+
     def test_the_same_tree_over_the_same_image_hits(self):
         engine = self._engine()
-        first = engine.from_image("base:a")
-        first.fs.write_file("/app/bin", "x", create_parents=True)
+        first, kept = self._written(engine)
         made = _commit(engine, first)
         _assert_fresh(made)
         assert made["traffic"] == (0, 1, 1)
         second = engine.from_image("base:a")
-        second.fs.adopt(first.fs)
+        second.fs.adopt(kept)
         again = _commit(engine, second)
         assert again["traffic"] == (1, 0, 0)
         _assert_fresh(again)
         assert again["layer"] == made["layer"]
 
+    def test_a_tree_no_other_tree_holds_is_not_stored(self):
+        engine = self._engine()
+        ctr = engine.from_image("base:a")
+        ctr.fs.write_file("/app/bin", "x", create_parents=True)
+        assert not ctr.fs.cloned_since_written()
+        made = _commit(engine, ctr)
+        assert made["traffic"] == (0, 1, 0)
+        _assert_fresh(made)
+
     def test_the_same_tree_over_another_image_misses(self):
         engine = self._engine()
-        first = engine.from_image("base:a")
-        first.fs.write_file("/app/bin", "x", create_parents=True)
+        first, kept = self._written(engine)
         made = _commit(engine, first)
         other = engine.from_image("base:b")
-        other.fs.adopt(first.fs)
+        other.fs.adopt(kept)
         again = _commit(engine, other)
         assert again["traffic"][:2] == (0, 1)
         _assert_fresh(again)
@@ -215,3 +231,21 @@ class TestSyntheticTrees:
         made = _commit(engine, ctr)
         assert made["traffic"] == (0, 0, 0)
         _assert_fresh(made)
+
+
+class TestClonedSinceWritten:
+    """The gate on storing: a tree is kept only while another tree may
+    hold its top-level nodes."""
+
+    def test_a_write_clears_it_and_a_clone_or_adopt_restores_it(self):
+        fs = VirtualFilesystem()
+        fs.write_file("/etc/release", "a\n", create_parents=True)
+        assert not fs.cloned_since_written()
+        kept = fs.clone()
+        assert fs.cloned_since_written() and kept.cloned_since_written()
+        fs.write_file("/etc/other", "b\n")
+        assert not fs.cloned_since_written() and kept.cloned_since_written()
+        fs.adopt(kept)
+        assert fs.cloned_since_written()
+        fs.mkdir("/srv")
+        assert not fs.cloned_since_written()
