@@ -38,9 +38,15 @@ runs the ops without cProfile instead and times only the functions it
 names (``repro.perf.incremental:plan_rebuild``, a method as
 ``module:Class.method``): for each, its calls per op, its inclusive
 wall-clock milliseconds per op, counting only the outermost of nested or
-recursive calls, and that time's share of the timed region.  The
-functions are wrapped by identity, as the harness tracer wraps its
-boundaries, and every wrapper is removed afterwards.
+recursive calls, and that time's share of the timed region.  Every name
+is resolved before the workload is built, and one that does not resolve
+exits 2 naming it.  The functions are wrapped by identity, as the
+harness tracer wraps its boundaries, in their module and in every loaded
+``repro`` or ``benchmarks`` module that imported them by name (so the
+workloads' own ``from repro... import f`` calls are timed), and every
+wrapper is removed afterwards.  A row with no recorded call is marked
+``(not reached)``: the function did not run, or ran through a reference
+the wrapping cannot see (a registry that holds the function itself).
 
 cProfile also charges the garbage collector's pauses to whichever
 function happens to allocate when a collection starts.  ``--gc``, with
@@ -183,12 +189,16 @@ class WallClock:
 
     Each name is ``module:qualname``.  A method (or property, cached
     property, static or class method) is replaced on its class; a module
-    function on the named module and on every loaded ``repro`` module
-    attribute that *is* it, so ``from x import f`` aliases are timed too.
-    Wrappers count only inside a ``with`` block of the clock, and time
-    only the outermost of nested or recursive calls of one function.
-    :meth:`uninstall` restores every original.
+    function on the named module and on every loaded ``repro`` or
+    ``benchmarks`` module attribute that *is* it, so ``from x import f``
+    aliases are timed too.  Wrappers count only inside a ``with`` block
+    of the clock, and time only the outermost of nested or recursive
+    calls of one function.  :meth:`uninstall` restores every original.
     """
+
+    #: Top-level packages whose modules' aliases of a timed function are
+    #: rebound too.
+    PACKAGES = ("repro", "benchmarks")
 
     def __init__(self, names, clock=time.perf_counter):
         self.names = list(names)
@@ -226,15 +236,35 @@ class WallClock:
     def __exit__(self, *exc):
         self.active = False
 
+    @staticmethod
+    def _lookup(name):
+        """``(module, owner, attr, raw)`` of *name*: *owner* is the class
+        that holds a method (None for a module function), and *raw* what
+        the class or module holds under *attr*."""
+        module_name, _, qualname = name.partition(":")
+        module = importlib.import_module(module_name)
+        owner_name, _, attr = qualname.rpartition(".")
+        if not owner_name:
+            return module, None, attr, getattr(module, attr)
+        owner = functools.reduce(getattr, owner_name.split("."), module)
+        return module, owner, attr, owner.__dict__[attr]
+
+    def unresolved(self):
+        """The names that name no function (no module, class or
+        attribute), in the order given."""
+        missing = []
+        for name in self.names:
+            try:
+                self._lookup(name)
+            except (ImportError, AttributeError, KeyError, ValueError):
+                missing.append(name)
+        return missing
+
     def install(self):
         """Replace every named function with its wrapper."""
         for index, name in enumerate(self.names):
-            module_name, _, qualname = name.partition(":")
-            module = importlib.import_module(module_name)
-            owner_name, _, attr = qualname.rpartition(".")
-            if owner_name:
-                owner = functools.reduce(getattr, owner_name.split("."), module)
-                raw = owner.__dict__[attr]
+            module, owner, attr, raw = self._lookup(name)
+            if owner is not None:
                 if isinstance(raw, property):
                     wrapped = raw.getter(self.wrap(index, raw.fget))
                 elif isinstance(raw, functools.cached_property):
@@ -248,14 +278,13 @@ class WallClock:
                     raise TypeError(f"cannot time {name}: a {type(raw).__name__}")
                 self._patch(owner, attr, raw, wrapped)
                 continue
-            original = getattr(module, attr)
-            wrapped = self.wrap(index, original)
-            repro = [mod for key, mod in list(sys.modules.items())
-                     if mod is not None and key.split(".")[0] == "repro"]
-            for mod in {id(mod): mod for mod in [module, *repro]}.values():
+            wrapped = self.wrap(index, raw)
+            loaded = [mod for key, mod in list(sys.modules.items())
+                      if mod is not None and key.split(".")[0] in self.PACKAGES]
+            for mod in {id(mod): mod for mod in [module, *loaded]}.values():
                 for key, value in list(vars(mod).items()):
-                    if value is original:
-                        self._patch(mod, key, original, wrapped)
+                    if value is raw:
+                        self._patch(mod, key, raw, wrapped)
 
     def _patch(self, owner, attr, original, wrapped):
         setattr(owner, attr, wrapped)
@@ -268,11 +297,13 @@ class WallClock:
 
     def table(self, ops, timed_s):
         """Table lines, one per name in the order given: calls per op,
-        inclusive milliseconds per op and share of *timed_s*."""
+        inclusive milliseconds per op and share of *timed_s*; a name with
+        no recorded call is marked ``(not reached)``."""
         lines = [f"{'calls/op':>10} {'incl ms/op':>10} {'share':>6}  function"]
         for name, calls, seconds in zip(self.names, self.calls, self.seconds):
+            note = "" if calls else "  (not reached)"
             lines.append(f"{calls / ops:>10.1f} {seconds * 1e3 / ops:>10.3f}"
-                         f" {seconds / timed_s:>6.1%}  {name}")
+                         f" {seconds / timed_s:>6.1%}  {name}{note}")
         return lines
 
 
@@ -401,10 +432,15 @@ class MemosOff:
         self._caps.clear()
 
 
+def _import_paths():
+    """Put ``src`` and the repo root first on ``sys.path``."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+
 def _build(name, seed, ops):
     """(workload *name* at *seed* sized for *ops* ops, its set-up seconds,
     the harness's check failure type)."""
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+    _import_paths()
     from benchmarks.harness.workloads import WORKLOAD_TYPES, CheckFailed
 
     start = time.perf_counter()
@@ -444,9 +480,16 @@ def profile(name, seed, ops, *regions):
 def wall(name, seed, ops, names, *regions):
     """(:class:`WallClock` of *names*, set-up seconds, per-op wall-clock
     seconds) of *ops* ops of workload *name* at *seed*, without cProfile,
-    each op also inside every one of *regions*."""
-    workload, setup_s, check_failed = _build(name, seed, ops)
+    each op also inside every one of *regions*.  Exits 2, before the
+    set-up, naming every name that does not resolve."""
     timer = WallClock(names)
+    _import_paths()
+    missing = timer.unresolved()
+    if missing:
+        print(f"profile_ops: --wall: no function named {', '.join(missing)}",
+              file=sys.stderr)
+        sys.exit(2)
+    workload, setup_s, check_failed = _build(name, seed, ops)
     timer.install()
     try:
         laps = _run(workload, ops, check_failed, timer, *regions)

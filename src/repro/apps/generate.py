@@ -10,7 +10,7 @@ architecture.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.apps.specs import MIB, AppSpec
 from repro.pkg import catalog
@@ -89,8 +89,9 @@ def source_file_plan(spec: AppSpec) -> List[Tuple[str, int, str]]:
     return plan
 
 
-def generate_sources(spec: AppSpec, isa: str) -> Dict[str, object]:
-    """Source path -> content for the app on a given ISA."""
+def generate_sources(spec: AppSpec) -> Dict[str, object]:
+    """Source path -> content for the app (the same on every ISA: only
+    ``build.sh`` differs)."""
     out: Dict[str, object] = {}
     for relpath, size, kind in source_file_plan(spec):
         header = _source_header(spec, relpath)
@@ -162,11 +163,17 @@ def build_script(spec: AppSpec, isa: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def estimate_executable_size(spec: AppSpec, lto: bool = False) -> int:
-    """Mirror of the driver's artifact sizing (kept in sync by tests)."""
+def estimate_executable_size(
+    spec: AppSpec, lto: bool = False, sources: Optional[Dict[str, object]] = None
+) -> int:
+    """Mirror of the driver's artifact sizing (kept in sync by tests);
+    *sources* are the app's :func:`generate_sources`, made here when not
+    given."""
+    if sources is None:
+        sources = generate_sources(spec)
     density = BYTES_PER_SOURCE_BYTE["3"] * (1.25 if lto else 1.0)
     total = 0
-    for content in generate_sources(spec, "x86-64").values():
+    for content in sources.values():
         total += max(64, int(content.size * density))
     return int(total * 1.1) + 256
 
@@ -182,8 +189,11 @@ def runtime_extra_bytes(spec: AppSpec, arch: str) -> int:
     return sum(_package_size(arch, name) for name in spec.runtime_packages)
 
 
-def data_plan(spec: AppSpec, arch: str) -> List[Tuple[str, int]]:
-    """Runtime data files sized to hit the Table 3 image target."""
+def data_plan(
+    spec: AppSpec, arch: str, sources: Optional[Dict[str, object]] = None
+) -> List[Tuple[str, int]]:
+    """Runtime data files sized to hit the Table 3 image target (*sources*
+    as :func:`estimate_executable_size` takes them)."""
     inputs = [(f"in.{w}", 2048) for w in spec.workloads if w]
     target = int(spec.image_size.get(arch, 0.0) * MIB)
     if target <= 0:
@@ -194,7 +204,7 @@ def data_plan(spec: AppSpec, arch: str) -> List[Tuple[str, int]]:
         target
         - base
         - runtime_extra_bytes(spec, arch)
-        - estimate_executable_size(spec)
+        - estimate_executable_size(spec, sources=sources)
         - sum(size for _, size in inputs)
     )
     pad = max(4096, pad)
@@ -209,10 +219,11 @@ def build_context(spec: AppSpec, arch: str) -> VirtualFilesystem:
     """The buildah build context for (app, architecture)."""
     isa = catalog.ARCH_ISA[arch]
     context = VirtualFilesystem()
-    for relpath, content in generate_sources(spec, isa).items():
+    sources = generate_sources(spec)
+    for relpath, content in sources.items():
         context.write_file(f"/src/{relpath}", content, create_parents=True)
     context.write_file("/src/build.sh", build_script(spec, isa), create_parents=True)
-    for relpath, size in data_plan(spec, arch):
+    for relpath, size in data_plan(spec, arch, sources):
         context.write_file(
             f"/data/{relpath}",
             SyntheticContent(f"{spec.name}:data:{relpath}", size),

@@ -1,6 +1,6 @@
 """The one bounded memo: a least-recently-used map with a fixed cap.
 
-Nine pure computations keep their finished results in one, each memo
+Ten pure computations keep their finished results in one, each memo
 named and registered here (:data:`MEMOS`), so a test can switch every
 memo off at once and a profile can count each one's traffic:
 
@@ -8,6 +8,9 @@ memo off at once and a profile can count each one's traffic:
   the layer digests;
 - ``documents``: the parsed OCI manifests and configs
   (:func:`repro.oci.layout.parsed`), keyed on the stored bytes;
+- ``artifacts``: the parsed simulated build artifacts
+  (:func:`repro.toolchain.artifacts.read_artifact`), keyed on the payload
+  bytes and filled by each render, not by a parse;
 - ``commit``: the layer a container commit diffs
   (:meth:`repro.containers.engine.ContainerEngine.commit`), keyed on the
   container's image, the comment and the tree's top-level nodes;
@@ -25,9 +28,13 @@ memo off at once and a profile can count each one's traffic:
   (:func:`repro.core.backend.redirect.redirect_in_container`).
 
 The last three are keyed on the container's image and everything the
-step reads.  Each memo stores only results that finished.  Four hand out
+step reads.  Each memo stores only results that finished.  Five hand out
 copies, never the stored value: the flatten memo a copy-on-write clone
-of the tree, the dpkg memo a copy of the database, the install and
+of the tree, the dpkg memo a copy of the database, the artifacts memo a
+copy of the artifact whose lists and maps (an archive's or a linked
+artifact's member records too) are new, as a parse's are (it keeps the
+artifact the render was given, which every render builds for it and
+drops), the install and
 redirect memos a copy-on-write clone of the stored tree (the install
 memo also a private copy of the package database and a new list of the
 installed names).  Five share their stored value, which nothing writes

@@ -197,8 +197,21 @@ class ImageConfig:
         return Descriptor(mediatypes.IMAGE_CONFIG, digest_bytes(data), len(data))
 
     def clone(self) -> "ImageConfig":
-        """A working copy: every list and dict in it is new and mutable."""
-        return ImageConfig.from_json(self.to_json())
+        """A working copy: every list and dict in it is new and mutable.
+
+        It equals ``ImageConfig.from_json(self.to_json())``, an empty
+        working directory read as ``/`` included, without rendering."""
+        return ImageConfig(
+            architecture=self.architecture,
+            os=self.os,
+            env=list(self.env),
+            entrypoint=list(self.entrypoint),
+            cmd=list(self.cmd),
+            working_dir=self.working_dir or "/",
+            labels=dict(self.labels),
+            diff_ids=list(self.diff_ids),
+            history=[_mutable(entry) for entry in self.history],
+        )
 
     def frozen(self) -> "FrozenImageConfig":
         """A read-only copy of this config (later changes do not reach it)."""

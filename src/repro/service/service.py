@@ -1225,10 +1225,20 @@ class AdaptationService:
     def _sync_mirrors(self, app: str) -> None:
         """Converge every federation mirror on the origin after a
         completed request, through the ``mirrors`` breaker: the sync
-        engine moves only what changed, verified, and resumes a failed
-        sync from its ledger next time."""
+        engine moves only what changed, verified, and each mirror's sync
+        retries a transient fault under the service's retry policy,
+        resuming from its ledger (a failed sync resumes there next
+        time too).  The retries' jitter is seeded per sync."""
+        n = self.mirror_syncs + self.mirror_sync_failures
+        ctx = ResilienceContext(
+            policy=self.policy, injector=self.injector,
+            stats=RetryStats(scope=f"mirror-sync-{n}"),
+            rng=random.Random(f"comtainer-service:{self.seed}:mirror-sync:{n}"),
+            telemetry=self.telemetry,
+        )
         try:
-            self.breakers["mirrors"].call(self.federation.sync_all)
+            self.breakers["mirrors"].call(
+                lambda: self.federation.sync_all(ctx=ctx))
             self.mirror_syncs += 1
             self._wal("sync", app=app, ok=True)
             self.telemetry.metrics.counter("service_mirror_syncs_total").inc()

@@ -21,7 +21,7 @@ tar export like any other file content.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Sequence
 
 PROGRAM_MAGIC = b"#!sim\n"
 ARTIFACT_MAGIC = b"\x7fSIM\n"
@@ -51,11 +51,42 @@ def is_program(data: bytes) -> bool:
     return read_program_marker(data) is not None
 
 
-def artifact_payload(kind: str, body: Dict[str, Any]) -> bytes:
-    """Encode a build artifact of *kind* (object/archive/shared/executable)."""
+#: ``json.dumps(..., sort_keys=True)`` without building an encoder per call.
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
+
+
+def artifact_payload(
+    kind: str,
+    body: Dict[str, Any],
+    spliced: Optional[Dict[str, Sequence[Optional[bytes]]]] = None,
+) -> bytes:
+    """Encode a build artifact of *kind* (object/archive/shared/executable).
+
+    *spliced* maps a list in *body* to the JSON text of each of its items
+    (None for an item to encode here).  A text goes into the payload as it
+    is, so the payload is the plain encoding's bytes as long as each text
+    is its item's sort-keys encoding."""
     payload = {"kind": kind}
     payload.update(body)
-    return ARTIFACT_MAGIC + json.dumps(payload, sort_keys=True).encode("utf-8")
+    if not spliced:
+        return ARTIFACT_MAGIC + _ENCODE(payload).encode("utf-8")
+    # The plain encoding is "{" + the sorted "key": value items joined by
+    # ", " + "}": encode the runs of other keys as dicts, join the rest.
+    parts, run = [], {}
+    for key in sorted(payload):
+        if key not in spliced:
+            run[key] = payload[key]
+            continue
+        if run:
+            parts.append(_ENCODE(run)[1:-1].encode())
+            run = {}
+        items = b", ".join(
+            _ENCODE(item).encode() if text is None else text
+            for item, text in zip(payload[key], spliced[key], strict=True))
+        parts.append(b"%s: [%s]" % (_ENCODE(key).encode(), items))
+    if run:
+        parts.append(_ENCODE(run)[1:-1].encode())
+    return ARTIFACT_MAGIC + b"{" + b", ".join(parts) + b"}"
 
 
 def read_artifact_payload(data: bytes) -> Optional[Dict[str, Any]]:

@@ -12,6 +12,7 @@ from repro.toolchain.artifacts import (
     ArchiveArtifact,
     ObjectArtifact,
     artifact_content,
+    rendered_text,
     try_read_artifact,
 )
 from repro.vfs import VirtualFilesystem
@@ -54,22 +55,25 @@ def run_ar(argv: List[str], fs: VirtualFilesystem, cwd: str = "/") -> str:
         else:
             artifact = ArchiveArtifact()
         existing = {m["name"]: i for i, m in enumerate(artifact.members)}
+        # Each member's rendered text where it is known, for the splice.
+        texts = [None] * len(artifact.members)
         for path in member_paths:
             if not fs.exists(path):
                 raise ArchiverError(f"ar: {path}: No such file or directory")
-            obj = try_read_artifact(fs.read_content(path))
+            content = fs.read_content(path)
+            obj = try_read_artifact(content)
             if not isinstance(obj, ObjectArtifact):
                 raise ArchiverError(f"ar: {path}: file format not recognized")
             name = vpath.basename(path)
-            record = {"name": name, "object": obj.to_json()}
+            record, text = ArchiveArtifact.member(name, obj, rendered_text(content))
             if name in existing:
                 artifact.members[existing[name]] = record
+                texts[existing[name]] = text
             else:
                 artifact.members.append(record)
-        total = sum(
-            ObjectArtifact.from_json(m["object"]).code_size for m in artifact.members
-        )
-        content = artifact_content(artifact, pad=max(0, total - 512))
+                texts.append(text)
+        total = sum(m["object"].get("code_size", 0) for m in artifact.members)
+        content = artifact_content(artifact, pad=max(0, total - 512), texts=texts)
         fs.write_file(archive_path, content, create_parents=True)
         return ""
 

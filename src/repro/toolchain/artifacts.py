@@ -11,16 +11,25 @@ rebuild results.
 Artifacts are *padded* to a realistic code size (~12 bytes per source
 line) so image sizes keep Table 3 shape without materializing bulk bytes
 until someone actually reads the file.
+
+Every artifact is described once.  A render (:func:`artifact_content`)
+keeps the artifact it rendered in the ``artifacts`` memo, keyed on the
+payload, and :func:`read_artifact` answers those bytes with a copy of it
+instead of parsing them: the linker reads the objects the compiler just
+wrote.  A render of an archive or a linked artifact splices in the text
+of each member whose payload is in the memo (:func:`rendered_text`)
+instead of encoding it again.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import simbin
+from repro.memo import LruMemo
 from repro.vfs.content import FileContent
 
 #: Rough native code density used to size artifacts from source size.
@@ -118,6 +127,17 @@ class ArchiveArtifact:
     def from_json(obj: Dict[str, Any]) -> "ArchiveArtifact":
         return ArchiveArtifact(members=list(obj.get("members", [])))
 
+    @staticmethod
+    def member(name: str, obj: ObjectArtifact,
+               text: Optional[bytes] = None) -> Tuple[Dict[str, Any], Optional[bytes]]:
+        """The member record of *obj* under *name*, and the record's JSON
+        text when *text*, the object's own (:func:`rendered_text`), is
+        known."""
+        record = {"name": name, "object": obj.to_json()}
+        if text is not None:
+            text = b'{"name": %s, "object": %s}' % (json.dumps(name).encode(), text)
+        return record, text
+
 
 @dataclass
 class LinkedArtifact:
@@ -179,11 +199,111 @@ _KIND_CLASSES = {
 }
 
 
-def artifact_content(artifact: Any, pad: Optional[int] = None) -> PaddedContent:
-    """Serialize *artifact* to padded simbin content."""
+#: The member list of each kind that holds members, which a render splices.
+_MEMBER_KEYS = {"archive": "members", "shared": "objects", "executable": "objects"}
+
+#: The artifact each payload was rendered from, filled by every render: a
+#: cold build reads only artifacts it rendered moments before, and almost
+#: never the same bytes twice, so a memo that parses filled would almost
+#: never hit.
+_ARTIFACTS = LruMemo(256, name="artifacts")
+
+_OBJECT_KEYS = frozenset(f.name for f in fields(ObjectArtifact))
+#: The fields holding a flat list or map of strings or flags.
+_FLAT_FIELDS = ("sources", "defines", "command", "fflags", "libs", "lib_paths")
+
+
+def _plain(value: Any) -> Any:
+    """A copy of a JSON value as a parse returns it: every list (or tuple)
+    and dict in it new."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _flat(value: Any) -> Any:
+    """A copy of a flat list or map (any other value copied in full)."""
+    if type(value) is list:
+        return list(value)
+    if type(value) is dict:
+        return dict(value)
+    return _plain(value)
+
+
+def _object_json(obj: Any) -> Any:
+    """A copy of an object artifact's JSON (a member of a linked artifact
+    or an archive)."""
+    if type(obj) is not dict or obj.keys() != _OBJECT_KEYS:
+        return _plain(obj)
+    copy = dict(obj)
+    for key in ("sources", "defines", "command", "fflags"):
+        copy[key] = _flat(copy[key])
+    return copy
+
+
+def _member_json(member: Any) -> Any:
+    """A copy of an archive's member record."""
+    if type(member) is not dict or member.keys() != {"name", "object"}:
+        return _plain(member)
+    return {"name": member["name"], "object": _object_json(member["object"])}
+
+
+def _each(copy_item):
+    """The copy of a list whose items *copy_item* copies."""
+    return lambda value: ([copy_item(item) for item in value]
+                          if type(value) is list else _plain(value))
+
+
+#: How each field that holds a list or a map is copied.
+_FIELD_COPIES = {**dict.fromkeys(_FLAT_FIELDS, _flat),
+                 "objects": _each(_object_json), "members": _each(_member_json)}
+#: Each class's fields in order, with the copy of each (None: shared, a
+#: JSON scalar).
+_SHAPES = {cls: tuple((f.name, _FIELD_COPIES.get(f.name)) for f in fields(cls))
+           for cls in _KIND_CLASSES.values()}
+_FIELD_NAMES = {cls: frozenset(name for name, _ in shape)
+                for cls, shape in _SHAPES.items()}
+
+
+def _copy(artifact: Any) -> Any:
+    """An independent copy of *artifact* whose class and fields equal
+    those a parse of its rendered payload returns (a map may iterate in
+    another order): every list and map in it is new, a tuple a list."""
+    shape = _SHAPES[type(artifact)]
+    state = artifact.__dict__
+    copy = object.__new__(type(artifact))
+    copy.__dict__.update({name: state[name] if how is None else how(state[name])
+                          for name, how in shape})
+    return copy
+
+
+def _parses_as_itself(artifact: Any, kind: str) -> bool:
+    """Whether a parse of *artifact*'s render gives back its class and
+    every field it has, and no other."""
+    cls = _KIND_CLASSES.get(kind)
+    return type(artifact) is cls and artifact.__dict__.keys() == _FIELD_NAMES[cls]
+
+
+def artifact_content(artifact: Any, pad: Optional[int] = None,
+                     texts: Optional[Sequence[Optional[bytes]]] = None) -> PaddedContent:
+    """Serialize *artifact* to padded simbin content, and keep it under
+    the payload for :func:`read_artifact`, which hands out copies.  The
+    render takes the artifact over: nothing may change it afterwards
+    (every render builds its artifact for the render and drops it).
+
+    *texts*, for an archive or a linked artifact, holds each member's
+    :func:`rendered_text` (None where it is not known), spliced into the
+    payload as it is."""
     body = artifact.to_json()
     kind = body.pop("kind")
-    payload = simbin.artifact_payload(kind, body)
+    spliced = None
+    if texts is not None and any(text is not None for text in texts):
+        spliced = {_MEMBER_KEYS[kind]: texts}
+    payload = simbin.artifact_payload(kind, body, spliced)
+    if _parses_as_itself(artifact, kind):
+        _ARTIFACTS.put(payload, artifact)
     pad_bytes = pad if pad is not None else max(0, artifact.code_size - len(payload))
     return PaddedContent(payload=payload, pad=pad_bytes)
 
@@ -198,10 +318,28 @@ def decodable_bytes(data: Union[bytes, FileContent]) -> bytes:
     return data
 
 
+def rendered_text(data: Union[bytes, FileContent]) -> Optional[bytes]:
+    """The JSON text of the artifact *data* holds (its payload after the
+    magic) when a render made that payload and the memo still holds it,
+    else None.  Such text is exactly what a render encodes the artifact
+    as, so a render of its archive or linked artifact may splice it in."""
+    payload = decodable_bytes(data)
+    if payload in _ARTIFACTS:
+        return payload[len(simbin.ARTIFACT_MAGIC):]
+    return None
+
+
 def read_artifact(data: Union[bytes, FileContent]) -> Any:
     """Parse an artifact's bytes or file content into its typed
-    representation."""
-    obj = simbin.read_artifact_payload(decodable_bytes(data))
+    representation: a copy of what rendered them, when the memo holds
+    it."""
+    payload = decodable_bytes(data)
+    if not payload.startswith(simbin.ARTIFACT_MAGIC):
+        raise ArtifactError("not a simulated build artifact")
+    stored = _ARTIFACTS.get(payload)
+    if stored is not None:
+        return _copy(stored)
+    obj = simbin.read_artifact_payload(payload)
     if obj is None:
         raise ArtifactError("not a simulated build artifact")
     kind = obj.get("kind")

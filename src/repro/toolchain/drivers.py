@@ -23,11 +23,12 @@ from repro.toolchain.artifacts import (
     SharedObjectArtifact,
     artifact_content,
     BYTES_PER_SOURCE_BYTE,
+    rendered_text,
     try_read_artifact,
 )
 from repro.toolchain.info import get_toolchain
 from repro.toolchain.options import is_isa_specific
-from repro.vfs import VirtualFilesystem
+from repro.vfs import Directory, VirtualFilesystem
 from repro.vfs import paths as vpath
 
 #: Libraries the toolchain provides implicitly (no file lookup needed).
@@ -107,11 +108,12 @@ class CompilerDriver:
         return vpath.join(cwd, path)
 
     def _source_size(self, fs: VirtualFilesystem, path: str, program: str) -> int:
-        if not fs.exists(path):
+        node = fs.try_get_node(path)
+        if node is None:
             raise CompilerError(f"{program}: error: {path}: No such file or directory")
-        if fs.is_dir(path):
+        if isinstance(node, Directory):
             raise CompilerError(f"{program}: error: {path} is a directory")
-        return fs.file_size(path)
+        return node.size
 
     # ------------------------------------------------------------------
 
@@ -133,8 +135,14 @@ class CompilerDriver:
     # ------------------------------------------------------------------
 
     def _object_for_source(
-        self, inv: cli.CompilerInvocation, source_path: str, source_size: int
+        self,
+        inv: cli.CompilerInvocation,
+        source_path: str,
+        source_size: int,
+        command: List[str],
     ) -> ObjectArtifact:
+        """The object *inv* compiles from one source; *command* is
+        ``inv.render()``, which every object of one invocation shares."""
         opt = inv.opt_level or "0"
         density = BYTES_PER_SOURCE_BYTE.get(opt, 0.5)
         return ObjectArtifact(
@@ -153,7 +161,7 @@ class CompilerDriver:
             pgo_instrumented=inv.profile_generate,
             pgo_profile=None,
             code_size=max(64, int(source_size * density * (1.25 if inv.lto else 1.0))),
-            command=inv.render(),
+            command=command,
         )
 
     def _compile(
@@ -167,6 +175,7 @@ class CompilerDriver:
         profile = None
         if inv.profile_use:
             profile = self._load_profile(inv, fs, cwd)
+        command = inv.render()
         outputs: List[str] = []
         for source in inv.sources:
             path = self._resolve(cwd, source)
@@ -178,7 +187,7 @@ class CompilerDriver:
                 )
                 outputs.append(out)
                 continue
-            artifact = self._object_for_source(inv, path, size)
+            artifact = self._object_for_source(inv, path, size, command)
             if profile is not None:
                 artifact.pgo_profile = profile
             out = inv.output or source.rsplit("/", 1)[-1].rsplit(".", 1)[0] + ".o"
@@ -220,22 +229,27 @@ class CompilerDriver:
         cwd: str,
         env: Dict[str, str],
     ) -> DriverResult:
+        command = inv.render()
         members: List[ObjectArtifact] = []
         # Inline sources in a link command compile implicitly first.
         for source in inv.sources:
             path = self._resolve(cwd, source)
             size = self._source_size(fs, path, inv.program)
-            members.append(self._object_for_source(inv, path, size))
+            members.append(self._object_for_source(inv, path, size, command))
+        # Each member's rendered text where it is known, for the splice.
+        texts: List[Optional[bytes]] = [None] * len(members)
         for obj_path in inv.objects:
             path = self._resolve(cwd, obj_path)
             if not fs.exists(path):
                 raise CompilerError(f"{inv.program}: error: {obj_path}: No such file or directory")
-            artifact = try_read_artifact(fs.read_content(path))
+            content = fs.read_content(path)
+            artifact = try_read_artifact(content)
             if not isinstance(artifact, ObjectArtifact):
                 raise CompilerError(
                     f"/usr/bin/ld: {obj_path}: file format not recognized"
                 )
             members.append(artifact)
+            texts.append(rendered_text(content))
         for ar_path in inv.archives:
             path = self._resolve(cwd, ar_path)
             if not fs.exists(path):
@@ -308,13 +322,14 @@ class CompilerDriver:
             pgo_applied=pgo_applied,
             pgo_profile=profile or (member_profiles[0] if member_profiles else None),
             code_size=int(sum(m.code_size for m in members) * 1.1) + 256,
-            command=inv.render(),
+            command=command,
             soname=_soname_from(inv),
         )
+        texts.extend([None] * (len(members) - len(texts)))
         output = inv.effective_output()
         fs.write_file(
             self._resolve(cwd, output),
-            artifact_content(artifact),
+            artifact_content(artifact, texts=texts),
             mode=0o755,
             create_parents=True,
         )

@@ -68,7 +68,7 @@ REF = "app:adapted"
 #: x3, a scope change, identical x2, back to the first scope, identical.
 SEQUENCE = (0, 0, 0, 0, 1, 1, 1, 0, 0)
 MEMO_NAMES = {"flatten", "dpkg-status", "decode", "plan", "runtime",
-              "rebuild", "redirect", "documents", "commit"}
+              "rebuild", "redirect", "documents", "commit", "artifacts"}
 
 
 @pytest.fixture(autouse=True)

@@ -6,12 +6,14 @@ import pytest
 from repro.apps import APPS, app_containerfile, build_context, get_app
 from repro.apps.generate import (
     build_script,
+    data_plan,
     estimate_executable_size,
     generate_sources,
     source_file_plan,
 )
 from repro.apps.specs import CROSSISA_APPS, MIB, TABLE3_APPS
 from repro.containers import ContainerEngine
+from repro.core.workflow import build_original_image
 from repro.images import install_ubuntu_base
 from repro.perf import attach_perf, predict_time, scheme_traits
 from repro.perf.workloads import WORKLOADS
@@ -24,6 +26,12 @@ def engine():
     eng = ContainerEngine(arch="amd64")
     install_ubuntu_base(eng)
     return eng
+
+
+@pytest.fixture(scope="module")
+def engines(engine):
+    """An engine per architecture (amd64 is :func:`engine`)."""
+    return {"amd64": engine, "arm64": ContainerEngine(arch="arm64")}
 
 
 def _build_original(engine, app_name, tag=None):
@@ -63,20 +71,20 @@ class TestSourceGeneration:
         assert total >= spec.source_bytes * 0.95
 
     def test_guarded_asm_has_fallback(self):
-        sources = generate_sources(get_app("hpl"), "x86-64")
+        sources = generate_sources(get_app("hpl"))
         asm = [v for k, v in sources.items() if k.startswith("arch_")]
         assert asm
         text = asm[0].read().decode()
         assert "__asm__" in text and "#else" in text
 
     def test_unguarded_asm_has_no_fallback(self):
-        sources = generate_sources(get_app("lammps"), "x86-64")
+        sources = generate_sources(get_app("lammps"))
         asm_text = sources["arch_00.cc"].read().decode()
         assert "__asm__" in asm_text and "#else" not in asm_text
 
     def test_sources_deterministic(self):
-        a = generate_sources(get_app("lulesh"), "x86-64")
-        b = generate_sources(get_app("lulesh"), "x86-64")
+        a = generate_sources(get_app("lulesh"))
+        b = generate_sources(get_app("lulesh"))
         assert {k: v.digest for k, v in a.items()} == {k: v.digest for k, v in b.items()}
 
 
@@ -102,6 +110,35 @@ class TestBuildScript:
         assert "-DUSE_MPI=1" in script
 
 
+#: ``data_plan``'s bulk data file per (app, arch), pinned: whether it
+#: generates the sources itself or takes ``build_context``'s, no size
+#: may move.
+DATA_FILES = {
+    ("comd", "amd64"): ("tables.bin", 1048952),
+    ("hpccg", "amd64"): ("tables.bin", 1171305),
+    ("hpcg", "amd64"): ("tables.bin", 688308),
+    ("hpl", "amd64"): ("tables.bin", 1181976),
+    ("lammps", "amd64"): ("potentials.bin", 25564788),
+    ("lulesh", "amd64"): ("tables.bin", 1020795),
+    ("miniaero", "amd64"): ("tables.bin", 862609),
+    ("miniamr", "amd64"): ("tables.bin", 751222),
+    ("minife", "amd64"): ("tables.bin", 1093101),
+    ("minimd", "amd64"): ("tables.bin", 929235),
+    ("openmx", "amd64"): ("vps_pao_database.bin", 266093886),
+    ("comd", "arm64"): ("tables.bin", 744866),
+    ("hpccg", "arm64"): ("tables.bin", 720418),
+    ("hpcg", "arm64"): ("tables.bin", 1244054),
+    ("hpl", "arm64"): ("tables.bin", 447974),
+    ("lammps", "arm64"): ("potentials.bin", 25176817),
+    ("lulesh", "arm64"): ("tables.bin", 2100829),
+    ("miniaero", "arm64"): ("tables.bin", 558522),
+    ("miniamr", "arm64"): ("tables.bin", 457622),
+    ("minife", "arm64"): ("tables.bin", 883386),
+    ("minimd", "arm64"): ("tables.bin", 719521),
+    ("openmx", "arm64"): ("vps_pao_database.bin", 260085546),
+}
+
+
 class TestOriginalImageBuild:
     @pytest.mark.parametrize("app", ["lulesh", "hpl"])
     def test_build_succeeds_and_binary_present(self, engine, app):
@@ -114,11 +151,23 @@ class TestOriginalImageBuild:
         assert exe.isa == "x86-64"
         assert not exe.lto_applied and not exe.pgo_applied
 
-    def test_executable_size_estimate_matches(self, engine):
-        ref = _build_original(engine, "lulesh")
-        fs = engine.image_filesystem(ref)
-        actual = fs.file_size("/app/lulesh")
-        assert actual == estimate_executable_size(get_app("lulesh"))
+    @pytest.mark.parametrize("arch", ["amd64", "arm64"])
+    @pytest.mark.parametrize("app", sorted(APPS))
+    def test_executable_size_estimate_matches(self, engines, app, arch):
+        engine, spec = engines[arch], get_app(app)
+        ref = build_original_image(engine, spec)
+        actual = engine.image_filesystem(ref).file_size(f"/app/{spec.binary_name}")
+        assert actual == estimate_executable_size(spec)
+
+    @pytest.mark.parametrize("arch", ["amd64", "arm64"])
+    @pytest.mark.parametrize("app", sorted(APPS))
+    def test_data_plan_is_pinned(self, app, arch):
+        spec = get_app(app)
+        plan = data_plan(spec, arch)
+        assert plan[:-1] == [(f"in.{w}", 2048) for w in spec.workloads if w]
+        name, size = plan[-1]
+        assert (name, size) == DATA_FILES[app, arch]
+        assert build_context(spec, arch).file_size(f"/data/{name}") == size
 
     def test_dist_image_has_no_sources_or_toolchain(self, engine):
         ref = _build_original(engine, "lulesh")

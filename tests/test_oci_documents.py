@@ -14,7 +14,9 @@ import pickle
 
 import pytest
 
+from repro.apps import APPS, get_app
 from repro.containers import ContainerEngine
+from repro.core.workflow import build_extended_image, build_original_image
 from repro.oci import mediatypes
 from repro.oci.blobs import Blob
 from repro.oci.digest import canonical_json
@@ -188,6 +190,52 @@ class TestWorkingCopiesStayMutable:
             assert value.digest == working.digest
             assert value.descriptor() == working.descriptor()
         assert manifest.frozen().descriptor({"a": "b"}) == manifest.descriptor({"a": "b"})
+
+
+@pytest.fixture(scope="module")
+def app_configs():
+    """Every config the 11 apps' images hold: each layout tag's resolved
+    config and every image config in the engine (all read-only values),
+    and a working copy of each."""
+    engine = ContainerEngine(arch="amd64")
+    values = []
+    for name in sorted(APPS):
+        layout, _ = build_extended_image(engine, get_app(name))
+        build_original_image(engine, get_app(name))
+        values += [layout.resolve(tag).config for tag in layout.tags()]
+    values += [image.config for image in engine.images.values()]
+    return values + [ImageConfig.from_json(value.to_json()) for value in values]
+
+
+class TestCloneCopiesFields:
+    """``clone()`` copies the fields instead of rendering and parsing,
+    and gives what the round trip gave."""
+
+    def test_a_clone_equals_the_round_trip(self, app_configs):
+        assert {type(config) for config in app_configs} == {
+            FrozenImageConfig, ImageConfig}
+        for config in app_configs:
+            clone = config.clone()
+            assert type(clone) is ImageConfig
+            assert clone == ImageConfig.from_json(config.to_json())
+            assert clone.to_bytes() == config.to_bytes()
+
+    def test_writing_to_a_clone_leaves_the_original_unchanged(self, app_configs):
+        for config in app_configs:
+            before = copy.deepcopy(config.to_json())
+            clone = config.clone()
+            for values in (clone.env, clone.entrypoint, clone.cmd,
+                           clone.diff_ids, clone.history):
+                values.append({} if values is clone.history else "x")
+            clone.labels["x"] = "y"
+            for entry in clone.history:
+                entry["x"] = "y"
+            assert config.to_json() == before
+
+    def test_an_empty_working_dir_clones_as_root(self):
+        config = ImageConfig(working_dir="")
+        assert config.clone().working_dir == "/"
+        assert config.clone() == ImageConfig.from_json(config.to_json())
 
 
 class TestParsedOnce:

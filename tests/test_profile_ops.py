@@ -359,6 +359,65 @@ def test_wall_cannot_be_combined_with_the_profile_tables(flag, capsys):
     assert "--wall runs without cProfile" in capsys.readouterr().err
 
 
+def test_wall_names_every_name_that_does_not_resolve_before_the_set_up(
+        monkeypatch, capsys):
+    _stub_modules(monkeypatch)
+    monkeypatch.setattr(profile_ops, "_build",
+                        lambda *args: pytest.fail("built the workload"))
+    names = ["repro.stub_timed:outer", "repro.stub_timed:nosuch",
+             "repro.stub_timed:Box.nope", "repro.stub_nosuch:f",
+             "repro.stub_timed:Nope.f"]
+    with pytest.raises(SystemExit) as info:
+        profile_ops.main(["stub", "--wall", ",".join(names)])
+    assert info.value.code == 2
+    assert capsys.readouterr().err == (
+        "profile_ops: --wall: no function named repro.stub_timed:nosuch,"
+        " repro.stub_timed:Box.nope, repro.stub_nosuch:f,"
+        " repro.stub_timed:Nope.f\n")
+
+
+def test_wall_rebinds_a_harness_module_alias(monkeypatch):
+    timed, _ = _stub_modules(monkeypatch)
+    harness = types.ModuleType("benchmarks.stub_workloads")
+    harness.outer = timed.outer           # ``from repro.stub_timed import outer``
+    monkeypatch.setitem(sys.modules, "benchmarks.stub_workloads", harness)
+    timer = profile_ops.WallClock(NAMES[:1], clock=_ticks())
+    timer.install()
+    try:
+        with timer:
+            assert harness.outer(1) == 3
+        assert timer.calls == [1]
+    finally:
+        timer.uninstall()
+    assert harness.outer is timed.outer
+
+
+class _OuterWorkload:
+    """A stub workload whose every op calls ``repro.stub_timed:outer``
+    once."""
+
+    def __init__(self, timed):
+        self.timed = timed
+
+    def run(self, i):
+        return self.timed.outer(i)
+
+    def check(self, i, out):
+        assert out == i + 2
+
+
+def test_wall_marks_a_name_with_no_call_as_not_reached(monkeypatch, capsys):
+    timed, _ = _stub_modules(monkeypatch)
+    monkeypatch.setattr(profile_ops, "_build", lambda name, seed, ops: (
+        _OuterWorkload(timed), 0.5, AssertionError))
+    names = "repro.stub_timed:outer,repro.stub_timed:countdown"
+    assert profile_ops.main(["stub", "--ops", "3", "--wall", names]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.split()[0] for row in rows] == ["1.0", "0.0"]
+    assert rows[0].endswith("  repro.stub_timed:outer")
+    assert rows[1].endswith("  repro.stub_timed:countdown  (not reached)")
+
+
 # -- --gc: the garbage collector's cost over the timed ops ---------------
 
 @pytest.fixture

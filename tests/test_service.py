@@ -452,7 +452,7 @@ class TestServiceFederationMirrors:
             ref.split(":")[0] for ref in
             federation.mirror("edge-1").registry.manifest_map()}
 
-        injector.specs.append(FaultSpec(site="mirror.sync"))
+        injector.specs.append(FaultSpec(site="mirror.sync", kind="persistent"))
         service.submit("acme", "minife", at=service.clock.now)
         report = service.run()
         assert report.outcomes[-1].status == STATUS_COMPLETED
@@ -463,6 +463,62 @@ class TestServiceFederationMirrors:
 
         restarted = service.restart()
         assert (restarted.mirror_syncs, restarted.mirror_sync_failures) == (1, 1)
+
+    def test_a_transient_sync_fault_is_retried(self):
+        injector = FaultInjector()
+        injector.specs.append(FaultSpec(site="mirror.sync", times=2))
+        federation = FederatedRegistry(injector=injector)
+        federation.add_mirror("edge-0")
+        service = AdaptationService(workers=2, seed=0, federation=federation)
+        service.add_tenant("acme", max_workers=2)
+        service.submit("acme", "hpccg", at=0.0)
+        report = service.run()
+        assert (report.mirror_syncs, report.mirror_sync_failures) == (1, 0)
+        assert federation.divergences(federation.mirror("edge-0")) == []
+        metrics = service.telemetry.metrics
+        assert metrics.counter("resilience_retries_total").value == 2
+
+    def test_a_persistent_sync_fault_opens_the_breaker(self):
+        injector = FaultInjector()
+        injector.specs.append(FaultSpec(site="mirror.sync", kind="persistent"))
+        federation = FederatedRegistry(injector=injector)
+        federation.add_mirror("edge-0")
+        service = AdaptationService(workers=2, seed=0, federation=federation,
+                                    breaker_threshold=2)
+        service.add_tenant("acme", max_workers=2)
+        for i, app in enumerate(("hpccg", "minife", "minimd")):
+            service.submit("acme", app, at=100.0 * i)
+        report = service.run()
+        assert [o.status for o in report.outcomes] == [STATUS_COMPLETED] * 3
+        assert (report.mirror_syncs, report.mirror_sync_failures) == (0, 3)
+        breaker = service.breakers["mirrors"]
+        assert breaker.state == STATE_OPEN and breaker.calls == 3
+        assert breaker.rejections == 1
+
+    def test_a_noisy_faulty_serve_run_leaves_no_mirror_behind(self, monkeypatch,
+                                                             capsys):
+        """The ``serve`` run that once failed 32 of 36 syncs (one
+        transient chunk or sync fault each) and opened the breaker."""
+        import repro.federation
+        from repro import cli
+
+        made = []
+
+        class Federation(FederatedRegistry):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(repro.federation, "FederatedRegistry", Federation)
+        argv = ["serve", "--tenants", "3", "--requests", "3", "--noisy",
+                "--fault-rate", "0.05", "--seed", "5", "--mirrors", "2"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert "breaker : mirrors closed" in out
+        federation, = made
+        assert len(federation.mirrors) == 2
+        for mirror in federation.mirrors.values():
+            assert federation.divergences(mirror) == []
 
 
 class TestInjectedFaultsReachTelemetry:
