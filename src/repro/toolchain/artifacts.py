@@ -208,74 +208,33 @@ _MEMBER_KEYS = {"archive": "members", "shared": "objects", "executable": "object
 #: never hit.
 _ARTIFACTS = LruMemo(256, name="artifacts")
 
-_OBJECT_KEYS = frozenset(f.name for f in fields(ObjectArtifact))
-#: The fields holding a flat list or map of strings or flags.
-_FLAT_FIELDS = ("sources", "defines", "command", "fflags", "libs", "lib_paths")
+_FIELD_NAMES = {cls: frozenset(f.name for f in fields(cls))
+                for cls in _KIND_CLASSES.values()}
+
+
+#: The types of the scalars a JSON parse returns, which a copy shares.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
 def _plain(value: Any) -> Any:
     """A copy of a JSON value as a parse returns it: every list (or tuple)
-    and dict in it new."""
+    and dict in it new, every scalar shared.  A list of scalars (most of
+    an artifact's lists) is copied whole."""
     if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
+        return {k: v if type(v) in _SCALARS else _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
+        if _SCALARS.issuperset(map(type, value)):
+            return list(value)
+        return [v if type(v) in _SCALARS else _plain(v) for v in value]
     return value
-
-
-def _flat(value: Any) -> Any:
-    """A copy of a flat list or map (any other value copied in full)."""
-    if type(value) is list:
-        return list(value)
-    if type(value) is dict:
-        return dict(value)
-    return _plain(value)
-
-
-def _object_json(obj: Any) -> Any:
-    """A copy of an object artifact's JSON (a member of a linked artifact
-    or an archive)."""
-    if type(obj) is not dict or obj.keys() != _OBJECT_KEYS:
-        return _plain(obj)
-    copy = dict(obj)
-    for key in ("sources", "defines", "command", "fflags"):
-        copy[key] = _flat(copy[key])
-    return copy
-
-
-def _member_json(member: Any) -> Any:
-    """A copy of an archive's member record."""
-    if type(member) is not dict or member.keys() != {"name", "object"}:
-        return _plain(member)
-    return {"name": member["name"], "object": _object_json(member["object"])}
-
-
-def _each(copy_item):
-    """The copy of a list whose items *copy_item* copies."""
-    return lambda value: ([copy_item(item) for item in value]
-                          if type(value) is list else _plain(value))
-
-
-#: How each field that holds a list or a map is copied.
-_FIELD_COPIES = {**dict.fromkeys(_FLAT_FIELDS, _flat),
-                 "objects": _each(_object_json), "members": _each(_member_json)}
-#: Each class's fields in order, with the copy of each (None: shared, a
-#: JSON scalar).
-_SHAPES = {cls: tuple((f.name, _FIELD_COPIES.get(f.name)) for f in fields(cls))
-           for cls in _KIND_CLASSES.values()}
-_FIELD_NAMES = {cls: frozenset(name for name, _ in shape)
-                for cls, shape in _SHAPES.items()}
 
 
 def _copy(artifact: Any) -> Any:
     """An independent copy of *artifact* whose class and fields equal
     those a parse of its rendered payload returns (a map may iterate in
     another order): every list and map in it is new, a tuple a list."""
-    shape = _SHAPES[type(artifact)]
-    state = artifact.__dict__
     copy = object.__new__(type(artifact))
-    copy.__dict__.update({name: state[name] if how is None else how(state[name])
-                          for name, how in shape})
+    copy.__dict__.update(_plain(artifact.__dict__))
     return copy
 
 

@@ -8,8 +8,9 @@ a copy of it instead of parsing them.  A render of an archive or a
 linked artifact splices in each member's text when the member's payload
 is in the memo (:func:`~repro.toolchain.artifacts.rendered_text`).
 Both must be invisible: every payload and digest equals the run with
-every memo off, every hit equals a fresh parse, no write to a read
-artifact reaches a later read, and bytes no render made parse as before.
+every memo off, every stored artifact still encodes to its key, every
+hit equals a fresh parse, no write to a read artifact reaches a later
+read, and bytes no render made parse as before.
 """
 
 import dataclasses
@@ -107,6 +108,13 @@ class TestSameBytes:
         assert "executable" in kinds and not any(s for _, s, _ in renders)
         if get_app(app).use_static_lib:
             assert "archive" in kinds
+        # A render takes its artifact over: nothing wrote to a stored
+        # artifact since, so each still encodes to the payload it is kept
+        # under (a change after the render would reach every later read).
+        assert len(ARTIFACTS) > 0
+        for payload, stored in ARTIFACTS._entries.items():
+            assert simbin.ARTIFACT_MAGIC + json.dumps(
+                stored.to_json(), sort_keys=True).encode() == payload
 
 
 def _payloads(renders, app="hpl"):
