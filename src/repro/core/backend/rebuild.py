@@ -37,19 +37,26 @@ ran) is a pure function of what it reads, so the ``+coMre`` image it
 produces is memoised (a 64-entry :class:`repro.memo.LruMemo`) on exactly
 that: the adapter (by identity, as the plan memo keys it; the entry holds
 it), every :class:`RebuildOptions` field and ``--fallback``, the extended
-(``+coM``) image's and the previous ``+coMre``'s manifest digests, the
+(``+coM``) image's manifest digest, the previous ``+coMre``'s plan key
+(each node output's path and content digest, and its
+``node_fingerprints``: all the rebuild reads of it, computed once per
+decoded stack by :func:`repro.core.cache.storage.rebuilt_stack`), the
 container's image (its layer digests, recorded at creation) and each pool
-repository's name and digest, in pool order.  The key is formed only
-when a previous ``+coMre`` exists and the container is still unwritten
-since creation (a PGO ``use`` rebuild writes its profile first, so it
-forms none); the flags that only shape a schedule (``--jobs``,
-``--journal``, ``--no-cache``, ``--deadline``, ``--speculate``,
-``--max-worker-failures``) are not read for bytes by a run with no wave.
-A hit skips the decode copies, :func:`rebuild_in_container`, the layer
-encode and the manifest stacking, and nothing else: every tag resolve,
-verified read, blob write and fault arm happens in the same order, and
-:func:`recorded_schedule`, which a run with waves records through too,
-emits the same spans, events, counters and gauges.
+repository's name and digest, in pool order.  The rest of the previous
+``meta.json`` records how that rebuild ran (``executed_nodes``,
+``cache_hits``, ...), which no rebuild reads, so the first identical
+re-adaptation after a cold run already stores what the next one hits.
+The key is formed only when a previous ``+coMre`` with a ``meta.json``
+object exists and the container is still unwritten since creation (a PGO
+``use`` rebuild writes its profile first, so it forms none); the flags
+that only shape a schedule (``--jobs``, ``--journal``, ``--no-cache``,
+``--deadline``, ``--speculate``, ``--max-worker-failures``) are not read
+for bytes by a run with no wave.  A hit skips the decode copies,
+:func:`rebuild_in_container`, the layer encode and the manifest stacking,
+and nothing else: every tag resolve, verified read, blob write and fault
+arm happens in the same order, and :func:`recorded_schedule`, which a
+run with waves records through too, emits the same spans, events,
+counters and gauges.
 """
 
 from __future__ import annotations
@@ -77,6 +84,7 @@ from repro.core.cache.storage import (
     find_dist_tag,
     rebuild_plan,
     rebuilt_image,
+    rebuilt_stack,
     rebuilt_tag,
     resolve_extended,
 )
@@ -610,14 +618,14 @@ def comtainer_rebuild_entry(ctx) -> int:
         if flags["cache"] else None
     )
     tag = rebuilt_tag(dist_tag)
-    previous = layout.resolve(tag) if layout.has_tag(tag) else None
+    previous = rebuilt_stack(layout.resolve(tag)) if layout.has_tag(tag) else None
     key = stored = None
-    if previous is not None:
+    if previous is not None and previous.plan_key is not None:
         key = container_key(ctx.container,
                             ctx.engine.repository_pool_for(ctx.container))
     if key is not None:
         key += (id(adapter), options.key(), flags["fallback"],
-                extended.digest, previous.digest)
+                extended.digest, previous.plan_key)
         stored = _REBUILD_MEMO.get(key)
     if stored is None:
         try:

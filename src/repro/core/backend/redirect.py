@@ -8,12 +8,19 @@ container's final state is committed as the optimized image." (§4.5)
 
 The redirect is a pure function of what it reads, so its final tree is
 memoised (a 64-entry :class:`repro.memo.LruMemo`) on exactly that: the
-rebuilt (``+coMre``) image's manifest digest, the extended (``+coM``)
-image's (the current one, which may have been re-pushed since the
-rebuild), the container's image (its layer digests, recorded at
-creation) and each pool repository's name and digest, in pool order.
-The key is formed after both images are resolved and decoded, as
-always, and only while the container is still unwritten since creation.
+rebuilt (``+coMre``) stack's redirect key (each rebuilt file's path,
+content digest and mode, and the ``adapter``, ``replacements`` and
+``runtime_packages`` of its ``meta.json``: all the redirect reads of it,
+computed once per decoded stack by
+:func:`repro.core.cache.storage.rebuilt_stack`), the extended (``+coM``)
+image's manifest digest (the current one, which may have been re-pushed
+since the rebuild), the container's image (its layer digests, recorded
+at creation) and each pool repository's name and digest, in pool order.
+So two rebuilds that differ only in how they ran (a cold one and the
+fully pruned one after it) redirect to one stored tree.  The key is
+formed after both images are resolved and decoded, as always, and only
+while the container is still unwritten since creation and the stack's
+``meta.json`` is a JSON object.
 A miss runs the steps below and stores a copy-on-write clone of the
 final tree, the adapter label and the placed and copied counts; a call
 that raises stores nothing.  A hit makes the container's filesystem
@@ -57,22 +64,21 @@ def redirect_in_container(
 ) -> Tuple[int, int]:
     """Populate the redirect container; returns the rebuilt artifacts
     placed and the data files copied."""
-    rebuilt = resolve_rebuilt(layout, dist_tag)
-    text, files, modes, _ = decoded_rebuild(rebuilt, dist_tag)
+    stack = decoded_rebuild(resolve_rebuilt(layout, dist_tag), dist_tag)
     extended = resolve_extended(layout, dist_tag)
     models, _ = decoded_cache(extended, dist_tag)
     fs = container.fs
     pool = engine.repository_pool_for(container)
-    key = container_key(container, pool)
+    key = container_key(container, pool) if stack.redirect_key is not None else None
     stored = None
     if key is not None:
-        key += (rebuilt.digest, extended.digest)
+        key += (stack.redirect_key, extended.digest)
         stored = _REDIRECT_MEMO.get(key)
     if stored is not None:
         tree, adapter, placed, copied = stored
         fs.adopt(tree)
     else:
-        meta = json.loads(text)
+        meta = json.loads(stack.text)
         adapter = meta.get("adapter", "")
 
         # 1. Runtime dependencies (optimized packages replace generic
@@ -97,10 +103,10 @@ def redirect_in_container(
                     copied += 1
 
         # 3. Rebuilt artifacts at their original paths.
-        for path, content in files.items():
-            fs.write_file(path, content, mode=modes.get(path, 0o755),
+        for path, content in stack.files.items():
+            fs.write_file(path, content, mode=stack.modes.get(path, 0o755),
                           create_parents=True)
-        placed = len(files)
+        placed = len(stack.files)
         if key is not None:
             _REDIRECT_MEMO.put(key, (fs.clone(), adapter, placed, copied))
 

@@ -30,25 +30,36 @@ verified blob read, fault arm and :class:`~repro.integrity.IntegrityError`
 stays where it is), then looks the resolved stack up by its layer-digest
 tuple, the flatten memo's key: equal keys mean equal flattened trees, and
 a decode is a pure function of the tree.  The memo keeps the parsed
-:class:`ProcessModels` and sources of a ``+coM`` stack, and the
-``meta.json`` text, files, modes and node files of a ``+coMre`` stack;
-it stores only decodes that succeeded.  :func:`decode_cache`,
-:func:`decode_rebuild` and :func:`decode_rebuild_plan` hand out private
-copies: a :meth:`ProcessModels.clone`, a new dict of each map and a fresh
-parse of the meta text.
+:class:`ProcessModels` and sources of a ``+coM`` stack, and a
+:class:`RebuiltStack` of a ``+coMre`` stack: the ``meta.json`` text,
+files, modes and node files, and the two read keys.  It stores only
+decodes that succeeded.  :func:`decode_cache`, :func:`decode_rebuild` and
+:func:`decode_rebuild_plan` hand out private copies: a
+:meth:`ProcessModels.clone`, a new dict of each map and a fresh parse of
+the meta text.
+
+A read key is what one program reads of a ``+coMre`` stack, so the
+program's memo hits for every stack that agrees on it, whatever else its
+``meta.json`` records of how the stack's rebuild ran.  The *plan key* is
+what :func:`rebuild_plan` hands the next rebuild: each node output's path
+and content digest, and ``node_fingerprints``.  The *redirect key* is
+what ``coMtainer-redirect`` reads: each rebuilt file's path, content
+digest and mode, and the ``adapter``, ``replacements`` and
+``runtime_packages`` of ``meta.json``.  Both are computed once per
+decoded stack.
 
 The two programs need the resolved images, and their digests, before
 they decide whether to copy or parse anything, so resolving
 (:func:`resolve_extended`, :func:`resolve_rebuilt`) and the memo's decode
-are exposed apart: :func:`decoded_cache` and :func:`decoded_rebuild`
-hand out the memo's own entry, which the caller only reads or copies,
-and :func:`rebuild_plan` copies.
+are exposed apart: :func:`decoded_cache`, :func:`rebuilt_stack` and
+:func:`decoded_rebuild` hand out the memo's own entry, which the caller
+only reads or copies, and :func:`rebuild_plan` copies.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.models.process import ProcessModels
 from repro.memo import LruMemo
@@ -288,10 +299,44 @@ def decode_cache(
     return models.clone(), dict(sources), resolved
 
 
-def _rebuilt_entry(resolved: ResolvedImage) -> Optional[tuple]:
-    """``(meta text, files, modes, node files)`` of a resolved rebuilt
-    image, the memo's own (copy before use); None when the image has no
-    ``meta.json``.  Only a stack whose ``meta.json`` parses is stored."""
+class RebuiltStack(NamedTuple):
+    """One decoded ``+coMre`` stack, the decode memo's own (copy before
+    use).  The read keys (module docstring) are None for a ``meta.json``
+    that is no JSON object, which neither program can read."""
+
+    text: str
+    files: Dict[str, FileContent]
+    modes: Dict[str, int]
+    node_files: Dict[str, FileContent]
+    plan_key: Optional[tuple]
+    redirect_key: Optional[tuple]
+
+
+def _read_keys(
+    text: str, files: Dict[str, FileContent], modes: Dict[str, int],
+    node_files: Dict[str, FileContent],
+) -> Tuple[Optional[tuple], Optional[tuple]]:
+    """The plan key and the redirect key of one decoded stack; each meta
+    value in them as its JSON text, which any parsed value has."""
+    meta = json.loads(text)
+    if not isinstance(meta, dict):
+        return None, None
+    plan_key = (
+        tuple((path, content.digest) for path, content in node_files.items()),
+        json.dumps(meta.get("node_fingerprints", {}), sort_keys=True),
+    )
+    redirect_key = (
+        tuple((path, content.digest, modes[path]) for path, content in files.items()),
+        json.dumps([meta.get("adapter", ""), meta.get("replacements", []),
+                    meta.get("runtime_packages", [])], sort_keys=True),
+    )
+    return plan_key, redirect_key
+
+
+def rebuilt_stack(resolved: ResolvedImage) -> Optional[RebuiltStack]:
+    """The decode of a resolved rebuilt image, the memo's own (copy
+    before use); None when the image has no ``meta.json``.  Only a stack
+    whose ``meta.json`` parses is stored."""
     key = _stack_key(SUFFIX_REBUILT, resolved)
     decoded = _DECODE_MEMO.get(key)
     if decoded is None:
@@ -300,17 +345,18 @@ def _rebuilt_entry(resolved: ResolvedImage) -> Optional[tuple]:
         if not fs.exists(meta_path):
             return None
         text = fs.read_text(meta_path)
-        json.loads(text)
         files, modes = _subtree_files(fs, f"{REBUILD_ROOT}/files")
-        decoded = text, files, modes, _subtree_files(fs, f"{REBUILD_ROOT}/nodes")[0]
+        node_files = _subtree_files(fs, f"{REBUILD_ROOT}/nodes")[0]
+        decoded = RebuiltStack(text, files, modes, node_files,
+                               *_read_keys(text, files, modes, node_files))
         _DECODE_MEMO.put(key, decoded)
     return decoded
 
 
-def decoded_rebuild(resolved: ResolvedImage, dist_tag: str) -> tuple:
-    """:func:`_rebuilt_entry` of the resolved rebuilt image of
+def decoded_rebuild(resolved: ResolvedImage, dist_tag: str) -> RebuiltStack:
+    """:func:`rebuilt_stack` of the resolved rebuilt image of
     *dist_tag*, which must have a ``meta.json``."""
-    decoded = _rebuilt_entry(resolved)
+    decoded = rebuilt_stack(resolved)
     if decoded is None:
         raise CacheError("rebuilt image has no rebuild meta.json",
                          stage="decode-rebuild", tag=rebuilt_tag(dist_tag))
@@ -322,21 +368,19 @@ def decode_rebuild(
 ) -> Tuple[Dict[str, Any], Dict[str, FileContent], Dict[str, int], ResolvedImage]:
     """Read rebuild meta + rebuilt files from the ``+coMre`` image."""
     resolved = resolve_rebuilt(layout, dist_tag)
-    text, files, modes, _ = decoded_rebuild(resolved, dist_tag)
-    return json.loads(text), dict(files), dict(modes), resolved
+    stack = decoded_rebuild(resolved, dist_tag)
+    return json.loads(stack.text), dict(stack.files), dict(stack.modes), resolved
 
 
 def rebuild_plan(
-    resolved: Optional[ResolvedImage],
+    stack: Optional[RebuiltStack],
 ) -> Tuple[Dict[str, FileContent], Dict[str, str]]:
-    """Node outputs + plan fingerprints of a resolved rebuilt image (empty
-    maps for None or an image without ``meta.json``); see
-    :func:`decode_rebuild_plan`."""
-    decoded = None if resolved is None else _rebuilt_entry(resolved)
-    if decoded is None:
+    """Node outputs + plan fingerprints of a decoded rebuilt stack, as
+    copies (empty maps for None); see :func:`decode_rebuild_plan`."""
+    if stack is None:
         return {}, {}
-    text, _, _, node_files = decoded
-    return dict(node_files), dict(json.loads(text).get("node_fingerprints", {}))
+    return (dict(stack.node_files),
+            dict(json.loads(stack.text).get("node_fingerprints", {})))
 
 
 def decode_rebuild_plan(
@@ -352,4 +396,5 @@ def decode_rebuild_plan(
     image exists yet.
     """
     tag = rebuilt_tag(dist_tag)
-    return rebuild_plan(layout.resolve(tag) if layout.has_tag(tag) else None)
+    return rebuild_plan(rebuilt_stack(layout.resolve(tag))
+                        if layout.has_tag(tag) else None)

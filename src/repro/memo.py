@@ -23,12 +23,17 @@ memo off at once and a profile can count each one's traffic:
 - ``runtime``: the rebuild and redirect containers' runtime install
   (:func:`repro.core.backend.replacement.install_container_runtime`);
 - ``rebuild``: the ``+coMre`` image of a fully pruned rebuild
-  (:mod:`repro.core.backend.rebuild`);
+  (:mod:`repro.core.backend.rebuild`), keyed on the previous ``+coMre``'s
+  plan key;
 - ``redirect``: the redirect container's final tree
-  (:func:`repro.core.backend.redirect.redirect_in_container`).
+  (:func:`repro.core.backend.redirect.redirect_in_container`), keyed on
+  the rebuilt ``+coMre``'s redirect key.
 
 The last three are keyed on the container's image and everything the
-step reads.  Each memo stores only results that finished.  Five hand out
+step reads.  A ``+coMre`` stack enters the last two keys as its read key
+(:class:`repro.core.cache.storage.RebuiltStack`), what the step reads of
+it, not as its manifest digest, which also covers the facts its
+``meta.json`` records of how its rebuild ran.  Each memo stores only results that finished.  Five hand out
 copies, never the stored value: the flatten memo a copy-on-write clone
 of the tree, the dpkg memo a copy of the database, the artifacts memo a
 copy of the artifact whose lists and maps (an archive's or a linked

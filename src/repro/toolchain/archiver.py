@@ -6,16 +6,16 @@ member.o ...`` (create/replace), ``ar t`` (list), ``ar x`` (extract).
 
 from __future__ import annotations
 
-from typing import List
+from typing import Any, List, Optional
 
 from repro.toolchain.artifacts import (
     ArchiveArtifact,
     ObjectArtifact,
+    artifact_at,
     artifact_content,
     rendered_text,
-    try_read_artifact,
 )
-from repro.vfs import VirtualFilesystem
+from repro.vfs import Node, VirtualFilesystem
 from repro.vfs import paths as vpath
 
 
@@ -50,22 +50,17 @@ def run_ar(argv: List[str], fs: VirtualFilesystem, cwd: str = "/") -> str:
         return ""
 
     if "r" in ops or "q" in ops:
-        if fs.exists(archive_path) and "c" not in ops:
-            artifact = _read_archive(fs, archive_path)
-        else:
-            artifact = ArchiveArtifact()
+        node = None if "c" in ops else fs.try_get_node(archive_path)
+        artifact = (ArchiveArtifact() if node is None
+                    else _artifact(node, archive_path, ArchiveArtifact))
         existing = {m["name"]: i for i, m in enumerate(artifact.members)}
         # Each member's rendered text where it is known, for the splice.
         texts = [None] * len(artifact.members)
         for path in member_paths:
-            if not fs.exists(path):
-                raise ArchiverError(f"ar: {path}: No such file or directory")
-            content = fs.read_content(path)
-            obj = try_read_artifact(content)
-            if not isinstance(obj, ObjectArtifact):
-                raise ArchiverError(f"ar: {path}: file format not recognized")
+            node = fs.try_get_node(path)
+            obj = _artifact(node, path, ObjectArtifact)
             name = vpath.basename(path)
-            record, text = ArchiveArtifact.member(name, obj, rendered_text(content))
+            record, text = ArchiveArtifact.member(name, obj, rendered_text(node.content))
             if name in existing:
                 artifact.members[existing[name]] = record
                 texts[existing[name]] = text
@@ -80,10 +75,16 @@ def run_ar(argv: List[str], fs: VirtualFilesystem, cwd: str = "/") -> str:
     raise ArchiverError(f"ar: unsupported operation: {argv[1]!r}")
 
 
-def _read_archive(fs: VirtualFilesystem, path: str) -> ArchiveArtifact:
-    if not fs.exists(path):
+def _artifact(node: Optional[Node], path: str, kind: type) -> Any:
+    """The *kind* artifact *node*, looked up at *path*, holds; an
+    ``ArchiverError`` for no node or any other node."""
+    if node is None:
         raise ArchiverError(f"ar: {path}: No such file or directory")
-    artifact = try_read_artifact(fs.read_content(path))
-    if not isinstance(artifact, ArchiveArtifact):
+    artifact = artifact_at(node)
+    if not isinstance(artifact, kind):
         raise ArchiverError(f"ar: {path}: file format not recognized")
     return artifact
+
+
+def _read_archive(fs: VirtualFilesystem, path: str) -> ArchiveArtifact:
+    return _artifact(fs.try_get_node(path), path, ArchiveArtifact)

@@ -26,10 +26,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import simbin
 from repro.memo import LruMemo
+from repro.vfs import Node, RegularFile
 from repro.vfs.content import FileContent
 
 #: Rough native code density used to size artifacts from source size.
@@ -59,8 +61,9 @@ class PaddedContent(FileContent):
     def size(self) -> int:
         return len(self.payload) + self.pad
 
-    @property
+    @cached_property
     def digest(self) -> str:
+        # Kept in the instance dict on first read (see repro.vfs.content).
         hasher = hashlib.sha256(self.payload)
         hasher.update(f"\x00pad:{self.pad}".encode())
         return "sha256:" + hasher.hexdigest()
@@ -319,3 +322,9 @@ def try_read_artifact(data: Union[bytes, FileContent]) -> Optional[Any]:
         return read_artifact(data)
     except ArtifactError:
         return None
+
+
+def artifact_at(node: Node) -> Optional[Any]:
+    """The artifact a filesystem node holds: :func:`try_read_artifact` of
+    a regular file's content, None for any other node."""
+    return try_read_artifact(node.content) if isinstance(node, RegularFile) else None

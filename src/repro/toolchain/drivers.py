@@ -21,6 +21,7 @@ from repro.toolchain.artifacts import (
     ExecutableArtifact,
     ObjectArtifact,
     SharedObjectArtifact,
+    artifact_at,
     artifact_content,
     BYTES_PER_SOURCE_BYTE,
     rendered_text,
@@ -106,6 +107,13 @@ class CompilerDriver:
 
     def _resolve(self, cwd: str, path: str) -> str:
         return vpath.join(cwd, path)
+
+    def _input_node(self, fs: VirtualFilesystem, cwd: str, arg: str, program: str):
+        """The node a link input *arg* names, looked up once."""
+        node = fs.try_get_node(self._resolve(cwd, arg))
+        if node is None:
+            raise CompilerError(f"{program}: error: {arg}: No such file or directory")
+        return node
 
     def _source_size(self, fs: VirtualFilesystem, path: str, program: str) -> int:
         node = fs.try_get_node(path)
@@ -239,22 +247,16 @@ class CompilerDriver:
         # Each member's rendered text where it is known, for the splice.
         texts: List[Optional[bytes]] = [None] * len(members)
         for obj_path in inv.objects:
-            path = self._resolve(cwd, obj_path)
-            if not fs.exists(path):
-                raise CompilerError(f"{inv.program}: error: {obj_path}: No such file or directory")
-            content = fs.read_content(path)
-            artifact = try_read_artifact(content)
+            node = self._input_node(fs, cwd, obj_path, inv.program)
+            artifact = artifact_at(node)
             if not isinstance(artifact, ObjectArtifact):
                 raise CompilerError(
                     f"/usr/bin/ld: {obj_path}: file format not recognized"
                 )
             members.append(artifact)
-            texts.append(rendered_text(content))
+            texts.append(rendered_text(node.content))
         for ar_path in inv.archives:
-            path = self._resolve(cwd, ar_path)
-            if not fs.exists(path):
-                raise CompilerError(f"{inv.program}: error: {ar_path}: No such file or directory")
-            artifact = try_read_artifact(fs.read_content(path))
+            artifact = artifact_at(self._input_node(fs, cwd, ar_path, inv.program))
             if not isinstance(artifact, ArchiveArtifact):
                 raise CompilerError(f"/usr/bin/ld: {ar_path}: malformed archive")
             members.extend(artifact.member_objects())

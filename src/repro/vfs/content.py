@@ -10,13 +10,16 @@ on demand (used for bulk payload files whose *size* matters but whose bytes
 never do).
 
 Every provider exposes a stable ``digest`` so layers built from either kind
-are content-addressable.
+are content-addressable.  Each provider is frozen, so each keeps its
+digest once computed (a :func:`functools.cached_property`, in the
+instance dict, outside the fields, equality and hash): an object is
+hashed at most once however many layers, keys and checks read it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 
@@ -42,19 +45,15 @@ class InlineContent(FileContent):
     """Content held directly in memory."""
 
     data: bytes = b""
-    _digest_cache: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return len(self.data)
 
-    @property
+    @cached_property
     def digest(self) -> str:
-        if not self._digest_cache:
-            self._digest_cache.append(
-                "sha256:" + hashlib.sha256(self.data).hexdigest()
-            )
-        return self._digest_cache[0]
+        # Kept in the instance dict on first read, as every provider's is.
+        return "sha256:" + hashlib.sha256(self.data).hexdigest()
 
     def read(self) -> bytes:
         return self.data

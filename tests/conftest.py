@@ -33,16 +33,22 @@ def chaos_injector():
 
 
 @contextlib.contextmanager
-def memos_switched_off():
-    """Every registered memo (:data:`repro.memo.MEMOS`) with a cap of 0 and
-    no entries, so every lookup misses and nothing is stored; each memo's
-    cap and entries are restored on leaving."""
+def memos_switched_off(*names):
+    """The registered memos named *names* (:data:`repro.memo.MEMOS`), or
+    every one when none is named, with a cap of 0 and no entries, so
+    every lookup of them misses and nothing is stored; each memo's cap
+    and entries are restored on leaving.  An unknown name raises
+    ``KeyError`` listing the known ones."""
     import repro.core.backend  # noqa: F401  (registers the backend memos)
     import repro.core.workflow  # noqa: F401  (and every memo it reaches)
     from repro.memo import MEMOS
 
+    unknown = sorted(set(names) - set(MEMOS))
+    if unknown:
+        raise KeyError(f"no memo named {', '.join(unknown)}"
+                       f" (memos: {', '.join(MEMOS)})")
     saved = {memo: (memo.cap, list(memo._entries.items()))
-             for memo in MEMOS.values()}
+             for name, memo in MEMOS.items() if not names or name in names}
     for memo in saved:
         memo.cap = 0
         memo.clear()

@@ -9,8 +9,10 @@ compares a run with the memos on against the same run with every memo
 off (``memos_switched_off``, the ``memos_off`` fixture's switch): step by
 step over re-adaptation sequences, in the telemetry and fault arms a hit
 records, under seeded faults, through the service, after each change to
-what the steps read, and in what a run that must not store leaves
-behind.  The registry every memo joins is checked here too."""
+what the steps read, after a change to each field of a ``+coMre`` alone
+(the two memos key a ``+coMre`` on what each step reads of it), and in
+what a run that must not store leaves behind.  The registry every memo
+joins is checked here too."""
 
 import importlib
 import json
@@ -195,7 +197,7 @@ class TestSequences:
 
 
 class TestCountGuard:
-    def test_a_cold_and_ten_identical_adaptations_run_the_body_three_times(
+    def test_a_cold_and_ten_identical_adaptations_run_the_body_twice(
             self, monkeypatch):
         runs = []
         body = rebuild_module.rebuild_in_container
@@ -208,9 +210,12 @@ class TestCountGuard:
         world = World("hpccg")
         for _ in range(11):
             world.adapt(["--adapter=vendor"])
-        # The cold run, then the first two identical runs: each read a
-        # previous +coMre no earlier run had read.
-        assert len(runs) == 3
+        # The cold run (no previous +coMre, no key), then the first
+        # identical run, which stores under the cold +coMre's plan key.
+        # The +coMre it writes records another run but hands the next
+        # rebuild the same node outputs and fingerprints, so every later
+        # run hits.
+        assert len(runs) == 2
 
 
 def _recorded(tele):
@@ -238,7 +243,7 @@ class TestTelemetryAndArms:
     def test_a_hit_records_what_a_miss_records(self, app, extra):
         worlds = (World(app), World(app))
         for world in worlds:
-            for _ in range(3):          # the third run stores what a fourth hits
+            for _ in range(3):          # the second run stores what a fourth hits
                 world.adapt(world.args(extra=extra))
         records = []
         for world, hit in zip(worlds, (True, False)):
@@ -335,6 +340,96 @@ class TestService:
         assert traffic[0] >= 2
 
 
+def _decoded(world):
+    """The current ``+coMre``'s meta, files, modes and node files."""
+    meta, files, modes, _ = decode_rebuild(world.layout, world.dist_tag)
+    node_files, _ = decode_rebuild_plan(world.layout, world.dist_tag)
+    return meta, files, modes, node_files
+
+
+def _store_rebuilt(world, decoded, change):
+    """Store *decoded* as the ``+coMre`` again, with *change* (meta,
+    files, modes, node files -> None) made to a copy of it."""
+    meta, files, modes, node_files = decoded
+    copies = json.loads(json.dumps(meta)), dict(files), dict(modes), dict(node_files)
+    change(*copies)
+    add_rebuild_manifest(world.layout, world.dist_tag, encode_rebuild_layer(*copies))
+
+
+def _first(mapping):
+    return sorted(mapping)[0]
+
+
+def _node_output(meta, files, modes, node_files):
+    node_files[_first(node_files)] = InlineContent(b"perturbed")
+
+
+def _fingerprint(meta, files, modes, node_files):
+    meta["node_fingerprints"][_first(meta["node_fingerprints"])] = "0" * 32
+
+
+def _file_content(meta, files, modes, node_files):
+    files[_first(files)] = InlineContent(b"perturbed")
+
+
+def _file_mode(meta, files, modes, node_files):
+    modes[_first(modes)] = 0o700
+
+
+def _adapter(meta, files, modes, node_files):
+    meta["adapter"] += "-perturbed"
+
+
+def _replacements(meta, files, modes, node_files):
+    del meta["replacements"][-1]
+
+
+def _runtime_packages(meta, files, modes, node_files):
+    meta["runtime_packages"] = []
+
+
+#: Each field of a ``+coMre`` in a read key, by name: a change to it that
+#: changes what the step reading it produces, and that step.  A node
+#: output changes under an equal fingerprint, so the rebuild replays it.
+READ_CHANGES = {
+    "node output": (_node_output, "rebuild"),
+    "node_fingerprints": (_fingerprint, "rebuild"),
+    "file content": (_file_content, "redirect"),
+    "file mode": (_file_mode, "redirect"),
+    "adapter": (_adapter, "redirect"),
+    "replacements": (_replacements, "redirect"),
+    "runtime_packages": (_runtime_packages, "redirect"),
+}
+
+
+def _other(value):
+    """A JSON value that differs from *value*, of its type."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, str):
+        return value + "-perturbed"
+    if isinstance(value, list):
+        return value + ["perturbed"]
+    if isinstance(value, dict):
+        return {**value, "perturbed": "perturbed"}
+    return "perturbed" if value is None else value + 1
+
+
+def _changes(meta):
+    """``(name, change, the step that reads it or None)`` for each
+    top-level meta field and for one file under ``files/`` (content,
+    mode) and ``nodes/`` (content)."""
+    for name in sorted(meta):
+        if name in READ_CHANGES:
+            yield (name, *READ_CHANGES[name])
+        else:
+            def change(meta, *_, name=name):
+                meta[name] = _other(meta[name])
+            yield name, change, None
+    for name in ("file content", "file mode", "node output"):
+        yield (name, *READ_CHANGES[name])
+
+
 class TestKeyMisses:
     """Each change to what a step reads misses the memo it keys, and then
     matches the same run with every memo off."""
@@ -343,7 +438,7 @@ class TestKeyMisses:
     def _miss(change):
         """*change* (world -> adaptation outputs) after three identical
         hpccg adaptations, which leave a stored entry for a fourth; the
-        memo traffic it caused."""
+        memo traffic it caused.  (The second stores what the third hits.)"""
         def run():
             world = World("hpccg")
             for _ in range(3):
@@ -386,11 +481,8 @@ class TestKeyMisses:
     @staticmethod
     def _re_encode_rebuilt(world):
         """Store the ``+coMre`` again with one more meta field."""
-        meta, files, modes, _ = decode_rebuild(world.layout, world.dist_tag)
-        node_files, _ = decode_rebuild_plan(world.layout, world.dist_tag)
-        meta["note"] = "re-encoded"
-        add_rebuild_manifest(world.layout, world.dist_tag,
-                             encode_rebuild_layer(meta, files, modes, node_files))
+        _store_rebuilt(world, _decoded(world),
+                       lambda meta, *_: meta.update(note="re-encoded"))
 
     def test_a_re_pushed_extended_image_to_redirect(self):
         """The redirect reads the current ``+coM``, which may have been
@@ -417,14 +509,34 @@ class TestKeyMisses:
             self._re_encode_rebuilt(world)
             return world.adapt(world.args())
 
-        # The rebuild reads the new +coMre and writes the old one back, so
-        # the redirect then reads what it read before.
+        # A meta field no rebuild reads leaves the plan key as it was: the
+        # rebuild hits and writes the stored +coMre back, whose redirect
+        # key the redirect read before.
         traffic = self._miss(change)
-        assert traffic[:2] == (0, 1) and traffic[3:5] == (1, 0)
+        assert traffic[:2] == (1, 0) and traffic[3:5] == (1, 0)
 
     def test_another_rebuilt_image_to_redirect(self):
         def change(world):
             self._re_encode_rebuilt(world)
+            return world.redirect(), world.state()
+
+        # Nor does the redirect read the new field.
+        assert self._miss(change)[3:5] == (1, 0)
+
+    @pytest.mark.parametrize("field", sorted(
+        name for name, (_, step) in READ_CHANGES.items() if step == "rebuild"))
+    def test_a_field_the_rebuild_reads(self, field):
+        def change(world):
+            _store_rebuilt(world, _decoded(world), READ_CHANGES[field][0])
+            return world.adapt(world.args())
+
+        assert self._miss(change)[:2] == (0, 1)
+
+    @pytest.mark.parametrize("field", sorted(
+        name for name, (_, step) in READ_CHANGES.items() if step == "redirect"))
+    def test_a_field_the_redirect_reads(self, field):
+        def change(world):
+            _store_rebuilt(world, _decoded(world), READ_CHANGES[field][0])
             return world.redirect(), world.state()
 
         assert self._miss(change)[3:5] == (0, 1)
@@ -490,6 +602,45 @@ class TestKeyMisses:
                     world.redirect(write=write)), world.state()
 
         assert self._miss(change) == (0, 0, 0, 0, 0, 0)
+
+
+class TestReadKeyAudit:
+    """Every top-level meta field of a ``+coMre``, and one file under
+    ``files/`` and one under ``nodes/``, changed alone and read by the next
+    step: the outputs equal the same run with every memo off, a change to
+    a field in the step's read key misses its memo, and a change to any
+    other field hits it."""
+
+    @staticmethod
+    def _audit(app):
+        """Per change and step (the rebuild reads the changed ``+coMre``
+        as its previous one, the redirect as the rebuilt one): the change,
+        the step, the step that reads the change, the outputs and the
+        step's (hits, misses)."""
+        world = World(app)
+        for _ in range(2):
+            world.adapt(world.args())
+        decoded = _decoded(world)
+        outcomes = []
+        for name, change, reader in _changes(decoded[0]):
+            for step in ("rebuild", "redirect"):
+                _store_rebuilt(world, decoded, change)
+                before = _traffic()
+                if step == "rebuild":
+                    out = world.adapt(world.args())
+                else:
+                    out = world.redirect(), world.state()
+                traffic = tuple(b - a for a, b in zip(before, _traffic()))
+                outcomes.append((name, step, reader, out,
+                                 traffic[:2] if step == "rebuild" else traffic[3:5]))
+        return outcomes
+
+    @pytest.mark.parametrize("app", ["hpccg", "lammps"])
+    def test_each_field_changed_alone(self, app):
+        with_memos, without, _ = _both(lambda: self._audit(app))
+        for (name, step, reader, out, traffic), oracle in zip(with_memos, without):
+            assert out == oracle[3], (name, step)
+            assert traffic == ((0, 1) if reader == step else (1, 0)), (name, step)
 
 
 class TestContainerKey:
@@ -652,6 +803,24 @@ class TestRegistry:
             assert memo.get("kept") is None
         assert {name: m.cap for name, m in MEMOS.items()} == caps
         assert memo.get("kept") == "value"
+
+    def test_a_named_switch_zeroes_only_those_memos(self):
+        caps = {name: m.cap for name, m in MEMOS.items()}
+        MEMOS["redirect"].put("kept", "value")
+        MEMOS["rebuild"].put("dropped", "value")
+        with memos_switched_off("rebuild", "plan"):
+            assert {name for name, m in MEMOS.items() if m.cap == 0} == {"rebuild", "plan"}
+            assert MEMOS["redirect"].get("kept") == "value"
+            assert MEMOS["rebuild"].get("dropped") is None
+        assert {name: m.cap for name, m in MEMOS.items()} == caps
+        assert MEMOS["rebuild"].get("dropped") == "value"
+
+    def test_an_unknown_name_raises_listing_the_known_ones(self):
+        caps = {name: m.cap for name, m in MEMOS.items()}
+        with pytest.raises(KeyError, match=r"no memo named nosuch \(memos: .*rebuild"):
+            with memos_switched_off("rebuild", "nosuch"):
+                pass
+        assert {name: m.cap for name, m in MEMOS.items()} == caps
 
     def test_counts(self):
         memo = LruMemo(1)

@@ -8,6 +8,7 @@ from repro import simbin
 from repro.apps import get_app
 from repro.containers import ContainerEngine
 from repro.core.backend.verify import verify_redirected_image
+from repro.core.images import env_ref, install_user_side_images
 from repro.core.workflow import build_extended_image, system_side_adapt
 from repro.sysmodel import X86_CLUSTER
 from repro.toolchain.archiver import ArchiverError, run_ar
@@ -61,6 +62,25 @@ class TestArtifacts:
         assert content.size == 1002
         assert content.read() == b"{}" + b" " * 1000
         assert content.digest != PaddedContent(payload=b"{}", pad=999).digest
+
+    def test_padded_content_hashes_once(self, monkeypatch):
+        import hashlib
+        import types
+
+        from repro.toolchain import artifacts
+
+        hashed = []
+
+        def sha256(data):
+            hashed.append(data)
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(artifacts, "hashlib", types.SimpleNamespace(sha256=sha256))
+        content = PaddedContent(payload=b"{}", pad=10)
+        assert content.digest == content.digest == PaddedContent(b"{}", 10).digest
+        assert hashed == [b"{}", b"{}"]                  # once per object
+        assert content == PaddedContent(b"{}", 10)
+        assert hash(content) == hash(PaddedContent(b"{}", 10))
 
     def test_object_roundtrip(self):
         obj = ObjectArtifact(sources=["/src/a.c"], opt_level="2", lto_ir=True,
@@ -366,6 +386,69 @@ class TestArchiver:
     def test_missing_member_raises(self, fs):
         with pytest.raises(ArchiverError):
             run_ar(["ar", "rcs", "lib.a", "ghost.o"], fs, cwd="/src")
+
+
+class TestInputLookups:
+    """The link and ``ar`` read each input with one lookup, and an input
+    that is no regular file fails as a file of another format does."""
+
+    @staticmethod
+    def _lookups(fs, monkeypatch):
+        """The paths every walk from the root of *fs* resolves, in order."""
+        paths = []
+        resolve = fs._resolve
+
+        def counted(path, *args, **kwargs):
+            paths.append(path)
+            return resolve(path, *args, **kwargs)
+
+        monkeypatch.setattr(fs, "_resolve", counted)
+        return paths
+
+    def test_each_link_and_ar_input_is_looked_up_once(self, fs, gcc, monkeypatch):
+        gcc.execute(["gcc", "-c", "main.c"], fs, cwd="/src")
+        gcc.execute(["gcc", "-c", "util.c"], fs, cwd="/src")
+        run_ar(["ar", "rcs", "libu.a", "util.o"], fs, cwd="/src")
+        lookups = self._lookups(fs, monkeypatch)
+        gcc.execute(["gcc", "main.o", "libu.a", "-o", "app"], fs, cwd="/src")
+        run_ar(["ar", "r", "libu.a", "main.o"], fs, cwd="/src")
+        # One per command: the write of the archive walks no path here.
+        assert lookups.count("/src/main.o") == lookups.count("/src/libu.a") == 2
+        run_ar(["ar", "t", "libu.a"], fs, cwd="/src")
+        assert lookups.count("/src/libu.a") == 3
+
+    @pytest.fixture(scope="class")
+    def env(self):
+        engine = ContainerEngine(arch="amd64")
+        install_user_side_images(engine)
+        return engine
+
+    @pytest.mark.parametrize("argv, error", [
+        (["/usr/bin/gcc", "-o", "/work/app", "/work/dir.o"],
+         "/usr/bin/ld: /work/dir.o: file format not recognized"),
+        (["/usr/bin/gcc", "-o", "/work/app", "/work/dir.a"],
+         "/usr/bin/ld: /work/dir.a: malformed archive"),
+        (["/usr/bin/ar", "rcs", "/work/lib.a", "/work/dir.o"],
+         "ar: /work/dir.o: file format not recognized"),
+        (["/usr/bin/ar", "r", "/work/dir.a", "/work/dir.o"],
+         "ar: /work/dir.a: file format not recognized"),
+        (["/usr/bin/ar", "t", "/work/dir.a"],
+         "ar: /work/dir.a: file format not recognized"),
+        (["/usr/bin/gcc", "-o", "/work/app", "/work/none.o"],
+         "/usr/bin/gcc: error: /work/none.o: No such file or directory"),
+        (["/usr/bin/ar", "rcs", "/work/lib.a", "/work/none.o"],
+         "ar: /work/none.o: No such file or directory"),
+    ], ids=["ld-object", "ld-archive", "ar-member", "ar-r-archive", "ar-t-archive",
+            "ld-missing", "ar-missing"])
+    def test_a_directory_or_missing_input_exits_1(self, env, argv, error):
+        ctr = env.from_image(env_ref("amd64"))
+        try:
+            ctr.fs.makedirs("/work/dir.o")
+            ctr.fs.makedirs("/work/dir.a")
+            result = env.run(ctr, argv)
+        finally:
+            env.remove_container(ctr.name)
+        assert (result.exit_code, result.stderr) == (1, error)
 
 
 class TestPaddingNeverMaterialized:

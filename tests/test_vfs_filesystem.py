@@ -294,6 +294,27 @@ class TestContent:
         c = InlineContent(b"hello")
         assert c.digest == "sha256:" + hashlib.sha256(b"hello").hexdigest()
 
+    def test_inline_content_hashes_once_and_has_one_field(self, monkeypatch):
+        import dataclasses
+        import hashlib
+        import types
+
+        from repro.vfs import content as content_module
+
+        hashed = []
+
+        def sha256(data):
+            hashed.append(data)
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(content_module, "hashlib", types.SimpleNamespace(sha256=sha256))
+        first, second = InlineContent(b"hello"), InlineContent(b"hello")
+        assert first.digest == first.digest == second.digest
+        assert hashed == [b"hello", b"hello"]            # once per object
+        assert [f.name for f in dataclasses.fields(InlineContent)] == ["data"]
+        assert first == second and hash(first) == hash(second)
+        assert repr(first) == "InlineContent(data=b'hello')"
+
     def test_inline_synthetic_never_collide(self):
         # A synthetic file and an inline file with identical bytes must not
         # share a digest: digests identify providers, not streams.
