@@ -3,10 +3,14 @@
     python scripts/bench_pairs.py BASE WORKLOAD OUT [--pairs 10] [--seed 7]
         [--claim WORKLOAD:METRIC]
 
-Exports git revision BASE into a temporary directory with ``git archive``.
-For each pair it runs one fresh ``python3 -m benchmarks.harness --workload
-WORKLOAD --seed S --seconds T --trace 0 --out ...`` in BASE's tree (the
-parent) and one in this script's tree (the change), where T is the
+Exports git revision BASE into a temporary directory with ``git archive``,
+and this script's working tree into another: its tracked files as they
+are on disk, uncommitted edits included, and its untracked files that git
+does not ignore, so neither tree holds a bytecode cache or a build
+leftover.  For each pair it runs one fresh ``python3 -m benchmarks.harness
+--workload WORKLOAD --seed S --seconds T --trace 0 --out ...`` in BASE's
+tree (the parent) and one in the working tree's copy (the change), where
+T is the
 benchmark's ``run_seconds`` from ``BENCHMARK.json``, the same on both
 sides.  The parent runs first on even pairs and the change first on odd
 ones, so a drift in machine speed falls on both sides alike.  A harness
@@ -21,6 +25,7 @@ printed.  Exits with the compare's status.
 
 import argparse
 import json
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -51,6 +56,21 @@ def merge(records):
         if {key: record[key] for key in HEAD} != head:
             raise ValueError(f"runs disagree on {HEAD}: {head} vs {record}")
     return {**head, "runs": [run for record in records for run in record["runs"]]}
+
+
+def export_working_tree(root, dest):
+    """Copy *root*'s working-tree files into *dest*: every tracked file as
+    it is on disk (a deleted one is left out) and every untracked file git
+    does not ignore."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=root, check=True, capture_output=True).stdout.decode()
+    for name in sorted(set(listed.split("\0")) - {""}):
+        source = Path(root) / name
+        if source.is_symlink() or source.is_file():
+            target = Path(dest) / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target, follow_symlinks=False)
 
 
 def harness(*args):
@@ -84,11 +104,13 @@ def main(argv=None):
     out = Path(args.out).resolve()
     (out / "runs").mkdir(parents=True, exist_ok=True)
     records = {side: [] for side in SIDES}
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as parent_tree:
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as parent_tree, \
+            tempfile.TemporaryDirectory(prefix="bench-pairs-") as change_tree:
         archive = subprocess.run(["git", "archive", args.base], cwd=ROOT,
                                  check=True, capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", parent_tree], input=archive, check=True)
-        trees = {"parent": parent_tree, "change": ROOT}
+        export_working_tree(ROOT, change_tree)
+        trees = {"parent": parent_tree, "change": change_tree}
         for i, side in pair_order(args.pairs):
             run_out = out / "runs" / f"{side}.{i}.json"
             print(f"pair {i}: {side}", flush=True)

@@ -40,7 +40,8 @@ names (``repro.perf.incremental:plan_rebuild``, a method as
 wall-clock milliseconds per op, counting only the outermost of nested or
 recursive calls, and that time's share of the timed region.  Every name
 is resolved before the workload is built, and one that does not resolve
-exits 2 naming it.  The functions are wrapped by identity, as the
+exits 2 naming it (with the import error, when its module exists but
+fails to import).  The functions are wrapped by identity, as the
 harness tracer wraps its boundaries, in their module and in every loaded
 ``repro`` or ``benchmarks`` module that imported them by name (so the
 workloads' own ``from repro... import f`` calls are timed), and every
@@ -250,15 +251,25 @@ class WallClock:
         return module, owner, attr, owner.__dict__[attr]
 
     def unresolved(self):
-        """The names that name no function (no module, class or
-        attribute), in the order given."""
-        missing = []
+        """``(missing, broken)``, each in the order given: the names that
+        name no function (no module, class or attribute), and a
+        ``(name, error)`` pair for each name whose module exists but
+        raised *error* on import."""
+        missing, broken = [], []
         for name in self.names:
+            module = name.partition(":")[0]
             try:
                 self._lookup(name)
-            except (ImportError, AttributeError, KeyError, ValueError):
+            except ModuleNotFoundError as exc:
+                if f"{module}.".startswith(f"{exc.name}."):
+                    missing.append(name)
+                else:
+                    broken.append((name, exc))
+            except ImportError as exc:
+                broken.append((name, exc))
+            except (AttributeError, KeyError, ValueError):
                 missing.append(name)
-        return missing
+        return missing, broken
 
     def install(self):
         """Replace every named function with its wrapper."""
@@ -481,13 +492,18 @@ def wall(name, seed, ops, names, *regions):
     """(:class:`WallClock` of *names*, set-up seconds, per-op wall-clock
     seconds) of *ops* ops of workload *name* at *seed*, without cProfile,
     each op also inside every one of *regions*.  Exits 2, before the
-    set-up, naming every name that does not resolve."""
+    set-up, naming every name that does not resolve, and printing the
+    import error of each name whose module fails to import."""
     timer = WallClock(names)
     _import_paths()
-    missing = timer.unresolved()
+    missing, broken = timer.unresolved()
+    for name, error in broken:
+        print(f"profile_ops: --wall: cannot import {name}: "
+              f"{type(error).__name__}: {error}", file=sys.stderr)
     if missing:
         print(f"profile_ops: --wall: no function named {', '.join(missing)}",
               file=sys.stderr)
+    if missing or broken:
         sys.exit(2)
     workload, setup_s, check_failed = _build(name, seed, ops)
     timer.install()

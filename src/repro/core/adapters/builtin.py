@@ -7,9 +7,10 @@ adapter the artifact ships in place of the proprietary toolchains.
 
 :func:`get_adapter` hands out one adapter per registered factory and
 system.  Adapters are immutable once built, so every rebuild for one
-system shares one, and the rebuild's plan memo
-(:func:`repro.perf.incremental.plan_rebuild`) keys on it by identity.
-Re-registering a name brings a new factory, and with it a new adapter.
+system shares one, and the rebuild's inputs
+(:func:`repro.core.backend.rebuild.rebuild_inputs`), on which the plan
+and rebuild memos key, hold it by identity.  Re-registering a name brings
+a new factory, and with it a new adapter.
 """
 
 from __future__ import annotations

@@ -32,31 +32,33 @@ completed group runs exactly once, again in wavefront order).  Faults can
 therefore reshape simulated time but never bytes: the rebuilt layer is
 byte-identical under any seeded worker fault pattern and any ``--jobs``.
 
+The rebuild's inputs besides a previous ``+coMre`` are one key,
+:func:`rebuild_inputs`: the container's image (its layer digests,
+recorded at creation), each pool repository's name and digest, the
+adapter (by identity; the memo entries hold it), every
+:class:`RebuildOptions` field and the ``+coM`` manifest digest.  While
+the container is unwritten they fix every path the plan reads (the
+runtime install, the replacements and the sources follow from them), so
+the plan memo keys on them; a container written before the program
+starts (a PGO ``use`` rebuild's profile) forms no key and plans afresh.
+
 A *fully pruned* rebuild (the plan diff left no dirty group, so no wave
 ran) is a pure function of what it reads, so the ``+coMre`` image it
-produces is memoised (a 64-entry :class:`repro.memo.LruMemo`) on exactly
-that: the adapter (by identity, as the plan memo keys it; the entry holds
-it), every :class:`RebuildOptions` field and ``--fallback``, the extended
-(``+coM``) image's manifest digest, the previous ``+coMre``'s plan key
-(each node output's path and content digest, and its
-``node_fingerprints``: all the rebuild reads of it, computed once per
-decoded stack by :func:`repro.core.cache.storage.rebuilt_stack`), the
-container's image (its layer digests, recorded at creation) and each pool
-repository's name and digest, in pool order.  The rest of the previous
-``meta.json`` records how that rebuild ran (``executed_nodes``,
-``cache_hits``, ...), which no rebuild reads, so the first identical
-re-adaptation after a cold run already stores what the next one hits.
-The key is formed only when a previous ``+coMre`` with a ``meta.json``
-object exists and the container is still unwritten since creation (a PGO
-``use`` rebuild writes its profile first, so it forms none); the flags
-that only shape a schedule (``--jobs``, ``--journal``, ``--no-cache``,
-``--deadline``, ``--speculate``, ``--max-worker-failures``) are not read
-for bytes by a run with no wave.  A hit skips the decode copies,
-:func:`rebuild_in_container`, the layer encode and the manifest stacking,
-and nothing else: every tag resolve, verified read, blob write and fault
-arm happens in the same order, and :func:`recorded_schedule`, which a
-run with waves records through too, emits the same spans, events,
-counters and gauges.
+produces is memoised (a 64-entry :class:`repro.memo.LruMemo`) on the
+same inputs, ``--fallback`` and the previous ``+coMre``'s plan key (each
+node output's path and content digest, and its ``node_fingerprints``:
+all the rebuild reads of it, computed once per decoded stack by
+:func:`repro.core.cache.storage.rebuilt_stack`).  The rest of the
+previous ``meta.json`` records how that rebuild ran, which no rebuild
+reads, so the first identical re-adaptation after a cold run already
+stores what the next one hits.  The flags that only shape a schedule
+(``--jobs``, ``--journal``, ``--no-cache``, ``--deadline``,
+``--speculate``, ``--max-worker-failures``) are not read for bytes by a
+run with no wave.  A hit skips the decode, :func:`rebuild_in_container`,
+the layer encode and the manifest stacking, and nothing else: every tag
+resolve, verified read, blob write and fault arm happens in the same
+order, and :func:`recorded_schedule`, which a run with waves records
+through too, emits the same spans, events, counters and gauges.
 """
 
 from __future__ import annotations
@@ -88,10 +90,9 @@ from repro.core.cache.storage import (
     rebuilt_tag,
     resolve_extended,
 )
-from repro.perf.incremental import diff_plan, plan_rebuild
-from repro.core.models.process import ProcessModels
+from repro.perf import incremental
 from repro.memo import LruMemo
-from repro.oci.layout import OCILayout
+from repro.oci.layout import OCILayout, ResolvedImage
 from repro.vfs import RegularFile
 from repro.vfs.content import FileContent
 
@@ -197,11 +198,21 @@ def recorded_schedule(
         tele.event("rebuild.node_cache_hit", node=node_id)
 
 
+def rebuild_inputs(
+    engine, container: Container, adapter: SystemAdapter,
+    options: RebuildOptions, extended: ResolvedImage,
+) -> Optional[tuple]:
+    """The key of the rebuild's inputs (module docstring); None for a
+    container written since creation."""
+    key = container_key(container, engine.repository_pool_for(container))
+    return key and key + (id(adapter), options.key(), extended.digest)
+
+
 def rebuild_in_container(
     engine,
     container: Container,
-    models: ProcessModels,
-    sources: Dict[str, FileContent],
+    extended: ResolvedImage,
+    dist_tag: str,
     adapter: SystemAdapter,
     options: RebuildOptions,
     previous: Optional[Tuple[Dict[str, FileContent], Dict[str, str]]] = None,
@@ -214,12 +225,14 @@ def rebuild_in_container(
     deadline: Optional[float] = None,
 ) -> Tuple[dict, Dict[str, FileContent], Dict[str, int], Dict[str, FileContent],
            ScheduleReport]:
-    """Execute the transformed build; returns
-    ``(meta, files, modes, node_files, schedule)``.
+    """Execute the transformed build of *extended*, the resolved extended
+    image of *dist_tag*; returns ``(meta, files, modes, node_files,
+    schedule)``.
 
-    *models* is only read: adapters transform steps into new ones
-    (§4.2), so the caller owns the copy it passes, as
-    ``coMtainer-rebuild`` owns the private copy it makes of the decode.
+    The models and sources are the decode memo's own, read in place
+    (adapters transform steps into new ones, §4.2), and the plan is
+    memoised on :func:`rebuild_inputs`; a cache layer that does not
+    decode raises :class:`RebuildError`.
 
     *previous* is a prior rebuild's (node outputs, plan fingerprints), as
     :func:`repro.core.cache.storage.decode_rebuild_plan` reads them.  The
@@ -261,6 +274,11 @@ def rebuild_in_container(
     wave's checkpoints landed, so a journaled rebuild resumes from where
     the deadline cut it off.
     """
+    inputs = rebuild_inputs(engine, container, adapter, options, extended)
+    try:
+        models, sources = decoded_cache(extended, dist_tag)
+    except Exception as exc:
+        raise RebuildError(str(exc)) from exc
     fs = container.fs
     pool = engine.repository_pool_for(container)
     rctx = getattr(engine, "resilience", None)
@@ -292,8 +310,8 @@ def rebuild_in_container(
     # fingerprint each group: its command digest folded over its
     # transitive input digests, node-order independent.  Planned once per
     # distinct input; the plan is shared, so nothing below writes to it.
-    build_plan, fingerprints = plan_rebuild(
-        models.graph, adapter, options, fs, profile_salt
+    build_plan, fingerprints = incremental.plan_rebuild(
+        inputs, models.graph, adapter, options, fs, profile_salt
     )
 
     executed: List[str] = []
@@ -318,7 +336,7 @@ def rebuild_in_container(
     waves_to_run = build_plan.waves
     dirty = 0
     if prev_fingerprints:
-        plan_diff = diff_plan(
+        plan_diff = incremental.diff_plan(
             build_plan, fingerprints, prev_fingerprints, prev_outputs
         )
         for group in plan_diff.pruned:
@@ -600,7 +618,6 @@ def comtainer_rebuild_entry(ctx) -> int:
         raise ProgramError(f"coMtainer-rebuild: {exc}")
     try:
         extended = resolve_extended(layout, dist_tag)
-        models, sources = decoded_cache(extended, dist_tag)
     except IntegrityError:
         # A corrupt cache blob must stay *typed* all the way out of
         # engine.run: ProgramError would be flattened into RunResult
@@ -619,18 +636,15 @@ def comtainer_rebuild_entry(ctx) -> int:
     )
     tag = rebuilt_tag(dist_tag)
     previous = rebuilt_stack(layout.resolve(tag)) if layout.has_tag(tag) else None
+    inputs = rebuild_inputs(ctx.engine, ctx.container, adapter, options, extended)
     key = stored = None
-    if previous is not None and previous.plan_key is not None:
-        key = container_key(ctx.container,
-                            ctx.engine.repository_pool_for(ctx.container))
-    if key is not None:
-        key += (id(adapter), options.key(), flags["fallback"],
-                extended.digest, previous.plan_key)
+    if inputs is not None and previous is not None and previous.plan_key is not None:
+        key = inputs + (flags["fallback"], previous.plan_key)
         stored = _REBUILD_MEMO.get(key)
     if stored is None:
         try:
             meta, files, modes, node_files, schedule = rebuild_in_container(
-                ctx.engine, ctx.container, models.clone(), dict(sources),
+                ctx.engine, ctx.container, extended, dist_tag,
                 adapter, options, previous=rebuild_plan(previous),
                 journal=journal,
                 # The extended image carries the generic dist content, so

@@ -19,7 +19,8 @@ memo off at once and a profile can count each one's traffic:
 - ``decode``: the coMtainer layer decodes (:mod:`repro.core.cache.storage`),
   keyed on the layer digests;
 - ``plan``: the rebuild's plan (:func:`repro.perf.incremental.plan_rebuild`),
-  keyed on everything planning reads;
+  keyed on the rebuild's inputs
+  (:func:`repro.core.backend.rebuild.rebuild_inputs`);
 - ``runtime``: the rebuild and redirect containers' runtime install
   (:func:`repro.core.backend.replacement.install_container_runtime`);
 - ``rebuild``: the ``+coMre`` image of a fully pruned rebuild
@@ -29,8 +30,8 @@ memo off at once and a profile can count each one's traffic:
   (:func:`repro.core.backend.redirect.redirect_in_container`), keyed on
   the rebuilt ``+coMre``'s redirect key.
 
-The last three are keyed on the container's image and everything the
-step reads.  A ``+coMre`` stack enters the last two keys as its read key
+The last four are keyed on the container's image and pool and on what
+fixes everything else the step reads.  A ``+coMre`` stack enters the last two keys as its read key
 (:class:`repro.core.cache.storage.RebuiltStack`), what the step reads of
 it, not as its manifest digest, which also covers the facts its
 ``meta.json`` records of how its rebuild ran.  Each memo stores only results that finished.  Five hand out
@@ -47,14 +48,15 @@ to: the documents memo its read-only documents, whose types refuse every
 write (:class:`repro.oci.image.FrozenManifest`,
 :class:`~repro.oci.image.FrozenImageConfig`); the commit memo its layer,
 which goes into the committed image as every layer of an image does
-(its tree clone is only compared against); the plan memo its plan
-(``tests/test_plan_memo.py`` rebuilds cold, warm, resumed, cache-served
-and with fallback, and the stored plan still equals a fresh one; the
-fingerprints it hands out are copies, since they go into ``meta.json``);
+(its tree clone is only compared against); the plan memo its plan, which holds the nodes of the decode it planned
+(``tests/test_plan_memo.py`` rebuilds cold, warm, after an LTO change,
+resumed, cache-served and with fallback, and the stored plan and the
+decode still equal fresh ones; the fingerprints it hands out are copies,
+since they go into ``meta.json``);
 the rebuild memo its image (a read-only manifest and config, and its
 layers) and ``meta``, which go into the layout's blob store and the
 program's stdout unchanged; and the decode memo its entries, which the
-two programs only read (its ``decode_*`` functions hand out copies).
+two programs read in place (its ``decode_*`` functions hand out copies).
 
 Every memo counts its hits, misses and stores (:meth:`LruMemo.get`
 counts a lookup, :meth:`LruMemo.put` a store); ``make profile MEMO=1``

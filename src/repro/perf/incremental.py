@@ -24,9 +24,10 @@ artifact cache is keyed on it.
 
 A rebuild plans through :func:`plan_rebuild`, which runs
 :func:`~repro.core.backend.scheduler.plan_command_groups` and
-:func:`compute_plan_fingerprints` once per distinct input: re-adapting an
-unchanged graph with unchanged options, leaves and adapter takes the plan
-and fingerprints a previous rebuild of this process computed.
+:func:`compute_plan_fingerprints` once per key: ``coMtainer-rebuild``
+keys it on the rebuild's inputs, which fix everything planning reads, so
+re-adapting with unchanged inputs takes the plan and fingerprints a
+previous rebuild of this process computed.
 """
 
 from __future__ import annotations
@@ -105,65 +106,34 @@ _PLAN_MEMO = LruMemo(64, name="plan")
 
 
 def plan_rebuild(
-    graph: BuildGraph, adapter, options, fs: VirtualFilesystem,
-    profile_salt: str = "",
+    key: Optional[tuple], graph: BuildGraph, adapter, options,
+    fs: VirtualFilesystem, profile_salt: str = "",
 ) -> Tuple[RebuildPlan, Dict[str, str]]:
-    """The rebuild's command plan and plan fingerprints, computed once per
-    distinct input.
+    """The rebuild's command plan and plan fingerprints, computed once
+    per *key*; with no key, computed afresh and not stored.
 
-    The memo key is exactly what planning reads: the adapter by identity
-    (adapters are immutable once built), the options and *profile_salt* by
-    value, each node's id, kind, path, dependencies and step in graph
-    order (the step by identity: steps are frozen and shared by every copy
-    of one decode), and the content digest of every path planning reads
-    from *fs* — each node without a step, which the cost model sizes, and
-    each dependency no node produces, which the fingerprints hash — or
-    ``"absent"`` for a path that is no regular file.  A digest fixes the
-    size.  The entry holds the adapter and the steps, so no identity in
-    its key is reused while it lives.
-
-    A miss plans a private copy of *graph* with the unchanged planning
-    functions, sizing leaves from the reads the key made; a call that
-    raises stores nothing.  A hit shares the stored plan, which the
-    rebuild only reads, and copies the fingerprints, which go into
-    ``meta.json``.
+    The caller's key fixes everything planning reads: *graph*, *adapter*
+    (the entry holds it, so a key that holds its identity stays unique),
+    *options*, *profile_salt* and every path of *fs* planning reads
+    (each node without a step, which the cost model sizes, and each
+    dependency no node produces, which the fingerprints hash).  A call
+    that raises stores nothing.  A hit shares the stored plan, which
+    holds the nodes of the graph it planned and which the rebuild only
+    reads, and copies the fingerprints, which go into ``meta.json``.
     """
-    sizes: Dict[str, int] = {}
-    digests: List[str] = []
-
-    def read(path: str) -> None:
-        if path not in sizes:
-            leaf = fs.try_get_node(path)
-            found = isinstance(leaf, RegularFile)
-            sizes[path] = leaf.content.size if found else 0
-            digests.append(leaf.content.digest if found else "absent")
-
-    nodes = []
-    steps = []
-    for node in graph:
-        nodes.append((node.id, node.kind, node.path, tuple(node.deps),
-                      None if node.step is None else id(node.step)))
-        if node.step is None:
-            read(node.path)
-            continue
-        steps.append(node.step)
-        for dep in node.deps:
-            if dep not in graph:
-                read(dep)
-    key = (id(adapter), options.key(), profile_salt, tuple(nodes), tuple(digests))
-    entry = _PLAN_MEMO.get(key)
+    entry = None if key is None else _PLAN_MEMO.get(key)
     if entry is None:
-        # The plan holds its graph's nodes: plan a copy (in graph order,
-        # which picks the LTO-scope representative) that no caller holds.
-        private = BuildGraph()
-        for node in graph:
-            private.add(node.clone())
-        plan = plan_command_groups(private, adapter, options,
+
+        def source_size(path: str) -> int:
+            leaf = fs.try_get_node(path)
+            return leaf.content.size if isinstance(leaf, RegularFile) else 0
+
+        plan = plan_command_groups(graph, adapter, options,
                                    profile_salt=profile_salt,
-                                   source_size=sizes.__getitem__)
-        fingerprints = compute_plan_fingerprints(plan, private, fs)
-        entry = (plan, fingerprints, adapter, steps)
-        _PLAN_MEMO.put(key, entry)
+                                   source_size=source_size)
+        entry = (plan, compute_plan_fingerprints(plan, graph, fs), adapter)
+        if key is not None:
+            _PLAN_MEMO.put(key, entry)
     return entry[0], dict(entry[1])
 
 

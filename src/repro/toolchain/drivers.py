@@ -25,11 +25,10 @@ from repro.toolchain.artifacts import (
     artifact_content,
     BYTES_PER_SOURCE_BYTE,
     rendered_text,
-    try_read_artifact,
 )
 from repro.toolchain.info import get_toolchain
 from repro.toolchain.options import is_isa_specific
-from repro.vfs import Directory, VirtualFilesystem
+from repro.vfs import Directory, RegularFile, VirtualFilesystem
 from repro.vfs import paths as vpath
 
 #: Libraries the toolchain provides implicitly (no file lookup needed).
@@ -274,12 +273,13 @@ class CompilerDriver:
         if self.mpi_wrapper and "mpi" not in libs:
             libs.append("mpi")
         for lib in libs:
-            resolved = self._find_library(lib, inv, fs, cwd, env)
-            if resolved is None:
+            found = self._find_library(lib, inv, fs, cwd, env)
+            if found is None:
                 if lib in IMPLICIT_LIBS:
                     continue
                 raise CompilerError(f"/usr/bin/ld: cannot find -l{lib}")
-            static_members = self._maybe_static_members(fs, resolved)
+            resolved, library = found
+            static_members = self._maybe_static_members(resolved, library)
             if static_members is not None:
                 members.extend(static_members)
             else:
@@ -346,7 +346,9 @@ class CompilerDriver:
         fs: VirtualFilesystem,
         cwd: str,
         env: Dict[str, str],
-    ) -> Optional[str]:
+    ) -> Optional[Tuple[str, Optional[RegularFile]]]:
+        """The path and file of the library ``-l<name>`` links (no file
+        for a dangling shared-library link)."""
         triple = ARCH_TRIPLE_OF_ISA.get(self.isa, "x86_64-linux-gnu")
         search: List[str] = [self._resolve(cwd, d) for d in inv.lib_dirs]
         search.extend(p for p in env.get("LIBRARY_PATH", "").split(":") if p)
@@ -374,19 +376,22 @@ class CompilerDriver:
                 # Real linkers record the SONAME of the library they
                 # resolved, not the dev symlink path — emulate by
                 # canonicalizing, so the recorded path survives into
-                # images that lack the -dev symlinks.
-                try:
-                    return fs.resolve_path(found)
-                except Exception:
-                    return found
+                # images that lack the -dev symlinks.  A dangling shared
+                # library link is recorded as it is; any other candidate
+                # that is no regular file is passed over.
+                library = fs.try_get_node(found)
+                if isinstance(library, RegularFile):
+                    return fs.resolve_path(found), library
+                if library is None and suffix == ".so":
+                    return found, None
         return None
 
     def _maybe_static_members(
-        self, fs: VirtualFilesystem, path: str
+        self, path: str, library: Optional[RegularFile]
     ) -> Optional[List[ObjectArtifact]]:
         if not path.endswith(".a"):
             return None
-        artifact = try_read_artifact(fs.read_content(path))
+        artifact = artifact_at(library)
         if isinstance(artifact, ArchiveArtifact):
             return artifact.member_objects()
         return []  # synthetic (package-provided) static library: opaque

@@ -1,8 +1,10 @@
 """``scripts/bench_pairs.py`` without a harness run: run order, merging,
-and stopping on a run that failed or did not check out."""
+the working tree's copy, and stopping on a run that failed or did not
+check out."""
 
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -76,3 +78,23 @@ def test_run_one_stops_on_outputs_that_did_not_check_out(tmp_path):
     with pytest.raises(SystemExit, match="pair 2: the parent outputs did not"):
         bench_pairs.run_one(_fake_harness(code) + [str(run_out)], tmp_path,
                             run_out, "parent", 2)
+
+
+def test_the_change_tree_holds_the_working_tree_without_ignored_files(tmp_path):
+    repo, dest = tmp_path / "repo", tmp_path / "dest"
+    (repo / "pkg" / "__pycache__").mkdir(parents=True)
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(repo)]
+    subprocess.run([*git, "init", "-q"], check=True)
+    (repo / ".gitignore").write_text("__pycache__/\n")
+    (repo / "pkg" / "mod.py").write_text("X = 1\n")
+    (repo / "pkg" / "gone.py").write_text("")
+    subprocess.run([*git, "add", "-A"], check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "base"], check=True)
+    (repo / "pkg" / "mod.py").write_text("X = 2\n")            # uncommitted edit
+    (repo / "pkg" / "gone.py").unlink()                        # uncommitted delete
+    (repo / "pkg" / "new.py").write_text("Y = 3\n")            # untracked
+    (repo / "pkg" / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"stale")
+    bench_pairs.export_working_tree(repo, dest)
+    files = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert files == [".gitignore", "pkg/mod.py", "pkg/new.py"]
+    assert (dest / "pkg" / "mod.py").read_text() == "X = 2\n"

@@ -322,19 +322,20 @@ class TestClone:
 
 
 class TestRebuildOnlyReadsItsModels:
-    """``rebuild_in_container`` makes no copy of the models it is handed:
-    it only reads them, so ``coMtainer-rebuild`` passes the private copy
-    ``decode_cache`` handed it."""
+    """``rebuild_in_container`` reads the decode memo's own models and
+    sources in place: a rebuild leaves them as it found them."""
 
     @pytest.mark.parametrize("app", ["hpccg", "lammps"])
     def test_cold_and_warm_rebuilds_leave_the_models_unchanged(self, app, monkeypatch):
         rebuild = rebuild_module.rebuild_in_container
         runs = []
 
-        def checked(engine, container, models, *args, **kwargs):
-            before = models.to_json()
-            meta = rebuild(engine, container, models, *args, **kwargs)
-            runs.append((len(meta[0]["executed_nodes"]), models.to_json() == before))
+        def checked(engine, container, extended, dist_tag, *args, **kwargs):
+            models, sources = storage.decoded_cache(extended, dist_tag)
+            before = models.to_json(), dict(sources)
+            meta = rebuild(engine, container, extended, dist_tag, *args, **kwargs)
+            runs.append((len(meta[0]["executed_nodes"]),
+                         (models.to_json(), sources) == before))
             return meta
 
         monkeypatch.setattr(rebuild_module, "rebuild_in_container", checked)

@@ -16,10 +16,13 @@ from repro.core.backend.rebuild import RebuildError, rebuild_in_container
 from repro.core.cache.storage import (
     CACHE_ROOT,
     CacheError,
+    add_cache_manifest,
     decode_cache,
     decode_rebuild,
+    encode_cache_layer,
     extended_tag,
     find_dist_tag,
+    resolve_extended,
 )
 from repro.core.frontend.build import IO_MOUNT
 from repro.core.images import (
@@ -82,6 +85,14 @@ def _corrupt_cache_layout(layout, dist_tag):
     # add_cache_manifest stacks the corrupt layer as the +coM image.
     add_cache_manifest(fresh, dist_tag, bad_cache)
     return fresh, dist_tag
+
+
+def _recached(layout, dist_tag, models, sources):
+    """The resolved +coM image of a copy of *layout* whose cache layer
+    holds *models* and *sources*."""
+    fresh, _ = _dist_only_layout(layout, dist_tag)
+    add_cache_manifest(fresh, dist_tag, encode_cache_layer(models, sources))
+    return resolve_extended(fresh, dist_tag)
 
 
 def _dist_only_layout(layout, dist_tag):
@@ -152,13 +163,13 @@ class TestRebuildFailures:
     def test_missing_source_fails_rebuild(self, system_engine, extended):
         layout, dist_tag = extended
         models, sources, _ = decode_cache(layout, dist_tag)
-        sources = dict(sources)
         sources.pop("/src/main.cc", None)   # drop a cached source
+        extended = _recached(layout, dist_tag, models, sources)
         ctr = system_engine.from_image(sysenv_ref("x86"), name="rb-fail")
         try:
             with pytest.raises(RebuildError, match="No such file|rebuild of"):
                 rebuild_in_container(
-                    system_engine, ctr, models, sources,
+                    system_engine, ctr, extended, dist_tag,
                     VendorAdapter(X86_CLUSTER), RebuildOptions(),
                 )
         finally:
@@ -204,11 +215,12 @@ class TestRebuildFailures:
             if record.node_id:
                 tampered.graph.get(record.node_id).path = "/nonexistent/out"
                 tampered.graph.get(record.node_id).step = None
+        extended = _recached(layout, dist_tag, tampered, sources)
         ctr = system_engine.from_image(sysenv_ref("x86"), name="rb-ghost")
         try:
             with pytest.raises(RebuildError, match="rebuilt artifact missing"):
                 rebuild_in_container(
-                    system_engine, ctr, tampered, sources,
+                    system_engine, ctr, extended, dist_tag,
                     VendorAdapter(X86_CLUSTER), RebuildOptions(),
                 )
         finally:

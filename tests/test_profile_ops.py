@@ -8,6 +8,7 @@ import gc
 import importlib.util
 import itertools
 import os
+import subprocess
 import sys
 import textwrap
 import types
@@ -374,6 +375,39 @@ def test_wall_names_every_name_that_does_not_resolve_before_the_set_up(
         "profile_ops: --wall: no function named repro.stub_timed:nosuch,"
         " repro.stub_timed:Box.nope, repro.stub_nosuch:f,"
         " repro.stub_timed:Nope.f\n")
+
+
+def test_wall_prints_the_import_error_of_a_module_that_fails_to_import(
+        monkeypatch, tmp_path, capsys):
+    _stub_modules(monkeypatch)
+    (tmp_path / "stub_broken.py").write_text("import stub_no_such_dependency\n")
+    (tmp_path / "stub_raising.py").write_text("raise ImportError('half done')\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.setattr(profile_ops, "_build",
+                        lambda *args: pytest.fail("built the workload"))
+    names = ["stub_broken:f", "repro.stub_nosuch:f", "stub_raising:g"]
+    with pytest.raises(SystemExit) as info:
+        profile_ops.main(["stub", "--wall", ",".join(names)])
+    assert info.value.code == 2
+    assert capsys.readouterr().err == (
+        "profile_ops: --wall: cannot import stub_broken:f: ModuleNotFoundError:"
+        " No module named 'stub_no_such_dependency'\n"
+        "profile_ops: --wall: cannot import stub_raising:g: ImportError:"
+        " half done\n"
+        "profile_ops: --wall: no function named repro.stub_nosuch:f\n")
+
+
+def test_the_documented_wall_example_runs_in_a_fresh_interpreter():
+    """``repro.perf.incremental`` imports first in a new process, as the
+    ``--wall`` example of the module docstring needs."""
+    names = "repro.perf.incremental:plan_rebuild,repro.oci.layout:OCILayout.resolve"
+    result = subprocess.run(
+        [sys.executable, str(SCRIPT), "warm-readapt", "--ops", "2", "--wall", names],
+        capture_output=True, text=True, cwd=SCRIPT.parents[1])
+    assert result.returncode == 0, result.stderr
+    rows = result.stdout.splitlines()[2:]
+    assert [row.split()[-1] for row in rows] == names.split(",")
+    assert all(float(row.split()[0]) > 0 for row in rows)
 
 
 def test_wall_rebinds_a_harness_module_alias(monkeypatch):

@@ -23,7 +23,8 @@ from repro.toolchain.artifacts import (
     try_read_artifact,
 )
 from repro.toolchain.drivers import CompilerDriver, CompilerError
-from repro.vfs import VirtualFilesystem
+from repro.vfs import InlineContent, VirtualFilesystem
+from repro.vfs import paths as vpath
 
 
 @pytest.fixture
@@ -449,6 +450,47 @@ class TestInputLookups:
         finally:
             env.remove_container(ctr.name)
         assert (result.exit_code, result.stderr) == (1, error)
+
+    @pytest.mark.parametrize("layout, linked", [
+        ({"/work/lib/libfoo.a": None}, None),
+        ({"/work/lib/libfoo.a": None, "/work/lib2/libfoo.a": "ar"}, "/work/lib2/libfoo.a"),
+        ({"/work/lib/libfoo.so": None, "/work/lib/libfoo.a": "ar"}, "/work/lib/libfoo.a"),
+        ({"/work/lib/libfoo.a": "/work/lib/gone.a"}, None),
+    ], ids=["directory", "directory-then-archive", "so-directory-then-archive",
+            "dangling-archive-link"])
+    def test_a_library_candidate_that_is_no_file_is_passed_over(
+            self, env, layout, linked):
+        """A ``lib<name>`` that is a directory (None) or a dangling archive
+        symlink (its target) is skipped: the search goes on to the next
+        suffix and directory, and ends in the linker's error when nothing
+        else matches."""
+        ctr = env.from_image(env_ref("amd64"))
+        try:
+            ctr.fs.write_file("/work/m.c", InlineContent(b"int main() { return 0; }\n"),
+                              create_parents=True)
+            ctr.fs.write_file("/work/f.c", InlineContent(b"int foo() { return 1; }\n"))
+            env.run(ctr, ["/usr/bin/gcc", "-c", "/work/m.c", "-o", "/work/m.o"]).check()
+            env.run(ctr, ["/usr/bin/gcc", "-c", "/work/f.c", "-o", "/work/f.o"]).check()
+            for path, kind in layout.items():
+                if kind is None:
+                    ctr.fs.makedirs(path)
+                elif kind == "ar":
+                    ctr.fs.makedirs(vpath.dirname(path))
+                    env.run(ctr, ["/usr/bin/ar", "rcs", path, "/work/f.o"]).check()
+                else:
+                    ctr.fs.symlink(kind, path, create_parents=True)
+            result = env.run(ctr, ["/usr/bin/gcc", "/work/m.o", "-L/work/lib",
+                                   "-L/work/lib2", "-lfoo", "-o", "/work/app"])
+            app = ctr.fs.try_get_node("/work/app")
+        finally:
+            env.remove_container(ctr.name)
+        if linked is None:
+            assert (result.exit_code, result.stderr) == (
+                1, "/usr/bin/ld: cannot find -lfoo")
+        else:
+            result.check()
+            objects = read_artifact(app.content.read()).objects
+            assert [o["sources"] for o in objects] == [["/work/m.c"], ["/work/f.c"]]
 
 
 class TestPaddingNeverMaterialized:
