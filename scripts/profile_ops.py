@@ -48,6 +48,11 @@ workloads' own ``from repro... import f`` calls are timed), and every
 wrapper is removed afterwards.  A row with no recorded call is marked
 ``(not reached)``: the function did not run, or ran through a reference
 the wrapping cannot see (a registry that holds the function itself).
+A wrapper costs time of its own, which every row that encloses its
+calls reads too: before the ops run, the wrapper is timed on a no-op,
+the header gives what one timed call adds, and each row's ``wrap
+ms/op`` is its calls per op times that (so a row of a function called
+thousands of times per op shows what it added to its callers' rows).
 
 cProfile also charges the garbage collector's pauses to whichever
 function happens to allocate when a collection starts.  ``--gc``, with
@@ -204,6 +209,9 @@ class WallClock:
     def __init__(self, names, clock=time.perf_counter):
         self.names = list(names)
         self.clock = clock
+        #: Seconds one timed call adds to the call it wraps
+        #: (:func:`wrapper_cost`); None until measured.
+        self.per_call_s = None
         self.active = False
         self.calls = [0] * len(self.names)
         self.seconds = [0.0] * len(self.names)
@@ -308,14 +316,47 @@ class WallClock:
 
     def table(self, ops, timed_s):
         """Table lines, one per name in the order given: calls per op,
-        inclusive milliseconds per op and share of *timed_s*; a name with
-        no recorded call is marked ``(not reached)``."""
-        lines = [f"{'calls/op':>10} {'incl ms/op':>10} {'share':>6}  function"]
+        inclusive milliseconds per op and share of *timed_s*, then, once
+        :attr:`per_call_s` is measured, the milliseconds per op the
+        name's own wrapper added (calls times that cost); a name with no
+        recorded call is marked ``(not reached)``."""
+        cost = self.per_call_s
+        wrap = "" if cost is None else f" {'wrap ms/op':>10}"
+        lines = [f"{'calls/op':>10} {'incl ms/op':>10} {'share':>6}{wrap}  function"]
         for name, calls, seconds in zip(self.names, self.calls, self.seconds):
             note = "" if calls else "  (not reached)"
+            wrap = "" if cost is None else f" {calls * cost * 1e3 / ops:>10.3f}"
             lines.append(f"{calls / ops:>10.1f} {seconds * 1e3 / ops:>10.3f}"
-                         f" {seconds / timed_s:>6.1%}  {name}{note}")
+                         f" {seconds / timed_s:>6.1%}{wrap}  {name}{note}")
         return lines
+
+
+#: Calls per round, and rounds, of the no-op :func:`wrapper_cost` times.
+PROBE_CALLS = 20_000
+PROBE_ROUNDS = 5
+
+
+def wrapper_cost(calls=PROBE_CALLS, rounds=PROBE_ROUNDS):
+    """Seconds one call through a counting :class:`WallClock` wrapper adds
+    to the call it wraps: a no-op called bare and wrapped, *calls* times a
+    round, each the fastest of *rounds* rounds."""
+    def noop():
+        return None
+
+    def fastest(fn):
+        laps = []
+        for _ in range(rounds):
+            start = time.perf_counter()
+            for _ in range(calls):
+                fn()
+            laps.append(time.perf_counter() - start)
+        return min(laps)
+
+    probe = WallClock(["noop"])
+    wrapped = probe.wrap(0, noop)
+    with probe:
+        added = fastest(wrapped) - fastest(noop)
+    return max(0.0, added / calls)
 
 
 class GcClock:
@@ -506,6 +547,7 @@ def wall(name, seed, ops, names, *regions):
     if missing or broken:
         sys.exit(2)
     workload, setup_s, check_failed = _build(name, seed, ops)
+    timer.per_call_s = wrapper_cost()
     timer.install()
     try:
         laps = _run(workload, ops, check_failed, timer, *regions)
@@ -603,9 +645,12 @@ def main_wall(args, collector=None, traffic=None, switch=None):
     regions = tuple(r for r in (collector, traffic, switch) if r is not None)
     timer, setup_s, laps = wall(args.workload, args.seed, args.ops, names, *regions)
     timed_s = sum(laps)
+    cost = ("" if timer.per_call_s is None else
+            f"; a timed call adds {timer.per_call_s * 1e6:.3f} us"
+            f" (a no-op, timed before the ops)")
     print(f"# {args.workload} seed {args.seed}: {args.ops} ops,"
           f" {timed_s:.2f} s timed without cProfile"
-          f" (set-up {setup_s:.2f} s, not timed){off_note(args.memo_off)}")
+          f" (set-up {setup_s:.2f} s, not timed){cost}{off_note(args.memo_off)}")
     print("\n".join(timer.table(args.ops, timed_s)))
     if args.window > 0:
         print(f"# timed ms/op per window of {args.window} ops")

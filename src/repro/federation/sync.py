@@ -8,18 +8,22 @@ per sync attempt:
    (a fault-transparent metadata read) with the mirror's; only changed
    references proceed.  A reference whose tag is already current is
    health-checked at rest: it re-opens when the replica's manifest is not
-   stored intact (:meth:`~repro.oci.blobs.BlobStore.intact`) or a blob of
-   its closure is not.  The current references' closures are pooled, so
-   each distinct blob is checked once per plan, and a stored object
-   already checked answers from its own memo: an in-sync mirror costs
-   the catalogue diff plus one memo read per distinct blob, and a rotten
-   replica blob is still hashed, found and healed by the next sync.  The
-   blob want-list is the referenced closure of the changed manifests
-   (:func:`~repro.oci.blobs.manifest_closure`) minus whatever the mirror
-   already stores intact — a blob present but rotten counts as missing,
-   so sync also heals replicas.
+   stored intact (:meth:`~repro.oci.blobs.BlobStore.intact_closures`)
+   or a blob of its closure is not.  The current references' closures
+   are pooled, so each distinct blob is checked once per plan, and a
+   stored object already checked answers from its own memo: an in-sync
+   mirror costs the catalogue diff plus one memo read per distinct blob,
+   and a rotten replica blob is still hashed, found and healed by the
+   next sync.  The blob want-list is the referenced closure of the
+   changed manifests (:func:`~repro.oci.blobs.manifest_closure`) minus
+   whatever the mirror already stores intact — a blob present but rotten
+   counts as missing, so sync also heals replicas.
 2. **Stage** — fetch each wanted blob from the origin in fixed-size
-   chunks into the mirror's shadow staging area.  Every chunk arms the
+   chunks into the mirror's shadow staging area.  The engine renders an
+   origin blob's bytes once and reuses them for every mirror that wants
+   the blob, while the origin's verified read still hands out the same
+   object; it keeps them only for the digests its latest plan wanted.
+   Every chunk arms the
    ``transfer.chunk`` fault site (a transient fault aborts the sync
    mid-blob) and may be silently corrupted in flight; each completed
    chunk is recorded in the mirror's :class:`TransferLedger` and the
@@ -34,7 +38,10 @@ per sync attempt:
    Merkle-verified end to end (manifest → config → layers) against the
    staged + stored blobs (:func:`~repro.oci.layout.resolve_manifest`).
 4. **Promote** — write the verified blobs into the mirror's registry
-   (post-write re-verified) and only then flip tags.  A torn, crashed,
+   (post-write re-verified) and only then flip tags and artifact caches
+   (a cache whose blob the mirror already stores intact, as when the
+   same bytes are published for another repository, is promoted from
+   that stored copy).  A torn, crashed,
    or corrupted sync therefore can never make a mirror serve bad bytes:
    until the final metadata flip the mirror keeps serving its previous
    content.
@@ -146,6 +153,10 @@ class SyncEngine:
         self.clock = clock or SimulatedClock()
         self.chunk_size = max(1, int(chunk_size))
         self.bandwidth = bandwidth
+        #: ``digest -> (origin blob, its bytes)`` rendered for staging,
+        #: kept only for the digests the latest :meth:`plan` wanted, so a
+        #: ``sync_all`` round renders each wanted origin blob once.
+        self._rendered: Dict[str, Tuple[Blob, bytes]] = {}
 
     # ------------------------------------------------------------------
 
@@ -167,10 +178,12 @@ class SyncEngine:
     # diff
     # ------------------------------------------------------------------
 
-    def plan(self, mirror) -> Tuple[Dict[str, str], Dict[str, str], List[str]]:
+    def plan(self, mirror, origin_map: Optional[Dict[str, str]] = None
+             ) -> Tuple[Dict[str, str], Dict[str, str], List[str]]:
         """(changed references, changed artifact caches, wanted blobs).
 
-        Uses the fault-transparent ``manifest_map`` probes, a local
+        *origin_map* is the origin's ``manifest_map``, read here when not
+        given.  Uses the fault-transparent ``manifest_map`` probes, a local
         health check of the replica and origin blob reads for the changed
         manifests only.  The health check makes one
         :meth:`~repro.oci.blobs.BlobStore.missing_of` call over the pooled
@@ -180,7 +193,9 @@ class SyncEngine:
         the catalogue diff, one memo read per distinct blob and zero
         transfers.  *changed* keeps the origin catalogue's order.
         """
-        origin_map = self.origin.manifest_map()
+        if origin_map is None:
+            origin_map = self.origin.manifest_map()
+        rendered, self._rendered = self._rendered, {}
         mirror_map = mirror.registry.manifest_map()
         stored = mirror.registry.blobs
         # Tag already current: a purely local health check of the
@@ -188,12 +203,7 @@ class SyncEngine:
         # re-opens the reference when its manifest is absent, rotten or
         # unparseable, or a closure blob is not intact, so an incremental
         # sync also heals rotten replicas.
-        closures: Dict[str, Tuple[str, ...]] = {}
-        for ref, digest in origin_map.items():
-            if mirror_map.get(ref) == digest:
-                closure = manifest_closure(stored.intact(digest))
-                if closure is not None:
-                    closures[ref] = closure
+        closures = stored.intact_closures(origin_map.items() & mirror_map.items())
         missing = set(stored.missing_of(set().union(*closures.values())))
         changed = {ref: digest for ref, digest in origin_map.items()
                    if ref not in closures or not missing.isdisjoint(closures[ref])}
@@ -206,15 +216,17 @@ class SyncEngine:
             if (ours is None or ours.digest != blob.digest
                     or stored.intact(blob.digest) is None):
                 caches[repo] = blob.digest
-        wanted: set = set(caches.values())
+        referenced = set(caches.values())
         for digest in changed.values():
             closure = manifest_closure(self.origin.blobs.get(digest))
             if closure is None:
                 raise IntegrityError(site="mirror.sync", finding=IntegrityFinding(
                     digest=digest, kind=KIND_UNPARSEABLE,
                     detail="origin manifest does not parse"))
-            wanted.update(closure)
-        return changed, caches, stored.missing_of(wanted)
+            referenced.update(closure)
+        wanted = stored.missing_of(referenced)
+        self._rendered = {d: rendered[d] for d in wanted if d in rendered}
+        return changed, caches, wanted
 
     # ------------------------------------------------------------------
     # stage (chunked + resumable)
@@ -235,12 +247,19 @@ class SyncEngine:
         so).  Chunks already recorded in
         the ledger whose staged bytes still re-hash clean are skipped
         (resume); everything else is fetched, with corruption localized
-        to chunks and bounded re-fetch attempts.
+        to chunks and bounded re-fetch attempts.  The origin blob's bytes
+        are rendered once per object the origin's verified read hands out
+        (:attr:`_rendered`).
         """
         ledger: TransferLedger = mirror.ledger
         origin_blob = self.origin.blobs.get(digest)
         media_type = origin_blob.media_type
-        data = origin_blob.as_bytes()
+        kept = self._rendered.get(digest)
+        if kept is not None and kept[0] is origin_blob:
+            data = kept[1]
+        else:
+            data = origin_blob.as_bytes()
+            self._rendered[digest] = (origin_blob, data)
         size = len(data)
         spans = chunk_spans(size, self.chunk_size)
         report.chunks_total += len(spans)
@@ -343,8 +362,9 @@ class SyncEngine:
         started = self.clock.now
         report.ledger_lines_dropped = mirror.ledger.torn_entries_dropped
         self._arm("mirror.sync", mirror.name)
-        changed, caches, wanted = self.plan(mirror)
-        report.references_checked = len(self.origin.manifest_map())
+        origin_map = self.origin.manifest_map()
+        changed, caches, wanted = self.plan(mirror, origin_map)
+        report.references_checked = len(origin_map)
         report.blobs_needed = len(wanted)
         if not changed and not caches:
             report.up_to_date = True
@@ -363,6 +383,13 @@ class SyncEngine:
             if finding is not None:   # defense in depth; staging verified
                 raise IntegrityError(site="mirror.stage", finding=finding)
             staged[digest] = blob
+        # A cache blob the plan found stored intact (the same bytes
+        # published for another repository) was not staged: promote it
+        # from that copy, taken now, before promoting another
+        # repository's cache can drop it from the store.
+        stored = mirror.registry.blobs
+        cache_blobs = {repo: staged.get(digest) or stored.intact(digest)
+                       for repo, digest in caches.items()}
 
         # Merkle-verify each changed reference across staged + stored blobs.
         def blob_of(digest: str) -> Blob:
@@ -381,7 +408,7 @@ class SyncEngine:
             mirror.registry.tag_manifest(ref, changed[ref])
             report.references_promoted.append(ref)
         for repo in sorted(caches):
-            blob = staged[caches[repo]]
+            blob = cache_blobs[repo]
             mirror.registry.put_artifact_cache(repo, blob)
             if mirror.registry.blobs.intact(blob.digest) is None:
                 # put_artifact_cache's transfer path can be corrupted by

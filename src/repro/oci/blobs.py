@@ -23,14 +23,17 @@ them.
 A :class:`Blob` with a ``bytes`` payload remembers its :func:`check_blob`
 verdict and its :func:`manifest_closure` the first time either is asked
 for, so each stored object is hashed and parsed once however often it is
-checked.  The memo lives on the object: a frozen dataclass over immutable
-bytes cannot go stale, and every way a stored blob rots (a corrupting
-put or transfer, a repair write, a layout loaded from disk, a direct
-replacement) stores a new object, which is hashed afresh.  It is the
-only record that a stored blob verified: no store, registry or cache
-keeps a table of verified digests or objects beside it.  A fact about a
-stored blob is remembered on the blob object (:func:`_remembered`; the
-artifact cache keeps its salvaged entries there too) or not at all.
+checked.  The memo lives on the object, in fixed slots beside the
+fields (no per-object dict): a frozen dataclass over immutable bytes
+cannot go stale, and every way a stored blob rots (a corrupting put or
+transfer, a repair write, a layout loaded from disk, a direct
+replacement) stores a new object, which is hashed afresh.  A copy
+(``dataclasses.replace``, :mod:`copy`, a pickle round trip) is a new
+object too and carries no memo.  It is the only record that a stored
+blob verified: no store, registry or cache keeps a table of verified
+digests or objects beside it.  A fact about a stored blob is remembered
+on the blob object (:func:`_remembered`; the artifact cache keeps its
+salvaged entries there too) or not at all.
 """
 
 from __future__ import annotations
@@ -53,8 +56,20 @@ from repro.oci.layer import Layer
 from repro.telemetry import NULL_TELEMETRY
 
 
-@dataclass(frozen=True)
-class Blob:
+class _Memos:
+    """The slots :func:`_remembered` fills on a :class:`Blob`.
+
+    They are no dataclass fields, so fields, equality, hash, repr and
+    copies leave them out; an unset slot is a fact not yet asked for,
+    and :func:`check_blob` marks the ``_finding`` of a payload it checks
+    on every call.
+    """
+
+    __slots__ = ("_finding", "_closure", "_entries")
+
+
+@dataclass(frozen=True, slots=True)
+class Blob(_Memos):
     """A stored payload plus its descriptor identity.
 
     With a ``bytes`` payload it also carries, once asked, the memo of
@@ -115,20 +130,29 @@ class Blob:
 
 
 def _remembered(blob: Blob, name: str, compute):
-    """``compute(blob)``, remembered on *blob* under *name* when its payload
-    is ``bytes``.
+    """``compute(blob)``, remembered on *blob* in its slot *name* when its
+    payload is ``bytes``.
 
     A frozen dataclass over immutable bytes cannot change under the memo;
     a ``bytearray`` could, so it is recomputed on every call.  The memo
-    is written to the instance dict, as :func:`functools.cached_property`
-    does, so the dataclass's fields, equality and hash are untouched.
+    is written past the frozen ``__setattr__`` into one of the
+    :class:`_Memos` slots, so the dataclass's fields, equality and hash
+    are untouched.
     """
     if not isinstance(blob.payload, bytes):
         return compute(blob)
-    memo = blob.__dict__
-    if name not in memo:
-        memo[name] = compute(blob)
-    return memo[name]
+    value = getattr(blob, name, _UNSET)
+    if value is _UNSET:
+        value = compute(blob)
+        object.__setattr__(blob, name, value)
+    return value
+
+
+#: What reading a :class:`_Memos` slot that was never written gives.
+_UNSET = object()
+#: What the ``_finding`` slot holds for a payload that can change under a
+#: memo (a :class:`Layer`, a ``bytearray``): check it on every call.
+_UNREMEMBERED = object()
 
 
 def check_blob(blob: Blob) -> Optional[IntegrityFinding]:
@@ -138,19 +162,30 @@ def check_blob(blob: Blob) -> Optional[IntegrityFinding]:
     digests (e.g. PaddedContent) are not recomputable from serialized
     bytes, so for Layer payloads the stored object itself is verified,
     through :attr:`Layer.digest` (memoised by the layer, reset by
-    :meth:`Layer.add`).  A ``bytes`` payload is hashed the first time its
-    blob is checked and the verdict remembered on the blob object.
-    Returns ``None`` when the blob is intact.
+    :meth:`Layer.add`), on every call.  A ``bytes`` payload is hashed the
+    first time its blob is checked and the verdict remembered on the blob
+    object.  Every check reads the blob's ``_finding`` slot first, so a
+    repeat check of a ``bytes`` payload reads that slot, touches nothing
+    but the blob object and calls no other function.  Returns ``None``
+    when the blob is intact.
     """
-    if isinstance(blob.payload, Layer):
-        actual = blob.payload.digest
+    finding = getattr(blob, "_finding", _UNSET)
+    if finding is _UNSET:
+        if isinstance(blob.payload, bytes):
+            return _remembered(blob, "_finding", _rehash)
+        object.__setattr__(blob, "_finding", _UNREMEMBERED)
+    elif finding is not _UNREMEMBERED:
+        return finding
+    payload = blob.payload
+    if isinstance(payload, Layer):
+        actual = payload.digest
         if actual != blob.digest:
             return IntegrityFinding(
                 digest=blob.digest, kind=KIND_DIGEST_MISMATCH,
                 detail=f"content hashes to {actual}",
             )
         return None
-    return _remembered(blob, "_finding", _rehash)
+    return _rehash(blob)
 
 
 def _rehash(blob: Blob) -> Optional[IntegrityFinding]:
@@ -180,7 +215,10 @@ def manifest_closure(blob: Optional[Blob]) -> Optional[Tuple[str, ...]]:
     """
     if blob is None:
         return None
-    return _remembered(blob, "_closure", _parse_closure)
+    closure = getattr(blob, "_closure", _UNSET)
+    if closure is _UNSET:
+        closure = _remembered(blob, "_closure", _parse_closure)
+    return closure
 
 
 def _parse_closure(blob: Blob) -> Optional[Tuple[str, ...]]:
@@ -290,9 +328,35 @@ class BlobStore:
 
         The mirror-sync diff uses this to fetch only what a replica
         actually lacks; a blob present but corrupt counts as missing so
-        an incremental sync also heals rotten replicas.
+        an incremental sync also heals rotten replicas.  Each digest
+        costs one map lookup and one :func:`check_blob` of the object
+        stored now.
         """
-        return sorted([d for d in digests if self.intact(d) is None])
+        blobs = self._blobs
+        return sorted([d for d in digests
+                       if (blob := blobs.get(d)) is None
+                       or check_blob(blob) is not None])
+
+    def intact_closures(self, manifests: Iterable[Tuple[str, str]]
+                        ) -> Dict[str, Tuple[str, ...]]:
+        """``name -> closure`` for each ``(name, manifest digest)`` of
+        *manifests* whose manifest is stored :meth:`intact` and parses.
+
+        The mirror-sync health check reads its current references through
+        this: a name left out re-opens, as a manifest that is absent,
+        quarantined, rotten or unparseable must.  Each manifest costs one
+        map lookup, one :func:`check_blob` and one
+        :func:`manifest_closure` of the object stored now.
+        """
+        blobs = self._blobs
+        closures: Dict[str, Tuple[str, ...]] = {}
+        for name, digest in manifests:
+            blob = blobs.get(digest)
+            if blob is not None and check_blob(blob) is None:
+                closure = manifest_closure(blob)
+                if closure is not None:
+                    closures[name] = closure
+        return closures
 
     def closure_of(self, manifests: Iterable[str]) -> Set[str]:
         """Every digest the *manifests* reference, read as stored.

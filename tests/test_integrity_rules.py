@@ -274,6 +274,29 @@ class TestIntactLookup:
         for junk in (b"\xff", b"[]", b'{"config": 5}', b'{"layers": []}'):
             assert manifest_closure(Blob.from_bytes(junk, "x")) is None
 
+    def test_intact_closures_keep_only_intact_manifests_that_parse(self):
+        from repro.oci.blobs import manifest_closure
+
+        registry = ImageRegistry()
+        refs = {}
+        for name in ("good", "absent", "rotten", "junk", "quarantined"):
+            manifest, config, layer = _image(name.encode())
+            registry.push(f"lab/{name}:1", manifest, config, [layer])
+            refs[name] = manifest.digest
+        store = registry.blobs
+        store.remove(refs["absent"])
+        _rot(store, refs["rotten"], b"{}")
+        junk = Blob.from_bytes(b"[]", mediatypes.IMAGE_MANIFEST)
+        store.put(junk)
+        refs["junk"] = junk.digest
+        store.quarantine(refs["quarantined"])
+        closures = store.intact_closures(refs.items())
+        assert closures == {
+            "good": manifest_closure(store.try_get(refs["good"]))}
+        # The config and layer of a left-out manifest are not read: only
+        # what the caller pools into missing_of is checked.
+        assert store.intact_closures([]) == {}
+
 
 def _saved(tmp_path, name="img.oci"):
     layout = OCILayout()

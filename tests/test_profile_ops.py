@@ -452,6 +452,45 @@ def test_wall_marks_a_name_with_no_call_as_not_reached(monkeypatch, capsys):
     assert rows[1].endswith("  repro.stub_timed:countdown  (not reached)")
 
 
+class _RecordingWorkload(_OuterWorkload):
+    """:class:`_OuterWorkload` that notes each op in *events*."""
+
+    def __init__(self, timed, events):
+        super().__init__(timed)
+        self.events = events
+
+    def run(self, i):
+        self.events.append(f"op {i}")
+        return super().run(i)
+
+
+def test_wall_reports_what_its_wrapper_costs(monkeypatch, capsys):
+    timed, _ = _stub_modules(monkeypatch)
+    events = []
+    monkeypatch.setattr(profile_ops, "_build", lambda name, seed, ops: (
+        _RecordingWorkload(timed, events), 0.5, AssertionError))
+    monkeypatch.setattr(profile_ops, "wrapper_cost",
+                        lambda: events.append("probe") or 2e-6)
+    names = "repro.stub_timed:outer,repro.stub_timed:inner,repro.stub_timed:countdown"
+    assert profile_ops.main(["stub", "--ops", "3", "--wall", names]) == 0
+    assert events == ["probe", "op 0", "op 1", "op 2"]
+    header, columns, *rows = capsys.readouterr().out.splitlines()
+    assert header.endswith(
+        "; a timed call adds 2.000 us (a no-op, timed before the ops)")
+    assert columns.split() == [
+        "calls/op", "incl", "ms/op", "share", "wrap", "ms/op", "function"]
+    # Per op: outer once, inner twice, countdown never; each call adds 2 us.
+    assert [(row.split()[0], row.split()[3], row.split()[4]) for row in rows] == [
+        ("1.0", "0.002", "repro.stub_timed:outer"),
+        ("2.0", "0.004", "repro.stub_timed:inner"),
+        ("0.0", "0.000", "repro.stub_timed:countdown")]
+
+
+def test_wrapper_cost_is_what_a_wrapped_no_op_adds():
+    cost = profile_ops.wrapper_cost(calls=2_000, rounds=3)
+    assert 0 < cost < 1e-4
+
+
 # -- --gc: the garbage collector's cost over the timed ops ---------------
 
 @pytest.fixture

@@ -403,3 +403,113 @@ class TestSyncCostsWhatChanged:
         assert len(calls) == 2   # the pooled closures, then the want-list
         assert sorted(calls[0]) == sorted(closures)
         assert calls[1] == []
+
+    @pytest.fixture
+    def rendered(self, monkeypatch):
+        """The digest of every layer ``Layer.to_bytes`` renders from here
+        on."""
+        seen = []
+        to_bytes = Layer.to_bytes
+        monkeypatch.setattr(Layer, "to_bytes", lambda layer: (
+            seen.append(layer.digest), to_bytes(layer))[1])
+        return seen
+
+    def test_each_changed_origin_layer_is_rendered_once_per_round(self, rendered):
+        fed, base = _fleet(mirrors=3)
+        manifest, config, layers = _image(base, "app-1")
+        fed.push("lab/app:1", manifest, config, layers)
+        del rendered[:]
+        reports = fed.sync_all()
+        # The base is on every mirror already; the patch layer is new.
+        assert rendered == [layers[1].digest]
+        assert [r.blobs_fetched for r in reports.values()] == [3, 3, 3]
+        other = _layer("/base/other", b"other")
+        manifest, config, layers = _image(other, "other-0")
+        fed.push("lab/other:0", manifest, config, layers)
+        del rendered[:]
+        fed.sync_all()
+        assert sorted(rendered) == sorted(layer.digest for layer in layers)
+        assert all(fed.converged(m) for m in fed.mirrors.values())
+
+    def test_rendered_bytes_are_kept_only_for_what_the_latest_plan_wanted(self):
+        fed, base = _fleet(mirrors=2)
+        fed.push("lab/app:1", *_image(base, "app-1"))
+        # The set-up's round rendered the first image; this plan wants
+        # none of it, and nothing it wants is rendered yet.
+        wanted = fed.engine.plan(fed.mirror("edge-0"))[2]
+        assert len(wanted) == 3 and fed.engine._rendered == {}
+        fed.sync_mirror("edge-0")
+        assert sorted(fed.engine._rendered) == wanted
+        # The next mirror's plan wants the same blobs and keeps them.
+        assert fed.engine.plan(fed.mirror("edge-1"))[2] == wanted
+        assert sorted(fed.engine._rendered) == wanted
+        fed.sync_mirror("edge-1")
+        assert fed.engine.plan(fed.mirror("edge-1")) == ({}, {}, [])
+        assert fed.engine._rendered == {}
+
+    def test_a_replaced_origin_object_is_rendered_again(self, rendered):
+        fed, base = _fleet(mirrors=3)
+        manifest, config, layers = _image(base, "app-1")
+        fed.push("lab/app:1", manifest, config, layers)
+        patch = layers[1].digest
+        del rendered[:]
+        fed.sync_mirror("edge-0")
+        fed.sync_mirror("edge-1")
+        assert rendered == [patch]
+        origin = fed.origin.blobs
+        origin._blobs[patch] = dataclasses.replace(origin.try_get(patch))
+        fed.sync_mirror("edge-2")
+        assert rendered == [patch, patch]
+        assert all(fed.converged(m) for m in fed.mirrors.values())
+
+
+def _fleet(mirrors: int):
+    """*mirrors* mirrors, synced with one app image; and its base layer."""
+    fed = FederatedRegistry()
+    for m in range(mirrors):
+        fed.add_mirror(f"edge-{m}")
+    base = _layer("/base/app", b"app" * 8)
+    fed.push("lab/app:0", *_image(base, "app-0"))
+    fed.sync_all()
+    return fed, base
+
+
+class TestArtifactCacheStoredForAnotherRepository:
+    """An origin artifact cache whose blob a mirror already stores intact
+    (the same bytes published for another repository) is not fetched: the
+    sync promotes it from the mirror's stored copy."""
+
+    @staticmethod
+    def _publish_like(fed, repo, like):
+        blob = fed.origin.get_artifact_cache(like)
+        fed.put_artifact_cache(repo, Blob.from_bytes(blob.as_bytes(), blob.media_type))
+        return blob.digest
+
+    def test_the_same_cache_bytes_for_another_repository(self):
+        fed, mirror = _federation()
+        digest = self._publish_like(fed, "lab/gamma", like="lab/alpha")
+        assert _assert_plan_matches(fed, mirror) == (
+            {}, {"lab/gamma": digest}, [])
+        report = fed.sync_mirror("edge-0")
+        assert (report.artifact_caches_synced, report.blobs_fetched,
+                report.bytes_on_wire) == (1, 0, 0)
+        assert mirror.registry.get_artifact_cache("lab/gamma").digest == digest
+        assert fed.converged(mirror) and mirror.registry.audit() == []
+        assert fed.engine.plan(mirror) == ({}, {}, [])
+
+    def test_a_cache_that_moves_off_the_bytes_another_repository_takes(self):
+        # Promoting lab/alpha's new cache first drops the old bytes from
+        # the mirror's store (no repository there holds them any more);
+        # lab/gamma is promoted from the copy taken before that.
+        fed, mirror = _federation()
+        digest = self._publish_like(fed, "lab/gamma", like="lab/alpha")
+        fed.put_artifact_cache("lab/alpha", Blob.from_bytes(
+            b'{"cache": "alpha-2"}', "application/json"))
+        _, caches, wanted = _assert_plan_matches(fed, mirror)
+        assert caches["lab/gamma"] == digest
+        assert wanted == [caches["lab/alpha"]]
+        report = fed.sync_mirror("edge-0")
+        assert report.artifact_caches_synced == 2
+        assert mirror.registry.blobs.intact(digest) is not None
+        assert fed.converged(mirror) and mirror.registry.audit() == []
+        assert fed.engine.plan(mirror) == ({}, {}, [])
