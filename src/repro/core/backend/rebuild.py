@@ -530,12 +530,6 @@ def rebuild_in_container(
                 tele.metrics.histogram("rebuild_wavefront_width").observe(
                     len(wave)
                 )
-                if tele.controlplane is not None:
-                    # The fleet already advanced the sampler by this
-                    # wave's makespan; the scheduler just flushes any
-                    # overdue samples so per-wave counter updates are
-                    # observed at wavefront granularity.
-                    tele.controlplane.poll()
             report.waves.append(WaveStats(
                 index=wave_index,
                 width=len(wave),

@@ -37,8 +37,7 @@ from repro.integrity import IntegrityError
 from repro.oci.layout import ResolvedImage, replica_divergences
 from repro.oci.registry import ImageNotFound, ImageRegistry, RegistryError
 from repro.resilience.faults import InjectedFault
-from repro.resilience.retry import SimulatedClock
-from repro.telemetry import NULL_TELEMETRY
+from repro.telemetry import NULL_TELEMETRY, SimulatedClock
 
 
 class FederationError(RegistryError):

@@ -46,9 +46,11 @@ per sync attempt:
    until the final metadata flip the mirror keeps serving its previous
    content.
 
-Transfer time is charged to a :class:`SimulatedClock` at a configurable
-bandwidth, so chaos sweeps and the federation bench measure sync time
-without sleeping.
+Each chunk's transfer time, at a configurable bandwidth, is charged to
+the engine's :class:`~repro.telemetry.SimulatedClock` and to its
+recorder (:meth:`~repro.telemetry.Telemetry.charge`), so chaos sweeps and
+the federation bench measure sync time without sleeping, and a traced
+``mirror.sync`` span lasts its transfer time.
 """
 
 from __future__ import annotations
@@ -67,8 +69,7 @@ from repro.integrity import (
 from repro.oci.blobs import Blob, check_blob, manifest_closure
 from repro.oci.digest import digest_bytes
 from repro.oci.layout import resolve_manifest
-from repro.resilience.retry import SimulatedClock
-from repro.telemetry import NULL_TELEMETRY
+from repro.telemetry import NULL_TELEMETRY, SimulatedClock
 
 #: Default transfer chunk size (bytes).  Small enough that typical layer
 #: blobs span several chunks (so mid-blob resume is observable), large
@@ -168,11 +169,7 @@ class SyncEngine:
         if self.bandwidth > 0:
             seconds = nbytes / self.bandwidth
             self.clock.sleep(seconds)
-            controlplane = self.telemetry.controlplane
-            if controlplane is not None:
-                # Each chunk's transfer time advances the sampler, so a
-                # long sync is observable while it runs, not just after.
-                controlplane.advance(seconds)
+            self.telemetry.charge(seconds)
 
     # ------------------------------------------------------------------
     # diff

@@ -2,7 +2,10 @@
 
 A blob is either raw JSON bytes (configs, manifests) or a :class:`Layer`
 object (the simulated tarball).  Both expose digest/size/media-type, so the
-store behaves like an OCI blob directory.
+store behaves like an OCI blob directory.  A :class:`Blob` is a value: it
+takes no other payload (``TypeError``) and freezes the layer it takes
+(:meth:`Layer.freeze`), so no holder of a stored blob, a reader of a
+resolved image included, can change it in place.
 
 Reads are **verified**: :meth:`BlobStore.get` checks the stored object
 against its declared digest with :func:`check_blob` and raises a typed
@@ -20,13 +23,13 @@ of a store's root manifests, and :meth:`BlobStore.audit` the one store
 audit.  Layouts, registries, mirror sync, repair and fsck all go through
 them.
 
-A :class:`Blob` with a ``bytes`` payload remembers its :func:`check_blob`
-verdict and its :func:`manifest_closure` the first time either is asked
-for, so each stored object is hashed and parsed once however often it is
-checked.  The memo lives on the object, in fixed slots beside the
-fields (no per-object dict): a frozen dataclass over immutable bytes
-cannot go stale, and every way a stored blob rots (a corrupting put or
-transfer, a repair write, a layout loaded from disk, a direct
+Every :class:`Blob` remembers its :func:`check_blob` verdict and its
+:func:`manifest_closure` the first time either is asked for, so each
+stored object is hashed and parsed once however often it is checked.
+The memo lives on the object, in fixed slots beside the fields (no
+per-object dict): a frozen dataclass over immutable bytes or a frozen
+layer cannot go stale, and every way a stored blob rots (a corrupting
+put or transfer, a repair write, a layout loaded from disk, a direct
 replacement) stores a new object, which is hashed afresh.  A copy
 (``dataclasses.replace``, :mod:`copy`, a pickle round trip) is a new
 object too and carries no memo.  It is the only record that a stored
@@ -60,9 +63,7 @@ class _Memos:
     """The slots :func:`_remembered` fills on a :class:`Blob`.
 
     They are no dataclass fields, so fields, equality, hash, repr and
-    copies leave them out; an unset slot is a fact not yet asked for,
-    and :func:`check_blob` marks the ``_finding`` of a payload it checks
-    on every call.
+    copies leave them out; an unset slot is a fact not yet asked for.
     """
 
     __slots__ = ("_finding", "_closure", "_entries")
@@ -70,18 +71,28 @@ class _Memos:
 
 @dataclass(frozen=True, slots=True)
 class Blob(_Memos):
-    """A stored payload plus its descriptor identity.
+    """A stored ``bytes`` or frozen :class:`Layer` payload plus its
+    descriptor identity.
 
-    With a ``bytes`` payload it also carries, once asked, the memo of
-    :func:`check_blob`, :func:`manifest_closure` and, for an artifact
-    cache, its salvaged entries (see the module docstring): a changed
-    payload is always a new object.
+    It also carries, once asked, the memo of :func:`check_blob`,
+    :func:`manifest_closure` and, for an artifact cache, its salvaged
+    entries (see the module docstring): a changed payload is always a
+    new object.
     """
 
     media_type: str
     digest: str
     size: int
     payload: Union[bytes, Layer]
+
+    def __post_init__(self) -> None:
+        if isinstance(self.payload, Layer):
+            self.payload.freeze()
+        elif not isinstance(self.payload, bytes):
+            raise TypeError(
+                f"blob payload must be bytes or a Layer, "
+                f"not {type(self.payload).__name__}"
+            )
 
     @staticmethod
     def from_bytes(data: bytes, media_type: str) -> "Blob":
@@ -130,17 +141,13 @@ class Blob(_Memos):
 
 
 def _remembered(blob: Blob, name: str, compute):
-    """``compute(blob)``, remembered on *blob* in its slot *name* when its
-    payload is ``bytes``.
+    """``compute(blob)``, remembered on *blob* in its slot *name*.
 
-    A frozen dataclass over immutable bytes cannot change under the memo;
-    a ``bytearray`` could, so it is recomputed on every call.  The memo
-    is written past the frozen ``__setattr__`` into one of the
-    :class:`_Memos` slots, so the dataclass's fields, equality and hash
-    are untouched.
+    A blob's payload cannot change under the memo (immutable bytes or a
+    frozen layer).  The memo is written past the frozen ``__setattr__``
+    into one of the :class:`_Memos` slots, so the dataclass's fields,
+    equality and hash are untouched.
     """
-    if not isinstance(blob.payload, bytes):
-        return compute(blob)
     value = getattr(blob, name, _UNSET)
     if value is _UNSET:
         value = compute(blob)
@@ -150,9 +157,6 @@ def _remembered(blob: Blob, name: str, compute):
 
 #: What reading a :class:`_Memos` slot that was never written gives.
 _UNSET = object()
-#: What the ``_finding`` slot holds for a payload that can change under a
-#: memo (a :class:`Layer`, a ``bytearray``): check it on every call.
-_UNREMEMBERED = object()
 
 
 def check_blob(blob: Blob) -> Optional[IntegrityFinding]:
@@ -161,44 +165,35 @@ def check_blob(blob: Blob) -> Optional[IntegrityFinding]:
     Layer digests cover entry identities; content types with declared
     digests (e.g. PaddedContent) are not recomputable from serialized
     bytes, so for Layer payloads the stored object itself is verified,
-    through :attr:`Layer.digest` (memoised by the layer, reset by
-    :meth:`Layer.add`), on every call.  A ``bytes`` payload is hashed the
-    first time its blob is checked and the verdict remembered on the blob
-    object.  Every check reads the blob's ``_finding`` slot first, so a
-    repeat check of a ``bytes`` payload reads that slot, touches nothing
-    but the blob object and calls no other function.  Returns ``None``
-    when the blob is intact.
+    through :attr:`Layer.digest`.  The first check of a blob object
+    computes its verdict (:func:`_rehash`) and remembers it on the
+    object; a repeat check reads the blob's ``_finding`` slot, touches
+    nothing but the blob object and calls no other function.  Returns
+    ``None`` when the blob is intact.
     """
     finding = getattr(blob, "_finding", _UNSET)
     if finding is _UNSET:
-        if isinstance(blob.payload, bytes):
-            return _remembered(blob, "_finding", _rehash)
-        object.__setattr__(blob, "_finding", _UNREMEMBERED)
-    elif finding is not _UNREMEMBERED:
-        return finding
-    payload = blob.payload
-    if isinstance(payload, Layer):
-        actual = payload.digest
-        if actual != blob.digest:
-            return IntegrityFinding(
-                digest=blob.digest, kind=KIND_DIGEST_MISMATCH,
-                detail=f"content hashes to {actual}",
-            )
-        return None
-    return _rehash(blob)
+        finding = _remembered(blob, "_finding", _rehash)
+    return finding
 
 
 def _rehash(blob: Blob) -> Optional[IntegrityFinding]:
-    actual = digest_bytes(blob.payload)
+    """*blob*'s verdict: its payload's digest (a layer's entry digest, a
+    hash of bytes) and a byte payload's length against the descriptor."""
+    payload = blob.payload
+    if isinstance(payload, Layer):
+        actual = payload.digest
+    else:
+        actual = digest_bytes(payload)
     if actual != blob.digest:
         return IntegrityFinding(
             digest=blob.digest, kind=KIND_DIGEST_MISMATCH,
             detail=f"content hashes to {actual}",
         )
-    if len(blob.payload) != blob.size:
+    if isinstance(payload, bytes) and len(payload) != blob.size:
         return IntegrityFinding(
             digest=blob.digest, kind=KIND_SIZE_MISMATCH,
-            detail=f"declared {blob.size} bytes, stored {len(blob.payload)}",
+            detail=f"declared {blob.size} bytes, stored {len(payload)}",
         )
     return None
 
@@ -209,9 +204,9 @@ def manifest_closure(blob: Optional[Blob]) -> Optional[Tuple[str, ...]]:
 
     ``None`` when there is no blob or its bytes do not parse as a
     manifest.  The bytes are read as stored, never re-hashed: callers
-    that must trust them pass a :meth:`BlobStore.intact` copy.  A
-    ``bytes`` payload is parsed once and the answer remembered on the
-    blob object, as :func:`check_blob` remembers its verdict.
+    that must trust them pass a :meth:`BlobStore.intact` copy.  Each
+    blob object is parsed once and the answer remembered on it, as
+    :func:`check_blob` remembers its verdict.
     """
     if blob is None:
         return None

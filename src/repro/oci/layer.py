@@ -6,6 +6,12 @@ The digest is computed over a canonical JSON form of the entries so it is
 stable, cheap, and independent of whether file payloads are inline or
 synthetic.  ``to_tar_bytes`` can produce a real POSIX tar for inline-only
 layers (used by tests and by the on-disk layout exporter).
+
+A layer is built with :meth:`Layer.add` and is a value from the moment
+its digest or size is first read, or a :class:`~repro.oci.blobs.Blob`
+takes it: ``add`` then raises ``TypeError``, so the digest and size it
+remembers, and any verdict remembered about a blob holding it, never go
+stale.  A reader that wants a changed layer builds a new one.
 """
 
 from __future__ import annotations
@@ -140,7 +146,8 @@ class LayerEntry:
 
 @dataclass
 class Layer:
-    """An ordered collection of :class:`LayerEntry`."""
+    """An ordered collection of :class:`LayerEntry`, frozen once its
+    digest or size is read (see the module docstring)."""
 
     entries: List[LayerEntry] = field(default_factory=list)
     comment: str = ""
@@ -148,12 +155,20 @@ class Layer:
     def __post_init__(self) -> None:
         self._digest_cache: Optional[str] = None
         self._size_cache: Optional[int] = None
+        self._frozen = False
 
     def add(self, entry: LayerEntry) -> "Layer":
+        if self._frozen:
+            raise TypeError(
+                "layer is frozen (its digest or size was read, or a blob "
+                "holds it): build a new Layer instead"
+            )
         self.entries.append(entry)
-        self._digest_cache = None
-        self._size_cache = None
         return self
+
+    def freeze(self) -> None:
+        """Refuse every later :meth:`add`."""
+        self._frozen = True
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -165,11 +180,11 @@ class Layer:
     def digest(self) -> str:
         """Stable content digest over the canonical entry identities.
 
-        Cached — layers are append-only through :meth:`add`, which is the
-        sole invalidation point.
+        Computed once: the first read freezes the layer.
         """
         cached = self._digest_cache
         if cached is None:
+            self._frozen = True
             cached = self._digest_cache = digest_bytes(
                 canonical_json([e.identity() for e in self.entries])
             )
@@ -179,10 +194,12 @@ class Layer:
     def size(self) -> int:
         """Tar-equivalent byte size (512-byte headers, padded payloads).
 
-        Cached like :attr:`digest`, and reset by the same :meth:`add`.
+        Computed once, like :attr:`digest`, and its first read freezes
+        the layer too.
         """
         total = self._size_cache
         if total is None:
+            self._frozen = True
             total = 2 * _TAR_BLOCK  # tar end-of-archive blocks
             for entry in self.entries:
                 total += _TAR_BLOCK  # header

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Set
 
-from repro.resilience.retry import SimulatedClock
+from repro.telemetry import SimulatedClock
 
 
 class DeadlineExceededError(Exception):

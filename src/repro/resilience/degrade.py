@@ -36,13 +36,8 @@ from repro.integrity import find_integrity_error
 from repro.resilience.deadline import find_deadline_exceeded
 from repro.resilience.faults import FaultInjector
 from repro.resilience.fleet import find_fleet_exhausted
-from repro.resilience.retry import (
-    RetryPolicy,
-    RetryStats,
-    SimulatedClock,
-    retry_call,
-)
-from repro.telemetry import NULL_TELEMETRY
+from repro.resilience.retry import RetryPolicy, RetryStats, retry_call
+from repro.telemetry import NULL_TELEMETRY, SimulatedClock
 
 logger = logging.getLogger("repro.resilience")
 

@@ -48,8 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.resilience.retry import SimulatedClock
-from repro.telemetry import NULL_TELEMETRY
+from repro.telemetry import NULL_TELEMETRY, SimulatedClock
 
 #: Default lease parameters: a heartbeat every 5 simulated seconds and
 #: three missed beats before the monitor declares the worker dead.
@@ -516,12 +515,6 @@ class WorkerFleet:
         # simulated times.
         if outcome.makespan > 0.0:
             self.clock.sleep(outcome.makespan)
-            controlplane = self.telemetry.controlplane
-            if controlplane is not None:
-                # The heartbeat/lease timeline is the fleet's notion of
-                # wall progress; feed it to the sampler so series advance
-                # with simulated time, never wall time.
-                controlplane.advance(outcome.makespan)
         return outcome
 
     def summary_line(self) -> str:

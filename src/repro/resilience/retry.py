@@ -2,9 +2,9 @@
 
 Real HPC build services sleep between attempts; the reproduction must not
 (tier-1 runs in seconds), so backoff is charged to a
-:class:`SimulatedClock` instead of ``time.sleep``.  The clock doubles as
-the resilience layer's notion of elapsed time: reports quote
-``clock.now`` as the simulated cost of the recovery.
+:class:`~repro.telemetry.SimulatedClock` instead of ``time.sleep``.  The
+clock doubles as the resilience layer's notion of elapsed time: reports
+quote ``clock.now`` as the simulated cost of the recovery.
 
 Classification is type-based, not string-based: an exception is retryable
 iff its class carries a truthy ``transient`` attribute
@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, TypeVar
 
-from repro.telemetry import NULL_TELEMETRY
+from repro.telemetry import NULL_TELEMETRY, SimulatedClock
 from repro.telemetry.metrics import ATTEMPT_BUCKETS, metric_site
 
 T = TypeVar("T")
@@ -39,16 +39,6 @@ class RetryBudgetExhausted(Exception):
 #: for the one and ``budget_seconds`` for the other.
 CAUSE_ATTEMPTS = "attempts"
 CAUSE_BUDGET = "budget"
-
-
-@dataclass
-class SimulatedClock:
-    """Monotonic simulated time; ``sleep`` advances instead of blocking."""
-
-    now: float = 0.0
-
-    def sleep(self, seconds: float) -> None:
-        self.now += seconds
 
 
 @dataclass

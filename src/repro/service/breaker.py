@@ -26,9 +26,8 @@ from __future__ import annotations
 import weakref
 from typing import Callable, List, Tuple, TypeVar
 
-from repro.resilience.retry import SimulatedClock
 from repro.service.errors import CircuitOpenError
-from repro.telemetry import NULL_TELEMETRY
+from repro.telemetry import NULL_TELEMETRY, SimulatedClock
 
 T = TypeVar("T")
 

@@ -5,7 +5,7 @@ An HPC centre runs *one* adaptation pipeline and every research group
 wraps the single-session workflow of :mod:`repro.core.workflow` in the
 server-side machinery such a deployment needs, all on a **pure
 timeline**: a discrete-event loop over one
-:class:`~repro.resilience.retry.SimulatedClock`, zero wall-clock
+:class:`~repro.telemetry.SimulatedClock`, zero wall-clock
 anywhere, deterministic under a seed.  Faults and load reshape *when*
 things finish, never *what bytes* they produce — the same invariant the
 rest of the reproduction holds.
@@ -84,7 +84,6 @@ from repro.resilience import (
     ResiliencePolicy,
     RetryPolicy,
     RetryStats,
-    SimulatedClock,
     adapt_with_resilience,
     resilient_transfer,
 )
@@ -98,7 +97,12 @@ from repro.service.breaker import STATE_OPEN, CircuitBreaker
 from repro.service.errors import CircuitOpenError, ServiceError, ServiceOverloadError
 from repro.service.wal import ServiceCrash, ServiceWAL
 from repro.sysmodel import SystemModel, X86_CLUSTER
-from repro.telemetry import NULL_TELEMETRY, Telemetry, install_telemetry
+from repro.telemetry import (
+    NULL_TELEMETRY,
+    SimulatedClock,
+    Telemetry,
+    install_telemetry,
+)
 
 STATUS_COMPLETED = "completed"
 STATUS_DEGRADED = "degraded"
@@ -839,10 +843,7 @@ class AdaptationService:
                     "admission deadlock: queued work cannot be scheduled "
                     "(a request needs more workers than exist?)"
                 )
-        report = self._report()
-        if self.telemetry.controlplane is not None:
-            self.telemetry.controlplane.poll()
-        return report
+        return self._report()
 
     # -- timeline helpers ------------------------------------------------
 
@@ -855,12 +856,6 @@ class AdaptationService:
         dt = t - self.clock.now
         if dt > 0:
             self.clock.sleep(dt)
-            controlplane = self.telemetry.controlplane
-            if controlplane is not None:
-                # Queue-wait and idle gaps are service progress too;
-                # execution intervals are already advanced by the fleet's
-                # own hooks.
-                controlplane.advance(dt)
         if crash:
             raise ServiceCrash(len(self.wal.records), torn=False)
 

@@ -41,9 +41,9 @@ from repro.telemetry.spans import (
     NULL_TELEMETRY,
     Event,
     NullTelemetry,
+    SimulatedClock,
     Span,
     Telemetry,
-    TelemetryClock,
 )
 
 
@@ -85,10 +85,10 @@ __all__ = [
     "NullMetricsRegistry",
     "NullTelemetry",
     "RulesEngine",
+    "SimulatedClock",
     "SloRule",
     "Span",
     "Telemetry",
-    "TelemetryClock",
     "TimeSeriesSampler",
     "chrome_trace",
     "chrome_trace_json",

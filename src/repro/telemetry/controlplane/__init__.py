@@ -3,8 +3,9 @@
 Composes the PR 2 telemetry primitives into continuous observability:
 
 * :class:`TimeSeriesSampler` — cadence-driven ring-buffer series over
-  the metrics registry, advanced by simulated time (fleet heartbeat
-  timeline, sync-engine chunk charges, the wavefront scheduler).
+  the metrics registry on the recorder's own clock, sampled when
+  :meth:`~repro.telemetry.Telemetry.charge` moves that clock past a
+  cadence boundary; no layer feeds it time.
 * :class:`RulesEngine` — declarative SLO threshold/burn-rate rules over
   those series, with a typed firing/resolved :class:`Alert` lifecycle.
 * :func:`score_health` — alerts + fsck/federation audit findings folded
@@ -16,9 +17,12 @@ Composes the PR 2 telemetry primitives into continuous observability:
 Install by constructing :class:`ControlPlane` over an *active*
 :class:`~repro.telemetry.Telemetry`: it registers itself as
 ``telemetry.controlplane`` (and its profiler as ``telemetry.profiler``),
-which is the only state the hook sites check — with the default
-:class:`~repro.telemetry.NullTelemetry` both attributes are ``None`` and
-every hook is inert, so untraced runs stay byte-identical.
+which is the only state the recorder's hooks check (``charge`` polls
+the sampler; span starts and ends feed the profiler).  Samples, alerts,
+spans and the cost profile therefore share one axis, the recorder's
+clock.  With the default :class:`~repro.telemetry.NullTelemetry` both
+attributes are ``None`` and every hook is inert, so untraced runs stay
+byte-identical.
 """
 
 from __future__ import annotations
@@ -97,21 +101,15 @@ class ControlPlane:
 
     # ------------------------------------------------------------------
 
-    def advance(self, seconds: float) -> int:
-        """Report simulated progress from a hook site; samples if due."""
-        return self.sampler.advance(seconds)
-
-    def poll(self) -> int:
-        """Emit overdue samples without claiming any time."""
-        return self.sampler.poll()
-
     def finalize(self) -> None:
-        """End-of-run flush: one forced sample (so rules always evaluate
-        at least once, even for a fully-cached zero-cost run) and the
-        profiler's trailing interval.  Idempotent."""
+        """End-of-run flush: the samples still due, one forced sample (so
+        rules always evaluate at least once, even for a fully-cached
+        zero-cost run) and the profiler's trailing interval.
+        Idempotent."""
         if self._finalized:
             return
         self._finalized = True
+        self.sampler.poll()
         self.sampler.force_sample()
         if self.profiler is not None:
             self.profiler.finish(self.telemetry.clock.now)

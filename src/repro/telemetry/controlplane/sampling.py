@@ -6,15 +6,16 @@ it snapshots a fixed set of :class:`SeriesSpec` readings — direct
 instrument scalars plus derived rates (fleet utilization, cache hit
 ratio, mirror staleness, retry-exhaustion ratio).
 
-The sampler owns no clock of its own.  Hook sites that *advance*
-simulated time — the worker fleet's heartbeat/lease timeline, the sync
-engine's per-chunk transfer charge, the wavefront scheduler — feed it
-relative increments via :meth:`TimeSeriesSampler.advance`; the fleet and
-the sync engine each run their own :class:`SimulatedClock`, so only
-relative progress is coherent across them.  Samples carry the sampler's
-accumulated timeline, strictly increasing and deterministic for a given
-run (no wall time anywhere, same rule as the rest of the telemetry
-substrate).
+The sampler keeps no time of its own: it reads its recorder's clock
+(``telemetry.clock``), the one spans, events and the cost profiler read,
+so samples and alerts sit on the spans' axis.  Nothing feeds it:
+:meth:`~repro.telemetry.Telemetry.charge`, the one way simulated cost
+(rebuild wave makespans, retry backoff, workload runs, mirror transfers)
+enters the recorder, calls :meth:`TimeSeriesSampler.poll`, which takes
+the samples due at each cadence boundary the clock has crossed since
+the sampler was built.  Samples are in time order and deterministic for
+a given run (no wall time anywhere, same rule as the rest of the
+telemetry substrate).
 
 A reading can be ``None`` — the instrument does not exist yet, or a
 ratio's denominator is zero.  ``None`` means *no data*, not zero: the
@@ -35,15 +36,16 @@ DEFAULT_CADENCE = 5.0
 #: Default per-series ring capacity (samples retained).
 DEFAULT_CAPACITY = 512
 
-#: Ceiling on samples emitted by a single ``advance`` call: one huge
-#: time jump (a long retry-backoff budget, a giant transfer) must not
-#: emit thousands of identical samples.  Skipped ticks are counted.
+#: Ceiling on samples emitted by a single :meth:`TimeSeriesSampler.poll`:
+#: one huge time jump (a long retry-backoff budget, a giant transfer)
+#: must not emit thousands of identical samples.  Skipped ticks are
+#: counted.
 MAX_CATCHUP = 128
 
 
 @dataclass(frozen=True)
 class Sample:
-    """One reading: sampler-timeline seconds and the value (or None)."""
+    """One reading: recorder-clock seconds and the value (or None)."""
 
     t: float
     value: Optional[float]
@@ -259,51 +261,39 @@ class TimeSeriesSampler:
         # (series, reader) pairs prebound for the sampling hot path.
         self._sampled = [(self.series[spec.name], spec.reader())
                          for spec in self.specs]
-        #: Accumulated sampler timeline (simulated seconds of progress
-        #: reported by the hook sites, NOT any one substrate clock).
-        self.now = 0.0
-        self._next_due = self.cadence
+        self._next_due = telemetry.clock.now + self.cadence
         self.samples_taken = 0
         self.samples_skipped = 0
         #: Called after each sample: ``listener(sampler, t)``.  The rules
         #: engine registers itself here.
         self.listeners: List[Callable] = []
 
-    def advance(self, seconds: float) -> int:
-        """Report *seconds* of simulated progress; returns samples taken."""
-        if seconds <= 0:
-            return 0
-        self.now += seconds
-        return self._emit_due()
-
     def poll(self) -> int:
-        """Emit any overdue samples without advancing the timeline."""
-        return self._emit_due()
-
-    def force_sample(self) -> None:
-        """Take one sample at the current timeline unconditionally.
-
-        Used by :meth:`ControlPlane.finalize`: a fully-cached adaptation
-        can advance (almost) zero simulated time, and the rules must
-        still evaluate at least once per run.
-        """
-        self._sample_at(self.now)
-
-    # ------------------------------------------------------------------
-
-    def _emit_due(self) -> int:
+        """Take the samples due by the recorder's clock; returns how many."""
+        now = self.telemetry.clock.now
         emitted = 0
-        while self._next_due <= self.now and emitted < self.max_catchup:
+        while self._next_due <= now and emitted < self.max_catchup:
             self._sample_at(self._next_due)
             self._next_due += self.cadence
             emitted += 1
-        if self._next_due <= self.now:
+        if self._next_due <= now:
             # One jump crossed more cadence boundaries than the catch-up
             # budget: count the skipped ticks and realign to the future.
-            skipped = int((self.now - self._next_due) // self.cadence) + 1
+            skipped = int((now - self._next_due) // self.cadence) + 1
             self.samples_skipped += skipped
             self._next_due += skipped * self.cadence
         return emitted
+
+    def force_sample(self) -> None:
+        """Take one sample at the recorder's clock unconditionally.
+
+        Used by :meth:`ControlPlane.finalize`: a fully-cached adaptation
+        can charge (almost) zero simulated time, and the rules must
+        still evaluate at least once per run.
+        """
+        self._sample_at(self.telemetry.clock.now)
+
+    # ------------------------------------------------------------------
 
     def _sample_at(self, t: float) -> None:
         metrics = self.telemetry.metrics

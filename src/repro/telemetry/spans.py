@@ -6,13 +6,18 @@ Tables 2-3): every stage opens a **span**, spans nest into a tree, and
 cross-cutting layers (resilience, fault injection) attach **events** to
 whatever span is active.
 
-Time is simulated, exactly like the resilience layer's backoff clock:
-tier-1 must run in seconds, so nothing ever calls ``time.time``.  Every
-structural event (span start/end, event emission) advances the clock by
-one tick so ordering is strict and durations are non-zero; operations
-that know their simulated cost (retry backoff, workload execution time)
-add it explicitly via :meth:`Telemetry.charge`, which is what makes the
-exported traces show *where the simulated seconds went*.
+Time is simulated: tier-1 must run in seconds, so nothing ever calls
+``time.time``.  This module provides the one clock class,
+:class:`SimulatedClock`; the service, the worker fleet, the sync engine
+and retry backoff each run one, and every recorder keeps its own.  Every
+structural event (span start/end, event emission) steps the recorder's
+clock by one tick so ordering is strict and durations are non-zero;
+operations that know their simulated cost (rebuild wave makespans, retry
+backoff, workload runs, mirror transfers) add it via
+:meth:`Telemetry.charge`, which is what makes the exported traces show
+*where the simulated seconds went*.  Spans, events, the control plane's
+samples and alerts and its cost profile all read that one clock:
+``charge`` is also where an installed control plane samples.
 
 :class:`NullTelemetry` is the default everywhere and the one off switch:
 it takes every call and every span write a :class:`Telemetry` takes and
@@ -58,18 +63,20 @@ STATUS_ERROR = "error"
 
 
 @dataclass
-class TelemetryClock:
-    """Monotonic simulated time for span timestamps."""
+class SimulatedClock:
+    """Monotonic simulated time: ``sleep`` advances instead of blocking,
+    and ``step`` advances one :attr:`tick` (a recorder's span boundaries
+    and events)."""
 
     now: float = 0.0
     tick: float = CLOCK_TICK
 
-    def advance(self, seconds: float) -> float:
+    def sleep(self, seconds: float) -> None:
         self.now += seconds
-        return self.now
 
     def step(self) -> float:
-        return self.advance(self.tick)
+        self.now += self.tick
+        return self.now
 
 
 @dataclass
@@ -157,14 +164,13 @@ class Telemetry:
 
     #: The observability control plane attached to this recorder, if any
     #: (:class:`repro.telemetry.controlplane.ControlPlane` installs
-    #: itself here).  Hook sites in the fleet, sync engine and scheduler
-    #: guard on this being non-None, so a bare recorder stays cheap.
+    #: itself here); :meth:`charge` lets its sampler sample.
     controlplane = None
     #: Span-boundary cost profiler (also installed by the control plane).
     profiler = None
 
-    def __init__(self, clock: Optional[TelemetryClock] = None) -> None:
-        self.clock = clock or TelemetryClock()
+    def __init__(self, clock: Optional[SimulatedClock] = None) -> None:
+        self.clock = clock or SimulatedClock()
         self.metrics = MetricsRegistry()
         self.roots: Deque[Span] = deque(maxlen=SPAN_ROOT_CAP)
         self.events: Deque[Event] = deque(maxlen=EVENT_LOG_CAP)
@@ -236,9 +242,16 @@ class Telemetry:
         return evt
 
     def charge(self, seconds: float) -> None:
-        """Attribute *seconds* of simulated time to the active span."""
+        """Attribute *seconds* of simulated time to the active span.
+
+        The one way simulated cost enters the recorder, so an installed
+        control plane's sampler takes here every sample the charge made
+        due.
+        """
         if seconds > 0.0:
-            self.clock.advance(seconds)
+            self.clock.sleep(seconds)
+            if self.controlplane is not None:
+                self.controlplane.sampler.poll()
 
     # -- introspection ---------------------------------------------------
 
@@ -259,7 +272,7 @@ class Telemetry:
         self.spans_dropped = 0
         self._stack.clear()
         self.metrics = MetricsRegistry()
-        self.clock = TelemetryClock()
+        self.clock = SimulatedClock()
         # A fresh clock invalidates any attached control plane's marks.
         self.controlplane = None
         self.profiler = None

@@ -6,8 +6,9 @@ fixed slots beside its four fields.  The slots are no fields: equality,
 hash, repr and ``dataclasses.fields`` are the descriptor and payload
 alone, and every copy (``dataclasses.replace``, ``copy``, ``deepcopy``,
 a pickle round trip) is a new object that carries no memo and is checked
-afresh.  A payload that can change under the memo, a ``bytearray`` or a
-``Layer``, is never memoised.
+afresh.  No payload can change under the memo: a blob takes only
+``bytes`` or a ``Layer``, and the layer refuses ``add`` once a blob
+holds it.
 """
 
 import copy
@@ -50,8 +51,7 @@ def _checked() -> Blob:
 def _memos(blob) -> set:
     """The memo slots *blob* holds a remembered fact in."""
     return {name for name in MEMOS
-            if getattr(blob, name, blobs_mod._UNREMEMBERED)
-            is not blobs_mod._UNREMEMBERED}
+            if getattr(blob, name, blobs_mod._UNSET) is not blobs_mod._UNSET}
 
 
 @pytest.fixture
@@ -136,24 +136,27 @@ class TestCopiesCarryNoMemo:
         assert check_blob(blob) is None
 
 
-class TestNeverMemoised:
-    def test_a_bytearray_payload_is_hashed_on_every_check(self, rehashed):
-        data = bytearray(b'{"architecture": "amd64"}')
-        blob = Blob(mediatypes.IMAGE_CONFIG, digest_bytes(bytes(data)),
-                    len(data), data)
-        assert check_blob(blob) is None
-        assert check_blob(blob) is None
-        assert len(rehashed) == 2
-        data[2:3] = b"A"
-        assert check_blob(blob).kind == KIND_DIGEST_MISMATCH
-        assert _memos(blob) == set()
+class TestPayloadsAreValues:
+    @pytest.mark.parametrize("payload", [
+        bytearray(b"{}"), memoryview(b"{}"), "{}", None,
+    ], ids=["bytearray", "memoryview", "str", "None"])
+    def test_other_payloads_are_refused(self, payload):
+        with pytest.raises(TypeError):
+            Blob(mediatypes.IMAGE_CONFIG, digest_bytes(b"{}"), 2, payload)
 
-    def test_a_layer_payload_follows_layer_add(self, rehashed):
+    def test_a_layer_payload_refuses_add_and_is_remembered(self):
         layer = _layer()
         blob = Blob.from_layer(layer)
         assert check_blob(blob) is None
-        assert manifest_closure(blob) is None      # no manifest, not remembered
-        assert _memos(blob) == set() and rehashed == []
-        layer.add(LayerEntry.file("/app/extra", InlineContent(b"y")))
-        assert check_blob(blob).kind == KIND_DIGEST_MISMATCH
-        assert _memos(blob) == set()
+        assert manifest_closure(blob) is None      # no manifest
+        assert _memos(blob) == {"_finding", "_closure"}
+        with pytest.raises(TypeError):
+            layer.add(LayerEntry.file("/app/extra", InlineContent(b"y")))
+        assert len(layer) == 1
+        assert check_blob(blob) is None
+
+    def test_a_blob_freezes_an_unread_layer(self):
+        layer = _layer()
+        Blob(mediatypes.SIM_LAYER, "sha256:" + "0" * 64, 0, layer)
+        with pytest.raises(TypeError):
+            layer.add(LayerEntry.file("/app/extra", InlineContent(b"y")))

@@ -55,6 +55,14 @@ def controlplane(cadence=1.0, rules=(UTIL_LOW, CRASH_RATE), **kwargs):
     return tele, cp
 
 
+def charge(tele, seconds):
+    """Charge *seconds* to *tele*; the samples its control plane took."""
+    sampler = tele.controlplane.sampler
+    before = sampler.samples_taken
+    tele.charge(seconds)
+    return sampler.samples_taken - before
+
+
 class TestSeries:
     def test_ring_drops_oldest_beyond_capacity(self):
         series = Series("s", capacity=4)
@@ -75,36 +83,61 @@ class TestSeries:
 class TestSampler:
     def test_samples_only_on_cadence_boundaries(self):
         tele, cp = controlplane(cadence=1.0)
-        assert cp.advance(0.5) == 0
-        assert cp.advance(0.4) == 0
-        assert cp.advance(0.2) == 1     # crosses t=1.0
-        assert cp.advance(3.0) == 3     # t=2, 3, 4
+        assert charge(tele, 0.5) == 0
+        assert charge(tele, 0.4) == 0
+        assert charge(tele, 0.2) == 1   # crosses t=1.0
+        assert charge(tele, 3.0) == 3   # t=2, 3, 4
         assert cp.sampler.samples_taken == 4
         ts = [s.t for s in cp.sampler.series["fleet_utilization"]]
         assert ts == [1.0, 2.0, 3.0, 4.0]
 
     def test_absent_instrument_samples_as_none_then_value(self):
         tele, cp = controlplane(cadence=1.0)
-        cp.advance(1.0)
+        tele.charge(1.0)
         tele.metrics.gauge("fleet_wave_utilization").set(0.75)
-        cp.advance(1.0)
+        tele.charge(1.0)
         assert cp.sampler.series["fleet_utilization"].values() == [None, 0.75]
 
     def test_catchup_cap_bounds_one_giant_jump(self):
-        tele = Telemetry()
-        sampler = TimeSeriesSampler(tele, cadence=1.0, max_catchup=5)
-        assert sampler.advance(100.0) == 5
-        assert sampler.samples_skipped == 95
+        tele, cp = controlplane(cadence=1.0)
+        cp.sampler.max_catchup = 5
+        assert charge(tele, 100.0) == 5
+        assert cp.sampler.samples_skipped == 95
         # Realigned: the next second emits exactly one sample again.
-        assert sampler.advance(1.0) == 1
-        assert sampler.samples_taken == 6
+        assert charge(tele, 1.0) == 1
+        assert cp.sampler.samples_taken == 6
 
     def test_poll_emits_overdue_without_claiming_time(self):
         tele = Telemetry()
         sampler = TimeSeriesSampler(tele, cadence=1.0)
-        sampler.now = 2.5          # hook sites advanced out of band
+        tele.clock.sleep(2.5)      # the clock moved with no charge to poll
         assert sampler.poll() == 2
         assert sampler.poll() == 0
+        assert tele.clock.now == 2.5
+
+    def test_ticks_alone_never_sample(self):
+        tele, cp = controlplane(cadence=1.0)
+        tele.clock.sleep(0.9999995)
+        with tele.span("build"):
+            tele.event("tick")
+        assert tele.clock.now > 1.0
+        assert cp.sampler.samples_taken == 0
+        assert charge(tele, 1e-9) == 1
+
+    def test_cadence_counts_from_the_clock_at_install(self):
+        tele = Telemetry()
+        tele.charge(0.75)
+        cp = ControlPlane(tele, cadence=1.0, rules=())
+        assert charge(tele, 0.5) == 0
+        assert charge(tele, 0.5) == 1
+        assert [s.t for s in cp.sampler.series["fleet_utilization"]] == [1.75]
+
+    def test_finalize_takes_the_due_samples_then_one_at_the_clock(self):
+        tele, cp = controlplane(cadence=1.0)
+        tele.clock.sleep(2.5)
+        cp.finalize()
+        ts = [s.t for s in cp.sampler.series["fleet_utilization"]]
+        assert ts == [1.0, 2.0, 2.5]
 
     def test_force_sample_is_unconditional(self):
         tele, cp = controlplane(cadence=100.0)
@@ -190,14 +223,14 @@ class TestAlertLifecycle:
     def test_threshold_fires_after_streak_and_resolves(self):
         tele, cp = controlplane(cadence=1.0)
         tele.metrics.gauge("fleet_wave_utilization").set(0.2)
-        cp.advance(2.0)
+        tele.charge(2.0)
         assert not cp.rules.active        # streak 2 of 3: not yet
-        cp.advance(1.0)
+        tele.charge(1.0)
         assert [a.rule for a in cp.rules.firing()] == ["util-low"]
         alert = cp.rules.active["util-low"]
         assert alert.fired_at == 3.0 and alert.value == 0.2
         tele.metrics.gauge("fleet_wave_utilization").set(0.9)
-        cp.advance(1.0)
+        tele.charge(1.0)
         assert not cp.rules.active
         (resolved,) = cp.rules.history
         assert resolved.state == STATE_RESOLVED
@@ -207,19 +240,19 @@ class TestAlertLifecycle:
         tele, cp = controlplane(cadence=1.0)
         gauge = tele.metrics.gauge("fleet_wave_utilization")
         gauge.set(0.2)
-        cp.advance(2.0)
+        tele.charge(2.0)
         gauge.set(0.9)                    # recovery resets the streak
-        cp.advance(1.0)
+        tele.charge(1.0)
         gauge.set(0.2)
-        cp.advance(2.0)
+        tele.charge(2.0)
         assert not cp.rules.active and not cp.rules.history
 
     def test_burn_rate_alert_resolves_when_counter_stops_moving(self):
         tele, cp = controlplane(cadence=1.0)
         tele.metrics.counter("fleet_worker_crashes_total").inc(2)
-        cp.advance(1.0)
+        tele.charge(1.0)
         assert "crashes" in cp.rules.active
-        cp.advance(3.0)                   # window slides past the step
+        tele.charge(3.0)                   # window slides past the step
         assert "crashes" not in cp.rules.active
         (alert,) = cp.rules.history
         assert alert.state == STATE_RESOLVED
@@ -227,9 +260,9 @@ class TestAlertLifecycle:
     def test_transitions_emit_events_and_counters(self):
         tele, cp = controlplane(cadence=1.0)
         tele.metrics.gauge("fleet_wave_utilization").set(0.2)
-        cp.advance(3.0)
+        tele.charge(3.0)
         tele.metrics.gauge("fleet_wave_utilization").set(0.9)
-        cp.advance(1.0)
+        tele.charge(1.0)
         assert [e.name for e in tele.events if e.name.startswith("alert.")] \
             == ["alert.firing", "alert.resolved"]
         m = tele.metrics
@@ -241,13 +274,13 @@ class TestAlertLifecycle:
         tele, cp = controlplane(cadence=1.0)
         assert cp.rules.alerts_text() == "# (no alerts fired)\n"
         tele.metrics.gauge("fleet_wave_utilization").set(0.2)
-        cp.advance(3.0)
+        tele.charge(3.0)
         text = cp.rules.alerts_text()
         assert "# TYPE comtainer_alert gauge" in text
         assert ('comtainer_alert{rule="util-low",component="fleet",'
                 'severity="warning"} 1') in text
         tele.metrics.gauge("fleet_wave_utilization").set(0.9)
-        cp.advance(1.0)
+        tele.charge(1.0)
         assert 'severity="warning"} 0' in cp.rules.alerts_text()
 
     def test_duplicate_rule_names_rejected(self):
@@ -403,7 +436,7 @@ class TestHealthScoring:
         tele.metrics.counter("resilience_retries_total").inc()
         tele.metrics.counter("resilience_retries_exhausted_total").inc()
         tele.metrics.counter("rebuild_artifact_cache_misses_total").inc()
-        cp.advance(1.0)
+        tele.charge(1.0)
         report = cp.health()
         assert report.component("fleet").status == STATUS_DEGRADED
         assert report.component("engine").status == STATUS_CRITICAL
@@ -420,9 +453,9 @@ class TestHealthScoring:
                                  component="fleet"),),
         )
         tele.metrics.gauge("fleet_wave_utilization").set(0.2)
-        cp.advance(1.0)
+        tele.charge(1.0)
         tele.metrics.gauge("fleet_wave_utilization").set(0.9)
-        cp.advance(1.0)
+        tele.charge(1.0)
         report = cp.health()
         fleet = report.component("fleet")
         assert fleet.status == STATUS_HEALTHY
@@ -430,7 +463,7 @@ class TestHealthScoring:
 
     def test_unclean_fsck_is_engine_critical(self):
         tele, cp = controlplane(cadence=1.0)
-        cp.advance(1.0)
+        tele.charge(1.0)
         report = cp.health(fsck=FakeFsck(clean=False, findings=[1, 2],
                                          missing=[3]))
         engine = report.component("engine")
@@ -441,7 +474,7 @@ class TestHealthScoring:
         from repro.telemetry import EVENT_LOG_CAP, SPAN_ROOT_CAP
 
         tele, cp = controlplane(cadence=1.0)
-        cp.advance(1.0)
+        tele.charge(1.0)
         healthy = cp.health()
         assert "dropped" not in healthy.status_rows()[-1][2]
         for _ in range(SPAN_ROOT_CAP + 2):
@@ -461,7 +494,7 @@ class TestHealthScoring:
 
     def test_clean_fsck_with_repairs_annotates_only(self):
         tele, cp = controlplane(cadence=1.0)
-        cp.advance(1.0)
+        tele.charge(1.0)
         report = cp.health(fsck=FakeFsck(clean=True, repaired=[1]))
         engine = report.component("engine")
         assert engine.status == STATUS_HEALTHY

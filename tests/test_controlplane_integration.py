@@ -7,6 +7,9 @@
 * **Mirror staleness**: a never-synced mirror left behind extra origin
   generations fires ``mirror-staleness``; syncing it resolves the alert
   and the federation/mirror components recover.
+* **Sync charge**: a sync's transfer time reaches the recorder, so its
+  ``mirror.sync`` span lasts that time and the profiler's ``transfer``
+  phase holds it.
 * **Digest parity**: for *every* app spec, an adaptation with the full
   control plane enabled (sampler + rules + profiler) produces images
   byte-identical to an untraced ``NullTelemetry`` run.
@@ -21,6 +24,7 @@ from repro.core.workflow import ComtainerSession
 from repro.federation import FederatedRegistry
 from repro.resilience import FaultInjector, WorkerFleet
 from repro.telemetry import ControlPlane, Telemetry
+from repro.telemetry.spans import CLOCK_TICK
 from repro.telemetry.controlplane.health import (
     STATUS_CRITICAL,
     STATUS_DEGRADED,
@@ -42,7 +46,9 @@ class TestFleetChaosAlerts:
         injector = FaultInjector(seed=0, worker_crash_rate=0.1)
         fleet = WorkerFleet(jobs=4, injector=injector, telemetry=tele)
 
-        fleet.run_wave(0, _entries([2.0] * 8))
+        # Each wave's makespan is charged after the wave, as the rebuild
+        # charges it.
+        tele.charge(fleet.run_wave(0, _entries([2.0] * 8)).makespan)
         assert tele.metrics.value("fleet_worker_crashes_total") > 0
         assert tele.metrics.value("fleet_workers_alive") >= 2
         assert cp.sampler.samples_taken > 0
@@ -62,7 +68,9 @@ class TestFleetChaosAlerts:
         # alert deterministically resolves.
         fleet.injector = None
         for wave in range(1, 4):
-            fleet.run_wave(wave, _entries([2.0] * 8, prefix=f"w{wave}-"))
+            outcome = fleet.run_wave(
+                wave, _entries([2.0] * 8, prefix=f"w{wave}-"))
+            tele.charge(outcome.makespan)
         cp.finalize()
         assert not any(a.component == "fleet" for a in cp.rules.firing())
         fleet_alerts = [
@@ -84,7 +92,7 @@ class TestFleetChaosAlerts:
                 injector=FaultInjector(seed=0, worker_crash_rate=0.1),
                 telemetry=tele,
             )
-            fleet.run_wave(0, _entries([2.0] * 8))
+            tele.charge(fleet.run_wave(0, _entries([2.0] * 8)).makespan)
             cp.finalize()
             return [
                 (a.rule, a.state, a.fired_at, a.value)
@@ -105,8 +113,8 @@ class TestMirrorStalenessAlerts:
         manifest, config, layer = make_image()
         fed.push("app:v1", manifest, config, [layer])
         fed.sync_mirror("edge-1")
-        # The sync engine's per-chunk charge advanced the sampler.
-        assert cp.sampler.now > 0
+        # The sync engine's per-chunk charge advanced the recorder.
+        assert tele.clock.now >= fed.clock.now > 0
         assert cp.sampler.samples_taken > 0
 
         # Two more origin generations edge-0 never sees: it is now
@@ -114,7 +122,7 @@ class TestMirrorStalenessAlerts:
         for v in (2, 3):
             fed.push(f"app:v{v}", manifest, config, [layer])
         fed.sync_mirror("edge-1")        # recomputes the staleness gauge
-        cp.advance(cp.sampler.cadence)
+        tele.charge(cp.sampler.cadence)
         assert "mirror-staleness" in cp.rules.active
         report = cp.health(federation=fed, audit=True)
         assert report.component("federation").status == STATUS_DEGRADED
@@ -124,7 +132,7 @@ class TestMirrorStalenessAlerts:
         assert report.exit_code == 1
 
         fed.sync_mirror("edge-0")
-        cp.advance(cp.sampler.cadence)
+        tele.charge(cp.sampler.cadence)
         assert "mirror-staleness" not in cp.rules.active
         (alert,) = [
             a for a in cp.rules.history if a.rule == "mirror-staleness"
@@ -133,6 +141,34 @@ class TestMirrorStalenessAlerts:
         report = cp.health(federation=fed, audit=True)
         assert report.component("federation").status == STATUS_HEALTHY
         assert report.component("mirror:edge-0").status == STATUS_HEALTHY
+
+
+class TestSyncChargesTheRecorder:
+    def test_a_sync_span_lasts_its_transfer_time(self):
+        tele = Telemetry()
+        cp = ControlPlane(tele)
+        fed = FederatedRegistry(telemetry=tele, bandwidth=1e5)
+        fed.add_mirror("edge-0")
+        manifest, config, layer = make_image()
+        fed.push("app:v1", manifest, config, [layer])
+        report = fed.sync_mirror("edge-0")
+        cp.finalize()
+
+        transfer = report.bytes_on_wire / 1e5
+        assert report.bytes_on_wire > 0
+        assert report.simulated_seconds == pytest.approx(transfer)
+        (span,) = tele.find_spans("mirror.sync")
+        # Its own end, each span opened in it (start and end) and each
+        # event in it step the clock one tick.
+        inner = [s for s in tele.iter_spans()
+                 if span.start < s.start <= span.end]
+        events = [e for e in tele.events if span.start < e.ts <= span.end]
+        ticks = 1 + 2 * len(inner) + len(events)
+        assert span.duration == pytest.approx(transfer + ticks * CLOCK_TICK,
+                                              abs=1e-12)
+        totals = cp.profiler.phase_totals_ns()
+        assert totals["transfer"] \
+            == round(span.end * 1e9) - round(span.start * 1e9)
 
 
 class TestDigestParity:

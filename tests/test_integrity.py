@@ -339,8 +339,21 @@ class TestResolvedImageVerify:
     def test_tampered_layer_detected(self):
         layout, *_ = _make_layout()
         resolved = layout.resolve("app:latest")
-        resolved.layers[0].add(LayerEntry.file("/evil", InlineContent(b"x")))
+        # The resolved layer is the stored one, frozen: tamper with a
+        # copy and put that on the resolved image.
+        tampered = Layer(entries=list(resolved.layers[0].entries))
+        tampered.add(LayerEntry.file("/evil", InlineContent(b"x")))
+        resolved.layers[0] = tampered
         assert any(f.kind == KIND_DIGEST_MISMATCH for f in resolved.verify())
+
+    def test_a_readers_add_is_refused_and_the_layout_still_resolves(self):
+        layout, *_ = _make_layout()
+        resolved = layout.resolve("app:latest")
+        with pytest.raises(TypeError):
+            resolved.layers[0].add(LayerEntry.file("/evil", InlineContent(b"x")))
+        again = layout.resolve("app:latest")
+        assert again.verify() == []
+        assert again.layers[0].paths() == resolved.layers[0].paths()
 
 
 class TestRegistryIntegrity:

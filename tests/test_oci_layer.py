@@ -73,14 +73,20 @@ class TestLayer:
                     total += (entry.size + 511) // 512 * 512
             return total
 
-        layer = Layer()
-        assert layer.size == fresh(layer) == 1024
-        for entry in _sample_layer().entries + [
-                LayerEntry.file("/big", SyntheticContent("s", 5000)),
-                LayerEntry.file("/empty", InlineContent(b""))]:
-            layer.add(entry)
+        assert Layer().size == fresh(Layer()) == 1024
+        entries = _sample_layer().entries + [
+            LayerEntry.file("/big", SyntheticContent("s", 5000)),
+            LayerEntry.file("/empty", InlineContent(b""))]
+        # A read size freezes the layer, so each add is measured on a
+        # layer built up to it.
+        for count in range(1, len(entries) + 1):
+            layer = Layer()
+            for entry in entries[:count]:
+                layer.add(entry)
             assert layer.size == fresh(layer)
-        built = Layer(entries=list(layer.entries))
+            with pytest.raises(TypeError):
+                layer.add(entries[0])
+        built = Layer(entries=list(entries))
         assert built.size == fresh(layer)
 
     def test_json_roundtrip(self):

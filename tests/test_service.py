@@ -393,6 +393,27 @@ class TestServiceControlPlane:
         by_name = {c.name: c for c in health.components}
         assert by_name["service"].status != "healthy"
 
+    def test_samples_follow_the_recorder_clock(self):
+        # The requests' costs advance the recorder's clock and the
+        # sampler reads it; neither the fleet nor the service's idle
+        # gaps feed it a second time.
+        from repro.telemetry.controlplane import ControlPlane
+
+        telemetry = Telemetry()
+        controlplane = ControlPlane(telemetry)
+        service = AdaptationService(workers=4, seed=1, telemetry=telemetry)
+        service.add_tenant("a")
+        service.add_tenant("b")
+        apps = ("hpccg", "minimd", "lulesh", "hpccg", "minife", "lulesh")
+        for i, app in enumerate(apps):
+            service.submit("ab"[i % 2], app, at=1.5 * i)
+        service.run()
+        sampler = controlplane.sampler
+        times = [s.t for s in sampler.series["fleet_utilization"]]
+        assert times and times[-1] <= telemetry.clock.now
+        assert sampler.samples_taken == int(
+            telemetry.clock.now // sampler.cadence)
+
 
 class TestShedRequestsWalkTheLadder:
     """A request shed by admission enters the resilience ladder at the

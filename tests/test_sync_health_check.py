@@ -5,8 +5,9 @@ Every sync re-checks the replica's stored copies of the references that
 are already current, so an incremental sync also heals rot.  The pins
 hold whatever the check costs: ``SyncEngine.plan`` agrees with the
 per-reference rule over a seeded sweep of damaged replicas, and a stored
-object that checked clean and was then replaced, corrupted in a put or
-changed through ``Layer.add`` is caught by every check.  The cost guard
+object that checked clean and was then replaced or corrupted in a put
+is caught by every check, while a stored layer refuses ``Layer.add``
+(it cannot change in place).  The cost guard
 (``TestSyncCostsWhatChanged``) counts hashes, manifest parses and
 ``missing_of`` calls: a plan pays for what changed, not for the
 catalogue.
@@ -334,16 +335,17 @@ class TestCorruptedWriteAfterCleanCheck:
         with pytest.raises(IntegrityError):
             registry.pull("lab/x:0")
 
-    def test_layer_changed_through_add_after_clean_check(self):
+    def test_a_stored_layer_refuses_add(self):
         store = BlobStore()
         layer = _layer("/app/bin", b"v1")
         digest = store.put_layer(layer).digest
         assert store.intact(digest) is not None
         assert store.missing_of([digest]) == []
-        layer.add(LayerEntry.file("/app/extra", InlineContent(b"v2")))
-        assert store.intact(digest) is None
-        assert store.missing_of([digest]) == [digest]
-        assert [f.digest for f in store.verify_integrity()] == [digest]
+        with pytest.raises(TypeError):
+            layer.add(LayerEntry.file("/app/extra", InlineContent(b"v2")))
+        assert store.intact(digest) is not None
+        assert store.missing_of([digest]) == []
+        assert store.verify_integrity() == []
 
 
 class TestSyncCostsWhatChanged:
