@@ -34,7 +34,7 @@
 #   make harness-test - the wall-clock harness's self-tests
 #   make profile W=workload [OPS=30] [SEED=7] [SELF=1] [FN=name[,name...]]
 #                [CALLERS=name[,name...]] [WINDOW=n] [WALL=module:qualname[,...]]
-#                [GC=1] [MEMO=1] [MEMO_OFF=name[,name...]]
+#                [GC=1] [MEMO=1] [MEMO_OFF=name[,name...]] [RSS=1]
 #                - cProfile of one workload's timed ops: top repro functions
 #                  with calls per op and share of the profiled time (with
 #                  SELF=1, also the top functions of any module by self
@@ -47,7 +47,9 @@
 #                  garbage collector's collections, ms/op and freed
 #                  objects per op per generation; with MEMO=1, also each
 #                  memo's lookups and stores per op, hit ratio and entries;
-#                  with MEMO_OFF, those memos get a cap of 0 for the ops)
+#                  with MEMO_OFF, those memos get a cap of 0 for the ops;
+#                  with RSS=1, also the RSS high-water mark (ru_maxrss) and
+#                  the gc-tracked objects after set-up and after the ops)
 #   make loc [BASE=rev] - code and docstring/comment lines of src/ (per
 #                file and total; with BASE, BASE's counts and the delta)
 
@@ -189,12 +191,14 @@ harness-test:
 profile:
 	$(if $(W),,$(error usage: make profile W=<workload> [OPS=30] [SEED=7] \
 	    [SELF=1] [FN=name[,name...]] [CALLERS=name[,name...]] [WINDOW=n] \
-	    [WALL=module:qualname[,...]] [GC=1] [MEMO=1] [MEMO_OFF=name[,name...]]))
+	    [WALL=module:qualname[,...]] [GC=1] [MEMO=1] [MEMO_OFF=name[,name...]] \
+	    [RSS=1]))
 	$(PYTHON) scripts/profile_ops.py $(W) $(if $(OPS),--ops $(OPS)) \
 	    $(if $(filter-out file,$(origin SEED)),--seed $(SEED)) $(if $(SELF),--self) \
 	    $(if $(FN),--fn $(FN)) $(if $(CALLERS),--callers $(CALLERS)) \
 	    $(if $(WINDOW),--window $(WINDOW)) $(if $(WALL),--wall $(WALL)) \
-	    $(if $(GC),--gc) $(if $(MEMO),--memo) $(if $(MEMO_OFF),--memo-off $(MEMO_OFF))
+	    $(if $(GC),--gc) $(if $(MEMO),--memo) $(if $(MEMO_OFF),--memo-off $(MEMO_OFF)) \
+	    $(if $(RSS),--rss)
 
 loc:
 	$(PYTHON) scripts/loc.py $(BASE)

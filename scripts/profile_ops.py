@@ -3,9 +3,10 @@
     python scripts/profile_ops.py WORKLOAD [--ops 30] [--seed 7] [--self]
                                   [--fn NAME[,NAME...]] [--callers NAME[,NAME...]]
                                   [--window N] [--gc] [--memo] [--memo-off NAME[,...]]
+                                  [--rss]
     python scripts/profile_ops.py WORKLOAD [--ops 30] [--seed 7]
                                   --wall MODULE:QUALNAME[,...] [--window N] [--gc]
-                                  [--memo] [--memo-off NAME[,...]]
+                                  [--memo] [--memo-off NAME[,...]] [--rss]
 
 Builds the workload from ``benchmarks.harness.workloads`` in this process
 (its set-up is not profiled), then runs ``workload.run(i)`` for each op
@@ -74,6 +75,13 @@ entries (what the set-up stored among them), so every lookup misses and
 nothing is stored; the caps are restored around each check.  The
 ``--memo`` table reads the memos' own counters either way, so a memo's
 worth is the difference between a run with and a run without it.
+
+``--rss``, with or without ``--wall``, then prints the process's RSS
+high-water mark (``ru_maxrss``, what the harness reports as
+``peak_rss_mb``) and its count of gc-tracked objects twice: after the
+set-up, as the first op starts, and after the last timed op.  Neither
+reading is timed or profiled.  A workload whose retained state grows
+with its ops shows as a gap between the two rows.
 """
 
 import argparse
@@ -84,6 +92,7 @@ import gc
 import importlib
 import os
 import pstats
+import resource
 import sys
 import time
 from pathlib import Path
@@ -484,6 +493,41 @@ class MemosOff:
         self._caps.clear()
 
 
+class Footprint:
+    """The process's RSS high-water mark and gc-tracked objects, read as
+    the first of *ops* ``with`` blocks opens (after the set-up) and as
+    the last one closes (after the timed ops)."""
+
+    def __init__(self, ops):
+        self.ops = ops
+        #: ``(after what, ru_maxrss MiB, gc-tracked objects)`` per reading.
+        self.marks = []
+        self._closed = 0
+
+    @staticmethod
+    def _now():
+        # ru_maxrss is in KiB on Linux, as the harness reads it.
+        return (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                len(gc.get_objects()))
+
+    def __enter__(self):
+        if not self.marks:
+            self.marks.append(("set-up", *self._now()))
+
+    def __exit__(self, *exc):
+        self._closed += 1
+        if self._closed == self.ops:
+            self.marks.append((f"{self.ops} ops", *self._now()))
+
+    def table(self):
+        """Table lines, one per reading: the RSS high-water mark in MiB
+        and the gc-tracked objects."""
+        lines = [f"{'after':>10} {'maxrss MiB':>10} {'gc objects':>10}"]
+        for label, mib, objects in self.marks:
+            lines.append(f"{label:>10} {mib:>10.1f} {objects:>10}")
+        return lines
+
+
 def _import_paths():
     """Put ``src`` and the repo root first on ``sys.path``."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
@@ -525,7 +569,9 @@ def profile(name, seed, ops, *regions):
     one of *regions*."""
     workload, setup_s, check_failed = _build(name, seed, ops)
     profiler = cProfile.Profile()
-    laps = _run(workload, ops, check_failed, profiler, *regions)
+    # The profiler is the innermost region: the others' bookkeeping is
+    # not profiled.
+    laps = _run(workload, ops, check_failed, *regions, profiler)
     return pstats.Stats(profiler).stats, setup_s, laps
 
 
@@ -550,7 +596,7 @@ def wall(name, seed, ops, names, *regions):
     timer.per_call_s = wrapper_cost()
     timer.install()
     try:
-        laps = _run(workload, ops, check_failed, timer, *regions)
+        laps = _run(workload, ops, check_failed, *regions, timer)
     finally:
         timer.uninstall()
     return timer, setup_s, laps
@@ -588,17 +634,23 @@ def main(argv=None):
     parser.add_argument("--memo-off", default="", metavar="NAME[,NAME...]",
                         help="run the timed ops with these memos switched"
                              " off (a cap of 0)")
+    parser.add_argument("--rss", action="store_true",
+                        help="also list the RSS high-water mark and the"
+                             " gc-tracked objects after the set-up and after"
+                             " the timed ops")
     args = parser.parse_args(argv)
     args.memo_off = tuple(filter(None, args.memo_off.split(",")))
     collector = GcClock() if args.gc else None
     traffic = MemoTraffic() if args.memo else None
     switch = MemosOff(args.memo_off) if args.memo_off else None
-    regions = tuple(r for r in (collector, traffic, switch) if r is not None)
+    footprint = Footprint(args.ops) if args.rss else None
+    regions = tuple(r for r in (collector, traffic, switch, footprint)
+                    if r is not None)
     if args.wall:
         if args.self or args.fn or args.callers:
             parser.error("--wall runs without cProfile: leave out --self,"
                          " --fn and --callers")
-        return main_wall(args, collector, traffic, switch)
+        return main_wall(args, regions, collector, traffic, footprint)
     stats, setup_s, laps = profile(args.workload, args.seed, args.ops, *regions)
     profiled_s = sum(laps)
     print(f"# {args.workload} seed {args.seed}: {args.ops} ops,"
@@ -619,7 +671,7 @@ def main(argv=None):
     if args.window > 0:
         print(f"# profiled ms/op per window of {args.window} ops")
         print("\n".join(windows(laps, args.window)))
-    print_regions(collector, traffic, args.ops, profiled_s)
+    print_regions(collector, traffic, footprint, args.ops, profiled_s)
     return 0
 
 
@@ -628,21 +680,25 @@ def off_note(memo_off):
     return f"; memos off: {', '.join(memo_off)}" if memo_off else ""
 
 
-def print_regions(collector, traffic, ops, timed_s):
-    """The ``--gc`` table of a :class:`GcClock` and the ``--memo`` table
-    of a :class:`MemoTraffic`, of those there are."""
+def print_regions(collector, traffic, footprint, ops, timed_s):
+    """The ``--gc`` table of a :class:`GcClock`, the ``--memo`` table of a
+    :class:`MemoTraffic` and the ``--rss`` table of a :class:`Footprint`,
+    of those there are."""
     if collector is not None:
         print("# garbage collector per generation over the timed ops")
         print("\n".join(collector.table(ops, timed_s)))
     if traffic is not None:
         print("# memo traffic over the timed ops")
         print("\n".join(traffic.table(ops)))
+    if footprint is not None:
+        print("# RSS high-water mark (ru_maxrss) and gc-tracked objects")
+        print("\n".join(footprint.table()))
 
 
-def main_wall(args, collector=None, traffic=None, switch=None):
-    """The ``--wall`` report: the named functions' wall-clock table."""
+def main_wall(args, regions, collector, traffic, footprint):
+    """The ``--wall`` report: the named functions' wall-clock table, each
+    op also inside every one of *regions*."""
     names = args.wall.split(",")
-    regions = tuple(r for r in (collector, traffic, switch) if r is not None)
     timer, setup_s, laps = wall(args.workload, args.seed, args.ops, names, *regions)
     timed_s = sum(laps)
     cost = ("" if timer.per_call_s is None else
@@ -655,7 +711,7 @@ def main_wall(args, collector=None, traffic=None, switch=None):
     if args.window > 0:
         print(f"# timed ms/op per window of {args.window} ops")
         print("\n".join(windows(laps, args.window)))
-    print_regions(collector, traffic, args.ops, timed_s)
+    print_regions(collector, traffic, footprint, args.ops, timed_s)
     return 0
 
 

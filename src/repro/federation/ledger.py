@@ -21,6 +21,11 @@ validates and counts the rest in :attr:`torn_entries_dropped`; those
 chunks simply re-transfer, as do all chunks of an older, unsealed
 ledger.  Flushes pass the ``journal.append`` corruption site keyed
 ``transfer-ledger:<mirror>``.
+
+Records are sealed by :func:`seal_chunk` and are read-only values, so
+one record can sit in many ledgers: a ``sync_all`` round seals each
+clean chunk once and adds that record to the ledger of every mirror the
+chunk lands in (:meth:`TransferLedger.add_record`).
 """
 
 from __future__ import annotations
@@ -31,6 +36,28 @@ from repro import durable
 
 LEDGER_KIND = "transfer-ledger"
 LEDGER_VERSION = 2
+
+
+def seal_chunk(
+    blob_digest: str,
+    index: int,
+    digest: str,
+    offset: int,
+    length: int,
+    size: int,
+    chunk_size: int,
+) -> durable.Sealed:
+    """The sealed ledger line of chunk *index* of *blob_digest*, which
+    landed hashing to *digest*."""
+    return durable.seal({
+        "blob": blob_digest,
+        "index": index,
+        "digest": digest,
+        "offset": offset,
+        "length": length,
+        "size": size,
+        "chunk_size": chunk_size,
+    })
 
 
 def _valid_chunk(entry: dict) -> bool:
@@ -57,6 +84,17 @@ class TransferLedger:
         #: Ledger lines dropped during load (torn, flipped, invalid);
         #: those chunks re-transfer on the resumed sync.
         self.torn_entries_dropped = 0
+
+    @property
+    def mirror(self) -> str:
+        """The mirror this ledger belongs to, named in its header line,
+        which is rendered when the name is set, not on every flush."""
+        return self._mirror
+
+    @mirror.setter
+    def mirror(self, name: str) -> None:
+        self._mirror = name
+        self._header = durable.header(LEDGER_KIND, LEDGER_VERSION, mirror=name)
 
     # -- queries -----------------------------------------------------------
 
@@ -88,15 +126,14 @@ class TransferLedger:
     ) -> None:
         """Note that chunk *index* of *blob_digest* landed hashing to
         *digest*.  Durable only after the next :meth:`to_bytes` flush."""
-        self._chunks.setdefault(blob_digest, {})[index] = durable.seal({
-            "blob": blob_digest,
-            "index": index,
-            "digest": digest,
-            "offset": offset,
-            "length": length,
-            "size": size,
-            "chunk_size": chunk_size,
-        })
+        self.add_record(seal_chunk(blob_digest, index, digest, offset=offset,
+                                     length=length, size=size,
+                                     chunk_size=chunk_size))
+
+    def add_record(self, record: durable.Sealed) -> None:
+        """Note an already-sealed chunk record (:func:`seal_chunk`, or a
+        salvaged line); it replaces any record of the same chunk."""
+        self._chunks.setdefault(record["blob"], {})[record["index"]] = record
 
     def discard_chunk(self, blob_digest: str, index: int) -> None:
         """Drop one chunk record (it failed verification; re-fetch it)."""
@@ -118,7 +155,7 @@ class TransferLedger:
     def to_bytes(self) -> bytes:
         """Serialize as JSONL (header + one sealed line per chunk)."""
         return b"".join(
-            [durable.header(LEDGER_KIND, LEDGER_VERSION, mirror=self.mirror)]
+            [self._header]
             + [durable.line(self._chunks[blob][index])
                for blob in sorted(self._chunks)
                for index in sorted(self._chunks[blob])]
@@ -134,8 +171,8 @@ class TransferLedger:
         ledger = TransferLedger(mirror=mirror or str(header.get("mirror", "")))
         ledger.torn_entries_dropped = dropped
         for entry in records:
-            ledger._chunks.setdefault(entry["blob"], {})[entry["index"]] = entry
+            ledger.add_record(entry)
         return ledger
 
 
-__all__ = ["LEDGER_VERSION", "TransferLedger"]
+__all__ = ["LEDGER_VERSION", "TransferLedger", "seal_chunk"]

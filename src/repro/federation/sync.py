@@ -19,24 +19,35 @@ per sync attempt:
    whatever the mirror already stores intact — a blob present but rotten
    counts as missing, so sync also heals replicas.
 2. **Stage** — fetch each wanted blob from the origin in fixed-size
-   chunks into the mirror's shadow staging area.  The engine renders an
-   origin blob's bytes once and reuses them for every mirror that wants
-   the blob, while the origin's verified read still hands out the same
-   object; it keeps them only for the digests its latest plan wanted.
-   Every chunk arms the
-   ``transfer.chunk`` fault site (a transient fault aborts the sync
-   mid-blob) and may be silently corrupted in flight; each completed
-   chunk is recorded in the mirror's :class:`TransferLedger` and the
-   ledger flushed, so a resumed sync re-transfers only unfinished or
-   unverifiable chunks.
+   chunks into the mirror's shadow staging area.  What does not depend
+   on the mirror is made once per ``sync_all`` round and shared by every
+   mirror that wants the blob (:class:`_RoundBlob`): the origin blob's
+   bytes, its chunk spans, and each clean chunk's bytes with its sealed
+   ledger record.  The engine keeps that while the origin's verified
+   read still hands out the same object, and only for the digests its
+   latest plan wanted.  Each mirror still runs its own transfer: every
+   chunk arms the ``transfer.chunk`` fault site (a transient fault
+   aborts the sync mid-blob) and may be silently corrupted in flight,
+   lands in that mirror's staging buffer and is charged to its clock.
+   Each completed chunk is recorded in the mirror's
+   :class:`TransferLedger` (a clean one with the round's sealed record,
+   a corrupted one with a record of its own) and the ledger flushed, so
+   a resumed sync re-transfers only unfinished or unverifiable chunks.
 3. **Verify** — re-hash every staged blob against its declared digest.
    A mismatch is localized by re-hashing chunks against the origin's
    chunk plan; only the damaged chunks are discarded from the ledger and
    re-fetched (bounded attempts).  Staged bytes become typed blobs through
-   :meth:`~repro.oci.blobs.Blob.decode`, once per staged blob: the typed
-   blob that verified is the one promoted.  Changed references are then
-   Merkle-verified end to end (manifest → config → layers) against the
-   staged + stored blobs (:func:`~repro.oci.layout.resolve_manifest`).
+   :meth:`~repro.oci.blobs.Blob.decode`, and the typed blob that verified
+   is the one promoted.  A staging is decoded once per round: the first
+   staging byte-equal to the origin's bytes that decodes and passes
+   :func:`~repro.oci.blobs.check_blob` is kept, and a later mirror whose
+   staging is byte-equal to it is handed that verified object instead of
+   decoding its own; any other staging is decoded and checked on its
+   own.  So mirrors synced in one round store one immutable
+   :class:`~repro.oci.blobs.Blob` object, never the origin's.  Changed
+   references are then Merkle-verified end to end (manifest → config →
+   layers) against the staged + stored blobs, per mirror
+   (:func:`~repro.oci.layout.resolve_manifest`).
 4. **Promote** — write the verified blobs into the mirror's registry
    (post-write re-verified) and only then flip tags and artifact caches
    (a cache whose blob the mirror already stores intact, as when the
@@ -59,7 +70,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro import durable
-from repro.federation.ledger import TransferLedger
+from repro.federation.ledger import TransferLedger, seal_chunk
 from repro.integrity import (
     KIND_DIGEST_MISMATCH,
     KIND_UNPARSEABLE,
@@ -92,6 +103,26 @@ def chunk_spans(size: int, chunk_size: int) -> List[Tuple[int, int, int]]:
         (index, offset, min(chunk_size, size - offset))
         for index, offset in enumerate(range(0, size, chunk_size))
     ]
+
+
+@dataclass(slots=True)
+class _RoundBlob:
+    """One wanted origin blob as a ``sync_all`` round stages it, shared
+    by every mirror that wants it in the round (:attr:`SyncEngine._rendered`).
+
+    Everything here is made once per round and read by each mirror's own
+    transfer: the origin's bytes and chunk spans, each clean chunk's
+    bytes with its sealed ledger record, and the typed blob a staging
+    equal to :attr:`data` decoded to and :func:`~repro.oci.blobs.check_blob`
+    passed.
+    """
+
+    origin: Blob
+    data: bytes
+    spans: List[Tuple[int, int, int]]
+    #: chunk index -> (clean chunk bytes, sealed ledger record), on first use.
+    chunks: Dict[int, Tuple[bytes, durable.Sealed]] = field(default_factory=dict)
+    verified: Optional[Blob] = None
 
 
 @dataclass
@@ -154,10 +185,12 @@ class SyncEngine:
         self.clock = clock or SimulatedClock()
         self.chunk_size = max(1, int(chunk_size))
         self.bandwidth = bandwidth
-        #: ``digest -> (origin blob, its bytes)`` rendered for staging,
-        #: kept only for the digests the latest :meth:`plan` wanted, so a
-        #: ``sync_all`` round renders each wanted origin blob once.
-        self._rendered: Dict[str, Tuple[Blob, bytes]] = {}
+        #: ``digest -> _RoundBlob`` of each origin blob staged this round,
+        #: kept only while the origin's verified read hands out the same
+        #: object and only for the digests the latest :meth:`plan` wanted,
+        #: so a ``sync_all`` round renders, chunks, seals and decodes each
+        #: wanted origin blob once.
+        self._rendered: Dict[str, _RoundBlob] = {}
 
     # ------------------------------------------------------------------
 
@@ -244,21 +277,22 @@ class SyncEngine:
         so).  Chunks already recorded in
         the ledger whose staged bytes still re-hash clean are skipped
         (resume); everything else is fetched, with corruption localized
-        to chunks and bounded re-fetch attempts.  The origin blob's bytes
-        are rendered once per object the origin's verified read hands out
-        (:attr:`_rendered`).
+        to chunks and bounded re-fetch attempts.  What does not depend on
+        the mirror is made once per object the origin's verified read
+        hands out (:class:`_RoundBlob`): a clean chunk lands with the
+        round's sealed record, and a staging byte-equal to the origin's
+        bytes is the typed blob the first such staging decoded to.
         """
         ledger: TransferLedger = mirror.ledger
         origin_blob = self.origin.blobs.get(digest)
         media_type = origin_blob.media_type
-        kept = self._rendered.get(digest)
-        if kept is not None and kept[0] is origin_blob:
-            data = kept[1]
-        else:
+        shared = self._rendered.get(digest)
+        if shared is None or shared.origin is not origin_blob:
             data = origin_blob.as_bytes()
-            self._rendered[digest] = (origin_blob, data)
+            shared = self._rendered[digest] = _RoundBlob(
+                origin_blob, data, chunk_spans(len(data), self.chunk_size))
+        data, spans = shared.data, shared.spans
         size = len(data)
-        spans = chunk_spans(size, self.chunk_size)
         report.chunks_total += len(spans)
         buf = mirror.staging.get(digest)
         if buf is None or len(buf) != size:
@@ -271,39 +305,51 @@ class SyncEngine:
             recorded = ledger.chunks(digest)
             for index, offset, length in spans:
                 entry = recorded.get(index)
-                staged = bytes(buf[offset:offset + length])
                 if (
                     entry is not None
                     and entry["length"] == length
                     and entry["offset"] == offset
-                    and digest_bytes(staged) == entry["digest"]
+                    and digest_bytes(bytes(buf[offset:offset + length]))
+                    == entry["digest"]
                 ):
                     if not resumed_counted:
                         report.chunks_resumed += 1
                     continue
                 key = f"{mirror.name}/{digest}#{index}"
                 self._arm("transfer.chunk", key)
-                chunk = data[offset:offset + length]
+                made = shared.chunks.get(index)
+                if made is None:
+                    clean = data[offset:offset + length]
+                    made = shared.chunks[index] = (clean, seal_chunk(
+                        digest, index, digest_bytes(clean), offset=offset,
+                        length=length, size=size, chunk_size=self.chunk_size))
+                clean, record = made
+                chunk = clean
                 inj = self.injector
                 if inj is not None and inj.corrupting("transfer.chunk"):
-                    chunk = inj.corrupt("transfer.chunk", key, chunk)
+                    chunk = inj.corrupt("transfer.chunk", key, clean)
                 buf[offset:offset + length] = chunk
-                ledger.record_chunk(
-                    digest, index, digest_bytes(chunk),
-                    offset=offset, length=length, size=size,
-                    chunk_size=self.chunk_size,
-                )
+                if chunk == clean:
+                    ledger.add_record(record)
+                else:   # corrupted in flight: a record of its own
+                    ledger.record_chunk(
+                        digest, index, digest_bytes(chunk), offset=offset,
+                        length=length, size=size, chunk_size=self.chunk_size)
                 self._flush_ledger(mirror)
                 report.chunks_fetched += 1
                 report.bytes_on_wire += length
                 self._charge(length)
             resumed_counted = True
+            if shared.verified is not None and buf == data:
+                return shared.verified
             staged = bytes(buf)
             try:
                 blob = Blob.decode(media_type, digest, staged)
             except Exception:
                 blob = None   # unparseable staging == corrupt
             if blob is not None and check_blob(blob) is None:
+                if shared.verified is None and staged == data:
+                    shared.verified = blob
                 return blob
             # Localize the damage: only chunks whose staged bytes differ
             # from the origin's chunk plan re-transfer.

@@ -9,9 +9,13 @@ layers (used by tests and by the on-disk layout exporter).
 
 A layer is built with :meth:`Layer.add` and is a value from the moment
 its digest or size is first read, or a :class:`~repro.oci.blobs.Blob`
-takes it: ``add`` then raises ``TypeError``, so the digest and size it
-remembers, and any verdict remembered about a blob holding it, never go
-stale.  A reader that wants a changed layer builds a new one.
+takes it (:meth:`Layer.freeze`): its entries become a read-only list,
+and ``add``, any in-place change of that list and a rebinding of
+``entries`` or ``comment`` raise ``TypeError``.  So the digest and size
+it remembers, and any verdict remembered about a blob holding it, never
+go stale, and a stored layer that many readers share (every mirror a
+sync round promoted it to) cannot be changed by one of them.  A reader
+that wants a changed layer builds a new one.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.oci.digest import canonical_json, digest_bytes
+from repro.oci.image import ReadOnlyList
 from repro.vfs import paths as vpath
 from repro.vfs.content import FileContent, InlineContent, SyntheticContent
 
@@ -34,6 +39,9 @@ KIND_WHITEOUT = "whiteout"
 KIND_OPAQUE = "opaque"
 
 _TAR_BLOCK = 512
+
+_FROZEN = ("layer is frozen (its digest or size was read, or a blob holds "
+           "it): build a new Layer instead")
 
 WHITEOUT_PREFIX = ".wh."
 OPAQUE_MARKER = ".wh..wh..opq"
@@ -152,23 +160,33 @@ class Layer:
     entries: List[LayerEntry] = field(default_factory=list)
     comment: str = ""
 
+    #: The fields a frozen layer refuses to rebind.
+    _FIELDS = frozenset({"entries", "comment"})
+
     def __post_init__(self) -> None:
+        if type(self.entries) is not list:   # another layer's, or a tuple
+            self.entries = list(self.entries)
         self._digest_cache: Optional[str] = None
         self._size_cache: Optional[int] = None
         self._frozen = False
 
+    def __setattr__(self, name: str, value: Any) -> None:
+        if name in self._FIELDS and getattr(self, "_frozen", False):
+            raise TypeError(_FROZEN)
+        object.__setattr__(self, name, value)
+
     def add(self, entry: LayerEntry) -> "Layer":
         if self._frozen:
-            raise TypeError(
-                "layer is frozen (its digest or size was read, or a blob "
-                "holds it): build a new Layer instead"
-            )
+            raise TypeError(_FROZEN)
         self.entries.append(entry)
         return self
 
     def freeze(self) -> None:
-        """Refuse every later :meth:`add`."""
-        self._frozen = True
+        """Make the layer a value: its entries a read-only list, and every
+        later :meth:`add` and rebinding of a field a ``TypeError``."""
+        if not self._frozen:
+            self.entries = ReadOnlyList(self.entries)
+            self._frozen = True
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -184,7 +202,7 @@ class Layer:
         """
         cached = self._digest_cache
         if cached is None:
-            self._frozen = True
+            self.freeze()
             cached = self._digest_cache = digest_bytes(
                 canonical_json([e.identity() for e in self.entries])
             )
@@ -199,7 +217,7 @@ class Layer:
         """
         total = self._size_cache
         if total is None:
-            self._frozen = True
+            self.freeze()
             total = 2 * _TAR_BLOCK  # tar end-of-archive blocks
             for entry in self.entries:
                 total += _TAR_BLOCK  # header

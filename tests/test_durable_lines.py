@@ -372,6 +372,20 @@ class TestFlushRendersOnlyNewRecords:
         ledger.to_bytes()
         assert dumps.records == 25
 
+    def test_a_ledger_renders_its_header_once(self, dumps):
+        ledger = make_ledger()
+        assert dumps.headers == 1
+        flushed = [ledger.to_bytes() for _ in range(5)]
+        assert dumps.headers == 1
+        assert flushed == [reference_log(ledger_head(ledger),
+                                         ledger_records(ledger))] * 5
+        ledger.mirror = "edge-9"
+        assert dumps.headers == 2
+        assert ledger.to_bytes() == reference_log(
+            {"kind": LEDGER_KIND, "mirror": "edge-9", "version": LEDGER_VERSION},
+            ledger_records(ledger))
+        assert dumps.headers == 2
+
     def test_wal(self, dumps):
         wal = make_wal()
         assert dumps.records == 30

@@ -355,6 +355,30 @@ class TestResolvedImageVerify:
         assert again.verify() == []
         assert again.layers[0].paths() == resolved.layers[0].paths()
 
+    def test_a_readers_write_to_the_entries_is_refused(self):
+        layout, *_ = _make_layout()
+        layer = layout.resolve("app:latest").layers[0]
+        assert len(layer.entries) == 1
+        evil = LayerEntry.file("/evil", InlineContent(b"x"))
+        for write in (lambda: layer.entries.append(evil),
+                      lambda: layer.entries.extend([evil]),
+                      lambda: layer.entries.__setitem__(0, evil),
+                      lambda: layer.entries.clear()):
+            with pytest.raises(TypeError):
+                write()
+        again = layout.resolve("app:latest")
+        assert again.verify() == []
+        assert len(again.layers[0].entries) == 1
+
+    @pytest.mark.parametrize("field", ["entries", "comment"])
+    def test_a_frozen_layer_refuses_a_rebound_field(self, field):
+        layout, *_ = _make_layout()
+        layer = layout.resolve("app:latest").layers[0]
+        before = getattr(layer, field)
+        with pytest.raises(TypeError):
+            setattr(layer, field, type(before)())
+        assert getattr(layout.resolve("app:latest").layers[0], field) == before
+
 
 class TestRegistryIntegrity:
     def test_transfer_corruption_caught_on_pull(self):

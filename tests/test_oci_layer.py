@@ -89,6 +89,17 @@ class TestLayer:
         built = Layer(entries=list(entries))
         assert built.size == fresh(layer)
 
+    def test_a_layer_built_from_a_frozen_ones_entries_is_its_own(self):
+        layer = _sample_layer()
+        digest = layer.digest                 # frozen from here on
+        for working in (Layer(entries=layer.entries, comment=layer.comment),
+                        dataclasses.replace(layer)):
+            assert working == layer
+            working.add(LayerEntry.directory("/more"))
+            working.comment = "changed"
+            assert working != layer and working.digest != digest
+        assert layer.digest == digest and layer == _sample_layer()
+
     def test_json_roundtrip(self):
         layer = _sample_layer()
         restored = Layer.from_bytes(layer.to_bytes())

@@ -742,3 +742,69 @@ def test_memo_off_refuses_an_unknown_memo(monkeypatch):
         _EachMemoWorkload(), 0.5, AssertionError))
     with pytest.raises(SystemExit, match=r"no memo named nope \(memos: known\)"):
         profile_ops.main(["stub", "--ops", "1", "--memo-off", "nope"])
+
+
+# -- --rss: the RSS high-water mark and gc-tracked objects -----------------
+
+class _GrowingWorkload:
+    """A stub workload whose every op keeps 1,000 more lists (gc-tracked
+    objects)."""
+
+    def __init__(self):
+        self.kept = []
+
+    def run(self, i):
+        self.kept.extend([] for _ in range(1000))
+        return i
+
+    def check(self, i, out):
+        assert out == i
+
+
+def _rss_rows(out):
+    """``[after, maxrss MiB, gc objects]`` rows of a printed ``--rss``
+    table."""
+    lines = out.splitlines()
+    start = lines.index("# RSS high-water mark (ru_maxrss) and gc-tracked objects")
+    assert lines[start + 1].split() == ["after", "maxrss", "MiB", "gc", "objects"]
+    return [line.rsplit(None, 2) for line in lines[start + 2:]]
+
+
+def test_rss_table_is_the_high_water_mark_and_objects_per_reading():
+    footprint = profile_ops.Footprint(ops=600)
+    footprint.marks = [("set-up", 47.8125, 39312), ("600 ops", 104.6, 72418)]
+    assert [line.rsplit(None, 2) for line in footprint.table()[1:]] == [
+        ["    set-up", "47.8", "39312"], ["   600 ops", "104.6", "72418"]]
+
+
+@pytest.mark.parametrize("extra", [[], ["--wall", "repro.stub_timed:outer"]])
+def test_rss_reads_after_the_set_up_and_after_the_timed_ops(
+        extra, monkeypatch, capsys, collector_off):
+    _stub_modules(monkeypatch)
+    workload = _GrowingWorkload()
+    monkeypatch.setattr(profile_ops, "_build", lambda name, seed, ops: (
+        workload, 0.5, AssertionError))
+    assert profile_ops.main(["stub", "--ops", "4", "--rss", *extra]) == 0
+    (set_up, mib_0, objects_0), (after, mib_4, objects_4) = _rss_rows(
+        capsys.readouterr().out)
+    assert (set_up.strip(), after.strip()) == ("set-up", "4 ops")
+    assert 0 < float(mib_0) <= float(mib_4)
+    # The ops kept 4,000 lists; with the collector off nothing else went.
+    assert int(objects_4) - int(objects_0) >= 4000
+
+
+def test_rss_appends_its_table_and_leaves_the_rest_alone(monkeypatch, capsys):
+    def fake_profile(name, seed, ops, *regions):
+        for _ in range(ops):
+            with contextlib.ExitStack() as stack:
+                for region in regions:
+                    stack.enter_context(region)
+        return STATS, 0.5, [10.0]
+
+    monkeypatch.setattr(profile_ops, "profile", fake_profile)
+    profile_ops.main(["mirror-sync", "--fn", "plan"])
+    plain = capsys.readouterr().out
+    profile_ops.main(["mirror-sync", "--fn", "plan", "--rss"])
+    with_rss = capsys.readouterr().out
+    assert with_rss.startswith(plain)
+    assert [row[0].strip() for row in _rss_rows(with_rss)] == ["set-up", "30 ops"]

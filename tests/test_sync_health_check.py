@@ -19,6 +19,7 @@ import random
 import pytest
 
 from repro.federation import FederatedRegistry
+from repro.federation.ledger import TransferLedger
 from repro.integrity import IntegrityError
 from repro.integrity.fsck import fsck_federation
 from repro.oci import (
@@ -464,10 +465,145 @@ class TestSyncCostsWhatChanged:
         assert rendered == [patch, patch]
         assert all(fed.converged(m) for m in fed.mirrors.values())
 
+    @pytest.fixture
+    def decoded(self, monkeypatch):
+        """The digest of every blob ``Blob.decode`` decodes from here on."""
+        seen = []
+        decode = Blob.decode
+        monkeypatch.setattr(Blob, "decode", staticmethod(
+            lambda media_type, digest, data: (seen.append(digest),
+                                              decode(media_type, digest, data))[1]))
+        return seen
 
-def _fleet(mirrors: int):
-    """*mirrors* mirrors, synced with one app image; and its base layer."""
-    fed = FederatedRegistry()
+    @pytest.fixture
+    def added(self, monkeypatch):
+        """``(mirror, record)`` of every chunk record a ledger takes from
+        here on."""
+        seen = []
+        add_record = TransferLedger.add_record
+        monkeypatch.setattr(TransferLedger, "add_record", lambda ledger, record: (
+            seen.append((ledger.mirror, record)), add_record(ledger, record))[1])
+        return seen
+
+    @staticmethod
+    def _records_by_mirror(added):
+        by_mirror = {}
+        for mirror, record in added:
+            by_mirror.setdefault(mirror, []).append(record)
+        return by_mirror
+
+    @staticmethod
+    def _new_app(fed):
+        """Push an image on a base no mirror holds; the digests of its
+        closure (manifest, config, base, patch)."""
+        fed.push("lab/other:0", *_image(_layer("/base/other", b"other" * 200),
+                                        "other-0"))
+        return list(manifest_closure(fed.origin.blobs.try_get(
+            fed.origin.manifest_map()["lab/other:0"])))
+
+    def test_a_round_decodes_each_changed_blob_once_and_seals_each_chunk_once(
+            self, decoded, added):
+        fed, _ = _fleet(mirrors=3, chunk_size=512)
+        closure = self._new_app(fed)
+        del decoded[:], added[:]
+        reports = fed.sync_all()
+        assert [r.blobs_fetched for r in reports.values()] == [4, 4, 4]
+        # The first mirror decodes each blob; the others' byte-equal
+        # stagings take what it decoded.
+        assert sorted(decoded) == sorted(closure)
+        by_mirror = self._records_by_mirror(added)
+        records = by_mirror["edge-0"]
+        chunks = reports["edge-0"].chunks_fetched
+        assert len(records) == chunks > len(closure)
+        assert len({(r["blob"], r["index"]) for r in records}) == chunks
+        # Every mirror's ledger took the same sealed records.
+        for name in ("edge-1", "edge-2"):
+            assert len(by_mirror[name]) == chunks
+            assert all(a is b for a, b in zip(by_mirror[name], records))
+        assert all(fed.converged(m) for m in fed.mirrors.values())
+
+    def test_every_mirror_stores_the_same_object_of_a_round(self):
+        fed, _ = _fleet(mirrors=3)
+        closure = self._new_app(fed)
+        fed.sync_all()
+        for digest in closure:
+            stored = [m.registry.blobs.try_get(digest) for m in fed.mirrors.values()]
+            assert all(blob is stored[0] for blob in stored)
+            # What a staging decoded to, never the origin's own object.
+            assert stored[0] is not fed.origin.blobs.try_get(digest)
+            assert stored[0] == fed.origin.blobs.try_get(digest)
+
+    def _new_app_and_one_corrupt_chunk(self):
+        """:meth:`_new_app` on three mirrors at 512-byte chunks, with an
+        injector that corrupts edge-1's first chunk once."""
+        fed, _ = _fleet(mirrors=3, chunk_size=512)
+        closure = self._new_app(fed)
+        fed.engine.injector = FaultInjector(corruptions=[CorruptionSpec(
+            site="transfer.chunk", match="edge-1/", times=1)])
+        return fed, closure
+
+    def test_a_chunk_corrupted_for_one_mirror_costs_that_mirror_alone(
+            self, decoded, added):
+        # Nothing shared: each mirror's sync starts from an empty round.
+        alone, closure = self._new_app_and_one_corrupt_chunk()
+        del decoded[:]
+        expected = {}
+        for name in sorted(alone.mirrors):
+            alone.engine._rendered.clear()
+            expected[name] = alone.sync_mirror(name).to_json()
+        assert len(decoded) == 3 * len(closure) + 1
+
+        fed, closure = self._new_app_and_one_corrupt_chunk()
+        del decoded[:], added[:]
+        reports = {name: r.to_json() for name, r in fed.sync_all().items()}
+        assert reports == expected
+        assert fed.engine.injector.log == alone.engine.injector.log
+        [fault] = fed.engine.injector.log
+        assert (fault.site, fault.kind) == ("transfer.chunk", "corrupt-bitflip")
+        bad = fault.key[len("edge-1/"):].partition("#")[0]
+        # edge-1 decodes its corrupt staging; every other decode is shared.
+        assert sorted(decoded) == sorted([*closure, bad])
+        assert len(decoded) == len(closure) + 1
+        # Only edge-1 records a digest of its own, for the corrupt chunk;
+        # it then re-fetches that one chunk, with the round's record.
+        by_mirror = self._records_by_mirror(added)
+        clean = by_mirror["edge-0"]
+        assert all(a is b for a, b in zip(by_mirror["edge-2"], clean))
+        assert len(by_mirror["edge-2"]) == len(clean)
+        own = [r for r in by_mirror["edge-1"] if not any(r is c for c in clean)]
+        assert [r["blob"] for r in own] == [bad]
+        [twin] = [c for c in clean if (c["blob"], c["index"]) == (bad, own[0]["index"])]
+        assert own[0]["digest"] != twin["digest"]
+        assert len(by_mirror["edge-1"]) == len(clean) + 1
+        assert [r["chunks_corrupted"] for r in reports.values()] == [0, 1, 0]
+        assert (reports["edge-1"]["chunks_fetched"]
+                == reports["edge-0"]["chunks_fetched"] + 1)
+        assert all(fed.converged(m) for m in fed.mirrors.values())
+
+    def test_a_rotten_shared_copy_is_healed_on_its_own_mirror(self):
+        fed, base = _fleet(mirrors=3)
+        manifest, config, layers = _image(base, "app-1")
+        fed.push("lab/app:1", manifest, config, layers)
+        fed.sync_all()
+        patch = layers[1].digest
+        shared = fed.mirror("edge-0").registry.blobs.try_get(patch)
+        assert fed.mirror("edge-1").registry.blobs.try_get(patch) is shared
+        _rot(fed.mirror("edge-1").registry.blobs, patch, b'{"entries": []}')
+        assert fed.engine.plan(fed.mirror("edge-0")) == ({}, {}, [])
+        assert fed.engine.plan(fed.mirror("edge-2")) == ({}, {}, [])
+        assert fed.engine.plan(fed.mirror("edge-1"))[2] == [patch]
+        reports = fed.sync_all()
+        assert [r.blobs_fetched for r in reports.values()] == [0, 1, 0]
+        assert fed.mirror("edge-1").registry.blobs.intact(patch) is not None
+        for name in ("edge-0", "edge-2"):
+            assert fed.mirror(name).registry.blobs.try_get(patch) is shared
+        assert all(fed.converged(m) for m in fed.mirrors.values())
+
+
+def _fleet(mirrors: int, **options):
+    """*mirrors* mirrors, synced with one app image; and its base layer.
+    *options* go to the :class:`FederatedRegistry`."""
+    fed = FederatedRegistry(**options)
     for m in range(mirrors):
         fed.add_mirror(f"edge-{m}")
     base = _layer("/base/app", b"app" * 8)
